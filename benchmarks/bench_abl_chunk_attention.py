@@ -4,22 +4,24 @@ One schema, one long shared module, S in-flight sequences all decoding
 over forks of the same pre-spliced base — the ChunkAttention shape. For
 each share factor the continuous scheduler runs the same trace twice:
 
-- **off** — the legacy single-pass kernel: every sequence streams the
-  full shared-prefix + private-suffix context itself each step.
-- **on** — the two-phase path: one chunk-phase over the shared prefix
-  per group per layer, a private phase per sequence, online-softmax
-  merge.
+- **off** — the per-sequence single-pass kernel: every sequence streams
+  the full shared-prefix + private-suffix context itself each step.
+- **on** — the batched arena step: one chunk phase over the shared
+  prefix per group per layer, one stacked private phase over the tail
+  arena, one online-softmax merge, fused projections.
 
 Reported per share factor: effective attention FLOPs per decode step
 (the bandwidth-equivalent accounting of :mod:`repro.llm.flops`, summed
 from the scheduler's own per-iteration share accounting and
 cross-checked against its ``flops_saved``), the single-pass/two-phase
-FLOP ratio, decode tokens/s for both modes, and byte-identity of every
+FLOP ratio, decode tokens/s for both modes, and identity of every
 generated token. The FLOP axis is deterministic — it depends only on
 the trace geometry — so the regression gate pins it tightly; wall-clock
-tokens/s is informational except for the share-factor-1 guard, which
-runs the shipped ``auto`` policy (singletons take the legacy path) and
-must not regress against ``off``.
+tokens/s is reported (2.05x at share 16 on the committed run) but gated
+by the end-to-end benchmark (``benchmarks/e2e``), not here — except for
+the share-factor-1 guard, which runs the shipped ``auto`` policy
+(singletons stay on the per-sequence kernel) and must not regress
+against ``off``.
 
 CLI use (CI smoke)::
 

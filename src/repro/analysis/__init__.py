@@ -36,29 +36,7 @@ from repro.analysis.contracts import (
     enforce_contracts,
     shape_contract,
 )
-from repro.analysis.engine import (
-    Finding,
-    ProjectRule,
-    Rule,
-    SourceModule,
-    analyze_paths,
-    load_baseline,
-    new_findings,
-    remap_baseline,
-    write_baseline,
-)
-from repro.analysis.flow import LeaseLifecycleRule, LockOrderRule
 from repro.analysis.locks import assert_unheld, ordered_lock
-from repro.analysis.rules import (
-    AsyncHygieneRule,
-    BroadExceptRule,
-    DEFAULT_RULES,
-    GuardedByRule,
-    KVContractRule,
-    NoqaJustificationRule,
-    default_rules,
-    rules_by_name,
-)
 from repro.analysis.sanitize import (
     LockDep,
     PageAuditor,
@@ -71,7 +49,46 @@ from repro.analysis.sanitize import (
     validate_layout,
     validate_plan,
 )
-from repro.analysis.sarif import to_sarif, write_sarif
+
+# The lint side — AST engine, rules, call graph, flow analyses, SARIF — is
+# resolved on first use (PEP 562): the serving path imports this package
+# only for the runtime hooks above, and loading the analyses with it cost
+# every server start ~60 ms.
+_LAZY = {
+    "Finding": "engine",
+    "ProjectRule": "engine",
+    "Rule": "engine",
+    "SourceModule": "engine",
+    "analyze_paths": "engine",
+    "load_baseline": "engine",
+    "new_findings": "engine",
+    "remap_baseline": "engine",
+    "write_baseline": "engine",
+    "LeaseLifecycleRule": "flow",
+    "LockOrderRule": "flow",
+    "AsyncHygieneRule": "rules",
+    "BroadExceptRule": "rules",
+    "DEFAULT_RULES": "rules",
+    "GuardedByRule": "rules",
+    "KVContractRule": "rules",
+    "NoqaJustificationRule": "rules",
+    "default_rules": "rules",
+    "rules_by_name": "rules",
+    "to_sarif": "sarif",
+    "write_sarif": "sarif",
+}
+
+
+def __getattr__(name: str):
+    submodule = _LAZY.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "AsyncHygieneRule",

@@ -10,7 +10,8 @@ the *dynamic* invariants the paper's §3.2–3.4 machinery depends on:
   sharer's prefix — the write would corrupt a sibling's tokens).
   :meth:`PageAuditor.expect_balanced` turns "every fork must be freed"
   into an assertion for tests, and :func:`assert_quiescent` checks a
-  pool has zero live pages at end of test.
+  pool has zero live pages — and a tail arena no seated row, whose
+  double seat/release the auditor also catches — at end of test.
 - A **splice-plan validator** re-derives the position-ID invariants of
   every compiled plan: selected modules occupy disjoint, monotonically
   increasing position sets; uncached work only lands on parameter slots,
@@ -75,6 +76,8 @@ class PageAuditor:
         # pool -> {page index -> expected refcount}; weak keys so pools
         # dropped by tests don't pin the ledger.
         self._pools: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+        # arena -> seated slots (same weak keying, same lazy seeding).
+        self._seats: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self.errors_raised = 0
 
     # -- pool ledger ----------------------------------------------------------
@@ -135,6 +138,35 @@ class PageAuditor:
                 "write would overwrite a forked sharer's prefix"
             )
 
+    # -- tail-arena seats -----------------------------------------------------
+
+    def _seated(self, arena) -> set[int]:
+        seats = self._seats.get(arena)
+        if seats is None:
+            # Arena predates the auditor: seed from its own free list.
+            seats = self._seats[arena] = set(range(arena.slots)) - set(arena._free)
+        return seats
+
+    def on_seat(self, arena, slot: int) -> None:
+        """Called right before ``slot`` leaves the arena's free list."""
+        seats = self._seated(arena)
+        if slot in seats:
+            self._fail(
+                f"arena slot {slot} seated twice: two sequences would "
+                "append their decode tails to one row"
+            )
+        seats.add(slot)
+
+    def on_unseat(self, arena, slot: int) -> None:
+        """Called right before ``slot`` returns to the free list."""
+        seats = self._seated(arena)
+        if slot not in seats:
+            self._fail(
+                f"double release of arena slot {slot}: the row may already "
+                "belong to another sequence"
+            )
+        seats.discard(slot)
+
     # -- balance / quiescence -------------------------------------------------
 
     def live_pages(self, pool) -> int:
@@ -164,8 +196,17 @@ class PageAuditor:
 
 
 def assert_quiescent(*pools) -> None:
-    """Raise if any pool still holds live pages (end-of-test check)."""
+    """Raise if any page pool still holds live pages, or any
+    :class:`~repro.llm.paged.TailArena` a seated row (end-of-test check)."""
     for pool in pools:
+        if hasattr(pool, "live_slots"):
+            if pool.live_slots:
+                raise SanitizerError(
+                    f"arena not quiescent: {pool.live_slots} of {pool.slots} "
+                    "slot(s) still seated — a stream ended without freeing "
+                    "its fork"
+                )
+            continue
         if pool.live_pages:
             nonzero = [
                 page

@@ -160,6 +160,15 @@ class ServeStream:
       :class:`ServeResult`; :meth:`abort` releases it on failure or
       shutdown without a result.
 
+    Where the stream's KV lives: the spliced prefix is the shared base's
+    pages; the prefilled suffix is appended to the fork's own pages and
+    mirror. A scheduler that batches decode over a
+    :class:`~repro.llm.paged.TailArena` calls :meth:`seat_tail` at the
+    stream's first decode step; from then on decoded tokens are appended
+    to the arena row **only** — the fork's pages and mirror stay frozen
+    at prefix + suffix, and ``len(stream.cache)`` counts both. Read the
+    private tail through :meth:`tail_kv`, wherever it lives.
+
     Driven to completion with a prefill budget covering the whole suffix,
     a stream's greedy outputs are byte-identical to the one-call paths —
     the splice and the per-token forwards are the same arithmetic, only
@@ -281,11 +290,38 @@ class ServeStream:
         self._position += 1
         self.step_times_s.append(step_s)
 
+    def seat_tail(self, arena) -> bool:
+        """Move the private tail into ``arena`` for batched decode; True
+        when the stream is (now or already) seated. Only a paged fork of
+        a spliced base qualifies, and only in the ordinary decode state —
+        the next position at or after every cached key, which is what
+        lets the arena kernel skip the causal mask. The seat is for life:
+        it goes back with the fork in :meth:`abort` / :meth:`finish`."""
+        if not self._owns_fork or self.shared_group is None:
+            return False
+        if self.cache.tail is not None:
+            return True
+        if self.cache.layers[0].max_position > self._position:
+            return False
+        return arena.seat(self.cache, self.shared_len) is not None
+
+    def tail_kv(self, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(keys, values, positions)`` of everything past the shared
+        prefix at ``layer`` — suffix and decoded tokens — read from the
+        arena row once seated, from the cache itself before."""
+        tail = getattr(self.cache, "tail", None)
+        if tail is not None:
+            return tail.kv(layer)
+        kv = self.cache.layers[layer]
+        n = self.shared_len
+        return kv.keys[:, n:], kv.values[:, n:], kv.positions[n:]
+
     # -- completion --------------------------------------------------------------
 
     def abort(self) -> None:
-        """Release the paged fork (idempotent) without building a result
-        — the failure/shutdown path."""
+        """Release the paged fork — and with it the arena seat, if any —
+        (idempotent) without building a result: the failure/shutdown
+        path."""
         if not self._closed:
             self._closed = True
             if self._owns_fork:

@@ -289,9 +289,9 @@ def decode_attention_batch(
     layer_kvs: list[LayerKV],
     rope: RotaryEmbedding | None = None,
     alibi: AlibiBias | None = None,
-    shared_groups: list[tuple[list[int], int]] | None = None,
 ) -> np.ndarray:
-    """One attention layer for a batched single-token decode step.
+    """One attention layer of the *per-sequence* batched decode step —
+    the byte reference the arena kernel is tested against.
 
     ``x`` is (B, 1, d_model) — one freshly sampled token per in-flight
     sequence — and ``layer_kvs`` holds the B per-sequence caches.
@@ -301,21 +301,14 @@ def decode_attention_batch(
     NumPy evaluates a ``(B, 1, d) @ (d, n)`` product slice by slice, so
     every row is the exact GEMM the single-sequence path computes and
     the result is bit-identical to B separate :func:`self_attention`
-    calls. (A flattened ``(B, d) @ (d, n)`` GEMM would *not* be — BLAS
-    blocks the reduction differently at M > 1.) Attention itself runs
-    per sequence because each sequence attends over its own cache —
+    calls. (A flattened ``(B, d) @ (d, n)`` GEMM is *not* — BLAS blocks
+    the reduction differently at M > 1 — which is why this path is kept
+    whole for ``shared_attention="off"`` and cache-less callers, and why
+    :func:`arena_decode_attention`, which does flatten, promises equal
+    greedy tokens rather than equal bits.) Attention itself runs per
+    sequence because each sequence attends over its own cache —
     mirroring the single path's decode fast-path exactly, including the
     mask skip when the query position is at or after every cached key.
-
-    ``shared_groups`` is the ChunkAttention grouping: ``(members,
-    shared_len)`` entries where ``members`` indexes sequences whose
-    caches were forked from one pre-spliced base and whose first
-    ``shared_len`` mirror tokens are therefore one logical (and, modulo
-    private-mirror seeds, one physical) KV prefix. Grouped sequences take
-    the two-phase path — :func:`chunk_phase` over the shared prefix once
-    per group, a private-suffix phase each, :func:`merge_online_softmax`
-    to combine — and fall back to the single-pass kernel whenever the
-    causal mask would be non-trivial (never during ordinary decode).
     """
     q = linear(x, wq, bq)
     k = linear(x, wk, bk)
@@ -334,75 +327,199 @@ def decode_attention_batch(
         qh = rope.apply_stacked(qh, position_ids)
         kh = rope.apply_stacked(kh, position_ids)
 
-    grouped: set[int] = set()
-    group_plan: list[tuple[list[int], int]] = []
-    if shared_groups:
-        for members, shared_len in shared_groups:
-            members = [b for b in members if 0 <= b < batch]
-            if members and shared_len > 0:
-                group_plan.append((members, shared_len))
-                grouped.update(members)
-
-    contexts: list[np.ndarray | None] = [None] * batch
+    contexts = []
     for b, layer_kv in enumerate(layer_kvs):
         pos = position_ids[b]
         layer_kv.append(kh[b], vh[b], pos)
-        if b not in grouped:
-            contexts[b] = _decode_context(qh[b], layer_kv, pos, n_rep, alibi)
-
-    for members, shared_len in group_plan:
-        # Two-phase members must be mask-free over their whole cache (the
-        # ordinary decode state: the new token's position is at or after
-        # every cached key); anything unusual takes the single-pass path.
-        ready = []
-        for b in members:
-            layer_kv = layer_kvs[b]
-            if len(layer_kv) > shared_len and _mask_free(
-                layer_kv, layer_kv.positions, position_ids[b][0]
-            ):
-                ready.append(b)
-            else:
-                contexts[b] = _decode_context(
-                    qh[b], layer_kv, position_ids[b], n_rep, alibi
-                )
-        if not ready:
-            continue
-        # Chunk phase: every ready member's query over the shared prefix,
-        # streamed from one representative's mirror (all members' first
-        # shared_len tokens are the same spliced base image).
-        rep = layer_kvs[ready[0]]
-        shared_k = rep.keys[:, :shared_len]
-        shared_v = rep.values[:, :shared_len]
-        bias_stack = None
-        if alibi is not None:
-            shared_pos = rep.positions[:shared_len]
-            bias_stack = np.stack(
-                [alibi.bias(position_ids[b], shared_pos) for b in ready]
-            )
-        shared_part = chunk_phase(
-            qh[ready], shared_k, shared_v, n_rep, bias=bias_stack
-        )
-        # Per-sequence phase over each private suffix, then the merge.
-        for g, b in enumerate(ready):
-            layer_kv = layer_kvs[b]
-            pos = position_ids[b]
-            tail_bias = (
-                alibi.bias(pos, layer_kv.positions[shared_len:])
-                if alibi is not None
-                else None
-            )
-            tail_part = chunk_phase(
-                qh[b],
-                layer_kv.keys[:, shared_len:],
-                layer_kv.values[:, shared_len:],
-                n_rep,
-                bias=tail_bias,
-            )
-            contexts[b] = merge_heads(
-                merge_online_softmax(shared_part[g], tail_part)
-            )
-
+        contexts.append(_decode_context(qh[b], layer_kv, pos, n_rep, alibi))
     return linear(np.stack(contexts), wo, bo)
+
+
+@dataclass
+class DecodeStep:
+    """Everything per-sequence about one batched decode step over a
+    :class:`~repro.llm.paged.TailArena`, worked out once — not once per
+    layer — by :func:`plan_decode_step`.
+
+    The step runs in *step order*: ``order[r]`` is the batch index of row
+    ``r``; the first ``resident`` rows are arena-seated sequences laid
+    out group by group, the rest take the per-sequence kernel. Each
+    ``groups`` entry ``(start, stop, image, bias)`` is a run of resident
+    rows sharing one base image (``image[layer] = (keys, values)``) and
+    their ALiBi bias over it, already folded to the chunk phase's
+    ``(n_kv_heads, members * n_rep, shared_len)`` layout (``None``
+    without ALiBi).
+    """
+
+    order: list[int]
+    resident: int
+    arena: object  # repro.llm.paged.TailArena
+    slots: np.ndarray  # (resident,) arena row of each resident step row
+    write_at: np.ndarray  # (resident,) tail length before this step's token
+    rows: int  # arena rows the private phase spans: highest live slot + 1
+    longest: int  # longest tail after this step's token
+    # Additive (rows, n_kv_heads | 1, n_rep | 1, longest) bias over the arena
+    # block: the mask floor past each row's length, ALiBi where in use.
+    tail_bias: np.ndarray
+    groups: list[tuple[int, int, list, np.ndarray | None]]
+    n_rep: int
+
+
+def plan_decode_step(
+    caches: list,
+    position_ids: np.ndarray,
+    shared_groups: list[tuple[list[int], int]] | None,
+    *,
+    n_heads: int,
+    n_kv_heads: int,
+    alibi: AlibiBias | None = None,
+) -> DecodeStep | None:
+    """Plan one batched decode step, or ``None`` when no cache in the
+    batch is arena-seated (the whole step then belongs to the
+    per-sequence kernel).
+
+    Residency decides the kernel: a cache with a ``tail`` takes the arena
+    path, any other the per-sequence one — whatever ``shared_groups``
+    says. ``shared_groups`` decides only which residents' chunk phases
+    are batched: seated members of one ``(members, shared_len)`` entry
+    (whose image is indeed ``shared_len`` long) become one group reading
+    the first such member's image; a resident nobody listed is a group
+    of one. Each resident's tail grows by this step's token here:
+    position recorded, length bumped, arena capacity reserved.
+    """
+    tails = [getattr(cache, "tail", None) for cache in caches]
+    batch = len(caches)
+    order: list[int] = []
+    bounds: list[tuple[int, int]] = []
+    taken: set[int] = set()
+    for members, shared_len in shared_groups or ():
+        start = len(order)
+        for b in members:
+            if (
+                0 <= b < batch
+                and b not in taken
+                and tails[b] is not None
+                and tails[b].shared_len == shared_len
+            ):
+                order.append(b)
+                taken.add(b)
+        if len(order) > start:
+            bounds.append((start, len(order)))
+    for b, tail in enumerate(tails):
+        if tail is not None and b not in taken:
+            bounds.append((len(order), len(order) + 1))
+            order.append(b)
+    resident = len(order)
+    if not resident:
+        return None
+    order.extend(b for b in range(batch) if tails[b] is None)
+
+    arena = tails[order[0]].arena
+    n_rep = n_heads // n_kv_heads
+    positions = position_ids[order[:resident]]
+    slots = np.fromiter(
+        (tails[b].slot for b in order[:resident]), dtype=np.intp, count=resident
+    )
+    write_at = arena.lengths[slots]
+    longest = int(write_at.max()) + 1
+    arena.reserve(longest)
+    arena.positions[slots, write_at] = positions
+    arena.lengths[slots] = write_at + 1
+    rows = int(slots.max()) + 1
+
+    past_end = np.arange(longest) >= arena.lengths[:rows, None]  # (rows, longest)
+    if alibi is None:
+        tail_bias = np.where(past_end, _NEG_INF, DTYPE(0))[:, None, None, :]
+    else:
+        q_pos = np.zeros(rows, dtype=DTYPE)
+        q_pos[slots] = positions
+        distance = arena.positions[:rows, :longest].astype(DTYPE) - q_pos[:, None]
+        tail_bias = np.where(
+            past_end[:, None, :], _NEG_INF, alibi.slopes[:, None] * distance[:, None, :]
+        ).reshape(rows, n_kv_heads, n_rep, longest)
+
+    groups = []
+    for start, stop in bounds:
+        lead = tails[order[start]]
+        bias = None
+        if alibi is not None:
+            # (n_heads, members, shared) -> (n_kv_heads, members * n_rep, shared)
+            bias = (
+                alibi.bias(positions[start:stop], lead.image_positions)
+                .reshape(n_kv_heads, n_rep, stop - start, -1)
+                .transpose(0, 2, 1, 3)
+                .reshape(n_kv_heads, (stop - start) * n_rep, -1)
+            )
+        groups.append((start, stop, lead.image, bias))
+    return DecodeStep(
+        order=order, resident=resident, arena=arena, slots=slots,
+        write_at=write_at, rows=rows, longest=longest, tail_bias=tail_bias,
+        groups=groups, n_rep=n_rep,
+    )
+
+
+def arena_decode_attention(
+    step: DecodeStep, layer: int, q: np.ndarray, k: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """One layer's attention for the resident rows of a planned step.
+
+    ``q`` is (resident, n_heads, head_dim) and ``k``/``v`` (resident,
+    n_kv_heads, head_dim), rotated, in step order. Returns the merged
+    context (resident, n_heads * head_dim). Three stacked stages, no loop
+    over sequences:
+
+    1. the new K/V rows land in the arena with one fancy-index write;
+    2. per group, one :func:`chunk_phase` over the base image read in
+       place, its members (and their GQA repeats) folded into the query
+       axis — ``(n_kv_heads, members * n_rep, head_dim) @ (n_kv_heads,
+       head_dim, shared_len)`` is ``n_kv_heads`` GEMMs where a stacked
+       ``(members, n_heads, 1, head_dim)`` query is ``members * n_heads``
+       GEMVs;
+    3. one :func:`chunk_phase` over the arena block ``[:rows, :,
+       :longest]`` under the length mask for every private tail at once,
+       and one :func:`merge_online_softmax` for all rows.
+
+    Sums are reassociated against the single-pass kernel (a few ulps);
+    greedy tokens are pinned equal by the serving tests.
+    """
+    n, n_rep = step.resident, step.n_rep
+    arena_k, arena_v = step.arena.keys[layer], step.arena.values[layer]
+    arena_k[step.slots, :, step.write_at] = k
+    arena_v[step.slots, :, step.write_at] = v
+    n_kv_heads, head_dim = k.shape[1:]
+    folded = q.reshape(n, n_kv_heads, n_rep, head_dim)
+
+    by_slot = np.zeros((step.rows, n_kv_heads, n_rep, head_dim), dtype=DTYPE)
+    by_slot[step.slots] = folded
+    private = chunk_phase(
+        by_slot,
+        arena_k[: step.rows, :, : step.longest],
+        arena_v[: step.rows, :, : step.longest],
+        bias=step.tail_bias,
+    )[step.slots]
+
+    parts = []
+    for start, stop, image, bias in step.groups:
+        members = stop - start
+        shared_k, shared_v = image[layer]
+        part = chunk_phase(
+            folded[start:stop].transpose(1, 0, 2, 3).reshape(
+                n_kv_heads, members * n_rep, head_dim
+            ),
+            shared_k,
+            shared_v,
+            bias=bias,
+        )
+        parts.append(
+            [
+                stat.reshape(n_kv_heads, members, n_rep, -1).transpose(1, 0, 2, 3)
+                for stat in (part.m, part.l, part.acc)
+            ]
+        )
+    shared = ChunkPartial(
+        *(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts)))
+    )
+    return merge_online_softmax(shared, private).reshape(n, -1)
 
 
 def self_attention(

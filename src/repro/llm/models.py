@@ -21,15 +21,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.llm.attention import decode_attention_batch, self_attention
+from repro.llm.attention import (
+    _decode_context,
+    arena_decode_attention,
+    decode_attention_batch,
+    plan_decode_step,
+    self_attention,
+)
 from repro.llm.config import ModelConfig
 from repro.llm.kv import KVCache
 from repro.llm.layers import (
     embed,
+    gelu,
     gelu_mlp,
     layer_norm,
     linear,
+    linear_rows,
     rms_norm,
+    silu,
     swiglu_mlp,
 )
 from repro.llm.positional import (
@@ -37,14 +46,49 @@ from repro.llm.positional import (
     LearnedPositionalEmbedding,
     RotaryEmbedding,
 )
+from repro.llm.positional.rope import rotate
+
+
+def _fuse(params: dict[str, np.ndarray], names: list[str]) -> np.ndarray | None:
+    """Stack ``params[name]`` row-wise into one array and re-point each
+    entry at its slice of it, so the stack *is* the storage — the fused
+    matrix a batched step multiplies by and the per-matrix views every
+    other path reads cost one copy of the weights between them. ``None``
+    when the entries are absent (bias-free families)."""
+    if names[0] not in params:
+        return None
+    fused = np.concatenate([params[name] for name in names])
+    offset = 0
+    for name in names:
+        rows = len(params[name])
+        params[name] = fused[offset : offset + rows]
+        offset += rows
+    return fused
 
 
 class TransformerModel:
-    """A config + parameter dict, exposing a KV-cache forward pass."""
+    """A config + parameter dict, exposing a KV-cache forward pass.
+
+    Construction fuses each layer's q/k/v (and SwiGLU gate/up) matrices
+    into one array and replaces the ``params`` entries, in place, with
+    views of it: names, shapes and values are unchanged — ``forward``,
+    persistence and training read them as before — and the batched
+    decode step gets its one-GEMM projections without a second copy.
+    """
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]) -> None:
         self.config = config
         self.params = params
+        # Per layer: (wqkv, bqkv | None, gate_up | None).
+        self._fused = []
+        for i in range(config.n_layers):
+            attn = f"layers.{i}.attn"
+            self._fused.append((
+                _fuse(params, [f"{attn}.wq", f"{attn}.wk", f"{attn}.wv"]),
+                _fuse(params, [f"{attn}.bq", f"{attn}.bk", f"{attn}.bv"]),
+                _fuse(params, [f"layers.{i}.mlp.gate", f"layers.{i}.mlp.up"])
+                if config.mlp == "swiglu" else None,
+            ))
         self.rope = (
             RotaryEmbedding(config.head_dim, config.max_position, config.rope_theta)
             if config.positional == "rope"
@@ -174,29 +218,116 @@ class TransformerModel:
 
         ``token_ids``/``position_ids`` are (B,) — one freshly sampled
         token per sequence — and ``caches`` the B per-sequence KV caches
-        (plain or paged), each of which is appended to exactly as a
-        single-sequence :meth:`forward` call would. Returns logits of
-        shape (B, vocab).
+        (plain or paged), each of which grows by that token. Returns
+        logits of shape (B, vocab).
 
-        ``shared_groups`` opts grouped sequences into the two-phase
-        shared-prefix attention path (see
-        :func:`repro.llm.attention.chunk_phase`): each ``(members,
-        shared_len)`` entry names cache indices forked from one spliced
-        base whose first ``shared_len`` tokens are a common KV prefix,
-        computed once per group per layer instead of once per sequence.
+        Which kernel runs is decided by the caches. If none is seated in
+        a :class:`~repro.llm.paged.TailArena` the step is the
+        *per-sequence* one: hidden state kept as (B, 1, d_model), every
+        projection a stacked 3-D matmul whose slices are the (1, d)
+        single-sequence products, attention one sequence at a time —
+        byte-identical to B sequential :meth:`forward` calls, the
+        reference ``shared_attention="off"`` serves from. Otherwise it is
+        the *arena* step (:func:`~repro.llm.attention.plan_decode_step`,
+        planned once): hidden state (B, d_model), and per layer one fused
+        qkv GEMM, stacked RoPE, one write of the new K/V rows, the
+        grouped chunk phase / stacked private phase / one merge of
+        :func:`~repro.llm.attention.arena_decode_attention`, one output
+        GEMM, one fused gate/up GEMM and one down GEMM — then one LM-head
+        GEMM. Unseated caches in such a batch keep their per-sequence
+        attention inside the same step. GEMMs at M = B round differently
+        from B GEMVs, so the arena step pins greedy tokens, not bits.
 
-        The hidden state is kept as (B, 1, d_model) throughout: norms
-        and MLPs are elementwise/last-axis ops, and every projection is
-        a stacked 3-D matmul whose per-slice GEMMs match the (1, d)
-        single-sequence products bit for bit — so greedy decode through
-        this entry point is byte-identical to B sequential forwards
-        while amortizing Python and NumPy dispatch overhead across the
-        batch (the iteration-level scheduler's hot loop).
+        ``shared_groups`` names, as ``(members, shared_len)``, cache
+        indices forked from one spliced base whose first ``shared_len``
+        tokens are a common KV prefix; seated members of an entry share
+        one chunk phase per layer instead of one each.
         """
         n = len(caches)
-        token_ids = np.asarray(token_ids).reshape(n, 1)
-        position_ids = np.asarray(position_ids).reshape(n, 1)
+        cfg = self.config
+        position_ids = np.asarray(position_ids).reshape(n)
+        step = plan_decode_step(
+            caches, position_ids, shared_groups,
+            n_heads=cfg.n_heads, n_kv_heads=cfg.n_kv_heads, alibi=self.alibi,
+        )
+        if step is None:
+            return self._decode_per_sequence(
+                np.asarray(token_ids).reshape(n, 1), position_ids[:, None], caches
+            )
 
+        order = step.order
+        position_ids = position_ids[order]
+        hidden = embed(np.asarray(token_ids).reshape(n)[order], self._p("embed.weight"))
+        if self.learned_pos is not None:
+            hidden = self.learned_pos.apply(hidden, position_ids)
+        if self.rope is not None:
+            cos, sin = (t[:, None, :] for t in self.rope.rows(position_ids))
+        unseated = [(row, caches[b]) for row, b in enumerate(order)][step.resident:]
+        d, kv_dim, n_rep = cfg.d_model, cfg.kv_dim, step.n_rep
+
+        for i in range(cfg.n_layers):
+            wqkv, bqkv, gate_up = self._fused[i]
+            normed = self._norm(hidden, f"layers.{i}.attn_norm")
+            qkv = linear_rows(normed, wqkv, bqkv)
+            q = qkv[:, :d].reshape(n, cfg.n_heads, -1)
+            k = qkv[:, d : d + kv_dim].reshape(n, cfg.n_kv_heads, -1)
+            v = qkv[:, d + kv_dim :].reshape(n, cfg.n_kv_heads, -1)
+            if self.rope is not None:
+                q = rotate(q, cos, sin)
+                k = rotate(k, cos, sin)
+            context = np.empty((n, d), dtype=hidden.dtype)
+            context[: step.resident] = arena_decode_attention(
+                step, i, q[: step.resident], k[: step.resident], v[: step.resident]
+            )
+            for row, cache in unseated:
+                layer_kv = cache.layers[i]
+                pos = position_ids[row : row + 1]
+                layer_kv.append(k[row][:, None], v[row][:, None], pos)
+                context[row] = _decode_context(
+                    q[row][:, None], layer_kv, pos, n_rep, self.alibi
+                )
+            attn_out = linear_rows(
+                context, self._p(f"layers.{i}.attn.wo"),
+                self._maybe(f"layers.{i}.attn.bo"),
+            )
+            if cfg.parallel_block:
+                hidden = hidden + attn_out + self._mlp_rows(normed, i, gate_up)
+            else:
+                hidden = hidden + attn_out
+                hidden = hidden + self._mlp_rows(
+                    self._norm(hidden, f"layers.{i}.mlp_norm"), i, gate_up
+                )
+
+        # Weight-tied LM head: logits share the embedding matrix. Back to
+        # batch order, and to C order so each row is a contiguous vector.
+        logits = np.empty((n, cfg.vocab_size), dtype=hidden.dtype)
+        logits[order] = linear_rows(
+            self._norm(hidden, "final_norm"), self._p("embed.weight")
+        )
+        return logits
+
+    def _mlp_rows(self, x: np.ndarray, i: int, gate_up: np.ndarray | None) -> np.ndarray:
+        """:meth:`_mlp` on (B, d_model) rows with weight-first GEMMs and,
+        for SwiGLU, gate and up as one product."""
+        if gate_up is not None:
+            both = linear_rows(x, gate_up)
+            half = both.shape[1] // 2
+            return linear_rows(
+                silu(both[:, :half]) * both[:, half:], self._p(f"layers.{i}.mlp.down")
+            )
+        up = linear_rows(
+            x, self._p(f"layers.{i}.mlp.up"), self._maybe(f"layers.{i}.mlp.up_bias")
+        )
+        return linear_rows(
+            gelu(up), self._p(f"layers.{i}.mlp.down"),
+            self._maybe(f"layers.{i}.mlp.down_bias"),
+        )
+
+    def _decode_per_sequence(
+        self, token_ids: np.ndarray, position_ids: np.ndarray, caches: list[KVCache]
+    ) -> np.ndarray:
+        """The per-sequence decode step on (B, 1) ids (see
+        :meth:`forward_decode_batch`)."""
         hidden = embed(token_ids, self._p("embed.weight"))
         if self.learned_pos is not None:
             hidden = self.learned_pos.apply(hidden, position_ids)
@@ -220,7 +351,6 @@ class TransformerModel:
                 layer_kvs=[cache.layers[i] for cache in caches],
                 rope=self.rope,
                 alibi=self.alibi,
-                shared_groups=shared_groups,
             )
             if cfg.parallel_block:
                 hidden = hidden + attn_out + self._mlp(normed, i)

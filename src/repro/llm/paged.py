@@ -14,7 +14,13 @@ module implements that mechanism with real tensors:
 - :class:`PagedKVCache` — the whole-model view, plus
   :func:`shared_batch_caches` which gives every request in a batch its own
   cache while all of them point at one physical copy of the spliced
-  module states.
+  module states;
+- :class:`TailArena` — the decode-time home of forked sequences' private
+  tails: one row per sequence of a per-layer ``(slots, n_kv_heads,
+  capacity, head_dim)`` buffer, so a batched decode step reads and writes
+  every sequence's private KV with stacked array ops instead of a Python
+  loop over page tables (see
+  :func:`repro.llm.attention.arena_decode_attention`).
 
 The engine's forward pass works unchanged on paged caches (it only needs
 ``keys``/``values``/``positions``/``append``), so the §3.4 memory claim is
@@ -23,8 +29,8 @@ demonstrated end-to-end with bit-identical outputs.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +38,7 @@ from repro.analysis.contracts import shape_contract
 from repro.analysis.locks import ordered_lock
 from repro.llm.config import ModelConfig
 from repro.llm.kv import ModuleKV, tracked_alloc
+from repro.llm.layers import DTYPE
 
 PAGE_TOKENS = 16
 
@@ -193,7 +200,7 @@ class _Mirror:
 
     __slots__ = (
         "keys", "values", "positions", "length",
-        "lease", "lease_start", "fork_high_water", "lock",
+        "lease", "lease_start", "fork_high_water", "lock", "origin",
     )
 
     def __init__(
@@ -206,6 +213,9 @@ class _Mirror:
         self.lease: "PagedLayerKV | None" = None
         self.lease_start = length
         self.fork_high_water = length
+        # The shared image a private mirror was seeded from (its first
+        # ``lease_start`` tokens are that image's, byte for byte).
+        self.origin: "_Mirror | None" = None
         # Serializes lease transitions and tail writes when forks decode
         # from different server worker threads. Non-reentrant by design:
         # re-entry would mean a lease transition raced itself.
@@ -332,6 +342,7 @@ class PagedLayerKV:
         fresh.lease = self
         fresh.lease_start = prefix
         fresh.fork_high_water = prefix
+        fresh.origin = mirror
         self._mirror = fresh
         self._mirror_len = total
 
@@ -355,7 +366,7 @@ class PagedLayerKV:
                 )
         return sibling
 
-    def free(self) -> None:
+    def _drop_mirror(self) -> None:
         mirror = self._mirror
         if mirror is not None:
             with mirror.lock:
@@ -368,6 +379,23 @@ class PagedLayerKV:
                     mirror.length = max(mirror.lease_start, mirror.fork_high_water)
         self._mirror = None
         self._mirror_len = 0
+
+    def shed_mirror(self, keep: int) -> tuple[np.ndarray, np.ndarray]:
+        """Give up the contiguous image — the lease goes back as in
+        :meth:`free`, a private mirror is dropped — and return ``(keys,
+        values)`` views of its first ``keep`` tokens. Where this
+        sequence's mirror was a private seed, the views are of the shared
+        image it was seeded from, so what they pin is the copy every fork
+        of the base shares. The pages are untouched; asking for
+        ``keys``/``values`` again re-gathers them."""
+        mirror = self._ensure_mirror()
+        if mirror.origin is not None and keep <= mirror.lease_start:
+            mirror = mirror.origin
+        self._drop_mirror()
+        return mirror.keys[:, :keep], mirror.values[:, :keep]
+
+    def free(self) -> None:
+        self._drop_mirror()
         for page in self._table:
             self.pool.release(page)
         self._table = []
@@ -421,11 +449,17 @@ class PagedKVCache:
     Satisfies the engine's cache interface (``layers``, ``reserve``,
     ``__len__``), so :func:`repro.llm.generation.decode_loop` and
     ``model.forward`` run on it unchanged.
+
+    ``tail`` is set once the sequence has been seated in a
+    :class:`TailArena`: from then on the pages hold the frozen prefix
+    (spliced modules + prefilled suffix), decode steps append to the
+    arena row, and ``len()`` counts both.
     """
 
     def __init__(self, layers: list[PagedLayerKV], pools: list[PagePool]) -> None:
         self.layers = layers
         self.pools = pools
+        self.tail: ArenaTail | None = None
 
     @classmethod
     def empty(
@@ -454,6 +488,8 @@ class PagedKVCache:
         return cache
 
     def __len__(self) -> int:
+        if self.tail is not None:
+            return self.tail.shared_len + len(self.tail)
         return len(self.layers[0]) if self.layers else 0
 
     def reserve(self, total: int) -> None:
@@ -473,6 +509,9 @@ class PagedKVCache:
             layer._ensure_mirror()
 
     def free(self) -> None:
+        if self.tail is not None:
+            self.tail.release()
+            self.tail = None
         for layer in self.layers:
             layer.free()
 
@@ -481,6 +520,150 @@ class PagedKVCache:
 
     def logical_bytes(self) -> int:
         return sum(layer.nbytes() for layer in self.layers)
+
+
+# Smallest arena row, in tokens; rows double from here as tails lengthen.
+_ARENA_MIN_CAPACITY = 32
+
+
+class TailArena:
+    """Private KV tails of up to ``slots`` decoding sequences, one row each.
+
+    A sequence forked from a pre-spliced base attends over two ranges:
+    the base image every fork shares, and its own *tail* — the prefilled
+    suffix plus every token decoded since. Kept as per-sequence pages and
+    mirrors, the tails cost a batched decode step one Python round trip
+    per sequence per layer (append, then attend). Here each tail is row
+    ``slot`` of one ``(slots, n_kv_heads, capacity, head_dim)`` buffer
+    per layer and side, so the step appends every sequence's new K/V with
+    one fancy-index write and attends over ``buffer[:, :, :longest]``
+    under a length mask in one stacked call.
+
+    :meth:`seat` copies a sequence's tail out of its paged cache once and
+    hands back an :class:`ArenaTail`; the row stays the sequence's until
+    the handle is released (``PagedKVCache.free``). ``positions`` and
+    ``lengths`` are shared by all layers. Buffers are allocated on first
+    use and ``capacity`` doubles whenever the longest live tail outgrows
+    it, so memory follows the tails actually in flight; untouched
+    capacity is never-written zero pages.
+
+    Not thread-safe: owned and driven by the one engine thread that runs
+    the scheduler's iterations.
+    """
+
+    def __init__(self, config: ModelConfig, slots: int) -> None:
+        if slots < 1:
+            raise ValueError("slots must be positive")
+        self.slots = slots
+        row = (slots, config.n_kv_heads, 0, config.head_dim)
+        self.keys = [np.zeros(row, dtype=DTYPE) for _ in range(config.n_layers)]
+        self.values = [np.zeros(row, dtype=DTYPE) for _ in range(config.n_layers)]
+        self.positions = np.zeros((slots, 0), dtype=np.int64)
+        self.lengths = np.zeros(slots, dtype=np.int64)
+        self._free = list(range(slots))  # heap: lowest slot first keeps rows dense
+
+    @property
+    def capacity(self) -> int:
+        return self.positions.shape[1]
+
+    @property
+    def live_slots(self) -> int:
+        return self.slots - len(self._free)
+
+    def reserve(self, total: int) -> None:
+        """Ensure every row can hold ``total`` tokens."""
+        if total <= self.capacity:
+            return
+        capacity = max(_ARENA_MIN_CAPACITY, 2 * self.capacity)
+        while capacity < total:
+            capacity *= 2
+        live = int(self.lengths.max())
+
+        def grown(old: np.ndarray) -> np.ndarray:
+            # Zeros, not empty: rows are read up to the longest tail under
+            # a mask, and a masked NaN would still poison its softmax row.
+            shape = old.shape[:2] + (capacity,) + old.shape[3:]
+            new = np.zeros(shape, dtype=old.dtype)
+            new[:, :, :live] = old[:, :, :live]
+            return new
+
+        for side in (self.keys, self.values):
+            for i, old in enumerate(side):
+                side[i] = grown(old)  # one old buffer dies per new one
+        positions = np.zeros((self.slots, capacity), dtype=np.int64)
+        positions[:, :live] = self.positions[:, :live]
+        self.positions = positions
+
+    def seat(self, cache: "PagedKVCache", shared_len: int) -> "ArenaTail | None":
+        """Give ``cache``'s private tail — everything past its first
+        ``shared_len`` tokens — a row, copying it out of the paged mirror
+        once. Sets and returns ``cache.tail``; ``None`` when every slot is
+        taken. The shared prefix is *not* copied: the handle keeps views
+        of the shared image's first ``shared_len`` tokens, and the
+        sequence's own mirror — its job done — is shed, so a seated
+        sequence costs its pages, its row and nothing else."""
+        if not self._free:
+            return None
+        tail_len = len(cache) - shared_len
+        self.reserve(tail_len + 1)
+        if _AUDITOR is not None:
+            _AUDITOR.on_seat(self, self._free[0])
+        slot = heapq.heappop(self._free)
+        positions = cache.layers[0].positions.copy()
+        self.positions[slot, :tail_len] = positions[shared_len:]
+        self.lengths[slot] = tail_len
+        image = []
+        for i, layer in enumerate(cache.layers):
+            self.keys[i][slot, :, :tail_len] = layer.keys[:, shared_len:]
+            self.values[i][slot, :, :tail_len] = layer.values[:, shared_len:]
+            image.append(layer.shed_mirror(shared_len))
+        cache.tail = ArenaTail(self, slot, image, positions[:shared_len])
+        return cache.tail
+
+    def _release(self, slot: int) -> None:
+        if _AUDITOR is not None:
+            _AUDITOR.on_unseat(self, slot)
+        self.lengths[slot] = 0
+        heapq.heappush(self._free, slot)
+
+
+class ArenaTail:
+    """One seated sequence: its :class:`TailArena` row plus the shared
+    base image in front of it.
+
+    ``image[layer]`` is the ``(keys, values)`` pair of ``(n_kv_heads,
+    shared_len, head_dim)`` views :meth:`PagedLayerKV.shed_mirror` left
+    behind — byte for byte the base every fork of that base shares, so
+    a group's chunk phase may read any one member's. The views pin the
+    buffers they look into, which nothing writes below ``shared_len``.
+    """
+
+    __slots__ = ("arena", "slot", "image", "image_positions", "shared_len")
+
+    def __init__(self, arena: TailArena, slot: int, image, image_positions) -> None:
+        self.arena = arena
+        self.slot = slot
+        self.image = image
+        self.image_positions = image_positions
+        self.shared_len = len(image_positions)
+
+    def __len__(self) -> int:
+        return int(self.arena.lengths[self.slot])
+
+    def kv(self, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(keys, values, positions)`` views of the tail at ``layer``."""
+        arena, n = self.arena, len(self)
+        return (
+            arena.keys[layer][self.slot, :, :n],
+            arena.values[layer][self.slot, :, :n],
+            arena.positions[self.slot, :n],
+        )
+
+    def release(self) -> None:
+        """Give the row back (idempotent)."""
+        if self.slot >= 0:
+            self.arena._release(self.slot)
+            self.slot = -1
 
 
 def shared_batch_caches(

@@ -32,6 +32,19 @@ class RotaryEmbedding:
         self._cos = np.cos(full).astype(DTYPE)  # (P, head_dim)
         self._sin = np.sin(full).astype(DTYPE)
 
+    def rows(self, position_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(cos, sin)`` table rows for ``position_ids`` (any shape),
+        each of shape ``position_ids.shape + (head_dim,)`` — looked up
+        once and handed to :func:`rotate` as often as needed."""
+        if position_ids.size and (
+            position_ids.min() < 0 or position_ids.max() >= self.max_position
+        ):
+            raise ValueError(
+                f"position ids must lie in [0, {self.max_position}); "
+                f"got range [{position_ids.min()}, {position_ids.max()}]"
+            )
+        return self._cos[position_ids], self._sin[position_ids]
+
     def apply(self, x: np.ndarray, position_ids: np.ndarray) -> np.ndarray:
         """Rotate ``x`` of shape (heads, T, head_dim) by per-token positions.
 
@@ -44,16 +57,7 @@ class RotaryEmbedding:
                 f"position_ids shape {position_ids.shape} does not match "
                 f"sequence length {x.shape[-2]}"
             )
-        if position_ids.size and (
-            position_ids.min() < 0 or position_ids.max() >= self.max_position
-        ):
-            raise ValueError(
-                f"position ids must lie in [0, {self.max_position}); "
-                f"got range [{position_ids.min()}, {position_ids.max()}]"
-            )
-        cos = self._cos[position_ids]  # (T, head_dim)
-        sin = self._sin[position_ids]
-        return x * cos + _rotate_half(x) * sin
+        return rotate(x, *self.rows(position_ids))  # tables: (T, head_dim)
 
     def apply_stacked(self, x: np.ndarray, position_ids: np.ndarray) -> np.ndarray:
         """Rotate a cross-sequence stack (B, heads, T, head_dim) by
@@ -71,16 +75,13 @@ class RotaryEmbedding:
                 f"position_ids shape {position_ids.shape} does not match "
                 f"stacked shape {(x.shape[0], x.shape[-2])}"
             )
-        if position_ids.size and (
-            position_ids.min() < 0 or position_ids.max() >= self.max_position
-        ):
-            raise ValueError(
-                f"position ids must lie in [0, {self.max_position}); "
-                f"got range [{position_ids.min()}, {position_ids.max()}]"
-            )
-        cos = self._cos[position_ids][:, None]  # (B, 1, T, head_dim)
-        sin = self._sin[position_ids][:, None]
-        return x * cos + _rotate_half(x) * sin
+        cos, sin = self.rows(position_ids)
+        return rotate(x, cos[:, None], sin[:, None])  # (B, 1, T, head_dim)
+
+
+def rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotate-half RoPE of ``x`` by table rows broadcastable against it."""
+    return x * cos + _rotate_half(x) * sin
 
 
 def _rotate_half(x: np.ndarray) -> np.ndarray:

@@ -17,17 +17,27 @@ from repro.server.errors import (
     ServerClosed,
     ServerError,
 )
-from repro.server.loadgen import (
-    LiveWorkload,
-    LoadReport,
-    build_workload,
-    run_closed_loop,
-    run_open_loop,
-)
 from repro.server.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.server.request import LiveRequest, TraceRecord
 from repro.server.runtime import LiveServer, ServeOptions
 from repro.server.scheduler import ContinuousScheduler, IterationOutcome
+
+# The load generator drives a server; serving does not need it. Resolved
+# on first use (PEP 562) so importing the runtime does not pay for it.
+_LOADGEN = frozenset(
+    {"LiveWorkload", "LoadReport", "build_workload", "run_closed_loop", "run_open_loop"}
+)
+
+
+def __getattr__(name: str):
+    if name not in _LOADGEN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.server import loadgen
+
+    value = getattr(loadgen, name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "CacheAwareBatcher",

@@ -50,6 +50,7 @@ Two dispatch modes share this admission/observability shell:
 from __future__ import annotations
 
 import asyncio
+import gc
 import itertools
 import time
 from dataclasses import dataclass
@@ -102,20 +103,27 @@ class ServeOptions:
     mode: str = "auto"  # "auto" | "continuous" | "whole_request"
     max_inflight: int = 8  # continuous: concurrent decoding sequences
     prefill_chunk_tokens: int = 256  # continuous: prefill budget per iteration
-    # ChunkAttention two-phase decode over shared spliced prefixes.
-    # "auto" engages when >= 2 in-flight sequences were forked from the
-    # same pre-spliced base and share at least AUTO_MIN_SHARED_TOKENS of
-    # KV; "on" forces the two-phase path for every eligible stream;
-    # "off" keeps the single-pass per-sequence kernel (the byte-level
-    # reference the identity tests compare against).
+    # Batched decode over shared spliced prefixes (ChunkAttention's
+    # two-phase partition, batched). A stream forked from a spliced base
+    # is *seated*: its private tail moves to the scheduler's tail arena
+    # and, for the rest of its life, its decode steps run the arena
+    # kernel — one chunk phase per base per layer for everyone sharing
+    # it, one stacked private phase, fused projections. "auto" seats a
+    # stream when its base is shared in flight and the step is wide
+    # enough to repay the batched kernel's fixed cost (scheduler.py:
+    # AUTO_MIN_GROUP, AUTO_MIN_BATCH); "on" seats every forked stream;
+    # "off" seats none and keeps the whole step on the per-sequence kernel
+    # (byte-identical to sequential forwards — the reference the
+    # identity tests compare against). Greedy tokens are equal in all
+    # three.
     shared_attention: str = "auto"  # "auto" | "on" | "off"
     # Continuous: iterations run per executor dispatch while the queue is
-    # empty. With nothing to admit or expire, returning to the loop every
-    # token only buys executor round trips; a burst runs several
-    # iterations back to back and breaks the moment a new request
-    # arrives. Token/finish timestamps are recorded engine-side, so
-    # metrics are burst-invariant; only stream delivery and future
-    # resolution lag by at most burst_iterations - 1 tokens. 1 disables.
+    # empty. With nothing to admit or expire, a burst runs several
+    # iterations back to back on the engine thread and breaks the moment
+    # a new request arrives; each iteration's tokens and completions are
+    # handed to the loop as it ends, so this bounds how long admission
+    # and expiry wait for the engine thread — not how long a finished
+    # token waits for delivery. 1 disables.
     burst_iterations: int = 8
     # Periodic store upkeep: TTL sweep (and, on a FabricStore, the
     # budgeted prefetch tick) every this many seconds even while the
@@ -195,6 +203,14 @@ class LiveServer:
     async def start(self) -> "LiveServer":
         if self._running:
             return self
+        # One full collection before the steady state. Engines and servers
+        # are cyclic (store listeners, miner, metrics closures), so whatever
+        # this process built and dropped earlier — a previous server on the
+        # same engine, a discarded engine with its module KV — is reclaimed
+        # only by a generation-2 pass, and the batched decode step allocates
+        # too few containers to trigger one soon: measured on `mix`, ~75 MB
+        # of dead engine sat under the serving peak. ~10 ms at ~30 k objects.
+        gc.collect()
         self._wake = asyncio.Event()
         self._running = True
         self._draining = False
@@ -512,13 +528,16 @@ class LiveServer:
             limit = (
                 self.options.burst_iterations if not len(self.batcher) else 1
             )
-            run = partial(self._run_iterations, scheduler, admissions, limit)
             if self.options.inline_execution:
-                outcomes = run()
+                last = self._run_iterations(
+                    scheduler, admissions, limit, self._apply_outcome
+                )
             else:
-                outcomes = await loop.run_in_executor(None, run)
-            for outcome in outcomes:
-                self._apply_outcome(outcome)
+                last = await loop.run_in_executor(
+                    None, self._run_iterations, scheduler, admissions, limit,
+                    partial(loop.call_soon_threadsafe, self._apply_outcome),
+                )
+            self._apply_outcome(last)
             self._inflight = scheduler.active
 
     def _run_iterations(
@@ -526,18 +545,31 @@ class LiveServer:
         scheduler: ContinuousScheduler,
         admissions: list[LiveRequest],
         limit: int,
-    ) -> list[IterationOutcome]:
+        hand_off,
+    ) -> IterationOutcome:
         """Engine-thread side: the dispatched iteration plus up to
-        ``limit - 1`` follow-ons, stopping early when a new arrival
-        needs loop-side admission or nothing is left in flight."""
-        outcomes = [scheduler.iterate(admissions)]
-        while (
-            len(outcomes) < limit
-            and scheduler.active
-            and not self._arrivals_pending
-        ):
-            outcomes.append(scheduler.iterate([]))
-        return outcomes
+        ``limit - 1`` follow-ons, stopping early when a new arrival needs
+        loop-side admission, nothing is left in flight, or the server
+        stops. Every outcome but the last goes to the loop through
+        ``hand_off`` the moment its iteration ends — tokens reach clients
+        an iteration after they were sampled, not a burst after — and is
+        never touched here again; the last is returned, so a burst of one
+        costs what a plain dispatch does. The loop runs its callbacks in
+        FIFO order and the executor future resolves through the same
+        queue, so outcomes are applied in order and all of them before
+        the worker coroutine resumes."""
+        outcome = scheduler.iterate(admissions)
+        for _ in range(limit - 1):
+            if not (scheduler.active and self._running) or self._arrivals_pending:
+                break
+            try:
+                hand_off(outcome)
+            except RuntimeError:
+                # The loop closed under us (interpreter teardown): nobody
+                # is left to deliver to, and stop() owns what is in flight.
+                break
+            outcome = scheduler.iterate([])
+        return outcome
 
     def _pop_admissions(self, scheduler: ContinuousScheduler) -> list[LiveRequest]:
         """Oldest-first admission up to the scheduler's free slots (slots
@@ -558,12 +590,16 @@ class LiveServer:
         return admissions
 
     def _apply_outcome(self, outcome: IterationOutcome) -> None:
-        """Apply one iteration's events on the loop thread."""
+        """Apply one iteration's events on the loop thread. Events for a
+        request that already reached a terminal state — a hand-off that
+        lost the race with :meth:`stop` — are dropped."""
         inter = self.metrics.histogram(
             "server_inter_token_seconds",
             "wall time between consecutive tokens of one request",
         )
         for request, token, at in outcome.emitted:
+            if request.finished:
+                continue
             if request.first_token_at is None:
                 request.first_token_at = at
             elif request.last_token_at is not None:
@@ -573,6 +609,8 @@ class LiveServer:
 
         completions = 0
         for request, result, error, at in outcome.finished:
+            if request.finished:
+                continue
             request.finished_at = at
             if error is not None:
                 request.finish(FAILED, error=error)

@@ -20,22 +20,27 @@ that hot loop around *iterations* (vLLM-style):
    samples its first token immediately (TTFT never waits an extra
    iteration).
 4. **Batched decode.** Every sequence still needing a forward joins
-   **one** ``forward_decode_batch`` call — stacked token/position IDs
-   over the per-sequence ``PagedLayerKV`` leases, bit-identical to the
-   sequential forwards (see :mod:`repro.llm.attention`).
+   **one** ``forward_decode_batch`` call.
 
-Before the batched forward, sequences are grouped by the pre-spliced
-base their paged cache was forked from (``ServeStream.shared_group``):
-members of one group decode over the *same* shared KV prefix, so the
-forward can run ChunkAttention's two-phase path — chunk-first attention
-over the shared prefix once per group, per-sequence attention over each
-private suffix, merged with the online softmax
-(:func:`repro.llm.attention.chunk_phase`). ``shared_attention`` selects
-the policy: ``"off"`` never groups (the byte-reference path), ``"on"``
-groups every eligible stream, ``"auto"`` (default) engages only when a
-group has at least two members sharing at least
-``AUTO_MIN_SHARED_TOKENS`` KV tokens — below that the two-phase
-bookkeeping costs more than the shared stream saves.
+What that call costs depends on where the sequences' KV lives. Before
+it, sequences are grouped by the pre-spliced base their paged cache was
+forked from (``ServeStream.shared_group``): members of one group decode
+over the *same* shared KV prefix. A grouped stream is *seated* at its
+first decode step — its private tail (prefilled suffix, then every
+decoded token) moves into one row of the scheduler's
+:class:`~repro.llm.paged.TailArena` — and stays seated until it
+finishes, aborts or fails, which frees the row with its fork. A step
+with seated streams is ChunkAttention's two-phase partition run batched
+(:func:`repro.llm.attention.arena_decode_attention`): one chunk phase
+per base per layer for everyone sharing it, one stacked private phase
+over the arena, one merge, fused projections; unseated streams keep
+their per-sequence attention inside the same step. ``shared_attention``
+selects who is seated: ``"off"`` nobody — every step is the
+per-sequence kernel, byte-identical to sequential forwards; ``"on"``
+every stream forked from a base; ``"auto"`` (default) a stream whose
+base at least ``AUTO_MIN_GROUP`` in-flight streams share, in a step at
+least ``AUTO_MIN_BATCH`` wide. The policy gates entry only: a group
+containing a seated stream is planned every step, even alone.
 
 The scheduler is synchronous and single-threaded by design: the runtime
 calls :meth:`iterate` from one worker (usually on the serving executor
@@ -53,14 +58,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.llm.flops import shared_decode_flops_saved
+from repro.llm.paged import TailArena
 from repro.server.request import LiveRequest
 
-# "auto" engages the two-phase path only for shared prefixes of at least
-# one page worth of tokens: shorter chunks save less KV streaming than
-# the extra exp/merge passes cost.
-AUTO_MIN_SHARED_TOKENS = 16
+# When "auto" seats a stream in the arena: its base is shared (a group of
+# one gains no chunk-phase batching and would leave the byte-reference
+# kernel for nothing) and the step is wide enough that the arena step's
+# fixed per-layer work is repaid. Measured on the small model, whole step,
+# arena/per-sequence tokens/s: 0.90x for one stream, 0.80-0.86x for a
+# pair, 0.82-1.17x for three, 1.03-1.48x for four (6- to 840-token
+# prefixes), 2.0-2.6x for sixteen. Prefix length moves the size of the gain,
+# not its sign, so there is no minimum-length rule.
+AUTO_MIN_GROUP = 2
+AUTO_MIN_BATCH = 4
 
 _SHARED_ATTENTION_MODES = ("auto", "on", "off")
+
+
+def _seated(stream) -> bool:
+    return getattr(getattr(stream, "cache", None), "tail", None) is not None
 
 
 @dataclass
@@ -139,6 +155,9 @@ class ContinuousScheduler:
         # Admission order; no lock — iterate()/abort_all() are called
         # serially by the one runtime worker that owns this scheduler.
         self._inflight: list[_InFlight] = []
+        # Decode-time home of grouped streams' private tails: one row per
+        # decode slot, built at the first seat, gone with the scheduler.
+        self._arena: TailArena | None = None
 
     @property
     def active(self) -> int:
@@ -226,21 +245,21 @@ class ContinuousScheduler:
         forward = [seq for seq in self._inflight if seq.stream.decoding]
         if forward:
             shared_groups = self._plan_shared_groups(forward, outcome)
+            # The kwarg only when a plan exists, so duck-typed engines
+            # that know nothing of sharing are called as they always were.
+            plan = {"shared_groups": shared_groups} if shared_groups else {}
             forward_s = -time.perf_counter()
             try:
-                if shared_groups:
-                    logits = self.pc.model.forward_decode_batch(
-                        np.asarray([seq.stream.output_ids[-1] for seq in forward]),
-                        np.asarray([seq.stream.decode_position for seq in forward]),
-                        [seq.stream.cache for seq in forward],
-                        shared_groups=shared_groups,
-                    )
-                else:
-                    logits = self.pc.model.forward_decode_batch(
-                        np.asarray([seq.stream.output_ids[-1] for seq in forward]),
-                        np.asarray([seq.stream.decode_position for seq in forward]),
-                        [seq.stream.cache for seq in forward],
-                    )
+                for members, _length in shared_groups or ():
+                    for i in members:
+                        if not _seated(forward[i].stream):
+                            self._seat(forward[i].stream)
+                logits = self.pc.model.forward_decode_batch(
+                    np.asarray([seq.stream.output_ids[-1] for seq in forward]),
+                    np.asarray([seq.stream.decode_position for seq in forward]),
+                    [seq.stream.cache for seq in forward],
+                    **plan,
+                )
             except Exception as exc:
                 # A poisoned batched step: there is no per-sequence
                 # attribution, so fail every participant (mirrors the
@@ -291,8 +310,12 @@ class ContinuousScheduler:
             buckets.setdefault(id(base), (length, []))[1].append(i)
         plan: list[tuple[list[int], int]] = []
         for length, members in buckets.values():
-            if self.shared_attention == "auto" and (
-                len(members) < 2 or length < AUTO_MIN_SHARED_TOKENS
+            # The policy gates *entry*; a group holding a seated stream is
+            # always planned — its tail lives in the arena for good.
+            if (
+                self.shared_attention == "auto"
+                and (len(members) < AUTO_MIN_GROUP or len(forward) < AUTO_MIN_BATCH)
+                and not any(_seated(forward[i].stream) for i in members)
             ):
                 continue
             plan.append((members, length))
@@ -324,6 +347,16 @@ class ContinuousScheduler:
             )
             outcome.private_kv_tokens += max(total - shared, 0)
         return plan
+
+    def _seat(self, stream) -> None:
+        """Give a planned stream its arena row (a no-op for streams that
+        cannot be seated: they keep the per-sequence kernel)."""
+        seat = getattr(stream, "seat_tail", None)
+        if seat is None:
+            return
+        if self._arena is None:
+            self._arena = TailArena(self.pc.model.config, self.max_inflight)
+        seat(self._arena)
 
     def _open(self, request: LiveRequest):
         if request.raw:

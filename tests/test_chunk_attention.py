@@ -1,6 +1,6 @@
 """Two-phase shared-prefix batched attention (ChunkAttention).
 
-Three layers of coverage for the shared-prefix decode path:
+Four layers of coverage for the shared-prefix decode path:
 
 - Kernel properties: splitting a KV range at arbitrary chunk boundaries
   and recombining with :func:`merge_online_softmax` reproduces
@@ -8,6 +8,10 @@ Three layers of coverage for the shared-prefix decode path:
   tolerance — across GQA head groupings, additive (ALiBi-style) biases,
   empty chunks, and the stacked group axis, whose per-member slices are
   bit-identical to separate calls.
+- The batched arena kernel: whole decode steps over a
+  :class:`~repro.llm.paged.TailArena` — random bases, group sizes,
+  ragged tails, retirements and re-seats — against the same float64
+  reference per sequence.
 - Scheduler policy: how ``shared_attention`` "off"/"on"/"auto" turn
   stream-level grouping keys into a two-phase plan, including the auto
   thresholds and safety around duck-typed streams that know nothing of
@@ -28,11 +32,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.engine import PromptCache
-from repro.llm.attention import ChunkPartial, chunk_phase, merge_online_softmax
+from repro.llm.attention import (
+    ChunkPartial,
+    arena_decode_attention,
+    chunk_phase,
+    merge_online_softmax,
+    plan_decode_step,
+)
+from repro.llm.config import ModelConfig
+from repro.llm.kv import ModuleKV
+from repro.llm.paged import PagedKVCache, TailArena
+from repro.llm.positional import AlibiBias
 from repro.pml.chat import PLAIN_TEMPLATE
+from repro.reuse import DiscoveryConfig
 from repro.server import ContinuousScheduler, LiveServer, ServeOptions
 from repro.server.request import LiveRequest
-from repro.server.scheduler import AUTO_MIN_SHARED_TOKENS, IterationOutcome
+from repro.server.scheduler import AUTO_MIN_BATCH, AUTO_MIN_GROUP, IterationOutcome
 
 
 def run(coro):
@@ -169,6 +184,178 @@ class TestMergeOnlineSoftmax:
         assert float(sliced.m[0, 0, 0]) == 2.0
 
 
+# -- the batched arena kernel ----------------------------------------------------
+
+
+def kernel_config(n_kv, n_rep, head_dim):
+    return ModelConfig(
+        name="kernel", architecture="llama", vocab_size=8,
+        d_model=n_kv * n_rep * head_dim, n_layers=1, n_heads=n_kv * n_rep,
+        n_kv_heads=n_kv, d_ff=8, max_position=4096, positional="rope",
+        norm="rmsnorm", mlp="swiglu", parallel_block=False,
+    )
+
+
+class _Sequence:
+    """One decoding sequence and the test's own copy of its whole KV."""
+
+    def __init__(self, rng, config, base, base_kv, tail_len):
+        shape = (config.n_kv_heads, tail_len, config.head_dim)
+        self.base = base
+        self.shared_len = len(base)
+        self.cache = base.fork()
+        self.next_position = self.shared_len + 3  # a gap, as PML leaves them
+        positions = np.arange(self.next_position, self.next_position + tail_len)
+        self.next_position += tail_len
+        keys, values = (rng.normal(size=shape).astype(np.float32) for _ in "kv")
+        if tail_len:
+            self.cache.layers[0].append(keys, values, positions)
+        self.keys = np.concatenate([base_kv.keys[0], keys], axis=1)
+        self.values = np.concatenate([base_kv.values[0], values], axis=1)
+        self.positions = np.concatenate([base_kv.positions, positions])
+
+    def grow(self, k, v):
+        self.keys = np.concatenate([self.keys, k[:, None]], axis=1)
+        self.values = np.concatenate([self.values, v[:, None]], axis=1)
+        self.positions = np.append(self.positions, self.next_position)
+        self.next_position += 1
+
+
+class TestArenaKernel:
+    @given(
+        seed=st.integers(0, 2**16),
+        group_sizes=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+        n_kv=st.integers(1, 2),
+        n_rep=st.sampled_from([1, 2, 4]),
+        use_alibi=st.booleans(),
+        steps=st.integers(2, 5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batched_steps_match_dense_reference(
+        self, seed, group_sizes, n_kv, n_rep, use_alibi, steps
+    ):
+        """Whole decode steps through plan_decode_step +
+        arena_decode_attention equal single-pass float64 attention over
+        each sequence's own [base | tail] KV — for 1-4 bases, groups of
+        1-8, ragged tails (a tail seated empty is one token long at its
+        first step), MHA and GQA, with and without ALiBi; while members
+        retire (one group shrinks to a single member mid-decode), a new
+        sequence takes over a freed slot, and the arena grows."""
+        rng = np.random.default_rng(seed)
+        head_dim = 4
+        config = kernel_config(n_kv, n_rep, head_dim)
+        alibi = AlibiBias(config.n_heads, config.max_position) if use_alibi else None
+        arena = TailArena(config, slots=sum(group_sizes))
+
+        bases = []
+        for _ in group_sizes:
+            shared = int(rng.integers(1, 24))
+            kv = ModuleKV(
+                keys=[rng.normal(size=(n_kv, shared, head_dim)).astype(np.float32)],
+                values=[rng.normal(size=(n_kv, shared, head_dim)).astype(np.float32)],
+                positions=np.arange(shared),
+            )
+            base = PagedKVCache.from_module_kvs(config, [kv])
+            base.materialize()
+            bases.append((base, kv))
+
+        def admit(g):
+            base, kv = bases[g]
+            seq = _Sequence(rng, config, base, kv, int(rng.integers(0, 40)))
+            assert arena.seat(seq.cache, seq.shared_len) is seq.cache.tail
+            return seq
+
+        live = [admit(g) for g, size in enumerate(group_sizes) for _ in range(size)]
+        for step_no in range(steps):
+            if step_no == 1:
+                # Retire the first group down to one member, re-seat one
+                # newcomer (it gets the lowest freed slot), keep the rest.
+                first = [s for s in live if s.base is bases[0][0]]
+                for seq in first[1:]:
+                    seq.cache.free()
+                    live.remove(seq)
+                if len(first) > 1:
+                    freed = min(arena._free)
+                    newcomer = admit(len(bases) - 1)
+                    assert newcomer.cache.tail.slot == freed
+                    live.append(newcomer)
+            order = list(rng.permutation(len(live)))  # batch order is arbitrary
+            batch = [live[i] for i in order]
+            groups = {}
+            for b, seq in enumerate(batch):
+                groups.setdefault(id(seq.base), (seq.shared_len, []))[1].append(b)
+            shared_groups = [(members, length) for length, members in groups.values()]
+            positions = np.asarray([seq.next_position for seq in batch])
+            q = rng.normal(size=(len(batch), config.n_heads, head_dim)).astype(np.float32)
+            k = rng.normal(size=(len(batch), n_kv, head_dim)).astype(np.float32)
+            v = rng.normal(size=(len(batch), n_kv, head_dim)).astype(np.float32)
+
+            plan = plan_decode_step(
+                [seq.cache for seq in batch], positions, shared_groups,
+                n_heads=config.n_heads, n_kv_heads=n_kv, alibi=alibi,
+            )
+            assert plan.resident == len(batch)
+            rows = plan.order
+            out = arena_decode_attention(plan, 0, q[rows], k[rows], v[rows])
+
+            for row, b in enumerate(rows):
+                seq = batch[b]
+                seq.grow(k[b], v[b])
+                assert len(seq.cache) == seq.keys.shape[1]
+                bias = None
+                if alibi is not None:
+                    bias = alibi.bias(positions[b : b + 1], seq.positions)
+                expected = dense_reference(
+                    q[b][:, None], seq.keys, seq.values, n_rep, bias=bias
+                )
+                np.testing.assert_allclose(
+                    out[row], expected.reshape(-1), rtol=1e-4, atol=1e-5
+                )
+                tail_k, tail_v, tail_pos = seq.cache.tail.kv(0)
+                np.testing.assert_array_equal(tail_k, seq.keys[:, seq.shared_len:])
+                np.testing.assert_array_equal(tail_v, seq.values[:, seq.shared_len:])
+                np.testing.assert_array_equal(tail_pos, seq.positions[seq.shared_len:])
+
+        for seq in live:
+            seq.cache.free()
+        assert arena.live_slots == 0
+        for base, _ in bases:
+            base.free()
+
+    def test_unlisted_resident_is_a_group_of_one(self):
+        """Residency, not the caller's grouping, decides the kernel: a
+        seated cache nobody listed — or listed under the wrong
+        shared_len — still takes the arena path, alone."""
+        rng = np.random.default_rng(5)
+        config = kernel_config(2, 1, 4)
+        arena = TailArena(config, slots=2)
+        kv = ModuleKV(
+            keys=[rng.normal(size=(2, 6, 4)).astype(np.float32)],
+            values=[rng.normal(size=(2, 6, 4)).astype(np.float32)],
+            positions=np.arange(6),
+        )
+        base = PagedKVCache.from_module_kvs(config, [kv])
+        base.materialize()
+        seqs = [_Sequence(rng, config, base, kv, 2) for _ in range(2)]
+        for seq in seqs:
+            arena.seat(seq.cache, seq.shared_len)
+        caches = [seq.cache for seq in seqs]
+        positions = np.asarray([seq.next_position for seq in seqs])
+        for groups in (None, [([0, 1], 5)]):
+            plan = plan_decode_step(
+                caches, positions, groups, n_heads=2, n_kv_heads=2
+            )
+            assert [(a, b) for a, b, *_ in plan.groups] == [(0, 1), (1, 2)]
+        assert arena.seat(base.fork(), 6) is None  # both rows taken
+
+    def test_no_resident_means_no_plan(self):
+        config = kernel_config(1, 1, 4)
+        cache = PagedKVCache.empty(config)
+        assert plan_decode_step(
+            [cache], np.asarray([0]), [([0], 4)], n_heads=1, n_kv_heads=1
+        ) is None
+
+
 # -- scheduler grouping policy ---------------------------------------------------
 
 
@@ -222,18 +409,31 @@ class TestSharedGroupPlanning:
         # append; grouped members subtract their shared chunk.
         assert outcome.private_kv_tokens == (31 - 20) * 2 + (31 - 24)
 
-    def test_auto_needs_company_and_enough_shared_tokens(self):
-        lone, shallow, good = object(), object(), object()
+    def test_auto_needs_company_and_a_batch_worth_batching(self):
+        """auto seats a stream only when its base is shared in flight and
+        the step is wide enough to repay the batched kernel; prefix
+        length is no criterion. A group that already holds a seated
+        stream is planned regardless — its tail lives in the arena."""
+        lone, short, long_ = object(), object(), object()
         streams = [
             _GroupedStream(lone, 40),  # group of one: skipped
-            _GroupedStream(shallow, AUTO_MIN_SHARED_TOKENS - 1),
-            _GroupedStream(shallow, AUTO_MIN_SHARED_TOKENS - 1),
-            _GroupedStream(good, AUTO_MIN_SHARED_TOKENS),
-            _GroupedStream(good, AUTO_MIN_SHARED_TOKENS),
+            _GroupedStream(short, 3),
+            _GroupedStream(short, 3),
+            _GroupedStream(long_, 400),
+            _GroupedStream(long_, 400),
         ]
+        assert AUTO_MIN_GROUP == 2 and len(streams) >= AUTO_MIN_BATCH
         groups, outcome = plan(self.make("auto"), streams)
-        assert groups == [([3, 4], AUTO_MIN_SHARED_TOKENS)]
-        assert outcome.shared_group_sizes == [2]
+        assert groups == [([1, 2], 3), ([3, 4], 400)]
+        assert outcome.shared_group_sizes == [2, 2]
+
+        narrow = streams[1:AUTO_MIN_BATCH]  # a pair and a half: too few rows
+        assert plan(self.make("auto"), narrow)[0] is None
+
+        seated = _GroupedStream(lone, 40)
+        seated.cache = SimpleNamespace(tail=object())  # what a seat leaves behind
+        groups, _ = plan(self.make("auto"), [seated])
+        assert groups == [([0], 40)]
 
     def test_streams_without_grouping_keys_plan_nothing(self):
         """Duck-typed doubles (and non-paged streams, whose key is None)
@@ -354,6 +554,106 @@ class TestServingByteIdentity:
         assert on == off
         # Two bases in flight: groups of 2, never one group of 4.
         assert on_stats.sizes and max(on_stats.sizes) == 2
+
+
+# Raw prompts over one preamble long enough for discovery to promote.
+SHARED_TEXTS = [
+    "the quick brown fox jumps over the lazy dog " * 3 + suffix
+    for suffix in (
+        "plan a trip lasting three days",
+        "miami beaches nightlife surf spots",
+        "paris museums cafes architecture",
+        "answer the question using the documents",
+    )
+]
+
+
+class TestArenaServingEqualsWholeRequest:
+    """Greedy tokens through the scheduler's arena step equal the
+    whole-request oracle (``serve`` / ``serve_text`` on a fresh engine,
+    which never touch the arena) — per positional family, PML and raw
+    text together, with more requests than decode slots so rows are
+    freed and re-seated while their neighbours keep decoding."""
+
+    MIXED = [
+        '<prompt schema="trip"><plan/> answer the question</prompt>',
+        '<prompt schema="trip"><city/> the capital of atlantis</prompt>',
+        '<prompt schema="trip"><plan/> miami beaches</prompt>',
+    ]
+
+    def test_slot_churn_matches_serve_and_serve_text(self, any_model, tok):
+        pc = make_pc(any_model, tok)
+        pc.attach_discovery(DiscoveryConfig(min_hits=2, min_tokens=8))
+        for text in SHARED_TEXTS:  # mine the shared preamble into a module
+            pc.serve_text(text, max_new_tokens=1)
+        assert pc.discovered_modules()
+
+        work = [("pml", p) for p in GROUP_PROMPTS + self.MIXED]
+        work += [("text", t) for t in SHARED_TEXTS]
+        budgets = [3, 9, 5, 12, 7, 4, 10, 6, 11, 8, 5]
+        requests = [
+            LiveRequest(
+                request_id=f"r{i}", prompt=prompt, schema="trip",
+                max_new_tokens=budget, submitted_at=0.0, raw=kind == "text",
+            )
+            for i, ((kind, prompt), budget) in enumerate(zip(work, budgets))
+        ]
+        sched = ContinuousScheduler(pc, max_inflight=3, shared_attention="on")
+        queue = list(requests)
+        outputs, seated, most_live = {}, set(), 0
+        while queue or sched.active:
+            # Staggered: at most one admission per iteration, slots allowing.
+            take = min(1, len(queue), sched.predicted_free_slots())
+            outcome = sched.iterate([queue.pop(0) for _ in range(take)])
+            assert not outcome.requeued
+            for seq in sched._inflight:
+                if getattr(seq.stream.cache, "tail", None) is not None:
+                    seated.add(seq.request.request_id)
+            if sched._arena is not None:
+                most_live = max(most_live, sched._arena.live_slots)
+            for request, result, error, _at in outcome.finished:
+                assert error is None, error
+                outputs[request.request_id] = result.output_ids
+        assert len(seated) > sched.max_inflight  # rows were re-seated
+        assert seated & {r.request_id for r in requests if r.raw}  # promoted text too
+        assert 2 <= most_live <= sched.max_inflight
+        assert sched._arena.live_slots == 0
+
+        oracle = make_pc(any_model, tok)
+        for request, (kind, prompt), budget in zip(requests, work, budgets):
+            serve = oracle.serve_text if kind == "text" else oracle.serve
+            expected = serve(prompt, max_new_tokens=budget).output_ids
+            assert outputs[request.request_id] == expected, request.request_id
+
+    def test_tail_kv_reads_the_tail_wherever_it_lives(self, llama, tok):
+        """``ServeStream.tail_kv`` is the one accessor for everything
+        past the shared prefix: the seat moves the suffix unchanged, and
+        from then on each decode step grows the tail by one row while
+        the stream's own pages stay frozen at prefix + suffix."""
+        pc = make_pc(llama, tok)
+        stream = pc.open_stream(GROUP_PROMPTS[0], max_new_tokens=4)
+        stream.prefill_step(1 << 20)
+        before = [a.copy() for a in stream.tail_kv(0)]
+        suffix = len(before[2])
+        assert suffix > 0 and len(stream.cache) == stream.shared_len + suffix
+
+        arena = TailArena(llama.config, slots=1)
+        assert stream.seat_tail(arena) and stream.seat_tail(arena)  # idempotent
+        for was, now in zip(before, stream.tail_kv(0)):
+            np.testing.assert_array_equal(was, now)
+
+        token, more = stream.next_token()
+        assert more
+        llama.forward_decode_batch(
+            np.asarray([token]), np.asarray([stream.decode_position]), [stream.cache]
+        )
+        keys, _values, positions = stream.tail_kv(0)
+        assert keys.shape[1] == len(positions) == suffix + 1
+        assert positions[-1] == stream.decode_position
+        assert len(stream.cache) == stream.shared_len + suffix + 1
+        assert len(stream.cache.layers[0]) == stream.shared_len + suffix  # pages frozen
+        stream.abort()
+        assert arena.live_slots == 0
 
 
 # -- metrics export --------------------------------------------------------------

@@ -143,7 +143,6 @@ class TestDecodeTiming:
         # it and stays uncharged); each must carry >= one sampling delay.
         assert len(slow.step_times_s) == 4
         assert all(s >= delay for s in slow.step_times_s)
-        assert sum(slow.step_times_s) >= sum(fast.step_times_s) + 3 * delay
 
 
 # -- resumable serve streams -----------------------------------------------------

@@ -1,0 +1,467 @@
+"""The decode iteration's two hand-offs: outcomes to the event loop, and
+private tails to the arena.
+
+- **Delivery.** Inside a burst the engine thread hands every finished
+  iteration's outcome to the loop and keeps iterating. A stub engine
+  whose forward waits on a gate makes the interleaving exact: the first
+  token is in the client's hands while the burst is still in its second
+  iteration; every token reaches its stream exactly once and in order
+  whether the server drains, is stopped mid-burst, or expires a queued
+  request meanwhile; ``inline_execution`` behaves as it always did.
+- **Slot lifecycle.** Under the page auditor, hundreds of admissions
+  through the real engine with retirements, injected failures and
+  ``abort_all`` leave every arena row free and every page pool balanced.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from repro.analysis import sanitize
+from repro.analysis.sanitize import (
+    assert_quiescent,
+    install_sanitizers,
+    uninstall_sanitizers,
+)
+from repro.cache.engine import PromptCache, ServeResult
+from repro.cache.storage import ModuleCacheStore
+from repro.pml.chat import PLAIN_TEMPLATE
+from repro.server import (
+    ContinuousScheduler,
+    DeadlineExceeded,
+    LiveServer,
+    ServeOptions,
+    ServerClosed,
+)
+from repro.server.request import DONE, EXPIRED, FAILED, LiveRequest
+from repro.server.scheduler import IterationOutcome
+
+WAIT_S = 10.0  # generous bound on every cross-thread wait below
+
+
+def run(coro):
+    return asyncio.run(coro)
+
+
+def prompt(i=0, schema="a"):
+    return f'<prompt schema="{schema}"><context/> q{i}</prompt>'
+
+
+class FakeClock:
+    """Advanced by the stub engine only: one tick per forward."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+class _Stream:
+    """Emits ``100 * serial + step``: a duplicated, dropped or reordered
+    token changes the sequence a client sees."""
+
+    def __init__(self, serial: int, max_new_tokens: int) -> None:
+        self.serial = serial
+        self.max_new_tokens = max_new_tokens
+        self.output_ids: list[int] = []
+        self.prefill_remaining = 1
+        self.logits = None
+        self.done = False
+        self.cache = None
+        self.decode_position = 0
+        self.aborted = False
+
+    @property
+    def decoding(self):
+        return self.logits is not None and not self.done
+
+    def prefill_step(self, budget):
+        self.prefill_remaining = 0
+        self.logits = object()
+        return 1
+
+    def next_token(self):
+        token = 100 * self.serial + len(self.output_ids)
+        self.output_ids.append(token)
+        self.done = len(self.output_ids) >= self.max_new_tokens
+        return token, not self.done
+
+    def set_logits(self, row, step_s):
+        self.logits = row
+
+    def abort(self):
+        self.aborted = True
+
+    def finish(self):
+        return ServeResult(
+            output_ids=list(self.output_ids), text="", prompt_tokens=1,
+            cached_tokens=0, uncached_tokens=1, ttft_s=0.0, splice_s=0.0,
+            suffix_s=0.0,
+        )
+
+
+class GatedEngine:
+    """PromptCache-shaped stub for the continuous scheduler. Each batched
+    forward ticks the fake clock and, when gated, waits for a permit —
+    so a test decides exactly how far the engine thread has got."""
+
+    def __init__(self, clock: FakeClock, gated: bool = False) -> None:
+        self.schemas = {"a": object()}
+        self.store = ModuleCacheStore()
+        self.model = self
+        self.clock = clock
+        self.streams: list[_Stream] = []
+        self.forwards = 0
+        self.entered = threading.Semaphore(0)  # one release per forward begun
+        self.permits = threading.Semaphore(0) if gated else None
+
+    def open_stream(self, prompt, max_new_tokens=32):
+        stream = _Stream(len(self.streams), max_new_tokens)
+        self.streams.append(stream)
+        return stream
+
+    def forward_decode_batch(self, tokens, positions, caches):
+        self.forwards += 1
+        self.clock.now += 1.0
+        self.entered.release()
+        if self.permits is not None:
+            assert self.permits.acquire(timeout=WAIT_S), "test never released the gate"
+        return [object()] * len(caches)
+
+    def allow(self, forwards: int = 1) -> None:
+        for _ in range(forwards):
+            self.permits.release()
+
+    def open_gate(self) -> None:
+        self.permits.release(10_000)
+
+    async def wait_entered(self, forwards: int = 1) -> None:
+        """Until the engine thread is inside that many more forwards."""
+        loop = asyncio.get_running_loop()
+        for _ in range(forwards):
+            assert await loop.run_in_executor(
+                _WAITERS, self.entered.acquire, True, WAIT_S
+            )
+
+
+# The loop's default executor is the engine thread; waits on the gate must
+# not queue behind it.
+_WAITERS = ThreadPoolExecutor(max_workers=2, thread_name_prefix="test-wait")
+
+
+def options(**kw):
+    kw.setdefault("queue_delay_budget_s", None)
+    kw.setdefault("burst_iterations", 8)
+    kw.setdefault("store_sweep_interval_s", None)
+    return ServeOptions(**kw)
+
+
+def expected_tokens(serial: int, count: int) -> list[int]:
+    return [100 * serial + step for step in range(count)]
+
+
+async def collect(request: LiveRequest) -> tuple[list[int], Exception | None]:
+    tokens = []
+    try:
+        async for token in request.stream():
+            tokens.append(token)
+    except Exception as exc:  # the stream's terminal error, returned for asserts
+        return tokens, exc
+    return tokens, None
+
+
+class TestOutcomeHandOff:
+    def test_first_token_arrives_while_the_burst_runs(self):
+        """burst_iterations=8, one request of 8 tokens: its first token
+        is sampled in iteration 1. The client must have it while the
+        engine thread sits in iteration 2's forward — six iterations
+        before the burst's last one starts."""
+
+        async def main():
+            clock = FakeClock()
+            engine = GatedEngine(clock, gated=True)
+            server = LiveServer(engine, options(), clock=clock)
+            await server.start()
+            request = await server.submit(prompt(), max_new_tokens=8)
+            stream = request.stream()
+            await engine.wait_entered()  # iteration 1's forward
+            engine.allow()
+            await engine.wait_entered()  # iteration 2's forward: still gated
+            first = await asyncio.wait_for(anext(stream), WAIT_S)
+            assert first == 0
+            assert engine.forwards == 2  # the burst is six iterations from done
+            assert request.first_token_at == 0.0  # stamped before forward 1 ticked
+            assert request.state != DONE
+            engine.open_gate()
+            rest = [token async for token in stream]
+            await server.stop()
+            assert [first, *rest] == expected_tokens(0, 8)
+            assert (await request.wait()).output_ids == expected_tokens(0, 8)
+            # 8 tokens: 7 forwards, all in one executor dispatch.
+            assert engine.forwards == 7
+
+        run(main())
+
+    def test_every_token_once_and_in_order_across_a_draining_stop(self):
+        async def main():
+            clock = FakeClock()
+            engine = GatedEngine(clock)
+            server = LiveServer(engine, options(max_inflight=2), clock=clock)
+            await server.start()
+            budgets = [5, 17, 1, 9, 12]
+            requests = [
+                await server.submit(prompt(i), max_new_tokens=n)
+                for i, n in enumerate(budgets)
+            ]
+            readers = [asyncio.create_task(collect(r)) for r in requests]
+            await server.stop(drain=True)
+            seen = await asyncio.gather(*readers)
+            by_serial = {tuple(s.output_ids): s for s in engine.streams}
+            for request, (tokens, error) in zip(requests, seen):
+                assert error is None and request.state == DONE
+                assert tuple(tokens) in by_serial  # one stream's tokens, whole
+                assert tokens == request.result.output_ids
+                assert len(tokens) == request.max_new_tokens
+            assert len(by_serial) == len(budgets)
+
+        run(main())
+
+    def test_stop_without_drain_mid_burst(self):
+        """The door slams while the engine thread is inside a burst:
+        what was delivered is a clean prefix, the stream ends with
+        ServerClosed, the engine stream is aborted, and nothing arrives
+        after the terminal event."""
+
+        async def main():
+            clock = FakeClock()
+            engine = GatedEngine(clock, gated=True)
+            server = LiveServer(engine, options(), clock=clock)
+            await server.start()
+            request = await server.submit(prompt(), max_new_tokens=50)
+            reader = asyncio.create_task(collect(request))
+            await engine.wait_entered()
+            engine.allow(3)
+            await engine.wait_entered(3)  # inside forward 4, burst not over
+            stopper = asyncio.create_task(server.stop(drain=False))
+            await asyncio.sleep(0)  # stop() has flipped _running
+            engine.open_gate()
+            await asyncio.wait_for(stopper, WAIT_S)
+            tokens, error = await asyncio.wait_for(reader, WAIT_S)
+            assert isinstance(error, ServerClosed)
+            assert request.state == FAILED
+            assert tokens == expected_tokens(0, len(tokens))
+            # Iterations 1-4 sampled tokens 0-3; the burst ended at the
+            # first check after _running went false.
+            assert len(tokens) == 4 and engine.forwards == 4
+            assert engine.streams[0].aborted
+            assert request._tokens.empty()  # nothing after the end marker
+
+        run(main())
+
+    def test_late_outcome_for_a_finished_request_is_dropped(self):
+        """An outcome applied after its request reached a terminal state
+        (a hand-off that lost a race with stop) changes nothing."""
+
+        async def main():
+            engine = GatedEngine(FakeClock())
+            server = LiveServer(engine, options())
+            request = LiveRequest(
+                request_id="late", prompt=prompt(), schema="a",
+                max_new_tokens=4, submitted_at=0.0,
+            )
+            request.finish(FAILED, error=ServerClosed("server stopped"))
+            outcome = IterationOutcome(
+                emitted=[(request, 7, 1.0)],
+                finished=[(request, [7], None, 1.0)],
+            )
+            server._apply_outcome(outcome)
+            assert request.state == FAILED and request.result is None
+            assert request.first_token_at is None
+            tokens, error = await collect(request)
+            assert tokens == [] and isinstance(error, ServerClosed)
+            assert server.trace_log == []
+
+        run(main())
+
+    def test_deadline_expiry_while_a_burst_delivers(self):
+        """max_inflight=1: the second request waits in the queue, the fake
+        clock passes its deadline during the first one's decode, and it
+        expires typed — while the first request's tokens all arrive, once
+        each, in order."""
+
+        async def main():
+            clock = FakeClock()
+            engine = GatedEngine(clock)
+            server = LiveServer(engine, options(max_inflight=1), clock=clock)
+            await server.start()
+            first = await server.submit(prompt(0), max_new_tokens=30)
+            doomed = await server.submit(prompt(1), max_new_tokens=4, deadline_s=5.0)
+            readers = [asyncio.create_task(collect(r)) for r in (first, doomed)]
+            (tokens, error), (none, expiry) = await asyncio.gather(*readers)
+            await server.stop()
+            assert error is None and tokens == expected_tokens(0, 30)
+            assert none == [] and isinstance(expiry, DeadlineExceeded)
+            assert doomed.state == EXPIRED
+            assert len(engine.streams) == 1  # never admitted
+
+        run(main())
+
+    def test_inline_execution_unchanged(self):
+        """On the loop thread there is no hand-off to make: outcomes are
+        applied in place, in order, and the tokens are the same."""
+
+        async def main():
+            clock = FakeClock()
+            engine = GatedEngine(clock)
+            server = LiveServer(
+                engine, options(inline_execution=True, max_inflight=2), clock=clock
+            )
+            await server.start()
+            requests = [
+                await server.submit(prompt(i), max_new_tokens=n)
+                for i, n in enumerate([6, 11, 3])
+            ]
+            seen = await asyncio.gather(*(collect(r) for r in requests))
+            await server.stop()
+            for serial, (request, (tokens, error)) in enumerate(zip(requests, seen)):
+                assert error is None
+                assert tokens == expected_tokens(serial, request.max_new_tokens)
+                assert request.first_token_at is not None
+
+        run(main())
+
+    def test_hand_off_to_a_closed_loop_ends_the_burst(self):
+        """``call_soon_threadsafe`` on a closed loop raises on the engine
+        thread; the burst stops there instead of dying with it."""
+        engine = GatedEngine(FakeClock())
+        server = LiveServer(engine, options())
+        scheduler = ContinuousScheduler(engine, max_inflight=2)
+        server._running = True
+        request = LiveRequest(
+            request_id="r", prompt=prompt(), schema="a",
+            max_new_tokens=20, submitted_at=0.0,
+        )
+
+        def closed(outcome):
+            raise RuntimeError("Event loop is closed")
+
+        last = server._run_iterations(scheduler, [request], 8, closed)
+        assert engine.forwards == 1  # one iteration, then the failed hand-off
+        assert [token for _, token, _ in last.emitted] == [0]
+        scheduler.abort_all()
+
+
+# -- arena slot lifecycle --------------------------------------------------------
+
+
+SCHEMA = (
+    '<schema name="trip">'
+    '<module name="plan">plan a trip lasting three days focus on food '
+    "the quick brown fox jumps over the lazy dog</module>"
+    '<module name="city">paris museums cafes architecture louvre seine'
+    "</module>"
+    "</schema>"
+)
+PROMPTS = [
+    '<prompt schema="trip"><plan/><city/> answer the question</prompt>',
+    '<prompt schema="trip"><plan/><city/> miami beaches nightlife</prompt>',
+    '<prompt schema="trip"><plan/> the capital of atlantis</prompt>',
+    '<prompt schema="trip"><city/> def main(): return</prompt>',
+]
+
+
+class TestArenaSlotLifecycle:
+    def test_every_slot_returns_under_the_auditor(self, llama, tok):
+        """200 admissions through the real engine: streams retire on
+        their budgets, a poisoned forward fails whole batches
+        (``_fail``), and ``abort_all`` sweeps the rest now and then.
+        Afterwards no arena row is seated, no page is live beyond the
+        shared bases', and the auditor saw no double seat or release."""
+        already = sanitize.active_auditor()
+        auditor = install_sanitizers()
+        try:
+            pc = PromptCache(llama, tok, template=PLAIN_TEMPLATE)
+            pc.register_schema(SCHEMA)
+            for p in PROMPTS:
+                pc.serve(p, max_new_tokens=1)  # build the shared bases
+            pools = [pool for base in pc._bases.values() for pool in base.cache.pools]
+            sched = ContinuousScheduler(pc, max_inflight=4, shared_attention="on")
+            rng = np.random.default_rng(0)
+            real_forward = llama.forward_decode_batch
+            poisoned = {"next": False}
+
+            def forward(*args, **kwargs):
+                if poisoned["next"]:
+                    poisoned["next"] = False
+                    raise FloatingPointError("poisoned step")
+                return real_forward(*args, **kwargs)
+
+            llama.forward_decode_batch = forward
+            admitted = failures = seated_peak = 0
+            try:
+                with auditor.expect_balanced(*pools):
+                    while admitted < 200 or sched.active:
+                        take = min(
+                            sched.predicted_free_slots(), 200 - admitted,
+                            int(rng.integers(0, 3)),
+                        )
+                        batch = [
+                            LiveRequest(
+                                request_id=f"r{admitted + i}",
+                                prompt=PROMPTS[int(rng.integers(len(PROMPTS)))],
+                                schema="trip",
+                                max_new_tokens=int(rng.integers(1, 7)),
+                                submitted_at=0.0,
+                            )
+                            for i in range(take)
+                        ]
+                        admitted += take
+                        roll = rng.random()
+                        if roll < 0.05:
+                            poisoned["next"] = True
+                        outcome = sched.iterate(batch)
+                        failures += sum(1 for *_, err, _ in outcome.finished if err)
+                        if sched._arena is not None:
+                            seated_peak = max(seated_peak, sched._arena.live_slots)
+                        if 0.05 <= roll < 0.08:
+                            failures += len(sched.abort_all())
+                    assert_quiescent(sched._arena)
+            finally:
+                del llama.forward_decode_batch
+            assert failures > 0 and seated_peak >= 2
+            assert sched._arena.live_slots == 0
+            assert auditor.errors_raised == 0
+        finally:
+            if already is None:
+                uninstall_sanitizers()
+
+    def test_double_release_of_a_row_is_caught(self, llama, tok):
+        already = sanitize.active_auditor()
+        auditor = install_sanitizers()
+        try:
+            pc = PromptCache(llama, tok, template=PLAIN_TEMPLATE)
+            pc.register_schema(SCHEMA)
+            sched = ContinuousScheduler(pc, max_inflight=2, shared_attention="on")
+            sched.iterate([
+                LiveRequest(request_id="r", prompt=PROMPTS[0], schema="trip",
+                            max_new_tokens=4, submitted_at=0.0)
+            ])
+            arena = sched._arena
+            tail = sched._inflight[0].stream.cache.tail
+            slot = tail.slot
+            with pytest.raises(sanitize.SanitizerError):
+                assert_quiescent(arena)
+            sched.abort_all()
+            assert_quiescent(arena)
+            with pytest.raises(sanitize.SanitizerError):
+                arena._release(slot)
+            assert auditor.errors_raised == 1
+        finally:
+            if already is None:
+                uninstall_sanitizers()

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +38,37 @@ def test_all_exports_resolve(name):
     # Lazy attributes must also resolve.
     if name == "repro":
         assert repro.PromptCache is not None
+
+
+def test_lazy_exports_resolve():
+    """``repro.analysis`` and ``repro.server`` resolve their lint-side /
+    load-generator names on first use; every public name stays importable."""
+    for name in ("repro.analysis", "repro.server"):
+        module = importlib.import_module(name)
+        for symbol in module.__all__:
+            assert getattr(module, symbol) is not None, (name, symbol)
+
+
+def test_serve_path_import_skips_lint_engine_and_loadgen():
+    """What a server start pays for: importing the serve path must not
+    load the AST lint engine or the load generator (fresh interpreter —
+    this process has long since imported everything)."""
+    program = (
+        "import sys\n"
+        "import repro.cache.engine, repro.server, repro.fabric, repro.reuse\n"
+        "heavy = ['repro.analysis.engine', 'repro.analysis.flow',\n"
+        "         'repro.analysis.rules', 'repro.server.loadgen']\n"
+        "print([name for name in heavy if name in sys.modules])\n"
+    )
+    src = Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", program], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_package_count_sanity():
