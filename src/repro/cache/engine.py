@@ -688,9 +688,10 @@ class PromptCache:
                 encoder.close()
 
     def _observe_reencode(self, key: CacheKey, kv: ModuleKV, seconds: float) -> None:
-        """Report a measured module re-encode to stores that price tiers
-        (the fabric's cost model treats re-encode as the most expensive
-        tier). Duck-typed: plain two-tier stores have no observer."""
+        """Report a measured module encode — a first one or a re-encode,
+        the store knows which — to stores that price tiers (the fabric's
+        cost model treats encode as the most expensive tier). Duck-typed:
+        plain two-tier stores have no observer."""
         observe = getattr(self.store, "observe_reencode", None)
         if observe is not None:
             observe(key, len(kv), seconds)
@@ -1373,7 +1374,6 @@ class PromptCache:
             if len(kv):
                 module_kvs.append(kv)
         base_cache = PagedKVCache.from_module_kvs(self.model.config, module_kvs)
-        base_cache.materialize()
         base = _SplicedBase(
             cache=base_cache,
             entries=entries,
@@ -1707,7 +1707,6 @@ class PromptCache:
             if len(kv):
                 module_kvs.append(kv)
         base_cache = PagedKVCache.from_module_kvs(self.model.config, module_kvs)
-        base_cache.materialize()
         base = _SplicedBase(
             cache=base_cache,
             entries=entries,

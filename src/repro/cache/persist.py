@@ -33,7 +33,9 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import json
+import math
 import mmap as _mmap
+import os
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -90,45 +92,65 @@ def _entry_path(directory: Path, key: CacheKey) -> Path:
     return directory / f"{_safe_stem(key)}.npz"
 
 
-def _sha256(path: Path) -> str:
+def _sha256(path) -> str:
     digest = hashlib.sha256()
-    with path.open("rb") as handle:
+    with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()
 
 
-def _sparse_sha256(path: Path) -> str:
+def _sparse_sha256(path) -> str:
     """Digest of the file size + head block + evenly sampled blocks.
 
     Touches at most ``(_SPARSE_SAMPLES + 1) * _SPARSE_BLOCK`` bytes, so a
     mapped attach can sanity-check every payload (length, npy header, a
     spread of pages) without paging the whole snapshot in. Truncation and
     most corruption patterns are caught; the full digest still runs in the
-    background sweep.
+    background sweep. Every page-in runs this, hence the bare descriptor:
+    one ``pread`` per block, no buffered-reader round trips.
     """
-    size = path.stat().st_size
-    digest = hashlib.sha256(str(size).encode())
-    offsets = {0}
-    if size > _SPARSE_BLOCK:
-        span = size - _SPARSE_BLOCK
-        offsets.update(
-            (span * i) // (_SPARSE_SAMPLES - 1) for i in range(_SPARSE_SAMPLES)
-        )
-    with path.open("rb") as handle:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size = os.fstat(fd).st_size
+        digest = hashlib.sha256(str(size).encode())
+        offsets = {0}
+        if size > _SPARSE_BLOCK:
+            span = size - _SPARSE_BLOCK
+            offsets.update(
+                [(span * i) // (_SPARSE_SAMPLES - 1) for i in range(_SPARSE_SAMPLES)]
+            )
         for offset in sorted(offsets):
-            handle.seek(offset)
-            digest.update(handle.read(_SPARSE_BLOCK))
+            digest.update(os.pread(fd, _SPARSE_BLOCK, offset))
+    finally:
+        os.close(fd)
     return digest.hexdigest()
 
 
-def _file_record(path: Path) -> dict:
-    return {
-        "file": path.name,
-        "nbytes": path.stat().st_size,
-        "sha256": _sha256(path),
-        "sparse_sha256": _sparse_sha256(path),
-    }
+def _write_atomic(path: Path, write) -> dict:
+    """Run ``write(handle)`` into a temporary sibling of ``path``, digest
+    what it wrote, then ``os.replace`` it into place; returns the file's
+    index record.
+
+    Workers that attach one snapshot directory between them may write the
+    same (deterministic) payload at once, and a reader may have the old
+    file mapped: a rename never shows either a torn file, and a mapping
+    keeps the inode it was opened on."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with tmp.open("wb") as handle:
+            write(handle)
+        info = {
+            "file": path.name,
+            "nbytes": tmp.stat().st_size,
+            "sha256": _sha256(tmp),
+            "sparse_sha256": _sparse_sha256(tmp),
+        }
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return info
 
 
 def _raw_arenas(payload: ModuleKV) -> tuple[np.ndarray, np.ndarray]:
@@ -141,7 +163,8 @@ def _raw_arenas(payload: ModuleKV) -> tuple[np.ndarray, np.ndarray]:
     return empty, empty
 
 
-def _save_entry_v1(path: Path, payload) -> str:
+def _save_entry_v1(path, payload) -> str:
+    """Write one npz archive to ``path`` (a path or an open binary file)."""
     if isinstance(payload, ModuleKV):
         arrays = {"positions": payload.positions}
         for i, (k, v) in enumerate(zip(payload.keys, payload.values)):
@@ -170,13 +193,36 @@ def _save_entry_v2(directory: Path, key: CacheKey, payload) -> dict:
         }
         files = {}
         for part, array in parts.items():
-            path = directory / f"{stem}.{part}.npy"
-            np.save(path, array)
-            files[part] = _file_record(path)
+            info = _write_atomic(
+                directory / f"{stem}.{part}.npy",
+                lambda handle, array=array: np.save(handle, array),
+            )
+            # Where the raw C-order data sits, so a page-in can map it
+            # without re-parsing the npy header (an ``ast`` compile each).
+            info["shape"] = list(array.shape)
+            info["dtype"] = array.dtype.str
+            info["offset"] = info["nbytes"] - array.nbytes
+            files[part] = info
         return {"kind": _ARENA_KIND, "files": files}
-    path = directory / f"{stem}.npz"
-    kind = _save_entry_v1(path, payload)
-    return {"kind": kind, "files": {"payload": _file_record(path)}}
+    info = _write_atomic(
+        directory / f"{stem}.npz", lambda handle: _save_entry_v1(handle, payload)
+    )
+    return {"kind": payload.codec, "files": {"payload": info}}
+
+
+def _key_record(key: CacheKey) -> dict:
+    return {"schema": key.schema, "module": key.module, "variant": key.variant}
+
+
+def write_catalog_entry(directory: str | Path, key: CacheKey, payload) -> dict:
+    """Write one entry's v2 payload files into ``directory`` (atomically,
+    with full and sparse digests) and return the catalog record that
+    :func:`load_catalog_entry` materializes it from. ``save_store`` writes
+    every entry through here; the fabric store spills a DRAM victim with
+    the same call."""
+    record = _key_record(key)
+    record.update(_save_entry_v2(Path(directory), key, payload))
+    return record
 
 
 def save_store(
@@ -205,18 +251,16 @@ def save_store(
                 report.skipped += 1
                 report.skipped_keys.append(key.tag())
                 continue
-            record = {
-                "schema": key.schema, "module": key.module,
-                "variant": key.variant, "tier": tier_name,
-                "pinned": entry.pinned,
-            }
             if format == "v1":
                 path = _entry_path(directory, key)
+                record = _key_record(key)
                 record["kind"] = _save_entry_v1(path, payload)
                 record["file"] = path.name
                 record["sha256"] = _sha256(path)
             else:
-                record.update(_save_entry_v2(directory, key, payload))
+                record = write_catalog_entry(directory, key, payload)
+            record["tier"] = tier_name
+            record["pinned"] = entry.pinned
             entries.append(record)
             report.saved += 1
     if format == "v1":
@@ -270,20 +314,45 @@ def _load_npz(path: Path, record: dict):
 
 def _verify_file(directory: Path, info: dict, verify: str) -> str | None:
     """Return a skip reason, or ``None`` when the file checks out."""
-    path = directory / info["file"]
-    if not path.exists():
-        return "payload file missing"
+    path = os.path.join(directory, info["file"])
     if verify == "off":
-        return None
-    if verify == "sparse" and "sparse_sha256" in info:
-        expected, actual = info["sparse_sha256"], _sparse_sha256(path)
-        label = "sparse checksum"
-    else:
-        expected, actual = info.get("sha256"), _sha256(path)
-        label = "checksum"
+        return None if os.path.exists(path) else "payload file missing"
+    try:
+        if verify == "sparse" and "sparse_sha256" in info:
+            expected, actual = info["sparse_sha256"], _sparse_sha256(path)
+            label = "sparse checksum"
+        else:
+            expected, actual = info.get("sha256"), _sha256(path)
+            label = "checksum"
+    except FileNotFoundError:
+        return "payload file missing"
     if expected is not None and actual != expected:
         return f"{label} mismatch (expected {expected[:12]}…, got {actual[:12]}…)"
     return None
+
+
+def _read_part(directory: Path, info: dict, mmap: bool) -> np.ndarray:
+    """One arena payload as a plain ``ndarray``: a read-only view of a
+    file mapping when ``mmap``, else a private copy.
+
+    The recorded shape/dtype/offset locate the data directly; a record
+    written before they were kept falls back to parsing the npy header.
+    Mapped arrays are handed out through ``np.asarray`` so that slicing
+    them downstream is ordinary ndarray slicing (``np.memmap.__getitem__``
+    re-runs ``__array_finalize__`` on every view); the view's ``base``
+    still leads to the mapping, which is what ``is_mapped`` follows and
+    what keeps the mapping alive exactly as long as the entry."""
+    path = os.path.join(directory, info["file"])
+    if "offset" not in info:
+        return np.asarray(np.load(path, mmap_mode="r" if mmap else None))
+    shape, dtype = tuple(info["shape"]), np.dtype(info["dtype"])
+    count = math.prod(shape)
+    if mmap and count:
+        return np.asarray(
+            np.memmap(path, dtype=dtype, mode="r", offset=info["offset"], shape=shape)
+        )
+    # An empty mapping is an error to mmap(2); nothing to share anyway.
+    return np.fromfile(path, dtype=dtype, count=count, offset=info["offset"]).reshape(shape)
 
 
 def _load_entry_v2(directory: Path, record: dict, mmap: bool, verify: str):
@@ -295,11 +364,11 @@ def _load_entry_v2(directory: Path, record: dict, mmap: bool, verify: str):
             return None
     if record["kind"] != _ARENA_KIND:
         return _load_npz(directory / record["files"]["payload"]["file"], record)
-    mode = "r" if mmap else None
-    key_arena = np.load(directory / record["files"]["keys"]["file"], mmap_mode=mode)
-    value_arena = np.load(directory / record["files"]["values"]["file"], mmap_mode=mode)
+    files = record["files"]
+    key_arena = _read_part(directory, files["keys"], mmap)
+    value_arena = _read_part(directory, files["values"], mmap)
     # Positions are tiny and hot (every splice reads them) — always eager.
-    positions = np.load(directory / record["files"]["positions"]["file"])
+    positions = _read_part(directory, files["positions"], False)
     if key_arena.ndim != 4 or value_arena.shape != key_arena.shape:
         _warn_skip(record, f"malformed arena shapes {key_arena.shape}/{value_arena.shape}")
         return None

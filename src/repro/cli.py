@@ -563,7 +563,7 @@ def _cmd_serve_cluster(args) -> int:
         placement = fab["placement"]
         prefetch = fab["prefetch"]
         print(f"fabric (w0): {fab['catalog_entries']} cataloged, "
-              f"{fab['reencodes']} re-encode(s), "
+              f"{fab['spills']} spilled, {fab['reencodes']} re-encode(s), "
               f"placement +{placement['promotions']}/-{placement['demotions']}"
               f"/x{placement['drops']}, "
               f"prefetch planned {prefetch['planned']} "
@@ -823,6 +823,9 @@ def _cmd_fabric_stats(args) -> int:
     print(f"placement: {placement['promotions']} promotion(s), "
           f"{placement['demotions']} demotion(s), {placement['drops']} drop(s), "
           f"{placement['tracked_keys']} tracked key(s)")
+    print(f"spill: {snap['spills']} module(s) written back "
+          f"({snap['spill_bytes']} bytes, {snap['spill_ms_total']:.1f} ms), "
+          f"{snap['spill_errors']} error(s)")
     prefetch = snap["prefetch"]
     print(f"prefetch: {prefetch['planned']} planned, "
           f"{prefetch['skipped_budget']} budget-denied, "
@@ -830,8 +833,8 @@ def _cmd_fabric_stats(args) -> int:
           f"({prefetch['budget_granted_bytes']:.0f} bytes granted)")
     costs = snap["costs"]
     print(f"costs: peer RTT {1000 * costs['peer_rtt_s']:.2f} ms, "
-          f"re-encode {1e6 * costs['reencode_s_per_token']:.1f} us/token "
-          f"({snap['reencodes']} observed), "
+          f"encode {1e6 * costs['reencode_s_per_token']:.1f} us/token "
+          f"({snap['first_encodes']} first, {snap['reencodes']} re-encode(s)), "
           f"{snap['catalog_entries']} snapshot entr(ies) cataloged")
     return 0
 

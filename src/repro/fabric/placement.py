@@ -11,7 +11,9 @@ expected inside the planning horizon exceeds the one-time move cost.
 Demotion asks the mirror question on eviction: a capacity victim that is
 *snapshot-backed* and cold is dropped outright (restoring it from the
 mapped snapshot later is cheaper than holding DRAM now), while hot or
-unbacked victims keep the classic demote-to-DRAM path.
+unbacked victims keep the classic demote-to-DRAM path. A DRAM victim has
+no decision to make — the store writes it back to the snapshot tier if it
+is not there yet — and is only counted here (``spills``).
 
 All ledger state lives under its own ``fabric.placement`` ordered lock,
 declared after ``store`` so fetch paths may consult placement while
@@ -40,6 +42,7 @@ class PlacementStats:
     promotions: int = 0
     demotions: int = 0
     drops: int = 0
+    spills: int = 0  # DRAM victims written back to the snapshot tier
     holds: int = 0  # hit on the slow tier judged not worth promoting
 
 
@@ -95,6 +98,13 @@ class PlacementEngine:
                 self._demand, key=lambda k: now - self._demand[k].last_seen
             )
             del self._demand[coldest]
+
+    def forget(self, keys) -> None:
+        """Drop the demand history of ``keys`` (their text changed: the
+        old arrival pattern predicts nothing about the new module)."""
+        with self._lock:
+            for key in keys:
+                self._demand.pop(key, None)
 
     def demand_for(self, key) -> KeyDemand | None:
         with self._lock:
@@ -178,6 +188,11 @@ class PlacementEngine:
                 self.stats.demotions += 1
             return drop
 
+    def note_spill(self) -> None:
+        """A DRAM capacity victim was written back rather than lost."""
+        with self._lock:
+            self.stats.spills += 1
+
     def snapshot(self) -> dict:
         with self._lock:
             return {
@@ -185,6 +200,7 @@ class PlacementEngine:
                 "promotions": self.stats.promotions,
                 "demotions": self.stats.demotions,
                 "drops": self.stats.drops,
+                "spills": self.stats.spills,
                 "holds": self.stats.holds,
                 "horizon_s": self.horizon_s,
             }

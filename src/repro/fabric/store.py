@@ -2,13 +2,23 @@
 
 ``FabricStore`` extends the two-tier :class:`ModuleCacheStore` with the
 rest of the storage hierarchy the paper leaves to future work (§storage
-hierarchy): a mapped v2 snapshot as a third, disk-backed tier; the
-cluster peer plane (the existing miss-fetcher hook) as a fourth; and
-re-encode priced as the fifth, most expensive "tier" rather than an
-out-of-band fallback. A ``fetch`` walks them hot-to-cold:
+hierarchy): a mapped v2 snapshot directory as a third, disk-backed tier;
+the cluster peer plane (the existing miss-fetcher hook) as a fourth; and
+encode as the tier of last resort, paid only by a module the fabric has
+never held. A ``fetch`` walks them hot-to-cold:
 
     gpu hit → cpu hit (cost-model promote) → snapshot page-in →
-    peer fetch → None (caller re-encodes; the cost is observed)
+    peer fetch → None (caller encodes; the cost is observed)
+
+The snapshot tier is written as well as read: when a capacity victim
+leaves the DRAM tier and nothing on disk backs it, the fabric *spills*
+it — the same v2 payload ``save_store`` writes, digests included — and
+catalogs it, so the last copy of an encoded module is never thrown away
+and the next fetch is an ordinary verified page-in. The catalog of
+spilled payloads lives in memory and dies with the process; ``index.json``
+is never rewritten. ``remove_matching`` (a module's text changed) forgets
+catalog records with the resident entries, so no tier can hand back the
+old text's states.
 
 Because it *is* a ``ModuleCacheStore``, everything that consumes the
 store today — ``PromptCache``, ``ClusterWorker``, snapshot save/load,
@@ -25,12 +35,15 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
+from repro.cache.compress import CompressedModuleKV
 from repro.cache.persist import (
     catalog_entry_nbytes,
     load_catalog_entry,
     snapshot_catalog,
+    write_catalog_entry,
 )
 from repro.cache.storage import (
+    CacheEntry,
     CacheKey,
     FetchResult,
     ModuleCacheStore,
@@ -40,6 +53,7 @@ from repro.fabric.costs import TIER_CPU, TIER_GPU, TierCostModel
 from repro.fabric.placement import PlacementEngine
 from repro.fabric.prefetch import PredictivePrefetcher
 from repro.hw.allocator import CapacityError
+from repro.llm.kv import ModuleKV
 
 
 class FabricStore(ModuleCacheStore):
@@ -81,31 +95,112 @@ class FabricStore(ModuleCacheStore):
             catalog = snapshot_catalog(self.snapshot_dir)
             with self._lock:
                 self._catalog = catalog
-        # Last known KV size per key, for budgeting pulls of entries that
-        # are no longer resident anywhere local.
+        # Size of every key this fabric has held (recorded at insertion),
+        # for budgeting pulls of entries no longer resident anywhere local
+        # — and what tells a re-encode from a module's first encode.
         self._size_hints: dict[CacheKey, int] = {}  # guarded-by: _lock
         # Snapshot-tier ledger: hits = successful page-ins, misses =
         # catalog miss or corrupt payload.
         self.snapshot_stats = TierStats()  # guarded-by: _lock
+        # Encodes observed upstream: of a module never held before, and of
+        # one the fabric once held and could not give back.
+        self.first_encodes = 0  # guarded-by: _lock
         self.reencodes = 0  # guarded-by: _lock
+        self.spills = 0  # guarded-by: _lock
+        self.spill_bytes = 0  # guarded-by: _lock
+        self.spill_errors = 0  # guarded-by: _lock
+        self.spill_ms_total = 0.0  # guarded-by: _lock
         self.maintenance_runs = 0  # guarded-by: _lock
         if store_kwargs.get("demote_on_evict", True):
             # Replace the unconditional demote lambda: placement now
             # decides drop-vs-demote per victim.
             self.gpu.on_evict = self._on_gpu_evict
+        self.cpu.on_evict = self._on_dram_evict
+
+    def put(
+        self, key: CacheKey, kv, tier: str = "gpu", pinned: bool = False
+    ) -> CacheEntry:
+        entry = super().put(key, kv, tier=tier, pinned=pinned)
+        with self._lock:
+            self._size_hints[key] = entry.nbytes
+        return entry
 
     # ------------------------------------------------------------------
-    # eviction policy: drop snapshot-backed cold victims
+    # eviction policy: drop snapshot-backed cold victims, spill the rest
 
     def _on_gpu_evict(self, entry) -> None:
         # holds-lock: store
         key = entry.key
         with self._lock:
-            self._size_hints[key] = entry.nbytes
-            backed = key in self._catalog
+            backed = key in self._catalog  # attached or spilled alike
         if self.placement.should_drop(key, entry.nbytes, self.clock(), backed):
             return  # snapshot pages it back in on demand
         self.cpu.put(key, entry.kv, pinned=entry.pinned)
+
+    def _on_dram_evict(self, entry) -> None:
+        # holds-lock: store
+        """Write back a DRAM capacity victim that nothing on disk backs.
+
+        Synchronous, at the eviction that would have lost the entry:
+        whether a key is on disk when it is next wanted then depends on
+        the request order alone, never on timing. It runs under the store
+        lock (eviction happens inside ``CacheTier.put``), which the write
+        holds for a few milliseconds — once per module per process, since
+        a cataloged key's later evictions return at the first line; the
+        per-request path, ``_page_in``, still hashes and faults outside
+        the lock. TTL victims never get here (``_expire`` skips
+        ``on_evict``: staleness follows an entry to every tier). A fabric
+        with no ``snapshot_dir``, a stand-in payload with no tensors, or a
+        failed write loses the entry exactly as before."""
+        key = entry.key
+        with self._lock:
+            if key in self._catalog:
+                return
+        if self.snapshot_dir is None or not isinstance(
+            entry.kv, (ModuleKV, CompressedModuleKV)
+        ):
+            return
+        started = time.perf_counter()
+        try:
+            self.snapshot_dir.mkdir(parents=True, exist_ok=True)
+            record = write_catalog_entry(self.snapshot_dir, key, entry.kv)
+        except OSError:
+            with self._lock:
+                self.spill_errors += 1
+            return
+        record["spilled"] = True  # ours to unlink when the text changes
+        with self._lock:
+            self._catalog[key] = record
+            self.spills += 1
+            self.spill_bytes += catalog_entry_nbytes(record)
+            self.spill_ms_total += (time.perf_counter() - started) * 1e3
+        self.placement.note_spill()
+
+    def remove_matching(self, schema: str, module: str | None = None) -> int:
+        """Drop every entry of ``schema`` (optionally one module) from
+        *every* tier: the resident ones, and the snapshot tier's catalog
+        record — or the next DRAM miss would page the old text's states
+        back in. Size hints and placement demand go with them; payload
+        files are unlinked only where this fabric spilled them (an
+        attached snapshot belongs to whoever saved it)."""
+        with self._lock:
+            removed = super().remove_matching(schema, module)
+            doomed = [
+                key
+                for key in {*self._catalog, *self._size_hints}
+                if key.schema == schema and (module is None or key.module == module)
+            ]
+            for key in doomed:
+                self._size_hints.pop(key, None)
+                record = self._catalog.pop(key, None)
+                if record is None:
+                    continue
+                removed += 1
+                if record.get("spilled"):
+                    for info in record["files"].values():
+                        (self.snapshot_dir / info["file"]).unlink(missing_ok=True)
+        self.placement.forget(doomed)
+        return removed
 
     # ------------------------------------------------------------------
     # the tier walk
@@ -116,11 +211,8 @@ class FabricStore(ModuleCacheStore):
         with self._lock:
             entry = self.gpu.get(key)
             if entry is not None:
-                self._size_hints[key] = entry.nbytes
                 return FetchResult(entry=entry, tier="gpu", source="gpu")
             entry = self.cpu.get(key)
-            if entry is not None:
-                self._size_hints[key] = entry.nbytes
         if entry is not None:
             # DRAM hit: placement decides whether the expected demand
             # justifies paying the promotion copy now.
@@ -140,7 +232,7 @@ class FabricStore(ModuleCacheStore):
         if kv is not None:
             self.cost_model.observe_peer_rtt(time.perf_counter() - started)
             return self._install(key, kv, source="peer")
-        return None  # re-encode upstream; observe_reencode prices it
+        return None  # encode upstream; observe_reencode prices it
 
     def _install(self, key: CacheKey, kv, *, source: str) -> FetchResult | None:
         self.put(key, kv, tier="gpu")
@@ -148,7 +240,6 @@ class FabricStore(ModuleCacheStore):
             for tier in (self.gpu, self.cpu):
                 entry = tier.peek(key)
                 if entry is not None:
-                    self._size_hints[key] = entry.nbytes
                     return FetchResult(entry=entry, tier=tier.name, source=source)
         return None  # evicted in the gap; treat as a miss
 
@@ -176,10 +267,16 @@ class FabricStore(ModuleCacheStore):
             return key in self._catalog
 
     def observe_reencode(self, key: CacheKey, tokens: int, seconds: float) -> None:
-        """Record a measured re-encode (the most expensive tier's cost)."""
+        """Record a measured module encode (the most expensive tier's
+        cost). Every encode feeds the cost model; only one of a key this
+        fabric has held counts as a *re*-encode — a first encode is the
+        price of admission, a re-encode is a loss."""
         self.cost_model.observe_reencode(tokens, seconds)
         with self._lock:
-            self.reencodes += 1
+            if key in self._size_hints:
+                self.reencodes += 1
+            else:
+                self.first_encodes += 1
 
     # ------------------------------------------------------------------
     # maintenance: TTL sweep + predictive prefetch
@@ -218,9 +315,11 @@ class FabricStore(ModuleCacheStore):
                 try:
                     # Land prefetches in DRAM; the promote path moves them
                     # up on first demand if placement judges it worthwhile.
-                    self.cpu.put(action.key, kv)
+                    entry = self.cpu.put(action.key, kv)
                 except CapacityError:
                     continue  # every resident entry outranks the prediction
+                with self._lock:
+                    self._size_hints[action.key] = entry.nbytes
                 pulled += 1
             elif action.source == "peer":
                 if self.peer_prefetch is not None and self.peer_prefetch(action.key):
@@ -260,14 +359,19 @@ class FabricStore(ModuleCacheStore):
                 "snapshot": vars(self.snapshot_stats).copy(),
                 "peer": vars(self.fetch_stats).copy(),
             }
-            catalog_size = len(self._catalog)
-            reencodes = self.reencodes
-            maintenance_runs = self.maintenance_runs
+            counters = {
+                "catalog_entries": len(self._catalog),
+                "first_encodes": self.first_encodes,
+                "reencodes": self.reencodes,
+                "spills": self.spills,
+                "spill_bytes": self.spill_bytes,
+                "spill_errors": self.spill_errors,
+                "spill_ms_total": self.spill_ms_total,
+                "maintenance_runs": self.maintenance_runs,
+            }
         return {
             "tiers": tiers,
-            "catalog_entries": catalog_size,
-            "reencodes": reencodes,
-            "maintenance_runs": maintenance_runs,
+            **counters,
             "costs": self.cost_model.snapshot(),
             "placement": self.placement.snapshot(),
             "prefetch": self.prefetcher.snapshot(),

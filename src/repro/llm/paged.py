@@ -6,7 +6,10 @@ different prompts, instead of duplicating the attention states." This
 module implements that mechanism with real tensors:
 
 - :class:`PagePool` — fixed-size pages (16 tokens) of K/V storage with
-  reference counts and byte accounting;
+  reference counts and byte accounting; a page is either private storage
+  or a *window* onto a spliced base's contiguous image (the base's pages
+  and its mirror are then one piece of memory, built with one block copy
+  per module);
 - :class:`PagedLayerKV` — a drop-in replacement for
   :class:`~repro.llm.kv.LayerKV` backed by a page table; ``fork()`` shares
   pages between sequences, ``append()`` copies-on-write only the final
@@ -73,7 +76,16 @@ class PoolStats:
 
 
 class PagePool:
-    """Allocator of fixed-size KV pages for one layer shape."""
+    """Allocator of fixed-size KV pages for one layer shape.
+
+    Two kinds of page share one index space, refcounts and accounting. A
+    *private* page owns ``(n_kv_heads, page_tokens, head_dim)`` storage
+    that is recycled through the free list. A *window* page
+    (:meth:`adopt_run`) is a view of ``page_tokens`` consecutive tokens
+    of an image somebody else allocated; it is never written through the
+    pool, and when its last reference goes only its *index* is recycled —
+    the view is dropped, so the image dies with its last page and mirror.
+    """
 
     def __init__(
         self, n_kv_heads: int, head_dim: int, page_tokens: int = PAGE_TOKENS
@@ -88,31 +100,84 @@ class PagePool:
         self._positions: list[np.ndarray] = []
         self._used: list[int] = []  # tokens filled per page
         self._refcounts: list[int] = []
-        self._free: list[int] = []
+        self._free: list[int] = []  # released private pages, storage kept
+        self._bare: list[int] = []  # released window pages: index only
         self.stats = PoolStats()
 
     # -- allocation ---------------------------------------------------------
 
+    def _new_indices(self, count: int) -> range:
+        """``count`` fresh page indices with no storage behind them yet."""
+        first = len(self._keys)
+        for column in (self._keys, self._values, self._positions):
+            column.extend([None] * count)
+        self._used.extend([0] * count)
+        self._refcounts.extend([0] * count)
+        return range(first, first + count)
+
     def allocate(self) -> int:
         if self._free:
             page = self._free.pop()
-            self._used[page] = 0
-            self._refcounts[page] = 1
-            if _AUDITOR is not None:
-                _AUDITOR.on_allocate(self, page)
-            return page
-        page = len(self._keys)
-        shape = (self.n_kv_heads, self.page_tokens, self.head_dim)
-        self._keys.append(tracked_alloc(shape))
-        self._values.append(tracked_alloc(shape))
-        self._positions.append(np.empty(self.page_tokens, dtype=np.int64))
-        self._used.append(0)
-        self._refcounts.append(1)
-        self.stats.pages_allocated += 1
+        else:
+            page = self._bare.pop() if self._bare else self._new_indices(1)[0]
+            shape = (self.n_kv_heads, self.page_tokens, self.head_dim)
+            self._keys[page] = tracked_alloc(shape)
+            self._values[page] = tracked_alloc(shape)
+            self._positions[page] = np.empty(self.page_tokens, dtype=np.int64)
+            self.stats.pages_allocated += 1
+        self._used[page] = 0
+        self._refcounts[page] = 1
         self.stats.peak_live_pages = max(self.stats.peak_live_pages, self.live_pages)
         if _AUDITOR is not None:
             _AUDITOR.on_allocate(self, page)
         return page
+
+    @shape_contract(
+        keys="(n_kv_heads, capacity, head_dim)",
+        values="(n_kv_heads, capacity, head_dim)",
+    )
+    def adopt_run(
+        self, keys: np.ndarray, values: np.ndarray, positions: np.ndarray, length: int
+    ) -> list[int]:
+        """Pages over an image that already holds ``length`` tokens.
+
+        ``keys``/``values`` are ``(n_kv_heads, capacity, head_dim)`` and
+        ``positions`` ``(capacity,)``; page ``p`` of the returned run is
+        the window ``[p * page_tokens, (p + 1) * page_tokens)`` of them —
+        no copy, the pages *are* the image. The last window may reach
+        past ``length`` into the image's headroom (``capacity`` must cover
+        it); only its first ``used`` tokens are ever read as page data."""
+        step = self.page_tokens
+        count = -(-length // step)
+        if count * step > keys.shape[1]:
+            raise ValueError(
+                f"image capacity {keys.shape[1]} does not cover {count} pages"
+            )
+        recycled = min(count, len(self._bare))
+        pages = self._bare[len(self._bare) - recycled :]
+        del self._bare[len(self._bare) - recycled :]
+        pages.extend(self._new_indices(count - recycled))
+        start = 0
+        for page in pages:
+            stop = start + step
+            self._keys[page] = keys[:, start:stop]
+            self._values[page] = values[:, start:stop]
+            self._positions[page] = positions[start:stop]
+            self._used[page] = step
+            self._refcounts[page] = 1
+            start = stop
+        if pages:
+            self._used[pages[-1]] = length - (count - 1) * step
+        self.stats.pages_allocated += count
+        self.stats.peak_live_pages = max(self.stats.peak_live_pages, self.live_pages)
+        if _AUDITOR is not None:
+            for page in pages:
+                _AUDITOR.on_allocate(self, page)
+        return pages
+
+    def is_window(self, page: int) -> bool:
+        """True for a page that views a run's image (:meth:`adopt_run`)."""
+        return self._keys[page].base is not None
 
     def retain(self, page: int) -> None:
         if _AUDITOR is not None:
@@ -124,7 +189,13 @@ class PagePool:
             _AUDITOR.on_release(self, page)
         self._refcounts[page] -= 1
         if self._refcounts[page] == 0:
-            self._free.append(page)
+            if self.is_window(page):
+                # The storage is the image's, not the pool's: let go of
+                # it, or every base ever built would stay alive here.
+                self._keys[page] = self._values[page] = self._positions[page] = None
+                self._bare.append(page)
+            else:
+                self._free.append(page)
             self.stats.pages_freed += 1
 
     def refcount(self, page: int) -> int:
@@ -132,16 +203,12 @@ class PagePool:
 
     @property
     def live_pages(self) -> int:
-        return len(self._keys) - len(self._free)
+        return len(self._keys) - len(self._free) - len(self._bare)
 
     def physical_bytes(self) -> int:
         """Bytes of live page storage (shared pages counted once)."""
-        if not self._keys:
-            return 0
-        per_page = (
-            self._keys[0].nbytes + self._values[0].nbytes + self._positions[0].nbytes
-        )
-        return self.live_pages * per_page
+        kv_bytes = 2 * self.n_kv_heads * self.head_dim * np.dtype(DTYPE).itemsize
+        return self.live_pages * self.page_tokens * (kv_bytes + 8)
 
     # -- page data ------------------------------------------------------------
 
@@ -281,9 +348,12 @@ class PagedLayerKV:
             tail_used = self._length % self.pool.page_tokens
             if self._table and tail_used != 0:
                 page = self._table[-1]
-                if self.pool.refcount(page) > 1:
+                if self.pool.refcount(page) > 1 or self.pool.is_window(page):
                     # Copy-on-write: the partial tail is shared with a
-                    # sibling sequence; take a private copy first.
+                    # sibling sequence — or is a window onto a base's
+                    # image, whose headroom belongs to the mirror's lease
+                    # holder (a sibling may be extending it in place even
+                    # after the base let go). Take a private copy first.
                     private = self.pool.copy_page(page)
                     self.pool.release(page)
                     self._table[-1] = private
@@ -348,6 +418,37 @@ class PagedLayerKV:
 
     def reserve(self, total: int) -> None:
         """Interface parity with LayerKV; pages allocate lazily."""
+
+    def splice(self, parts: list[tuple[np.ndarray, np.ndarray]], positions) -> None:
+        """Fill this (empty) layer with ``parts`` — ``(keys, values)``
+        pairs of ``(n_kv_heads, T_i, head_dim)`` — laid end to end, as one
+        contiguous image: one block copy per part per side, after which
+        the page table is a run of windows onto the image and the image
+        is the mirror. The prefix exists once; nothing is gathered."""
+        if self._length:
+            raise ValueError("splice needs an empty layer")
+        total = len(positions)
+        if total == 0:
+            return
+        step = self.pool.page_tokens
+        capacity = max(total + _MIRROR_HEADROOM, -(-total // step) * step)
+        mirror = _Mirror(self.n_kv_heads, self.head_dim, capacity, total)
+        start = 0
+        for keys, values in parts:
+            stop = start + keys.shape[1]
+            mirror.keys[:, start:stop] = keys
+            mirror.values[:, start:stop] = values
+            start = stop
+        if start != total:
+            raise ValueError("keys, values and positions must agree on length")
+        mirror.positions[:total] = positions
+        self._table = self.pool.adopt_run(
+            mirror.keys, mirror.values, mirror.positions, total
+        )
+        self._length = total
+        self._mirror = mirror
+        self._mirror_len = total
+        self.max_position = int(positions.max())
 
     def fork(self) -> "PagedLayerKV":
         """A new sequence sharing every current page (refcounted)."""
@@ -480,11 +581,14 @@ class PagedKVCache:
         pools: list[PagePool] | None = None,
         page_tokens: int = PAGE_TOKENS,
     ) -> "PagedKVCache":
-        """Splice module states into a fresh paged cache."""
+        """Splice module states into a fresh paged cache, already
+        mirrored (see :meth:`PagedLayerKV.splice`): forks inherit the
+        image and the first to decode extends it in place."""
         cache = cls.empty(config, pools, page_tokens)
-        for kv in modules:
+        if modules:
+            positions = np.concatenate([kv.positions for kv in modules])
             for i, layer in enumerate(cache.layers):
-                layer.append(kv.keys[i], kv.values[i], kv.positions)
+                layer.splice([(kv.keys[i], kv.values[i]) for kv in modules], positions)
         return cache
 
     def __len__(self) -> int:
@@ -499,12 +603,10 @@ class PagedKVCache:
         return PagedKVCache([layer.fork() for layer in self.layers], self.pools)
 
     def materialize(self) -> None:
-        """Pre-gather every layer's contiguous mirror.
-
-        Called once when a shared base is built so that subsequent forks
-        inherit the mirrors and the serving fast path never re-gathers —
-        the first fork to decode extends the shared image in place.
-        """
+        """Pre-gather every layer's contiguous mirror, so that forks
+        inherit it and the first to decode extends the shared image in
+        place. A cache built by :meth:`from_module_kvs` already has one;
+        this is for caches filled by ``append``."""
         for layer in self.layers:
             layer._ensure_mirror()
 

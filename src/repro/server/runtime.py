@@ -992,9 +992,24 @@ class LiveServer:
         g("fabric_catalog_entries", "modules cataloged in the snapshot tier").set(
             snap["catalog_entries"]
         )
-        g("fabric_reencodes", "full misses that paid a re-encode").set(
+        g("fabric_reencodes", "encodes of a module the fabric once held").set(
             snap["reencodes"]
         )
+        g("fabric_first_encodes", "encodes of a module never held before").set(
+            snap["first_encodes"]
+        )
+        # Monotonic like the eviction counters they sit beside; the fabric
+        # keeps the totals, so a refresh brings each counter up to date.
+        for name, field, text in (
+            ("cache_spills_total", "spills",
+             "DRAM victims written back to the snapshot tier"),
+            ("cache_spill_bytes_total", "spill_bytes",
+             "payload bytes written back to the snapshot tier"),
+            ("cache_spill_errors_total", "spill_errors",
+             "write-backs that failed (the victim was dropped)"),
+        ):
+            counter = self.metrics.counter(name, text)
+            counter.inc(max(0.0, snap[field] - counter.value))
         for tier_name in ("snapshot", "peer"):
             stats = snap["tiers"][tier_name]
             g("cache_tier_hits", "store lookups served", tier=tier_name).set(
@@ -1004,7 +1019,7 @@ class LiveServer:
                 stats["misses"]
             )
         placement = snap["placement"]
-        for event in ("promotions", "demotions", "drops"):
+        for event in ("promotions", "demotions", "drops", "spills"):
             g(
                 "fabric_placement_decisions",
                 "placement engine decisions by kind",

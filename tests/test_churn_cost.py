@@ -1,0 +1,163 @@
+"""What tier churn costs, in counts rather than clocks.
+
+``tier_churn`` rebuilds ~50 spliced bases a second out of modules it has
+just paged in; its wall time drifts with the host, the number of Python
+and C calls it makes does not (``sys.setprofile``, as in
+``test_decode_step_cost``). On the benchmark's model shape (four layers)
+and its schema shape (two 256-token modules):
+
+- building one base out of two *mapped* modules costs at most 600 call
+  events (page-by-page it was ~5.4 k) and never goes through
+  ``np.memmap.__getitem__``;
+- its peak allocation is the base once plus mirror headroom — not pages
+  and a gathered mirror beside them;
+- paging one module in costs at most 300 call events (was ~810) and
+  compiles nothing: the catalog record says where the data is, no npy
+  header is parsed;
+- once every module has been encoded, forty-eight round-robin requests
+  over a fabric that holds five schemas of twelve encode nothing.
+"""
+
+from __future__ import annotations
+
+import sys
+import tracemalloc
+
+import pytest
+
+from repro.analysis.contracts import contracts_enforced
+from repro.cache import engine as engine_module
+from repro.cache.engine import PromptCache
+from repro.cache.persist import load_catalog_entry, save_store, snapshot_catalog
+from repro.cache.storage import CacheKey
+from repro.llm import build_model, small_config
+from repro.llm.paged import PagedKVCache
+from repro.pml.chat import PLAIN_TEMPLATE
+from tests.test_fabric_spill import N_SCHEMAS, churn_engine, round_robin
+
+MODULE_TOKENS = 256
+
+
+@pytest.fixture(scope="module")
+def model(tok):
+    return build_model(small_config("llama", vocab_size=tok.vocab_size), seed=0)
+
+
+@pytest.fixture(scope="module")
+def snapshot(model, tok, tmp_path_factory):
+    """A saved two-module schema: ``(directory, catalog)``."""
+    words = "the quick brown fox jumps over the lazy dog".split()
+
+    def body(offset: int) -> str:
+        return " ".join(words[(offset + i) % len(words)] for i in range(300))
+
+    pc = PromptCache(model, tok, template=PLAIN_TEMPLATE)
+    pc.register_schema(
+        f'<schema name="churn"><module name="a">{body(0)}</module>'
+        f'<module name="b">{body(4)}</module></schema>'
+    )
+    for name in "ab":
+        assert len(pc.store.peek(CacheKey("churn", name)).kv) >= MODULE_TOKENS
+    directory = tmp_path_factory.mktemp("churn-snapshot")
+    save_store(pc.store, directory)
+    return directory, snapshot_catalog(directory)
+
+
+def profiled(fn):
+    """Run ``fn`` under ``sys.setprofile``: ``(result, counts)`` with the
+    total of call events and the tallies the pins below name."""
+    counts = {"all": 0, "memmap_getitem": 0, "compile": 0}
+
+    def hook(frame, event, arg):
+        if event == "call":
+            counts["all"] += 1
+            code = frame.f_code
+            if code.co_name == "__getitem__" and "memmap" in code.co_filename:
+                counts["memmap_getitem"] += 1
+        elif event == "c_call":
+            counts["all"] += 1
+            if getattr(arg, "__name__", "") == "compile":
+                counts["compile"] += 1
+
+    sys.setprofile(hook)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, counts
+
+
+def mapped_modules(snapshot):
+    directory, catalog = snapshot
+    modules = [
+        load_catalog_entry(directory, catalog[CacheKey("churn", name)])
+        for name in "ab"
+    ]
+    assert all(kv is not None and kv.is_mapped for kv in modules)
+    return modules
+
+
+def build_base(config, modules) -> PagedKVCache:
+    """What the engine needs before it can fork: pages *and* the
+    contiguous image forks read through (``materialize`` has nothing
+    left to gather when the pages are windows onto that image)."""
+    base = PagedKVCache.from_module_kvs(config, modules)
+    base.materialize()
+    return base
+
+
+def test_base_build_costs_under_600_calls(model, snapshot):
+    modules = mapped_modules(snapshot)
+    build_base(model.config, modules).free()  # imports, first touch
+    base, counts = profiled(lambda: build_base(model.config, modules))
+    assert len(base) == sum(len(kv) for kv in modules) >= 2 * MODULE_TOKENS
+    assert counts["memmap_getitem"] == 0, counts
+    if not contracts_enforced():  # the page auditor adds a hook call per page
+        assert counts["all"] <= 600, counts
+    base.free()
+
+
+def test_base_build_allocates_the_prefix_once(model, snapshot):
+    modules = mapped_modules(snapshot)
+    kv_bytes = sum(kv.nbytes() for kv in modules)
+    build_base(model.config, modules).free()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base = build_base(model.config, modules)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 1.25 * kv_bytes, (peak - before) / kv_bytes
+    # ...and what it allocated goes when the base does: the pool keeps
+    # page *indices* of a freed run, not its storage.
+    pools = base.pools
+    base.free()
+    assert all(pool.live_pages == 0 and not pool._free for pool in pools)
+    assert all(all(k is None for k in pool._keys) for pool in pools)
+
+
+def test_page_in_costs_under_300_calls_and_compiles_nothing(snapshot):
+    directory, catalog = snapshot
+    record = catalog[CacheKey("churn", "a")]
+    assert load_catalog_entry(directory, record) is not None  # imports
+    kv, counts = profiled(lambda: load_catalog_entry(directory, record))
+    assert kv is not None and kv.is_mapped and len(kv) >= MODULE_TOKENS
+    assert counts["all"] <= 300, counts
+    assert counts["compile"] == 0, counts
+
+
+def test_warm_churn_encodes_nothing(llama, tok, tmp_path, monkeypatch):
+    pc = churn_engine(llama, tok, tmp_path / "snap")
+    round_robin(pc, rounds=1)  # warm-up: every module has been held once
+    calls = []
+    original = engine_module.encode_module
+    monkeypatch.setattr(
+        engine_module, "encode_module",
+        lambda *a, **k: calls.append(a[1].name) or original(*a, **k),
+    )
+    outputs = round_robin(pc, rounds=4)
+    assert len(outputs) == 4 * N_SCHEMAS == 48
+    assert calls == []
+    assert pc.store.fabric_snapshot()["reencodes"] == 0

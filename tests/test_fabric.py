@@ -271,6 +271,100 @@ class TestEvictionPlacement:
         assert store.placement.snapshot()["demotions"] >= 1
 
 
+    def test_spilled_victim_counts_as_backed(self, tmp_path):
+        """``test_unbacked_victim_demotes_to_dram`` holds until the first
+        spill: once the fabric has written a key back, that key is
+        snapshot-backed like any attached one, and a cold fast-tier
+        victim is dropped rather than demoted."""
+        t = [0.0]
+        budget = int(_module_kv(1).nbytes() * 1.5)  # one entry a tier
+        store = FabricStore(
+            budget, budget, snapshot_dir=tmp_path / "spill", clock=lambda: t[0]
+        )
+        a, b, c, d = (CacheKey("s", name) for name in "abcd")
+        store.put(a, _module_kv(1))
+        store.put(b, _module_kv(2))  # a: unbacked, demoted
+        assert store.cpu.peek(a) is not None and not store.snapshot_backed(a)
+        store.put(c, _module_kv(3))  # b demoted, a leaves DRAM: spilled
+        assert store.snapshot_backed(a) and a not in store
+        result = store.fetch(a)  # back in the fast tier, from disk
+        assert result is not None and result.source == "snapshot"
+        assert result.tier == "gpu"
+        t[0] = 1.0
+        assert store.fetch(a).source == "gpu"  # a second arrival: a pattern
+        drops = store.placement.snapshot()["drops"]
+        t[0] = 100.0  # ...which then goes cold
+        store.put(d, _module_kv(4))  # evicts a for capacity
+        assert a not in store  # dropped, not demoted: disk has it
+        assert store.placement.snapshot()["drops"] == drops + 1
+        assert store.fetch(a).source == "snapshot"
+        assert store.fabric_snapshot()["spill_errors"] == 0
+
+
+class TestInvalidationReachesEveryTier:
+    """A module whose text changed must come back from no tier."""
+
+    NEW_PLAN = "plan a trip lasting one day"
+
+    def _updated_reference(self, model, tok):
+        pc = PromptCache(model, tok, template=PLAIN_TEMPLATE)
+        pc.register_schema(SCHEMA)
+        pc.update_module_text("trip", "plan", self.NEW_PLAN)
+        return pc
+
+    def test_updated_module_is_not_paged_back_from_the_snapshot(
+        self, llama, tok, tmp_path
+    ):
+        warm = PromptCache(llama, tok, template=PLAIN_TEMPLATE)
+        warm.register_schema(SCHEMA)
+        save_store(warm.store, tmp_path)
+        store = FabricStore(snapshot_dir=tmp_path)
+        pc = PromptCache(llama, tok, store=store, template=PLAIN_TEMPLATE)
+        pc.register_schema(SCHEMA)
+        key = CacheKey("trip", "plan")
+        assert store.snapshot_backed(key)
+        pc.update_module_text("trip", "plan", self.NEW_PLAN)
+        assert not store.snapshot_backed(key)
+        # Resident copy gone (capacity pressure, in production): the next
+        # serve must re-encode the new text, not page the old one in.
+        for tier in (store.gpu, store.cpu):
+            if key in tier:
+                tier.remove(key)
+        reference = self._updated_reference(llama, tok)
+        served = pc.serve(PROMPT, max_new_tokens=6)
+        assert served.output_ids == reference.serve(PROMPT, max_new_tokens=6).output_ids
+        fresh = reference.store.fetch(key).entry.kv
+        found = store.fetch(key)
+        assert found.source in ("gpu", "cpu")
+        assert len(found.entry.kv) == len(fresh)
+        assert np.array_equal(found.entry.kv.key_arena, fresh.key_arena)
+        assert np.array_equal(found.entry.kv.value_arena, fresh.value_arena)
+        # The untouched module kept its snapshot record.
+        assert store.snapshot_backed(CacheKey("trip", "city"))
+
+    def test_updated_module_is_not_paged_back_from_its_spill(
+        self, llama, tok, tmp_path
+    ):
+        reference = self._updated_reference(llama, tok)
+        budget = int(reference.store.total_bytes() * 0.8)  # about one module a tier
+        store = FabricStore(budget, budget, snapshot_dir=tmp_path)
+        pc = PromptCache(llama, tok, store=store, template=PLAIN_TEMPLATE)
+        pc.register_schema(SCHEMA)
+        key = CacheKey("trip", "plan")
+        filler = reference.store.peek(CacheKey("trip", "city")).kv
+        for name in "xyz":  # push both trip modules through DRAM to disk
+            store.put(CacheKey("other", name), filler)
+        assert store.snapshot_backed(key) and key not in store
+        spilled = sorted(tmp_path.glob("trip__plan__*"))
+        assert spilled
+        pc.update_module_text("trip", "plan", self.NEW_PLAN)
+        store.remove_matching("other")
+        served = pc.serve(PROMPT, max_new_tokens=6)
+        assert served.output_ids == reference.serve(PROMPT, max_new_tokens=6).output_ids
+        snap = store.fabric_snapshot()
+        assert snap["tiers"]["snapshot"]["misses"] == 0  # forgotten, not found corrupt
+
+
 class TestFabricTierWalk:
     """Byte-identity from every tier, across all four positional families."""
 
@@ -320,14 +414,16 @@ class TestFabricTierWalk:
         assert peer_store.fetch_stats.hits >= 2
         assert peer_store.cost_model.peer_observations >= 2
 
-        # Tier 5 (re-encode): nothing anywhere; the engine encodes and the
-        # fabric observes the measured cost.
+        # Tier 5 (encode): nothing anywhere; the engine encodes and the
+        # fabric observes the measured cost — as first encodes: nothing
+        # it once held was lost.
         cold_store = FabricStore()
         cold_pc = self._pc(any_model, tok, cold_store)
         assert cold_pc.serve(PROMPT, max_new_tokens=6).output_ids == (
             reference.output_ids
         )
-        assert cold_store.fabric_snapshot()["reencodes"] >= 2
+        snap = cold_store.fabric_snapshot()
+        assert snap["first_encodes"] >= 2 and snap["reencodes"] == 0
         assert cold_store.cost_model.reencode_observations >= 2
 
     def test_snapshot_catalog_indexes_without_loading(self, llama, tok, tmp_path):
