@@ -54,8 +54,6 @@ def _make_router(model, tok, n_workers: int, workload) -> ClusterRouter:
     options = ServeOptions(
         max_queue_depth=128,
         queue_delay_budget_s=None,
-        max_batch=2,
-        batch_max_wait_s=0.005,
     )
     workers = [
         ClusterWorker(f"w{i}", model, tok, template=PLAIN_TEMPLATE, options=options)

@@ -32,8 +32,7 @@ PROFILES = [
 
 
 async def _drive(pc, workload, trace):
-    options = ServeOptions(max_queue_depth=64, queue_delay_budget_s=None,
-                           max_batch=4, batch_max_wait_s=0.01)
+    options = ServeOptions(max_queue_depth=64, queue_delay_budget_s=None)
     async with LiveServer(pc, options) as server:
         return await run_open_loop(server, workload, trace)
 

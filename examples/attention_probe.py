@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cache.engine import PromptCache
+from repro.cache.engine import PromptCache, _arena_splice
 from repro.datasets.corpus import SyntheticCorpus
 from repro.llm.config import trained_config
 from repro.llm.introspect import attention_trace, induction_score
@@ -50,7 +50,8 @@ def main() -> None:
     resolved = pc._resolve(f'<prompt schema="probe"><doc/> {fact.completion()}</prompt>')
     registered = pc.schemas["probe"]
     plan = pc._plan(resolved, registered)
-    cache, _, _ = pc._assemble(registered, plan, use_scaffolds=True)
+    records = pc._gather_module_records(registered, plan, True)
+    cache = _arena_splice(model.config, [kv for _, kv, _ in records])
     suffix_ids = np.concatenate([t for t, _ in plan.uncached])
     suffix_pos = np.concatenate([p for _, p in plan.uncached])
     logits, trace = attention_trace(model, suffix_ids, suffix_pos, cache)

@@ -65,8 +65,7 @@ def main() -> None:
 
     # Phase 1: steady state, live vs simulated prediction for one trace.
     steady = synthesize_trace(PROFILES, rate_rps=12.0, duration_s=2.0, seed=SEED)
-    options = ServeOptions(max_queue_depth=32, queue_delay_budget_s=2.0,
-                           max_batch=4, batch_max_wait_s=0.01)
+    options = ServeOptions(max_queue_depth=32, queue_delay_budget_s=2.0)
     server, live = asyncio.run(drive(pc, workload, steady, options))
 
     host = calibrate_host().spec
@@ -85,8 +84,7 @@ def main() -> None:
 
     # Phase 2: overload — demand far beyond capacity, shed at admission.
     overload = synthesize_trace(PROFILES, rate_rps=500.0, duration_s=1.0, seed=SEED)
-    options = ServeOptions(max_queue_depth=8, queue_delay_budget_s=0.1,
-                           max_batch=4, batch_max_wait_s=0.01)
+    options = ServeOptions(max_queue_depth=8, queue_delay_budget_s=0.1)
     server2, shed = asyncio.run(drive(pc, workload, overload, options))
 
     print(f"\noverload trace: {len(overload)} requests @ 500/s")

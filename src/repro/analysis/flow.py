@@ -593,6 +593,7 @@ _SEED_BY_NAME = {
     "fork": ("fork", ("free",)),
     "open_stream": ("stream", ("finish", "abort")),
     "open_text_stream": ("stream", ("finish", "abort")),
+    "_open_text": ("stream", ("finish", "abort")),
 }
 #: Receiver methods that release a lease of unknown kind (parameters).
 _GENERIC_RELEASERS = ("free", "finish", "abort", "close", "release")

@@ -5,11 +5,15 @@
 1. **Register** a schema → lay out position IDs (:mod:`repro.cache.layout`)
    and optionally pre-encode every module (:mod:`repro.cache.encoder`) into
    the two-tier store (:mod:`repro.cache.storage`).
-2. **Serve** a prompt → resolve it against the schema, splice the cached
-   module KV states together (buffered concat, §4.2), prefill only the
-   uncached tokens (parameter arguments + new text) at their schema
-   positions, and decode. TTFT = splice + suffix prefill, replacing the
-   full quadratic prefill (§3.4).
+2. **Serve** a prompt → one pipeline behind every entry point: *plan*
+   (resolve a PML prompt against its schema, or match raw text against
+   the discovered prefixes), *fork* a shared pre-spliced base of the
+   cached module KV states (§4.2), and let a :class:`ServeStream`
+   prefill only the uncached tokens (parameter arguments + new text) at
+   their planned positions and decode. TTFT = splice + suffix prefill,
+   replacing the full quadratic prefill (§3.4). The scheduler drives
+   streams a chunk and a token at a time; ``serve`` / ``serve_text`` and
+   their batch forms drive them to completion in one call.
 
 :meth:`PromptCache.baseline` runs the exact same token content through the
 ordinary KV-cache path, which is how the accuracy and latency comparisons
@@ -18,10 +22,10 @@ pair up cached vs baseline runs.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -36,8 +40,9 @@ from repro.cache.layout import ModuleLayout, SchemaLayout, layout_schema
 from repro.cache.storage import CacheKey, ModuleCacheStore, SOLO_VARIANT
 from repro.llm.generation import GenerationResult, decode_loop, generate
 from repro.llm.sampling import GreedySampler
-from repro.llm.kv import KVCache, LayerKV, ModuleKV, buffered_concat, tracked_alloc
+from repro.llm.kv import KVCache, LayerKV, ModuleKV, tracked_alloc
 from repro.llm.models import TransformerModel
+from repro.llm.paged import PagedKVCache
 from repro.pml.chat import ChatTemplate, template_for_architecture
 from repro.pml.errors import SchemaMismatchError, UnknownSchemaError
 from repro.pml.parser import parse_prompt
@@ -142,15 +147,13 @@ class BatchServeResult:
 class ServeStream:
     """One request's serve, resumable between prefill chunks and decode steps.
 
-    The whole-request paths (:meth:`PromptCache.serve` / ``serve_text``)
-    splice, prefill, and decode to completion inside one call; a stream
-    breaks the same work into scheduler-sized pieces so the
-    iteration-level runtime (:mod:`repro.server.scheduler`) can
+    Every serve in this package is a stream: a planner names the cached
+    prefix, :meth:`PromptCache._open` forks the shared pre-spliced base
+    holding it, and the stream owns that fork — and its mirror lease —
+    until it is finished or aborted. Its pieces are scheduler-sized, so
+    the iteration-level runtime (:mod:`repro.server.scheduler`) can
     interleave many requests over one engine:
 
-    - construction performs the splice (in paged mode, a fork of the
-      shared pre-spliced base — the stream holds the fork, and its
-      mirror lease, until it is finished or aborted);
     - :meth:`prefill_step` forwards up to a budget of uncached prompt
       tokens, capturing first-token logits when the prompt completes;
     - :meth:`next_token` samples one token in :func:`decode_loop`'s
@@ -160,6 +163,11 @@ class ServeStream:
       :class:`ServeResult`; :meth:`abort` releases it on failure or
       shutdown without a result.
 
+    :meth:`PromptCache.serve` / ``serve_text`` :meth:`run` the same stream
+    to completion in one call — one prefill chunk, then ``decode_loop`` —
+    and produce the same greedy tokens: the splice and the per-token
+    forwards are the same arithmetic, only the loop structure differs.
+
     Where the stream's KV lives: the spliced prefix is the shared base's
     pages; the prefilled suffix is appended to the fork's own pages and
     mirror. A scheduler that batches decode over a
@@ -167,12 +175,9 @@ class ServeStream:
     stream's first decode step; from then on decoded tokens are appended
     to the arena row **only** — the fork's pages and mirror stay frozen
     at prefix + suffix, and ``len(stream.cache)`` counts both. Read the
-    private tail through :meth:`tail_kv`, wherever it lives.
-
-    Driven to completion with a prefill budget covering the whole suffix,
-    a stream's greedy outputs are byte-identical to the one-call paths —
-    the splice and the per-token forwards are the same arithmetic, only
-    the loop structure differs.
+    private tail through :meth:`tail_kv`, wherever it lives. A prompt
+    with nothing cached has no base: its stream runs on a private flat
+    cache and is never seated.
     """
 
     def __init__(
@@ -180,34 +185,30 @@ class ServeStream:
         pc: "PromptCache",
         *,
         cache,
-        owns_fork: bool,
+        base: "_SplicedBase | None",
         pending_ids: np.ndarray,
         pending_positions: np.ndarray,
         next_position: int,
-        cached_tokens: int,
         tier_tokens: dict[str, int],
         max_new_tokens: int,
         sampler,
         stop_ids: set[int] | None,
         splice_s: float,
-        shared_group: object | None = None,
-        shared_len: int = 0,
     ) -> None:
         self.pc = pc
         self.cache = cache
-        self._owns_fork = owns_fork
         # ChunkAttention grouping key: the _SplicedBase this stream's
         # paged cache was forked from (identity-compared — two streams
         # holding the same base object share its mirror image bytes) and
-        # the spliced-prefix length those shared tokens cover. None for
-        # non-paged / undiscovered prompts: never grouped.
-        self.shared_group = shared_group
-        self.shared_len = shared_len
+        # the spliced-prefix length those shared tokens cover. None for a
+        # prompt with nothing cached: no fork to free, never grouped.
+        self.shared_group = base
+        self.shared_len = len(cache) if base is not None else 0
         self._pending_ids = pending_ids
         self._pending_positions = pending_positions
         self._offset = 0
         self._position = next_position
-        self.cached_tokens = cached_tokens
+        self.cached_tokens = len(cache)
         self.tier_tokens = tier_tokens
         self.max_new_tokens = max_new_tokens
         self.sampler = sampler or GreedySampler()
@@ -219,7 +220,6 @@ class ServeStream:
         self.logits: np.ndarray | None = None
         self.done = False
         self._closed = False
-        self._reserved = False
 
     # -- state -------------------------------------------------------------------
 
@@ -253,9 +253,6 @@ class ServeStream:
         take = min(max_tokens, remaining)
         if take <= 0:
             return 0
-        if not self._reserved:
-            self.cache.reserve(len(self.cache) + remaining + self.max_new_tokens)
-            self._reserved = True
         chunk = slice(self._offset, self._offset + take)
         start = time.perf_counter()
         logits = self.pc.model.forward(
@@ -290,6 +287,20 @@ class ServeStream:
         self._position += 1
         self.step_times_s.append(step_s)
 
+    def run(self) -> None:
+        """The whole-request driver: the entire suffix as one prefill
+        chunk, then the per-sequence reference decode loop (the one
+        :func:`~repro.llm.generation.generate` runs) over this stream's
+        cache. Leaves the stream ready to :meth:`finish`."""
+        self.prefill_step(self.prefill_remaining)
+        self.output_ids, self.step_times_s = decode_loop(
+            self.pc.model, self.cache, self.logits,
+            max_new_tokens=self.max_new_tokens,
+            next_position=self._position,
+            sampler=self.sampler, stop_ids=self.stop_ids,
+        )
+        self.done = True
+
     def seat_tail(self, arena) -> bool:
         """Move the private tail into ``arena`` for batched decode; True
         when the stream is (now or already) seated. Only a paged fork of
@@ -297,7 +308,7 @@ class ServeStream:
         the next position at or after every cached key, which is what
         lets the arena kernel skip the causal mask. The seat is for life:
         it goes back with the fork in :meth:`abort` / :meth:`finish`."""
-        if not self._owns_fork or self.shared_group is None:
+        if self.shared_group is None:
             return False
         if self.cache.tail is not None:
             return True
@@ -324,12 +335,11 @@ class ServeStream:
         path."""
         if not self._closed:
             self._closed = True
-            if self._owns_fork:
+            if self.shared_group is not None:
                 self.pc._free_fork(self.cache)
 
     def finish(self) -> ServeResult:
-        """Release resources and assemble the :class:`ServeResult` —
-        same field semantics as :meth:`PromptCache.serve`."""
+        """Release resources and assemble the :class:`ServeResult`."""
         self.abort()
         return ServeResult(
             output_ids=self.output_ids,
@@ -401,12 +411,11 @@ class _SplicedBase:
     ``entries`` records each contributing store key with its post-drop
     token count so a hit can be re-validated against the store (keeping
     hit statistics, tier occupancy, and CPU-hit promotion identical to
-    the slow path) and rebuilt if any backing entry disappeared.
+    a base build) and rebuilt if any backing entry disappeared.
     """
 
-    cache: "PagedKVCache"  # noqa: F821 — imported lazily in the fork path
+    cache: PagedKVCache
     entries: list[tuple[CacheKey, int]]
-    cached_tokens: int
     module_names: frozenset[str]
 
 
@@ -424,12 +433,6 @@ class PromptCache:
         architecture's native template.
     default_tier:
         Where newly encoded modules are stored (``"gpu"`` or ``"cpu"``).
-    splice_mode:
-        How :meth:`serve` splices cached states: ``"paged"`` (default)
-        forks a shared, mirrored paged base — repeated prompts skip the
-        splice memcpy entirely; ``"arena"`` builds a private flat cache
-        with one layer-major arena copy per side; ``"legacy"`` is the
-        original per-layer buffered-concat path (kept for benchmarking).
     plan_cache_size / base_cache_size:
         LRU bounds on the compiled-plan and spliced-base caches.
     encode_workers:
@@ -451,7 +454,6 @@ class PromptCache:
         default_tier: str = "gpu",
         kv_codec=None,
         promote_on_cpu_hit: bool = False,
-        splice_mode: str = "paged",
         plan_cache_size: int = 256,
         base_cache_size: int = 8,
         encode_workers: int = 0,
@@ -475,12 +477,6 @@ class PromptCache:
         else:
             self.kv_codec = kv_codec
         self.schemas: dict[str, RegisteredSchema] = {}
-        if splice_mode not in ("paged", "arena", "legacy"):
-            raise ValueError(
-                f"unknown splice_mode {splice_mode!r}; "
-                "expected 'paged', 'arena' or 'legacy'"
-            )
-        self.splice_mode = splice_mode
         self.plan_cache_size = plan_cache_size
         self.base_cache_size = base_cache_size
         self.encode_workers = encode_workers
@@ -640,16 +636,8 @@ class PromptCache:
             return
         for name in layout.order:
             self._ensure_encoded(registered, name, SOLO_VARIANT, tier)
-        for i, names in enumerate(registered.scaffold_sets):
-            variant = f"scaffold{i}"
-            layouts = [layout.module(n) for n in names]
-            states = encode_scaffold(self.model, layouts)
-            for n in names:
-                self.store.put(
-                    CacheKey(layout.schema_name, n, variant),
-                    self.kv_codec.encode(states[n]),
-                    tier=tier,
-                )
+        for index in range(len(registered.scaffold_sets)):
+            self._encode_scaffold_set(registered, index, tier)
 
     def _encode_all_pooled(
         self, registered: RegisteredSchema, tier: str, workers, encoder
@@ -696,15 +684,21 @@ class PromptCache:
         if observe is not None:
             observe(key, len(kv), seconds)
 
+    def _fetch(self, key: CacheKey):
+        """Store lookup on the serve path: a hit in host memory is
+        promoted back to the fast tier when the engine is set to."""
+        found = self.store.fetch(key)
+        if found is not None and found.tier == "cpu" and self.promote_on_cpu_hit:
+            self.store.prefetch([key])
+        return found
+
     def _ensure_encoded(
         self, registered: RegisteredSchema, name: str, variant: str, tier: str
     ) -> tuple[ModuleKV, str]:
         """Fetch a module's states, encoding on miss. Returns (kv, tier)."""
         key = CacheKey(registered.layout.schema_name, name, variant)
-        found = self.store.fetch(key)
+        found = self._fetch(key)
         if found is not None:
-            if found.tier == "cpu" and self.promote_on_cpu_hit:
-                self.store.prefetch([key])
             return self.kv_codec.decode(found.entry.kv), found.tier
         if variant == SOLO_VARIANT:
             started = time.perf_counter()
@@ -712,19 +706,24 @@ class PromptCache:
             self._observe_reencode(key, kv, time.perf_counter() - started)
             self.store.put(key, self.kv_codec.encode(kv), tier=tier)
             return kv, tier
-        # Scaffold variants are always materialized as a set.
         index = int(variant.removeprefix("scaffold"))
+        return self._encode_scaffold_set(registered, index, tier)[name], tier
+
+    def _encode_scaffold_set(
+        self, registered: RegisteredSchema, index: int, tier: str
+    ) -> dict[str, ModuleKV]:
+        """Encode scaffold set ``index`` — always materialized as a set —
+        and store every member under its ``scaffold<index>`` variant."""
+        layout = registered.layout
         names = registered.scaffold_sets[index]
-        states = encode_scaffold(
-            self.model, [registered.layout.module(n) for n in names]
-        )
+        states = encode_scaffold(self.model, [layout.module(n) for n in names])
         for n in names:
             self.store.put(
-                CacheKey(registered.layout.schema_name, n, variant),
+                CacheKey(layout.schema_name, n, f"scaffold{index}"),
                 self.kv_codec.encode(states[n]),
                 tier=tier,
             )
-        return states[name], tier
+        return states
 
     # -- serving ------------------------------------------------------------------
 
@@ -737,59 +736,12 @@ class PromptCache:
         stop_ids: set[int] | None = None,
         use_scaffolds: bool = True,
     ) -> ServeResult:
-        """Cached inference for a PML prompt (paper Fig 2, §3.4)."""
-        compiled = self._compiled(prompt)
-        registered, plan = compiled.registered, compiled.plan
-        token_ids, positions = compiled.merged_uncached
-
-        # Stage 1: splice cached module states together (the memcpy phase).
-        # In "paged" mode this forks a shared pre-spliced base — on a base
-        # hit there is no memcpy at all, just refcount bumps.
-        release = None
-        start = time.perf_counter()
-        if self.splice_mode == "paged":
-            cache, tier_tokens, cached_tokens, _base = self._fork_base(
-                registered, plan, use_scaffolds
-            )
-            release = cache
-        else:
-            cache, tier_tokens, cached_tokens = self._assemble(
-                registered, plan, use_scaffolds=use_scaffolds,
-                extra_capacity=len(token_ids) + max_new_tokens,
-            )
-        try:
-            splice_s = time.perf_counter() - start
-            # Stage 2: prefill only the uncached tokens at their positions.
-            reserve = len(cache) + len(token_ids) + max_new_tokens
-            cache.reserve(reserve)
-            start = time.perf_counter()
-            logits = self.model.forward(token_ids, positions, cache)[-1]
-            suffix_s = time.perf_counter() - start
-
-            output_ids, step_times = decode_loop(
-                self.model,
-                cache,
-                logits,
-                max_new_tokens=max_new_tokens,
-                next_position=plan.next_position,
-                sampler=sampler,
-                stop_ids=stop_ids,
-            )
-        finally:
-            if release is not None:
-                self._free_fork(release)
-        return ServeResult(
-            output_ids=output_ids,
-            text=self.tokenizer.decode(output_ids, skip_specials=True),
-            prompt_tokens=cached_tokens + len(token_ids),
-            cached_tokens=cached_tokens,
-            uncached_tokens=len(token_ids),
-            ttft_s=splice_s + suffix_s,
-            splice_s=splice_s,
-            suffix_s=suffix_s,
-            step_times_s=step_times,
-            tier_tokens=tier_tokens,
-        )
+        """Cached inference for a PML prompt (paper Fig 2, §3.4), start
+        to finish in one call."""
+        return self._serve(self.open_stream(
+            prompt, max_new_tokens=max_new_tokens, sampler=sampler,
+            stop_ids=stop_ids, use_scaffolds=use_scaffolds,
+        ))
 
     # Friendly alias used throughout the examples.
     generate = serve
@@ -810,65 +762,44 @@ class PromptCache:
         tokens extend a private fork (copy-on-write on the boundary page).
         Outputs are identical to serving each prompt alone.
         """
-        compiled_plans = [self._compiled(prompt) for prompt in prompts]
-
-        forks: list = []
-        group_keys: set[tuple] = set()
-        results: list[ServeResult] = []
-        duplicated = 0
-        physical = 0
+        held: list[ServeStream] = []
         try:
-            for compiled in compiled_plans:
-                registered, plan = compiled.registered, compiled.plan
-                start = time.perf_counter()
-                cache, tier_tokens, cached_tokens, _base = self._fork_base(
-                    registered, plan, True
+            for prompt in prompts:
+                stream = self.open_stream(
+                    prompt, max_new_tokens=max_new_tokens, sampler=sampler,
+                    stop_ids=stop_ids,
                 )
-                forks.append(cache)
-                group_keys.add(self._base_key(registered, plan, True))
-                splice_s = time.perf_counter() - start
-
-                token_ids, positions = compiled.merged_uncached
-                start = time.perf_counter()
-                logits = self.model.forward(token_ids, positions, cache)[-1]
-                suffix_s = time.perf_counter() - start
-                output_ids, step_times = decode_loop(
-                    self.model, cache, logits,
-                    max_new_tokens=max_new_tokens,
-                    next_position=plan.next_position,
-                    sampler=sampler, stop_ids=stop_ids,
-                )
-                duplicated += cache.logical_bytes()
-                results.append(
-                    ServeResult(
-                        output_ids=output_ids,
-                        text=self.tokenizer.decode(output_ids, skip_specials=True),
-                        prompt_tokens=cached_tokens + len(token_ids),
-                        cached_tokens=cached_tokens,
-                        uncached_tokens=len(token_ids),
-                        ttft_s=splice_s + suffix_s,
-                        splice_s=splice_s,
-                        suffix_s=suffix_s,
-                        step_times_s=step_times,
-                        tier_tokens=tier_tokens,
-                    )
-                )
-            # Measure the memory picture while every fork is still live,
-            # then release them (returning the shared mirrors' leases).
-            with self._fastpath_lock:
-                physical = sum(
-                    self._bases[key].cache.physical_bytes()
-                    for key in group_keys
-                    if key in self._bases
-                )
+                held.append(stream)
+                stream.run()
+            return self._batch_result(held)
         finally:
-            for cache in forks:
-                self._free_fork(cache)
+            for stream in held:
+                stream.abort()
+
+    def _serve(self, stream: ServeStream) -> ServeResult:
+        """Run one stream to completion; its fork goes back on any unwind."""
+        try:
+            stream.run()
+            return stream.finish()
+        except BaseException:
+            stream.abort()
+            raise
+
+    def _batch_result(self, held: list[ServeStream]) -> BatchServeResult:
+        """Finish a batch of completed streams. The §3.4 memory picture
+        is read first, while every fork is still live: shared pages are
+        counted once only as long as all their holders exist."""
+        forked = [s for s in held if s.shared_group is not None]
+        bases = {id(s.shared_group): s.shared_group for s in forked}
+        duplicated = sum(s.cache.logical_bytes() for s in forked)
+        with self._fastpath_lock:
+            physical = sum(base.cache.physical_bytes() for base in bases.values())
         return BatchServeResult(
-            results=results,
+            results=[stream.finish() for stream in held],
             physical_bytes=physical,
             duplicated_bytes=duplicated,
-            shared_groups=len(group_keys),
+            # A prompt with nothing cached shares with nobody.
+            shared_groups=len(bases) + len(held) - len(forked),
         )
 
     def open_stream(
@@ -882,56 +813,20 @@ class PromptCache:
     ) -> ServeStream:
         """Begin a resumable serve for a PML prompt.
 
-        The splice happens here (paged fork or arena assembly, exactly
-        as :meth:`serve` chooses); prefill chunks and decode steps are
+        The splice happens here — a fork of the shared base for the
+        prompt's module sequence; prefill chunks and decode steps are
         driven by the caller through the returned :class:`ServeStream`.
         The iteration-level scheduler's entry point.
         """
         compiled = self._compiled(prompt)
         registered, plan = compiled.registered, compiled.plan
         token_ids, positions = compiled.merged_uncached
-
-        owns_fork = False
-        release = None  # the fork to free if we unwind before handing it over
-        shared_group = None
-        shared_len = 0
-        start = time.perf_counter()
-        if self.splice_mode == "paged":
-            cache, tier_tokens, cached_tokens, shared_group = self._fork_base(
-                registered, plan, use_scaffolds
-            )
-            shared_len = len(cache)  # the spliced prefix every fork shares
-            owns_fork = True
-            release = cache
-        else:
-            cache, tier_tokens, cached_tokens = self._assemble(
-                registered, plan, use_scaffolds=use_scaffolds,
-                extra_capacity=len(token_ids) + max_new_tokens,
-            )
-        try:
-            splice_s = time.perf_counter() - start
-            return ServeStream(
-                self,
-                cache=cache,
-                owns_fork=owns_fork,
-                pending_ids=token_ids,
-                pending_positions=positions,
-                next_position=plan.next_position,
-                cached_tokens=cached_tokens,
-                tier_tokens=tier_tokens,
-                max_new_tokens=max_new_tokens,
-                sampler=sampler,
-                stop_ids=stop_ids,
-                splice_s=splice_s,
-                shared_group=shared_group,
-                shared_len=shared_len,
-            )
-        except BaseException:
-            # The stream owns the fork only once constructed; anything
-            # that unwinds before then must give the pages back.
-            if release is not None:
-                self._free_fork(release)
-            raise
+        return self._open(
+            self._base_key(registered, plan, use_scaffolds),
+            partial(self._gather_module_records, registered, plan, use_scaffolds),
+            token_ids, positions, plan.next_position,
+            max_new_tokens, sampler, stop_ids,
+        )
 
     def open_text_stream(
         self,
@@ -942,55 +837,84 @@ class PromptCache:
         stop_ids: set[int] | None = None,
         observe: bool = True,
     ) -> ServeStream:
-        """Begin a resumable serve for schema-free raw text — the
-        streaming mirror of :meth:`serve_text`: the prompt is observed by
-        the discovery miner, any promoted prefix chain is spliced from
-        cache here, and only the remainder is left for prefill chunks."""
+        """Begin a resumable serve for schema-free raw text: the prompt
+        is observed by the discovery miner (feeding promotion), any
+        promoted prefix chain is spliced from cache here, and only the
+        remainder is left for prefill chunks."""
+        ids = self._observed_ids(text, observe)
+        return self._open_text(ids, max_new_tokens, sampler, stop_ids)
+
+    def _observed_ids(self, text: str, observe: bool) -> list[int]:
+        """Tokenize one raw prompt and show it to the miner."""
         ids = self.tokenizer.encode(text)
         if not ids:
-            raise ValueError("open_text_stream needs at least one prompt token")
+            raise ValueError("a raw prompt needs at least one token")
         if self.discovery is not None and observe:
             self.discovery.observe(ids)
+        return ids
+
+    def _open_text(
+        self, ids: list[int], max_new_tokens: int, sampler, stop_ids
+    ) -> ServeStream:
+        """The raw-text planner: the deepest discovered chain tiling a
+        prefix of ``ids`` is the cached part, the rest is prefilled at
+        positions ``cached..n-1``. No chain means no base — the stream is
+        the plain KV-cache baseline."""
         n = len(ids)
         chain = self._match_discovered(ids) if self.discovery is not None else []
+        # Fully-covered prompt: trim the final cached token and recompute
+        # it as the suffix — the first sampling decision needs its logits
+        # (same move as the schema path's recompute_tail).
         trim = bool(chain) and chain[-1].end >= n
         cached = min(chain[-1].end, n - 1) if chain else 0
+        key = gather = None
+        if cached > 0:
+            key = (DISCOVERED_SCHEMA, tuple(s.name for s in chain), trim)
+            gather = partial(self._gather_discovered_records, chain, trim, ids)
+        return self._open(
+            key, gather,
+            np.asarray(ids[cached:], dtype=np.int64),
+            np.arange(cached, n, dtype=np.int64),
+            n, max_new_tokens, sampler, stop_ids,
+        )
 
-        release = None  # the fork to free if we unwind before handing it over
-        shared_group = None
-        shared_len = 0
-        if cached <= 0:
-            cached = 0
-            cache = self.model.new_cache(capacity=n + max_new_tokens)
-            owns_fork = False
-            tier_tokens = {"gpu": 0, "cpu": 0}
-            splice_s = 0.0
+    def _open(
+        self,
+        key: tuple | None,
+        gather,
+        token_ids: np.ndarray,
+        positions: np.ndarray,
+        next_position: int,
+        max_new_tokens: int,
+        sampler,
+        stop_ids: set[int] | None,
+    ) -> ServeStream:
+        """The one stream constructor: fork the spliced base ``key``
+        names (built from ``gather()`` on a miss) and hand the fork to a
+        stream that will prefill ``token_ids`` at ``positions``. ``key``
+        None means nothing is cached: a private flat cache, no base."""
+        # release: the fork to give back if we unwind before a stream owns it.
+        base = release = None
+        tier_tokens = {"gpu": 0, "cpu": 0}
+        start = time.perf_counter()
+        if key is None:
+            cache = self.model.new_cache(capacity=len(token_ids) + max_new_tokens)
         else:
-            start = time.perf_counter()
-            cache, tier_tokens, _key, shared_group = self._fork_text_base(
-                chain, trim, ids
-            )
-            shared_len = len(cache)
-            owns_fork = True
+            cache, base, tier_tokens = self._fork(key, gather)
             release = cache
         try:
-            if owns_fork:
-                splice_s = time.perf_counter() - start
             return ServeStream(
                 self,
                 cache=cache,
-                owns_fork=owns_fork,
-                pending_ids=np.asarray(ids[cached:], dtype=np.int64),
-                pending_positions=np.arange(cached, n, dtype=np.int64),
-                next_position=n,
-                cached_tokens=cached,
+                base=base,
+                pending_ids=token_ids,
+                pending_positions=positions,
+                next_position=next_position,
                 tier_tokens=tier_tokens,
                 max_new_tokens=max_new_tokens,
                 sampler=sampler,
                 stop_ids=stop_ids,
-                splice_s=splice_s,
-                shared_group=shared_group,
-                shared_len=shared_len,
+                splice_s=time.perf_counter() - start,
             )
         except BaseException:
             if release is not None:
@@ -1060,12 +984,10 @@ class PromptCache:
         prompts served through :meth:`serve_text` are mined for shared
         prefixes and hot ones are cached as discovered modules. Returns
         the miner (for stats/tuning); pass ``config`` to set thresholds."""
-        import time as _time
-
         from repro.reuse.miner import ReuseMiner
 
         self.discovery = ReuseMiner(
-            self, config, clock=clock if clock is not None else _time.monotonic
+            self, config, clock=clock if clock is not None else time.monotonic
         )
         return self.discovery
 
@@ -1118,24 +1040,20 @@ class PromptCache:
     ) -> ModuleKV:
         """KV states for tokens ``[start, end)`` conditioned on the true
         prefix ``[0, start)`` — bit-exact rows of a full prefill."""
-        positions = np.arange(start, end, dtype=np.int64)
-        if start:
-            chain_kvs = self._ancestor_kvs(ancestors, start)
-            if chain_kvs is not None:
-                cache = _arena_splice(
-                    self.model.config, chain_kvs, extra_capacity=end - start
-                )
-                self.model.forward(
-                    np.asarray(token_ids[start:end], dtype=np.int64),
-                    positions, cache,
-                )
-                return _arena_from_cache(cache, start, end, positions)
-        cache = self.model.new_cache(capacity=end)
+        chain_kvs = self._ancestor_kvs(ancestors, start) if start else None
+        if chain_kvs is not None:
+            cache = _arena_splice(self.model.config, chain_kvs, end - start)
+            first = start  # the resident chain stands in for [0, start)
+        else:
+            cache = self.model.new_cache(capacity=end)
+            first = 0
         self.model.forward(
-            np.asarray(token_ids[:end], dtype=np.int64),
-            np.arange(end, dtype=np.int64), cache,
+            np.asarray(token_ids[first:end], dtype=np.int64),
+            np.arange(first, end, dtype=np.int64), cache,
         )
-        return _arena_from_cache(cache, start, end, positions)
+        return _arena_from_cache(
+            cache, start, end, np.arange(start, end, dtype=np.int64)
+        )
 
     def _ancestor_kvs(self, ancestors: tuple, start: int) -> list[ModuleKV] | None:
         """Resident KV chain tiling ``[0, start)``, or None (fall back to
@@ -1162,7 +1080,7 @@ class PromptCache:
         stop_ids: set[int] | None = None,
         observe: bool = True,
     ) -> ServeResult:
-        """Schema-free cached inference over raw text.
+        """Schema-free cached inference over raw text, in one call.
 
         Without discovery this is exactly the KV-cache baseline
         (:func:`~repro.llm.generation.generate`). With a miner attached,
@@ -1170,13 +1088,10 @@ class PromptCache:
         prefix chain is spliced from cache, with only the remainder
         prefilled — outputs are byte-identical either way.
         """
-        ids = self.tokenizer.encode(text)
-        if not ids:
-            raise ValueError("serve_text needs at least one prompt token")
-        if self.discovery is not None and observe:
-            self.discovery.observe(ids)
-        result, _, _ = self._serve_text_one(ids, max_new_tokens, sampler, stop_ids)
-        return result
+        return self._serve(self.open_text_stream(
+            text, max_new_tokens=max_new_tokens, sampler=sampler,
+            stop_ids=stop_ids, observe=observe,
+        ))
 
     def serve_text_batch(
         self,
@@ -1190,117 +1105,17 @@ class PromptCache:
         """Batch :meth:`serve_text`. All prompts are observed before any
         is served, so a prefix shared only within this batch can promote
         and be reused by the very requests that revealed it."""
-        ids_list = [self.tokenizer.encode(t) for t in texts]
-        if any(not ids for ids in ids_list):
-            raise ValueError("serve_text_batch needs at least one token per prompt")
-        if self.discovery is not None and observe:
-            for ids in ids_list:
-                self.discovery.observe(ids)
-        results: list[ServeResult] = []
-        group_keys: set[tuple] = set()
-        solo_groups = 0
-        duplicated = 0
-        for ids in ids_list:
-            result, key, dup = self._serve_text_one(
-                ids, max_new_tokens, sampler, stop_ids
-            )
-            results.append(result)
-            duplicated += dup
-            if key is None:
-                solo_groups += 1
-            else:
-                group_keys.add(key)
-        with self._fastpath_lock:
-            physical = sum(
-                self._bases[key].cache.physical_bytes()
-                for key in group_keys
-                if key in self._bases
-            )
-        return BatchServeResult(
-            results=results,
-            physical_bytes=physical,
-            duplicated_bytes=duplicated,
-            shared_groups=len(group_keys) + solo_groups,
-        )
-
-    def _serve_text_one(
-        self, ids: list[int], max_new_tokens: int, sampler, stop_ids
-    ) -> tuple[ServeResult, tuple | None, int]:
-        """Serve one tokenized raw prompt; returns (result, spliced-base
-        key or None, fork logical bytes) for batch accounting."""
-        n = len(ids)
-        chain = self._match_discovered(ids) if self.discovery is not None else []
-        # Fully-covered prompt: trim the final cached token and recompute
-        # it as the suffix — the first sampling decision needs its logits
-        # (same move as the schema path's recompute_tail).
-        trim = bool(chain) and chain[-1].end >= n
-        cached = min(chain[-1].end, n - 1) if chain else 0
-        if cached <= 0:
-            return self._serve_text_uncached(ids, max_new_tokens, sampler, stop_ids)
-
-        start = time.perf_counter()
-        cache, tier_tokens, key, _base = self._fork_text_base(chain, trim, ids)
+        ids_list = [self._observed_ids(text, observe) for text in texts]
+        held: list[ServeStream] = []
         try:
-            splice_s = time.perf_counter() - start
-            cache.reserve(n + max_new_tokens)
-            suffix_ids = np.asarray(ids[cached:], dtype=np.int64)
-            positions = np.arange(cached, n, dtype=np.int64)
-            start = time.perf_counter()
-            logits = self.model.forward(suffix_ids, positions, cache)[-1]
-            suffix_s = time.perf_counter() - start
-            output_ids, step_times = decode_loop(
-                self.model, cache, logits,
-                max_new_tokens=max_new_tokens,
-                next_position=n,
-                sampler=sampler, stop_ids=stop_ids,
-            )
-            duplicated = cache.logical_bytes()
+            for ids in ids_list:
+                stream = self._open_text(ids, max_new_tokens, sampler, stop_ids)
+                held.append(stream)
+                stream.run()
+            return self._batch_result(held)
         finally:
-            self._free_fork(cache)
-        result = ServeResult(
-            output_ids=output_ids,
-            text=self.tokenizer.decode(output_ids, skip_specials=True),
-            prompt_tokens=n,
-            cached_tokens=cached,
-            uncached_tokens=n - cached,
-            ttft_s=splice_s + suffix_s,
-            splice_s=splice_s,
-            suffix_s=suffix_s,
-            step_times_s=step_times,
-            tier_tokens=tier_tokens,
-        )
-        return result, key, duplicated
-
-    def _serve_text_uncached(
-        self, ids: list[int], max_new_tokens: int, sampler, stop_ids
-    ) -> tuple[ServeResult, None, int]:
-        """No discovered prefix: the plain KV-cache baseline path."""
-        n = len(ids)
-        cache = self.model.new_cache(capacity=n + max_new_tokens)
-        start = time.perf_counter()
-        logits = self.model.forward(
-            np.asarray(ids, dtype=np.int64), np.arange(n, dtype=np.int64), cache
-        )[-1]
-        suffix_s = time.perf_counter() - start
-        output_ids, step_times = decode_loop(
-            self.model, cache, logits,
-            max_new_tokens=max_new_tokens,
-            next_position=n,
-            sampler=sampler, stop_ids=stop_ids,
-        )
-        result = ServeResult(
-            output_ids=output_ids,
-            text=self.tokenizer.decode(output_ids, skip_specials=True),
-            prompt_tokens=n,
-            cached_tokens=0,
-            uncached_tokens=n,
-            ttft_s=suffix_s,
-            splice_s=0.0,
-            suffix_s=suffix_s,
-            step_times_s=step_times,
-            tier_tokens={"gpu": 0, "cpu": 0},
-        )
-        return result, None, 0
+            for stream in held:
+                stream.abort()
 
     def _match_discovered(self, ids: list[int]) -> list[DiscoveredModule]:
         """Resolve the miner's matched chain against the registry into the
@@ -1336,58 +1151,21 @@ class PromptCache:
                 return list(reversed(chain))
         return []
 
-    def _fork_text_base(
+    def _gather_discovered_records(
         self, chain: list[DiscoveredModule], trim: bool, ids: list[int]
-    ) -> tuple["PagedKVCache", dict[str, int], tuple, "_SplicedBase"]:  # noqa: F821 — imported lazily in the fork path
-        """Fork a shared paged base for a discovered chain (the raw-text
-        mirror of :meth:`_fork_base`)."""
-        from repro.llm.paged import PagedKVCache
-
-        key = (DISCOVERED_SCHEMA, tuple(s.name for s in chain), trim)
-        with self._fastpath_lock:
-            base = self._bases.get(key)
-            if base is not None:
-                self._bases.move_to_end(key)
-        if base is not None:
-            tier_tokens = self._validate_base(base)
-            if tier_tokens is not None:
-                with self._fastpath_lock:
-                    self.plan_stats.base_hits += 1
-                    cache = base.cache.fork()
-                return cache, tier_tokens, key, base
-            with self._fastpath_lock:
-                stale = self._bases.pop(key, None)
-                if stale is not None:
-                    stale.cache.free()
-
-        tier_tokens = {"gpu": 0, "cpu": 0}
-        entries: list[tuple[CacheKey, int]] = []
-        module_kvs: list[ModuleKV] = []
-        ancestors: list[str] = []
-        for segment in chain:
-            kv, tier = self._ensure_discovered(segment, ids, tuple(ancestors))
-            ancestors.append(segment.name)
+    ) -> list[tuple[CacheKey, ModuleKV, str]]:
+        """(store key, kv, tier served from) per segment of a discovered
+        chain — the raw-text mirror of :meth:`_gather_module_records`;
+        re-encodes a dropped segment from ``ids``."""
+        records: list[tuple[CacheKey, ModuleKV, str]] = []
+        for i, segment in enumerate(chain):
+            ancestors = tuple(s.name for s in chain[:i])
+            kv, tier = self._ensure_discovered(segment, ids, ancestors)
             if trim and segment is chain[-1]:
                 kv = kv.slice(0, len(kv) - 1)
-            tier_tokens[tier] += len(kv)
-            entries.append((CacheKey(DISCOVERED_SCHEMA, segment.name, SOLO_VARIANT), len(kv)))
-            if len(kv):
-                module_kvs.append(kv)
-        base_cache = PagedKVCache.from_module_kvs(self.model.config, module_kvs)
-        base = _SplicedBase(
-            cache=base_cache,
-            entries=entries,
-            cached_tokens=sum(count for _, count in entries),
-            module_names=frozenset(s.name for s in chain),
-        )
-        with self._fastpath_lock:
-            self.plan_stats.base_misses += 1
-            self._bases[key] = base
-            while len(self._bases) > self.base_cache_size:
-                _, victim = self._bases.popitem(last=False)
-                victim.cache.free()
-            cache = base.cache.fork()
-        return cache, tier_tokens, key, base
+            key = CacheKey(DISCOVERED_SCHEMA, segment.name, SOLO_VARIANT)
+            records.append((key, kv, tier))
+        return records
 
     def _ensure_discovered(
         self, segment: DiscoveredModule, ids: list[int], ancestors: tuple
@@ -1396,10 +1174,8 @@ class PromptCache:
         prompt if the store dropped it (capacity/TTL) — the trie keeps
         the boundary, the KV self-heals on the next hit."""
         key = CacheKey(DISCOVERED_SCHEMA, segment.name, SOLO_VARIANT)
-        found = self.store.fetch(key)
+        found = self._fetch(key)
         if found is not None:
-            if found.tier == "cpu" and self.promote_on_cpu_hit:
-                self.store.prefetch([key])
             return self.kv_codec.decode(found.entry.kv), found.tier
         started = time.perf_counter()
         kv = self._encode_segment(
@@ -1574,9 +1350,8 @@ class PromptCache:
         if not mod.params:
             return list(map(int, mod.token_ids))
         pieces: list[tuple[int, list[int]]] = []
-        keep = np.ones(len(mod.token_ids), dtype=bool)
+        keep = _keep_mask(mod)
         for slot in mod.params.values():
-            keep[slot.offset : slot.offset + slot.length] = False
             value = args.get(slot.name, slot.default)
             ids = self.tokenizer.encode(value) if value else []
             pieces.append((slot.offset, list(map(int, ids))))
@@ -1621,19 +1396,6 @@ class PromptCache:
             records.append((CacheKey(schema_name, name, variant), kv, tier))
         return records
 
-    def _gather_module_kvs(
-        self, registered: RegisteredSchema, plan: _Plan, use_scaffolds: bool
-    ) -> tuple[list[ModuleKV], dict[str, int]]:
-        """Fetch (encoding on miss) the slot-dropped states of every
-        selected module, in document order."""
-        module_kvs: list[ModuleKV] = []
-        tier_tokens: dict[str, int] = {"gpu": 0, "cpu": 0}
-        for _, kv, tier in self._gather_module_records(registered, plan, use_scaffolds):
-            tier_tokens[tier] += len(kv)
-            if len(kv):
-                module_kvs.append(kv)
-        return module_kvs, tier_tokens
-
     def _base_key(
         self, registered: RegisteredSchema, plan: _Plan, use_scaffolds: bool
     ) -> tuple:
@@ -1649,129 +1411,94 @@ class PromptCache:
     def _validate_base(self, base: _SplicedBase) -> dict[str, int] | None:
         """Re-check a spliced base's backing entries against the store.
 
-        Keeps the fast path honest: store hit statistics and tier
-        occupancy are recorded exactly as the slow path would record
+        Keeps a base hit honest: store hit statistics and tier
+        occupancy are recorded exactly as a base build would record
         them, CPU-tier hits still trigger promotion, and a base whose
         backing entries vanished (capacity eviction) is rebuilt instead
         of served stale. Returns tier_tokens, or None on any miss.
         """
         tier_tokens: dict[str, int] = {"gpu": 0, "cpu": 0}
         for cache_key, count in base.entries:
-            found = self.store.fetch(cache_key)
+            found = self._fetch(cache_key)
             if found is None:
                 return None
-            if found.tier == "cpu" and self.promote_on_cpu_hit:
-                self.store.prefetch([cache_key])
             tier_tokens[found.tier] += count
         return tier_tokens
 
-    def _fork_base(
-        self, registered: RegisteredSchema, plan: _Plan, use_scaffolds: bool
-    ) -> tuple["PagedKVCache", dict[str, int], int, "_SplicedBase"]:  # noqa: F821 — imported lazily in the fork path
-        """serve()'s paged splice: fork a shared pre-spliced base.
+    def _fork(
+        self, key: tuple, gather
+    ) -> tuple[PagedKVCache, _SplicedBase, dict[str, int]]:
+        """The splice: fork the shared pre-spliced base ``key`` names.
 
         On a base hit the "splice" is refcount bumps plus a store
         re-validation — no tensor copies at all; the fork inherits the
         base's contiguous mirrors and extends them in place during
-        decode. On a miss the base is built once (arena-backed module
-        states paged in), mirrored, and kept for subsequent requests.
-        The returned base object is the ChunkAttention grouping key:
-        streams forked from the same base share its mirror prefix.
+        decode. On a miss ``gather()`` yields the ``(store key, kv,
+        tier)`` records of the module sequence and the base is built
+        once (arena-backed module states paged in), mirrored, and kept
+        for subsequent requests. Returns ``(fork, base, tier_tokens)``;
+        the base object is the ChunkAttention grouping key — streams
+        forked from the same base share its mirror prefix.
         """
-        from repro.llm.paged import PagedKVCache
-
-        key = self._base_key(registered, plan, use_scaffolds)
         with self._fastpath_lock:
             base = self._bases.get(key)
             if base is not None:
                 self._bases.move_to_end(key)
-        if base is not None:
-            tier_tokens = self._validate_base(base)
-            if tier_tokens is not None:
+        tier_tokens = self._validate_base(base) if base is not None else None
+        hit = tier_tokens is not None
+        if not hit:
+            if base is not None:  # a backing entry vanished: rebuild
                 with self._fastpath_lock:
-                    self.plan_stats.base_hits += 1
-                    cache = base.cache.fork()
-                return cache, tier_tokens, base.cached_tokens, base
-            with self._fastpath_lock:
-                stale = self._bases.pop(key, None)
-                if stale is not None:
-                    stale.cache.free()
-
-        records = self._gather_module_records(registered, plan, use_scaffolds)
-        tier_tokens = {"gpu": 0, "cpu": 0}
-        entries: list[tuple[CacheKey, int]] = []
-        module_kvs: list[ModuleKV] = []
-        for cache_key, kv, tier in records:
-            tier_tokens[tier] += len(kv)
-            entries.append((cache_key, len(kv)))
-            if len(kv):
-                module_kvs.append(kv)
-        base_cache = PagedKVCache.from_module_kvs(self.model.config, module_kvs)
-        base = _SplicedBase(
-            cache=base_cache,
-            entries=entries,
-            cached_tokens=sum(count for _, count in entries),
-            module_names=frozenset(k.module for k, _ in entries),
-        )
+                    stale = self._bases.pop(key, None)
+                    if stale is not None:
+                        stale.cache.free()
+            tier_tokens = {"gpu": 0, "cpu": 0}
+            entries: list[tuple[CacheKey, int]] = []
+            module_kvs: list[ModuleKV] = []
+            for cache_key, kv, tier in gather():
+                tier_tokens[tier] += len(kv)
+                entries.append((cache_key, len(kv)))
+                if len(kv):
+                    module_kvs.append(kv)
+            base = _SplicedBase(
+                cache=PagedKVCache.from_module_kvs(self.model.config, module_kvs),
+                entries=entries,
+                module_names=frozenset(k.module for k, _ in entries),
+            )
         with self._fastpath_lock:
-            self.plan_stats.base_misses += 1
-            self._bases[key] = base
-            while len(self._bases) > self.base_cache_size:
-                _, victim = self._bases.popitem(last=False)
-                victim.cache.free()
+            if hit:
+                self.plan_stats.base_hits += 1
+            else:
+                self.plan_stats.base_misses += 1
+                self._bases[key] = base
+                while len(self._bases) > self.base_cache_size:
+                    _, victim = self._bases.popitem(last=False)
+                    victim.cache.free()
             cache = base.cache.fork()
-        return cache, tier_tokens, base.cached_tokens, base
+        return cache, base, tier_tokens
 
     def _free_fork(self, cache) -> None:
         with self._fastpath_lock:
             cache.free()
 
-    def _assemble(
-        self,
-        registered: RegisteredSchema,
-        plan: _Plan,
-        use_scaffolds: bool,
-        extra_capacity: int = 0,
-    ) -> tuple[KVCache, dict[str, int], int]:
-        """Concatenate the selected modules' cached states into a KVCache.
-
-        The default path splices layer-major module arenas into one big
-        arena per side — one allocation and one contiguous copy per
-        module, instead of the legacy path's per-layer buffered concats.
-        ``extra_capacity`` reserves room for the suffix + decode tokens so
-        no layer reallocates mid-request.
-        """
-        module_kvs, tier_tokens = self._gather_module_kvs(registered, plan, use_scaffolds)
-
-        config = self.model.config
-        if not module_kvs:
-            return KVCache.empty(config), tier_tokens, 0
-
-        if self.splice_mode != "legacy":
-            cache = _arena_splice(config, module_kvs, extra_capacity)
-            return cache, tier_tokens, len(cache)
-
-        layers: list[LayerKV] = []
-        for i in range(config.n_layers):
-            keys = buffered_concat([kv.keys[i] for kv in module_kvs], axis=1)
-            values = buffered_concat([kv.values[i] for kv in module_kvs], axis=1)
-            positions = np.concatenate([kv.positions for kv in module_kvs])
-            layers.append(LayerKV.from_arrays(keys, values, positions))
-        cache = KVCache(layers)
-        return cache, tier_tokens, len(cache)
-
 
 def _arena_splice(
     config, module_kvs: list[ModuleKV], extra_capacity: int = 0
 ) -> KVCache:
-    """Splice arena-backed modules with one allocation per side.
+    """A private flat copy of a module sequence, one allocation per side
+    — for callers whose cache outlives a request (a
+    :class:`~repro.cache.session.GenerationSession`, an attention probe,
+    a discovered segment being encoded) and so must not hold a fork of a
+    shared base, which would pin that base's mirror lease.
 
     Builds a single ``(n_layers, n_kv_heads, capacity, head_dim)`` arena
     per side; each module lands with one contiguous copy covering every
     layer at once, and each layer adopts its slice of the arena (spare
     capacity included) without further copies.
     """
-    module_kvs = [kv if kv.is_arena else kv.ensure_arena() for kv in module_kvs]
+    module_kvs = [
+        kv if kv.is_arena else kv.ensure_arena() for kv in module_kvs if len(kv)
+    ]
     total = sum(len(kv) for kv in module_kvs)
     capacity = max(total + extra_capacity, 1)
     shape = (config.n_layers, config.n_kv_heads, capacity, config.head_dim)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cache.engine import PromptCache
+from repro.cache.engine import PromptCache, _arena_splice, _merge_uncached
 from repro.llm.generation import decode_loop
 from repro.pml.errors import SchemaMismatchError
 
@@ -53,10 +53,11 @@ class GenerationSession:
         resolved = pc._resolve(prompt)
         registered = pc._registered(resolved.schema.name)
         plan = pc._plan(resolved, registered)
-        self._cache, _, self._cached_tokens = pc._assemble(
-            registered, plan, use_scaffolds=True
-        )
-        token_ids, positions = _merge(plan.uncached)
+        # A private flat copy, not a fork: the session outlives requests
+        # and must not pin a shared base's mirror lease.
+        records = pc._gather_module_records(registered, plan, True)
+        self._cache = _arena_splice(pc.model.config, [kv for _, kv, _ in records])
+        token_ids, positions = _merge_uncached(plan.uncached)
         self._cache.reserve(len(self._cache) + len(token_ids) + 64)
         self._last_logits = pc.model.forward(token_ids, positions, self._cache)[-1]
         self._next_position = plan.next_position
@@ -104,7 +105,6 @@ class GenerationSession:
                 np.asarray([self._next_position - 1]),
                 self._cache,
             )[-1]
-            self._next_position += 0  # position consumed by the forward above
         turn = Turn(
             user_text=user_text,
             output_ids=output_ids,
@@ -119,13 +119,6 @@ class GenerationSession:
     def context_tokens(self) -> int:
         """Total tokens currently live in the session cache."""
         return len(self._cache)
-
-
-def _merge(batches):
-    token_ids = np.concatenate([t for t, _ in batches])
-    positions = np.concatenate([p for _, p in batches])
-    order = np.argsort(positions, kind="stable")
-    return token_ids[order], positions[order]
 
 
 def start_session(pc: PromptCache, prompt: str) -> GenerationSession:

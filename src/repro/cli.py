@@ -89,17 +89,10 @@ def _build_parser() -> argparse.ArgumentParser:
     live.add_argument("--max-queue", type=int, default=32)
     live.add_argument("--delay-budget", type=float, default=1.0,
                       help="admission queue-delay budget (s)")
-    live.add_argument("--max-batch", type=int, default=4)
-    live.add_argument("--batch-wait", type=float, default=0.01,
-                      help="batcher max-wait (s)")
-    live.add_argument("--mode", default="auto",
-                      choices=["auto", "continuous", "whole_request"],
-                      help="dispatch mode: iteration-level scheduler "
-                           "(continuous) or legacy whole-request batches")
     live.add_argument("--max-inflight", type=_positive(int), default=8,
-                      help="continuous mode: concurrent decoding sequences")
+                      help="concurrent decoding sequences")
     live.add_argument("--prefill-chunk", type=_positive(int), default=256,
-                      help="continuous mode: prefill token budget per iteration")
+                      help="prefill token budget per iteration")
     live.add_argument("--deadline", type=float, default=None,
                       help="per-request deadline (s)")
     live.add_argument("--gpu-capacity-kb", type=int, default=None,
@@ -133,8 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--duration", type=_positive(float), default=2.0)
     cluster.add_argument("--seed", type=int, default=0)
     cluster.add_argument("--max-queue", type=int, default=32)
-    cluster.add_argument("--max-batch", type=int, default=4)
-    cluster.add_argument("--batch-wait", type=float, default=0.01)
     cluster.add_argument("--spill-depth", type=_positive(int), default=8,
                          help="home queue depth beyond which requests spill")
     cluster.add_argument("--vnodes", type=_positive(int), default=64)
@@ -398,9 +389,6 @@ def _cmd_serve_live(args) -> int:
     options = ServeOptions(
         max_queue_depth=args.max_queue,
         queue_delay_budget_s=args.delay_budget,
-        max_batch=args.max_batch,
-        batch_max_wait_s=args.batch_wait,
-        mode=args.mode,
         max_inflight=args.max_inflight,
         prefill_chunk_tokens=args.prefill_chunk,
     )
@@ -441,8 +429,7 @@ def _cmd_serve_live(args) -> int:
         return 0
     gpu = pc.store.gpu.stats
     print(f"trace: {len(trace)} requests over {args.duration:.1f}s "
-          f"(rate {args.rate:g}/s, seed {args.seed}, "
-          f"{'continuous' if server.continuous else 'whole-request'} dispatch)")
+          f"(rate {args.rate:g}/s, seed {args.seed})")
     print(f"completed {report.completed}  rejected {report.rejected}  "
           f"expired {report.expired}  failed {report.failed}")
     print(f"TTFT p50 {1000 * report.ttft_percentile(50):.1f} ms   "
@@ -493,8 +480,6 @@ def _cmd_serve_cluster(args) -> int:
     options = ServeOptions(
         max_queue_depth=args.max_queue,
         queue_delay_budget_s=None,
-        max_batch=args.max_batch,
-        batch_max_wait_s=args.batch_wait,
     )
     attach = str(args.attach_snapshot) if args.attach_snapshot else None
     fabric_options = None

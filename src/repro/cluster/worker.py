@@ -10,15 +10,13 @@ the encoded states before falling back to a local re-encode. A
 successful peer fetch books the avoided prefill in
 ``cluster_reencode_avoided_tokens_total`` — the cluster's headline win.
 
-Workers serve through the iteration-level scheduler (the server's
-"auto" mode resolves to continuous batching on a real engine): each
+Workers serve through the iteration-level scheduler: each
 worker interleaves prefill chunks and batched decode steps across its
 in-flight requests, so a peer-fetch stall on one request's modules
 never blocks decode progress for the others already running.
 
-Threading shape: the engine runs scheduler iterations (or legacy
-batches) on the server's executor thread, so the miss hook fires *off*
-the event loop; it bridges back with ``run_coroutine_threadsafe`` and
+Threading shape: the engine runs scheduler iterations on the server's
+executor thread, so the miss hook fires *off* the event loop; it bridges back with ``run_coroutine_threadsafe`` and
 blocks (bounded) on the transfer. The loop stays free to run the fetch,
 the exporter, and heartbeats. If the engine ever runs inline on the
 loop (``inline_execution=True``), the hook detects it and declines
@@ -201,7 +199,6 @@ class ClusterWorker:
             # actively decoding — routers can weigh it alongside queue
             # depth when placing latency-sensitive traffic.
             "inflight": self.server.inflight,
-            "continuous": self.server.continuous,
             "resident_modules": len(self._residency_tags()),
         }
 

@@ -4,7 +4,7 @@ Where :mod:`repro.serving` *predicts* serving behaviour with an
 event-driven simulator over the roofline latency model, this package
 *executes* it: an asyncio runtime (:class:`LiveServer`) drives the real
 :class:`repro.cache.engine.PromptCache` with admission control,
-cache-aware batching, deadlines, load shedding, metrics, and a seeded
+iteration-level batching, deadlines, load shedding, metrics, and a seeded
 load generator whose traces are shared with the simulator — so
 prediction and measurement line up request for request.
 """

@@ -1,145 +1,74 @@
-"""Cache-aware batching: group admitted requests so splices amortize.
+"""The FIFO admission queue between ``submit`` and the scheduler.
 
-``PromptCache.serve_batch`` shares one physical copy of the spliced
-module states across every request in a batch that selects the same
-module sequence (paper §3.4). The batcher therefore groups queued
-requests by ``(schema, max_new_tokens)`` — same schema means the splice
-plan (and usually the paged base cache) is shared; same decode budget
-means one ``serve_batch`` call serves them unmodified.
-
-Latency never waits on batch fill: a group dispatches as soon as it is
-*full* (``max_batch``) or its oldest request has waited ``max_wait_s``.
-The structure is synchronous and clock-parameterised so the policy is
+Batching happens at the *token* level, inside
+:class:`~repro.server.scheduler.ContinuousScheduler`; what waits here is
+a plain arrival-ordered queue. Arrival-order admission is also the
+no-starvation guarantee: no schema mix can keep a queued request waiting
+behind later arrivals. Synchronous and clock-parameterised, so it is
 unit-testable without an event loop.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 
 from repro.server.request import LiveRequest
 
-BatchKey = tuple[str, int]  # (schema name, max_new_tokens)
-
-# Metrics label covering every raw-text group: raw requests carry
-# per-prefix-chain discovery fingerprints in ``batch_group``, which are
-# unbounded and must never become metric label values.
+# Metrics label covering every raw-text request: raw prompts have no
+# schema, and their "__raw__" trace label is kept out of the per-schema
+# queue gauge so raw traffic reads as one stable bucket.
 RAW_BUCKET = "<raw>"
 
 
 class CacheAwareBatcher:
-    """FIFO-fair, schema-grouped admission queue feeding the worker."""
+    """Arrival-ordered admission queue feeding the scheduler worker (the
+    cache-aware batching itself is the scheduler's shared-prefix step)."""
 
-    def __init__(self, max_batch: int = 8, max_wait_s: float = 0.02) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        self.max_batch = max_batch
-        self.max_wait_s = max_wait_s
-        self._groups: "OrderedDict[BatchKey, deque[LiveRequest]]" = OrderedDict()
+    def __init__(self) -> None:
+        self._queue: deque[LiveRequest] = deque()
 
     def __len__(self) -> int:
-        return sum(len(g) for g in self._groups.values())
+        return len(self._queue)
 
     def put(self, request: LiveRequest) -> None:
-        # Raw requests override the schema with a discovery fingerprint:
-        # prompts sharing a discovered prefix chain batch together, so
-        # one spliced base amortizes the same way a shared schema does.
-        key = (request.batch_group or request.schema, request.max_new_tokens)
-        self._groups.setdefault(key, deque()).append(request)
-
-    def pending_by_schema(self) -> dict[str, int]:
-        """Queued request counts keyed by a *bounded* schema label.
-
-        Group keys for raw requests are discovery fingerprints
-        (``__raw__:<chain>``) — one distinct string per promoted prefix
-        chain. Reporting those verbatim would leak an unbounded label
-        set into metrics, so every raw group lands in :data:`RAW_BUCKET`.
-        """
-        out: dict[str, int] = {}
-        for (schema, _), group in self._groups.items():
-            label = RAW_BUCKET if group[0].raw else schema
-            out[label] = out.get(label, 0) + len(group)
-        return out
+        """Enqueue by arrival time. Submissions arrive in order, so this
+        is an append; a request the scheduler hands back walks forward
+        past whatever queued up behind it since."""
+        queue = self._queue
+        i = len(queue)
+        while i and queue[i - 1].submitted_at > request.submitted_at:
+            i -= 1
+        queue.insert(i, request)
 
     def pop_oldest(self) -> LiveRequest | None:
-        """Pop the single oldest queued request across every group —
-        strict FIFO admission for the iteration-level scheduler, which
-        batches at the *token* level and has no use for group affinity.
-        Arrival-order admission is also the no-starvation guarantee: no
-        schema mix can keep a queued request waiting behind later
-        arrivals."""
-        if not self._groups:
-            return None
-        key = min(self._groups, key=lambda k: self._groups[k][0].submitted_at)
-        group = self._groups[key]
-        request = group.popleft()
-        if not group:
-            del self._groups[key]
-        return request
+        """Pop the oldest queued request, or None when empty."""
+        return self._queue.popleft() if self._queue else None
 
-    # -- dispatch policy ---------------------------------------------------------
-
-    def _take(self, key: BatchKey) -> list[LiveRequest]:
-        group = self._groups[key]
-        batch = [group.popleft() for _ in range(min(self.max_batch, len(group)))]
-        if not group:
-            del self._groups[key]
-        return batch
-
-    def next_batch(self, now: float) -> list[LiveRequest] | None:
-        """The next dispatchable batch, or None if every group should
-        keep waiting. Full groups dispatch immediately; otherwise the
-        group whose head request has exhausted ``max_wait_s`` (oldest
-        head first, so dispatch order is arrival order between groups)."""
-        full = [k for k, g in self._groups.items() if len(g) >= self.max_batch]
-        if full:
-            # Oldest head among the full groups keeps inter-group fairness.
-            key = min(full, key=lambda k: self._groups[k][0].submitted_at)
-            return self._take(key)
-        ripe = [
-            k for k, g in self._groups.items()
-            if now - g[0].submitted_at >= self.max_wait_s
-        ]
-        if ripe:
-            key = min(ripe, key=lambda k: self._groups[k][0].submitted_at)
-            return self._take(key)
-        return None
-
-    def ready_in(self, now: float) -> float | None:
-        """Seconds until some group ripens (0.0 = dispatchable now);
-        None when the queue is empty."""
-        if not self._groups:
-            return None
-        if any(len(g) >= self.max_batch for g in self._groups.values()):
-            return 0.0
-        oldest = min(g[0].submitted_at for g in self._groups.values())
-        return max(0.0, oldest + self.max_wait_s - now)
-
-    # -- queue maintenance -------------------------------------------------------
+    def pending_by_schema(self) -> dict[str, int]:
+        """Queued request counts keyed by a *bounded* schema label:
+        every raw request lands in :data:`RAW_BUCKET`."""
+        out: dict[str, int] = {}
+        for request in self._queue:
+            label = RAW_BUCKET if request.raw else request.schema
+            out[label] = out.get(label, 0) + 1
+        return out
 
     def remove_expired(self, now: float) -> list[LiveRequest]:
         """Pull every queued request whose deadline already passed —
         deadline expiry *mid-queue*, before any compute is spent on it."""
-        expired: list[LiveRequest] = []
-        for key in list(self._groups):
-            group = self._groups[key]
-            keep = deque(
-                r for r in group
+        expired = [
+            r for r in self._queue
+            if r.deadline_at is not None and r.deadline_at <= now
+        ]
+        if expired:
+            self._queue = deque(
+                r for r in self._queue
                 if r.deadline_at is None or r.deadline_at > now
             )
-            if len(keep) != len(group):
-                expired.extend(
-                    r for r in group
-                    if r.deadline_at is not None and r.deadline_at <= now
-                )
-                if keep:
-                    self._groups[key] = keep
-                else:
-                    del self._groups[key]
         return expired
 
     def drain(self) -> list[LiveRequest]:
         """Remove and return everything still queued (shutdown path)."""
-        out = [r for g in self._groups.values() for r in g]
-        self._groups.clear()
+        out = list(self._queue)
+        self._queue.clear()
         return out

@@ -10,7 +10,7 @@ The generator materializes each :class:`SchemaProfile` as a real PML
 schema (one ``context`` module sized to ``module_tokens``) and each
 trace request as a derived prompt whose suffix is sized to the request's
 ``uncached_tokens``. Decode length is fixed per schema (the profile's
-``decode_mean``) so the cache-aware batcher can group requests.
+``decode_mean``).
 
 - **Open loop** fires submissions at the trace's arrival times whether
   or not earlier requests finished — the regime that exposes admission

@@ -67,17 +67,15 @@ class LiveRequest:
     submitted_at: float
     deadline_at: float | None = None  # absolute, on the runtime clock
     state: str = QUEUED
-    # Schema-free raw-text request (served via ``PromptCache.serve_text``,
-    # mined by reuse discovery) — ``schema`` then holds the "__raw__" label.
+    # Schema-free raw-text request (served via
+    # ``PromptCache.open_text_stream``, mined by reuse discovery) —
+    # ``schema`` then holds the "__raw__" label.
     raw: bool = False
-    # Batching-affinity override: requests sharing a discovered prefix
-    # chain carry the same group so the batcher co-schedules them.
-    batch_group: str | None = None
 
     # Lifecycle timestamps (runtime clock).
     started_at: float | None = None
     first_token_at: float | None = None
-    # Most recent token emission — the continuous scheduler's anchor for
+    # Most recent token emission — the scheduler's anchor for
     # inter-token latency (first_token_at stays fixed once set).
     last_token_at: float | None = None
     finished_at: float | None = None

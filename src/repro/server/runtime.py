@@ -1,4 +1,4 @@
-"""The live asyncio serving runtime: admission → batch → serve → stream.
+"""The live asyncio serving runtime: admission → iterate → stream.
 
 :class:`LiveServer` drives the *real* :class:`repro.cache.engine.PromptCache`
 under concurrent load — the executable counterpart of the event-driven
@@ -8,43 +8,32 @@ for future LLM serving systems" (§6).
 
 Design:
 
-- **Admission control.** ``submit`` is the only entry point. It rejects
-  with :class:`~repro.server.errors.Overloaded` when the bounded queue is
-  full or the estimated queue delay (EWMA of recent per-request service
-  time × queue occupancy) exceeds the configured budget — load shedding
-  happens *before* a request consumes queue slots and deadline budget.
-- **Cache-aware batching.** Admitted requests land in a
-  :class:`~repro.server.batcher.CacheAwareBatcher`; one worker coroutine
-  dispatches schema-grouped batches to ``PromptCache.serve_batch`` so a
-  single splice plan (and the paged base cache) amortizes across the
-  batch. A max-wait timer bounds the latency cost of batch fill.
+- **Admission control.** ``submit`` / ``submit_text`` are the only entry
+  points. They reject with :class:`~repro.server.errors.Overloaded` when
+  the bounded queue is full or the estimated queue delay (EWMA of the
+  recent gap between completions × requests ahead in line) exceeds the
+  configured budget — load shedding happens *before* a request consumes
+  queue slots and deadline budget. Admitted requests wait in a FIFO
+  (:mod:`repro.server.batcher`).
+- **One dispatcher: iteration-level batching.** A per-token
+  :class:`~repro.server.scheduler.ContinuousScheduler` admits queued
+  requests every iteration (``PromptCache.open_stream`` /
+  ``open_text_stream`` fork the shared spliced base), prefills in
+  budgeted chunks, runs one batched single-token forward across all
+  in-flight sequences, and retires finished ones immediately — short
+  requests never wait behind long decodes. Token timestamps are *real*:
+  each iteration reports its emissions as they happen. The engine must
+  speak ``open_stream``.
 - **Single-threaded engine, responsive loop.** The NumPy engine is the
-  serial resource (one model, one machine); batches run one at a time on
-  a thread-pool executor so the event loop keeps admitting, rejecting
-  and expiring requests while a batch computes. The thread-safe
-  :class:`~repro.cache.storage.ModuleCacheStore` is the only state the
-  two threads share.
+  serial resource (one model, one machine); iterations run one burst at
+  a time on a thread-pool executor so the event loop keeps admitting,
+  rejecting and expiring requests while the engine computes. The
+  thread-safe :class:`~repro.cache.storage.ModuleCacheStore` is the only
+  state the two threads share.
 - **Observability.** Every lifecycle edge lands in a
   :class:`~repro.server.metrics.MetricsRegistry` (Prometheus text / JSON
   snapshots) and a bounded structured trace log. Store evictions are
   wired in via ``CacheTier.add_evict_listener``.
-
-Two dispatch modes share this admission/observability shell:
-
-- **Continuous (default on a real engine).** A per-token
-  :class:`~repro.server.scheduler.ContinuousScheduler` admits queued
-  requests every iteration, prefills in budgeted chunks, runs one
-  batched single-token forward across all in-flight sequences, and
-  retires finished ones immediately — short requests never wait behind
-  long decodes. Token timestamps are *real*: each iteration reports its
-  emissions as they happen.
-- **Whole-request (legacy, ``mode="whole_request"``).** The batcher
-  dispatches a schema-grouped batch into ``PromptCache.serve_batch``
-  and the slot is held until the whole batch drains. Kept for engines
-  without resumable streams and as the byte-identity reference path.
-  Its per-request first/last-token timestamps are reconstructed from
-  the engine's own measured splice/prefill/step times, offset by the
-  request's position within its batch.
 """
 
 from __future__ import annotations
@@ -59,7 +48,6 @@ from functools import partial
 from repro.cache.engine import PromptCache
 from repro.pml.errors import PMLError, UnknownSchemaError
 from repro.pml.parser import parse_prompt
-from repro.reuse.dedup import analyze_batch
 from repro.server.batcher import CacheAwareBatcher
 from repro.server.errors import DeadlineExceeded, Overloaded, ServerClosed
 from repro.server.metrics import MetricsRegistry
@@ -87,22 +75,14 @@ class ServeOptions:
 
     max_queue_depth: int = 64  # bounded admission queue
     queue_delay_budget_s: float | None = 2.0  # shed when est. delay exceeds
-    max_batch: int = 8
-    batch_max_wait_s: float = 0.02  # latency never waits longer on fill
     default_max_new_tokens: int = 16
     default_deadline_s: float | None = None  # relative; None = no deadline
     initial_service_s: float = 0.05  # EWMA seed before any observation
     service_time_alpha: float = 0.25  # EWMA smoothing for per-request time
     trace_log_limit: int = 10_000
     inline_execution: bool = False  # run the engine on the loop (tests)
-    # Dispatch mode. "auto" runs the iteration-level scheduler whenever
-    # the engine supports resumable streams (``open_stream``) and falls
-    # back to whole-request batches otherwise (stub engines); the other
-    # values force a path — "whole_request" is the legacy reference the
-    # byte-identity tests compare against.
-    mode: str = "auto"  # "auto" | "continuous" | "whole_request"
-    max_inflight: int = 8  # continuous: concurrent decoding sequences
-    prefill_chunk_tokens: int = 256  # continuous: prefill budget per iteration
+    max_inflight: int = 8  # concurrent decoding sequences
+    prefill_chunk_tokens: int = 256  # prefill budget per iteration
     # Batched decode over shared spliced prefixes (ChunkAttention's
     # two-phase partition, batched). A stream forked from a spliced base
     # is *seated*: its private tail moves to the scheduler's tail arena
@@ -117,7 +97,7 @@ class ServeOptions:
     # identity tests compare against). Greedy tokens are equal in all
     # three.
     shared_attention: str = "auto"  # "auto" | "on" | "off"
-    # Continuous: iterations run per executor dispatch while the queue is
+    # Iterations run per executor dispatch while the queue is
     # empty. With nothing to admit or expire, a burst runs several
     # iterations back to back on the engine thread and breaks the moment
     # a new request arrives; each iteration's tokens and completions are
@@ -127,7 +107,7 @@ class ServeOptions:
     burst_iterations: int = 8
     # Periodic store upkeep: TTL sweep (and, on a FabricStore, the
     # budgeted prefetch tick) every this many seconds even while the
-    # server is idle. None disables the background loop; the continuous
+    # server is idle. None disables the background loop; the
     # scheduler still runs upkeep on spare-capacity iterations.
     store_sweep_interval_s: float | None = 1.0
 
@@ -150,10 +130,7 @@ class LiveServer:
         if getattr(pc, "encode_metrics", ...) is None:
             pc.encode_metrics = self.metrics
         self.clock = clock
-        self.batcher = CacheAwareBatcher(
-            max_batch=self.options.max_batch,
-            max_wait_s=self.options.batch_max_wait_s,
-        )
+        self.batcher = CacheAwareBatcher()
         self.trace_log: list[TraceRecord] = []
         self._ids = itertools.count()
         self._wake: asyncio.Event | None = None
@@ -170,32 +147,15 @@ class LiveServer:
         # engine thread mid-burst (GIL-atomic bool) to cut bursts short
         # the moment admission work appears.
         self._arrivals_pending = False
-        self._continuous = self._resolve_mode()
         self._queue_labels: set[str] = set()
         self._last_done_at: float | None = None
         self._decode_rate_ewma = 0.0
         self._flops_saved_total = 0  # ChunkAttention savings accumulator
         self._wire_store_metrics()
 
-    def _resolve_mode(self) -> bool:
-        mode = self.options.mode
-        if mode == "continuous":
-            return True
-        if mode == "whole_request":
-            return False
-        if mode == "auto":
-            return hasattr(self.pc, "open_stream")
-        raise ValueError(f"unknown serve mode: {mode!r}")
-
-    @property
-    def continuous(self) -> bool:
-        """True when this server runs the iteration-level scheduler."""
-        return self._continuous
-
     @property
     def inflight(self) -> int:
-        """Requests currently being served (scheduler occupancy in
-        continuous mode, running batch size in whole-request mode)."""
+        """Requests currently being served (scheduler occupancy)."""
         return self._inflight
 
     # -- lifecycle ---------------------------------------------------------------
@@ -214,18 +174,15 @@ class LiveServer:
         self._wake = asyncio.Event()
         self._running = True
         self._draining = False
-        if self._continuous:
-            self._scheduler = ContinuousScheduler(
-                self.pc,
-                max_inflight=self.options.max_inflight,
-                prefill_chunk_tokens=self.options.prefill_chunk_tokens,
-                shared_attention=self.options.shared_attention,
-                clock=self.clock,
-                maintenance=self._store_maintenance,
-            )
-            self._worker_task = asyncio.create_task(self._scheduler_worker())
-        else:
-            self._worker_task = asyncio.create_task(self._worker())
+        self._scheduler = ContinuousScheduler(
+            self.pc,
+            max_inflight=self.options.max_inflight,
+            prefill_chunk_tokens=self.options.prefill_chunk_tokens,
+            shared_attention=self.options.shared_attention,
+            clock=self.clock,
+            maintenance=self._store_maintenance,
+        )
+        self._worker_task = asyncio.create_task(self._scheduler_worker())
         if self.options.store_sweep_interval_s is not None:
             self._maintenance_task = asyncio.create_task(self._maintenance_loop())
         return self
@@ -340,11 +297,12 @@ class LiveServer:
     ) -> LiveRequest:
         """Admit a schema-free raw-text prompt (no PML, no registration).
 
-        Served through :meth:`PromptCache.serve_text`: byte-identical to
-        the plain KV-cache baseline, but when the engine has a discovery
-        miner attached, hot shared prefixes are mined from exactly this
-        traffic and spliced from cache. Admission control (queue bound,
-        delay shedding, deadlines) is identical to :meth:`submit`.
+        Served through :meth:`PromptCache.open_text_stream`: same tokens
+        as the plain KV-cache baseline, but when the engine has a
+        discovery miner attached, hot shared prefixes are mined from
+        exactly this traffic and spliced from cache. Admission control
+        (queue bound, delay shedding, deadlines) is identical to
+        :meth:`submit`; the text is tokenized once, on the engine thread.
         """
         if not self._running:
             raise ServerClosed("server is not running")
@@ -353,19 +311,12 @@ class LiveServer:
         if not text.strip():
             raise self._reject(text, RAW_SCHEMA, PMLError("empty raw prompt"))
         self._shed_check(text, RAW_SCHEMA)
-        group = RAW_SCHEMA
-        discovery = getattr(self.pc, "discovery", None)
-        if discovery is not None:
-            chain = discovery.match(self.pc.tokenizer.encode(text))
-            if chain:
-                group = RAW_SCHEMA + ":" + "/".join(chain)
         return self._enqueue(
             text, RAW_SCHEMA,
             max_new_tokens=max_new_tokens,
             deadline_s=deadline_s,
             request_id=request_id,
             raw=True,
-            batch_group=group,
         )
 
     def _shed_check(self, prompt: str, schema: str) -> None:
@@ -393,7 +344,6 @@ class LiveServer:
         deadline_s: float | None,
         request_id: str | None,
         raw: bool = False,
-        batch_group: str | None = None,
     ) -> LiveRequest:
         now = self.clock()
         deadline_s = deadline_s if deadline_s is not None else self.options.default_deadline_s
@@ -405,7 +355,6 @@ class LiveServer:
             submitted_at=now,
             deadline_at=None if deadline_s is None else now + deadline_s,
             raw=raw,
-            batch_group=batch_group,
         )
         self.batcher.put(request)
         self._arrivals_pending = True
@@ -420,10 +369,9 @@ class LiveServer:
 
     def _refresh_queue_gauges(self) -> None:
         """Per-schema queue depth. Labels come from the batcher's
-        ``pending_by_schema``, which folds raw discovery fingerprints
-        into one stable ``"<raw>"`` bucket — raw chains must never mint
-        unbounded metric label values. Schemas that drained since the
-        last refresh are zeroed, not left stale."""
+        ``pending_by_schema``, which folds raw traffic into one stable
+        ``"<raw>"`` bucket. Schemas that drained since the last refresh
+        are zeroed, not left stale."""
         pending = self.batcher.pending_by_schema()
         gauge = partial(
             self.metrics.gauge,
@@ -471,28 +419,11 @@ class LiveServer:
 
     # -- worker ------------------------------------------------------------------
 
-    async def _worker(self) -> None:
-        assert self._wake is not None
-        while self._running:
-            now = self.clock()
-            for request in self.batcher.remove_expired(now):
-                self._expire(request, now)
-            batch = self.batcher.next_batch(now)
-            if batch is None:
-                timeout = self.batcher.ready_in(now)
-                self._wake.clear()
-                try:
-                    await asyncio.wait_for(self._wake.wait(), timeout)
-                except asyncio.TimeoutError:
-                    pass
-                continue
-            await self._run_batch(batch)
-
     async def _scheduler_worker(self) -> None:
-        """Continuous mode: one :meth:`ContinuousScheduler.iterate` per
-        loop pass. The iteration runs on the executor (the engine is the
-        serial resource); its outcome — real token timestamps, retired
-        results — is applied back here on the loop, where the asyncio
+        """One burst of :meth:`ContinuousScheduler.iterate` per loop
+        pass. The iterations run on the executor (the engine is the
+        serial resource); their outcomes — real token timestamps, retired
+        results — are applied back here on the loop, where the asyncio
         request state lives."""
         assert self._wake is not None and self._scheduler is not None
         scheduler = self._scheduler
@@ -620,8 +551,7 @@ class LiveServer:
                 request.result = result
                 request.finish(DONE)
                 self._observe_done(request, result)
-                # Per-completion pace EWMA (the continuous analogue of
-                # the legacy per-batch estimate) feeds load shedding.
+                # Per-completion pace EWMA feeds load shedding.
                 if self._last_done_at is not None and at > self._last_done_at:
                     alpha = self.options.service_time_alpha
                     self._service_ewma_s = (
@@ -745,80 +675,6 @@ class LiveServer:
         ).observe(request.queue_wait_s())
         self._record(request)
 
-    async def _run_batch(self, batch: list[LiveRequest]) -> None:
-        dispatch_at = self.clock()
-        for request in batch:
-            request.state = RUNNING
-            request.started_at = dispatch_at
-            request.batch_size = len(batch)
-        self._inflight = len(batch)
-        self.metrics.gauge("server_inflight", "requests in the running batch").set(
-            len(batch)
-        )
-        self.metrics.gauge("server_queue_depth", "requests queued").set(
-            len(self.batcher)
-        )
-        prompts = [r.prompt for r in batch]
-        if batch[0].raw:
-            self._observe_dedup_potential(prompts)
-            run = partial(
-                self.pc.serve_text_batch, prompts,
-                max_new_tokens=batch[0].max_new_tokens,
-            )
-        else:
-            run = partial(
-                self.pc.serve_batch, prompts, max_new_tokens=batch[0].max_new_tokens
-            )
-        try:
-            if self.options.inline_execution:
-                outcome = run()
-            else:
-                outcome = await asyncio.get_running_loop().run_in_executor(None, run)
-        except Exception as exc:  # engine bug or bad prompt that slipped admission
-            finished = self.clock()
-            for request in batch:
-                request.finished_at = finished
-                request.finish(FAILED, error=exc)
-                self._count_outcome("failed")
-                self._record(request)
-            return
-        finally:
-            self._inflight = 0
-            self.metrics.gauge("server_inflight", "requests in the running batch").set(0)
-
-        elapsed = self.clock() - dispatch_at
-        # Reconstruct per-request token timestamps from the engine's own
-        # measurements: batch members are served sequentially over the
-        # shared base cache, so each request's engine time starts where
-        # the previous one ended.
-        offset = 0.0
-        for request, result in zip(batch, outcome.results):
-            engine_s = result.ttft_s + sum(result.step_times_s)
-            request.result = result
-            request.first_token_at = dispatch_at + offset + result.ttft_s
-            request.finished_at = dispatch_at + offset + engine_s
-            offset += engine_s
-            for token in result.output_ids:
-                request.push_token(token)
-            request.finish(DONE)
-            self._observe_done(request, result)
-            self._record(request)
-
-        per_request = elapsed / len(batch)
-        alpha = self.options.service_time_alpha
-        self._service_ewma_s = alpha * per_request + (1 - alpha) * self._service_ewma_s
-        self.metrics.histogram(
-            "server_batch_size", "dispatched batch sizes", buckets=BATCH_SIZE_BUCKETS
-        ).observe(len(batch))
-        self.metrics.histogram(
-            "server_batch_serve_seconds", "engine time per dispatched batch"
-        ).observe(elapsed)
-        self.metrics.gauge(
-            "server_estimated_queue_delay_seconds",
-            "admission-control delay estimate",
-        ).set(self.estimated_queue_delay_s())
-        self.refresh_store_gauges()
-
     # -- observability -----------------------------------------------------------
 
     def _count_outcome(self, outcome: str) -> None:
@@ -864,27 +720,6 @@ class LiveServer:
             ).inc(result.uncached_tokens)
             self._raw_cached_tokens += result.cached_tokens
             self._raw_prompt_tokens += result.cached_tokens + result.uncached_tokens
-
-    def _observe_dedup_potential(self, prompts: list[str]) -> None:
-        """Pre-flight dedup analysis for a raw batch: what fraction of
-        its prompt tokens are shared prefixes (an upper bound on what
-        discovery can save on this batch)."""
-        if len(prompts) < 2:
-            return
-        report = analyze_batch([self.pc.tokenizer.encode(p) for p in prompts])
-        self.metrics.histogram(
-            "reuse_dedup_potential",
-            "shared-prefix token fraction per raw batch",
-            buckets=(0.1, 0.25, 0.5, 0.75, 0.9, 1.0),
-        ).observe(report.potential)
-        self.metrics.counter(
-            "reuse_dedup_tokens_total", "raw batch prompt tokens by dedup class",
-            kind="shared",
-        ).inc(report.shared_tokens)
-        self.metrics.counter(
-            "reuse_dedup_tokens_total", "raw batch prompt tokens by dedup class",
-            kind="total",
-        ).inc(report.total_tokens)
 
     def _record(self, request: LiveRequest) -> None:
         self.trace_log.append(request.trace())

@@ -1,10 +1,10 @@
 """Iteration-level (continuous) batching over resumable serve streams.
 
-The legacy worker dispatches a whole batch into ``serve_batch`` and the
-slot stays occupied until every member finishes decoding — short
-requests wait behind long decodes, and the model runs its single-token
-forwards one sequence at a time. :class:`ContinuousScheduler` rebuilds
-that hot loop around *iterations* (vLLM-style):
+Serving a request start to finish before the next one begins holds the
+engine until its last token — short requests wait behind long decodes,
+and the model runs its single-token forwards one sequence at a time.
+:class:`ContinuousScheduler` builds the serving hot loop around
+*iterations* instead (vLLM-style):
 
 1. **Sample & retire.** Every decoding sequence takes one sampling
    decision. A sequence hitting a stop token or its budget retires on
@@ -262,8 +262,7 @@ class ContinuousScheduler:
                 )
             except Exception as exc:
                 # A poisoned batched step: there is no per-sequence
-                # attribution, so fail every participant (mirrors the
-                # legacy path failing its whole batch).
+                # attribution, so fail every participant.
                 for seq in forward:
                     self._fail(seq, exc, outcome)
             else:

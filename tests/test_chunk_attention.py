@@ -666,7 +666,6 @@ class TestShareMetrics:
         exposition when groups form."""
         pc = make_pc(llama, tok)
         options = ServeOptions(
-            mode="continuous",
             queue_delay_budget_s=None,
             shared_attention="on",
         )
@@ -697,7 +696,6 @@ class TestShareMetrics:
     def test_off_mode_exports_nothing(self, llama, tok):
         pc = make_pc(llama, tok)
         options = ServeOptions(
-            mode="continuous",
             queue_delay_budget_s=None,
             shared_attention="off",
         )

@@ -39,9 +39,7 @@ def run(coro):
 
 
 def make_cluster(llama, tok, n=2, fabric=False, **router_kwargs):
-    options = ServeOptions(
-        batch_max_wait_s=0.005, queue_delay_budget_s=None, max_batch=4
-    )
+    options = ServeOptions(queue_delay_budget_s=None)
     workers = [
         ClusterWorker(
             f"w{i}", llama, tok, options=options, heartbeat_interval_s=0.02,
@@ -287,9 +285,7 @@ class TestRawAffinity:
     def make_discovering_cluster(self, llama, tok, n=2):
         from repro.reuse import DiscoveryConfig
 
-        options = ServeOptions(
-            batch_max_wait_s=0.005, queue_delay_budget_s=None, max_batch=4
-        )
+        options = ServeOptions(queue_delay_budget_s=None)
         workers = [
             ClusterWorker(
                 f"w{i}", llama, tok, options=options,

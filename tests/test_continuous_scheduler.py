@@ -3,9 +3,12 @@
 Bottom-up coverage of the pieces the scheduler composes — the batched
 single-token forward (bit-identical to sequential decode), resumable
 serve streams with chunked prefill, the FIFO admission queue — and then
-the end-to-end contracts: greedy outputs byte-identical to the
-whole-request ``serve_batch`` path across all four positional families,
-no starvation under adversarial arrival order, and balanced paged-lease
+the end-to-end contracts: one identity matrix — ``serve`` ==
+``serve_batch`` == scheduler-driven streams at several prefill-chunk
+sizes == the live server (== ``baseline()`` where the paper's
+equivalence is exact), and the same for raw text against ``generate``
+with discovery on and off — across all four positional families; no
+starvation under adversarial arrival order; and balanced paged-lease
 accounting under the page auditor.
 """
 
@@ -23,8 +26,10 @@ from repro.cache.engine import PromptCache
 from repro.llm import generate, generate_batch
 from repro.pml.chat import PLAIN_TEMPLATE
 from repro.server import ContinuousScheduler, LiveServer, ServeOptions
+from repro.reuse import DiscoveryConfig
 from repro.server.batcher import RAW_BUCKET, CacheAwareBatcher
 from repro.server.request import DONE, FAILED, LiveRequest
+from tests.stubs import StubEngine
 
 
 def run(coro):
@@ -32,7 +37,7 @@ def run(coro):
 
 
 def make_request(request_id, *, schema="a", submitted_at=0.0, raw=False,
-                 batch_group=None, max_new_tokens=4, prompt="p"):
+                 max_new_tokens=4, prompt="p"):
     return LiveRequest(
         request_id=request_id,
         prompt=prompt,
@@ -40,7 +45,6 @@ def make_request(request_id, *, schema="a", submitted_at=0.0, raw=False,
         max_new_tokens=max_new_tokens,
         submitted_at=submitted_at,
         raw=raw,
-        batch_group=batch_group,
     )
 
 
@@ -61,10 +65,47 @@ PROMPTS = [
 ]
 
 
+# One module at the prefix, the text right behind it: the case where
+# Prompt Cache and the KV-cache baseline are the same computation.
+EXACT_PROMPT = '<prompt schema="trip"><plan/> miami beaches</prompt>'
+
+SHARED_TEXT = "the quick brown fox jumps over the lazy dog " * 3
+TEXTS = [
+    SHARED_TEXT + "plan a trip lasting three days",
+    SHARED_TEXT + "paris museums cafes architecture",
+    "miami beaches nightlife surf spots",  # shares nothing
+    SHARED_TEXT.strip(),  # fully covered once the shared run is promoted
+]
+
+
 def make_pc(model, tok):
     pc = PromptCache(model, tok, template=PLAIN_TEMPLATE)
     pc.register_schema(SCHEMA)
     return pc
+
+
+def scheduled(pc, prompts, *, chunk, raw=False, max_new_tokens=6):
+    """Results of streams driven to completion by a scheduler that admits
+    all of ``prompts`` at once and prefills ``chunk`` tokens an iteration."""
+    sched = ContinuousScheduler(
+        pc, max_inflight=len(prompts), prefill_chunk_tokens=chunk
+    )
+    admissions = [
+        make_request(str(i), prompt=p, raw=raw, max_new_tokens=max_new_tokens)
+        for i, p in enumerate(prompts)
+    ]
+    results = {}
+    while admissions or sched.active:
+        outcome = sched.iterate(admissions)
+        admissions = []
+        for request, result, error, _ in outcome.finished:
+            assert error is None, error
+            results[int(request.request_id)] = result
+    return [results[i] for i in range(len(prompts))]
+
+
+def ids(results):
+    return [r.output_ids for r in results]
 
 
 # -- batched decode forward ------------------------------------------------------
@@ -149,14 +190,13 @@ class TestDecodeTiming:
 
 
 class TestServeStream:
-    def test_chunked_prefill_matches_whole_request(self, llama, tok):
-        """Driving a stream with a tiny prefill budget, one chunk at a
-        time, ends in the same greedy tokens the one-call path makes."""
+    def test_chunked_prefill_matches_serve(self, llama, tok):
+        """Driving a stream by hand with a tiny prefill budget, one chunk
+        at a time, ends in the same greedy tokens the one-call path makes."""
         pc = make_pc(llama, tok)
         direct = pc.serve(PROMPTS[1], max_new_tokens=6)
 
         stream = pc.open_stream(PROMPTS[1], max_new_tokens=6)
-        assert stream.prefill_remaining > 0
         chunks = 0
         while stream.prefill_remaining:
             assert stream.prefill_step(2) > 0
@@ -194,24 +234,28 @@ class TestServeStream:
         stream.abort()
         assert [p.live_pages for p in _base_pools(pc)] == live_before
 
-    def test_text_stream_matches_serve_text(self, llama, tok):
-        pc = make_pc(llama, tok)
-        text = "the quick brown fox jumps over the lazy dog"
-        direct = pc.serve_text(text, max_new_tokens=5)
-        stream = pc.open_text_stream(text, max_new_tokens=5)
-        while stream.prefill_remaining:
-            stream.prefill_step(256)
-        while stream.decoding:
-            token, needs_forward = stream.next_token()
-            if not needs_forward:
-                break
-            logits = pc.model.forward_decode_batch(
-                np.asarray([token]),
-                np.asarray([stream.decode_position]),
-                [stream.cache],
-            )
-            stream.set_logits(logits[0], 0.0)
-        assert stream.finish().output_ids == direct.output_ids
+    def test_text_stream_matches_serve_text(self, models, tok):
+        """The raw-text identity matrix, per positional family:
+        ``serve_text`` == ``serve_text_batch`` == scheduler-driven text
+        streams == ``generate``, with discovery off and on (two passes:
+        the first mines the shared run, the second splices it)."""
+        for model in models.values():
+            expected = [
+                generate(model, tok.encode(t), max_new_tokens=6).output_ids
+                for t in TEXTS
+            ]
+            off = PromptCache(model, tok)
+            on = PromptCache(model, tok)
+            on.attach_discovery(DiscoveryConfig(min_hits=2, min_tokens=8))
+            for pc in (off, on, on):
+                solo = [pc.serve_text(t, max_new_tokens=6) for t in TEXTS]
+                assert ids(solo) == expected
+                assert ids(pc.serve_text_batch(TEXTS, max_new_tokens=6)) == expected
+                for chunk in (1, 7, 256):
+                    assert ids(scheduled(pc, TEXTS, chunk=chunk, raw=True)) == expected
+            assert off.serve_text(TEXTS[0]).cached_tokens == 0
+            assert on.discovery.stats.promotions >= 1
+            assert solo[0].cached_tokens > 0 and solo[3].cached_tokens > 0
 
 
 def _base_pools(pc):
@@ -227,17 +271,13 @@ def _base_pools(pc):
 
 class TestBatcherAdmission:
     def test_raw_groups_collapse_into_one_bucket(self):
-        """Satellite: raw discovery fingerprints never leak as metric
-        labels — every raw group reports under ``<raw>``."""
+        """Satellite: nothing about a raw request leaks as a metric
+        label — every one reports under ``<raw>``."""
         b = CacheAwareBatcher()
-        b.put(make_request("r1", schema="__raw__", raw=True,
-                           batch_group="__raw__:chain-fp-1"))
-        b.put(make_request("r2", schema="__raw__", raw=True,
-                           batch_group="__raw__:chain-fp-2"))
+        b.put(make_request("r1", schema="__raw__", raw=True, prompt="one text"))
+        b.put(make_request("r2", schema="__raw__", raw=True, prompt="another"))
         b.put(make_request("s1", schema="trip"))
-        pending = b.pending_by_schema()
-        assert pending == {RAW_BUCKET: 2, "trip": 1}
-        assert not any(k.startswith("__raw__:") for k in pending)
+        assert b.pending_by_schema() == {RAW_BUCKET: 2, "trip": 1}
 
     def test_pop_oldest_is_strict_fifo_across_groups(self):
         b = CacheAwareBatcher()
@@ -260,59 +300,9 @@ class TestBatcherAdmission:
 # -- scheduler unit behaviour (duck-typed streams) -------------------------------
 
 
-class _FakeStream:
-    """Minimal ServeStream double for slot-accounting tests."""
-
-    def __init__(self, max_new_tokens=4, prefill=1):
-        self.max_new_tokens = max_new_tokens
-        self.output_ids = []
-        self.prefill_remaining = prefill
-        self.done = False
-        self.logits = object() if prefill == 0 else None
-        self.cache = None
-        self.decode_position = 0
-
-    @property
-    def decoding(self):
-        return self.logits is not None and not self.done
-
-    def prefill_step(self, budget):
-        take = min(budget, self.prefill_remaining)
-        self.prefill_remaining -= take
-        if self.prefill_remaining == 0:
-            self.logits = object()
-        return take
-
-    def next_token(self):
-        self.output_ids.append(7)
-        if len(self.output_ids) >= self.max_new_tokens:
-            self.done = True
-        return 7, not self.done
-
-    def set_logits(self, row, step_s):
-        self.logits = row
-
-    def abort(self):
-        pass
-
-    def finish(self):
-        return "result"
-
-
-class _FakeEngine:
-    def __init__(self):
-        self.model = self
-
-    def open_stream(self, prompt, max_new_tokens=32):
-        return _FakeStream(max_new_tokens=max_new_tokens)
-
-    def forward_decode_batch(self, tokens, positions, caches):
-        return [object()] * len(caches)
-
-
 class TestSchedulerSlots:
     def test_predicted_free_slots_counts_certain_retirements(self):
-        sched = ContinuousScheduler(_FakeEngine(), max_inflight=2)
+        sched = ContinuousScheduler(StubEngine(), max_inflight=2)
         sched.iterate([make_request("a", max_new_tokens=3),
                        make_request("b", max_new_tokens=5)])
         assert sched.active == 2  # both prefilled and sampled token 1
@@ -326,13 +316,13 @@ class TestSchedulerSlots:
         assert sched.active == 2
 
     def test_overflow_is_requeued_not_lost(self):
-        sched = ContinuousScheduler(_FakeEngine(), max_inflight=1)
+        sched = ContinuousScheduler(StubEngine(), max_inflight=1)
         outcome = sched.iterate([make_request("a"), make_request("b")])
         assert outcome.admitted == 1
         assert [r.request_id for r in outcome.requeued] == ["b"]
 
     def test_open_failure_fails_only_that_request(self):
-        class Flaky(_FakeEngine):
+        class Flaky(StubEngine):
             def open_stream(self, prompt, max_new_tokens=32):
                 if prompt == "bad":
                     raise ValueError("boom")
@@ -350,34 +340,42 @@ class TestSchedulerSlots:
         assert sched.active == 1
 
 
-# -- end-to-end: LiveServer in continuous mode -----------------------------------
+# -- end-to-end: LiveServer over the real engine ---------------------------------
 
 
 class TestContinuousServer:
     def options(self, **kw):
-        kw.setdefault("mode", "continuous")
         kw.setdefault("queue_delay_budget_s", None)
         return ServeOptions(**kw)
 
     def test_outputs_byte_identical_to_serve_batch(self, any_model, tok):
-        """The acceptance contract, per positional family: greedy tokens
-        from the iteration-level scheduler match whole-request
-        ``serve_batch`` exactly."""
+        """The PML identity matrix, per positional family: every way of
+        running a prompt — ``serve``, ``serve_batch``, streams under the
+        scheduler at prefill chunks of 1 / 7 / everything, the live
+        server — makes the same greedy tokens and the same cached /
+        uncached split."""
         pc = make_pc(any_model, tok)
-        direct = pc.serve_batch(PROMPTS, max_new_tokens=6).results
+        prompts = [*PROMPTS, EXACT_PROMPT]
+        solo = [pc.serve(p, max_new_tokens=6) for p in prompts]
 
         async def main():
             async with LiveServer(pc, self.options()) as server:
-                assert server.continuous
                 requests = [
-                    await server.submit(p, max_new_tokens=6) for p in PROMPTS
+                    await server.submit(p, max_new_tokens=6) for p in prompts
                 ]
                 return [await r.wait() for r in requests]
 
-        live = run(main())
-        for a, b in zip(live, direct):
-            assert a.output_ids == b.output_ids
-            assert a.cached_tokens == b.cached_tokens
+        runs = [pc.serve_batch(prompts, max_new_tokens=6).results, run(main())]
+        runs += [scheduled(pc, prompts, chunk=chunk) for chunk in (1, 7, 256)]
+        for results in runs:
+            assert ids(results) == ids(solo)
+            for a, b in zip(results, solo):
+                assert (a.cached_tokens, a.prompt_tokens) == (
+                    b.cached_tokens, b.prompt_tokens
+                )
+        assert solo[-1].output_ids == (
+            pc.baseline(EXACT_PROMPT, max_new_tokens=6).output_ids
+        )
 
     def test_no_starvation_under_adversarial_arrival(self, llama, tok):
         """A long decode admitted first must not delay later short
@@ -485,22 +483,6 @@ class TestContinuousServer:
             "server_admission_stalls_total",
         ):
             assert name in prom
-
-    def test_whole_request_mode_still_serves(self, llama, tok):
-        """The legacy path stays reachable behind the runtime flag and
-        produces the same outputs."""
-        pc = make_pc(llama, tok)
-        direct = pc.serve(PROMPTS[0], max_new_tokens=4)
-
-        async def main():
-            async with LiveServer(
-                pc,
-                ServeOptions(mode="whole_request", queue_delay_budget_s=None),
-            ) as server:
-                assert not server.continuous
-                return await server.serve(PROMPTS[0], max_new_tokens=4)
-
-        assert run(main()).output_ids == direct.output_ids
 
     def test_streamed_tokens_arrive_incrementally(self, llama, tok):
         pc = make_pc(llama, tok)

@@ -28,8 +28,7 @@ from repro.analysis.sanitize import (
     install_sanitizers,
     uninstall_sanitizers,
 )
-from repro.cache.engine import PromptCache, ServeResult
-from repro.cache.storage import ModuleCacheStore
+from repro.cache.engine import PromptCache
 from repro.pml.chat import PLAIN_TEMPLATE
 from repro.server import (
     ContinuousScheduler,
@@ -40,6 +39,7 @@ from repro.server import (
 )
 from repro.server.request import DONE, EXPIRED, FAILED, LiveRequest
 from repro.server.scheduler import IterationOutcome
+from tests.stubs import StubEngine
 
 WAIT_S = 10.0  # generous bound on every cross-thread wait below
 
@@ -62,69 +62,22 @@ class FakeClock:
         return self.now
 
 
-class _Stream:
-    """Emits ``100 * serial + step``: a duplicated, dropped or reordered
-    token changes the sequence a client sees."""
-
-    def __init__(self, serial: int, max_new_tokens: int) -> None:
-        self.serial = serial
-        self.max_new_tokens = max_new_tokens
-        self.output_ids: list[int] = []
-        self.prefill_remaining = 1
-        self.logits = None
-        self.done = False
-        self.cache = None
-        self.decode_position = 0
-        self.aborted = False
-
-    @property
-    def decoding(self):
-        return self.logits is not None and not self.done
-
-    def prefill_step(self, budget):
-        self.prefill_remaining = 0
-        self.logits = object()
-        return 1
-
-    def next_token(self):
-        token = 100 * self.serial + len(self.output_ids)
-        self.output_ids.append(token)
-        self.done = len(self.output_ids) >= self.max_new_tokens
-        return token, not self.done
-
-    def set_logits(self, row, step_s):
-        self.logits = row
-
-    def abort(self):
-        self.aborted = True
-
-    def finish(self):
-        return ServeResult(
-            output_ids=list(self.output_ids), text="", prompt_tokens=1,
-            cached_tokens=0, uncached_tokens=1, ttft_s=0.0, splice_s=0.0,
-            suffix_s=0.0,
-        )
-
-
-class GatedEngine:
-    """PromptCache-shaped stub for the continuous scheduler. Each batched
-    forward ticks the fake clock and, when gated, waits for a permit —
-    so a test decides exactly how far the engine thread has got."""
+class GatedEngine(StubEngine):
+    """Stream number ``serial`` emits ``100 * serial + step``: a
+    duplicated, dropped or reordered token changes the sequence a client
+    sees. Each batched forward ticks the fake clock and, when gated,
+    waits for a permit — so a test decides exactly how far the engine
+    thread has got."""
 
     def __init__(self, clock: FakeClock, gated: bool = False) -> None:
-        self.schemas = {"a": object()}
-        self.store = ModuleCacheStore()
-        self.model = self
+        super().__init__(
+            schemas=("a",),
+            tokens=lambda serial, budget: [100 * serial + i for i in range(budget)],
+        )
         self.clock = clock
-        self.streams: list[_Stream] = []
         self.forwards = 0
         self.entered = threading.Semaphore(0)  # one release per forward begun
         self.permits = threading.Semaphore(0) if gated else None
-
-    def open_stream(self, prompt, max_new_tokens=32):
-        stream = _Stream(len(self.streams), max_new_tokens)
-        self.streams.append(stream)
-        return stream
 
     def forward_decode_batch(self, tokens, positions, caches):
         self.forwards += 1

@@ -69,22 +69,26 @@ class TestPrefixEquivalence:
         baseline = pc.baseline(prompt, max_new_tokens=8)
         assert cached.output_ids == baseline.output_ids
 
-    def test_kv_states_bit_exact(self, llama, tok):
-        """Stronger: the assembled cache equals the baseline prefill cache."""
-        pc = PromptCache(llama, tok, template=PLAIN_TEMPLATE)
-        pc.register_schema(DOC)
-        resolved = pc._resolve('<prompt schema="doc"><d/> more text</prompt>')
-        registered = pc.schemas["doc"]
-        plan = pc._plan(resolved, registered)
-        cache, _, _ = pc._assemble(registered, plan, use_scaffolds=True)
-
-        # Baseline: prefill the module tokens directly.
-        mod = registered.layout.module("d")
-        ref = llama.new_cache(capacity=len(mod.token_ids))
-        llama.forward(mod.token_ids, mod.positions, ref)
-        for layer_cached, layer_ref in zip(cache.layers, ref.layers):
-            np.testing.assert_array_equal(layer_cached.keys, layer_ref.keys)
-            np.testing.assert_array_equal(layer_cached.values, layer_ref.values)
+    def test_kv_states_bit_exact(self, models, tok):
+        """Stronger: the spliced prefix a stream holds equals the baseline
+        prefill cache, for all architectures."""
+        for model in models.values():
+            pc = PromptCache(model, tok, template=PLAIN_TEMPLATE)
+            pc.register_schema(DOC)
+            # Baseline: prefill the module tokens directly.
+            mod = pc.schemas["doc"].layout.module("d")
+            ref = model.new_cache(capacity=len(mod.token_ids))
+            model.forward(mod.token_ids, mod.positions, ref)
+            stream = pc.open_stream('<prompt schema="doc"><d/> more text</prompt>')
+            try:
+                n = stream.shared_len
+                assert n == len(ref)
+                for layer_cached, layer_ref in zip(stream.cache.layers, ref.layers):
+                    np.testing.assert_array_equal(layer_cached.keys[:, :n], layer_ref.keys)
+                    np.testing.assert_array_equal(layer_cached.values[:, :n], layer_ref.values)
+                    np.testing.assert_array_equal(layer_cached.positions[:n], layer_ref.positions)
+            finally:
+                stream.abort()
 
 
 class TestScaffoldEquivalence:

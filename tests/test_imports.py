@@ -74,3 +74,27 @@ def test_serve_path_import_skips_lint_engine_and_loadgen():
 def test_package_count_sanity():
     # The repo-scale guarantee: the package keeps its subsystem breadth.
     assert len(MODULES) >= 45
+
+
+def test_option_surface_is_pinned():
+    """Every option doubles the configurations to cover, so adding one is
+    a reviewed, one-line change here: the exact field set of
+    ``ServeOptions`` and parameter list of ``PromptCache.__init__``."""
+    import dataclasses
+    import inspect
+
+    from repro.cache.engine import PromptCache
+    from repro.server import ServeOptions
+
+    assert [f.name for f in dataclasses.fields(ServeOptions)] == [
+        "max_queue_depth", "queue_delay_budget_s", "default_max_new_tokens",
+        "default_deadline_s", "initial_service_s", "service_time_alpha",
+        "trace_log_limit", "inline_execution", "max_inflight",
+        "prefill_chunk_tokens", "shared_attention", "burst_iterations",
+        "store_sweep_interval_s",
+    ]
+    assert list(inspect.signature(PromptCache.__init__).parameters)[1:] == [
+        "model", "tokenizer", "store", "template", "default_tier", "kv_codec",
+        "promote_on_cpu_hit", "plan_cache_size", "base_cache_size",
+        "encode_workers", "encode_metrics",
+    ]

@@ -1,14 +1,14 @@
-"""Cache-aware batcher: grouping, max-wait, deadlines — all fake-clock."""
+"""The admission queue: arrival order, schema labels, deadlines — all
+fake-clock."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.server.batcher import CacheAwareBatcher
+from repro.server.batcher import RAW_BUCKET, CacheAwareBatcher
 from repro.server.request import LiveRequest
 
 
-def req(schema: str, submitted_at: float, *, max_new=4, deadline_at=None, rid="r"):
+def req(schema: str, submitted_at: float, *, max_new=4, deadline_at=None,
+        rid="r", raw=False):
     return LiveRequest(
         request_id=rid,
         prompt=f'<prompt schema="{schema}"><context/></prompt>',
@@ -16,83 +16,58 @@ def req(schema: str, submitted_at: float, *, max_new=4, deadline_at=None, rid="r
         max_new_tokens=max_new,
         submitted_at=submitted_at,
         deadline_at=deadline_at,
+        raw=raw,
     )
+
+
+def pop_all(b: CacheAwareBatcher) -> list[str]:
+    return [b.pop_oldest().request_id for _ in range(len(b))]
 
 
 class TestGrouping:
     def test_groups_by_schema(self):
-        b = CacheAwareBatcher(max_batch=4, max_wait_s=0.1)
+        """Pending counts are per schema; every raw request reports under
+        one bounded ``<raw>`` label, never under its own text or chain."""
+        b = CacheAwareBatcher()
         b.put(req("a", 0.0))
         b.put(req("b", 0.0))
-        b.put(req("a", 0.01))
-        batch = b.next_batch(now=1.0)  # everything ripe
-        assert [r.schema for r in batch] == ["a", "a"]
-        assert [r.schema for r in b.next_batch(now=1.0)] == ["b"]
-
-    def test_groups_split_by_decode_budget(self):
-        b = CacheAwareBatcher(max_batch=4, max_wait_s=0.0)
-        b.put(req("a", 0.0, max_new=4))
-        b.put(req("a", 0.0, max_new=8))
-        assert len(b.next_batch(now=0.0)) == 1  # different max_new_tokens
-
-    def test_full_group_dispatches_before_max_wait(self):
-        b = CacheAwareBatcher(max_batch=2, max_wait_s=10.0)
-        b.put(req("a", 0.0))
-        assert b.next_batch(now=0.0) is None  # not full, not ripe
-        b.put(req("a", 0.0))
-        assert len(b.next_batch(now=0.0)) == 2  # full fires immediately
-
-    def test_max_batch_caps_take(self):
-        b = CacheAwareBatcher(max_batch=2, max_wait_s=0.0)
-        for i in range(5):
-            b.put(req("a", 0.0, rid=f"r{i}"))
-        assert len(b.next_batch(now=0.0)) == 2
-        assert len(b) == 3
+        b.put(req("a", 0.01, max_new=8))
+        b.put(req("__raw__", 0.02, raw=True))
+        b.put(req("__raw__", 0.03, raw=True))
+        assert b.pending_by_schema() == {"a": 2, "b": 1, RAW_BUCKET: 2}
 
     def test_fifo_between_groups(self):
-        b = CacheAwareBatcher(max_batch=8, max_wait_s=0.0)
-        b.put(req("late", 1.0))
-        b.put(req("early", 0.0))
-        assert b.next_batch(now=2.0)[0].schema == "early"
-
-
-class TestMaxWait:
-    def test_not_ripe_before_max_wait(self):
-        b = CacheAwareBatcher(max_batch=8, max_wait_s=0.05)
-        b.put(req("a", submitted_at=1.0))
-        assert b.next_batch(now=1.01) is None
-        assert b.next_batch(now=1.05) is not None
-
-    def test_ready_in_counts_down(self):
-        b = CacheAwareBatcher(max_batch=8, max_wait_s=0.05)
-        assert b.ready_in(now=0.0) is None  # empty queue
-        b.put(req("a", submitted_at=1.0))
-        assert b.ready_in(now=1.0) == pytest.approx(0.05)
-        assert b.ready_in(now=1.03) == pytest.approx(0.02)
-        assert b.ready_in(now=2.0) == 0.0
-
-    def test_ready_in_zero_when_full(self):
-        b = CacheAwareBatcher(max_batch=1, max_wait_s=10.0)
-        b.put(req("a", submitted_at=0.0))
-        assert b.ready_in(now=0.0) == 0.0
+        """Schemas and decode budgets interleave adversarially; pop order
+        follows arrival and nothing else. A request handed back by the
+        scheduler (older than the tail) goes back to its place."""
+        b = CacheAwareBatcher()
+        for rid, schema, at in [("a", "x", 1.0), ("b", "y", 2.0),
+                                ("c", "x", 3.0), ("d", "z", 4.0)]:
+            b.put(req(schema, at, rid=rid, max_new=4 + int(at)))
+        first = b.pop_oldest()
+        assert first.request_id == "a"
+        b.put(req("w", 5.0, rid="e"))
+        b.put(first)  # requeued
+        assert pop_all(b) == ["a", "b", "c", "d", "e"]
+        assert b.pop_oldest() is None
 
 
 class TestDeadlines:
     def test_remove_expired_pulls_mid_queue(self):
-        b = CacheAwareBatcher(max_batch=8, max_wait_s=0.0)
+        b = CacheAwareBatcher()
         b.put(req("a", 0.0, rid="keep1", deadline_at=100.0))
         b.put(req("a", 0.0, rid="dead", deadline_at=1.0))
         b.put(req("a", 0.0, rid="keep2"))  # no deadline
         expired = b.remove_expired(now=2.0)
         assert [r.request_id for r in expired] == ["dead"]
-        assert [r.request_id for r in b.next_batch(now=2.0)] == ["keep1", "keep2"]
+        assert pop_all(b) == ["keep1", "keep2"]
 
     def test_expired_whole_group_vanishes(self):
-        b = CacheAwareBatcher(max_batch=8, max_wait_s=0.0)
+        b = CacheAwareBatcher()
         b.put(req("a", 0.0, deadline_at=1.0))
         assert len(b.remove_expired(now=5.0)) == 1
         assert len(b) == 0
-        assert b.ready_in(now=5.0) is None
+        assert b.pending_by_schema() == {}
 
     def test_drain_empties_everything(self):
         b = CacheAwareBatcher()

@@ -3,21 +3,21 @@
 The SIGTERM contract: a draining server refuses new submissions with
 :class:`ServerClosed` but completes everything already accepted — queued
 *and* in flight — before ``stop`` returns. Also pins down the deadline
-race: a request whose deadline expires while it sits behind a slow batch
-expires instead of running.
+race: a request whose deadline expires while it sits behind a slow
+request expires instead of running.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 
 import pytest
 
 from repro.server import DeadlineExceeded, LiveServer, ServeOptions, ServerClosed
 from repro.server.request import DONE, EXPIRED
 
-from tests.test_server_runtime import StubEngine, prompt, run
+from tests.stubs import StubEngine
+from tests.test_server_runtime import prompt, run
 
 
 class TestDrain:
@@ -25,7 +25,7 @@ class TestDrain:
         async def main():
             engine = StubEngine(service_s=0.02)
             server = LiveServer(
-                engine, ServeOptions(max_batch=1, queue_delay_budget_s=None)
+                engine, ServeOptions(max_inflight=1, queue_delay_budget_s=None)
             )
             await server.start()
             requests = [await server.submit(prompt(i=i)) for i in range(4)]
@@ -47,7 +47,7 @@ class TestDrain:
         async def main():
             engine = StubEngine(service_s=0.01)
             server = LiveServer(
-                engine, ServeOptions(max_batch=2, queue_delay_budget_s=None)
+                engine, ServeOptions(max_inflight=2, queue_delay_budget_s=None)
             )
             await server.start()
             requests = [await server.submit(prompt(i=i)) for i in range(3)]
@@ -60,14 +60,15 @@ class TestDrain:
 
     def test_non_drain_stop_fails_queued_requests(self):
         async def main():
-            engine = StubEngine(service_s=0.05)
+            # One-token requests: each is served whole by one iteration.
+            engine = StubEngine(service_s=0.05, tokens=lambda serial, budget: [1])
             server = LiveServer(
-                engine, ServeOptions(max_batch=1, queue_delay_budget_s=None)
+                engine, ServeOptions(max_inflight=1, queue_delay_budget_s=None)
             )
             await server.start()
             first = await server.submit(prompt(i=0))  # will be in flight
             queued = [await server.submit(prompt(i=i)) for i in range(1, 4)]
-            await asyncio.sleep(0.01)  # worker picks up the first batch
+            await asyncio.sleep(0.01)  # worker dispatches the first iteration
             await server.stop(drain=False)
             outcomes = []
             for request in [first] + queued:
@@ -79,13 +80,13 @@ class TestDrain:
             return outcomes
 
         outcomes = run(main())
-        # The in-flight batch finishes; the queue is failed fast.
+        # The iteration in flight finishes; the queue is failed fast.
         assert outcomes[0] == "done"
         assert outcomes[1:] == ["closed"] * 3
 
     def test_restart_after_drain_clears_draining(self):
         async def main():
-            server = LiveServer(StubEngine(), ServeOptions(max_batch=1))
+            server = LiveServer(StubEngine())
             await server.start()
             await server.stop(drain=True)
             await server.start()
@@ -100,14 +101,14 @@ class TestDrain:
 
 class TestDeadlineRace:
     def test_deadline_expiry_racing_batch_start(self):
-        """A request whose deadline passes while an earlier batch hogs the
-        engine must expire in the queue, not run late."""
+        """A request whose deadline passes while an earlier request hogs
+        the only decode slot must expire in the queue, not run late."""
 
         async def main():
             engine = StubEngine(service_s=0.08)
             server = LiveServer(
                 engine,
-                ServeOptions(max_batch=1, queue_delay_budget_s=None),
+                ServeOptions(max_inflight=1, queue_delay_budget_s=None),
             )
             await server.start()
             blocker = await server.submit(prompt(i=0))
@@ -122,13 +123,11 @@ class TestDeadlineRace:
         assert blocker.state == DONE
         assert doomed.state == EXPIRED
         # The expired request never reached the engine.
-        assert all(prompt(i=1) not in batch for batch in engine.batches)
+        assert prompt(i=1) not in engine.prompts()
 
     def test_deadline_expired_before_worker_wakes(self):
         async def main():
-            server = LiveServer(
-                StubEngine(), ServeOptions(max_batch=4, batch_max_wait_s=0.05)
-            )
+            server = LiveServer(StubEngine())
             await server.start()
             request = await server.submit(prompt(), deadline_s=0.0)
             with pytest.raises(DeadlineExceeded):

@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 import asyncio
-import time
 
-from repro.cache.engine import BatchServeResult, ServeResult
-from repro.cache.storage import ModuleCacheStore
 from repro.server import (
     LiveServer,
     ServeOptions,
@@ -15,6 +12,7 @@ from repro.server import (
     run_open_loop,
 )
 from repro.serving import SchemaProfile, synthesize_trace
+from tests.stubs import StubEngine
 
 PROFILES = [
     SchemaProfile("a", module_tokens=30, uncached_mean=6, decode_mean=4, weight=2.0),
@@ -26,32 +24,11 @@ def run(coro):
     return asyncio.run(coro)
 
 
-class StubEngine:
-    def __init__(self, service_s: float = 0.0) -> None:
-        self.schemas = {p.name: object() for p in PROFILES}
-        self.store = ModuleCacheStore()
-        self.service_s = service_s
-
-    def serve_batch(self, prompts, max_new_tokens=16, **kwargs):
-        if self.service_s:
-            time.sleep(self.service_s)
-        results = [
-            ServeResult(
-                output_ids=[1] * max_new_tokens,
-                text="ok",
-                prompt_tokens=10,
-                cached_tokens=8,
-                uncached_tokens=2,
-                ttft_s=0.001,
-                splice_s=0.0005,
-                suffix_s=0.0005,
-                step_times_s=[0.0005] * max_new_tokens,
-            )
-            for _ in prompts
-        ]
-        return BatchServeResult(
-            results=results, physical_bytes=0, duplicated_bytes=0, shared_groups=1
-        )
+def stub_engine(service_s: float = 0.0) -> StubEngine:
+    """Every result: 8 cached + 2 uncached prompt tokens."""
+    return StubEngine(
+        service_s, schemas=[p.name for p in PROFILES], prompt_split=(8, 2)
+    )
 
 
 class TestWorkload:
@@ -84,7 +61,7 @@ class TestOpenLoop:
 
         async def main():
             async with LiveServer(
-                StubEngine(), ServeOptions(queue_delay_budget_s=None)
+                stub_engine(), ServeOptions(queue_delay_budget_s=None)
             ) as server:
                 return await run_open_loop(
                     server, workload, trace, time_scale=0.0
@@ -105,10 +82,9 @@ class TestOpenLoop:
 
         async def main():
             options = ServeOptions(
-                max_queue_depth=2, max_batch=1, queue_delay_budget_s=None,
-                batch_max_wait_s=0.0,
+                max_queue_depth=2, max_inflight=1, queue_delay_budget_s=None
             )
-            async with LiveServer(StubEngine(service_s=0.02), options) as server:
+            async with LiveServer(stub_engine(service_s=0.02), options) as server:
                 return await run_open_loop(
                     server, workload, trace, time_scale=0.0
                 )
@@ -124,10 +100,9 @@ class TestOpenLoop:
 
         async def main():
             options = ServeOptions(
-                max_queue_depth=1000, max_batch=1, queue_delay_budget_s=None,
-                batch_max_wait_s=0.0,
+                max_queue_depth=1000, max_inflight=1, queue_delay_budget_s=None
             )
-            async with LiveServer(StubEngine(service_s=0.05), options) as server:
+            async with LiveServer(stub_engine(service_s=0.05), options) as server:
                 return await run_open_loop(
                     server, workload, trace, time_scale=0.0, deadline_s=0.01
                 )
@@ -143,7 +118,7 @@ class TestClosedLoop:
 
         async def main():
             async with LiveServer(
-                StubEngine(), ServeOptions(queue_delay_budget_s=None)
+                stub_engine(), ServeOptions(queue_delay_budget_s=None)
             ) as server:
                 return await run_closed_loop(
                     server, workload, clients=3, requests_per_client=4, seed=1

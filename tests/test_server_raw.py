@@ -1,48 +1,39 @@
-"""LiveServer schema-free raw path: submit_text → serve_text_batch.
+"""LiveServer schema-free raw path: submit_text → open_text_stream.
 
-Stub-engine tests pin the dispatch policy (raw batches go to
-``serve_text_batch``, PML batches to ``serve_batch``, never mixed; raw
-requests sharing a discovery fingerprint co-batch) and the discovery
-metrics (dedup-potential, discovered-token counters, reuse gauges). One
-integration class checks the live raw path is byte-identical to the
-direct engine call.
+Stub-engine tests pin the dispatch (raw requests open text streams, PML
+requests open PML streams, and the raw token accounting never picks up
+PML traffic even when both share an iteration), that admission does no
+engine work on the loop thread, and the discovery metrics
+(discovered-token counters, reuse gauges). One integration class checks
+the live raw path is byte-identical to the direct engine call.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 
 import pytest
 
-from repro.cache.engine import BatchServeResult, PromptCache, ServeResult
-from repro.cache.storage import ModuleCacheStore
+from repro.cache.engine import PromptCache
 from repro.pml.errors import PMLError
 from repro.reuse import DiscoveryConfig
 from repro.server import LiveServer, ServeOptions
 from repro.server.loadgen import build_raw_prompts, run_raw_open_loop
+from tests.stubs import StubEngine
 
 
 def run(coro):
     return asyncio.run(coro)
 
 
-class ByteTok:
-    """Tokenizer double: one token per byte of text."""
-
-    def encode(self, text: str) -> list[int]:
-        return list(text.encode())
-
-
 class StubDiscovery:
-    """Miner double: matches any text starting with the shared preamble."""
+    """Miner double: a fixed snapshot, and a ``match`` that must not be
+    reached from the loop thread (the stub engine never calls it)."""
 
     PREFIX = "sys: you are helpful. "
 
     def match(self, ids) -> list[str]:
-        if bytes(ids[: len(self.PREFIX)]) == self.PREFIX.encode():
-            return ["seg0001"]
-        return []
+        raise AssertionError("discovery.match called outside the engine")
 
     def snapshot(self) -> dict:
         return {
@@ -55,53 +46,27 @@ class StubDiscovery:
         }
 
 
-class RawStubEngine:
-    """PromptCache-shaped double covering both serve paths."""
+class LoopTok:
+    """Tokenizer double that must not be reached from the loop thread."""
 
-    def __init__(self, service_s: float = 0.0, discovery=None) -> None:
-        self.schemas = {"a": object()}
-        self.store = ModuleCacheStore()
-        self.tokenizer = ByteTok()
-        self.discovery = discovery
-        self.batches: list[tuple[str, list[str]]] = []
-        self.service_s = service_s
-
-    def _results(self, prompts):
-        if self.service_s:
-            time.sleep(self.service_s)
-        return [
-            ServeResult(
-                output_ids=[1, 2], text="ok", prompt_tokens=10,
-                cached_tokens=6, uncached_tokens=4, ttft_s=0.001,
-                splice_s=0.0005, suffix_s=0.0005, step_times_s=[0.001],
-            )
-            for _ in prompts
-        ]
-
-    def serve_batch(self, prompts, max_new_tokens=16, **kwargs):
-        self.batches.append(("pml", list(prompts)))
-        return BatchServeResult(
-            results=self._results(prompts), physical_bytes=0,
-            duplicated_bytes=0, shared_groups=1,
-        )
-
-    def serve_text_batch(self, texts, max_new_tokens=16, **kwargs):
-        self.batches.append(("raw", list(texts)))
-        return BatchServeResult(
-            results=self._results(texts), physical_bytes=0,
-            duplicated_bytes=0, shared_groups=1,
-        )
+    def encode(self, text: str) -> list[int]:
+        raise AssertionError("tokenizer.encode called outside the engine")
 
 
-OPTIONS = ServeOptions(
-    max_batch=4, batch_max_wait_s=0.01, queue_delay_budget_s=None,
-    inline_execution=True,
-)
+def raw_engine(discovery=None) -> StubEngine:
+    """Every result: tokens [1, 2], 6 cached + 4 uncached prompt tokens."""
+    return StubEngine(
+        schemas=("a",), tokens=lambda serial, budget: [1, 2],
+        prompt_split=(6, 4), discovery=discovery, tokenizer=LoopTok(),
+    )
+
+
+OPTIONS = ServeOptions(queue_delay_budget_s=None, inline_execution=True)
 
 
 class TestRawDispatch:
-    def test_raw_goes_to_serve_text_batch(self):
-        engine = RawStubEngine()
+    def test_raw_goes_to_open_text_stream(self):
+        engine = raw_engine()
 
         async def main():
             async with LiveServer(engine, OPTIONS) as server:
@@ -110,10 +75,10 @@ class TestRawDispatch:
 
         result = run(main())
         assert result.output_ids == [1, 2]
-        assert engine.batches == [("raw", ["hello raw"])]
+        assert engine.opened == [("raw", "hello raw")]
 
-    def test_raw_and_pml_never_share_a_batch(self):
-        engine = RawStubEngine()
+    def test_raw_and_pml_accounting_never_mixes(self):
+        engine = raw_engine()
 
         async def main():
             async with LiveServer(engine, OPTIONS) as server:
@@ -123,37 +88,41 @@ class TestRawDispatch:
                 raw = await server.submit_text("plain text", max_new_tokens=2)
                 await pml.wait()
                 await raw.wait()
+                return pml, raw, server.snapshot()["counters"], server.trace_log
 
-        run(main())
-        kinds = [kind for kind, _ in engine.batches]
-        assert sorted(kinds) == ["pml", "raw"]
-        assert all(len(batch) == 1 for _, batch in engine.batches)
+        pml, raw, counters, trace_log = run(main())
+        # Both were in flight together, each through its own planner...
+        assert pml.batch_size == raw.batch_size == 2
+        assert sorted(engine.opened) == [
+            ("pml", '<prompt schema="a">q</prompt>'), ("raw", "plain text")
+        ]
+        # ...and only the raw one reached the discovered-token series.
+        assert counters['reuse_discovered_tokens_total{status="cached"}'] == 6
+        assert counters['reuse_discovered_tokens_total{status="uncached"}'] == 4
+        assert counters['server_prompt_tokens_total{status="cached"}'] == 12
+        assert sorted(r.schema for r in trace_log) == ["__raw__", "a"]
 
-    def test_shared_fingerprint_batches_together(self):
-        engine = RawStubEngine(discovery=StubDiscovery())
+    def test_submit_text_does_no_engine_work_on_the_loop(self):
+        """Admission neither tokenizes nor matches: ``open_text_stream``
+        does both, once, on the engine thread (the doubles above raise
+        if the runtime reaches them)."""
+        engine = raw_engine(discovery=StubDiscovery())
 
         async def main():
             async with LiveServer(engine, OPTIONS) as server:
-                matched = [
+                requests = [
                     await server.submit_text(
                         StubDiscovery.PREFIX + f"user {i}", max_new_tokens=2
                     )
                     for i in range(3)
                 ]
-                other = await server.submit_text("unrelated", max_new_tokens=2)
-                for request in [*matched, other]:
-                    await request.wait()
-                    assert request.batch_group is not None
-                assert matched[0].batch_group == matched[1].batch_group
-                assert other.batch_group != matched[0].batch_group
+                return [await request.wait() for request in requests]
 
-        run(main())
-        raw_batches = [batch for kind, batch in engine.batches if kind == "raw"]
-        sizes = sorted(len(b) for b in raw_batches)
-        assert sizes == [1, 3]
+        assert [r.output_ids for r in run(main())] == [[1, 2]] * 3
+        assert len(engine.prompts("raw")) == 3
 
     def test_empty_text_rejected(self):
-        engine = RawStubEngine()
+        engine = raw_engine()
 
         async def main():
             async with LiveServer(engine, OPTIONS) as server:
@@ -165,7 +134,7 @@ class TestRawDispatch:
 
 class TestRawMetrics:
     def test_dedup_and_discovered_token_series(self):
-        engine = RawStubEngine(discovery=StubDiscovery())
+        engine = raw_engine(discovery=StubDiscovery())
 
         async def main():
             async with LiveServer(engine, OPTIONS) as server:
@@ -180,16 +149,15 @@ class TestRawMetrics:
                 return server.prometheus()
 
         prom = run(main())
-        # Pre-flight dedup on the 3-member raw batch.
-        assert "reuse_dedup_potential" in prom
-        assert 'reuse_dedup_tokens_total{kind="shared"}' in prom
+        # No per-batch dedup series: raw requests are not dispatched in batches.
+        assert "reuse_dedup" not in prom
         # Per-request discovered-cache token counters (6 cached + 4
         # uncached per stub result, 3 requests).
         assert 'reuse_discovered_tokens_total{status="cached"} 18' in prom
         assert 'reuse_discovered_tokens_total{status="uncached"} 12' in prom
 
     def test_reuse_gauges_exported_from_snapshot(self):
-        engine = RawStubEngine(discovery=StubDiscovery())
+        engine = raw_engine(discovery=StubDiscovery())
 
         async def main():
             async with LiveServer(engine, OPTIONS) as server:
@@ -207,7 +175,7 @@ class TestRawMetrics:
             assert family in prom, family
 
     def test_no_discovery_no_reuse_gauges(self):
-        engine = RawStubEngine()
+        engine = raw_engine()
 
         async def main():
             async with LiveServer(engine, OPTIONS) as server:
@@ -259,9 +227,7 @@ class TestRawIntegration:
 
         async def main():
             async with LiveServer(
-                pc,
-                ServeOptions(max_batch=3, batch_max_wait_s=0.005,
-                             queue_delay_budget_s=None),
+                pc, ServeOptions(queue_delay_budget_s=None)
             ) as server:
                 return await run_raw_open_loop(
                     server, prompts, max_new_tokens=2

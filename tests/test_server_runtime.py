@@ -1,19 +1,18 @@
-"""Live serving runtime: admission, deadlines, batching, metrics.
+"""Live serving runtime: admission, deadlines, co-admission, metrics.
 
 Policy tests run against a stub engine with controllable service time so
-they are deterministic; one integration class drives the real
+they are deterministic — ``max_inflight=1`` serves requests one after
+another, ``service_s`` apart; one integration class drives the real
 :class:`PromptCache` to check outputs match the direct path.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 
 import pytest
 
-from repro.cache.engine import BatchServeResult, PromptCache, ServeResult
-from repro.cache.storage import ModuleCacheStore
+from repro.cache.engine import PromptCache
 from repro.pml.chat import PLAIN_TEMPLATE
 from repro.pml.errors import UnknownSchemaError
 from repro.server import (
@@ -24,42 +23,15 @@ from repro.server import (
     ServerClosed,
 )
 from repro.server.request import DONE, EXPIRED, REJECTED
+from tests.stubs import StubEngine
 
 
 def run(coro):
     return asyncio.run(coro)
 
 
-class StubEngine:
-    """PromptCache-shaped double with a dialable service time."""
-
-    def __init__(self, service_s: float = 0.0, schemas=("a", "b")) -> None:
-        self.schemas = {name: object() for name in schemas}
-        self.store = ModuleCacheStore()
-        self.batches: list[list[str]] = []
-        self.service_s = service_s
-
-    def serve_batch(self, prompts, max_new_tokens=16, **kwargs):
-        self.batches.append(list(prompts))
-        if self.service_s:
-            time.sleep(self.service_s)
-        results = [
-            ServeResult(
-                output_ids=[1, 2],
-                text="ok",
-                prompt_tokens=5,
-                cached_tokens=4,
-                uncached_tokens=1,
-                ttft_s=0.001,
-                splice_s=0.0005,
-                suffix_s=0.0005,
-                step_times_s=[0.001],
-            )
-            for _ in prompts
-        ]
-        return BatchServeResult(
-            results=results, physical_bytes=0, duplicated_bytes=0, shared_groups=1
-        )
+def two_tokens(serial, budget):
+    return [1, 2]
 
 
 def prompt(schema="a", i=0):
@@ -72,7 +44,7 @@ class TestAdmission:
             engine = StubEngine(service_s=0.05)
             server = LiveServer(
                 engine,
-                ServeOptions(max_queue_depth=2, max_batch=1,
+                ServeOptions(max_queue_depth=2, max_inflight=1,
                              queue_delay_budget_s=None),
             )
             await server.start()
@@ -97,7 +69,7 @@ class TestAdmission:
             engine = StubEngine(service_s=0.05)
             server = LiveServer(
                 engine,
-                ServeOptions(max_queue_depth=100, max_batch=1,
+                ServeOptions(max_queue_depth=100, max_inflight=1,
                              queue_delay_budget_s=0.01, initial_service_s=0.05),
             )
             await server.start()
@@ -141,8 +113,7 @@ class TestDeadlines:
             engine = StubEngine(service_s=0.2)
             server = LiveServer(
                 engine,
-                ServeOptions(max_batch=1, queue_delay_budget_s=None,
-                             batch_max_wait_s=0.0),
+                ServeOptions(max_inflight=1, queue_delay_budget_s=None),
             )
             await server.start()
             r1 = await server.submit(prompt(i=1))
@@ -153,7 +124,7 @@ class TestDeadlines:
             assert r2.result is None  # no compute was spent on it
             await r1.wait()
             await server.stop()
-            assert engine.batches == [[prompt(i=1)]]  # r2 never dispatched
+            assert engine.prompts() == [prompt(i=1)]  # r2 never admitted
             snap = server.snapshot()
             assert snap["counters"]['server_requests_total{outcome="expired"}'] == 1
 
@@ -163,7 +134,7 @@ class TestDeadlines:
         async def main():
             engine = StubEngine(service_s=0.02)
             server = LiveServer(
-                engine, ServeOptions(max_batch=1, queue_delay_budget_s=None)
+                engine, ServeOptions(max_inflight=1, queue_delay_budget_s=None)
             )
             await server.start()
             requests = [await server.submit(prompt(i=i)) for i in range(4)]
@@ -177,78 +148,23 @@ class TestDeadlines:
 
 class TestBatching:
     def test_same_schema_batches_together(self):
+        """Requests waiting together are admitted into one iteration, in
+        arrival order — the batch is the set of sequences in flight, so
+        a different schema joins it instead of splitting it."""
+
         async def main():
-            engine = StubEngine(service_s=0.0)
-            server = LiveServer(
-                engine,
-                ServeOptions(max_batch=8, batch_max_wait_s=0.03,
-                             queue_delay_budget_s=None),
-            )
+            engine = StubEngine()
+            server = LiveServer(engine, ServeOptions(queue_delay_budget_s=None))
             await server.start()
-            requests = [await server.submit(prompt(i=i)) for i in range(3)]
+            requests = [
+                await server.submit(prompt(schema=schema, i=i))
+                for i, schema in enumerate("aaab")
+            ]
             for r in requests:
                 await r.wait()
             await server.stop()
-            assert len(engine.batches) == 1  # one dispatch for all three
-            assert all(r.batch_size == 3 for r in requests)
-
-        run(main())
-
-    def test_max_wait_bounds_latency(self):
-        async def main():
-            engine = StubEngine()
-            server = LiveServer(
-                engine,
-                ServeOptions(max_batch=8, batch_max_wait_s=0.03,
-                             queue_delay_budget_s=None),
-            )
-            await server.start()
-            start = time.monotonic()
-            request = await server.submit(prompt())
-            await request.wait()
-            waited = time.monotonic() - start
-            await server.stop()
-            # Dispatched by the max-wait timer, not stuck waiting for fill…
-            assert waited < 1.0
-            # …but did hold the batch open for roughly max_wait_s.
-            assert request.queue_wait_s() >= 0.02
-
-        run(main())
-
-    def test_full_batch_skips_the_wait(self):
-        async def main():
-            engine = StubEngine()
-            server = LiveServer(
-                engine,
-                ServeOptions(max_batch=2, batch_max_wait_s=10.0,
-                             queue_delay_budget_s=None),
-            )
-            await server.start()
-            r1 = await server.submit(prompt(i=1))
-            r2 = await server.submit(prompt(i=2))
-            await asyncio.wait_for(
-                asyncio.gather(r1.wait(), r2.wait()), timeout=2.0
-            )
-            await server.stop()
-            assert engine.batches == [[prompt(i=1), prompt(i=2)]]
-
-        run(main())
-
-    def test_different_schemas_split_batches(self):
-        async def main():
-            engine = StubEngine()
-            server = LiveServer(
-                engine,
-                ServeOptions(max_batch=8, batch_max_wait_s=0.0,
-                             queue_delay_budget_s=None),
-            )
-            await server.start()
-            ra = await server.submit(prompt(schema="a"))
-            rb = await server.submit(prompt(schema="b"))
-            await ra.wait()
-            await rb.wait()
-            await server.stop()
-            assert len(engine.batches) == 2
+            assert all(r.batch_size == 4 for r in requests)
+            assert engine.prompts() == [r.prompt for r in requests]
 
         run(main())
 
@@ -256,7 +172,9 @@ class TestBatching:
 class TestLifecycle:
     def test_streaming_yields_output_ids(self):
         async def main():
-            server = LiveServer(StubEngine(), ServeOptions(queue_delay_budget_s=None))
+            server = LiveServer(
+                StubEngine(tokens=two_tokens), ServeOptions(queue_delay_budget_s=None)
+            )
             await server.start()
             request = await server.submit(prompt())
             tokens = [t async for t in request.stream()]
@@ -270,7 +188,7 @@ class TestLifecycle:
         async def main():
             engine = StubEngine(service_s=0.1)
             server = LiveServer(
-                engine, ServeOptions(max_batch=1, queue_delay_budget_s=None)
+                engine, ServeOptions(max_inflight=1, queue_delay_budget_s=None)
             )
             await server.start()
             # No await between submit and stop: the worker never gets the
@@ -281,13 +199,13 @@ class TestLifecycle:
             for r in (r1, r2):
                 with pytest.raises(ServerClosed):
                     await r.wait()
-            assert engine.batches == []  # nothing was dispatched
+            assert engine.opened == []  # nothing was admitted
 
         run(main())
 
     def test_context_manager_drains(self):
         async def main():
-            engine = StubEngine()
+            engine = StubEngine(tokens=two_tokens)
             async with LiveServer(
                 engine, ServeOptions(queue_delay_budget_s=None)
             ) as server:
@@ -298,11 +216,11 @@ class TestLifecycle:
 
     def test_trace_records_cover_every_outcome(self):
         async def main():
-            engine = StubEngine(service_s=0.05)
+            engine = StubEngine(service_s=0.05, tokens=two_tokens)
             server = LiveServer(
                 engine,
-                ServeOptions(max_batch=1, max_queue_depth=2,
-                             queue_delay_budget_s=None, batch_max_wait_s=0.0),
+                ServeOptions(max_inflight=1, max_queue_depth=2,
+                             queue_delay_budget_s=None),
             )
             await server.start()
             await server.submit(prompt(i=1))
@@ -322,7 +240,7 @@ class TestLifecycle:
 class TestMetricsCorrectness:
     def test_counters_add_up(self):
         async def main():
-            engine = StubEngine()
+            engine = StubEngine(tokens=two_tokens)
             server = LiveServer(engine, ServeOptions(queue_delay_budget_s=None))
             await server.start()
             requests = [await server.submit(prompt(i=i)) for i in range(5)]
@@ -378,9 +296,7 @@ class TestIntegration:
 
         async def main():
             async with LiveServer(
-                pc,
-                ServeOptions(max_batch=4, batch_max_wait_s=0.02,
-                             queue_delay_budget_s=None),
+                pc, ServeOptions(queue_delay_budget_s=None)
             ) as server:
                 requests = [
                     await server.submit(self.PROMPT, max_new_tokens=2)

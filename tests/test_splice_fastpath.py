@@ -2,8 +2,11 @@
 
 Correctness contracts:
 
-- The ``"paged"``/``"arena"`` splice modes produce output token IDs
-  byte-identical to the ``"legacy"`` per-layer buffered-concat path.
+- The splice is a concatenation and nothing more: the prefix a stream's
+  paged fork holds, and the flat copy ``_arena_splice`` builds for
+  sessions, equal ``np.concatenate`` of the slot-dropped module KV read
+  from the store — the legacy layout, rebuilt here as the oracle — and
+  decoding over either yields the tokens decoding over the oracle does.
 - Compiled plans are memoized but never served stale: ``register_schema``,
   ``invalidate`` and ``update_module_text`` evict affected entries.
 - A spliced-base hit records the same store statistics, tier occupancy
@@ -17,9 +20,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cache.engine import PromptCache
+from repro.cache.encoder import drop_param_slots
+from repro.cache.engine import PromptCache, _arena_splice
 from repro.cache.storage import CacheKey, ModuleCacheStore
-from repro.llm.kv import allocation_count, reset_allocation_count
+from repro.llm.generation import decode_loop
+from repro.llm.kv import KVCache, LayerKV, allocation_count, reset_allocation_count
 from repro.pml import PLAIN_TEMPLATE
 
 DOC = (
@@ -122,33 +127,116 @@ class TestPlanCache:
         assert events == ["miss", "hit", "invalidation"]
 
 
-class TestSpliceModeEquivalence:
-    @pytest.mark.parametrize("mode", ["paged", "arena"])
-    def test_outputs_byte_identical_to_legacy(self, any_model, tok, mode):
-        legacy = make_pc(any_model, tok, splice_mode="legacy")
-        fast = make_pc(any_model, tok, splice_mode=mode)
-        for prompt in (PROMPT, '<prompt schema="doc"><d/> what happened ?</prompt>'):
-            want = legacy.serve(prompt, max_new_tokens=8)
-            got = fast.serve(prompt, max_new_tokens=8)
-            assert got.output_ids == want.output_ids
-            # Repeat: the base-hit path must also be identical.
-            again = fast.serve(prompt, max_new_tokens=8)
-            assert again.output_ids == want.output_ids
+# Parameters, a union of unequal members, a scaffold set, and (last) a
+# prompt with no text of its own: fully cached, its tail token recomputed.
+ORACLE_SCHEMA = (
+    '<schema name="oracle"><scaffold modules="intro,facts"/>'
+    '<module name="intro">the quick brown fox</module>'
+    '<module name="facts">jumps over the lazy dog</module>'
+    '<module name="plan">plan a trip lasting <param name="days" len="8"/> '
+    "focus on food</module>"
+    '<union><module name="miami">miami beaches nightlife surf spots art deco'
+    '</module><module name="paris">paris museums</module></union>'
+    "</schema>"
+)
+ORACLE_PROMPTS = [
+    '<prompt schema="oracle"><plan days="three days"/><paris/> answer the '
+    "question</prompt>",
+    '<prompt schema="oracle"><miami/><plan/> what now ?</prompt>',
+    '<prompt schema="oracle"><intro/><facts/> what happened ?</prompt>',
+    '<prompt schema="oracle"><intro/><miami/></prompt>',
+]
 
-    def test_invalid_mode_rejected(self, llama, tok):
-        with pytest.raises(ValueError):
-            PromptCache(llama, tok, template=PLAIN_TEMPLATE, splice_mode="warp")
 
-    def test_multi_module_equivalence(self, llama, tok):
-        legacy = PromptCache(llama, tok, template=PLAIN_TEMPLATE, splice_mode="legacy")
-        fast = PromptCache(llama, tok, template=PLAIN_TEMPLATE)
-        for pc in (legacy, fast):
-            pc.register_schema(TWO_MODULES)
-        prompt = '<prompt schema="duo2"><a/><b/> what now ?</prompt>'
-        assert (
-            fast.serve(prompt, max_new_tokens=6).output_ids
-            == legacy.serve(prompt, max_new_tokens=6).output_ids
+def stored_module_kvs(pc, prompt):
+    """The slot-dropped KV of each module ``prompt`` selects, read from
+    the store in document order (a fully-cached prompt gives up the tail
+    token it recomputes)."""
+    compiled = pc._compiled(prompt)
+    registered, plan = compiled.registered, compiled.plan
+    kvs = []
+    for mod, name, variant in pc._variants_for(registered, plan, True):
+        key = CacheKey(registered.layout.schema_name, name, variant)
+        kv = drop_param_slots(pc.store.peek(key).kv, mod, list(mod.params.values()))
+        if plan.recompute_tail is not None and plan.recompute_tail[0] == name:
+            kv = kv.slice(0, len(kv) - 1)
+        kvs.append(kv)
+    return kvs
+
+
+def legacy_cache(config, kvs) -> KVCache:
+    """The splice oracle: per layer, ``np.concatenate`` of the modules."""
+    positions = np.concatenate([kv.positions for kv in kvs])
+    return KVCache([
+        LayerKV.from_arrays(
+            np.concatenate([kv.keys[i] for kv in kvs], axis=1),
+            np.concatenate([kv.values[i] for kv in kvs], axis=1),
+            positions,
         )
+        for i in range(config.n_layers)
+    ])
+
+
+def assert_prefix_equal(cache, n, oracle):
+    for layer, want in zip(cache.layers, oracle.layers):
+        np.testing.assert_array_equal(layer.keys[:, :n], want.keys)
+        np.testing.assert_array_equal(layer.values[:, :n], want.values)
+        np.testing.assert_array_equal(layer.positions[:n], want.positions)
+
+
+def decode_over(pc, prompt, cache, max_new_tokens=6):
+    compiled = pc._compiled(prompt)
+    logits = pc.model.forward(*compiled.merged_uncached, cache)[-1]
+    return decode_loop(
+        pc.model, cache, logits, max_new_tokens=max_new_tokens,
+        next_position=compiled.plan.next_position,
+    )[0]
+
+
+class TestSpliceModeEquivalence:
+    @pytest.mark.parametrize("layout", ["paged", "arena"])
+    def test_outputs_byte_identical_to_legacy(self, any_model, tok, layout):
+        pc = PromptCache(any_model, tok, template=PLAIN_TEMPLATE)
+        pc.register_schema(ORACLE_SCHEMA)
+        assert pc._compiled(ORACLE_PROMPTS[-1]).plan.recompute_tail is not None
+        for prompt in ORACLE_PROMPTS:
+            kvs = stored_module_kvs(pc, prompt)
+            oracle = legacy_cache(any_model.config, kvs)
+            if layout == "paged":
+                for _ in range(2):  # a base build, then a base hit
+                    stream = pc.open_stream(prompt, max_new_tokens=6)
+                    try:
+                        assert stream.shared_len == len(oracle) == stream.cached_tokens
+                        assert_prefix_equal(stream.cache, stream.shared_len, oracle)
+                    finally:
+                        stream.abort()
+                tokens = pc.serve(prompt, max_new_tokens=6).output_ids
+            else:
+                cache = _arena_splice(any_model.config, kvs, extra_capacity=16)
+                assert_prefix_equal(cache, len(oracle), oracle)
+                tokens = decode_over(pc, prompt, cache)
+            assert tokens == decode_over(pc, prompt, oracle)
+
+    def test_multi_module_equivalence(self, models, tok):
+        """Where the paper's equivalence is exact — a full scaffold set
+        at the prefix — the spliced prefix is also what one direct
+        forward over the modules' tokens computes."""
+        prompt = ORACLE_PROMPTS[2]
+        for model in models.values():
+            pc = PromptCache(model, tok, template=PLAIN_TEMPLATE)
+            pc.register_schema(ORACLE_SCHEMA)
+            layout = pc.schemas["oracle"].layout
+            mods = [layout.module("intro"), layout.module("facts")]
+            direct = model.new_cache(capacity=16)
+            model.forward(
+                np.concatenate([m.token_ids for m in mods]),
+                np.concatenate([m.positions for m in mods]), direct,
+            )
+            stream = pc.open_stream(prompt, max_new_tokens=1)
+            try:
+                assert_prefix_equal(stream.cache, stream.shared_len, direct)
+            finally:
+                stream.abort()
 
 
 class TestSplicedBase:
@@ -247,7 +335,7 @@ class TestMirrorLease:
             base = next(iter(pc._bases.values()))
             fork_a = base.cache.fork()
             fork_b = base.cache.fork()
-        start = base.cached_tokens
+        start = len(base.cache)
         ids = np.array(tok.encode(" what happened ?"))
         pos_a = np.arange(start, start + len(ids))
         la = pc.model.forward(ids, pos_a, fork_a)
