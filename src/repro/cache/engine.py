@@ -113,7 +113,11 @@ class ServeResult:
     uncached_tokens: int
     ttft_s: float
     splice_s: float  # cache lookup + KV concatenation ("memcpy")
-    suffix_s: float  # uncached-token prefill
+    # Uncached-token prefill. Under the serving scheduler a stream's last
+    # chunk shares a packed forward with other streams' and each is
+    # charged that whole call's wall time — as a batched decode step is
+    # charged to every sequence in it.
+    suffix_s: float
     step_times_s: list[float] = field(default_factory=list)
     tier_tokens: dict[str, int] = field(default_factory=dict)
 
@@ -154,8 +158,14 @@ class ServeStream:
     the iteration-level runtime (:mod:`repro.server.scheduler`) can
     interleave many requests over one engine:
 
-    - :meth:`prefill_step` forwards up to a budget of uncached prompt
-      tokens, capturing first-token logits when the prompt completes;
+    - :meth:`prefill_chunk` names the next up-to-a-budget uncached
+      prompt tokens for the scheduler to pack, with other streams'
+      chunks, into one forward over every stream's cache, and
+      :meth:`prefill_done` takes the outcome back — first-token logits
+      when the prompt completes, and the packed call's wall time, which
+      ``suffix_s`` charges in full to each stream in it;
+      :meth:`prefill_step` is the same step for this stream alone, on
+      the single-sequence reference ``forward``;
     - :meth:`next_token` samples one token in :func:`decode_loop`'s
       sample-then-check order, and the scheduler feeds the batched
       forward's logits row back through :meth:`set_logits`;
@@ -164,9 +174,10 @@ class ServeStream:
       shutdown without a result.
 
     :meth:`PromptCache.serve` / ``serve_text`` :meth:`run` the same stream
-    to completion in one call — one prefill chunk, then ``decode_loop`` —
-    and produce the same greedy tokens: the splice and the per-token
-    forwards are the same arithmetic, only the loop structure differs.
+    to completion in one call — one :meth:`prefill_step` chunk, then
+    ``decode_loop`` — and produce the same greedy tokens: the splice is
+    the same, the forwards are the same arithmetic up to how batched
+    GEMMs round, only the loop structure differs.
 
     Where the stream's KV lives: the spliced prefix is the shared base's
     pages; the prefilled suffix is appended to the fork's own pages and
@@ -258,13 +269,35 @@ class ServeStream:
         logits = self.pc.model.forward(
             self._pending_ids[chunk], self._pending_positions[chunk], self.cache
         )
-        self.suffix_s += time.perf_counter() - start
-        self._offset += take
+        self.prefill_done(take, logits[-1], time.perf_counter() - start)
+        return take
+
+    def prefill_chunk(self, max_tokens: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(token_ids, position_ids)`` of the next up-to-``max_tokens``
+        uncached prompt tokens, for a scheduler to pack with other
+        streams' chunks into one forward over :attr:`cache`. Nothing
+        moves until :meth:`prefill_done`. The positions are checked here,
+        so that a prompt the model cannot place fails alone rather than
+        with everyone it would have been packed with."""
+        chunk = slice(self._offset, self._offset + max_tokens)
+        token_ids, positions = self._pending_ids[chunk], self._pending_positions[chunk]
+        if token_ids.shape != positions.shape:
+            raise ValueError("token_ids and position_ids must have equal shape")
+        self.pc.model.check_positions(positions)
+        return token_ids, positions
+
+    def prefill_done(self, rows: int, logits: np.ndarray | None, seconds: float) -> None:
+        """The packed forward holding this stream's ``rows``-token chunk
+        returned: ``logits`` is the chunk's last row — the first sampling
+        decision when the prompt is now complete (a zero-budget request
+        retires instead) — and ``seconds`` the whole call's wall time,
+        charged to every stream in it."""
+        self.suffix_s += seconds
+        self._offset += rows
         if self.prefill_remaining == 0:
-            self.logits = logits[-1]
+            self.logits = logits
             if self.max_new_tokens <= 0:
                 self.done = True
-        return take
 
     # -- decode ------------------------------------------------------------------
 

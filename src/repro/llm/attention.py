@@ -522,6 +522,94 @@ def arena_decode_attention(
     return merge_online_softmax(shared, private).reshape(n, -1)
 
 
+@dataclass
+class PrefillSegment:
+    """One sequence's rows ``[start, stop)`` of a packed prefill, with
+    what its attention needs that does not change from layer to layer.
+
+    ``bias`` is added to the score columns from ``bias_from`` on: the
+    position-ID mask as 0 / mask floor (a key is visible iff ``key_pos <=
+    query_pos``) and, under ALiBi, the distance term — then
+    ``(n_heads, rows, keys)`` over every key. Without ALiBi it is
+    ``(rows, keys - bias_from)``, and ``bias_from`` is the cache's length
+    before this chunk whenever everything cached lies at or below the
+    chunk's lowest position: those columns need no mask.
+    """
+
+    start: int
+    stop: int
+    cache: object
+    positions: np.ndarray
+    bias: np.ndarray
+    bias_from: int
+
+
+def plan_packed_prefill(
+    segments, position_ids: np.ndarray, alibi: AlibiBias | None = None
+) -> list[PrefillSegment]:
+    """Lay ``segments`` — ``(cache, rows)`` in pack order — over the
+    ``position_ids`` of one packed prefill and work out each one's mask
+    (:class:`PrefillSegment`) once, not once per layer."""
+    plan = []
+    start = 0
+    for cache, rows in segments:
+        stop = start + rows
+        positions = position_ids[start:stop]
+        cached = cache.layers[0]
+        k_positions = np.concatenate([cached.positions, positions])
+        # Params sitting below a later module keep the mask over the base.
+        bias_from = len(cached) if cached.max_position <= positions.min() else 0
+        bias = np.where(
+            k_positions[bias_from:] <= positions[:, None], DTYPE(0), _NEG_INF
+        )
+        if alibi is not None:
+            full = alibi.bias(positions, k_positions)
+            full[:, :, bias_from:] += bias
+            bias, bias_from = full, 0
+        plan.append(PrefillSegment(start, stop, cache, positions, bias, bias_from))
+        start = stop
+    if start != len(position_ids):
+        raise ValueError(
+            f"segments cover {start} rows, the pack has {len(position_ids)}"
+        )
+    return plan
+
+
+def packed_prefill_attention(
+    plan: list[PrefillSegment],
+    layer: int,
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+) -> np.ndarray:
+    """One layer's attention for every row of a packed prefill.
+
+    ``q`` is (rows, n_heads, head_dim) and ``k``/``v`` (rows, n_kv_heads,
+    head_dim), rotated, in pack order. Each segment's K/V rows are
+    appended to *its* cache and its queries attend over that cache —
+    base and tail in one pass — under the planned bias. Returns the
+    context (rows, n_heads * head_dim).
+    """
+    rows, n_heads, head_dim = q.shape
+    n_rep = n_heads // k.shape[1]
+    q, k, v = (t.transpose(1, 0, 2) for t in (q, k, v))
+    context = np.empty((rows, n_heads, head_dim), dtype=q.dtype)
+    for seg in plan:
+        span = slice(seg.start, seg.stop)
+        layer_kv = seg.cache.layers[layer]
+        layer_kv.append(k[:, span], v[:, span], seg.positions)
+        scores = grouped_scores(q[:, span], layer_kv.keys, n_rep)
+        scores[:, :, seg.bias_from :] += seg.bias
+        # Softmax with the division moved past the value product: it
+        # then runs over head_dim columns per row instead of every key.
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        attended = grouped_context(scores, layer_kv.values, n_rep)
+        attended /= scores.sum(axis=-1, keepdims=True)
+        context[span] = attended.transpose(1, 0, 2)
+    return context.reshape(rows, -1)
+
+
 def self_attention(
     x: np.ndarray,
     *,

@@ -13,11 +13,22 @@ mpt           LayerNorm ALiBi        GELU       sequential
 gpt2          LayerNorm learned      GELU       sequential
 ============  ========  ===========  =========  ==============
 
-The forward pass is single-sequence (no batch axis): Prompt Cache is a
-prefill-stage transformation and all paper results are per-request TTFT.
+There are two prefill entry points, both ``forward``. Given one cache it
+is the single-sequence pass (no batch axis: Prompt Cache is a
+prefill-stage transformation and all paper results are per-request
+TTFT) — the bit reference behind ``serve``, ``generate`` and module
+encoding. Given a sequence of ``(cache, rows)`` it is the *packed*
+prefill the serving scheduler runs: the chunks of several sequences as
+one (sum_rows, d_model) hidden state, attention per sequence. The packed
+pass multiplies weight-first at M = sum_rows, which rounds differently
+from M = rows, so the two agree on greedy tokens and to float32
+tolerance, not in the last ulp — the promise the batched decode step
+(``forward_decode_batch`` over a tail arena) makes as well.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -25,7 +36,9 @@ from repro.llm.attention import (
     _decode_context,
     arena_decode_attention,
     decode_attention_batch,
+    packed_prefill_attention,
     plan_decode_step,
+    plan_packed_prefill,
     self_attention,
 )
 from repro.llm.config import ModelConfig
@@ -170,6 +183,8 @@ class TransformerModel:
         position_ids: np.ndarray,
         cache: KVCache,
         trace: list | None = None,
+        *,
+        logits: bool = True,
     ) -> np.ndarray:
         """Run ``token_ids`` (T,) at ``position_ids`` (T,), appending K/V to
         ``cache``. Returns logits of shape (T, vocab).
@@ -180,11 +195,20 @@ class TransformerModel:
 
         ``trace``, when a list, collects per-layer post-softmax attention
         weights (see :mod:`repro.llm.introspect`).
+
+        This single-sequence pass is the bit reference. Given a sequence
+        of ``(cache, rows)`` pairs in place of ``cache`` the call is the
+        *packed* prefill instead (:meth:`_forward_packed`): the ids are
+        several sequences' chunks laid end to end, and the result is the
+        last row's logits per sequence — or, with ``logits=False`` (which
+        only the packed call reads), nothing.
         """
         token_ids = np.asarray(token_ids)
         position_ids = np.asarray(position_ids)
         if token_ids.shape != position_ids.shape:
             raise ValueError("token_ids and position_ids must have equal shape")
+        if not hasattr(cache, "layers"):
+            return self._forward_packed(token_ids, position_ids, cache, logits)
 
         hidden = embed(token_ids, self._p("embed.weight"))
         if self.learned_pos is not None:
@@ -206,6 +230,46 @@ class TransformerModel:
         hidden = self._norm(hidden, "final_norm")
         # Weight-tied LM head: logits share the embedding matrix.
         return hidden @ self._p("embed.weight").T
+
+    def _forward_packed(
+        self,
+        token_ids: np.ndarray,
+        position_ids: np.ndarray,
+        segments,
+        logits: bool,
+    ) -> np.ndarray | None:
+        """Prefill chunks of several sequences in one pass.
+
+        ``segments`` is ``(cache, rows)`` per sequence, in the order their
+        chunks are laid end to end in ``token_ids`` / ``position_ids``
+        (sum_rows,). The hidden state is (sum_rows, d_model), so whatever
+        is not attention costs what one sequence's does — per layer one
+        norm, one fused qkv GEMM, one RoPE lookup, one output GEMM, one
+        fused gate/up and one down GEMM, however ragged the pack — while
+        K/V is appended per sequence to *its* cache and each sequence
+        attends over its own base + tail under the position-ID mask
+        (:func:`~repro.llm.attention.packed_prefill_attention`). Final
+        norm and LM head run on the last row of each sequence only:
+        returns (len(segments), vocab), rows contiguous, or ``None``
+        without ``logits``.
+
+        Streams forked from one spliced base each read it through their
+        own cache; folding their queries into one score GEMM over the
+        shared image was measured and left out (see CHANGES.md, ISSUE 22).
+        GEMMs at M = sum_rows round differently from M = rows, so against
+        per-sequence :meth:`forward` calls this pins greedy tokens, not
+        bits — the arena decode step's promise.
+        """
+        plan = plan_packed_prefill(segments, position_ids, self.alibi)
+        hidden, rotary = self._embed_rows(token_ids, position_ids)
+        attend = partial(packed_prefill_attention, plan)
+        for i in range(self.config.n_layers):
+            hidden = self._layer_rows(i, hidden, rotary, attend)
+        if not logits:
+            return None
+        last = self._norm(hidden[[seg.stop - 1 for seg in plan]], "final_norm")
+        # Weight-tied LM head, C order so each row is a contiguous vector.
+        return np.ascontiguousarray(linear_rows(last, self._p("embed.weight")))
 
     def forward_decode_batch(
         self,
@@ -257,46 +321,28 @@ class TransformerModel:
 
         order = step.order
         position_ids = position_ids[order]
-        hidden = embed(np.asarray(token_ids).reshape(n)[order], self._p("embed.weight"))
-        if self.learned_pos is not None:
-            hidden = self.learned_pos.apply(hidden, position_ids)
-        if self.rope is not None:
-            cos, sin = (t[:, None, :] for t in self.rope.rows(position_ids))
+        hidden, rotary = self._embed_rows(
+            np.asarray(token_ids).reshape(n)[order], position_ids
+        )
         unseated = [(row, caches[b]) for row, b in enumerate(order)][step.resident:]
-        d, kv_dim, n_rep = cfg.d_model, cfg.kv_dim, step.n_rep
+        n_rep = step.n_rep
 
-        for i in range(cfg.n_layers):
-            wqkv, bqkv, gate_up = self._fused[i]
-            normed = self._norm(hidden, f"layers.{i}.attn_norm")
-            qkv = linear_rows(normed, wqkv, bqkv)
-            q = qkv[:, :d].reshape(n, cfg.n_heads, -1)
-            k = qkv[:, d : d + kv_dim].reshape(n, cfg.n_kv_heads, -1)
-            v = qkv[:, d + kv_dim :].reshape(n, cfg.n_kv_heads, -1)
-            if self.rope is not None:
-                q = rotate(q, cos, sin)
-                k = rotate(k, cos, sin)
-            context = np.empty((n, d), dtype=hidden.dtype)
+        def attend(layer, q, k, v):
+            context = np.empty((n, cfg.d_model), dtype=hidden.dtype)
             context[: step.resident] = arena_decode_attention(
-                step, i, q[: step.resident], k[: step.resident], v[: step.resident]
+                step, layer, q[: step.resident], k[: step.resident], v[: step.resident]
             )
             for row, cache in unseated:
-                layer_kv = cache.layers[i]
+                layer_kv = cache.layers[layer]
                 pos = position_ids[row : row + 1]
                 layer_kv.append(k[row][:, None], v[row][:, None], pos)
                 context[row] = _decode_context(
                     q[row][:, None], layer_kv, pos, n_rep, self.alibi
                 )
-            attn_out = linear_rows(
-                context, self._p(f"layers.{i}.attn.wo"),
-                self._maybe(f"layers.{i}.attn.bo"),
-            )
-            if cfg.parallel_block:
-                hidden = hidden + attn_out + self._mlp_rows(normed, i, gate_up)
-            else:
-                hidden = hidden + attn_out
-                hidden = hidden + self._mlp_rows(
-                    self._norm(hidden, f"layers.{i}.mlp_norm"), i, gate_up
-                )
+            return context
+
+        for i in range(cfg.n_layers):
+            hidden = self._layer_rows(i, hidden, rotary, attend)
 
         # Weight-tied LM head: logits share the embedding matrix. Back to
         # batch order, and to C order so each row is a contiguous vector.
@@ -305,6 +351,47 @@ class TransformerModel:
             self._norm(hidden, "final_norm"), self._p("embed.weight")
         )
         return logits
+
+    def _embed_rows(self, token_ids: np.ndarray, position_ids: np.ndarray):
+        """Hidden state (rows, d_model) for one token per row — rows of
+        any mix of sequences — and the RoPE ``(cos, sin)`` table rows,
+        looked up once for every layer (``None`` without RoPE)."""
+        hidden = embed(token_ids, self._p("embed.weight"))
+        if self.learned_pos is not None:
+            hidden = self.learned_pos.apply(hidden, position_ids)
+        rotary = None
+        if self.rope is not None:
+            rotary = tuple(t[:, None, :] for t in self.rope.rows(position_ids))
+        return hidden, rotary
+
+    def _layer_rows(self, i: int, hidden: np.ndarray, rotary, attend) -> np.ndarray:
+        """Layer ``i`` over (rows, d_model) hidden state whose rows may
+        belong to different sequences: one norm, one fused qkv GEMM, one
+        rotation, ``attend(i, q, k, v)`` — which owns whatever is per
+        sequence: the K/V append and the attention itself, on (rows,
+        heads, head_dim) operands — one output GEMM and the fused MLP.
+        Weight-first GEMMs (:func:`~repro.llm.layers.linear_rows`)."""
+        cfg = self.config
+        rows, d, kv_dim = len(hidden), cfg.d_model, cfg.kv_dim
+        wqkv, bqkv, gate_up = self._fused[i]
+        normed = self._norm(hidden, f"layers.{i}.attn_norm")
+        qkv = linear_rows(normed, wqkv, bqkv)
+        q = qkv[:, :d].reshape(rows, cfg.n_heads, -1)
+        k = qkv[:, d : d + kv_dim].reshape(rows, cfg.n_kv_heads, -1)
+        v = qkv[:, d + kv_dim :].reshape(rows, cfg.n_kv_heads, -1)
+        if rotary is not None:
+            q = rotate(q, *rotary)
+            k = rotate(k, *rotary)
+        attn_out = linear_rows(
+            attend(i, q, k, v), self._p(f"layers.{i}.attn.wo"),
+            self._maybe(f"layers.{i}.attn.bo"),
+        )
+        if cfg.parallel_block:
+            return hidden + attn_out + self._mlp_rows(normed, i, gate_up)
+        hidden = hidden + attn_out
+        return hidden + self._mlp_rows(
+            self._norm(hidden, f"layers.{i}.mlp_norm"), i, gate_up
+        )
 
     def _mlp_rows(self, x: np.ndarray, i: int, gate_up: np.ndarray | None) -> np.ndarray:
         """:meth:`_mlp` on (B, d_model) rows with weight-first GEMMs and,
@@ -362,6 +449,15 @@ class TransformerModel:
 
         hidden = self._norm(hidden, "final_norm")
         return (hidden @ self._p("embed.weight").T)[:, 0, :]
+
+    def check_positions(self, position_ids: np.ndarray) -> None:
+        """Raise the ``ValueError`` a forward at ``position_ids`` would:
+        an ID outside the RoPE or learned-position table (ALiBi has no
+        table to run off). Lets a caller vet one sequence's chunk before
+        packing it with others'."""
+        table = self.rope or self.learned_pos
+        if table is not None:
+            table.check(position_ids)
 
     def new_cache(self, capacity: int = 64) -> KVCache:
         return KVCache.empty(self.config, capacity=capacity)

@@ -17,9 +17,8 @@ class LearnedPositionalEmbedding:
         self.table = table  # (max_position, d_model)
         self.max_position = table.shape[0]
 
-    def apply(self, hidden: np.ndarray, position_ids: np.ndarray) -> np.ndarray:
-        """``hidden`` is (T, d_model); returns hidden + table[position_ids]."""
-        position_ids = np.asarray(position_ids)
+    def check(self, position_ids: np.ndarray) -> None:
+        """Raise ``ValueError`` for position IDs outside the table."""
         if position_ids.size and (
             position_ids.min() < 0 or position_ids.max() >= self.max_position
         ):
@@ -27,4 +26,9 @@ class LearnedPositionalEmbedding:
                 f"position ids must lie in [0, {self.max_position}); "
                 f"got range [{position_ids.min()}, {position_ids.max()}]"
             )
+
+    def apply(self, hidden: np.ndarray, position_ids: np.ndarray) -> np.ndarray:
+        """``hidden`` is (T, d_model); returns hidden + table[position_ids]."""
+        position_ids = np.asarray(position_ids)
+        self.check(position_ids)
         return hidden + self.table[position_ids]

@@ -32,10 +32,8 @@ class RotaryEmbedding:
         self._cos = np.cos(full).astype(DTYPE)  # (P, head_dim)
         self._sin = np.sin(full).astype(DTYPE)
 
-    def rows(self, position_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(cos, sin)`` table rows for ``position_ids`` (any shape),
-        each of shape ``position_ids.shape + (head_dim,)`` — looked up
-        once and handed to :func:`rotate` as often as needed."""
+    def check(self, position_ids: np.ndarray) -> None:
+        """Raise ``ValueError`` for position IDs outside the tables."""
         if position_ids.size and (
             position_ids.min() < 0 or position_ids.max() >= self.max_position
         ):
@@ -43,6 +41,12 @@ class RotaryEmbedding:
                 f"position ids must lie in [0, {self.max_position}); "
                 f"got range [{position_ids.min()}, {position_ids.max()}]"
             )
+
+    def rows(self, position_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(cos, sin)`` table rows for ``position_ids`` (any shape),
+        each of shape ``position_ids.shape + (head_dim,)`` — looked up
+        once and handed to :func:`rotate` as often as needed."""
+        self.check(position_ids)
         return self._cos[position_ids], self._sin[position_ids]
 
     def apply(self, x: np.ndarray, position_ids: np.ndarray) -> np.ndarray:

@@ -100,10 +100,13 @@ class ServeOptions:
     # Iterations run per executor dispatch while the queue is
     # empty. With nothing to admit or expire, a burst runs several
     # iterations back to back on the engine thread and breaks the moment
-    # a new request arrives; each iteration's tokens and completions are
-    # handed to the loop as it ends, so this bounds how long admission
-    # and expiry wait for the engine thread — not how long a finished
-    # token waits for delivery. 1 disables.
+    # a new request arrives or the server stops. Tokens and completions
+    # do not wait for it: they are handed to the loop mid-iteration (a
+    # prefill's first tokens before the decode step) and as each
+    # iteration ends. What this still bounds is how many iterations pass
+    # between the worker coroutine's own turns — how stale its in-flight
+    # count (``inflight``, the ``server_inflight`` gauge) can get. 1
+    # disables.
     burst_iterations: int = 8
     # Periodic store upkeep: TTL sweep (and, on a FabricStore, the
     # budgeted prefetch tick) every this many seconds even while the
@@ -481,15 +484,18 @@ class LiveServer:
         """Engine-thread side: the dispatched iteration plus up to
         ``limit - 1`` follow-ons, stopping early when a new arrival needs
         loop-side admission, nothing is left in flight, or the server
-        stops. Every outcome but the last goes to the loop through
-        ``hand_off`` the moment its iteration ends — tokens reach clients
-        an iteration after they were sampled, not a burst after — and is
-        never touched here again; the last is returned, so a burst of one
-        costs what a plain dispatch does. The loop runs its callbacks in
-        FIFO order and the executor future resolves through the same
-        queue, so outcomes are applied in order and all of them before
-        the worker coroutine resumes."""
-        outcome = scheduler.iterate(admissions)
+        stops. Everything but the last iteration's returned outcome goes
+        to the loop through ``hand_off`` — the parts an iteration hands
+        over as it goes (see :meth:`ContinuousScheduler.iterate`) and
+        each returned outcome as its iteration ends — so a token reaches
+        its client as soon as nothing the engine thread still has to do
+        can change it, and is never touched here again; the last outcome
+        is returned, so a burst of one costs what a plain dispatch does.
+        The loop runs its callbacks in FIFO order and the executor future
+        resolves through the same queue, so parts and outcomes are
+        applied in order and all of them before the worker coroutine
+        resumes."""
+        outcome = scheduler.iterate(admissions, hand_off)
         for _ in range(limit - 1):
             if not (scheduler.active and self._running) or self._arrivals_pending:
                 break
@@ -499,7 +505,7 @@ class LiveServer:
                 # The loop closed under us (interpreter teardown): nobody
                 # is left to deliver to, and stop() owns what is in flight.
                 break
-            outcome = scheduler.iterate([])
+            outcome = scheduler.iterate([], hand_off)
         return outcome
 
     def _pop_admissions(self, scheduler: ContinuousScheduler) -> list[LiveRequest]:
@@ -521,9 +527,12 @@ class LiveServer:
         return admissions
 
     def _apply_outcome(self, outcome: IterationOutcome) -> None:
-        """Apply one iteration's events on the loop thread. Events for a
-        request that already reached a terminal state — a hand-off that
-        lost the race with :meth:`stop` — are dropped."""
+        """Apply one hand-off on the loop thread: a part of an iteration
+        (its events only) or an iteration's returned outcome (its
+        remaining events, then the per-iteration series — those are fed
+        once per iteration, from the whole-iteration counters). Events
+        for a request that already reached a terminal state — a hand-off
+        that lost the race with :meth:`stop` — are dropped."""
         inter = self.metrics.histogram(
             "server_inter_token_seconds",
             "wall time between consecutive tokens of one request",
@@ -538,7 +547,6 @@ class LiveServer:
             request.last_token_at = at
             request.push_token(token)
 
-        completions = 0
         for request, result, error, at in outcome.finished:
             if request.finished:
                 continue
@@ -547,7 +555,6 @@ class LiveServer:
                 request.finish(FAILED, error=error)
                 self._count_outcome("failed")
             else:
-                completions += 1
                 request.result = result
                 request.finish(DONE)
                 self._observe_done(request, result)
@@ -560,11 +567,19 @@ class LiveServer:
                     )
                 self._last_done_at = at
             self._record(request)
+        if outcome.partial:
+            return
         for request in outcome.requeued:  # overshoot guard; normally empty
             request.state = QUEUED
             request.started_at = None
             self.batcher.put(request)
 
+        if outcome.prefill_batch:
+            self.metrics.histogram(
+                "server_prefill_pack_size",
+                "sequences whose last prompt chunk shared one packed prefill",
+                buckets=BATCH_SIZE_BUCKETS,
+            ).observe(outcome.prefill_batch)
         if outcome.decode_batch:
             self.metrics.histogram(
                 "server_iteration_occupancy",
@@ -596,7 +611,7 @@ class LiveServer:
             ).set(self._flops_saved_total)
         if outcome.elapsed_s > 0:
             alpha = self.options.service_time_alpha
-            rate = len(outcome.emitted) / outcome.elapsed_s
+            rate = outcome.tokens / outcome.elapsed_s
             self._decode_rate_ewma = (
                 alpha * rate + (1 - alpha) * self._decode_rate_ewma
             )
@@ -608,7 +623,7 @@ class LiveServer:
             len(self.batcher)
         )
         self._refresh_queue_gauges()
-        if completions:
+        if outcome.completed:
             self.metrics.gauge(
                 "server_estimated_queue_delay_seconds",
                 "admission-control delay estimate",

@@ -13,17 +13,25 @@ and the model runs its single-token forwards one sequence at a time.
 2. **Admit.** Queued requests are admitted up to ``max_inflight``; the
    splice (fork of the shared pre-spliced base) happens here, on the
    engine thread.
-3. **Chunked prefill.** Up to ``prefill_chunk_tokens`` uncached prompt
-   tokens are forwarded across prefilling sequences, oldest first — a
-   long cold prefill is spread over iterations instead of stalling
-   decode progress for everyone else. A sequence whose prompt completes
-   samples its first token immediately (TTFT never waits an extra
-   iteration).
+3. **Packed prefill.** Up to ``prefill_chunk_tokens`` uncached prompt
+   tokens are taken across prefilling sequences, oldest first — a long
+   cold prefill is spread over iterations instead of stalling decode
+   progress for everyone else, and only the last taker can be cut
+   short. Every chunk that *completes* its prompt rides **one** packed
+   forward (``model.forward(ids, positions, [(cache, rows), ...])``:
+   one set of GEMMs for all rows, K/V appended and attention run per
+   sequence over its own cache), and those sequences sample their first
+   token at once (TTFT never waits an extra iteration). The at most one
+   chunk that does not complete runs after that, as its own call with no
+   logits. A stream whose positions the model cannot place fails alone,
+   before the pack is formed; an exception inside a packed forward fails
+   everyone in it. The scheduler never runs a per-sequence prefill — one
+   stream is a pack of one.
 4. **Batched decode.** Every sequence still needing a forward joins
    **one** ``forward_decode_batch`` call.
 
-What that call costs depends on where the sequences' KV lives. Before
-it, sequences are grouped by the pre-spliced base their paged cache was
+What the decode call costs depends on where the sequences' KV lives.
+Before it, sequences are grouped by the pre-spliced base their paged cache was
 forked from (``ServeStream.shared_group``): members of one group decode
 over the *same* shared KV prefix. A grouped stream is *seated* at its
 first decode step — its private tail (prefilled suffix, then every
@@ -42,12 +50,19 @@ base at least ``AUTO_MIN_GROUP`` in-flight streams share, in a step at
 least ``AUTO_MIN_BATCH`` wide. The policy gates entry only: a group
 containing a seated stream is planned every step, even alone.
 
+Tokens and completions leave the engine thread before it starts work
+that cannot change them: given a ``hand_off`` callable, :meth:`iterate`
+delivers the sample phase's events ahead of admission and prefill (when
+any follows) and the prefill's first tokens ahead of the decode step and
+maintenance, as *parts*; what it returns carries the remaining events
+and every counter. Without a callable everything is returned.
+
 The scheduler is synchronous and single-threaded by design: the runtime
 calls :meth:`iterate` from one worker (usually on the serving executor
-thread, the engine being the serial resource) and applies the returned
-:class:`IterationOutcome` — token events with real wall-clock
-timestamps, retired results, errors — back on the event loop, where the
-asyncio-side request state lives.
+thread, the engine being the serial resource) and applies the parts and
+the returned :class:`IterationOutcome` — token events with real
+wall-clock timestamps, retired results, errors — back on the event loop,
+where the asyncio-side request state lives.
 """
 
 from __future__ import annotations
@@ -90,22 +105,30 @@ class _InFlight:
 
 @dataclass
 class IterationOutcome:
-    """Everything one iteration did, for the event loop to apply.
+    """What one iteration did, for the event loop to apply.
 
     ``emitted`` carries ``(request, token, timestamp)`` in generation
     order; ``finished`` carries ``(request, result, error, timestamp)``
-    with exactly one of result/error set. ``requeued`` is the admission
-    overflow (never under correct slot prediction, but the runtime puts
-    them back rather than losing them).
+    with exactly one of result/error set. An iteration given a
+    ``hand_off`` delivers those two lists in *parts* as it goes
+    (``partial=True``, every other field at its default); the returned
+    outcome then holds only the events no part carried — and, always,
+    everything else: ``requeued`` (the admission overflow; never under
+    correct slot prediction, but the runtime puts them back rather than
+    losing them) and the counters, which describe the whole iteration.
     """
 
     emitted: list[tuple[LiveRequest, int, float]] = field(default_factory=list)
     finished: list[tuple[LiveRequest, object, Exception | None, float]] = (
         field(default_factory=list)
     )
+    partial: bool = False
     requeued: list[LiveRequest] = field(default_factory=list)
     admitted: int = 0
+    tokens: int = 0  # sampled this iteration, wherever they were delivered
+    completed: int = 0  # requests retired with a result, likewise
     prefill_tokens: int = 0
+    prefill_batch: int = 0  # sequences in this iteration's packed prefill
     decode_batch: int = 0  # sequences in this iteration's batched forward
     active_after: int = 0
     elapsed_s: float = 0.0
@@ -178,25 +201,38 @@ class ContinuousScheduler:
 
     # -- the iteration -----------------------------------------------------------
 
-    def iterate(self, admissions: list[LiveRequest]) -> IterationOutcome:
+    def iterate(
+        self, admissions: list[LiveRequest], hand_off=None
+    ) -> IterationOutcome:
         """One scheduler step (engine-thread side). ``admissions`` must
         not exceed :meth:`predicted_free_slots` from just before the
-        call; overflow is returned in ``requeued``."""
+        call; overflow is returned in ``requeued``.
+
+        With a ``hand_off`` callable, tokens and completions leave as
+        *parts* (see :class:`IterationOutcome`) before the engine thread
+        starts work that cannot change them: the sample phase's before
+        admission and prefill, the first tokens of a prefill before the
+        decode step and maintenance. A part is never touched again here.
+        ``hand_off`` raising ``RuntimeError`` means nobody is listening
+        any more (a closed event loop): the events stay on the returned
+        outcome and the iteration runs to its end without parts."""
         outcome = IterationOutcome()
         started = self.clock()
 
         # Phase 1: one sampling decision per decoding sequence; retire
         # on stop/budget immediately so admission below sees the slot.
+        # A sequence not decoding is still prefilling: it, or an
+        # admission, means prefill work follows.
+        prefill_follows = bool(admissions)
         sample_s = -time.perf_counter()
         for seq in list(self._inflight):
-            stream = seq.stream
-            if not stream.decoding:
-                continue
-            token, needs_forward = stream.next_token()
-            outcome.emitted.append((seq.request, token, self.clock()))
-            if not needs_forward:
-                self._retire(seq, outcome)
+            if seq.stream.decoding:
+                self._sample(seq, outcome)
+            else:
+                prefill_follows = True
         sample_s += time.perf_counter()
+        if prefill_follows:
+            hand_off = self._hand_off(outcome, hand_off)
 
         # Phase 2: admission — the splice/fork work happens here.
         for request in admissions:
@@ -215,30 +251,38 @@ class ContinuousScheduler:
                 raise
             outcome.admitted += 1
 
-        # Phase 3: chunked prefill, oldest sequence first. A sequence
-        # whose prompt completes takes its first sampling decision now.
+        # Phase 3: chunked prefill. Chunks are taken oldest sequence
+        # first, so only the last taker can be cut short by the budget.
+        # Every chunk that completes its prompt rides one packed forward,
+        # and those sequences take their first sampling decision at once;
+        # a chunk that does not complete runs after they have left.
+        completing, continuing = [], []
         budget = self.prefill_chunk_tokens
         for seq in list(self._inflight):
             if budget <= 0:
                 break
-            stream = seq.stream
-            if stream.prefill_remaining == 0:
+            remaining = seq.stream.prefill_remaining
+            if remaining == 0:
                 continue
             try:
-                consumed = stream.prefill_step(budget)
-            except Exception as exc:
+                chunk = seq.stream.prefill_chunk(budget)
+            except Exception as exc:  # a prompt the model cannot place
                 self._fail(seq, exc, outcome)
                 continue
-            budget -= consumed
-            outcome.prefill_tokens += consumed
-            if stream.prefill_remaining == 0:
-                if stream.done:  # zero-token decode budget
+            rows = len(chunk[0])
+            budget -= rows
+            (completing if rows == remaining else continuing).append((seq, *chunk))
+        if completing:
+            carried = self._prefill(completing, outcome, logits=True)
+            outcome.prefill_batch = len(carried)
+            for seq in carried:
+                if seq.stream.done:  # zero-token decode budget
                     self._retire(seq, outcome)
-                    continue
-                token, needs_forward = stream.next_token()
-                outcome.emitted.append((seq.request, token, self.clock()))
-                if not needs_forward:
-                    self._retire(seq, outcome)
+                else:
+                    self._sample(seq, outcome)
+            hand_off = self._hand_off(outcome, hand_off)
+        if continuing:
+            self._prefill(continuing, outcome, logits=False)
 
         # Phase 4: one batched single-token forward across every
         # sequence whose sampled token still needs its forward.
@@ -286,6 +330,56 @@ class ContinuousScheduler:
         return outcome
 
     # -- helpers -----------------------------------------------------------------
+
+    @staticmethod
+    def _hand_off(outcome: IterationOutcome, hand_off):
+        """Deliver what ``outcome`` has gathered so far as a part and
+        start it on fresh lists. Returns the callable to go on using:
+        ``None`` once it has raised ``RuntimeError`` — the receiver is
+        gone, the events stay where they are."""
+        if hand_off is None or not (outcome.emitted or outcome.finished):
+            return hand_off
+        part = IterationOutcome(outcome.emitted, outcome.finished, partial=True)
+        try:
+            hand_off(part)
+        except RuntimeError:
+            return None
+        outcome.emitted, outcome.finished = [], []
+        return hand_off
+
+    def _sample(self, seq: _InFlight, outcome: IterationOutcome) -> None:
+        """One sampling decision; retire on a stop token or the budget."""
+        token, needs_forward = seq.stream.next_token()
+        outcome.emitted.append((seq.request, token, self.clock()))
+        outcome.tokens += 1
+        if not needs_forward:
+            self._retire(seq, outcome)
+
+    def _prefill(
+        self, takers: list, outcome: IterationOutcome, *, logits: bool
+    ) -> tuple[_InFlight, ...]:
+        """One packed forward over ``takers`` — ``(sequence, token_ids,
+        position_ids)`` per chunk. Returns the sequences it carried; an
+        exception inside the forward has no per-sequence attribution, so
+        it fails every one of them and returns none."""
+        seqs, token_ids, positions = zip(*takers)
+        start = time.perf_counter()
+        try:
+            rows = self.pc.model.forward(
+                np.concatenate(token_ids),
+                np.concatenate(positions),
+                [(seq.stream.cache, len(ids)) for seq, ids in zip(seqs, token_ids)],
+                logits=logits,
+            )
+        except Exception as exc:
+            for seq in seqs:
+                self._fail(seq, exc, outcome)
+            return ()
+        seconds = time.perf_counter() - start
+        for i, (seq, ids) in enumerate(zip(seqs, token_ids)):
+            seq.stream.prefill_done(len(ids), rows[i] if logits else None, seconds)
+            outcome.prefill_tokens += len(ids)
+        return seqs
 
     def _plan_shared_groups(
         self, forward: list[_InFlight], outcome: IterationOutcome
@@ -371,6 +465,7 @@ class ContinuousScheduler:
         outcome.finished.append(
             (seq.request, seq.stream.finish(), None, self.clock())
         )
+        outcome.completed += 1
 
     def _fail(self, seq: _InFlight, exc: Exception, outcome: IterationOutcome) -> None:
         self._inflight.remove(seq)

@@ -3,10 +3,11 @@
 :class:`StubEngine` is PromptCache-shaped as far as ``LiveServer`` and
 ``ContinuousScheduler`` look: ``open_stream`` / ``open_text_stream``
 return a :class:`StubStream` (one prefill chunk, then a fixed token
-sequence), ``model.forward_decode_batch`` hands back opaque logits. The
-service time is dialable: each stream's prefill sleeps ``service_s`` on
-the engine thread, so with ``max_inflight=1`` requests are served one
-after another, ``service_s`` apart.
+sequence), ``model.forward`` (the packed prefill) and
+``model.forward_decode_batch`` hand back opaque logits. The service time
+is dialable: the prefill sleeps ``service_s`` per stream on the engine
+thread, so with ``max_inflight=1`` requests are served one after
+another, ``service_s`` apart.
 """
 
 from __future__ import annotations
@@ -36,13 +37,13 @@ class StubStream:
     def decoding(self) -> bool:
         return self.logits is not None and not self.done
 
-    def prefill_step(self, budget: int) -> int:
-        if self.engine.service_s:
-            time.sleep(self.engine.service_s)
+    def prefill_chunk(self, budget: int):
+        return [0], [0]
+
+    def prefill_done(self, rows: int, logits, seconds: float) -> None:
         self.prefill_remaining = 0
-        self.logits = object()
+        self.logits = logits
         self.done = not self.tokens
-        return 1
 
     def next_token(self) -> tuple[int, bool]:
         token = self.tokens[len(self.output_ids)]
@@ -104,6 +105,12 @@ class StubEngine:
 
     def open_text_stream(self, text, max_new_tokens=32):
         return self._open("raw", text, max_new_tokens)
+
+    def forward(self, tokens, positions, segments, logits=True):
+        """The packed prefill: ``service_s`` per sequence in it."""
+        if self.service_s:
+            time.sleep(self.service_s * len(segments))
+        return [object()] * len(segments)
 
     def forward_decode_batch(self, tokens, positions, caches):
         return [object()] * len(caches)

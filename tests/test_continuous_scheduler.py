@@ -29,6 +29,7 @@ from repro.server import ContinuousScheduler, LiveServer, ServeOptions
 from repro.reuse import DiscoveryConfig
 from repro.server.batcher import RAW_BUCKET, CacheAwareBatcher
 from repro.server.request import DONE, FAILED, LiveRequest
+from repro.server.scheduler import IterationOutcome
 from tests.stubs import StubEngine
 
 
@@ -86,13 +87,16 @@ def make_pc(model, tok):
 
 def scheduled(pc, prompts, *, chunk, raw=False, max_new_tokens=6):
     """Results of streams driven to completion by a scheduler that admits
-    all of ``prompts`` at once and prefills ``chunk`` tokens an iteration."""
+    all of ``prompts`` at once — into one iteration, so their last chunks
+    share packed prefills — and prefills ``chunk`` tokens an iteration.
+    ``raw`` is one flag for all of them or one per prompt."""
     sched = ContinuousScheduler(
         pc, max_inflight=len(prompts), prefill_chunk_tokens=chunk
     )
+    flags = raw if isinstance(raw, list) else [raw] * len(prompts)
     admissions = [
-        make_request(str(i), prompt=p, raw=raw, max_new_tokens=max_new_tokens)
-        for i, p in enumerate(prompts)
+        make_request(str(i), prompt=p, raw=flag, max_new_tokens=max_new_tokens)
+        for i, (p, flag) in enumerate(zip(prompts, flags))
     ]
     results = {}
     while admissions or sched.active:
@@ -253,6 +257,16 @@ class TestServeStream:
                 assert ids(pc.serve_text_batch(TEXTS, max_new_tokens=6)) == expected
                 for chunk in (1, 7, 256):
                     assert ids(scheduled(pc, TEXTS, chunk=chunk, raw=True)) == expected
+            # Raw and PML requests admitted together: packs that mix flat
+            # caches, forks of discovered chains and forks of schema bases.
+            on.register_schema(SCHEMA)
+            pml = [on.serve(p, max_new_tokens=6).output_ids for p in PROMPTS]
+            mixed = [*TEXTS, *PROMPTS, *TEXTS[:2]]
+            raw = [True] * len(TEXTS) + [False] * len(PROMPTS) + [True] * 2
+            for chunk in (1, 7, 256):
+                assert ids(scheduled(on, mixed, chunk=chunk, raw=raw)) == [
+                    *expected, *pml, *expected[:2]
+                ]
             assert off.serve_text(TEXTS[0]).cached_tokens == 0
             assert on.discovery.stats.promotions >= 1
             assert solo[0].cached_tokens > 0 and solo[3].cached_tokens > 0
@@ -367,6 +381,15 @@ class TestContinuousServer:
 
         runs = [pc.serve_batch(prompts, max_new_tokens=6).results, run(main())]
         runs += [scheduled(pc, prompts, chunk=chunk) for chunk in (1, 7, 256)]
+        # Several PML requests — two of them twice, so forks of one base
+        # meet in one pack — and raw ones admitted into one iteration.
+        texts = [pc.serve_text(t, max_new_tokens=6) for t in TEXTS[:3]]
+        mixed = [*prompts, *TEXTS[:3], *prompts[:2]]
+        raw = [False] * len(prompts) + [True] * 3 + [False] * 2
+        for chunk in (1, 7, 256):
+            results = scheduled(pc, mixed, chunk=chunk, raw=raw)
+            assert ids(results[len(prompts):]) == ids([*texts, *solo[:2]])
+            runs.append(results[:len(prompts)])
         for results in runs:
             assert ids(results) == ids(solo)
             for a, b in zip(results, solo):
@@ -474,15 +497,40 @@ class TestContinuousServer:
         assert snap["histograms"]["server_inter_token_seconds"]["count"] > 0
         assert "p95" in snap["histograms"]["server_inter_token_seconds"]
         assert snap["gauges"]["server_decode_tokens_per_second"] > 0
+        # Four requests went through packed prefills of at most two.
+        packs = snap["histograms"]["server_prefill_pack_size"]
+        assert 2 <= packs["count"] <= 4 and packs["p99"] <= 2
         # max_inflight=2 with 4 queued requests forces admission stalls.
         assert snap["counters"]["server_admission_stalls_total"] >= 1
         for name in (
             "server_iteration_occupancy",
+            "server_prefill_pack_size",
             "server_inter_token_seconds",
             "server_decode_tokens_per_second",
             "server_admission_stalls_total",
         ):
             assert name in prom
+
+    def test_per_iteration_series_read_the_whole_iteration(self):
+        """A part feeds no per-iteration series; the returned outcome
+        feeds them from its counters — the tokens that already left as
+        parts included — not from the events it still carries."""
+        server = LiveServer(StubEngine(), self.options(service_time_alpha=0.5))
+        request = make_request("r")
+        server._apply_outcome(
+            IterationOutcome(emitted=[(request, 7, 1.0)], partial=True)
+        )
+        assert request.first_token_at == 1.0
+        snap = server.snapshot()
+        assert "server_decode_tokens_per_second" not in snap["gauges"]
+        assert "server_queue_depth" not in snap["gauges"]
+        server._apply_outcome(IterationOutcome(
+            tokens=4, elapsed_s=2.0, prefill_batch=3, decode_batch=4
+        ))
+        snap = server.snapshot()
+        assert snap["gauges"]["server_decode_tokens_per_second"] == 0.5 * (4 / 2.0)
+        assert snap["histograms"]["server_prefill_pack_size"]["count"] == 1
+        assert snap["histograms"]["server_iteration_occupancy"]["count"] == 1
 
     def test_streamed_tokens_arrive_incrementally(self, llama, tok):
         pc = make_pc(llama, tok)

@@ -1,13 +1,19 @@
-"""The decode iteration's two hand-offs: outcomes to the event loop, and
-private tails to the arena.
+"""The iteration's two hand-offs: outcomes to the event loop, and private
+tails to the arena.
 
-- **Delivery.** Inside a burst the engine thread hands every finished
-  iteration's outcome to the loop and keeps iterating. A stub engine
-  whose forward waits on a gate makes the interleaving exact: the first
-  token is in the client's hands while the burst is still in its second
-  iteration; every token reaches its stream exactly once and in order
-  whether the server drains, is stopped mid-burst, or expires a queued
-  request meanwhile; ``inline_execution`` behaves as it always did.
+- **Delivery.** The engine thread hands tokens and completions to the
+  loop before it starts work that cannot change them — inside an
+  iteration as *parts* (after the sample phase when prefill work
+  follows, after a prefill's first tokens), and between the iterations
+  of a burst as whole outcomes — and keeps going. A stub engine whose
+  forwards wait on gates makes the interleaving exact: a first token is
+  in the client's hands while the engine sits in the same iteration's
+  decode step; a request retired by the sample phase is ``DONE`` before
+  that iteration's prefill begins; every token reaches its stream
+  exactly once and in order whether the server drains, is stopped
+  mid-iteration or mid-burst, or expires a queued request meanwhile; a
+  closed loop ends the burst without failing anyone;
+  ``inline_execution`` behaves as it always did.
 - **Slot lifecycle.** Under the page auditor, hundreds of admissions
   through the real engine with retirements, injected failures and
   ``abort_all`` leave every arena row free and every page pool balanced.
@@ -69,7 +75,9 @@ class GatedEngine(StubEngine):
     waits for a permit — so a test decides exactly how far the engine
     thread has got."""
 
-    def __init__(self, clock: FakeClock, gated: bool = False) -> None:
+    def __init__(
+        self, clock: FakeClock, gated: bool = False, gated_prefill: bool = False
+    ) -> None:
         super().__init__(
             schemas=("a",),
             tokens=lambda serial, budget: [100 * serial + i for i in range(budget)],
@@ -78,6 +86,17 @@ class GatedEngine(StubEngine):
         self.forwards = 0
         self.entered = threading.Semaphore(0)  # one release per forward begun
         self.permits = threading.Semaphore(0) if gated else None
+        # The packed prefill has its own gate and does not tick the clock.
+        self.prefills = 0
+        self.prefill_entered = threading.Semaphore(0)
+        self.prefill_permits = threading.Semaphore(0) if gated_prefill else None
+
+    def forward(self, tokens, positions, segments, logits=True):
+        self.prefills += 1
+        self.prefill_entered.release()
+        if self.prefill_permits is not None:
+            assert self.prefill_permits.acquire(timeout=WAIT_S), "prefill gate never opened"
+        return super().forward(tokens, positions, segments, logits=logits)
 
     def forward_decode_batch(self, tokens, positions, caches):
         self.forwards += 1
@@ -94,13 +113,13 @@ class GatedEngine(StubEngine):
     def open_gate(self) -> None:
         self.permits.release(10_000)
 
-    async def wait_entered(self, forwards: int = 1) -> None:
-        """Until the engine thread is inside that many more forwards."""
+    async def wait_entered(self, forwards: int = 1, prefill: bool = False) -> None:
+        """Until the engine thread is inside that many more decode
+        forwards (or packed prefills)."""
         loop = asyncio.get_running_loop()
+        entered = self.prefill_entered if prefill else self.entered
         for _ in range(forwards):
-            assert await loop.run_in_executor(
-                _WAITERS, self.entered.acquire, True, WAIT_S
-            )
+            assert await loop.run_in_executor(_WAITERS, entered.acquire, True, WAIT_S)
 
 
 # The loop's default executor is the engine thread; waits on the gate must
@@ -117,6 +136,19 @@ def options(**kw):
 
 def expected_tokens(serial: int, count: int) -> list[int]:
     return [100 * serial + step for step in range(count)]
+
+
+def record_hand_offs(server: LiveServer) -> list[IterationOutcome]:
+    """Every part and outcome the loop applies from now on, in order."""
+    applied: list[IterationOutcome] = []
+    apply = server._apply_outcome
+
+    def recording(outcome):
+        applied.append(outcome)
+        apply(outcome)
+
+    server._apply_outcome = recording
+    return applied
 
 
 async def collect(request: LiveRequest) -> tuple[list[int], Exception | None]:
@@ -161,11 +193,89 @@ class TestOutcomeHandOff:
 
         run(main())
 
+    def test_first_token_arrives_during_its_own_iterations_decode_step(self):
+        """The first token is sampled after the prefill of iteration 1
+        and handed over as a part: the client holds it while the engine
+        thread is still inside iteration 1's decode forward."""
+
+        async def main():
+            clock = FakeClock()
+            engine = GatedEngine(clock, gated=True)
+            server = LiveServer(engine, options(), clock=clock)
+            await server.start()
+            request = await server.submit(prompt(), max_new_tokens=8)
+            stream = request.stream()
+            await engine.wait_entered()  # iteration 1's decode forward: gated
+            first = await asyncio.wait_for(anext(stream), WAIT_S)
+            assert first == 0
+            assert engine.forwards == 1 and engine.prefills == 1
+            assert request.first_token_at == 0.0 and request.state != DONE
+            engine.open_gate()
+            rest = [token async for token in stream]
+            await server.stop()
+            assert [first, *rest] == expected_tokens(0, 8)
+
+        run(main())
+
+    def test_sample_phase_retirement_is_done_before_the_prefill_starts(self):
+        """Iteration 2 retires request A in its sample phase and admits
+        B: A is DONE at its client — result and all — while the engine
+        thread is held inside B's prefill."""
+
+        async def main():
+            clock = FakeClock()
+            engine = GatedEngine(clock, gated=True, gated_prefill=True)
+            server = LiveServer(engine, options(max_inflight=2), clock=clock)
+            await server.start()
+            a = await server.submit(prompt(0), max_new_tokens=2)
+            engine.prefill_permits.release()  # A's prefill goes through
+            await engine.wait_entered()  # iteration 1's decode forward
+            b = await server.submit(prompt(1), max_new_tokens=3)  # ends the burst
+            engine.allow()
+            await engine.wait_entered(prefill=True)  # A's prefill...
+            await engine.wait_entered(prefill=True)  # ...and B's: held
+            result = await asyncio.wait_for(a.wait(), WAIT_S)
+            assert a.state == DONE and result.output_ids == expected_tokens(0, 2)
+            assert engine.prefills == 2 and engine.forwards == 1
+            assert b.first_token_at is None and not b.finished
+            engine.prefill_permits.release()
+            engine.open_gate()
+            tokens, error = await collect(b)
+            await server.stop()
+            assert error is None and tokens == expected_tokens(1, 3)
+
+        run(main())
+
+    def test_an_iteration_without_prefill_work_hands_off_nothing_extra(self):
+        """One request, one burst: iteration 1 hands its first token over
+        as a part; iterations 2..7 have nothing to prefill and make one
+        delivery each, as they always did — the whole outcome."""
+
+        async def main():
+            clock = FakeClock()
+            engine = GatedEngine(clock)
+            server = LiveServer(engine, options(), clock=clock)
+            applied = record_hand_offs(server)
+            await server.start()
+            request = await server.submit(prompt(), max_new_tokens=8)
+            tokens, error = await collect(request)
+            await server.stop()
+            assert error is None and tokens == expected_tokens(0, 8)
+            parts = [o for o in applied if o.partial]
+            assert [[t for _, t, _ in o.emitted] for o in parts] == [[0]]
+            wholes = [o for o in applied if not o.partial]
+            assert len(wholes) == 8  # one per iteration: 7 forwards + the retirement
+            assert [t for o in wholes for _, t, _ in o.emitted] == expected_tokens(0, 8)[1:]
+            assert sum(o.tokens for o in wholes) == 8  # counters see the whole iteration
+
+        run(main())
+
     def test_every_token_once_and_in_order_across_a_draining_stop(self):
         async def main():
             clock = FakeClock()
             engine = GatedEngine(clock)
             server = LiveServer(engine, options(max_inflight=2), clock=clock)
+            applied = record_hand_offs(server)
             await server.start()
             budgets = [5, 17, 1, 9, 12]
             requests = [
@@ -182,6 +292,46 @@ class TestOutcomeHandOff:
                 assert tokens == request.result.output_ids
                 assert len(tokens) == request.max_new_tokens
             assert len(by_serial) == len(budgets)
+            # Both kinds of part were on the way: a sample-phase retirement
+            # ahead of an admission, and first tokens ahead of a decode step.
+            parts = [o for o in applied if o.partial]
+            assert any(
+                len(result.output_ids) > 1 for o in parts for _, result, _, _ in o.finished
+            )
+            assert any(o.emitted and not o.finished for o in parts)
+            # Every event was applied exactly once, whatever carried it.
+            assert sum(len(o.emitted) for o in applied) == sum(budgets)
+            assert sum(len(o.finished) for o in applied) == len(budgets)
+            assert sum(o.tokens for o in applied) == sum(budgets)
+            assert sum(o.completed for o in applied) == len(budgets)
+
+        run(main())
+
+    def test_stop_without_drain_mid_iteration(self):
+        """The door slams while the engine thread is inside the decode
+        step of the iteration that admitted the request: the first token
+        — a part, handed over before that step — is what the client got,
+        the returned outcome applies after it, and then ServerClosed."""
+
+        async def main():
+            clock = FakeClock()
+            engine = GatedEngine(clock, gated=True)
+            server = LiveServer(engine, options(), clock=clock)
+            applied = record_hand_offs(server)
+            await server.start()
+            request = await server.submit(prompt(), max_new_tokens=50)
+            reader = asyncio.create_task(collect(request))
+            await engine.wait_entered()  # inside iteration 1's forward
+            stopper = asyncio.create_task(server.stop(drain=False))
+            await asyncio.sleep(0)  # stop() has flipped _running
+            engine.open_gate()
+            await asyncio.wait_for(stopper, WAIT_S)
+            tokens, error = await asyncio.wait_for(reader, WAIT_S)
+            assert isinstance(error, ServerClosed) and request.state == FAILED
+            assert tokens == [0] and engine.forwards == 1
+            assert [o.partial for o in applied] == [True, False]
+            assert engine.streams[0].aborted
+            assert request._tokens.empty()  # nothing after the end marker
 
         run(main())
 
@@ -252,6 +402,7 @@ class TestOutcomeHandOff:
             clock = FakeClock()
             engine = GatedEngine(clock)
             server = LiveServer(engine, options(max_inflight=1), clock=clock)
+            applied = record_hand_offs(server)
             await server.start()
             first = await server.submit(prompt(0), max_new_tokens=30)
             doomed = await server.submit(prompt(1), max_new_tokens=4, deadline_s=5.0)
@@ -259,6 +410,8 @@ class TestOutcomeHandOff:
             (tokens, error), (none, expiry) = await asyncio.gather(*readers)
             await server.stop()
             assert error is None and tokens == expected_tokens(0, 30)
+            assert applied[0].partial  # the first token left as a part
+            assert [t for o in applied for _, t, _ in o.emitted] == tokens
             assert none == [] and isinstance(expiry, DeadlineExceeded)
             assert doomed.state == EXPIRED
             assert len(engine.streams) == 1  # never admitted
@@ -301,13 +454,22 @@ class TestOutcomeHandOff:
             max_new_tokens=20, submitted_at=0.0,
         )
 
+        attempts = []
+
         def closed(outcome):
+            attempts.append(outcome.partial)
             raise RuntimeError("Event loop is closed")
 
         last = server._run_iterations(scheduler, [request], 8, closed)
         assert engine.forwards == 1  # one iteration, then the failed hand-off
+        # The part that could not be delivered stayed on the outcome, the
+        # iteration ran on without parts, and the burst ended at its end.
+        assert attempts == [True, False]
         assert [token for _, token, _ in last.emitted] == [0]
-        scheduler.abort_all()
+        assert last.finished == [] and last.tokens == 1
+        assert scheduler.active == 1 and not engine.streams[0].aborted
+        assert [r.request_id for r in scheduler.abort_all()] == ["r"]
+        assert engine.streams[0].aborted
 
 
 # -- arena slot lifecycle --------------------------------------------------------

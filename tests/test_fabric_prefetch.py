@@ -193,12 +193,16 @@ class TestSchedulerHook:
             self.output_ids = []
             self.max_new_tokens = 0
 
-        def prefill_step(self, budget):
-            consumed = min(budget, self.prefill_remaining)
-            self.prefill_remaining -= consumed
+        cache = None
+
+        def prefill_chunk(self, budget):
+            rows = [0] * min(budget, self.prefill_remaining)
+            return rows, rows
+
+        def prefill_done(self, rows, logits, seconds):
+            self.prefill_remaining -= rows
             if self.prefill_remaining == 0:
                 self.done = True
-            return consumed
 
         def finish(self):
             return "done"
@@ -217,6 +221,11 @@ class TestSchedulerHook:
 
             def open_stream(self, prompt, max_new_tokens=0):
                 return stream
+
+            def forward(self, tokens, positions, segments, logits=True):
+                return [None] * len(segments)
+
+        _PC.model = _PC()
 
         scheduler = ContinuousScheduler(
             _PC(), prefill_chunk_tokens=chunk, maintenance=maintenance
