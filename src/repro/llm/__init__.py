@@ -27,7 +27,6 @@ from repro.llm.generation import (
     GenerationResult,
     decode_loop,
     generate,
-    generate_batch,
     generate_no_cache,
     prefill,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "GenerationResult",
     "decode_loop",
     "generate",
-    "generate_batch",
     "generate_no_cache",
     "prefill",
     "GreedySampler",

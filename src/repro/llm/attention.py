@@ -11,7 +11,7 @@ module that the schema placed before them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -252,13 +252,12 @@ def _decode_context(
     n_rep: int,
     alibi: AlibiBias | None,
 ) -> np.ndarray:
-    """One sequence's single-pass decode attention (the legacy kernel).
-
-    Extracted verbatim from the :func:`decode_attention_batch` loop body
-    so the shared-group path can fall back to it per sequence — the op
-    sequence is unchanged and the result stays bit-identical to the
-    pre-ChunkAttention path.
-    """
+    """One sequence's single-pass decode attention over its own cache:
+    ``qb`` (n_heads, 1, head_dim) at position ``pos`` (1,) against every
+    key in ``layer_kv``, this step's included. What a row of the batched
+    decode step gets when it is not seated in the tail arena — the same
+    op sequence as :func:`self_attention`'s decode fast path, mask skip
+    included. Returns (1, n_heads * head_dim)."""
     k_positions = layer_kv.positions
     scores = grouped_scores(qb, layer_kv.keys, n_rep)
     if alibi is not None:
@@ -272,97 +271,39 @@ def _decode_context(
     return merge_heads(grouped_context(weights, layer_kv.values, n_rep))
 
 
-def decode_attention_batch(
-    x: np.ndarray,
-    *,
-    wq: np.ndarray,
-    wk: np.ndarray,
-    wv: np.ndarray,
-    wo: np.ndarray,
-    bq: np.ndarray | None,
-    bk: np.ndarray | None,
-    bv: np.ndarray | None,
-    bo: np.ndarray | None,
-    n_heads: int,
-    n_kv_heads: int,
-    position_ids: np.ndarray,
-    layer_kvs: list[LayerKV],
-    rope: RotaryEmbedding | None = None,
-    alibi: AlibiBias | None = None,
-) -> np.ndarray:
-    """One attention layer of the *per-sequence* batched decode step —
-    the byte reference the arena kernel is tested against.
-
-    ``x`` is (B, 1, d_model) — one freshly sampled token per in-flight
-    sequence — and ``layer_kvs`` holds the B per-sequence caches.
-    ``position_ids`` is (B, 1). Returns (B, 1, d_model).
-
-    The q/k/v/output projections run as one stacked 3-D matmul each:
-    NumPy evaluates a ``(B, 1, d) @ (d, n)`` product slice by slice, so
-    every row is the exact GEMM the single-sequence path computes and
-    the result is bit-identical to B separate :func:`self_attention`
-    calls. (A flattened ``(B, d) @ (d, n)`` GEMM is *not* — BLAS blocks
-    the reduction differently at M > 1 — which is why this path is kept
-    whole for ``shared_attention="off"`` and cache-less callers, and why
-    :func:`arena_decode_attention`, which does flatten, promises equal
-    greedy tokens rather than equal bits.) Attention itself runs per
-    sequence because each sequence attends over its own cache —
-    mirroring the single path's decode fast-path exactly, including the
-    mask skip when the query position is at or after every cached key.
-    """
-    q = linear(x, wq, bq)
-    k = linear(x, wk, bk)
-    v = linear(x, wv, bv)
-    n_rep = n_heads // n_kv_heads
-
-    # Cross-sequence head split + rotation in one pass each: reshape/
-    # transpose are exact and rotation is elementwise, so qh[b] is
-    # bit-identical to split_heads(q[b]) fed through rope.apply — B
-    # Python round-trips per layer collapse into two array ops.
-    batch, t, _ = x.shape
-    qh = q.reshape(batch, t, n_heads, -1).transpose(0, 2, 1, 3)
-    kh = k.reshape(batch, t, n_kv_heads, -1).transpose(0, 2, 1, 3)
-    vh = v.reshape(batch, t, n_kv_heads, -1).transpose(0, 2, 1, 3)
-    if rope is not None:
-        qh = rope.apply_stacked(qh, position_ids)
-        kh = rope.apply_stacked(kh, position_ids)
-
-    contexts = []
-    for b, layer_kv in enumerate(layer_kvs):
-        pos = position_ids[b]
-        layer_kv.append(kh[b], vh[b], pos)
-        contexts.append(_decode_context(qh[b], layer_kv, pos, n_rep, alibi))
-    return linear(np.stack(contexts), wo, bo)
-
-
 @dataclass
 class DecodeStep:
-    """Everything per-sequence about one batched decode step over a
-    :class:`~repro.llm.paged.TailArena`, worked out once — not once per
-    layer — by :func:`plan_decode_step`.
+    """Everything per-sequence about one batched decode step, worked out
+    once — not once per layer — by :func:`plan_decode_step`.
 
     The step runs in *step order*: ``order[r]`` is the batch index of row
-    ``r``; the first ``resident`` rows are arena-seated sequences laid
-    out group by group, the rest take the per-sequence kernel. Each
-    ``groups`` entry ``(start, stop, image, bias)`` is a run of resident
-    rows sharing one base image (``image[layer] = (keys, values)``) and
-    their ALiBi bias over it, already folded to the chunk phase's
-    ``(n_kv_heads, members * n_rep, shared_len)`` layout (``None``
-    without ALiBi).
+    ``r`` and ``positions[r]`` its position ID; the first ``resident``
+    rows are sequences seated in a :class:`~repro.llm.paged.TailArena`,
+    laid out group by group, the rest are ``unseated`` — ``(row,
+    cache.layers, position as (1,))`` each — and attend over their own
+    caches. The fields from ``arena`` on describe the resident rows and
+    stay unset in a step that has none. Each ``groups`` entry ``(start,
+    stop, image, bias)`` is a run of resident rows sharing one base image
+    (``image[layer] = (keys, values)``) and their ALiBi bias over it,
+    already folded to the chunk phase's ``(n_kv_heads, members * n_rep,
+    shared_len)`` layout (``None`` without ALiBi).
     """
 
     order: list[int]
+    positions: np.ndarray
     resident: int
-    arena: object  # repro.llm.paged.TailArena
-    slots: np.ndarray  # (resident,) arena row of each resident step row
-    write_at: np.ndarray  # (resident,) tail length before this step's token
-    rows: int  # arena rows the private phase spans: highest live slot + 1
-    longest: int  # longest tail after this step's token
+    unseated: list[tuple[int, list, np.ndarray]]
+    n_rep: int
+    alibi: AlibiBias | None
+    arena: object = None  # repro.llm.paged.TailArena
+    slots: np.ndarray | None = None  # (resident,) arena row of each resident step row
+    write_at: np.ndarray | None = None  # (resident,) tail length before this step's token
+    rows: int = 0  # arena rows the private phase spans: highest live slot + 1
+    longest: int = 0  # longest tail after this step's token
     # Additive (rows, n_kv_heads | 1, n_rep | 1, longest) bias over the arena
     # block: the mask floor past each row's length, ALiBi where in use.
-    tail_bias: np.ndarray
-    groups: list[tuple[int, int, list, np.ndarray | None]]
-    n_rep: int
+    tail_bias: np.ndarray | None = None
+    groups: list[tuple[int, int, list, np.ndarray | None]] = field(default_factory=list)
 
 
 def plan_decode_step(
@@ -373,21 +314,21 @@ def plan_decode_step(
     n_heads: int,
     n_kv_heads: int,
     alibi: AlibiBias | None = None,
-) -> DecodeStep | None:
-    """Plan one batched decode step, or ``None`` when no cache in the
-    batch is arena-seated (the whole step then belongs to the
-    per-sequence kernel).
+) -> DecodeStep:
+    """Plan one batched decode step: who attends where.
 
-    Residency decides the kernel: a cache with a ``tail`` takes the arena
-    path, any other the per-sequence one — whatever ``shared_groups``
-    says. ``shared_groups`` decides only which residents' chunk phases
-    are batched: seated members of one ``(members, shared_len)`` entry
-    (whose image is indeed ``shared_len`` long) become one group reading
-    the first such member's image; a resident nobody listed is a group
-    of one. Each resident's tail grows by this step's token here:
-    position recorded, length bumped, arena capacity reserved.
+    Residency decides a row's attention: a cache with a ``tail`` takes
+    the arena phases, any other attends over itself — whatever
+    ``shared_groups`` says; a step may hold any mix of the two, all of
+    one or none (``resident == 0``). ``shared_groups`` decides only which
+    residents' chunk phases are batched: seated members of one
+    ``(members, shared_len)`` entry (whose image is indeed ``shared_len``
+    long) become one group reading the first such member's image; a
+    resident nobody listed is a group of one. Each resident's tail grows
+    by this step's token here: position recorded, length bumped, arena
+    capacity reserved.
     """
-    tails = [getattr(cache, "tail", None) for cache in caches]
+    tails = [cache.tail for cache in caches]
     batch = len(caches)
     order: list[int] = []
     bounds: list[tuple[int, int]] = []
@@ -410,13 +351,18 @@ def plan_decode_step(
             bounds.append((len(order), len(order) + 1))
             order.append(b)
     resident = len(order)
-    if not resident:
-        return None
     order.extend(b for b in range(batch) if tails[b] is None)
+    n_rep = n_heads // n_kv_heads
+    position_ids = position_ids[order]
+    unseated = [
+        (row, caches[order[row]].layers, position_ids[row : row + 1])
+        for row in range(resident, batch)
+    ]
+    if not resident:
+        return DecodeStep(order, position_ids, 0, unseated, n_rep, alibi)
 
     arena = tails[order[0]].arena
-    n_rep = n_heads // n_kv_heads
-    positions = position_ids[order[:resident]]
+    positions = position_ids[:resident]
     slots = np.fromiter(
         (tails[b].slot for b in order[:resident]), dtype=np.intp, count=resident
     )
@@ -452,10 +398,35 @@ def plan_decode_step(
             )
         groups.append((start, stop, lead.image, bias))
     return DecodeStep(
-        order=order, resident=resident, arena=arena, slots=slots,
-        write_at=write_at, rows=rows, longest=longest, tail_bias=tail_bias,
-        groups=groups, n_rep=n_rep,
+        order, position_ids, resident, unseated, n_rep, alibi, arena=arena,
+        slots=slots, write_at=write_at, rows=rows, longest=longest,
+        tail_bias=tail_bias, groups=groups,
     )
+
+
+def decode_step_attention(
+    step: DecodeStep, layer: int, q: np.ndarray, k: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """One layer's attention for every row of a planned decode step.
+
+    ``q`` is (rows, n_heads, head_dim) and ``k``/``v`` (rows, n_kv_heads,
+    head_dim), rotated, in step order. The resident rows go through
+    :func:`arena_decode_attention` together; each unseated row appends
+    its K/V to its own cache and attends over it
+    (:func:`_decode_context`). Returns the context (rows, n_heads *
+    head_dim).
+    """
+    n = step.resident
+    context = np.empty((len(q), q.shape[1] * q.shape[2]), dtype=q.dtype)
+    if n:
+        context[:n] = arena_decode_attention(step, layer, q[:n], k[:n], v[:n])
+    # (rows, heads, 1, head_dim): an unseated row is a one-token sequence.
+    q, k, v = q[:, :, None], k[:, :, None], v[:, :, None]
+    for row, layers, pos in step.unseated:
+        layer_kv = layers[layer]
+        layer_kv.append(k[row], v[row], pos)
+        context[row] = _decode_context(q[row], layer_kv, pos, step.n_rep, step.alibi)
+    return context
 
 
 def arena_decode_attention(

@@ -95,8 +95,8 @@ def lm_head_flops(config: ModelConfig) -> int:
 # step — the score + context work attached to each KV token the kernel
 # actually streams. The two-phase path streams a shared chunk once per
 # *group* instead of once per *sequence*, which is exactly the quantity
-# ChunkAttention (arxiv 2402.15220) optimizes and what
-# bench_abl_chunk_attention.py reports as a function of share factor.
+# ChunkAttention (arxiv 2402.15220) optimizes and what the scheduler's
+# decode_flops_saved_total reports (pinned in tests/test_flops.py).
 
 
 def decode_attention_stream_flops(

@@ -123,71 +123,6 @@ def generate(
     return GenerationResult(list(prompt_ids), tokens, ttft, step_times)
 
 
-def generate_batch(
-    model: TransformerModel,
-    prompts: list[list[int]],
-    *,
-    max_new_tokens: int = 32,
-    sampler=None,
-    stop_ids: set[int] | None = None,
-) -> list[GenerationResult]:
-    """Iteration-level batched generation: per-sequence prefill, then one
-    :meth:`~repro.llm.models.TransformerModel.forward_decode_batch` call
-    per step across every still-running sequence.
-
-    A sequence that samples a stop token (or exhausts its budget) drops
-    out of the batch immediately; the survivors keep stepping together.
-    Greedy outputs are byte-identical to per-prompt :func:`generate` —
-    the correctness contract the serving scheduler is built on.
-    """
-    sampler = sampler or GreedySampler()
-    stop_ids = stop_ids or set()
-
-    states = []
-    for prompt_ids in prompts:
-        cache = model.new_cache(capacity=len(prompt_ids) + max_new_tokens)
-        start = time.perf_counter()
-        logits = prefill(model, np.asarray(prompt_ids), cache)
-        ttft = time.perf_counter() - start
-        states.append({
-            "prompt": list(prompt_ids),
-            "cache": cache,
-            "logits": logits,
-            "position": len(prompt_ids),
-            "tokens": [],
-            "steps": [],
-            "ttft": ttft,
-        })
-
-    running = [s for s in states if max_new_tokens > 0]
-    while running:
-        step_start = time.perf_counter()
-        survivors = []
-        for s in running:
-            token = sampler(s["logits"])
-            s["tokens"].append(token)
-            if token not in stop_ids and len(s["tokens"]) < max_new_tokens:
-                survivors.append(s)
-        if not survivors:
-            break
-        logits = model.forward_decode_batch(
-            np.asarray([s["tokens"][-1] for s in survivors]),
-            np.asarray([s["position"] for s in survivors]),
-            [s["cache"] for s in survivors],
-        )
-        elapsed = time.perf_counter() - step_start
-        for i, s in enumerate(survivors):
-            s["logits"] = logits[i]
-            s["position"] += 1
-            s["steps"].append(elapsed)
-        running = survivors
-
-    return [
-        GenerationResult(s["prompt"], s["tokens"], s["ttft"], s["steps"])
-        for s in states
-    ]
-
-
 def generate_no_cache(
     model: TransformerModel,
     prompt_ids: list[int],

@@ -209,6 +209,10 @@ class LayerKV:
 class KVCache:
     """Whole-model KV cache: one :class:`LayerKV` per transformer layer."""
 
+    # Never seated in a tail arena (see repro.llm.paged.PagedKVCache.tail):
+    # a batched decode step attends over the flat cache itself.
+    tail = None
+
     def __init__(self, layers: list[LayerKV]) -> None:
         self.layers = layers
 

@@ -23,7 +23,7 @@ one (sum_rows, d_model) hidden state, attention per sequence. The packed
 pass multiplies weight-first at M = sum_rows, which rounds differently
 from M = rows, so the two agree on greedy tokens and to float32
 tolerance, not in the last ulp — the promise the batched decode step
-(``forward_decode_batch`` over a tail arena) makes as well.
+(``forward_decode_batch``) makes as well.
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ from functools import partial
 import numpy as np
 
 from repro.llm.attention import (
-    _decode_context,
-    arena_decode_attention,
-    decode_attention_batch,
+    decode_step_attention,
     packed_prefill_attention,
     plan_decode_step,
     plan_packed_prefill,
@@ -48,7 +46,6 @@ from repro.llm.layers import (
     gelu,
     gelu_mlp,
     layer_norm,
-    linear,
     linear_rows,
     rms_norm,
     silu,
@@ -258,7 +255,7 @@ class TransformerModel:
         shared image was measured and left out (see CHANGES.md, ISSUE 22).
         GEMMs at M = sum_rows round differently from M = rows, so against
         per-sequence :meth:`forward` calls this pins greedy tokens, not
-        bits — the arena decode step's promise.
+        bits — the batched decode step's promise.
         """
         plan = plan_packed_prefill(segments, position_ids, self.alibi)
         hidden, rotary = self._embed_rows(token_ids, position_ids)
@@ -285,22 +282,20 @@ class TransformerModel:
         (plain or paged), each of which grows by that token. Returns
         logits of shape (B, vocab).
 
-        Which kernel runs is decided by the caches. If none is seated in
-        a :class:`~repro.llm.paged.TailArena` the step is the
-        *per-sequence* one: hidden state kept as (B, 1, d_model), every
-        projection a stacked 3-D matmul whose slices are the (1, d)
-        single-sequence products, attention one sequence at a time —
-        byte-identical to B sequential :meth:`forward` calls, the
-        reference ``shared_attention="off"`` serves from. Otherwise it is
-        the *arena* step (:func:`~repro.llm.attention.plan_decode_step`,
+        There is one step (:func:`~repro.llm.attention.plan_decode_step`,
         planned once): hidden state (B, d_model), and per layer one fused
-        qkv GEMM, stacked RoPE, one write of the new K/V rows, the
-        grouped chunk phase / stacked private phase / one merge of
-        :func:`~repro.llm.attention.arena_decode_attention`, one output
-        GEMM, one fused gate/up GEMM and one down GEMM — then one LM-head
-        GEMM. Unseated caches in such a batch keep their per-sequence
-        attention inside the same step. GEMMs at M = B round differently
-        from B GEMVs, so the arena step pins greedy tokens, not bits.
+        qkv GEMM, stacked RoPE, the attention, one output GEMM, one fused
+        gate/up GEMM and one down GEMM — then one LM-head GEMM. Only the
+        attention (:func:`~repro.llm.attention.decode_step_attention`)
+        depends on where a row's KV lives. Rows seated in a
+        :class:`~repro.llm.paged.TailArena` share one write of the new
+        K/V rows, the grouped chunk phase, the stacked private phase and
+        one merge. Every other row — raw text with no base, a param below
+        a later module, a group too small to seat — appends to its own
+        cache and attends over it. GEMMs at M = B round differently from
+        B GEMVs and the arena phases reassociate sums, so against
+        sequential :meth:`forward` calls the step pins greedy tokens, not
+        bits.
 
         ``shared_groups`` names, as ``(members, shared_len)``, cache
         indices forked from one spliced base whose first ``shared_len``
@@ -309,45 +304,21 @@ class TransformerModel:
         """
         n = len(caches)
         cfg = self.config
-        position_ids = np.asarray(position_ids).reshape(n)
         step = plan_decode_step(
-            caches, position_ids, shared_groups,
+            caches, np.asarray(position_ids).reshape(n), shared_groups,
             n_heads=cfg.n_heads, n_kv_heads=cfg.n_kv_heads, alibi=self.alibi,
         )
-        if step is None:
-            return self._decode_per_sequence(
-                np.asarray(token_ids).reshape(n, 1), position_ids[:, None], caches
-            )
-
-        order = step.order
-        position_ids = position_ids[order]
         hidden, rotary = self._embed_rows(
-            np.asarray(token_ids).reshape(n)[order], position_ids
+            np.asarray(token_ids).reshape(n)[step.order], step.positions
         )
-        unseated = [(row, caches[b]) for row, b in enumerate(order)][step.resident:]
-        n_rep = step.n_rep
-
-        def attend(layer, q, k, v):
-            context = np.empty((n, cfg.d_model), dtype=hidden.dtype)
-            context[: step.resident] = arena_decode_attention(
-                step, layer, q[: step.resident], k[: step.resident], v[: step.resident]
-            )
-            for row, cache in unseated:
-                layer_kv = cache.layers[layer]
-                pos = position_ids[row : row + 1]
-                layer_kv.append(k[row][:, None], v[row][:, None], pos)
-                context[row] = _decode_context(
-                    q[row][:, None], layer_kv, pos, n_rep, self.alibi
-                )
-            return context
-
+        attend = partial(decode_step_attention, step)
         for i in range(cfg.n_layers):
             hidden = self._layer_rows(i, hidden, rotary, attend)
 
         # Weight-tied LM head: logits share the embedding matrix. Back to
         # batch order, and to C order so each row is a contiguous vector.
         logits = np.empty((n, cfg.vocab_size), dtype=hidden.dtype)
-        logits[order] = linear_rows(
+        logits[step.order] = linear_rows(
             self._norm(hidden, "final_norm"), self._p("embed.weight")
         )
         return logits
@@ -409,46 +380,6 @@ class TransformerModel:
             gelu(up), self._p(f"layers.{i}.mlp.down"),
             self._maybe(f"layers.{i}.mlp.down_bias"),
         )
-
-    def _decode_per_sequence(
-        self, token_ids: np.ndarray, position_ids: np.ndarray, caches: list[KVCache]
-    ) -> np.ndarray:
-        """The per-sequence decode step on (B, 1) ids (see
-        :meth:`forward_decode_batch`)."""
-        hidden = embed(token_ids, self._p("embed.weight"))
-        if self.learned_pos is not None:
-            hidden = self.learned_pos.apply(hidden, position_ids)
-
-        cfg = self.config
-        for i in range(cfg.n_layers):
-            normed = self._norm(hidden, f"layers.{i}.attn_norm")
-            attn_out = decode_attention_batch(
-                normed,
-                wq=self._p(f"layers.{i}.attn.wq"),
-                wk=self._p(f"layers.{i}.attn.wk"),
-                wv=self._p(f"layers.{i}.attn.wv"),
-                wo=self._p(f"layers.{i}.attn.wo"),
-                bq=self._maybe(f"layers.{i}.attn.bq"),
-                bk=self._maybe(f"layers.{i}.attn.bk"),
-                bv=self._maybe(f"layers.{i}.attn.bv"),
-                bo=self._maybe(f"layers.{i}.attn.bo"),
-                n_heads=cfg.n_heads,
-                n_kv_heads=cfg.n_kv_heads,
-                position_ids=position_ids,
-                layer_kvs=[cache.layers[i] for cache in caches],
-                rope=self.rope,
-                alibi=self.alibi,
-            )
-            if cfg.parallel_block:
-                hidden = hidden + attn_out + self._mlp(normed, i)
-            else:
-                hidden = hidden + attn_out
-                hidden = hidden + self._mlp(
-                    self._norm(hidden, f"layers.{i}.mlp_norm"), i
-                )
-
-        hidden = self._norm(hidden, "final_norm")
-        return (hidden @ self._p("embed.weight").T)[:, 0, :]
 
     def check_positions(self, position_ids: np.ndarray) -> None:
         """Raise the ``ValueError`` a forward at ``position_ids`` would:

@@ -63,25 +63,6 @@ class RotaryEmbedding:
             )
         return rotate(x, *self.rows(position_ids))  # tables: (T, head_dim)
 
-    def apply_stacked(self, x: np.ndarray, position_ids: np.ndarray) -> np.ndarray:
-        """Rotate a cross-sequence stack (B, heads, T, head_dim) by
-        per-sequence positions (B, T) in one elementwise pass.
-
-        Rotation is purely elementwise, so this is bit-identical to B
-        separate :meth:`apply` calls — it exists so the batched decode
-        step pays one table lookup instead of 2·B Python calls per layer.
-        """
-        position_ids = np.asarray(position_ids)
-        if position_ids.ndim != 2 or position_ids.shape != (
-            x.shape[0], x.shape[-2]
-        ):
-            raise ValueError(
-                f"position_ids shape {position_ids.shape} does not match "
-                f"stacked shape {(x.shape[0], x.shape[-2])}"
-            )
-        cos, sin = self.rows(position_ids)
-        return rotate(x, cos[:, None], sin[:, None])  # (B, 1, T, head_dim)
-
 
 def rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """Rotate-half RoPE of ``x`` by table rows broadcastable against it."""

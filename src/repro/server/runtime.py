@@ -83,20 +83,6 @@ class ServeOptions:
     inline_execution: bool = False  # run the engine on the loop (tests)
     max_inflight: int = 8  # concurrent decoding sequences
     prefill_chunk_tokens: int = 256  # prefill budget per iteration
-    # Batched decode over shared spliced prefixes (ChunkAttention's
-    # two-phase partition, batched). A stream forked from a spliced base
-    # is *seated*: its private tail moves to the scheduler's tail arena
-    # and, for the rest of its life, its decode steps run the arena
-    # kernel — one chunk phase per base per layer for everyone sharing
-    # it, one stacked private phase, fused projections. "auto" seats a
-    # stream when its base is shared in flight and the step is wide
-    # enough to repay the batched kernel's fixed cost (scheduler.py:
-    # AUTO_MIN_GROUP, AUTO_MIN_BATCH); "on" seats every forked stream;
-    # "off" seats none and keeps the whole step on the per-sequence kernel
-    # (byte-identical to sequential forwards — the reference the
-    # identity tests compare against). Greedy tokens are equal in all
-    # three.
-    shared_attention: str = "auto"  # "auto" | "on" | "off"
     # Iterations run per executor dispatch while the queue is
     # empty. With nothing to admit or expire, a burst runs several
     # iterations back to back on the engine thread and breaks the moment
@@ -181,7 +167,6 @@ class LiveServer:
             self.pc,
             max_inflight=self.options.max_inflight,
             prefill_chunk_tokens=self.options.prefill_chunk_tokens,
-            shared_attention=self.options.shared_attention,
             clock=self.clock,
             maintenance=self._store_maintenance,
         )
@@ -586,6 +571,11 @@ class LiveServer:
                 "sequences in each batched decode step",
                 buckets=BATCH_SIZE_BUCKETS,
             ).observe(outcome.decode_batch)
+            self.metrics.counter(
+                "decode_private_kv_tokens_total",
+                "KV tokens streamed per sequence (private suffixes and "
+                "ungrouped caches) in batched decode",
+            ).inc(outcome.private_kv_tokens)
         if outcome.shared_group_sizes:
             group_size = self.metrics.histogram(
                 "decode_shared_group_size",
@@ -598,11 +588,6 @@ class LiveServer:
                 "decode_shared_kv_tokens_total",
                 "KV tokens streamed once per shared chunk in two-phase decode",
             ).inc(outcome.shared_kv_tokens)
-            self.metrics.counter(
-                "decode_private_kv_tokens_total",
-                "KV tokens streamed per sequence (private suffixes and "
-                "ungrouped caches) in batched decode",
-            ).inc(outcome.private_kv_tokens)
             self._flops_saved_total += outcome.flops_saved
             self.metrics.gauge(
                 "decode_flops_saved_total",

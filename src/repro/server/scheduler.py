@@ -30,25 +30,23 @@ and the model runs its single-token forwards one sequence at a time.
 4. **Batched decode.** Every sequence still needing a forward joins
    **one** ``forward_decode_batch`` call.
 
-What the decode call costs depends on where the sequences' KV lives.
-Before it, sequences are grouped by the pre-spliced base their paged cache was
-forked from (``ServeStream.shared_group``): members of one group decode
-over the *same* shared KV prefix. A grouped stream is *seated* at its
-first decode step — its private tail (prefilled suffix, then every
-decoded token) moves into one row of the scheduler's
+The decode call is one step whatever the sequences are; what differs per
+row is where its KV lives. Sequences are grouped by the pre-spliced base
+their paged cache was forked from (``ServeStream.shared_group``): members
+of one group decode over the *same* shared KV prefix. A grouped stream is
+*seated* at its first decode step — its private tail (prefilled suffix,
+then every decoded token) moves into one row of the scheduler's
 :class:`~repro.llm.paged.TailArena` — and stays seated until it
-finishes, aborts or fails, which frees the row with its fork. A step
-with seated streams is ChunkAttention's two-phase partition run batched
+finishes, aborts or fails, which frees the row with its fork. Seated rows
+get ChunkAttention's two-phase partition run batched
 (:func:`repro.llm.attention.arena_decode_attention`): one chunk phase
 per base per layer for everyone sharing it, one stacked private phase
-over the arena, one merge, fused projections; unseated streams keep
-their per-sequence attention inside the same step. ``shared_attention``
-selects who is seated: ``"off"`` nobody — every step is the
-per-sequence kernel, byte-identical to sequential forwards; ``"on"``
-every stream forked from a base; ``"auto"`` (default) a stream whose
-base at least ``AUTO_MIN_GROUP`` in-flight streams share, in a step at
-least ``AUTO_MIN_BATCH`` wide. The policy gates entry only: a group
-containing a seated stream is planned every step, even alone.
+over the arena, one merge; every other row attends over its own cache
+inside the same step. Who is seated is one rule, derived each step from
+what is in flight: a stream whose base at least ``SEAT_MIN_GROUP``
+decoding streams share, in a step at least ``SEAT_MIN_BATCH`` wide. The
+rule gates entry only: a group containing a seated stream is planned
+every step, even alone.
 
 Tokens and completions leave the engine thread before it starts work
 that cannot change them: given a ``hand_off`` callable, :meth:`iterate`
@@ -76,22 +74,18 @@ from repro.llm.flops import shared_decode_flops_saved
 from repro.llm.paged import TailArena
 from repro.server.request import LiveRequest
 
-# When "auto" seats a stream in the arena: its base is shared (a group of
-# one gains no chunk-phase batching and would leave the byte-reference
-# kernel for nothing) and the step is wide enough that the arena step's
-# fixed per-layer work is repaid. Measured on the small model, whole step,
-# arena/per-sequence tokens/s: 0.90x for one stream, 0.80-0.86x for a
-# pair, 0.82-1.17x for three, 1.03-1.48x for four (6- to 840-token
-# prefixes), 2.0-2.6x for sixteen. Prefix length moves the size of the gain,
-# not its sign, so there is no minimum-length rule.
-AUTO_MIN_GROUP = 2
-AUTO_MIN_BATCH = 4
-
-_SHARED_ATTENTION_MODES = ("auto", "on", "off")
-
-
-def _seated(stream) -> bool:
-    return getattr(getattr(stream, "cache", None), "tail", None) is not None
+# When a stream is seated in the arena: its base is shared (a group of one
+# gains no chunk-phase batching) and the step is wide enough that the arena
+# phases' fixed per-layer work is repaid. Measured on the small model over
+# 512-token bases, scheduler iteration time with every stream seated over
+# the same step with none (both are the one batched step; only attention
+# differs): 1.17-1.20 / 1.12 / 0.98 / 0.87 / 0.61-0.64 / 0.37-0.41 at
+# 1 / 2 / 3 / 4 / 8 / 16 streams on one base; groups of one 1.16-1.18 /
+# 1.12-1.14 / 1.07-1.11 / 1.05 at 1-4; pairs 1.01-1.06 / 0.93-0.97 /
+# 0.81-0.88 at 4 / 8 / 16. Prefix length moves the size of the gain, not
+# its sign, so there is no minimum-length rule.
+SEAT_MIN_GROUP = 2
+SEAT_MIN_BATCH = 4
 
 
 @dataclass
@@ -132,11 +126,12 @@ class IterationOutcome:
     decode_batch: int = 0  # sequences in this iteration's batched forward
     active_after: int = 0
     elapsed_s: float = 0.0
-    # ChunkAttention share-factor picture for this iteration's forward:
-    # sizes of the groups that took the two-phase path, KV tokens
-    # streamed once per shared chunk vs per private suffix, and the
-    # effective attention FLOPs the sharing saved (see
-    # repro.llm.flops.shared_decode_flops_saved).
+    # ChunkAttention share-factor picture for this iteration's decode
+    # step, read off who held an arena seat in it: sizes of the seated
+    # groups, KV tokens streamed once per shared chunk vs per sequence
+    # (private tails and whole unseated caches — counted on every step,
+    # grouped or not), and the effective attention FLOPs the sharing
+    # saved (see repro.llm.flops.shared_decode_flops_saved).
     shared_group_sizes: list[int] = field(default_factory=list)
     shared_kv_tokens: int = 0
     private_kv_tokens: int = 0
@@ -152,7 +147,6 @@ class ContinuousScheduler:
         *,
         max_inflight: int = 8,
         prefill_chunk_tokens: int = 256,
-        shared_attention: str = "auto",
         clock=time.monotonic,
         maintenance=None,
     ) -> None:
@@ -160,14 +154,9 @@ class ContinuousScheduler:
             raise ValueError("max_inflight must be >= 1")
         if prefill_chunk_tokens < 1:
             raise ValueError("prefill_chunk_tokens must be >= 1")
-        if shared_attention not in _SHARED_ATTENTION_MODES:
-            raise ValueError(
-                f"shared_attention must be one of {_SHARED_ATTENTION_MODES}"
-            )
         self.pc = pc
         self.max_inflight = max_inflight
         self.prefill_chunk_tokens = prefill_chunk_tokens
-        self.shared_attention = shared_attention
         self.clock = clock
         # Optional idle-work hook (fabric TTL sweep + prefetch). Called
         # at the end of an iteration only when the iteration had spare
@@ -288,21 +277,14 @@ class ContinuousScheduler:
         # sequence whose sampled token still needs its forward.
         forward = [seq for seq in self._inflight if seq.stream.decoding]
         if forward:
-            shared_groups = self._plan_shared_groups(forward, outcome)
-            # The kwarg only when a plan exists, so duck-typed engines
-            # that know nothing of sharing are called as they always were.
-            plan = {"shared_groups": shared_groups} if shared_groups else {}
             forward_s = -time.perf_counter()
             try:
-                for members, _length in shared_groups or ():
-                    for i in members:
-                        if not _seated(forward[i].stream):
-                            self._seat(forward[i].stream)
+                shared_groups = self._seat_shared_groups(forward)
                 logits = self.pc.model.forward_decode_batch(
                     np.asarray([seq.stream.output_ids[-1] for seq in forward]),
                     np.asarray([seq.stream.decode_position for seq in forward]),
                     [seq.stream.cache for seq in forward],
-                    **plan,
+                    shared_groups,
                 )
             except Exception as exc:
                 # A poisoned batched step: there is no per-sequence
@@ -315,6 +297,7 @@ class ContinuousScheduler:
                 for i, seq in enumerate(forward):
                     seq.stream.set_logits(logits[i], step_s)
                 outcome.decode_batch = len(forward)
+                self._account_sharing(forward, shared_groups, outcome)
 
         # Idle-capacity maintenance: only when this iteration left prefill
         # budget unused (no cold prompt was waiting on the engine).
@@ -381,75 +364,58 @@ class ContinuousScheduler:
             outcome.prefill_tokens += len(ids)
         return seqs
 
-    def _plan_shared_groups(
-        self, forward: list[_InFlight], outcome: IterationOutcome
-    ) -> list[tuple[list[int], int]] | None:
+    def _seat_shared_groups(
+        self, forward: list[_InFlight]
+    ) -> list[tuple[list[int], int]]:
         """Group this iteration's decoding sequences by the pre-spliced
-        base their caches were forked from. Two streams holding the same
-        ``shared_group`` object (the engine's ``_SplicedBase``) decode
-        over byte-identical copies of that base's first ``shared_len``
-        mirror tokens, so their shared-prefix attention can run once.
-        Returns ``(member indices into forward, shared_len)`` per group
-        taking the two-phase path, or ``None`` when it is disabled,
-        nothing qualifies, or the policy says it would not pay off."""
-        if self.shared_attention == "off":
-            return None
+        base their caches were forked from, and seat the groups worth
+        seating. Two streams holding the same ``shared_group`` object
+        (the engine's ``_SplicedBase``) decode over byte-identical copies
+        of that base's first ``shared_len`` mirror tokens, so their
+        shared-prefix attention can run once. Returns ``(member indices
+        into forward, shared_len)`` per planned group — none when nothing
+        qualifies; a planned member the arena cannot take (see
+        ``ServeStream.seat_tail``) stays on its own cache."""
         buckets: dict[int, tuple[int, list[int]]] = {}
         for i, seq in enumerate(forward):
-            base = getattr(seq.stream, "shared_group", None)
-            length = getattr(seq.stream, "shared_len", 0)
-            if base is None or length <= 0:
-                continue
-            buckets.setdefault(id(base), (length, []))[1].append(i)
-        plan: list[tuple[list[int], int]] = []
+            base, length = seq.stream.shared_group, seq.stream.shared_len
+            if base is not None and length > 0:  # a prompt importing nothing: empty base
+                buckets.setdefault(id(base), (length, []))[1].append(i)
+        wide = len(forward) >= SEAT_MIN_BATCH
+        plan = []
         for length, members in buckets.values():
-            # The policy gates *entry*; a group holding a seated stream is
+            # The rule gates *entry*; a group holding a seated stream is
             # always planned — its tail lives in the arena for good.
-            if (
-                self.shared_attention == "auto"
-                and (len(members) < AUTO_MIN_GROUP or len(forward) < AUTO_MIN_BATCH)
-                and not any(_seated(forward[i].stream) for i in members)
-            ):
+            seated = [forward[i].stream.cache.tail is not None for i in members]
+            if not (wide and len(members) >= SEAT_MIN_GROUP) and not any(seated):
                 continue
             plan.append((members, length))
-        if not plan:
-            return None
-
-        # Share-factor observability: KV tokens streamed once per shared
-        # chunk vs per private suffix (lengths counted *after* this
-        # step's append — each sequence attends over cache + 1 token),
-        # and the effective attention FLOPs the grouping saves.
-        grouped: set[int] = set()
-        config = getattr(getattr(self.pc, "model", None), "config", None)
-        for members, length in plan:
-            grouped.update(members)
-            outcome.shared_group_sizes.append(len(members))
-            outcome.shared_kv_tokens += length
-            if config is not None:
-                outcome.flops_saved += shared_decode_flops_saved(
-                    config, length, len(members)
-                )
-        for i, seq in enumerate(forward):
-            cache = getattr(seq.stream, "cache", None)
-            try:
-                total = len(cache) + 1
-            except TypeError:
-                continue
-            shared = (
-                getattr(seq.stream, "shared_len", 0) if i in grouped else 0
-            )
-            outcome.private_kv_tokens += max(total - shared, 0)
+            for i, has_seat in zip(members, seated):
+                if not has_seat:
+                    if self._arena is None:
+                        self._arena = TailArena(self.pc.model.config, self.max_inflight)
+                    forward[i].stream.seat_tail(self._arena)
         return plan
 
-    def _seat(self, stream) -> None:
-        """Give a planned stream its arena row (a no-op for streams that
-        cannot be seated: they keep the per-sequence kernel)."""
-        seat = getattr(stream, "seat_tail", None)
-        if seat is None:
-            return
-        if self._arena is None:
-            self._arena = TailArena(self.pc.model.config, self.max_inflight)
-        seat(self._arena)
+    def _account_sharing(
+        self, forward: list[_InFlight], shared_groups, outcome: IterationOutcome
+    ) -> None:
+        """Share-factor observability for the decode step just run, read
+        off residency: KV tokens streamed once per shared chunk (a
+        planned group's members that hold a seat) vs per sequence
+        (arena tails and whole unseated caches, this step's token
+        included), and the effective attention FLOPs the grouping saved."""
+        for members, length in shared_groups:
+            seated = sum(forward[i].stream.cache.tail is not None for i in members)
+            if seated:
+                outcome.shared_group_sizes.append(seated)
+                outcome.shared_kv_tokens += length
+                outcome.flops_saved += shared_decode_flops_saved(
+                    self.pc.model.config, length, seated
+                )
+        for seq in forward:
+            cache = seq.stream.cache
+            outcome.private_kv_tokens += len(cache if cache.tail is None else cache.tail)
 
     def _open(self, request: LiveRequest):
         if request.raw:

@@ -18,8 +18,18 @@ from repro.cache.engine import ServeResult
 from repro.cache.storage import ModuleCacheStore
 
 
+class StubCache(list):
+    """What the scheduler reads of a stream's cache: how many tokens it
+    holds (one list entry each) and that it has no arena seat."""
+
+    tail = None
+
+
 class StubStream:
     """ServeStream double: the attributes and calls the scheduler uses."""
+
+    shared_group = None  # forked from no spliced base: never grouped
+    shared_len = 0
 
     def __init__(self, engine: "StubEngine", tokens: list[int]) -> None:
         self.engine = engine
@@ -29,7 +39,7 @@ class StubStream:
         self.prefill_remaining = 1
         self.logits = None
         self.done = False
-        self.cache = None
+        self.cache = StubCache()
         self.decode_position = 0
         self.aborted = False
 
@@ -112,7 +122,7 @@ class StubEngine:
             time.sleep(self.service_s * len(segments))
         return [object()] * len(segments)
 
-    def forward_decode_batch(self, tokens, positions, caches):
+    def forward_decode_batch(self, tokens, positions, caches, shared_groups):
         return [object()] * len(caches)
 
     def prompts(self, kind: str | None = None) -> list[str]:

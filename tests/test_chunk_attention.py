@@ -8,18 +8,18 @@ Four layers of coverage for the shared-prefix decode path:
   tolerance — across GQA head groupings, additive (ALiBi-style) biases,
   empty chunks, and the stacked group axis, whose per-member slices are
   bit-identical to separate calls.
-- The batched arena kernel: whole decode steps over a
+- The batched decode step's attention: whole steps over a
   :class:`~repro.llm.paged.TailArena` — random bases, group sizes,
-  ragged tails, retirements and re-seats — against the same float64
-  reference per sequence.
-- Scheduler policy: how ``shared_attention`` "off"/"on"/"auto" turn
-  stream-level grouping keys into a two-phase plan, including the auto
-  thresholds and safety around duck-typed streams that know nothing of
-  sharing.
+  ragged tails, retirements and re-seats, with every row seated, none,
+  or a mix beside flat caches, unseated forks and masked param streams —
+  against the same float64 reference per sequence.
+- Scheduler policy: the one seating rule that turns stream-level
+  grouping keys into a two-phase plan, its thresholds, and the share
+  accounting read off who actually holds a seat.
 - Serving contract: greedy decode through the continuous scheduler with
-  the two-phase path engaged is byte-identical to the legacy single-pass
-  path across all four positional families, and the share-factor metrics
-  reach the Prometheus exposition.
+  the two-phase path engaged is byte-identical to whole-request
+  ``serve`` across all four positional families, and the share-factor
+  metrics reach the Prometheus exposition.
 """
 
 from __future__ import annotations
@@ -34,20 +34,21 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.engine import PromptCache
 from repro.llm.attention import (
     ChunkPartial,
-    arena_decode_attention,
     chunk_phase,
+    decode_step_attention,
     merge_online_softmax,
     plan_decode_step,
 )
 from repro.llm.config import ModelConfig
-from repro.llm.kv import ModuleKV
+from repro.llm.kv import KVCache, ModuleKV
 from repro.llm.paged import PagedKVCache, TailArena
 from repro.llm.positional import AlibiBias
 from repro.pml.chat import PLAIN_TEMPLATE
 from repro.reuse import DiscoveryConfig
 from repro.server import ContinuousScheduler, LiveServer, ServeOptions
 from repro.server.request import LiveRequest
-from repro.server.scheduler import AUTO_MIN_BATCH, AUTO_MIN_GROUP, IterationOutcome
+from repro.server.scheduler import SEAT_MIN_BATCH, SEAT_MIN_GROUP, IterationOutcome
+from tests.stubs import StubCache
 
 
 def run(coro):
@@ -197,17 +198,24 @@ def kernel_config(n_kv, n_rep, head_dim):
 
 
 class _Sequence:
-    """One decoding sequence and the test's own copy of its whole KV."""
+    """One decoding sequence and the test's own copy of its whole KV.
+    ``kind`` is where that KV lives: ``"fork"`` of a shared base (the only
+    kind an arena seats), ``"param"`` — a fork whose next position lies
+    *below* the base's last, so the causal mask is not trivial — or
+    ``"flat"``, a private cache with no base."""
 
-    def __init__(self, rng, config, base, base_kv, tail_len):
+    def __init__(self, rng, config, base, base_kv, tail_len, kind="fork"):
         shape = (config.n_kv_heads, tail_len, config.head_dim)
-        self.base = base
+        self.base = base if kind != "flat" else None
         self.shared_len = len(base)
-        self.cache = base.fork()
-        self.next_position = self.shared_len + 3  # a gap, as PML leaves them
+        self.cache = base.fork() if kind != "flat" else KVCache.empty(config, capacity=4)
+        # A gap, as PML leaves them — or a param slot under the base's end.
+        self.next_position = self.shared_len + 3 if kind != "param" else self.shared_len // 2
         positions = np.arange(self.next_position, self.next_position + tail_len)
         self.next_position += tail_len
         keys, values = (rng.normal(size=shape).astype(np.float32) for _ in "kv")
+        if kind == "flat":
+            self.cache.layers[0].append(base_kv.keys[0], base_kv.values[0], base_kv.positions)
         if tail_len:
             self.cache.layers[0].append(keys, values, positions)
         self.keys = np.concatenate([base_kv.keys[0], keys], axis=1)
@@ -220,6 +228,10 @@ class _Sequence:
         self.positions = np.append(self.positions, self.next_position)
         self.next_position += 1
 
+    def free(self):
+        if self.base is not None:
+            self.cache.free()
+
 
 class TestArenaKernel:
     @given(
@@ -229,18 +241,23 @@ class TestArenaKernel:
         n_rep=st.sampled_from([1, 2, 4]),
         use_alibi=st.booleans(),
         steps=st.integers(2, 5),
+        seat=st.booleans(),
+        loners=st.lists(st.sampled_from(["flat", "fork", "param"]), max_size=3),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_batched_steps_match_dense_reference(
-        self, seed, group_sizes, n_kv, n_rep, use_alibi, steps
+        self, seed, group_sizes, n_kv, n_rep, use_alibi, steps, seat, loners
     ):
         """Whole decode steps through plan_decode_step +
-        arena_decode_attention equal single-pass float64 attention over
+        decode_step_attention equal single-pass float64 attention over
         each sequence's own [base | tail] KV — for 1-4 bases, groups of
         1-8, ragged tails (a tail seated empty is one token long at its
         first step), MHA and GQA, with and without ALiBi; while members
         retire (one group shrinks to a single member mid-decode), a new
-        sequence takes over a freed slot, and the arena grows."""
+        sequence takes over a freed slot, and the arena grows. With
+        ``seat`` off nobody is seated (zero residents); ``loners`` ride
+        every step unseated beside whoever is: flat caches, forks, and
+        param streams under a non-trivial mask."""
         rng = np.random.default_rng(seed)
         head_dim = 4
         config = kernel_config(n_kv, n_rep, head_dim)
@@ -259,31 +276,35 @@ class TestArenaKernel:
             base.materialize()
             bases.append((base, kv))
 
-        def admit(g):
+        def admit(g, kind="fork", seated=seat):
             base, kv = bases[g]
-            seq = _Sequence(rng, config, base, kv, int(rng.integers(0, 40)))
-            assert arena.seat(seq.cache, seq.shared_len) is seq.cache.tail
+            seq = _Sequence(rng, config, base, kv, int(rng.integers(0, 40)), kind)
+            if seated:
+                assert arena.seat(seq.cache, seq.shared_len) is seq.cache.tail
             return seq
 
         live = [admit(g) for g, size in enumerate(group_sizes) for _ in range(size)]
+        alone = [admit(0, kind, seated=False) for kind in loners]
         for step_no in range(steps):
             if step_no == 1:
                 # Retire the first group down to one member, re-seat one
                 # newcomer (it gets the lowest freed slot), keep the rest.
                 first = [s for s in live if s.base is bases[0][0]]
                 for seq in first[1:]:
-                    seq.cache.free()
+                    seq.free()
                     live.remove(seq)
                 if len(first) > 1:
                     freed = min(arena._free)
                     newcomer = admit(len(bases) - 1)
-                    assert newcomer.cache.tail.slot == freed
+                    assert not seat or newcomer.cache.tail.slot == freed
                     live.append(newcomer)
-            order = list(rng.permutation(len(live)))  # batch order is arbitrary
-            batch = [live[i] for i in order]
+            everyone = live + alone
+            order = list(rng.permutation(len(everyone)))  # batch order is arbitrary
+            batch = [everyone[i] for i in order]
             groups = {}
             for b, seq in enumerate(batch):
-                groups.setdefault(id(seq.base), (seq.shared_len, []))[1].append(b)
+                if seq.base is not None:
+                    groups.setdefault(id(seq.base), (seq.shared_len, []))[1].append(b)
             shared_groups = [(members, length) for length, members in groups.values()]
             positions = np.asarray([seq.next_position for seq in batch])
             q = rng.normal(size=(len(batch), config.n_heads, head_dim)).astype(np.float32)
@@ -294,30 +315,34 @@ class TestArenaKernel:
                 [seq.cache for seq in batch], positions, shared_groups,
                 n_heads=config.n_heads, n_kv_heads=n_kv, alibi=alibi,
             )
-            assert plan.resident == len(batch)
+            assert plan.resident == (len(live) if seat else 0)
             rows = plan.order
-            out = arena_decode_attention(plan, 0, q[rows], k[rows], v[rows])
+            out = decode_step_attention(plan, 0, q[rows], k[rows], v[rows])
 
             for row, b in enumerate(rows):
                 seq = batch[b]
                 seq.grow(k[b], v[b])
                 assert len(seq.cache) == seq.keys.shape[1]
-                bias = None
+                bias = np.where(seq.positions <= positions[b], 0.0, -1e9)
                 if alibi is not None:
-                    bias = alibi.bias(positions[b : b + 1], seq.positions)
+                    bias = bias + alibi.bias(positions[b : b + 1], seq.positions)
                 expected = dense_reference(
                     q[b][:, None], seq.keys, seq.values, n_rep, bias=bias
                 )
                 np.testing.assert_allclose(
                     out[row], expected.reshape(-1), rtol=1e-4, atol=1e-5
                 )
-                tail_k, tail_v, tail_pos = seq.cache.tail.kv(0)
+                if seq.cache.tail is None:
+                    own, n = seq.cache.layers[0], seq.shared_len
+                    tail_k, tail_v, tail_pos = own.keys[:, n:], own.values[:, n:], own.positions[n:]
+                else:
+                    tail_k, tail_v, tail_pos = seq.cache.tail.kv(0)
                 np.testing.assert_array_equal(tail_k, seq.keys[:, seq.shared_len:])
                 np.testing.assert_array_equal(tail_v, seq.values[:, seq.shared_len:])
                 np.testing.assert_array_equal(tail_pos, seq.positions[seq.shared_len:])
 
-        for seq in live:
-            seq.cache.free()
+        for seq in live + alone:
+            seq.free()
         assert arena.live_slots == 0
         for base, _ in bases:
             base.free()
@@ -348,103 +373,106 @@ class TestArenaKernel:
             assert [(a, b) for a, b, *_ in plan.groups] == [(0, 1), (1, 2)]
         assert arena.seat(base.fork(), 6) is None  # both rows taken
 
-    def test_no_resident_means_no_plan(self):
+    def test_no_resident_plans_no_arena_phase(self):
+        """Nobody seated is a step like any other: every row attends over
+        its own cache, whatever the caller listed."""
         config = kernel_config(1, 1, 4)
         cache = PagedKVCache.empty(config)
-        assert plan_decode_step(
+        plan = plan_decode_step(
             [cache], np.asarray([0]), [([0], 4)], n_heads=1, n_kv_heads=1
-        ) is None
+        )
+        assert plan.resident == 0 and plan.arena is None and plan.groups == []
+        assert [row for row, *_ in plan.unseated] == plan.order == [0]
 
 
 # -- scheduler grouping policy ---------------------------------------------------
 
 
 class _GroupedStream:
-    """Duck-typed decoding stream carrying the grouping key."""
+    """Duck-typed decoding stream carrying the grouping key. ``seatable``
+    off is a stream the arena cannot take (``ServeStream.seat_tail``
+    refusing a non-trivial mask)."""
 
-    def __init__(self, shared_group=None, shared_len=0, cache_tokens=30):
+    def __init__(self, shared_group=None, shared_len=0, cache_tokens=30, seatable=True):
         self.shared_group = shared_group
         self.shared_len = shared_len
-        self.cache = [None] * cache_tokens
+        self.cache = StubCache([None] * cache_tokens)
+        self.seatable = seatable
+
+    def seat_tail(self, arena):
+        if self.seatable:  # the tail: everything past the shared prefix
+            self.cache.tail = [None] * (len(self.cache) - self.shared_len)
 
 
 class _FakeEngine:
-    model = None
+    model = SimpleNamespace(config=kernel_config(1, 1, 4))
 
 
-def plan(sched, streams):
+def plan(streams):
+    """What one decode step over ``streams`` plans, and what it accounts."""
+    sched = ContinuousScheduler(_FakeEngine())
     outcome = IterationOutcome()
     forward = [SimpleNamespace(stream=s) for s in streams]
-    return sched._plan_shared_groups(forward, outcome), outcome
+    groups = sched._seat_shared_groups(forward)
+    sched._account_sharing(forward, groups, outcome)
+    return groups, outcome
 
 
 class TestSharedGroupPlanning:
-    def make(self, mode):
-        return ContinuousScheduler(_FakeEngine(), shared_attention=mode)
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ContinuousScheduler(_FakeEngine(), shared_attention="maybe")
-
-    def test_off_never_plans(self):
-        base = object()
-        groups, _ = plan(
-            self.make("off"),
-            [_GroupedStream(base, 20), _GroupedStream(base, 20)],
-        )
-        assert groups is None
-
-    def test_on_groups_by_base_identity(self):
+    def test_groups_by_base_identity(self):
         a, b = object(), object()
         streams = [
             _GroupedStream(a, 20),
             _GroupedStream(b, 24),
             _GroupedStream(a, 20),
+            _GroupedStream(b, 24, seatable=False),
+            _GroupedStream(b, 24),
         ]
-        groups, outcome = plan(self.make("on"), streams)
-        assert sorted(groups) == [([0, 2], 20), ([1], 24)]
-        assert sorted(outcome.shared_group_sizes) == [1, 2]
+        groups, outcome = plan(streams)
+        assert sorted(groups) == [([0, 2], 20), ([1, 3, 4], 24)]
+        # Accounted from residency: the member the arena refused streams
+        # its whole cache and is nobody's company.
+        assert sorted(outcome.shared_group_sizes) == [2, 2]
         assert outcome.shared_kv_tokens == 44
-        # Each stream attends over its 30 cached tokens + this step's
-        # append; grouped members subtract their shared chunk.
-        assert outcome.private_kv_tokens == (31 - 20) * 2 + (31 - 24)
+        assert outcome.private_kv_tokens == (30 - 20) * 2 + (30 - 24) * 2 + 30
+        assert outcome.flops_saved > 0
 
-    def test_auto_needs_company_and_a_batch_worth_batching(self):
-        """auto seats a stream only when its base is shared in flight and
-        the step is wide enough to repay the batched kernel; prefix
-        length is no criterion. A group that already holds a seated
-        stream is planned regardless — its tail lives in the arena."""
+    def test_seating_needs_company_and_a_wide_batch(self):
+        """A stream is seated only when its base is shared in flight and
+        the step is wide enough to repay the arena phases; prefix length
+        is no criterion. A group that already holds a seated stream is
+        planned regardless — its tail lives in the arena."""
         lone, short, long_ = object(), object(), object()
         streams = [
             _GroupedStream(lone, 40),  # group of one: skipped
             _GroupedStream(short, 3),
             _GroupedStream(short, 3),
-            _GroupedStream(long_, 400),
-            _GroupedStream(long_, 400),
+            _GroupedStream(long_, 400, cache_tokens=410),
+            _GroupedStream(long_, 400, cache_tokens=410),
         ]
-        assert AUTO_MIN_GROUP == 2 and len(streams) >= AUTO_MIN_BATCH
-        groups, outcome = plan(self.make("auto"), streams)
+        assert SEAT_MIN_GROUP == 2 and len(streams) >= SEAT_MIN_BATCH
+        groups, outcome = plan(streams)
         assert groups == [([1, 2], 3), ([3, 4], 400)]
         assert outcome.shared_group_sizes == [2, 2]
+        assert streams[0].cache.tail is None
 
-        narrow = streams[1:AUTO_MIN_BATCH]  # a pair and a half: too few rows
-        assert plan(self.make("auto"), narrow)[0] is None
+        narrow = [_GroupedStream(short, 3) for _ in range(SEAT_MIN_BATCH - 1)]
+        groups, outcome = plan(narrow)  # company, but too few rows
+        assert groups == [] and outcome.shared_group_sizes == []
+        assert outcome.private_kv_tokens == 30 * len(narrow)  # still counted
 
-        seated = _GroupedStream(lone, 40)
-        seated.cache = SimpleNamespace(tail=object())  # what a seat leaves behind
-        groups, _ = plan(self.make("auto"), [seated])
-        assert groups == [([0], 40)]
+        narrow[0].seat_tail(None)  # what a seat in a wider step leaves behind
+        groups, outcome = plan(narrow[:1])
+        assert groups == [([0], 3)] and outcome.shared_group_sizes == [1]
 
     def test_streams_without_grouping_keys_plan_nothing(self):
-        """Duck-typed doubles (and non-paged streams, whose key is None)
-        must sail through: no plan, no kwarg on the forward."""
-        groups, outcome = plan(
-            self.make("on"),
-            [SimpleNamespace(), SimpleNamespace()],
-        )
-        assert groups is None
+        """Streams forked from no base (raw text with nothing cached, the
+        runtime tests' doubles) are never grouped — and are still
+        accounted as streaming their own caches."""
+        groups, outcome = plan([_GroupedStream(), _GroupedStream()])
+        assert groups == []
         assert outcome.shared_group_sizes == []
-        assert outcome.private_kv_tokens == 0
+        assert outcome.private_kv_tokens == 60
 
 
 # -- serving byte-identity across families ---------------------------------------
@@ -485,11 +513,11 @@ def make_request(request_id, prompt, max_new_tokens=10):
     )
 
 
-def drive(pc, mode, waves, max_new_tokens=10):
+def drive(pc, waves, max_new_tokens=10):
     """Run prompts through a scheduler to completion, admitting one
     wave per iteration; returns per-request outputs plus the aggregate
     share-factor accounting."""
-    sched = ContinuousScheduler(pc, max_inflight=8, shared_attention=mode)
+    sched = ContinuousScheduler(pc, max_inflight=8)
     waves = [list(w) for w in waves]
     results = {}
     stats = SimpleNamespace(sizes=[], shared=0, private=0, saved=0)
@@ -512,48 +540,48 @@ def drive(pc, mode, waves, max_new_tokens=10):
     return results, stats
 
 
+def whole_request(model, tok, prompts, max_new_tokens=10):
+    """What :func:`drive` must return: ``serve`` on a fresh engine, one
+    request at a time — the single-sequence forward, no arena."""
+    oracle = make_pc(model, tok)
+    served = (oracle.serve(p, max_new_tokens=max_new_tokens) for p in prompts)
+    return {f"r{i}": (tuple(r.output_ids), r.text) for i, r in enumerate(served)}
+
+
 class TestServingByteIdentity:
     def test_two_phase_outputs_identical_to_single_pass(self, any_model, tok):
         """The acceptance contract, per positional family: decoded
-        tokens and text with the shared path forced on (and under the
-        auto policy) are byte-identical to the legacy kernel, and the
-        groups demonstrably formed."""
-        waves = [GROUP_PROMPTS]
-        off, off_stats = drive(make_pc(any_model, tok), "off", waves)
-        on, on_stats = drive(make_pc(any_model, tok), "on", waves)
-        auto, auto_stats = drive(make_pc(any_model, tok), "auto", waves)
-        assert on == off
-        assert auto == off
-        assert off_stats.sizes == []
-        assert on_stats.sizes and max(on_stats.sizes) >= 2
-        assert auto_stats.sizes and max(auto_stats.sizes) >= 2
-        assert on_stats.shared > 0
-        assert on_stats.private > 0
-        assert on_stats.saved > 0
+        tokens and text with the shared path engaged are byte-identical
+        to whole-request ``serve``, and the groups demonstrably formed."""
+        served, stats = drive(make_pc(any_model, tok), [GROUP_PROMPTS])
+        assert served == whole_request(any_model, tok, GROUP_PROMPTS)
+        assert stats.sizes and max(stats.sizes) == len(GROUP_PROMPTS)
+        assert stats.shared > 0
+        assert stats.private > 0
+        assert stats.saved > 0
 
     def test_staggered_admission_still_identical(self, any_model, tok):
-        """Members joining a group mid-flight (unequal private suffix
-        lengths) must not perturb anyone's tokens."""
+        """Members joining mid-flight make the step wide enough to seat:
+        the early pair decodes unseated first, then moves into the arena
+        with decoded tokens already in its tail. Nobody's tokens move."""
         waves = [GROUP_PROMPTS[:2], [], GROUP_PROMPTS[2:]]
-        off, _ = drive(make_pc(any_model, tok), "off", waves)
-        on, on_stats = drive(make_pc(any_model, tok), "on", waves)
-        assert on == off
-        assert on_stats.sizes and max(on_stats.sizes) >= 2
+        served, stats = drive(make_pc(any_model, tok), waves)
+        assert served == whole_request(any_model, tok, GROUP_PROMPTS)
+        assert stats.sizes and max(stats.sizes) == len(GROUP_PROMPTS)
 
     def test_mixed_selections_group_separately(self, llama, tok):
         """Streams forked from different spliced bases never share a
-        group, and their outputs still match the off path."""
+        group, and their outputs still match ``serve``."""
         mixed = [
             '<prompt schema="trip"><plan/> answer the question</prompt>',
             '<prompt schema="trip"><plan/> miami beaches</prompt>',
             '<prompt schema="trip"><city/> the capital of atlantis</prompt>',
             '<prompt schema="trip"><city/> def main(): return</prompt>',
         ]
-        off, _ = drive(make_pc(llama, tok), "off", [mixed])
-        on, on_stats = drive(make_pc(llama, tok), "on", [mixed])
-        assert on == off
+        served, stats = drive(make_pc(llama, tok), [mixed])
+        assert served == whole_request(llama, tok, mixed)
         # Two bases in flight: groups of 2, never one group of 4.
-        assert on_stats.sizes and max(on_stats.sizes) == 2
+        assert stats.sizes and max(stats.sizes) == 2
 
 
 # Raw prompts over one preamble long enough for discovery to promote.
@@ -588,8 +616,10 @@ class TestArenaServingEqualsWholeRequest:
             pc.serve_text(text, max_new_tokens=1)
         assert pc.discovered_modules()
 
-        work = [("pml", p) for p in GROUP_PROMPTS + self.MIXED]
-        work += [("text", t) for t in SHARED_TEXTS]
+        # Raw text shares a base only with the same text: each is sent twice.
+        pml, text = [("pml", p) for p in GROUP_PROMPTS], [("text", t) for t in SHARED_TEXTS]
+        work = [*pml[:2], text[0], text[0], *pml[2:], text[1], text[1]]
+        work += [("pml", p) for p in self.MIXED]
         budgets = [3, 9, 5, 12, 7, 4, 10, 6, 11, 8, 5]
         requests = [
             LiveRequest(
@@ -598,7 +628,7 @@ class TestArenaServingEqualsWholeRequest:
             )
             for i, ((kind, prompt), budget) in enumerate(zip(work, budgets))
         ]
-        sched = ContinuousScheduler(pc, max_inflight=3, shared_attention="on")
+        sched = ContinuousScheduler(pc, max_inflight=4)
         queue = list(requests)
         outputs, seated, most_live = {}, set(), 0
         while queue or sched.active:
@@ -607,7 +637,7 @@ class TestArenaServingEqualsWholeRequest:
             outcome = sched.iterate([queue.pop(0) for _ in range(take)])
             assert not outcome.requeued
             for seq in sched._inflight:
-                if getattr(seq.stream.cache, "tail", None) is not None:
+                if seq.stream.cache.tail is not None:
                     seated.add(seq.request.request_id)
             if sched._arena is not None:
                 most_live = max(most_live, sched._arena.live_slots)
@@ -616,6 +646,7 @@ class TestArenaServingEqualsWholeRequest:
                 outputs[request.request_id] = result.output_ids
         assert len(seated) > sched.max_inflight  # rows were re-seated
         assert seated & {r.request_id for r in requests if r.raw}  # promoted text too
+        assert len(seated) < len(requests)  # and some decoded beside them unseated
         assert 2 <= most_live <= sched.max_inflight
         assert sched._arena.live_slots == 0
 
@@ -660,26 +691,22 @@ class TestArenaServingEqualsWholeRequest:
 
 
 class TestShareMetrics:
+    @staticmethod
+    def serve(pc, prompts):
+        """``(snapshot, exposition)`` after a live server ran ``prompts``."""
+        async def main():
+            async with LiveServer(pc, ServeOptions(queue_delay_budget_s=None)) as server:
+                requests = [await server.submit(p, max_new_tokens=12) for p in prompts]
+                await asyncio.gather(*(r.wait() for r in requests))
+                return server.snapshot(), server.prometheus()
+
+        return run(main())
+
     def test_share_factor_metrics_exported(self, llama, tok):
         """decode_shared_group_size / *_kv_tokens_total /
         decode_flops_saved_total reach the snapshot and the Prometheus
         exposition when groups form."""
-        pc = make_pc(llama, tok)
-        options = ServeOptions(
-            queue_delay_budget_s=None,
-            shared_attention="on",
-        )
-
-        async def main():
-            async with LiveServer(pc, options) as server:
-                requests = [
-                    await server.submit(p, max_new_tokens=6)
-                    for p in GROUP_PROMPTS
-                ]
-                await asyncio.gather(*(r.wait() for r in requests))
-                return server.snapshot(), server.prometheus()
-
-        snap, prom = run(main())
+        snap, prom = self.serve(make_pc(llama, tok), GROUP_PROMPTS)
         group_size = snap["histograms"]["decode_shared_group_size"]
         assert group_size["count"] > 0
         assert snap["counters"]["decode_shared_kv_tokens_total"] > 0
@@ -693,22 +720,15 @@ class TestShareMetrics:
         ):
             assert name in prom
 
-    def test_off_mode_exports_nothing(self, llama, tok):
+    def test_groupless_steps_count_their_private_tokens(self, llama, tok):
+        """A step nobody is seated in streams every cache whole, and says
+        so: the private counter counts it (it used to see only steps that
+        had a group, which overstated the shared fraction); the shared
+        series stay absent."""
         pc = make_pc(llama, tok)
-        options = ServeOptions(
-            queue_delay_budget_s=None,
-            shared_attention="off",
-        )
-
-        async def main():
-            async with LiveServer(pc, options) as server:
-                requests = [
-                    await server.submit(p, max_new_tokens=4)
-                    for p in GROUP_PROMPTS[:2]
-                ]
-                await asyncio.gather(*(r.wait() for r in requests))
-                return server.snapshot()
-
-        snap = run(main())
+        snap, _ = self.serve(pc, GROUP_PROMPTS[:2])  # a pair: too narrow to seat
+        prompt_tokens = sum(pc.prompt_token_count(p)[0] for p in GROUP_PROMPTS[:2])
+        # Each stream's step reads its prompt and every token decoded so far.
+        assert snap["counters"]["decode_private_kv_tokens_total"] > prompt_tokens
         assert "decode_shared_group_size" not in snap["histograms"]
         assert "decode_shared_kv_tokens_total" not in snap["counters"]

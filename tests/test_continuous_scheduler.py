@@ -23,7 +23,7 @@ import pytest
 from repro.analysis import sanitize
 from repro.analysis.sanitize import install_sanitizers, uninstall_sanitizers
 from repro.cache.engine import PromptCache
-from repro.llm import generate, generate_batch
+from repro.llm import generate
 from repro.pml.chat import PLAIN_TEMPLATE
 from repro.server import ContinuousScheduler, LiveServer, ServeOptions
 from repro.reuse import DiscoveryConfig
@@ -89,14 +89,15 @@ def scheduled(pc, prompts, *, chunk, raw=False, max_new_tokens=6):
     """Results of streams driven to completion by a scheduler that admits
     all of ``prompts`` at once — into one iteration, so their last chunks
     share packed prefills — and prefills ``chunk`` tokens an iteration.
-    ``raw`` is one flag for all of them or one per prompt."""
+    ``raw`` and ``max_new_tokens`` are one value for all or one per prompt."""
     sched = ContinuousScheduler(
         pc, max_inflight=len(prompts), prefill_chunk_tokens=chunk
     )
     flags = raw if isinstance(raw, list) else [raw] * len(prompts)
+    budgets = max_new_tokens if isinstance(max_new_tokens, list) else [max_new_tokens] * len(prompts)
     admissions = [
-        make_request(str(i), prompt=p, raw=flag, max_new_tokens=max_new_tokens)
-        for i, (p, flag) in enumerate(zip(prompts, flags))
+        make_request(str(i), prompt=p, raw=flag, max_new_tokens=budget)
+        for i, (p, flag, budget) in enumerate(zip(prompts, flags, budgets))
     ]
     results = {}
     while admissions or sched.active:
@@ -116,53 +117,44 @@ def ids(results):
 
 
 class TestForwardDecodeBatch:
-    def test_generate_batch_matches_sequential(self, any_model, tok):
+    """Raw text with nothing cached: every stream decodes on a private
+    flat cache, so each step is the batched forward with no row seated."""
+
+    def test_text_streams_match_generate(self, any_model, tok):
         """The tentpole's correctness bedrock, per positional family:
         one batched forward per step produces exactly the tokens the
         per-sequence loop produces."""
-        prompts = [
-            tok.encode("the quick brown fox"),
-            tok.encode("paris museums cafes architecture"),
-            tok.encode("plan a trip lasting three days"),
+        texts = [
+            "the quick brown fox",
+            "paris museums cafes architecture",
+            "plan a trip lasting three days",
         ]
         sequential = [
-            generate(any_model, p, max_new_tokens=8) for p in prompts
+            generate(any_model, tok.encode(t), max_new_tokens=8) for t in texts
         ]
-        batched = generate_batch(any_model, prompts, max_new_tokens=8)
-        for seq, bat in zip(sequential, batched):
-            assert bat.output_ids == seq.output_ids
+        batched = scheduled(
+            PromptCache(any_model, tok), texts, chunk=256, raw=True, max_new_tokens=8
+        )
+        assert ids(batched) == ids(sequential)
 
     def test_mixed_lengths_retire_independently(self, llama, tok):
-        """A stop-token retirement mid-batch must not perturb survivors:
-        run one long sequence alone, then alongside a short-budget one."""
-        long_prompt = tok.encode("the quick brown fox jumps")
-        short_prompt = tok.encode("miami beaches nightlife")
-        alone = generate(llama, long_prompt, max_new_tokens=10)
-        together = generate_batch(
-            llama, [long_prompt, short_prompt], max_new_tokens=10
+        """A retirement mid-batch must not perturb survivors: a long
+        sequence decodes alongside one whose budget ends early, and
+        both match their solo runs."""
+        texts, budgets = ["the quick brown fox jumps", "miami beaches nightlife"], [10, 3]
+        together = scheduled(
+            PromptCache(llama, tok), texts, chunk=256, raw=True, max_new_tokens=budgets
         )
-        # Shrink the second's budget by re-running with per-call budgets
-        # via the scheduler-equivalent: batch of different effective
-        # lengths is exercised through stop_ids below.
-        assert together[0].output_ids == alone.output_ids
-        stop = together[1].output_ids[2]
-        with_stop = generate_batch(
-            llama, [long_prompt, short_prompt],
-            max_new_tokens=10, stop_ids={stop},
-        )
-        # The long sequence still matches its solo run even after the
-        # short one dropped out of the batch partway through...
-        if stop not in alone.output_ids:
-            assert with_stop[0].output_ids == alone.output_ids
-        # ...and the short one stopped exactly at the stop token.
-        assert with_stop[1].output_ids[-1] == stop
+        assert ids(together) == [
+            generate(llama, tok.encode(t), max_new_tokens=n).output_ids
+            for t, n in zip(texts, budgets)
+        ]
 
     def test_batch_of_one_matches_forward(self, llama, tok):
-        prompt = tok.encode("answer the question")
-        assert (
-            generate_batch(llama, [prompt], max_new_tokens=6)[0].output_ids
-            == generate(llama, prompt, max_new_tokens=6).output_ids
-        )
+        text = "answer the question"
+        assert ids(
+            scheduled(PromptCache(llama, tok), [text], chunk=256, raw=True)
+        ) == [generate(llama, tok.encode(text), max_new_tokens=6).output_ids]
 
 
 # -- decode_loop step accounting -------------------------------------------------

@@ -35,6 +35,7 @@ from repro.analysis.sanitize import (
     uninstall_sanitizers,
 )
 from repro.cache.engine import PromptCache
+from repro.llm.paged import TailArena
 from repro.pml.chat import PLAIN_TEMPLATE
 from repro.server import (
     ContinuousScheduler,
@@ -98,7 +99,7 @@ class GatedEngine(StubEngine):
             assert self.prefill_permits.acquire(timeout=WAIT_S), "prefill gate never opened"
         return super().forward(tokens, positions, segments, logits=logits)
 
-    def forward_decode_batch(self, tokens, positions, caches):
+    def forward_decode_batch(self, tokens, positions, caches, shared_groups):
         self.forwards += 1
         self.clock.now += 1.0
         self.entered.release()
@@ -506,7 +507,7 @@ class TestArenaSlotLifecycle:
             for p in PROMPTS:
                 pc.serve(p, max_new_tokens=1)  # build the shared bases
             pools = [pool for base in pc._bases.values() for pool in base.cache.pools]
-            sched = ContinuousScheduler(pc, max_inflight=4, shared_attention="on")
+            sched = ContinuousScheduler(pc, max_inflight=8)
             rng = np.random.default_rng(0)
             real_forward = llama.forward_decode_batch
             poisoned = {"next": False}
@@ -562,17 +563,14 @@ class TestArenaSlotLifecycle:
         try:
             pc = PromptCache(llama, tok, template=PLAIN_TEMPLATE)
             pc.register_schema(SCHEMA)
-            sched = ContinuousScheduler(pc, max_inflight=2, shared_attention="on")
-            sched.iterate([
-                LiveRequest(request_id="r", prompt=PROMPTS[0], schema="trip",
-                            max_new_tokens=4, submitted_at=0.0)
-            ])
-            arena = sched._arena
-            tail = sched._inflight[0].stream.cache.tail
-            slot = tail.slot
+            stream = pc.open_stream(PROMPTS[0], max_new_tokens=4)
+            stream.prefill_step(1 << 20)
+            arena = TailArena(llama.config, slots=2)
+            assert stream.seat_tail(arena)
+            slot = stream.cache.tail.slot
             with pytest.raises(sanitize.SanitizerError):
                 assert_quiescent(arena)
-            sched.abort_all()
+            stream.abort()
             assert_quiescent(arena)
             with pytest.raises(sanitize.SanitizerError):
                 arena._release(slot)

@@ -11,7 +11,11 @@ is profiled with ``sys.setprofile``:
   the per-layer kernel — batch size is an array dimension there — only
   per-sequence bookkeeping around it;
 - a seated stream's decode step never calls ``PagedLayerKV.append``:
-  its tail grows in the arena.
+  its tail grows in the arena;
+- streams on *distinct* 512-token bases are never seated and attend per
+  sequence inside the same step: at most 500 call events for one, 1,050
+  for four (the per-sequence step this replaced made 622 and 1,165),
+  and the same number of projection GEMMs — those are per step.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import sys
 
 import pytest
 
+from repro.analysis.contracts import contracts_enforced
 from repro.cache.engine import PromptCache
 from repro.llm import build_model, small_config
 from repro.llm.paged import PagedLayerKV
@@ -29,6 +34,7 @@ from repro.server.request import LiveRequest
 
 PROMPT = '<prompt schema="hot"><m/> what is due ?</prompt>'
 KERNEL = "arena_decode_attention"
+DISTINCT = 4  # schemas hot0..hot3: one 512-token base each
 
 
 @pytest.fixture(scope="module")
@@ -37,22 +43,26 @@ def pc(tok):
     engine = PromptCache(model, tok, template=PLAIN_TEMPLATE)
     words = "the quick brown fox jumps over the lazy dog".split()
     body = " ".join(words[i % len(words)] for i in range(600))
-    engine.register_schema(f'<schema name="hot"><module name="m">{body}</module></schema>')
+    for name in ["hot", *(f"hot{i}" for i in range(DISTINCT))]:
+        engine.register_schema(
+            f'<schema name="{name}"><module name="m">{body} {name}</module></schema>'
+        )
     assert engine.prompt_token_count(PROMPT)[0] >= 512
     return engine
 
 
-def profile_iteration(pc, width):
-    """Call events of one steady-state iteration with ``width`` streams:
-    ``(all, inside the per-layer kernel, PagedLayerKV.append calls)``."""
+def profile_iteration(pc, width, distinct=False):
+    """Call events of one steady-state iteration with ``width`` streams
+    on one base — or, ``distinct``, on one base each: ``(all, inside the
+    per-layer kernel, PagedLayerKV.append calls, linear_rows calls)``."""
     sched = ContinuousScheduler(pc, max_inflight=16)
     sched.iterate([
-        LiveRequest(request_id=f"r{i}", prompt=PROMPT, schema="hot",
-                    max_new_tokens=32, submitted_at=0.0)
+        LiveRequest(request_id=f"r{i}", schema="hot", max_new_tokens=32, submitted_at=0.0,
+                    prompt=PROMPT.replace("hot", f"hot{i}") if distinct else PROMPT)
         for i in range(width)
     ])
     sched.iterate([])  # seats taken, arena grown: the next one is steady state
-    counts = {"all": 0, "kernel": 0, "append": 0}
+    counts = {"all": 0, "kernel": 0, "append": 0, "gemm": 0}
     depth = 0  # > 0 while a kernel frame is on the stack
     append_code = PagedLayerKV.append.__wrapped__.__code__ if hasattr(
         PagedLayerKV.append, "__wrapped__") else PagedLayerKV.append.__code__
@@ -64,6 +74,7 @@ def profile_iteration(pc, width):
                 depth += 1
             if frame.f_code is append_code:
                 counts["append"] += 1
+            counts["gemm"] += frame.f_code.co_name == "linear_rows"
         elif event == "return" and frame.f_code.co_name == KERNEL:
             depth -= 1
         if event in ("call", "c_call"):
@@ -76,7 +87,8 @@ def profile_iteration(pc, width):
         outcome = sched.iterate([])
     finally:
         sys.setprofile(None)
-    assert outcome.decode_batch == width and outcome.shared_group_sizes == [width]
+    assert outcome.decode_batch == width
+    assert outcome.shared_group_sizes == ([] if distinct else [width])
     sched.abort_all()
     return counts
 
@@ -99,3 +111,12 @@ def test_batch_size_adds_no_kernel_calls(pc):
 def test_seated_streams_never_append_to_their_pages(pc):
     assert profile_iteration(pc, 16)["append"] == 0
 
+
+
+def test_unseated_streams_cost_under_500_and_1050_calls(pc):
+    one, four = (profile_iteration(pc, n, distinct=True) for n in (1, DISTINCT))
+    if not contracts_enforced():  # the page auditor hooks every paged append
+        assert one["all"] <= 500 and four["all"] <= 1050, (one, four)
+    assert one["kernel"] == four["kernel"] == 0
+    # Projections are per step; only attention is per sequence.
+    assert one["gemm"] == four["gemm"] > 0

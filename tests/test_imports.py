@@ -79,19 +79,22 @@ def test_package_count_sanity():
 def test_option_surface_is_pinned():
     """Every option doubles the configurations to cover, so adding one is
     a reviewed, one-line change here: the exact field set of
-    ``ServeOptions`` and parameter list of ``PromptCache.__init__``."""
+    ``ServeOptions`` and parameter lists of ``PromptCache.__init__`` and
+    ``ContinuousScheduler.__init__``."""
     import dataclasses
     import inspect
 
     from repro.cache.engine import PromptCache
-    from repro.server import ServeOptions
+    from repro.server import ContinuousScheduler, ServeOptions
 
     assert [f.name for f in dataclasses.fields(ServeOptions)] == [
         "max_queue_depth", "queue_delay_budget_s", "default_max_new_tokens",
         "default_deadline_s", "initial_service_s", "service_time_alpha",
         "trace_log_limit", "inline_execution", "max_inflight",
-        "prefill_chunk_tokens", "shared_attention", "burst_iterations",
-        "store_sweep_interval_s",
+        "prefill_chunk_tokens", "burst_iterations", "store_sweep_interval_s",
+    ]
+    assert list(inspect.signature(ContinuousScheduler.__init__).parameters)[1:] == [
+        "pc", "max_inflight", "prefill_chunk_tokens", "clock", "maintenance",
     ]
     assert list(inspect.signature(PromptCache.__init__).parameters)[1:] == [
         "model", "tokenizer", "store", "template", "default_tier", "kv_codec",

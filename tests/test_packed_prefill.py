@@ -40,7 +40,7 @@ from repro.cache.engine import PromptCache
 from repro.llm import build_model, tiny_config
 from repro.llm.attention import packed_prefill_attention, plan_packed_prefill
 from repro.llm.kv import KVCache, ModuleKV
-from repro.llm.paged import PagedKVCache
+from repro.llm.paged import PagedKVCache, TailArena
 from repro.llm.positional import AlibiBias
 from repro.pml.chat import PLAIN_TEMPLATE
 from repro.server import ContinuousScheduler
@@ -208,15 +208,28 @@ def family_model(architecture: str, gqa: bool):
     return model
 
 
+def assert_same_logits(row, expected):
+    """Float32 tolerance, and the same greedy token."""
+    np.testing.assert_allclose(row, expected, rtol=1e-4, atol=1e-4)
+    runner_up, best = np.sort(expected)[-2:]
+    if best - runner_up > 1e-3:  # not a tie float32 could break either way
+        assert row.argmax() == expected.argmax()
+
+
 class TestPackedForward:
     @given(
         seed=st.integers(0, 2**16),
         specs=segment_specs,
         architecture=st.sampled_from(["llama", "falcon", "mpt", "gpt2"]),
         gqa=st.booleans(),
+        seat=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_matches_per_sequence_forward(self, seed, specs, architecture, gqa):
+    def test_matches_per_sequence_forward(self, seed, specs, architecture, gqa, seat):
+        """The packed prefill, and one batched decode step on top of it —
+        forks in the tail arena (``seat``) or on their own caches, flat
+        caches and masked param streams always unseated — against the
+        single-sequence ``forward`` on a cache of its own."""
         rng = np.random.default_rng(seed)
         model = family_model(architecture, gqa)
         config = model.config
@@ -256,10 +269,24 @@ class TestPackedForward:
                 np.testing.assert_allclose(
                     packed_layer.values, alone_layer.values, rtol=1e-4, atol=1e-5
                 )
-            np.testing.assert_allclose(row, expected, rtol=1e-4, atol=1e-4)
-            runner_up, best = np.sort(expected)[-2:]
-            if best - runner_up > 1e-3:  # not a tie float32 could break either way
-                assert row.argmax() == expected.argmax()
+            assert_same_logits(row, expected)
+
+        arena = TailArena(config, slots=len(specs))
+        groups: dict[int, list[int]] = {}
+        for b, ((kind, which, *_), (cache, _)) in enumerate(zip(specs, segments)):
+            if seat and kind == "fork":
+                assert arena.seat(cache, len(bases[which])) is cache.tail
+                groups.setdefault(which, []).append(b)
+        ids = rng.integers(0, VOCAB, size=len(specs))
+        positions = np.asarray([positions[-1] + 1 for _, positions in chunks])
+        step = model.forward_decode_batch(
+            ids, positions, [cache for cache, _ in segments],
+            [(members, len(bases[which])) for which, members in groups.items()],
+        )
+        for b, (alone, _) in enumerate(reference):
+            expected = model.forward(ids[b : b + 1], positions[b : b + 1], alone)[-1]
+            assert_same_logits(step[b], expected)
+            assert len(segments[b][0]) == len(alone)
 
         for cache, _ in segments:
             if isinstance(cache, PagedKVCache):
@@ -269,6 +296,7 @@ class TestPackedForward:
                 alone.free()
         for base in bases:
             base.free()
+        assert arena.live_slots == 0
 
     def test_without_logits_the_same_kv_is_appended(self, any_model):
         """``logits=False`` — the call a chunk that does not complete its
@@ -366,21 +394,25 @@ class TestFailureIsolation:
     def test_unplaceable_positions_fail_that_stream_alone(self, llama, tok, audited):
         pc = Unplaceable(llama, tok, template=PLAIN_TEMPLATE)
         pc.register_schema(SCHEMA)
+        # A fifth stream on the pair's base: the step stays wide enough
+        # to seat them after the bad one has gone.
+        prompts = [*PROMPTS, PROMPTS[0]]
         expected = {
-            i: pc.serve(PROMPTS[i], max_new_tokens=4).output_ids for i in (0, 1, 3)
+            i: pc.serve(prompts[i], max_new_tokens=4).output_ids for i in (0, 1, 3, 4)
         }
-        sched = ContinuousScheduler(pc, max_inflight=4, shared_attention="on")
+        sched = ContinuousScheduler(pc, max_inflight=5)
         with audited.expect_balanced(*base_pools(pc)):
-            first = sched.iterate(requests(PROMPTS))
+            first = sched.iterate(requests(prompts))
             # The bad prompt failed before the pack was formed; the other
-            # three shared one forward and each made its first token.
-            assert first.admitted == 4 and first.prefill_batch == 3
+            # four shared one forward and each made its first token.
+            assert first.admitted == 5 and first.prefill_batch == 4
             (failed, result, error, _), = first.finished
             assert failed.request_id == "r2" and result is None
             assert isinstance(error, ValueError) and "position ids" in str(error)
-            assert first.tokens == 3 and sched.active == 3
+            assert first.tokens == 4 and sched.active == 4
+            assert first.shared_group_sizes == [3]
             done = drain(sched, [])
-        for i in (0, 1, 3):
+        for i in (0, 1, 3, 4):
             result, error = done[f"r{i}"]
             assert error is None and result.output_ids == expected[i]
         assert_quiescent(sched._arena)
@@ -390,7 +422,7 @@ class TestFailureIsolation:
         pc = PromptCache(llama, tok, template=PLAIN_TEMPLATE)
         pc.register_schema(SCHEMA)
         expected = [pc.serve(p, max_new_tokens=4).output_ids for p in PROMPTS]
-        sched = ContinuousScheduler(pc, max_inflight=4, shared_attention="on")
+        sched = ContinuousScheduler(pc, max_inflight=4)
         real_forward = llama.forward
 
         def poisoned(token_ids, position_ids, cache, **kwargs):
@@ -414,5 +446,6 @@ class TestFailureIsolation:
             # The engine is none the worse: the same prompts serve next.
             done = drain(sched, requests(PROMPTS))
         assert [done[f"r{i}"][0].output_ids for i in range(4)] == expected
+        assert sched._arena is not None  # the pair on one base was seated
         assert_quiescent(sched._arena)
         assert_leases_returned(pc)
