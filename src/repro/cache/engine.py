@@ -396,8 +396,10 @@ class _Plan:
     modules: list[tuple[ModuleLayout, str]]
     # Uncached work: (token_ids, positions) batches for args + new text
     uncached: list[tuple[np.ndarray, np.ndarray]]
-    # Baseline chunks: (sort_key, token_ids) reproducing identical content
-    baseline_chunks: list[tuple[int, list[int]]]
+    # What only baseline() reads, kept unconverted until it asks: each
+    # selected module's arguments and each new text's (start, token ids).
+    args_by_module: dict[str, dict[str, str]]
+    texts: list[tuple[int, np.ndarray]]
     next_position: int  # first decode position
     # Fully-cached prompts recompute their highest-positioned token to get
     # first logits: (module name, direct-sequence index) or None.
@@ -450,6 +452,30 @@ class _SplicedBase:
     cache: PagedKVCache
     entries: list[tuple[CacheKey, int]]
     module_names: frozenset[str]
+
+
+class _ModuleIndex:
+    """Which entries of an LRU map were built from a ``(schema, module)``
+    — kept beside the map and updated wherever it is, so invalidating a
+    module (every capacity eviction asks) costs a lookup instead of a
+    walk over every plan. ``(schema, None)`` lists the whole schema's."""
+
+    def __init__(self) -> None:
+        self._keys: dict[tuple[str, str | None], set] = {}
+
+    def add(self, key, schema: str, modules) -> None:
+        for module in (None, *modules):
+            self._keys.setdefault((schema, module), set()).add(key)
+
+    def discard(self, key, schema: str, modules) -> None:
+        for module in (None, *modules):
+            keys = self._keys[(schema, module)]
+            keys.discard(key)
+            if not keys:
+                del self._keys[(schema, module)]
+
+    def keys_for(self, schema: str, module: str | None) -> list:
+        return list(self._keys.get((schema, module), ()))
 
 
 class PromptCache:
@@ -521,6 +547,10 @@ class PromptCache:
         self.plan_stats = PlanCacheStats()  # guarded-by: _fastpath_lock
         self._plan_cache: OrderedDict[str, _CompiledPlan] = OrderedDict()  # guarded-by: _fastpath_lock
         self._bases: OrderedDict[tuple, _SplicedBase] = OrderedDict()  # guarded-by: _fastpath_lock
+        # Entries of the two maps by the modules they were built from;
+        # every insert and pop goes through _put_*/_pop_* to keep them so.
+        self._plan_index = _ModuleIndex()  # guarded-by: _fastpath_lock
+        self._base_index = _ModuleIndex()  # guarded-by: _fastpath_lock
         self._plan_listeners: list = []
         # Schema-free reuse discovery (repro.reuse): attach_discovery()
         # installs a miner; _discovered maps module name -> span.
@@ -622,11 +652,25 @@ class PromptCache:
         )
         with self._fastpath_lock:
             self.plan_stats.misses += 1
+            if source in self._plan_cache:  # two threads compiled it at once
+                self._pop_plan(source)
             self._plan_cache[source] = entry
+            self._plan_index.add(source, entry.schema_name, entry.module_names)
             while len(self._plan_cache) > self.plan_cache_size:
-                self._plan_cache.popitem(last=False)
+                self._pop_plan(next(iter(self._plan_cache)))
         self._notify_plan("miss")
         return entry
+
+    def _pop_plan(self, source: str) -> None:
+        with self._fastpath_lock:  # re-entrant: callers hold it
+            entry = self._plan_cache.pop(source)
+            self._plan_index.discard(source, entry.schema_name, entry.module_names)
+
+    def _pop_base(self, key: tuple) -> None:
+        with self._fastpath_lock:  # re-entrant: callers hold it
+            base = self._bases.pop(key)
+            self._base_index.discard(key, key[0], base.module_names)
+            base.cache.free()
 
     def _evict_compiled(
         self, schema_name: str, module_name: str | None = None
@@ -634,22 +678,11 @@ class PromptCache:
         """Drop compiled plans and spliced bases touching a schema (or one
         of its modules). Returns the number of plans invalidated."""
         with self._fastpath_lock:
-            doomed = [
-                source
-                for source, entry in self._plan_cache.items()
-                if entry.schema_name == schema_name
-                and (module_name is None or module_name in entry.module_names)
-            ]
+            doomed = self._plan_index.keys_for(schema_name, module_name)
             for source in doomed:
-                del self._plan_cache[source]
-            doomed_bases = [
-                key
-                for key, base in self._bases.items()
-                if key[0] == schema_name
-                and (module_name is None or module_name in base.module_names)
-            ]
-            for key in doomed_bases:
-                self._bases.pop(key).cache.free()
+                self._pop_plan(source)
+            for key in self._base_index.keys_for(schema_name, module_name):
+                self._pop_base(key)
             self.plan_stats.invalidations += len(doomed)
         for _ in doomed:
             self._notify_plan("invalidation")
@@ -1246,12 +1279,17 @@ class PromptCache:
         (modules inlined, arguments substituted), positions ``0..n-1``."""
         compiled = self._compiled(prompt)
         if compiled.baseline_sequence is None:
-            sequence: list[int] = []
-            for _, chunk in sorted(
-                compiled.plan.baseline_chunks, key=lambda c: c[0]
-            ):
-                sequence.extend(chunk)
-            compiled.baseline_sequence = sequence
+            plan = compiled.plan
+            # (sort key, token ids) chunks reproducing identical content.
+            args = plan.args_by_module
+            chunks = [
+                (mod.span_start, self._module_chunk(mod, args.get(name, {})))
+                for mod, name in plan.modules
+            ]
+            chunks += [(start, ids.tolist()) for start, ids in plan.texts]
+            compiled.baseline_sequence = [
+                t for _, chunk in sorted(chunks, key=lambda c: c[0]) for t in chunk
+            ]
         return generate(
             self.model,
             list(compiled.baseline_sequence),
@@ -1292,7 +1330,7 @@ class PromptCache:
 
         modules: list[tuple[ModuleLayout, str]] = []
         uncached: list[tuple[np.ndarray, np.ndarray]] = []
-        baseline_chunks: list[tuple[int, list[int]]] = []
+        texts: list[tuple[int, np.ndarray]] = []
         occupied: list[tuple[int, int]] = []
 
         for name in layout.order:
@@ -1301,9 +1339,6 @@ class PromptCache:
             mod = layout.module(name)
             modules.append((mod, name))
             occupied.append((mod.span_start, mod.span_end))
-            baseline_chunks.append(
-                (mod.span_start, self._module_chunk(mod, args_by_module.get(name, {})))
-            )
             # Parameter arguments become uncached work at the slot positions.
             for slot in mod.params.values():
                 value = args_by_module.get(name, {}).get(slot.name, slot.default)
@@ -1337,7 +1372,7 @@ class PromptCache:
             positions = np.arange(start, start + len(ids), dtype=np.int64)
             occupied.append((start, start + len(ids)))
             uncached.append((ids, positions))
-            baseline_chunks.append((start, list(map(int, ids))))
+            texts.append((start, ids))
 
         if not modules and not uncached:
             raise SchemaMismatchError(
@@ -1359,7 +1394,8 @@ class PromptCache:
         plan = _Plan(
             modules=modules,
             uncached=uncached,
-            baseline_chunks=baseline_chunks,
+            args_by_module=args_by_module,
+            texts=texts,
             next_position=max(tail, self._max_position(uncached, occupied)),
             recompute_tail=recompute_tail,
         )
@@ -1482,9 +1518,8 @@ class PromptCache:
         if not hit:
             if base is not None:  # a backing entry vanished: rebuild
                 with self._fastpath_lock:
-                    stale = self._bases.pop(key, None)
-                    if stale is not None:
-                        stale.cache.free()
+                    if self._bases.get(key) is base:
+                        self._pop_base(key)
             tier_tokens = {"gpu": 0, "cpu": 0}
             entries: list[tuple[CacheKey, int]] = []
             module_kvs: list[ModuleKV] = []
@@ -1503,10 +1538,12 @@ class PromptCache:
                 self.plan_stats.base_hits += 1
             else:
                 self.plan_stats.base_misses += 1
+                if key in self._bases:  # two threads built it at once
+                    self._pop_base(key)
                 self._bases[key] = base
+                self._base_index.add(key, key[0], base.module_names)
                 while len(self._bases) > self.base_cache_size:
-                    _, victim = self._bases.popitem(last=False)
-                    victim.cache.free()
+                    self._pop_base(next(iter(self._bases)))
             cache = base.cache.fork()
         return cache, base, tier_tokens
 

@@ -26,6 +26,27 @@ the whole snapshot) and delegate the full digest to a background sweep
 truncated, or missing files are skipped with a warning instead of raising
 mid-load — one bad file costs one module (a re-encode), not the whole
 snapshot.
+
+Every read goes through **one descriptor per payload file**
+(:func:`_open_verified`): ``open`` once, ``fstat`` and hash *that
+descriptor*, then read or ``np.memmap`` it — never the path again, so the
+bytes that were checked are the bytes that are mapped even when another
+worker renames a new file over the name in between (``_write_atomic``
+allows exactly that).
+
+A caller that pages the same record in again and again (the fabric's
+snapshot tier) passes a :class:`VerifyLedger`: once a file's sparse digest
+has matched, the ``fstat`` state it matched at — ``(st_dev, st_ino,
+st_size, st_mtime_ns, st_ctime_ns)`` — is remembered, and a later page-in
+whose descriptor shows exactly that state maps it without hashing. Any
+difference re-hashes; a mismatch refuses the record as before. What the
+ledger never trusts: a state it has not itself hashed in this process (a
+record's first page-in always hashes), and a file whose ctime is younger
+than ``_RACY_MARGIN_NS`` — a later write inside the same timestamp tick
+would leave the state unchanged (git's "racily clean" rule), so such a
+file is hashed on every page-in until it has aged. Digest values and
+sampling are exactly what ``save_store`` recorded; nothing about the
+ledger is ever written to disk.
 """
 
 from __future__ import annotations
@@ -37,6 +58,7 @@ import math
 import mmap as _mmap
 import os
 import threading
+import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,8 +77,16 @@ SNAPSHOT_VERSION = 2
 _SPARSE_BLOCK = 64 * 1024
 _SPARSE_SAMPLES = 8
 
+# A matched digest is remembered only for a file whose ctime is at least
+# this old. Timestamps are written at the granularity of the file system
+# (1 ns–10 ms on ext4/xfs/tmpfs, 1 s on ext3, 2 s on FAT — the coarsest in
+# use), and a write landing in the same tick as the verified ctime would
+# leave the remembered state unchanged. One fixed margin at the coarsest
+# granularity makes that impossible on any of them.
+_RACY_MARGIN_NS = 2_000_000_000
+_wall_clock_ns = time.time_ns  # what file timestamps are compared against
+
 _ARENA_KIND = "arena"
-_ARENA_PARTS = ("keys", "values", "positions")
 
 
 @dataclass
@@ -92,38 +122,35 @@ def _entry_path(directory: Path, key: CacheKey) -> Path:
     return directory / f"{_safe_stem(key)}.npz"
 
 
-def _sha256(path) -> str:
+def _sha256(fd: int) -> str:
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
+    offset = 0
+    while block := os.pread(fd, 1 << 20, offset):
+        digest.update(block)
+        offset += len(block)
     return digest.hexdigest()
 
 
-def _sparse_sha256(path) -> str:
+def _sparse_sha256(fd: int) -> str:
     """Digest of the file size + head block + evenly sampled blocks.
 
     Touches at most ``(_SPARSE_SAMPLES + 1) * _SPARSE_BLOCK`` bytes, so a
     mapped attach can sanity-check every payload (length, npy header, a
     spread of pages) without paging the whole snapshot in. Truncation and
     most corruption patterns are caught; the full digest still runs in the
-    background sweep. Every page-in runs this, hence the bare descriptor:
-    one ``pread`` per block, no buffered-reader round trips.
+    background sweep. A page-in runs this on the descriptor it goes on to
+    map: one ``pread`` per block, no buffered-reader round trips.
     """
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        size = os.fstat(fd).st_size
-        digest = hashlib.sha256(str(size).encode())
-        offsets = {0}
-        if size > _SPARSE_BLOCK:
-            span = size - _SPARSE_BLOCK
-            offsets.update(
-                [(span * i) // (_SPARSE_SAMPLES - 1) for i in range(_SPARSE_SAMPLES)]
-            )
-        for offset in sorted(offsets):
-            digest.update(os.pread(fd, _SPARSE_BLOCK, offset))
-    finally:
-        os.close(fd)
+    size = os.fstat(fd).st_size
+    digest = hashlib.sha256(str(size).encode())
+    offsets = {0}
+    if size > _SPARSE_BLOCK:
+        span = size - _SPARSE_BLOCK
+        offsets.update(
+            [(span * i) // (_SPARSE_SAMPLES - 1) for i in range(_SPARSE_SAMPLES)]
+        )
+    for offset in sorted(offsets):
+        digest.update(os.pread(fd, _SPARSE_BLOCK, offset))
     return digest.hexdigest()
 
 
@@ -138,14 +165,16 @@ def _write_atomic(path: Path, write) -> dict:
     keeps the inode it was opened on."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
     try:
-        with tmp.open("wb") as handle:
+        with tmp.open("w+b") as handle:
             write(handle)
-        info = {
-            "file": path.name,
-            "nbytes": tmp.stat().st_size,
-            "sha256": _sha256(tmp),
-            "sparse_sha256": _sparse_sha256(tmp),
-        }
+            handle.flush()
+            fd = handle.fileno()
+            info = {
+                "file": path.name,
+                "nbytes": os.fstat(fd).st_size,
+                "sha256": _sha256(fd),
+                "sparse_sha256": _sparse_sha256(fd),
+            }
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -256,7 +285,8 @@ def save_store(
                 record = _key_record(key)
                 record["kind"] = _save_entry_v1(path, payload)
                 record["file"] = path.name
-                record["sha256"] = _sha256(path)
+                with open(path, "rb") as handle:
+                    record["sha256"] = _sha256(handle.fileno())
             else:
                 record = write_catalog_entry(directory, key, payload)
             record["tier"] = tier_name
@@ -286,8 +316,8 @@ def _warn_skip(record: dict, reason: str) -> None:
     )
 
 
-def _load_npz(path: Path, record: dict):
-    with np.load(path) as data:
+def _load_npz(handle, record: dict):
+    with np.load(handle) as data:
         positions = data["positions"]
         if record["kind"] == "raw":
             n_layers = sum(1 for name in data.files if name.startswith("keys"))
@@ -312,28 +342,102 @@ def _load_npz(path: Path, record: dict):
         )
 
 
-def _verify_file(directory: Path, info: dict, verify: str) -> str | None:
-    """Return a skip reason, or ``None`` when the file checks out."""
-    path = os.path.join(directory, info["file"])
-    if verify == "off":
-        return None if os.path.exists(path) else "payload file missing"
-    try:
-        if verify == "sparse" and "sparse_sha256" in info:
-            expected, actual = info["sparse_sha256"], _sparse_sha256(path)
-            label = "sparse checksum"
-        else:
-            expected, actual = info.get("sha256"), _sha256(path)
-            label = "checksum"
-    except FileNotFoundError:
-        return "payload file missing"
+class _Rejected(Exception):
+    """A payload file that must not be served; ``str()`` is the skip
+    reason."""
+
+
+@dataclass
+class VerifyLedger:
+    """One page-in's view of what a catalog record's owner has verified.
+
+    ``states`` maps a payload file name to the ``fstat`` state at which
+    its sparse digest last matched (see the module docstring for what is
+    and is not remembered). The owner keeps ``states`` between page-ins —
+    beside the record, under the lock the record is under — and hands each
+    page-in a ledger built from it; the page-in runs outside that lock,
+    leaves ``states`` as they should now be remembered, and counts the
+    payload files it ``hashed``, ``trusted`` without hashing, and refused
+    (``failed``: missing, mismatched or unreadable — one per refused
+    record, since a page-in stops at its first bad file)."""
+
+    states: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    hashed: int = 0
+    trusted: int = 0
+    failed: int = 0
+
+
+def _expect(label: str, expected: str | None, actual: str) -> None:
     if expected is not None and actual != expected:
-        return f"{label} mismatch (expected {expected[:12]}…, got {actual[:12]}…)"
-    return None
+        raise _Rejected(
+            f"{label} mismatch (expected {expected[:12]}…, got {actual[:12]}…)"
+        )
 
 
-def _read_part(directory: Path, info: dict, mmap: bool) -> np.ndarray:
-    """One arena payload as a plain ``ndarray``: a read-only view of a
-    file mapping when ``mmap``, else a private copy.
+def _verify_fd(fd: int, info: dict, verify: str, ledger: VerifyLedger | None) -> None:
+    """Check an open payload file against its index record; raises
+    :class:`_Rejected`. With a ``ledger``, a sparse check whose ``fstat``
+    state equals the remembered one is trusted without hashing, and a
+    digest that matches is remembered unless the file is younger than
+    ``_RACY_MARGIN_NS``."""
+    if verify == "off":
+        return
+    if verify != "sparse" or "sparse_sha256" not in info:
+        _expect("checksum", info.get("sha256"), _sha256(fd))
+        return
+    if ledger is None:
+        _expect("sparse checksum", info["sparse_sha256"], _sparse_sha256(fd))
+        return
+    name = info["file"]
+    st = os.fstat(fd)
+    state = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+    if ledger.states.get(name) == state:
+        ledger.trusted += 1
+        return
+    ledger.hashed += 1
+    ledger.states.pop(name, None)
+    _expect("sparse checksum", info["sparse_sha256"], _sparse_sha256(fd))
+    if _wall_clock_ns() - st.st_ctime_ns >= _RACY_MARGIN_NS:
+        ledger.states[name] = state
+
+
+def _open_verified(
+    directory, info: dict, verify: str, ledger: VerifyLedger | None = None
+):
+    """Open one payload file and verify *that descriptor*; returns the
+    open (unbuffered, binary) file for the caller to read or map and then
+    close, or raises :class:`_Rejected`."""
+    try:
+        handle = open(os.path.join(directory, info["file"]), "rb", buffering=0)
+    except FileNotFoundError:
+        raise _Rejected("payload file missing") from None
+    try:
+        _verify_fd(handle.fileno(), info, verify, ledger)
+    except BaseException:
+        handle.close()
+        raise
+    return handle
+
+
+def _npy_layout(handle) -> tuple[tuple[int, ...], np.dtype, int]:
+    """``(shape, dtype, data offset)`` parsed from an npy header — only
+    for a record written before the index kept them."""
+    version = np.lib.format.read_magic(handle)
+    if version == (1, 0):
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(handle)
+    elif version == (2, 0):
+        shape, fortran, dtype = np.lib.format.read_array_header_2_0(handle)
+    else:
+        raise ValueError(f"unsupported npy version {version}")
+    if fortran:
+        raise ValueError("fortran-order arena payload")
+    return shape, dtype, handle.tell()
+
+
+def _read_part(handle, info: dict, mmap: bool) -> np.ndarray:
+    """One arena payload, from its verified descriptor, as a plain
+    ``ndarray``: a read-only view of a file mapping when ``mmap``, else a
+    private copy.
 
     The recorded shape/dtype/offset locate the data directly; a record
     written before they were kept falls back to parsing the npy header.
@@ -341,40 +445,74 @@ def _read_part(directory: Path, info: dict, mmap: bool) -> np.ndarray:
     them downstream is ordinary ndarray slicing (``np.memmap.__getitem__``
     re-runs ``__array_finalize__`` on every view); the view's ``base``
     still leads to the mapping, which is what ``is_mapped`` follows and
-    what keeps the mapping alive exactly as long as the entry."""
-    path = os.path.join(directory, info["file"])
-    if "offset" not in info:
-        return np.asarray(np.load(path, mmap_mode="r" if mmap else None))
-    shape, dtype = tuple(info["shape"]), np.dtype(info["dtype"])
+    what keeps the mapping alive exactly as long as the entry (the mapping
+    holds its own duplicate of the descriptor, so the caller closes
+    ``handle`` either way)."""
+    if "offset" in info:
+        shape, dtype = tuple(info["shape"]), np.dtype(info["dtype"])
+        offset = info["offset"]
+    else:
+        shape, dtype, offset = _npy_layout(handle)
     count = math.prod(shape)
     if mmap and count:
         return np.asarray(
-            np.memmap(path, dtype=dtype, mode="r", offset=info["offset"], shape=shape)
+            np.memmap(handle, dtype=dtype, mode="r", offset=offset, shape=shape)
         )
     # An empty mapping is an error to mmap(2); nothing to share anyway.
-    return np.fromfile(path, dtype=dtype, count=count, offset=info["offset"]).reshape(shape)
+    handle.seek(offset)
+    return np.fromfile(handle, dtype=dtype, count=count).reshape(shape)
 
 
-def _load_entry_v2(directory: Path, record: dict, mmap: bool, verify: str):
-    """Build the entry payload, or raise/return ``None`` after warning."""
-    for info in record["files"].values():
-        reason = _verify_file(directory, info, verify)
-        if reason is not None:
-            _warn_skip(record, reason)
-            return None
-    if record["kind"] != _ARENA_KIND:
-        return _load_npz(directory / record["files"]["payload"]["file"], record)
-    files = record["files"]
-    key_arena = _read_part(directory, files["keys"], mmap)
-    value_arena = _read_part(directory, files["values"], mmap)
-    # Positions are tiny and hot (every splice reads them) — always eager.
-    positions = _read_part(directory, files["positions"], False)
+def _load_entry_v2(
+    directory,
+    record: dict,
+    mmap: bool,
+    verify: str,
+    ledger: VerifyLedger | None = None,
+):
+    """Build the entry payload; ``None`` after a warning for malformed
+    arenas, :class:`_Rejected` for a file that fails verification."""
+    handles: dict = {}
+    try:
+        for part, info in record["files"].items():
+            handles[part] = _open_verified(directory, info, verify, ledger)
+        if record["kind"] != _ARENA_KIND:
+            return _load_npz(handles["payload"], record)
+        files = record["files"]
+        key_arena = _read_part(handles["keys"], files["keys"], mmap)
+        value_arena = _read_part(handles["values"], files["values"], mmap)
+        # Positions are tiny and hot (every splice reads them) — always eager.
+        positions = _read_part(handles["positions"], files["positions"], False)
+    finally:
+        for handle in handles.values():
+            handle.close()
     if key_arena.ndim != 4 or value_arena.shape != key_arena.shape:
         _warn_skip(record, f"malformed arena shapes {key_arena.shape}/{value_arena.shape}")
         return None
     if key_arena.shape[0] == 0:
         return ModuleKV(keys=[], values=[], positions=positions)
     return ModuleKV.from_arenas(key_arena, value_arena, positions)
+
+
+def _load_entry_v1(directory: Path, record: dict, verify: str):
+    info = {"file": record["file"], "sha256": record.get("sha256")}
+    with _open_verified(directory, info, "off" if verify == "off" else "full") as handle:
+        return _load_npz(handle, record)
+
+
+def _load_or_skip(load, directory, record: dict, *args):
+    """``load(directory, record, *args)``, or ``None`` after a warning
+    when the payload is rejected or unreadable — the caller re-encodes
+    the module."""
+    try:
+        return load(directory, record, *args)
+    except _Rejected as exc:
+        _warn_skip(record, str(exc))
+    except (OSError, ValueError, KeyError, BadZipFile) as exc:
+        # A pre-checksum snapshot (no digest fields) can still present
+        # a truncated or garbled payload; degrade to a skip.
+        _warn_skip(record, f"unreadable payload ({type(exc).__name__}: {exc})")
+    return None
 
 
 def _index_entries(directory: Path) -> tuple[int, list[dict]]:
@@ -416,23 +554,11 @@ def load_store(
     version, entries = _index_entries(directory)
     for record in entries:
         key = CacheKey(record["schema"], record["module"], record["variant"])
-        try:
-            if version == 1:
-                path = directory / record["file"]
-                info = {"file": record["file"], "sha256": record.get("sha256")}
-                reason = _verify_file(directory, info, "off" if verify == "off" else "full")
-                if reason is not None:
-                    _warn_skip(record, reason)
-                    continue
-                kv = _load_npz(path, record)
-            else:
-                kv = _load_entry_v2(directory, record, mmap, verify)
-                if kv is None:
-                    continue
-        except (OSError, ValueError, KeyError, BadZipFile) as exc:
-            # A pre-checksum snapshot (no digest fields) can still present
-            # a truncated or garbled payload; degrade to a skip.
-            _warn_skip(record, f"unreadable payload ({type(exc).__name__}: {exc})")
+        if version == 1:
+            kv = _load_or_skip(_load_entry_v1, directory, record, verify)
+        else:
+            kv = _load_or_skip(_load_entry_v2, directory, record, mmap, verify)
+        if kv is None:
             continue
         store.put(key, kv, tier=record["tier"], pinned=record["pinned"])
     return store
@@ -467,16 +593,23 @@ def catalog_entry_nbytes(record: dict) -> int:
 
 
 def load_catalog_entry(
-    directory: str | Path, record: dict, *, mmap: bool = True, verify: str = "sparse"
+    directory: str | Path,
+    record: dict,
+    *,
+    mmap: bool = True,
+    verify: str = "sparse",
+    ledger: VerifyLedger | None = None,
 ):
     """Materialize one catalog record; ``None`` (after a warning) when the
-    payload is corrupt, truncated, or missing — the caller re-encodes."""
-    directory = Path(directory)
-    try:
-        return _load_entry_v2(directory, record, mmap, verify)
-    except (OSError, ValueError, KeyError, BadZipFile) as exc:
-        _warn_skip(record, f"unreadable payload ({type(exc).__name__}: {exc})")
-        return None
+    payload is corrupt, truncated, or missing — the caller re-encodes.
+    A caller that pages the record in repeatedly passes a
+    :class:`VerifyLedger` so an unchanged file is hashed once."""
+    kv = _load_or_skip(
+        _load_entry_v2, os.fspath(directory), record, mmap, verify, ledger
+    )
+    if kv is None and ledger is not None:
+        ledger.failed += 1
+    return kv
 
 
 class DigestSweep(threading.Thread):
@@ -509,8 +642,9 @@ class DigestSweep(threading.Thread):
             key = CacheKey(record["schema"], record["module"], record["variant"])
             bad = None
             for info in record.get("files", {}).values():
-                reason = _verify_file(self.directory, info, "full")
-                if reason is not None:
+                try:
+                    _open_verified(self.directory, info, "full").close()
+                except _Rejected as reason:
                     bad = f"{info['file']}: {reason}"
                     break
             if bad is None:

@@ -811,8 +811,12 @@ def _cmd_fabric_stats(args) -> int:
     print(f"spill: {snap['spills']} module(s) written back "
           f"({snap['spill_bytes']} bytes, {snap['spill_ms_total']:.1f} ms), "
           f"{snap['spill_errors']} error(s)")
+    print(f"page-in verify: {snap['verify_hashed']} file(s) hashed, "
+          f"{snap['verify_trusted']} trusted unchanged, "
+          f"{snap['verify_failed']} refused")
     prefetch = snap["prefetch"]
     print(f"prefetch: {prefetch['planned']} planned, "
+          f"{snap['prefetch_page_ins']} paged in, "
           f"{prefetch['skipped_budget']} budget-denied, "
           f"{prefetch['skipped_cold']} cold-skipped "
           f"({prefetch['budget_granted_bytes']:.0f} bytes granted)")

@@ -14,11 +14,14 @@ The snapshot tier is written as well as read: when a capacity victim
 leaves the DRAM tier and nothing on disk backs it, the fabric *spills*
 it — the same v2 payload ``save_store`` writes, digests included — and
 catalogs it, so the last copy of an encoded module is never thrown away
-and the next fetch is an ordinary verified page-in. The catalog of
-spilled payloads lives in memory and dies with the process; ``index.json``
-is never rewritten. ``remove_matching`` (a module's text changed) forgets
-catalog records with the resident entries, so no tier can hand back the
-old text's states.
+and the next fetch is an ordinary verified page-in. A page-in opens each
+payload file once, hashes that descriptor's sparse digest unless the file
+is in exactly the state the digest last matched at (remembered on the
+catalog record, never for a file under two seconds old), and maps the
+descriptor it checked. The catalog of spilled payloads lives in memory and
+dies with the process; ``index.json`` is never rewritten.
+``remove_matching`` (a module's text changed) forgets catalog records
+with the resident entries, so no tier can hand back the old text's states.
 
 Because it *is* a ``ModuleCacheStore``, everything that consumes the
 store today — ``PromptCache``, ``ClusterWorker``, snapshot save/load,
@@ -37,6 +40,7 @@ from pathlib import Path
 
 from repro.cache.compress import CompressedModuleKV
 from repro.cache.persist import (
+    VerifyLedger,
     catalog_entry_nbytes,
     load_catalog_entry,
     snapshot_catalog,
@@ -90,6 +94,11 @@ class FabricStore(ModuleCacheStore):
         # fabrics leave it None and prefetch only from the snapshot.
         self.peer_prefetch = peer_prefetch
         self.snapshot_dir = Path(snapshot_dir) if snapshot_dir is not None else None
+        # Records carry two in-memory fields index.json never sees:
+        # ``spilled`` (ours to unlink) and ``verified`` — the fstat states
+        # at which each payload file's sparse digest last matched
+        # (``VerifyLedger.states``), read and replaced under the lock like
+        # the catalog they sit on and forgotten with the record.
         self._catalog: dict[CacheKey, dict] = {}  # guarded-by: _lock
         if self.snapshot_dir is not None and (self.snapshot_dir / "index.json").exists():
             catalog = snapshot_catalog(self.snapshot_dir)
@@ -99,9 +108,16 @@ class FabricStore(ModuleCacheStore):
         # for budgeting pulls of entries no longer resident anywhere local
         # — and what tells a re-encode from a module's first encode.
         self._size_hints: dict[CacheKey, int] = {}  # guarded-by: _lock
-        # Snapshot-tier ledger: hits = successful page-ins, misses =
-        # catalog miss or corrupt payload.
+        # Snapshot-tier ledger: hits = demand fetches served by a page-in,
+        # misses = a cataloged payload refused (corrupt, truncated, gone).
+        # Maintenance prefetches are page-ins too but nobody's hit.
         self.snapshot_stats = TierStats()  # guarded-by: _lock
+        self.prefetch_page_ins = 0  # guarded-by: _lock
+        # Payload files a page-in hashed / mapped on a remembered state /
+        # refused (see ``repro.cache.persist.VerifyLedger``).
+        self.verify_hashed = 0  # guarded-by: _lock
+        self.verify_trusted = 0  # guarded-by: _lock
+        self.verify_failed = 0  # guarded-by: _lock
         # Encodes observed upstream: of a module never held before, and of
         # one the fabric once held and could not give back.
         self.first_encodes = 0  # guarded-by: _lock
@@ -147,8 +163,8 @@ class FabricStore(ModuleCacheStore):
         lock (eviction happens inside ``CacheTier.put``), which the write
         holds for a few milliseconds — once per module per process, since
         a cataloged key's later evictions return at the first line; the
-        per-request path, ``_page_in``, still hashes and faults outside
-        the lock. TTL victims never get here (``_expire`` skips
+        per-request path, ``_page_in``, hashes and faults outside the
+        lock. TTL victims never get here (``_expire`` skips
         ``on_evict``: staleness follows an entry to every tier). A fabric
         with no ``snapshot_dir``, a stand-in payload with no tensors, or a
         failed write loses the entry exactly as before."""
@@ -243,23 +259,33 @@ class FabricStore(ModuleCacheStore):
                     return FetchResult(entry=entry, tier=tier.name, source=source)
         return None  # evicted in the gap; treat as a miss
 
-    def _page_in(self, key: CacheKey):
+    def _page_in(self, key: CacheKey, *, prefetch: bool = False):
         """Materialize ``key`` from the mapped snapshot, if cataloged.
 
-        Runs outside the store lock — it faults pages and hashes the
-        sparse digest. A corrupt payload drops out of the catalog so the
-        fabric stops retrying it."""
+        Runs outside the store lock — it faults pages and, for a payload
+        file whose state is not the one its digest last matched at, hashes
+        the sparse digest. A refused payload drops out of the catalog (its
+        verified states with it) so the fabric stops retrying it."""
         with self._lock:
             record = self._catalog.get(key)
-        if record is None:
-            return None
-        kv = load_catalog_entry(self.snapshot_dir, record)
+            if record is None:
+                return None
+            ledger = VerifyLedger(dict(record.get("verified", ())))
+        kv = load_catalog_entry(self.snapshot_dir, record, ledger=ledger)
         with self._lock:
+            self.verify_hashed += ledger.hashed
+            self.verify_trusted += ledger.trusted
+            self.verify_failed += ledger.failed
             if kv is None:
-                self._catalog.pop(key, None)
+                if self._catalog.get(key) is record:
+                    del self._catalog[key]
                 self.snapshot_stats.misses += 1
             else:
-                self.snapshot_stats.hits += 1
+                record["verified"] = ledger.states
+                if prefetch:
+                    self.prefetch_page_ins += 1
+                else:
+                    self.snapshot_stats.hits += 1
         return kv
 
     def snapshot_backed(self, key: CacheKey) -> bool:
@@ -309,7 +335,7 @@ class FabricStore(ModuleCacheStore):
         pulled = issued = 0
         for action in actions:
             if action.source == "snapshot":
-                kv = self._page_in(action.key)
+                kv = self._page_in(action.key, prefetch=True)
                 if kv is None:
                     continue
                 try:
@@ -361,6 +387,10 @@ class FabricStore(ModuleCacheStore):
             }
             counters = {
                 "catalog_entries": len(self._catalog),
+                "prefetch_page_ins": self.prefetch_page_ins,
+                "verify_hashed": self.verify_hashed,
+                "verify_trusted": self.verify_trusted,
+                "verify_failed": self.verify_failed,
                 "first_encodes": self.first_encodes,
                 "reencodes": self.reencodes,
                 "spills": self.spills,

@@ -845,6 +845,14 @@ class LiveServer:
         ):
             counter = self.metrics.counter(name, text)
             counter.inc(max(0.0, snap[field] - counter.value))
+        for result in ("hashed", "trusted", "failed"):
+            counter = self.metrics.counter(
+                "snapshot_verify_total",
+                "payload files a snapshot page-in hashed, mapped on the state "
+                "its digest last matched at, or refused",
+                result=result,
+            )
+            counter.inc(max(0.0, snap[f"verify_{result}"] - counter.value))
         for tier_name in ("snapshot", "peer"):
             stats = snap["tiers"][tier_name]
             g("cache_tier_hits", "store lookups served", tier=tier_name).set(

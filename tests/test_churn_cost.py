@@ -13,7 +13,9 @@ and its schema shape (two 256-token modules):
   and a gathered mirror beside them;
 - paging one module in costs at most 300 call events (was ~810) and
   compiles nothing: the catalog record says where the data is, no npy
-  header is parsed;
+  header is parsed — and at most 130 (measured: 121; 200 under
+  ``REPRO_SANITIZE``, measured 159), none of them in ``hashlib``, once
+  its files are in the state their digests last matched at;
 - once every module has been encoded, forty-eight round-robin requests
   over a fabric that holds five schemas of twelve encode nothing.
 """
@@ -28,7 +30,13 @@ import pytest
 from repro.analysis.contracts import contracts_enforced
 from repro.cache import engine as engine_module
 from repro.cache.engine import PromptCache
-from repro.cache.persist import load_catalog_entry, save_store, snapshot_catalog
+from repro.cache import persist
+from repro.cache.persist import (
+    VerifyLedger,
+    load_catalog_entry,
+    save_store,
+    snapshot_catalog,
+)
 from repro.cache.storage import CacheKey
 from repro.llm import build_model, small_config
 from repro.llm.paged import PagedKVCache
@@ -66,7 +74,7 @@ def snapshot(model, tok, tmp_path_factory):
 def profiled(fn):
     """Run ``fn`` under ``sys.setprofile``: ``(result, counts)`` with the
     total of call events and the tallies the pins below name."""
-    counts = {"all": 0, "memmap_getitem": 0, "compile": 0}
+    counts = {"all": 0, "memmap_getitem": 0, "compile": 0, "hashlib": 0}
 
     def hook(frame, event, arg):
         if event == "call":
@@ -78,6 +86,8 @@ def profiled(fn):
             counts["all"] += 1
             if getattr(arg, "__name__", "") == "compile":
                 counts["compile"] += 1
+            elif type(getattr(arg, "__self__", None)).__module__ == "_hashlib":
+                counts["hashlib"] += 1
 
     sys.setprofile(hook)
     try:
@@ -138,13 +148,25 @@ def test_base_build_allocates_the_prefix_once(model, snapshot):
     assert all(all(k is None for k in pool._keys) for pool in pools)
 
 
-def test_page_in_costs_under_300_calls_and_compiles_nothing(snapshot):
+def test_page_in_costs_under_300_calls_and_compiles_nothing(snapshot, monkeypatch):
     directory, catalog = snapshot
     record = catalog[CacheKey("churn", "a")]
     assert load_catalog_entry(directory, record) is not None  # imports
-    kv, counts = profiled(lambda: load_catalog_entry(directory, record))
+    # Hashed: no ledger, or (as here) one that remembers nothing yet.
+    monkeypatch.setattr(persist, "_wall_clock_ns", lambda: 1 << 62)  # files are old
+    ledger = VerifyLedger()
+    kv, counts = profiled(lambda: load_catalog_entry(directory, record, ledger=ledger))
     assert kv is not None and kv.is_mapped and len(kv) >= MODULE_TOKENS
-    assert counts["all"] <= 300, counts
+    assert (ledger.hashed, ledger.trusted) == (3, 0)
+    assert counts["all"] <= 300 and counts["hashlib"] >= 3, counts
+    assert counts["compile"] == 0, counts
+    # Trusted: the same files again, in the state they were hashed in.
+    kv, counts = profiled(lambda: load_catalog_entry(directory, record, ledger=ledger))
+    assert kv is not None and kv.is_mapped and len(kv) >= MODULE_TOKENS
+    assert (ledger.hashed, ledger.trusted) == (3, 3)
+    assert counts["all"] <= 200 and counts["hashlib"] == 0, counts
+    if not contracts_enforced():  # ``from_arenas`` runs its contract checks
+        assert counts["all"] <= 130, counts
     assert counts["compile"] == 0, counts
 
 

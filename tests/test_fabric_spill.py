@@ -15,7 +15,9 @@ once; and an unwritable snapshot directory degrades to the old drop.
 
 from __future__ import annotations
 
+import os
 import random
+import time
 import warnings
 
 import numpy as np
@@ -24,6 +26,7 @@ import pytest
 from repro.analysis import locks
 from repro.analysis.sanitize import LockDep
 from repro.cache import engine as engine_module
+from repro.cache import persist
 from repro.cache.engine import PromptCache
 from repro.cache.persist import save_store
 from repro.cache.storage import CacheKey
@@ -124,7 +127,10 @@ class Walk:
         path = self.directory / f"{key.schema}__{key.module}__{key.variant}.keys.npy"
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 0xFF
+        before = os.stat(path)
         path.write_bytes(bytes(raw))
+        while os.stat(path).st_ctime_ns == before.st_ctime_ns:
+            path.write_bytes(bytes(raw))  # same tick as the file's creation
         with pytest.warns(UserWarning, match="checksum mismatch"):
             assert self.store.fetch(key) is None
         assert not self.store.snapshot_backed(key)  # no retry loop on a bad payload
@@ -167,6 +173,31 @@ class TestStateWalk:
             walk.step("fetch", key)
         assert walk.store.fabric_snapshot()["spills"] == 4
         assert walk.store.fabric_snapshot()["reencodes"] == 0
+
+    def test_corrupt_after_two_page_ins_is_refused(self, tmp_path, lockdep, monkeypatch):
+        """Page in twice, then corrupt: the second page-in was served on
+        the remembered file state (the files count as aged here), and the
+        rewrite is still seen before a byte of it is served."""
+        monkeypatch.setattr(
+            persist, "_wall_clock_ns", lambda: time.time_ns() + 10 * 10**9
+        )
+        walk = Walk(tmp_path)
+        for key in KEYS[:4]:
+            walk.step("put", key)
+        for _ in range(2):
+            for key in KEYS[:4]:  # each fetch pushes the others back out
+                walk.step("fetch", key)
+        snap = walk.store.fabric_snapshot()
+        assert snap["tiers"]["snapshot"]["hits"] == 8
+        assert snap["verify_hashed"] == 12 and snap["verify_trusted"] == 12
+        assert KEYS[0] not in walk.store
+        walk.step("corrupt", KEYS[0])
+        snap = walk.store.fabric_snapshot()
+        assert snap["verify_failed"] == 1 and snap["verify_hashed"] == 13
+        walk.step("fetch", KEYS[0])  # gone for good, and the walk knows it
+        for key in KEYS[1:4]:
+            walk.step("fetch", key)
+        assert walk.store.fabric_snapshot()["verify_failed"] == 1
 
     def test_second_eviction_of_a_spilled_key_writes_nothing(self, tmp_path):
         walk = Walk(tmp_path)

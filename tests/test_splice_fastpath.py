@@ -127,6 +127,118 @@ class TestPlanCache:
         assert events == ["miss", "hit", "invalidation"]
 
 
+def index_rebuilt_from(entries, schema_of) -> dict:
+    """What a ``_ModuleIndex`` must hold for the map ``entries``."""
+    index: dict = {}
+    for key, entry in entries.items():
+        for module in (None, *entry.module_names):
+            index.setdefault((schema_of(key, entry), module), set()).add(key)
+    return index
+
+
+def assert_indexes_match_maps(pc: PromptCache) -> None:
+    assert pc._plan_index._keys == index_rebuilt_from(
+        pc._plan_cache, lambda _key, entry: entry.schema_name
+    )
+    assert pc._base_index._keys == index_rebuilt_from(
+        pc._bases, lambda key, _entry: key[0]
+    )
+
+
+class TestEvictionInvalidatesByIndex:
+    """Plans and bases are found through a ``(schema, module)`` index,
+    not a walk: a plan or base never survives its module's last eviction,
+    and never dies for another schema's."""
+
+    SCHEMAS = {
+        name: f'<schema name="{name}"><module name="a">{text}</module>'
+        f'<module name="b">plan a trip lasting three days</module></schema>'
+        for name, text in (
+            ("one", "the quick brown fox jumps over the lazy dog"),
+            ("two", "miami beaches nightlife surf spots art deco museums"),
+        )
+    }
+
+    @staticmethod
+    def prompts(schema: str) -> list[str]:
+        return [
+            f'<prompt schema="{schema}"><a/> {text}</prompt>' for text in ("q", "why")
+        ] + [f'<prompt schema="{schema}"><b/> q</prompt>']
+
+    def engine(self, model, tok, **kwargs) -> PromptCache:
+        store = ModuleCacheStore(demote_on_evict=False)
+        pc = PromptCache(model, tok, store=store, template=PLAIN_TEMPLATE, **kwargs)
+        for source in self.SCHEMAS.values():
+            pc.register_schema(source)
+        return pc
+
+    def evict(self, pc: PromptCache, schema: str, module: str) -> None:
+        """A capacity eviction of the last resident copy: squeeze the
+        tier until the LRU victim is the one asked for."""
+        key = CacheKey(schema, module, "solo")
+        tier = pc.store.gpu
+        tier.get(key)  # most recent...
+        for other in [k for k in tier.keys() if k != key]:
+            tier.get(other)  # ...now least
+        tier.accountant.capacity_bytes = tier.used_bytes  # full as it stands
+        tier.put(CacheKey("pressure", "p"), _Bytes(tier.peek(key).nbytes))
+        tier.accountant.capacity_bytes = None
+        tier.remove(CacheKey("pressure", "p"))
+        assert key not in pc.store and tier.stats.evictions == 1
+
+    def test_a_module_eviction_takes_exactly_its_plans_and_bases(self, llama, tok):
+        pc = self.engine(llama, tok)
+        for schema in self.SCHEMAS:
+            for prompt in self.prompts(schema):
+                pc.serve(prompt, max_new_tokens=1)
+        assert len(pc._plan_cache) == 6 and len(pc._bases) == 4
+        assert_indexes_match_maps(pc)
+        self.evict(pc, "one", "a")
+        survivors = set(pc._plan_cache)
+        assert survivors == {*self.prompts("two"), self.prompts("one")[2]}
+        assert {key[0] for key in pc._bases} == {"one", "two"}
+        assert all("a" not in b.module_names for k, b in pc._bases.items() if k[0] == "one")
+        assert len(pc._bases) == 3 and pc.plan_stats.invalidations == 2
+        assert_indexes_match_maps(pc)
+        # Schema "two" kept serving from what it had: hits, not rebuilds.
+        before = (pc.plan_stats.hits, pc.plan_stats.base_hits)
+        for prompt in self.prompts("two"):
+            pc.serve(prompt, max_new_tokens=1)
+        assert (pc.plan_stats.hits, pc.plan_stats.base_hits) == (before[0] + 3, before[1] + 3)
+
+    def test_an_eviction_that_invalidates_nothing_touches_nothing(self, llama, tok):
+        pc = self.engine(llama, tok)
+        for prompt in self.prompts("two"):
+            pc.serve(prompt, max_new_tokens=1)
+        self.evict(pc, "one", "a")  # nobody planned with it
+        assert len(pc._plan_cache) == 3 and pc.plan_stats.invalidations == 0
+        assert_indexes_match_maps(pc)
+
+    def test_lru_trims_and_whole_schema_invalidation_keep_the_index(self, llama, tok):
+        pc = self.engine(llama, tok, plan_cache_size=2, base_cache_size=1)
+        for schema in self.SCHEMAS:
+            for prompt in self.prompts(schema):
+                pc.serve(prompt, max_new_tokens=1)
+                assert_indexes_match_maps(pc)
+        assert len(pc._plan_cache) == 2 and len(pc._bases) == 1
+        pc.invalidate("two")
+        assert not pc._plan_cache and not pc._bases
+        assert pc._plan_index._keys == {} and pc._base_index._keys == {}
+        pc.serve(self.prompts("one")[0], max_new_tokens=1)
+        pc.update_module_text("one", "b", "plan a trip lasting four days")
+        assert pc._plan_index._keys == {} and pc._base_index._keys == {}
+
+
+class _Bytes:
+    """A stand-in payload of a given size (the store only asks that)."""
+
+    def __init__(self, nbytes: int) -> None:
+        self._nbytes = nbytes
+
+    def nbytes(self) -> int:
+        return self._nbytes
+
+
 # Parameters, a union of unequal members, a scaffold set, and (last) a
 # prompt with no text of its own: fully cached, its tail token recomputed.
 ORACLE_SCHEMA = (

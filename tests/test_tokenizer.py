@@ -145,6 +145,33 @@ class TestBPEPersistence:
         assert BPETokenizer.load(path).specials == specials
 
 
+class TestShippedDefault:
+    def test_shipped_vocabulary_is_what_training_produces(self, tmp_path):
+        """``default_tokenizer()`` loads a shipped merge table instead of
+        training per process; this is what keeps the file honest. Stale
+        after a corpus or trainer change? ``python -m repro.tokenizer``."""
+        from repro.datasets.corpus import training_corpus
+        from repro.tokenizer.default import (
+            SHIPPED_VOCAB,
+            default_tokenizer,
+            train_default,
+        )
+
+        trained, shipped = train_default(), default_tokenizer()
+        assert shipped.merges() == trained.merges()  # vocabulary and merge order
+        assert shipped.specials == trained.specials
+        assert len(shipped) == len(trained)
+        for text in training_corpus():
+            assert shipped.encode(text) == trained.encode(text)
+        trained.save(tmp_path / "retrained.json")
+        assert SHIPPED_VOCAB.read_bytes() == (tmp_path / "retrained.json").read_bytes()
+
+    def test_other_sizes_still_train(self):
+        from repro.tokenizer.default import default_tokenizer
+
+        assert len(default_tokenizer(300)) == 300
+
+
 class TestWhitespaceTokenizer:
     def test_round_trip_words(self):
         t = WhitespaceTokenizer()
