@@ -45,7 +45,7 @@ import numpy as np
 from repro.bench import emit, format_table
 from repro.cache.engine import PromptCache
 from repro.cache.persist import save_store
-from repro.fabric import FabricStore
+from repro.cache.storage import ModuleCacheStore
 from repro.llm import build_model, small_config
 from repro.tokenizer import default_tokenizer
 
@@ -102,11 +102,10 @@ def _run_config(
     per request, so per-key inter-arrivals are exactly ``n_schemas``
     ticks and the lead window (2 ticks) covers the next two keys."""
     t = [0.0]
-    store = FabricStore(
+    store = ModuleCacheStore(
         gpu_capacity, cpu_capacity,
         snapshot_dir=snapshot_dir,
         prefetch_bytes_per_s=bytes_per_s,
-        horizon_s=2.0,
         clock=lambda: t[0],
     )
     pc = PromptCache(model, tok, store=store)

@@ -36,7 +36,7 @@ def main() -> None:
     probe.register_schema(build_schema())
     per_module = probe.store.gpu.used_bytes // (N_DOCS + 1)
 
-    store = ModuleCacheStore(gpu_capacity_bytes=3 * per_module + 1024, policy="lru")
+    store = ModuleCacheStore(gpu_capacity_bytes=3 * per_module + 1024)
     pc = PromptCache(model, tok, store=store, template=PLAIN_TEMPLATE, default_tier="gpu")
     pc.register_schema(build_schema(), eager=False)
 

@@ -4,7 +4,7 @@
 
 1. **Register** a schema → lay out position IDs (:mod:`repro.cache.layout`)
    and optionally pre-encode every module (:mod:`repro.cache.encoder`) into
-   the two-tier store (:mod:`repro.cache.storage`).
+   the module store (:mod:`repro.cache.storage`).
 2. **Serve** a prompt → one pipeline behind every entry point: *plan*
    (resolve a PML prompt against its schema, or match raw text against
    the discovered prefixes), *fork* a shared pre-spliced base of the
@@ -486,7 +486,8 @@ class PromptCache:
     model, tokenizer:
         The inference engine and its tokenizer.
     store:
-        Two-tier module store; defaults to unbounded tiers.
+        The module store (:class:`~repro.cache.storage.ModuleCacheStore`);
+        defaults to unbounded tiers with no snapshot directory.
     template:
         Chat template compiled into role tags; defaults to the model
         architecture's native template.
@@ -512,7 +513,6 @@ class PromptCache:
         template: ChatTemplate | None = None,
         default_tier: str = "gpu",
         kv_codec=None,
-        promote_on_cpu_hit: bool = False,
         plan_cache_size: int = 256,
         base_cache_size: int = 8,
         encode_workers: int = 0,
@@ -525,10 +525,6 @@ class PromptCache:
         self.store = store or ModuleCacheStore()
         self.template = template or template_for_architecture(model.config.architecture)
         self.default_tier = default_tier
-        # Promote modules served from host memory back into the GPU tier
-        # (the simulator's fetch path and the paper's §3.2.3 prefetch);
-        # keeps hot modules on the fast route when the GPU tier is bounded.
-        self.promote_on_cpu_hit = promote_on_cpu_hit
         if kv_codec is None:
             self.kv_codec = IdentityCodec()
         elif isinstance(kv_codec, str):
@@ -741,35 +737,18 @@ class PromptCache:
             if transient:
                 encoder.close()
 
-    def _observe_reencode(self, key: CacheKey, kv: ModuleKV, seconds: float) -> None:
-        """Report a measured module encode — a first one or a re-encode,
-        the store knows which — to stores that price tiers (the fabric's
-        cost model treats encode as the most expensive tier). Duck-typed:
-        plain two-tier stores have no observer."""
-        observe = getattr(self.store, "observe_reencode", None)
-        if observe is not None:
-            observe(key, len(kv), seconds)
-
-    def _fetch(self, key: CacheKey):
-        """Store lookup on the serve path: a hit in host memory is
-        promoted back to the fast tier when the engine is set to."""
-        found = self.store.fetch(key)
-        if found is not None and found.tier == "cpu" and self.promote_on_cpu_hit:
-            self.store.prefetch([key])
-        return found
-
     def _ensure_encoded(
         self, registered: RegisteredSchema, name: str, variant: str, tier: str
     ) -> tuple[ModuleKV, str]:
         """Fetch a module's states, encoding on miss. Returns (kv, tier)."""
         key = CacheKey(registered.layout.schema_name, name, variant)
-        found = self._fetch(key)
+        found = self.store.fetch(key)
         if found is not None:
             return self.kv_codec.decode(found.entry.kv), found.tier
         if variant == SOLO_VARIANT:
             started = time.perf_counter()
             kv = encode_module(self.model, registered.layout.module(name))
-            self._observe_reencode(key, kv, time.perf_counter() - started)
+            self.store.observe_reencode(key, len(kv), time.perf_counter() - started)
             self.store.put(key, self.kv_codec.encode(kv), tier=tier)
             return kv, tier
         index = int(variant.removeprefix("scaffold"))
@@ -1240,14 +1219,14 @@ class PromptCache:
         prompt if the store dropped it (capacity/TTL) — the trie keeps
         the boundary, the KV self-heals on the next hit."""
         key = CacheKey(DISCOVERED_SCHEMA, segment.name, SOLO_VARIANT)
-        found = self._fetch(key)
+        found = self.store.fetch(key)
         if found is not None:
             return self.kv_codec.decode(found.entry.kv), found.tier
         started = time.perf_counter()
         kv = self._encode_segment(
             tuple(int(t) for t in ids), segment.start, segment.end, ancestors
         )
-        self._observe_reencode(key, kv, time.perf_counter() - started)
+        self.store.observe_reencode(key, len(kv), time.perf_counter() - started)
         self.store.put(key, self.kv_codec.encode(kv), tier=self.default_tier)
         return kv, self.default_tier
 
@@ -1488,7 +1467,7 @@ class PromptCache:
         """
         tier_tokens: dict[str, int] = {"gpu": 0, "cpu": 0}
         for cache_key, count in base.entries:
-            found = self._fetch(cache_key)
+            found = self.store.fetch(cache_key)
             if found is None:
                 return None
             tier_tokens[found.tier] += count

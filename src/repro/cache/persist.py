@@ -34,7 +34,7 @@ bytes that were checked are the bytes that are mapped even when another
 worker renames a new file over the name in between (``_write_atomic``
 allows exactly that).
 
-A caller that pages the same record in again and again (the fabric's
+A caller that pages the same record in again and again (the store's
 snapshot tier) passes a :class:`VerifyLedger`: once a file's sparse digest
 has matched, the ``fstat`` state it matched at — ``(st_dev, st_ino,
 st_size, st_mtime_ns, st_ctime_ns)`` — is remembered, and a later page-in
@@ -62,13 +62,16 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 from zipfile import BadZipFile
 
 import numpy as np
 
 from repro.cache.compress import CompressedModuleKV
-from repro.cache.storage import CacheKey, ModuleCacheStore
 from repro.llm.kv import ModuleKV
+
+if TYPE_CHECKING:  # the store pages in through this module: import at use
+    from repro.cache.storage import CacheKey, ModuleCacheStore
 
 _INDEX = "index.json"
 SNAPSHOT_VERSION = 2
@@ -243,11 +246,17 @@ def _key_record(key: CacheKey) -> dict:
     return {"schema": key.schema, "module": key.module, "variant": key.variant}
 
 
+def _record_key(record: dict) -> CacheKey:
+    from repro.cache.storage import CacheKey
+
+    return CacheKey(record["schema"], record["module"], record["variant"])
+
+
 def write_catalog_entry(directory: str | Path, key: CacheKey, payload) -> dict:
     """Write one entry's v2 payload files into ``directory`` (atomically,
     with full and sparse digests) and return the catalog record that
     :func:`load_catalog_entry` materializes it from. ``save_store`` writes
-    every entry through here; the fabric store spills a DRAM victim with
+    every entry through here; the store spills a DRAM victim with
     the same call."""
     record = _key_record(key)
     record.update(_save_entry_v2(Path(directory), key, payload))
@@ -545,6 +554,8 @@ def load_store(
     with a warning (the module simply re-encodes on first use); only a
     missing or unreadable ``index.json`` raises.
     """
+    from repro.cache.storage import ModuleCacheStore
+
     directory = Path(directory)
     store = store or ModuleCacheStore()
     if verify is None:
@@ -553,7 +564,7 @@ def load_store(
         raise ValueError(f"unknown verify mode {verify!r}")
     version, entries = _index_entries(directory)
     for record in entries:
-        key = CacheKey(record["schema"], record["module"], record["variant"])
+        key = _record_key(record)
         if version == 1:
             kv = _load_or_skip(_load_entry_v1, directory, record, verify)
         else:
@@ -567,7 +578,7 @@ def load_store(
 def snapshot_catalog(directory: str | Path) -> dict[CacheKey, dict]:
     """Index a v2 snapshot for lazy per-entry attach.
 
-    Where :func:`attach_snapshot` maps every entry up front, the fabric
+    Where :func:`attach_snapshot` maps every entry up front, the module
     store treats the snapshot as a cold *tier*: it indexes the records now
     and materializes individual entries on demand with
     :func:`load_catalog_entry`. Only v2 snapshots qualify — v1 archives
@@ -577,14 +588,10 @@ def snapshot_catalog(directory: str | Path) -> dict[CacheKey, dict]:
     version, entries = _index_entries(directory)
     if version != SNAPSHOT_VERSION:
         raise ValueError(
-            f"fabric snapshot tier needs a v{SNAPSHOT_VERSION} snapshot; "
+            f"the snapshot tier needs a v{SNAPSHOT_VERSION} snapshot; "
             f"{directory} is v{version}"
         )
-    catalog: dict[CacheKey, dict] = {}
-    for record in entries:
-        key = CacheKey(record["schema"], record["module"], record["variant"])
-        catalog[key] = record
-    return catalog
+    return {_record_key(record): record for record in entries}
 
 
 def catalog_entry_nbytes(record: dict) -> int:
@@ -639,7 +646,7 @@ class DigestSweep(threading.Thread):
 
     def run(self) -> None:
         for record in self.entries:
-            key = CacheKey(record["schema"], record["module"], record["variant"])
+            key = _record_key(record)
             bad = None
             for info in record.get("files", {}).values():
                 try:

@@ -1,10 +1,44 @@
-"""Module cache storage: CPU/GPU tiers, capacity accounting, eviction.
+"""Module cache storage: the tier walk, capacity accounting, eviction.
 
 The paper stores encoded modules in GPU HBM (fast, scarce) or host DRAM
-(abundant, pays a host-to-device copy) and leaves replacement policy to
-future work (§4.1, §6). This module implements both tiers with byte-exact
-accounting plus the replacement strategies the paper sketches — LRU, LFU,
-FIFO, and size-aware — so the eviction ablation can compare them.
+(abundant, pays a host-to-device copy) and leaves eviction and prefetch
+to future work (§4.1, §6). :class:`ModuleCacheStore` is that hierarchy,
+in one class. A ``fetch`` walks it hot to cold:
+
+    fast hit → DRAM hit (placement may promote) → snapshot page-in →
+    peer fetch → None (the caller encodes; ``observe_reencode`` prices it)
+
+- **Fast and DRAM tiers** are :class:`CacheTier`\\ s with byte-exact
+  budgets, TTLs, and one of four eviction policies (LRU, LFU, FIFO,
+  size-aware) choosing each tier's capacity victim — the eviction
+  ablation compares them.
+- **The snapshot tier** is a catalog of v2 payload records: those of the
+  ``index.json`` under ``snapshot_dir``, plus every DRAM victim this store
+  has written back there. A page-in verifies each payload file through a
+  :class:`~repro.cache.persist.VerifyLedger` and maps the descriptor it
+  checked, and installs the result only if the catalog still holds that
+  record — a text edit that lands mid-page-in makes the fetch a miss.
+- **The peer tier** is the miss fetcher (``set_miss_fetcher``), called
+  outside the store lock with its round-trip observed; its answer is not
+  installed if a ``remove_matching`` ran while it was in flight.
+
+Where a capacity victim goes:
+
+- A fast-tier victim is dropped when placement calls it snapshot-backed
+  and cold (the snapshot pages it back in); otherwise it moves to DRAM.
+- A DRAM victim — or a fast-tier victim DRAM cannot take — is spilled to
+  ``snapshot_dir`` unless the catalog already has it; without a
+  ``snapshot_dir`` it is dropped. Evict listeners see every capacity
+  victim with reason ``"capacity"``; TTL victims are dropped, never
+  demoted or spilled.
+
+No ``snapshot_dir`` means no spill: a module leaving DRAM is gone and its
+next use re-encodes. ``cpu_capacity_bytes=0`` means no DRAM tier: a
+fast-tier victim goes straight to the spill-or-drop path. Placement
+(:mod:`repro.fabric.placement`) is the only promote/drop policy, and
+:meth:`ModuleCacheStore.maintenance` adds budgeted predictive prefetch
+to the TTL sweep whenever there is something colder than DRAM to pull
+from.
 
 Entries are keyed by ``(schema, module, variant)``; ``variant`` separates a
 module's independent encoding from its scaffolded encodings.
@@ -15,9 +49,21 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 from repro.analysis.locks import ordered_lock
+from repro.cache.compress import CompressedModuleKV
+from repro.cache.persist import (
+    VerifyLedger,
+    catalog_entry_nbytes,
+    load_catalog_entry,
+    snapshot_catalog,
+    write_catalog_entry,
+)
+from repro.fabric.costs import TIER_CPU, TIER_GPU, TierCostModel
+from repro.fabric.placement import PlacementEngine
+from repro.fabric.prefetch import PredictivePrefetcher
 from repro.hw.allocator import CapacityError, MemoryAccountant
 from repro.llm.kv import ModuleKV
 
@@ -149,8 +195,8 @@ class CacheTier:
         self.entries: dict[CacheKey, CacheEntry] = {}  # guarded-by: _lock
         self.stats = TierStats()  # guarded-by: _lock
         self._clock = itertools.count()  # guarded-by: _lock
-        # Called with each evicted entry (the store uses it to demote GPU
-        # victims into host memory instead of dropping them).
+        # Called with each capacity victim (the store uses it to move a
+        # victim down a tier instead of dropping it).
         self.on_evict = None  # guarded-by: _lock
         self._evict_listeners: list = []  # guarded-by: _lock
 
@@ -285,69 +331,104 @@ class CacheTier:
 @dataclass
 class FetchResult:
     entry: CacheEntry
-    tier: str  # which tier served it ("gpu" fast path or "cpu" copy path)
-    # Where the bytes originally came from this fetch: same as ``tier``
-    # for resident hits, or "snapshot"/"peer" when a fabric store pulled
-    # the entry up from a colder tier on the way. Empty string means the
-    # store predates source tracking (plain two-tier store default).
-    source: str = ""
+    tier: str  # which tier holds it now ("gpu" fast path or "cpu" copy path)
+    # Where this fetch found the bytes: ``tier`` for a resident hit, or
+    # "snapshot"/"peer" when the walk pulled the entry up from colder down.
+    source: str
 
 
 class ModuleCacheStore:
-    """Two-tier module store mirroring the paper's GPU/CPU memory split.
-
-    ``fetch`` prefers the fast tier; on a fast-tier miss it falls back to
-    the slow tier (the paper's host-to-device copy path) and reports which
-    tier served the request so benchmarks can price the transfer.
-    """
+    """The module store: fast and DRAM tiers, a snapshot catalog, a peer
+    hook, and placement deciding what moves between them (see the module
+    docstring for the walk and the eviction rules)."""
 
     def __init__(
         self,
         gpu_capacity_bytes: int | None = None,
         cpu_capacity_bytes: int | None = None,
+        *,
         policy: str = "lru",
-        demote_on_evict: bool = True,
-        gpu_policy: str | None = None,
-        cpu_policy: str | None = None,
         gpu_ttl_s: float | None = None,
         cpu_ttl_s: float | None = None,
+        snapshot_dir: str | Path | None = None,
+        prefetch_bytes_per_s: float = 64e6,
         clock=time.monotonic,
     ) -> None:
         # One re-entrant lock shared by both tiers: the serving runtime
         # hits the store from worker threads while the event loop reads
-        # statistics, and GPU eviction re-enters the CPU tier (demotion).
+        # statistics, and eviction re-enters the store (demotion, spill).
         # A single lock makes those sequences atomic with no ordering
         # hazards between tiers.
         self._lock = ordered_lock("store")
+        self.clock = clock
         self.gpu = CacheTier(
-            "gpu", gpu_capacity_bytes, gpu_policy or policy,
-            lock=self._lock, ttl_s=gpu_ttl_s, clock=clock,
+            "gpu", gpu_capacity_bytes, policy, lock=self._lock, ttl_s=gpu_ttl_s,
+            clock=clock,
         )
         self.cpu = CacheTier(
-            "cpu", cpu_capacity_bytes, cpu_policy or policy,
-            lock=self._lock, ttl_s=cpu_ttl_s, clock=clock,
+            "cpu", cpu_capacity_bytes, policy, lock=self._lock, ttl_s=cpu_ttl_s,
+            clock=clock,
         )
-        if demote_on_evict:
-            # GPU victims fall back to abundant host DRAM (paper §4.1);
-            # later fetches pay the host-to-device copy instead of a
-            # re-encode.
-            self.gpu.on_evict = lambda entry: self.cpu.put(
-                entry.key, entry.kv, pinned=entry.pinned
-            )
-        # Optional get-or-fetch hook: called on a full (both-tier) miss
-        # with the CacheKey, *outside* the store lock — it may block on a
-        # network round-trip. Returning a KV object installs it (default
-        # GPU tier, spilling as usual) and the fetch succeeds; returning
-        # None falls through to the ordinary miss (re-encode upstream).
-        # The cluster's PeerFetcher plugs in here.
+        self.gpu.on_evict = self._on_gpu_evict
+        self.cpu.on_evict = self._spill
+        self.cost_model = TierCostModel()
+        self.placement = PlacementEngine(self.cost_model)
+        self.prefetcher = PredictivePrefetcher(
+            self.placement, bytes_per_s=prefetch_bytes_per_s
+        )
+        # Get-or-fetch hook: called on a miss in every local tier with the
+        # CacheKey, *outside* the store lock — it may block on a network
+        # round-trip. Returning a KV object installs it and the fetch
+        # succeeds; returning None falls through to the ordinary miss
+        # (re-encode upstream). The cluster's PeerFetcher plugs in here.
         self._miss_fetcher = None
+        # Async peer pull hook for prefetch: ``fn(key) -> bool`` (issued?).
+        # The cluster worker wires it to its event-loop peer fetch.
+        self.peer_prefetch = None
+        self.snapshot_dir = Path(snapshot_dir) if snapshot_dir is not None else None
+        # Records carry two in-memory fields index.json never sees:
+        # ``spilled`` (ours to unlink) and ``verified`` — the fstat states
+        # at which each payload file's sparse digest last matched
+        # (``VerifyLedger.states``), read and replaced under the lock like
+        # the catalog they sit on and forgotten with the record.
+        self._catalog: dict[CacheKey, dict] = (  # guarded-by: _lock
+            snapshot_catalog(self.snapshot_dir)
+            if self.snapshot_dir is not None and (self.snapshot_dir / "index.json").exists()
+            else {}
+        )
+        # Size of every key this store has held (recorded at insertion),
+        # for budgeting pulls of entries no longer resident anywhere local
+        # — and what tells a re-encode from a module's first encode.
+        self._size_hints: dict[CacheKey, int] = {}  # guarded-by: _lock
+        # ``remove_matching`` calls so far: a peer answer that arrives
+        # after one is not installed (it may predate the text change).
+        self._removals = 0  # guarded-by: _lock
         # Miss-fetch plane ledger: hits = fetcher returned KV, misses =
         # fetcher declined (None), fetch_errors = fetcher raised.
         self.fetch_stats = TierStats()  # guarded-by: _lock
         self._fetch_error_listeners: list = []  # guarded-by: _lock
+        # Snapshot-tier ledger: hits = demand fetches served by a page-in,
+        # misses = a cataloged payload refused (corrupt, truncated, gone).
+        # Maintenance prefetches are page-ins too but nobody's hit.
+        self.snapshot_stats = TierStats()  # guarded-by: _lock
+        self.prefetch_page_ins = 0  # guarded-by: _lock
+        # Payload files a page-in hashed / mapped on a remembered state /
+        # refused (see ``repro.cache.persist.VerifyLedger``).
+        self.verify_hashed = 0  # guarded-by: _lock
+        self.verify_trusted = 0  # guarded-by: _lock
+        self.verify_failed = 0  # guarded-by: _lock
+        # Encodes observed upstream: of a module never held before, and of
+        # one the store once held and could not give back.
+        self.first_encodes = 0  # guarded-by: _lock
+        self.reencodes = 0  # guarded-by: _lock
+        self.spills = 0  # guarded-by: _lock
+        self.spill_bytes = 0  # guarded-by: _lock
+        self.spill_errors = 0  # guarded-by: _lock
+        self.spill_ms_total = 0.0  # guarded-by: _lock
+        self.maintenance_runs = 0  # guarded-by: _lock
 
     def set_miss_fetcher(self, fn) -> None:
-        """Install (or clear, with ``None``) the both-tier-miss hook."""
+        """Install (or clear, with ``None``) the local-miss hook."""
         self._miss_fetcher = fn
 
     def add_fetch_error_listener(self, fn) -> None:
@@ -395,43 +476,182 @@ class ModuleCacheStore:
     def put(
         self, key: CacheKey, kv: ModuleKV, tier: str = "gpu", pinned: bool = False
     ) -> CacheEntry:
-        """Store in ``tier``, spilling to CPU if the GPU tier cannot fit it.
+        """Store in ``tier``, falling back to DRAM if the fast tier cannot
+        fit it, and remember the key's size.
 
-        The whole attempt-then-spill sequence runs under the shared lock
-        so a concurrent ``fetch`` never observes the entry missing from
-        both tiers mid-spill.
+        The whole attempt-then-fallback sequence runs under the shared
+        lock so a concurrent ``fetch`` never observes the entry missing
+        from both tiers midway.
         """
         with self._lock:
             try:
-                return self.tier(tier).put(key, kv, pinned=pinned)
+                entry = self.tier(tier).put(key, kv, pinned=pinned)
             except CapacityError:
-                if tier == "gpu":
-                    return self.cpu.put(key, kv, pinned=pinned)
-                raise
+                if tier != "gpu":
+                    raise
+                entry = self.cpu.put(key, kv, pinned=pinned)
+            self._size_hints[key] = entry.nbytes
+            return entry
+
+    # ------------------------------------------------------------------
+    # eviction: drop snapshot-backed cold victims, demote, spill the rest
+
+    def _on_gpu_evict(self, entry: CacheEntry) -> None:  # holds-lock: store
+        key = entry.key
+        with self._lock:
+            backed = key in self._catalog  # attached or spilled alike
+            if self.placement.should_drop(key, entry.nbytes, self.clock(), backed):
+                return  # the snapshot pages it back in on demand
+            try:
+                self.cpu.put(key, entry.kv, pinned=entry.pinned)
+            except CapacityError:
+                # No DRAM tier, or every DRAM entry pinned: the victim
+                # leaves the last resident tier right here.
+                self._spill(entry)
+
+    def _spill(self, entry: CacheEntry) -> None:  # holds-lock: store
+        """Write back a capacity victim leaving the last resident tier,
+        unless something on disk already backs it.
+
+        Synchronous, at the eviction that would have lost the entry:
+        whether a key is on disk when it is next wanted then depends on
+        the request order alone, never on timing. It runs under the store
+        lock (eviction happens inside ``CacheTier.put``), which the write
+        holds for a few milliseconds — once per module per process, since
+        a cataloged key's later evictions return at the first line; the
+        per-request path, ``_page_in``, hashes and faults outside the
+        lock. TTL victims never get here (``_expire`` skips
+        ``on_evict``: staleness follows an entry to every tier). A store
+        with no ``snapshot_dir``, a stand-in payload with no tensors, or a
+        failed write drops the entry."""
+        key = entry.key
+        with self._lock:
+            if key in self._catalog:
+                return
+        if self.snapshot_dir is None or not isinstance(
+            entry.kv, (ModuleKV, CompressedModuleKV)
+        ):
+            return
+        started = time.perf_counter()
+        try:
+            self.snapshot_dir.mkdir(parents=True, exist_ok=True)
+            record = write_catalog_entry(self.snapshot_dir, key, entry.kv)
+        except OSError:
+            with self._lock:
+                self.spill_errors += 1
+            return
+        record["spilled"] = True  # ours to unlink when the text changes
+        with self._lock:
+            self._catalog[key] = record
+            self.spills += 1
+            self.spill_bytes += catalog_entry_nbytes(record)
+            self.spill_ms_total += (time.perf_counter() - started) * 1e3
+        self.placement.note_spill()
+
+    # ------------------------------------------------------------------
+    # the tier walk
 
     def fetch(self, key: CacheKey) -> FetchResult | None:
+        now = self.clock()
+        self.placement.record_demand(key, now)
         with self._lock:
             entry = self.gpu.get(key)
             if entry is not None:
                 return FetchResult(entry=entry, tier="gpu", source="gpu")
             entry = self.cpu.get(key)
-            if entry is not None:
-                return FetchResult(entry=entry, tier="cpu", source="cpu")
-        # Full miss: give the get-or-fetch hook a chance to pull the
-        # entry from elsewhere (a cluster peer). Deliberately outside the
-        # lock — the hook may block on I/O, and it re-enters ``put``.
+        if entry is not None:
+            # DRAM hit: placement decides whether the expected demand
+            # justifies paying the promotion copy now.
+            if self.placement.should_promote(
+                key, entry.nbytes, now, src_tier=TIER_CPU, dst_tier=TIER_GPU
+            ):
+                self.prefetch([key])
+            return FetchResult(entry=entry, tier="cpu", source="cpu")
+        found = self._page_in(key)
+        if found is not None:
+            return found
+        # Peer tier: the miss fetcher, deliberately outside the lock (it
+        # may block on I/O), with its RTT observed so the cost model
+        # tracks the live deployment.
+        with self._lock:
+            removals = self._removals
+        started = time.perf_counter()
         kv = self._run_miss_fetcher(key)
         if kv is None:
-            return None
-        self.put(key, kv, tier="gpu")
+            return None  # encode upstream; observe_reencode prices it
+        self.cost_model.observe_peer_rtt(time.perf_counter() - started)
         with self._lock:
-            # peek: the local miss was already counted above, and the
-            # entry's recency is fresh from ``put``.
-            for tier in (self.gpu, self.cpu):
-                entry = tier.peek(key)
-                if entry is not None:
-                    return FetchResult(entry=entry, tier=tier.name, source="peer")
-        return None  # evicted in the gap; treat as a miss
+            if self._removals != removals:
+                # A text changed while the peer answered, and its states
+                # may be the old text's: a miss, like a forgotten record.
+                return None
+            return self._install(key, kv, "peer")
+
+    def _install(self, key: CacheKey, kv, source: str) -> FetchResult:
+        """``put`` into the fast tier (DRAM if it cannot fit) and report
+        where the entry landed — one critical section, so nothing can
+        evict it in between."""
+        with self._lock:
+            entry = self.put(key, kv)
+            tier = "gpu" if self.gpu.peek(key) is entry else "cpu"
+        return FetchResult(entry=entry, tier=tier, source=source)
+
+    def _page_in(self, key: CacheKey, *, prefetch: bool = False) -> FetchResult | None:
+        """Materialize ``key`` from the snapshot tier, if cataloged, into
+        the fast tier (a demand fetch) or DRAM (a prefetch).
+
+        Loading runs outside the store lock — it faults pages and, for a
+        payload file whose state is not the one its digest last matched
+        at, hashes the sparse digest. Installing runs under it, and only
+        if the catalog still holds the record that was loaded: a
+        ``remove_matching`` in between (the module's text changed) makes
+        this a miss rather than putting the old text's states back. A
+        refused payload drops out of the catalog (its verified states
+        with it) so the store stops retrying it."""
+        with self._lock:
+            record = self._catalog.get(key)
+            if record is None:
+                return None
+            ledger = VerifyLedger(dict(record.get("verified", ())))
+        kv = load_catalog_entry(self.snapshot_dir, record, ledger=ledger)
+        with self._lock:
+            self.verify_hashed += ledger.hashed
+            self.verify_trusted += ledger.trusted
+            self.verify_failed += ledger.failed
+            if self._catalog.get(key) is not record:
+                return None  # forgotten (or replaced) while it loaded
+            if kv is None:
+                del self._catalog[key]
+                self.snapshot_stats.misses += 1
+                return None
+            record["verified"] = ledger.states
+            if not prefetch:
+                self.snapshot_stats.hits += 1
+                return self._install(key, kv, "snapshot")
+            self.prefetch_page_ins += 1
+            try:
+                # Land prefetches in DRAM; the promote path moves them up
+                # on first demand if placement judges it worthwhile.
+                entry = self.put(key, kv, tier="cpu")
+            except CapacityError:
+                return None  # every resident entry outranks the prediction
+            return FetchResult(entry=entry, tier="cpu", source="snapshot")
+
+    def snapshot_backed(self, key: CacheKey) -> bool:
+        with self._lock:
+            return key in self._catalog
+
+    def observe_reencode(self, key: CacheKey, tokens: int, seconds: float) -> None:
+        """Record a measured module encode (the most expensive tier's
+        cost). Every encode feeds the cost model; only one of a key this
+        store has held counts as a *re*-encode — a first encode is the
+        price of admission, a re-encode is a loss."""
+        self.cost_model.observe_reencode(tokens, seconds)
+        with self._lock:
+            if key in self._size_hints:
+                self.reencodes += 1
+            else:
+                self.first_encodes += 1
 
     def peek(self, key: CacheKey) -> CacheEntry | None:
         """Both-tier lookup without touching statistics, recency, or the
@@ -452,19 +672,38 @@ class ModuleCacheStore:
             return self.gpu.mapped_bytes() + self.cpu.mapped_bytes()
 
     def remove_matching(self, schema: str, module: str | None = None) -> int:
-        """Drop every entry of ``schema`` (optionally restricted to one
-        module) from both tiers. Returns the number of entries removed —
-        the storage half of :meth:`PromptCache.invalidate`."""
+        """Drop every entry of ``schema`` (optionally one module) from
+        every tier — the storage half of :meth:`PromptCache.invalidate`.
+
+        Resident entries go, and so does the snapshot tier's catalog
+        record, or the next DRAM miss would page the old text's states
+        back in. Size hints and placement demand go with them; payload
+        files are unlinked only where this store spilled them (an
+        attached snapshot belongs to whoever saved it). Returns the
+        number of resident entries and catalog records removed."""
+
+        def matches(key: CacheKey) -> bool:
+            return key.schema == schema and (module is None or key.module == module)
+
         removed = 0
         with self._lock:
+            self._removals += 1
             for tier in (self.gpu, self.cpu):
                 for key in tier.keys():
-                    if key.schema != schema:
-                        continue
-                    if module is not None and key.module != module:
-                        continue
-                    tier.remove(key)
-                    removed += 1
+                    if matches(key):
+                        tier.remove(key)
+                        removed += 1
+            doomed = [key for key in {*self._catalog, *self._size_hints} if matches(key)]
+            for key in doomed:
+                self._size_hints.pop(key, None)
+                record = self._catalog.pop(key, None)
+                if record is None:
+                    continue
+                removed += 1
+                if record.get("spilled"):
+                    for info in record["files"].values():
+                        (self.snapshot_dir / info["file"]).unlink(missing_ok=True)
+        self.placement.forget(doomed)
         return removed
 
     def sweep_expired(self) -> int:
@@ -473,10 +712,10 @@ class ModuleCacheStore:
             return self.gpu.sweep_expired() + self.cpu.sweep_expired()
 
     def prefetch(self, keys: list[CacheKey]) -> int:
-        """Promote CPU-resident modules into the GPU tier ahead of use —
+        """Promote DRAM-resident modules into the fast tier ahead of use —
         the union-aware prefetching the paper floats in §3.2.3. Returns how
         many modules were promoted; missing or already-resident keys are
-        skipped, and promotion stops silently when the GPU tier is full of
+        skipped, and promotion stops silently when the fast tier is full of
         pinned entries."""
         promoted = 0
         with self._lock:
@@ -492,3 +731,99 @@ class ModuleCacheStore:
                     break
                 promoted += 1
         return promoted
+
+    # ------------------------------------------------------------------
+    # maintenance: TTL sweep + predictive prefetch
+
+    def _candidates(self) -> dict[CacheKey, tuple[str, int]]:
+        """Keys with live demand that are *not* resident locally, mapped to
+        where they can be pulled from and their size."""
+        candidates: dict[CacheKey, tuple[str, int]] = {}
+        peer_ok = self.peer_prefetch is not None
+        with self._lock:
+            for key in self.placement.tracked_keys():
+                if key in self:
+                    continue
+                record = self._catalog.get(key)
+                hint = self._size_hints.get(key)
+                if record is not None:
+                    candidates[key] = ("snapshot", catalog_entry_nbytes(record))
+                elif peer_ok and hint is not None:
+                    candidates[key] = ("peer", hint)
+        return candidates
+
+    def maintenance(self, now: float | None = None) -> dict:
+        """One idle-time tick: sweep expired entries, then issue budgeted
+        prefetch pulls for keys predicted to arrive soon. Called from the
+        live server's spare-capacity iterations and its periodic upkeep
+        (never from the request path). With an empty catalog and no peer
+        hook there is nothing colder than DRAM to pull from, and the tick
+        is the sweep alone."""
+        swept = self.sweep_expired()
+        with self._lock:
+            self.maintenance_runs += 1
+            idle = not self._catalog and self.peer_prefetch is None
+        pulled = issued = 0
+        if not idle:
+            now = self.clock() if now is None else now
+            for action in self.prefetcher.plan(self._candidates(), now):
+                if action.source == "snapshot":
+                    if self._page_in(action.key, prefetch=True) is not None:
+                        pulled += 1
+                elif self.peer_prefetch is not None and self.peer_prefetch(action.key):
+                    issued += 1
+        return {"swept": swept, "prefetched": pulled, "peer_issued": issued}
+
+    # ------------------------------------------------------------------
+    # observability
+
+    def residency_tags(self, limit: int = 256) -> list[str]:
+        """Module tags this store can serve without re-encoding: resident
+        entries first (both tiers), then snapshot-cataloged ones, capped
+        at ``limit`` for the heartbeat payload."""
+        tags: list[str] = []
+        seen: set[str] = set()
+        with self._lock:
+            key_groups = (self.gpu.keys(), self.cpu.keys(), list(self._catalog))
+        for keys in key_groups:
+            for key in keys:
+                tag = key.tag()
+                if tag in seen:
+                    continue
+                seen.add(tag)
+                tags.append(tag)
+                if len(tags) >= limit:
+                    return tags
+        return tags
+
+    def fabric_snapshot(self) -> dict:
+        """One structured view of every tier, placement and prefetch, for
+        the CLI and metrics."""
+        with self._lock:
+            tiers = {
+                "gpu": vars(self.gpu.stats).copy(),
+                "cpu": vars(self.cpu.stats).copy(),
+                "snapshot": vars(self.snapshot_stats).copy(),
+                "peer": vars(self.fetch_stats).copy(),
+            }
+            counters = {
+                "catalog_entries": len(self._catalog),
+                "prefetch_page_ins": self.prefetch_page_ins,
+                "verify_hashed": self.verify_hashed,
+                "verify_trusted": self.verify_trusted,
+                "verify_failed": self.verify_failed,
+                "first_encodes": self.first_encodes,
+                "reencodes": self.reencodes,
+                "spills": self.spills,
+                "spill_bytes": self.spill_bytes,
+                "spill_errors": self.spill_errors,
+                "spill_ms_total": self.spill_ms_total,
+                "maintenance_runs": self.maintenance_runs,
+            }
+        return {
+            "tiers": tiers,
+            **counters,
+            "costs": self.cost_model.snapshot(),
+            "placement": self.placement.snapshot(),
+            "prefetch": self.prefetcher.snapshot(),
+        }

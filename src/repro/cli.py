@@ -8,7 +8,7 @@ serve      serve a PML prompt against a schema with a seeded engine
 serve-live run the async serving runtime under a seeded open-loop trace
 serve-cluster  run N sharded workers behind the cache-affinity router
                (``--attach-snapshot DIR`` maps a shared warm snapshot;
-               ``--fabric`` swaps in the tiered cache fabric)
+               ``--fabric`` pages it in lazily, per module, instead)
 warm       encode a schema set across a process pool and (optionally)
            write a memmap-ready v2 snapshot for later attach
 loadgen    synthesize a serving trace and print its shape (``--cluster N``
@@ -16,8 +16,8 @@ loadgen    synthesize a serving trace and print its shape (``--cluster N``
 reuse-stats  run a seeded raw-text workload through reuse discovery and
              print trie/miner statistics (``serve-live --discover`` runs
              the same traffic through the async runtime)
-fabric-stats run a seeded schema workload through the tiered cache
-             fabric and print tier/placement/prefetch statistics
+fabric-stats run a seeded schema workload through a bounded module
+             store and print tier/placement/prefetch statistics
 tokenize   show how the shared tokenizer splits a text
 ttft       modeled TTFT for a paper-shape model on a paper device
 datasets   list the synthetic evaluation suite
@@ -135,10 +135,11 @@ def _build_parser() -> argparse.ArgumentParser:
                               "read-only into every worker's store — one "
                               "resident copy of the module KV per host")
     cluster.add_argument("--fabric", action="store_true",
-                         help="give every worker a tiered FabricStore: "
-                              "cost-model placement, predictive prefetch, "
-                              "snapshot as a lazily paged-in tier, and "
-                              "residency advertised to the router")
+                         help="give every worker a store with a bounded fast "
+                              "tier (--fabric-gpu-kb) and the snapshot "
+                              "(--attach-snapshot) as a lazily paged-in "
+                              "tier instead of mapped whole; prints w0's "
+                              "placement/spill/prefetch statistics")
     cluster.add_argument("--fabric-gpu-kb", type=_positive(int), default=None,
                          help="[--fabric] fast-tier capacity per worker "
                               "(forces demotions/drops)")
@@ -361,10 +362,7 @@ def _cmd_serve_live(args) -> int:
             args.gpu_capacity_kb * 1024 if args.gpu_capacity_kb else None
         )
     )
-    pc = PromptCache(
-        model, tok, store=store, template=PLAIN_TEMPLATE,
-        promote_on_cpu_hit=args.gpu_capacity_kb is not None,
-    )
+    pc = PromptCache(model, tok, store=store, template=PLAIN_TEMPLATE)
     if args.discover:
         from repro.reuse import DiscoveryConfig
 
@@ -450,6 +448,7 @@ def _cmd_serve_cluster(args) -> int:
     import asyncio
     import json
 
+    from repro.cache.storage import ModuleCacheStore
     from repro.cluster import ClusterRouter, ClusterWorker
     from repro.cluster.loadgen import run_cluster_open_loop
     from repro.llm import build_model, small_config, tiny_config
@@ -482,14 +481,17 @@ def _cmd_serve_cluster(args) -> int:
         queue_delay_budget_s=None,
     )
     attach = str(args.attach_snapshot) if args.attach_snapshot else None
-    fabric_options = None
-    if args.fabric and args.fabric_gpu_kb:
-        fabric_options = {"gpu_capacity_bytes": args.fabric_gpu_kb * 1024}
+    fast_bytes = args.fabric_gpu_kb * 1024 if args.fabric_gpu_kb else None
     workers = [
         ClusterWorker(
             f"w{i}", model, tok, template=PLAIN_TEMPLATE, options=options,
-            attach_snapshot=attach, fabric=args.fabric,
-            fabric_options=fabric_options,
+            # --fabric: the snapshot is each store's lazily paged-in tier
+            # instead of being mapped whole into the worker's tiers.
+            store=(
+                ModuleCacheStore(fast_bytes, snapshot_dir=attach)
+                if args.fabric else None
+            ),
+            attach_snapshot=attach,
         )
         for i in range(args.workers)
     ]
@@ -754,7 +756,7 @@ def _cmd_fabric_stats(args) -> int:
     import json
 
     from repro.cache.engine import PromptCache
-    from repro.fabric import FabricStore
+    from repro.cache.storage import ModuleCacheStore
     from repro.llm import build_model, small_config, tiny_config
     from repro.pml.chat import PLAIN_TEMPLATE
     from repro.server import build_workload
@@ -764,7 +766,7 @@ def _cmd_fabric_stats(args) -> int:
     tok = default_tokenizer()
     make = tiny_config if args.size == "tiny" else small_config
     model = build_model(make(args.arch, vocab_size=tok.vocab_size), seed=args.seed)
-    store = FabricStore(
+    store = ModuleCacheStore(
         gpu_capacity_bytes=(
             args.gpu_capacity_kb * 1024 if args.gpu_capacity_kb else None
         ),

@@ -14,8 +14,8 @@ pull them over the distribution plane — one fetch, then warm — which is
 exactly the trade the plane exists to make cheap.
 
 Residency beats the ring: workers advertise the module tags they can
-serve without re-encoding (DRAM tiers, plus the snapshot catalog on
-fabric stores) in their heartbeats, and ``pick_worker`` prefers a
+serve without re-encoding (both resident tiers, plus the store's
+snapshot catalog) in their heartbeats, and ``pick_worker`` prefers a
 healthy, unsaturated worker already holding the request's modules over
 plain consistent-hash placement. The ring remains the fallback — and the
 tiebreak — so placement stays stable when nobody (or everybody) is

@@ -62,8 +62,6 @@ class ClusterWorker:
         heartbeat_interval_s: float = 0.05,
         attach_snapshot: str | None = None,
         discovery=None,
-        fabric: bool = False,
-        fabric_options: dict | None = None,
         residency_tag_limit: int = 256,
     ) -> None:
         self.name = name
@@ -72,19 +70,11 @@ class ClusterWorker:
         # with an empty private store — N same-host workers attached to
         # one snapshot page against a single resident copy of the module
         # KV. The background digest sweep handle is kept so tests (and
-        # shutdown paths) can join it.
+        # shutdown paths) can join it. (A ``store`` built with
+        # ``snapshot_dir`` instead treats the snapshot as its lazy tier:
+        # cataloged up front, paged in per entry on demand.)
         self.snapshot_sweep = None
-        if fabric and store is None:
-            # Fabric mode: the five-tier FabricStore replaces the plain
-            # two-tier store *and* subsumes the snapshot (as a lazy tier,
-            # cataloged up front and paged in per entry on demand rather
-            # than attached wholesale).
-            from repro.fabric import FabricStore
-
-            store = FabricStore(
-                snapshot_dir=attach_snapshot, **(fabric_options or {})
-            )
-        elif attach_snapshot is not None and store is None:
+        if attach_snapshot is not None and store is None:
             from repro.cache.persist import attach_snapshot as _attach
 
             attached = _attach(attach_snapshot, metrics=self.metrics)
@@ -141,10 +131,9 @@ class ClusterWorker:
         await self.exporter.start()
         await self.server.start()
         self.store.set_miss_fetcher(self._miss_fetch)
-        if hasattr(self.store, "peer_prefetch"):
-            # Fabric stores issue predictive peer pulls through the same
-            # plane the miss hook uses, but fire-and-forget on the loop.
-            self.store.peer_prefetch = self._peer_prefetch
+        # Predictive peer pulls ride the same plane as the miss hook, but
+        # fire-and-forget on the loop.
+        self.store.peer_prefetch = self._peer_prefetch
         self._heartbeat_task = asyncio.create_task(self._heartbeat_loop())
         self._beat()
         return self
@@ -204,19 +193,9 @@ class ClusterWorker:
 
     def _residency_tags(self) -> list[str]:
         """Module tags this worker can serve without re-encoding, for the
-        heartbeat's residency advertisement. Fabric stores include their
-        snapshot catalog (mapped counts as near-resident); plain stores
-        advertise their DRAM tiers."""
-        tags_fn = getattr(self.store, "residency_tags", None)
-        if tags_fn is not None:
-            return tags_fn(limit=self.residency_tag_limit)
-        tags: list[str] = []
-        for tier in (self.store.gpu, self.store.cpu):
-            for key in tier.keys():
-                tags.append(key.tag())
-                if len(tags) >= self.residency_tag_limit:
-                    return tags
-        return tags
+        heartbeat's residency advertisement: both resident tiers, then the
+        snapshot catalog (mapped counts as near-resident)."""
+        return self.store.residency_tags(limit=self.residency_tag_limit)
 
     def _beat(self, state: str | None = None) -> None:
         sink = self.heartbeat_sink
@@ -280,7 +259,7 @@ class ClusterWorker:
         return None
 
     def _peer_prefetch(self, key: CacheKey) -> bool:
-        """Fabric prefetch hook (engine/executor thread): schedule a
+        """Store prefetch hook (engine/executor thread): schedule a
         fire-and-forget peer pull on the loop. Unlike :meth:`_miss_fetch`
         nothing waits on the result — a prefetch that loses the race to
         the demand fetch is merely redundant."""

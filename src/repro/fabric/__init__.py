@@ -1,8 +1,14 @@
-"""repro.fabric — tiered cache fabric with placement and prefetch.
+"""repro.fabric — the policy half of the module store's tier hierarchy.
 
-Unifies the repo's four storage planes (HBM-sim/DRAM tiers, mapped v2
-snapshots, cluster peer fetch, re-encode) into one hierarchy behind the
-:class:`FabricStore` facade. See ``docs/ARCHITECTURE.md`` Layer 11.
+:class:`~repro.cache.storage.ModuleCacheStore` walks its tiers (fast,
+DRAM, mapped v2 snapshot, cluster peers, re-encode) itself; this package
+holds what decides between them: per-tier cost models (``costs``), the
+promote/demote/drop decisions (``placement``) and budgeted predictive
+prefetch (``prefetch``). See ``docs/ARCHITECTURE.md`` Layer 11.
+
+``FabricStore`` is an alias of ``ModuleCacheStore`` kept for callers of
+the name, resolved on first use so that importing this package never
+imports ``repro.cache`` (the store imports this package).
 """
 
 from repro.fabric.costs import (
@@ -17,11 +23,9 @@ from repro.fabric.costs import (
 )
 from repro.fabric.placement import PlacementEngine
 from repro.fabric.prefetch import ByteBudget, PredictivePrefetcher, PrefetchAction
-from repro.fabric.store import FabricStore
 
 __all__ = [
     "ByteBudget",
-    "FabricStore",
     "PlacementEngine",
     "PredictivePrefetcher",
     "PrefetchAction",
@@ -34,3 +38,11 @@ __all__ = [
     "TierCostModel",
     "analytic_cost_model",
 ]
+
+
+def __getattr__(name: str):
+    if name == "FabricStore":
+        from repro.cache.storage import ModuleCacheStore
+
+        return ModuleCacheStore
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -94,10 +94,11 @@ class ServeOptions:
     # count (``inflight``, the ``server_inflight`` gauge) can get. 1
     # disables.
     burst_iterations: int = 8
-    # Periodic store upkeep: TTL sweep (and, on a FabricStore, the
-    # budgeted prefetch tick) every this many seconds even while the
-    # server is idle. None disables the background loop; the
-    # scheduler still runs upkeep on spare-capacity iterations.
+    # Periodic store upkeep (``ModuleCacheStore.maintenance``: TTL sweep
+    # plus, when there is a snapshot catalog or peer hook, the budgeted
+    # prefetch tick) every this many seconds even while the server is
+    # idle. None disables the background loop; the scheduler still runs
+    # upkeep on spare-capacity iterations.
     store_sweep_interval_s: float | None = 1.0
 
 
@@ -618,8 +619,8 @@ class LiveServer:
     async def _maintenance_loop(self) -> None:
         """Periodic store upkeep, alive even while the server is idle —
         TTL victims must die on schedule, not on the next request. The
-        sweep itself runs on the executor (it takes the store lock and,
-        on a fabric store, may fault snapshot pages in)."""
+        sweep itself runs on the executor (it takes the store lock and
+        may fault snapshot pages in)."""
         interval = self.options.store_sweep_interval_s
         assert interval is not None
         loop = asyncio.get_running_loop()
@@ -633,30 +634,19 @@ class LiveServer:
                 await loop.run_in_executor(None, self._store_maintenance)
 
     def _store_maintenance(self) -> None:
-        """One upkeep tick (engine-thread side): sweep expired entries,
-        and on a :class:`~repro.fabric.store.FabricStore` run its full
-        maintenance (sweep + budgeted predictive prefetch)."""
-        store = self.pc.store
-        maintenance = getattr(store, "maintenance", None)
-        if maintenance is not None:
-            report = maintenance()
-            swept = report.get("swept", 0)
-            pulled = report.get("prefetched", 0)
-            issued = report.get("peer_issued", 0)
+        """One upkeep tick (engine-thread side): the store's maintenance
+        (TTL sweep + budgeted predictive prefetch), booked as counters."""
+        report = self.pc.store.maintenance()
+        for source, pulled in (
+            ("snapshot", report["prefetched"]), ("peer", report["peer_issued"])
+        ):
             if pulled:
                 self.metrics.counter(
                     "fabric_prefetch_pulls_total",
                     "modules pulled up-tier by the predictive prefetcher",
-                    source="snapshot",
+                    source=source,
                 ).inc(pulled)
-            if issued:
-                self.metrics.counter(
-                    "fabric_prefetch_pulls_total",
-                    "modules pulled up-tier by the predictive prefetcher",
-                    source="peer",
-                ).inc(issued)
-        else:
-            swept = store.sweep_expired()
+        swept = report["swept"]
         if swept:
             self.metrics.counter(
                 "cache_sweep_expired_total",
@@ -757,17 +747,15 @@ class LiveServer:
             "cache_sweep_expired_total",
             "TTL victims dropped by the periodic sweep",
         )
-        add_fetch_error = getattr(store, "add_fetch_error_listener", None)
-        if add_fetch_error is not None:
 
-            def on_fetch_error(key, exc):
-                self.metrics.counter(
-                    "cache_miss_fetch_errors_total",
-                    "miss-fetcher exceptions by exception type",
-                    reason=type(exc).__name__,
-                ).inc()
+        def on_fetch_error(key, exc):
+            self.metrics.counter(
+                "cache_miss_fetch_errors_total",
+                "miss-fetcher exceptions by exception type",
+                reason=type(exc).__name__,
+            ).inc()
 
-            add_fetch_error(on_fetch_error)
+        store.add_fetch_error_listener(on_fetch_error)
         self._wire_plan_cache_metrics()
         self.refresh_store_gauges()
 
@@ -817,12 +805,9 @@ class LiveServer:
         self._refresh_reuse_gauges()
 
     def _refresh_fabric_gauges(self) -> None:
-        """Mirror the cache fabric (tiering, placement, prefetch) into
-        gauges. No-op on a plain two-tier store."""
-        fabric_fn = getattr(self.pc.store, "fabric_snapshot", None)
-        if fabric_fn is None:
-            return
-        snap = fabric_fn()
+        """Mirror the store's colder tiers, placement and prefetch into
+        gauges and counters."""
+        snap = self.pc.store.fabric_snapshot()
         g = self.metrics.gauge
         g("fabric_catalog_entries", "modules cataloged in the snapshot tier").set(
             snap["catalog_entries"]
@@ -833,7 +818,7 @@ class LiveServer:
         g("fabric_first_encodes", "encodes of a module never held before").set(
             snap["first_encodes"]
         )
-        # Monotonic like the eviction counters they sit beside; the fabric
+        # Monotonic like the eviction counters they sit beside; the store
         # keeps the totals, so a refresh brings each counter up to date.
         for name, field, text in (
             ("cache_spills_total", "spills",

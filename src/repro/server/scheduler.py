@@ -158,7 +158,7 @@ class ContinuousScheduler:
         self.max_inflight = max_inflight
         self.prefill_chunk_tokens = prefill_chunk_tokens
         self.clock = clock
-        # Optional idle-work hook (fabric TTL sweep + prefetch). Called
+        # Optional idle-work hook (store TTL sweep + prefetch). Called
         # at the end of an iteration only when the iteration had spare
         # prefill capacity, so background pulls never displace decode or
         # a cold prefill — the "prefetch never starves decode" contract.

@@ -17,7 +17,12 @@ and its schema shape (two 256-token modules):
   ``REPRO_SANITIZE``, measured 159), none of them in ``hashlib``, once
   its files are in the state their digests last matched at;
 - once every module has been encoded, forty-eight round-robin requests
-  over a fabric that holds five schemas of twelve encode nothing.
+  over a fabric that holds five schemas of twelve encode nothing;
+- where nothing churns — a store with no snapshot catalog and no peer
+  hook, as on every unbounded engine — ``maintenance`` costs the TTL
+  sweep plus a constant however many keys placement tracks (unbounded
+  by it, 120 tracked keys cost ~2 k events), and a fast-tier hit a fixed
+  count (measured: 21; the demand ledger is 7 of them).
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from repro.cache.persist import (
     save_store,
     snapshot_catalog,
 )
-from repro.cache.storage import CacheKey
+from repro.cache.storage import CacheKey, ModuleCacheStore
 from repro.llm import build_model, small_config
 from repro.llm.paged import PagedKVCache
 from repro.pml.chat import PLAIN_TEMPLATE
@@ -183,3 +188,25 @@ def test_warm_churn_encodes_nothing(llama, tok, tmp_path, monkeypatch):
     assert len(outputs) == 4 * N_SCHEMAS == 48
     assert calls == []
     assert pc.store.fabric_snapshot()["reencodes"] == 0
+
+
+@pytest.mark.parametrize("ttl_s", [None, 60.0], ids=["no-ttl", "ttl"])
+def test_upkeep_and_hits_cost_a_constant_where_nothing_churns(snapshot, ttl_s):
+    _, catalog = snapshot
+    kv = load_catalog_entry(snapshot[0], catalog[CacheKey("churn", "a")], mmap=False)
+    store = ModuleCacheStore(gpu_ttl_s=ttl_s, cpu_ttl_s=ttl_s)
+    keys = [CacheKey("tracked", f"m{i}") for i in range(120)]
+    for key in keys[:8]:
+        store.put(key, kv)
+    for key in keys:  # 112 misses: demand placement tracks, nothing to pull
+        store.fetch(key)
+    store.maintenance()  # first touch
+    _, sweep = profiled(store.sweep_expired)
+    _, lock_trip = profiled(lambda: store.snapshot_backed(keys[0]))  # one store-lock section
+    report, upkeep = profiled(store.maintenance)
+    assert report == {"swept": 0, "prefetched": 0, "peer_issued": 0}
+    assert upkeep["all"] <= sweep["all"] + lock_trip["all"] + 4, (upkeep, sweep, lock_trip)
+    found, hit = profiled(lambda: store.fetch(keys[0]))
+    assert found.source == "gpu"
+    if not contracts_enforced():  # lockdep wraps both locks in Python
+        assert hit["all"] <= 24, hit

@@ -38,12 +38,11 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def make_cluster(llama, tok, n=2, fabric=False, **router_kwargs):
+def make_cluster(llama, tok, n=2, **router_kwargs):
     options = ServeOptions(queue_delay_budget_s=None)
     workers = [
         ClusterWorker(
             f"w{i}", llama, tok, options=options, heartbeat_interval_s=0.02,
-            fabric=fabric,
         )
         for i in range(n)
     ]
@@ -498,11 +497,12 @@ class TestResidencyRouting:
 
 
 class TestFabricCluster:
-    """Workers running the five-tier FabricStore inside the cluster plane."""
+    """Every worker's store — the whole tier walk, placement and peer
+    prefetch — inside the cluster plane."""
 
     def test_fabric_workers_serve_identically(self, llama, tok):
         async def scenario():
-            router = make_cluster(llama, tok, fabric=True)
+            router = make_cluster(llama, tok)
             async with router:
                 outs = [
                     await router.serve(prompt("beta", i), max_new_tokens=3)
@@ -527,7 +527,7 @@ class TestFabricCluster:
 
     def test_peer_prefetch_installs_into_dram_tier(self, llama, tok):
         async def scenario():
-            router = make_cluster(llama, tok, fabric=True)
+            router = make_cluster(llama, tok)
             async with router:
                 # Warm the home worker through the router, then issue a
                 # predictive pull on the other: the fabric's peer hook

@@ -244,20 +244,28 @@ class TestStorageIntegration:
         pc.serve('<prompt schema="travel"><miami/> y</prompt>', max_new_tokens=2)
         assert store.gpu.stats.hits > before
 
-    def test_cpu_hit_promotes_when_enabled(self, llama, tok):
-        store = ModuleCacheStore()
+    def test_cpu_hit_inside_the_horizon_promotes(self, llama, tok):
+        """A module hit in DRAM at a cadence inside placement's horizon
+        is promoted to the fast tier."""
+        t = [0.0]
+        store = ModuleCacheStore(clock=lambda: t[0])
         pc = PromptCache(llama, tok, store=store, template=PLAIN_TEMPLATE,
-                         default_tier="cpu", promote_on_cpu_hit=True)
-        pc.register_schema(TRAVEL)
+                         default_tier="cpu")
+        pc.register_schema(TRAVEL)  # the encode's lookup: one arrival
         assert any(k.module == "miami" for k in store.cpu.keys())
+        t[0] = 1.0  # the next, 1 s on: inside placement's 2 s horizon
         pc.serve('<prompt schema="travel"><miami/> x</prompt>', max_new_tokens=2)
         assert any(k.module == "miami" for k in store.gpu.keys())
 
     def test_cpu_hit_stays_put_by_default(self, llama, tok):
-        store = ModuleCacheStore()
+        """A DRAM hit a long while after the module's last arrival is not
+        worth the promotion copy."""
+        t = [0.0]
+        store = ModuleCacheStore(clock=lambda: t[0])
         pc = PromptCache(llama, tok, store=store, template=PLAIN_TEMPLATE,
                          default_tier="cpu")
         pc.register_schema(TRAVEL)
+        t[0] = 100.0
         pc.serve('<prompt schema="travel"><miami/> x</prompt>', max_new_tokens=2)
         assert not any(k.module == "miami" for k in store.gpu.keys())
 

@@ -196,7 +196,11 @@ class TestPlacement:
 class TestMissFetcherErrors:
     """Satellite: a raising miss fetcher degrades to a local re-encode."""
 
-    @pytest.mark.parametrize("store_cls", [ModuleCacheStore, FabricStore])
+    @pytest.mark.parametrize(
+        "store_cls",
+        [ModuleCacheStore, FabricStore],
+        ids=["ModuleCacheStore", "FabricStore"],  # the alias shares __name__
+    )
     def test_raising_fetcher_counted_and_degrades(self, store_cls):
         store = store_cls()
         observed = []
@@ -241,7 +245,7 @@ class TestEvictionPlacement:
         seed.put(CacheKey("s", "backed"), _module_kv(1))
         save_store(seed, tmp_path)
         kv = _module_kv(1)
-        return FabricStore(
+        return ModuleCacheStore(
             gpu_capacity_bytes=int(kv.nbytes() * 1.5),
             snapshot_dir=tmp_path, clock=clock, **kwargs,
         )
@@ -278,7 +282,7 @@ class TestEvictionPlacement:
         victim is dropped rather than demoted."""
         t = [0.0]
         budget = int(_module_kv(1).nbytes() * 1.5)  # one entry a tier
-        store = FabricStore(
+        store = ModuleCacheStore(
             budget, budget, snapshot_dir=tmp_path / "spill", clock=lambda: t[0]
         )
         a, b, c, d = (CacheKey("s", name) for name in "abcd")
@@ -318,7 +322,7 @@ class TestInvalidationReachesEveryTier:
         warm = PromptCache(llama, tok, template=PLAIN_TEMPLATE)
         warm.register_schema(SCHEMA)
         save_store(warm.store, tmp_path)
-        store = FabricStore(snapshot_dir=tmp_path)
+        store = ModuleCacheStore(snapshot_dir=tmp_path)
         pc = PromptCache(llama, tok, store=store, template=PLAIN_TEMPLATE)
         pc.register_schema(SCHEMA)
         key = CacheKey("trip", "plan")
@@ -347,7 +351,7 @@ class TestInvalidationReachesEveryTier:
     ):
         reference = self._updated_reference(llama, tok)
         budget = int(reference.store.total_bytes() * 0.8)  # about one module a tier
-        store = FabricStore(budget, budget, snapshot_dir=tmp_path)
+        store = ModuleCacheStore(budget, budget, snapshot_dir=tmp_path)
         pc = PromptCache(llama, tok, store=store, template=PLAIN_TEMPLATE)
         pc.register_schema(SCHEMA)
         key = CacheKey("trip", "plan")
@@ -364,6 +368,73 @@ class TestInvalidationReachesEveryTier:
         snap = store.fabric_snapshot()
         assert snap["tiers"]["snapshot"]["misses"] == 0  # forgotten, not found corrupt
 
+    @pytest.mark.parametrize("source", ["attached", "spilled", "peer"])
+    def test_an_edit_landing_mid_fetch_is_not_undone(
+        self, llama, tok, tmp_path, monkeypatch, source
+    ):
+        """The text changes while a colder tier is producing the old
+        text's states — a page-in (of a saved or a spilled record, with a
+        ``snapshot_dir``) or a peer answer (without one). The fetch is a
+        miss; the freshly encoded states stay resident. The tiny model
+        happens to emit the same tokens from both texts, so KV bytes and
+        token counts are what is compared."""
+        key = CacheKey("trip", "plan")
+        warm = PromptCache(llama, tok, template=PLAIN_TEMPLATE)
+        warm.register_schema(SCHEMA)
+        old = warm.store.peek(key).kv
+        if source == "attached":
+            save_store(warm.store, tmp_path)
+            store = ModuleCacheStore(snapshot_dir=tmp_path)
+        elif source == "spilled":
+            budget = int(warm.store.total_bytes() * 0.8)  # about one module a tier
+            store = ModuleCacheStore(budget, budget, snapshot_dir=tmp_path)
+        else:
+            store = ModuleCacheStore()
+        pc = PromptCache(llama, tok, store=store, template=PLAIN_TEMPLATE)
+        pc.register_schema(SCHEMA, eager=source != "peer")
+        if source == "spilled":
+            filler = warm.store.peek(CacheKey("trip", "city")).kv
+            for name in "xyz":  # push both trip modules through DRAM to disk
+                store.put(CacheKey("other", name), filler)
+            assert store.snapshot_backed(key)
+        for tier in (store.gpu, store.cpu):
+            if key in tier:
+                tier.remove(key)
+        edited = []
+
+        def edit_first(produce):
+            def racing(*args, **kwargs):
+                if edited:  # the new text's encode looks the key up in here
+                    return None if source == "peer" else produce(*args, **kwargs)
+                produced = produce(*args, **kwargs)
+                edited.append(key)
+                pc.update_module_text("trip", "plan", self.NEW_PLAN)
+                return produced
+
+            return racing
+
+        if source == "peer":
+            store.set_miss_fetcher(edit_first(lambda key: old))
+        else:
+            from repro.cache import storage
+
+            monkeypatch.setattr(
+                storage, "load_catalog_entry", edit_first(storage.load_catalog_entry)
+            )
+        assert store.fetch(key) is None and edited
+        reference = self._updated_reference(llama, tok)
+        fresh = reference.store.peek(key).kv
+        resident = store.peek(key).kv
+        assert len(resident) == len(fresh) != len(old)
+        assert np.array_equal(resident.key_arena, fresh.key_arena)
+        assert np.array_equal(resident.value_arena, fresh.value_arena)
+        served = pc.serve(PROMPT, max_new_tokens=6)
+        expected = reference.serve(PROMPT, max_new_tokens=6)
+        assert (served.prompt_tokens, served.cached_tokens) == (
+            expected.prompt_tokens, expected.cached_tokens,
+        )
+        assert served.output_ids == expected.output_ids
+
 
 class TestFabricTierWalk:
     """Byte-identity from every tier, across all four positional families."""
@@ -374,16 +445,10 @@ class TestFabricTierWalk:
         return pc
 
     def test_all_tiers_serve_identical_bytes(self, any_model, tok, tmp_path):
-        # Reference: plain two-tier store, the seed-repo behavior.
-        reference = self._pc(any_model, tok, ModuleCacheStore()).serve(
+        # Reference, tiers 1+2 (resident): an unbounded store serving hot.
+        warm_store = ModuleCacheStore()
+        reference = self._pc(any_model, tok, warm_store).serve(
             PROMPT, max_new_tokens=6
-        )
-
-        # Tier 1+2 (DRAM): a fabric store serving hot is bit-identical.
-        warm_store = FabricStore()
-        warm_pc = self._pc(any_model, tok, warm_store)
-        assert warm_pc.serve(PROMPT, max_new_tokens=6).output_ids == (
-            reference.output_ids
         )
         for key in (CacheKey("trip", "city"), CacheKey("trip", "plan")):
             result = warm_store.fetch(key)
@@ -392,8 +457,8 @@ class TestFabricTierWalk:
         # Persist the warm store: the snapshot becomes a lazy third tier.
         save_store(warm_store, tmp_path)
 
-        # Tier 3 (snapshot): a cold fabric pages entries in per demand.
-        snap_store = FabricStore(snapshot_dir=tmp_path)
+        # Tier 3 (snapshot): a cold store pages entries in per demand.
+        snap_store = ModuleCacheStore(snapshot_dir=tmp_path)
         snap_pc = self._pc(any_model, tok, snap_store)
         assert snap_store.fabric_snapshot()["catalog_entries"] >= 2
         assert snap_pc.serve(PROMPT, max_new_tokens=6).output_ids == (
@@ -401,9 +466,9 @@ class TestFabricTierWalk:
         )
         assert snap_store.snapshot_stats.hits >= 2
 
-        # Tier 4 (peer): a fabric with only a miss fetcher wired to the
+        # Tier 4 (peer): a store with only a miss fetcher wired to the
         # warm store's entries — the in-process stand-in for the plane.
-        peer_store = FabricStore()
+        peer_store = ModuleCacheStore()
         peer_store.set_miss_fetcher(
             lambda key: getattr(warm_store.peek(key), "kv", None)
         )
@@ -415,9 +480,9 @@ class TestFabricTierWalk:
         assert peer_store.cost_model.peer_observations >= 2
 
         # Tier 5 (encode): nothing anywhere; the engine encodes and the
-        # fabric observes the measured cost — as first encodes: nothing
+        # store observes the measured cost — as first encodes: nothing
         # it once held was lost.
-        cold_store = FabricStore()
+        cold_store = ModuleCacheStore()
         cold_pc = self._pc(any_model, tok, cold_store)
         assert cold_pc.serve(PROMPT, max_new_tokens=6).output_ids == (
             reference.output_ids
@@ -431,7 +496,7 @@ class TestFabricTierWalk:
         save_store(warm.store, tmp_path)
         catalog = snapshot_catalog(tmp_path)
         assert set(catalog) == {CacheKey("trip", "city"), CacheKey("trip", "plan")}
-        lazy = FabricStore(snapshot_dir=tmp_path)
+        lazy = ModuleCacheStore(snapshot_dir=tmp_path)
         # Cataloged but nothing resident: the fabric is lazy by design.
         assert lazy.total_bytes() == 0
         assert sorted(lazy.residency_tags()) == [
@@ -444,7 +509,7 @@ class TestFabricTierWalk:
         # Truncate one payload: its sparse digest can no longer match.
         victim = next(tmp_path.glob("*keys.npy"))
         victim.write_bytes(victim.read_bytes()[: victim.stat().st_size // 2])
-        store = FabricStore(snapshot_dir=tmp_path)
+        store = ModuleCacheStore(snapshot_dir=tmp_path)
         before = store.fabric_snapshot()["catalog_entries"]
         hits = misses = 0
         with pytest.warns(UserWarning, match="checksum mismatch"):

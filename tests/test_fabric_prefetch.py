@@ -15,7 +15,6 @@ from repro.cache.persist import save_store
 from repro.cache.storage import CacheKey, ModuleCacheStore
 from repro.fabric import (
     ByteBudget,
-    FabricStore,
     PlacementEngine,
     PredictivePrefetcher,
 )
@@ -143,7 +142,7 @@ class TestStoreMaintenance:
         save_store(seed, tmp_path)
 
         t = [0.0]
-        store = FabricStore(snapshot_dir=tmp_path, clock=lambda: t[0])
+        store = ModuleCacheStore(snapshot_dir=tmp_path, clock=lambda: t[0])
         # Build a 1s cadence without leaving the entry resident.
         for i in range(4):
             t[0] = float(i)
@@ -161,7 +160,8 @@ class TestStoreMaintenance:
 
     def test_peer_prefetch_issued_through_hook(self):
         issued = []
-        store = FabricStore(peer_prefetch=lambda key: issued.append(key) or True)
+        store = ModuleCacheStore()
+        store.peer_prefetch = lambda key: issued.append(key) or True  # the worker's wiring
         key = CacheKey("s", "m")
         # Peer candidates need a size hint, which only residency leaves
         # behind: install once, evict by hand, then predict.
@@ -176,7 +176,7 @@ class TestStoreMaintenance:
         assert issued == [key]
 
     def test_maintenance_without_candidates_is_quiet(self):
-        store = FabricStore()
+        store = ModuleCacheStore()
         report = store.maintenance()
         assert report == {"swept": 0, "prefetched": 0, "peer_issued": 0}
         assert store.fabric_snapshot()["maintenance_runs"] == 1

@@ -1,12 +1,14 @@
-"""The fabric's write-back spill tier: nothing it has held is recomputed.
+"""The store's write-back spill tier: nothing it has held is recomputed.
 
-Two levels. A seeded state walk over a tiny fabric (one entry per
+Two levels. A seeded state walk over a tiny store (one entry per
 resident tier, a ``tmp_path`` snapshot directory) interleaves put /
 fetch / invalidate / TTL-expire / corrupt-a-spilled-file and checks the
 storage contract after every step: what comes back is byte-equal to what
 was put, a live key is never a miss, a forgotten key is never a hit, and
 the byte budgets hold — under a lock-order recorder, so an inversion on
-the spill path fails at the faulting acquire. Then the engine, per
+the spill path fails at the faulting acquire. The same walk without a
+snapshot directory holds the same contract, except that a key the store
+reports dropping (evict listeners) is no longer owed. Then the engine, per
 positional family: twelve schemas round-robin through the continuous
 scheduler on a fabric holding five produce the tokens ``serve`` produces
 on an unbounded store, with every never-backed module encoded exactly
@@ -29,8 +31,7 @@ from repro.cache import engine as engine_module
 from repro.cache import persist
 from repro.cache.engine import PromptCache
 from repro.cache.persist import save_store
-from repro.cache.storage import CacheKey
-from repro.fabric import FabricStore
+from repro.cache.storage import CacheKey, ModuleCacheStore
 from repro.llm.kv import ModuleKV
 from repro.pml.chat import PLAIN_TEMPLATE
 from repro.server import ContinuousScheduler
@@ -71,19 +72,33 @@ def lockdep():
 
 
 class Walk:
-    """A fabric holding ~2 entries beside the model of what it owes."""
+    """A store holding ~2 entries beside the model of what it owes;
+    ``directory`` None walks it without a snapshot directory."""
 
     def __init__(self, directory) -> None:
         self.now = 0.0
         self.budget = int(module_kv(KEYS[0], 0).nbytes() * 1.5)  # one entry a tier
-        self.store = FabricStore(
+        self.store = ModuleCacheStore(
             self.budget, self.budget, snapshot_dir=directory,
             gpu_ttl_s=TTL_S, cpu_ttl_s=TTL_S, clock=lambda: self.now,
         )
         self.directory = directory
         self.version = dict.fromkeys(KEYS, 0)
-        self.live: set[CacheKey] = set()  # put; not invalidated, expired or rotted since
+        self.live: set[CacheKey] = set()  # put; not invalidated, dropped or rotted since
         self.forgotten: set[CacheKey] = set()  # invalidated and not put again
+        self.dropped: list[CacheKey] = []
+        for tier in (self.store.gpu, self.store.cpu):
+            tier.add_evict_listener(self.on_evict)
+
+    def on_evict(self, victim, reason: str) -> None:
+        """A victim held nowhere afterwards is lost: with a snapshot
+        directory only to the TTL, without one to capacity too."""
+        key = victim.key
+        if key in self.store or self.store.snapshot_backed(key):
+            return
+        assert reason == "ttl" or self.directory is None, f"{key.tag()} was not spilled"
+        self.dropped.append(key)
+        self.live.discard(key)
 
     def step(self, op: str, key: CacheKey) -> None:
         self.now += 1.0
@@ -140,21 +155,31 @@ class Walk:
 OPS = ["put"] * 8 + ["fetch"] * 12 + ["corrupt"] * 4 + ["invalidate"] * 2 + ["expire"]
 
 
+def walk_randomly(walk: Walk, seed: int) -> dict:
+    rng = random.Random(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a corrupt-entry warning nobody caused
+        for _ in range(120):
+            walk.step(rng.choice(OPS), rng.choice(KEYS))
+        for key in sorted(walk.live, key=CacheKey.tag):
+            walk.step("fetch", key)
+    return walk.store.fabric_snapshot()
+
+
 class TestStateWalk:
     @pytest.mark.parametrize("seed", range(16))
     def test_fetch_returns_what_was_put(self, seed, tmp_path, lockdep):
-        rng = random.Random(seed)
-        walk = Walk(tmp_path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a corrupt-entry warning nobody caused
-            for _ in range(120):
-                walk.step(rng.choice(OPS), rng.choice(KEYS))
-            for key in sorted(walk.live, key=CacheKey.tag):
-                walk.step("fetch", key)
-        snap = walk.store.fabric_snapshot()
+        snap = walk_randomly(Walk(tmp_path), seed)
         # Every walk this long spills, pages back in and meets a rotted file.
         assert snap["spills"] and snap["tiers"]["snapshot"]["hits"]
         assert snap["tiers"]["snapshot"]["misses"]
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_fetch_returns_what_was_put_without_a_snapshot_dir(self, seed, lockdep):
+        walk = Walk(None)
+        snap = walk_randomly(walk, seed)
+        assert snap["spills"] == 0 and snap["catalog_entries"] == 0
+        assert walk.dropped  # DRAM victims had nowhere to go
 
     def test_walk_reaches_the_spill_tier(self, tmp_path, lockdep):
         """The generated walk is only worth something if its operations
@@ -224,7 +249,7 @@ class TestStateWalk:
         assert not (tmp_path / "index.json").exists()  # the catalog is memory-only
 
     def test_invalidate_unlinks_only_spilled_files(self, tmp_path):
-        seed = FabricStore()
+        seed = ModuleCacheStore()
         seed.put(KEYS[4], module_kv(KEYS[4], 0))
         save_store(seed, tmp_path)
         attached = set(tmp_path.iterdir())
@@ -242,7 +267,7 @@ class TestStateWalk:
             def nbytes(self) -> int:
                 return 400
 
-        store = FabricStore(500, 500, snapshot_dir=tmp_path)
+        store = ModuleCacheStore(500, 500, snapshot_dir=tmp_path)
         for key in KEYS[:4]:
             store.put(key, StandIn())
         snap = store.fabric_snapshot()
@@ -286,7 +311,7 @@ def churn_engine(model, tok, snapshot_dir, *, save: bool = True) -> PromptCache:
     schema_bytes = seed_pc.store.total_bytes() / N_BACKED
     if save:
         save_store(seed_pc.store, snapshot_dir)
-    store = FabricStore(
+    store = ModuleCacheStore(
         int(schema_bytes * 2.2), int(schema_bytes * 3.3), snapshot_dir=snapshot_dir
     )
     pc = PromptCache(model, tok, store=store, template=PLAIN_TEMPLATE)

@@ -79,12 +79,13 @@ def test_package_count_sanity():
 def test_option_surface_is_pinned():
     """Every option doubles the configurations to cover, so adding one is
     a reviewed, one-line change here: the exact field set of
-    ``ServeOptions`` and parameter lists of ``PromptCache.__init__`` and
-    ``ContinuousScheduler.__init__``."""
+    ``ServeOptions`` and parameter lists of ``PromptCache.__init__``,
+    ``ModuleCacheStore.__init__`` and ``ContinuousScheduler.__init__``."""
     import dataclasses
     import inspect
 
     from repro.cache.engine import PromptCache
+    from repro.cache.storage import ModuleCacheStore
     from repro.server import ContinuousScheduler, ServeOptions
 
     assert [f.name for f in dataclasses.fields(ServeOptions)] == [
@@ -98,6 +99,9 @@ def test_option_surface_is_pinned():
     ]
     assert list(inspect.signature(PromptCache.__init__).parameters)[1:] == [
         "model", "tokenizer", "store", "template", "default_tier", "kv_codec",
-        "promote_on_cpu_hit", "plan_cache_size", "base_cache_size",
-        "encode_workers", "encode_metrics",
+        "plan_cache_size", "base_cache_size", "encode_workers", "encode_metrics",
+    ]
+    assert list(inspect.signature(ModuleCacheStore.__init__).parameters)[1:] == [
+        "gpu_capacity_bytes", "cpu_capacity_bytes", "policy", "gpu_ttl_s",
+        "cpu_ttl_s", "snapshot_dir", "prefetch_bytes_per_s", "clock",
     ]

@@ -1,6 +1,6 @@
 """What a snapshot page-in trusts, and every way a file can stop earning it.
 
-The fabric hashes a payload file's sparse digest once per *file state*: a
+The store hashes a payload file's sparse digest once per *file state*: a
 page-in whose descriptor ``fstat``s to the state the digest last matched at
 maps it without hashing. These tests change a payload in every way a file
 can change — after the record has been paged in (and trusted) before — and
@@ -24,8 +24,7 @@ import pytest
 
 from repro.cache import persist
 from repro.cache.persist import save_store
-from repro.cache.storage import CacheKey
-from repro.fabric import FabricStore
+from repro.cache.storage import CacheKey, ModuleCacheStore
 from repro.llm.kv import ModuleKV
 from tests.test_churn_cost import profiled
 
@@ -70,22 +69,22 @@ def clock(monkeypatch):
     return Clock
 
 
-def spilled_store(directory) -> FabricStore:
+def spilled_store(directory) -> ModuleCacheStore:
     """One entry a tier: putting three keys spills ``KEYS[0]``."""
     budget = int(module_kv(0).nbytes() * 1.5)
-    store = FabricStore(budget, budget, snapshot_dir=directory)
+    store = ModuleCacheStore(budget, budget, snapshot_dir=directory)
     for i, key in enumerate(KEYS):
         store.put(key, module_kv(i))
     assert store.fabric_snapshot()["spills"] == 1 and KEYS[0] not in store
     return store
 
 
-def attached_store(directory) -> FabricStore:
+def attached_store(directory) -> ModuleCacheStore:
     """``KEYS[0]`` saved by someone else and attached from ``index.json``."""
-    seed = FabricStore()
+    seed = ModuleCacheStore()
     seed.put(KEYS[0], module_kv(0))
     save_store(seed, directory)
-    return FabricStore(snapshot_dir=directory)
+    return ModuleCacheStore(snapshot_dir=directory)
 
 
 STORES = {"spilled": spilled_store, "attached": attached_store}
@@ -96,7 +95,7 @@ def store(request, tmp_path):
     return STORES[request.param](tmp_path)
 
 
-def page_in(store: FabricStore, key: CacheKey = KEYS[0]):
+def page_in(store: ModuleCacheStore, key: CacheKey = KEYS[0]):
     """A demand fetch that has to go to the snapshot tier."""
     for tier in (store.gpu, store.cpu):
         if key in tier:
@@ -170,7 +169,7 @@ def change(path, how) -> None:
         how(path)
 
 
-def assert_refused(store: FabricStore) -> None:
+def assert_refused(store: ModuleCacheStore) -> None:
     with pytest.warns(UserWarning, match="sparse checksum mismatch"):
         assert page_in(store) is None
     assert not store.snapshot_backed(KEYS[0])  # no retry loop on a bad payload

@@ -166,7 +166,7 @@ class TestEvictionInvalidatesByIndex:
         ] + [f'<prompt schema="{schema}"><b/> q</prompt>']
 
     def engine(self, model, tok, **kwargs) -> PromptCache:
-        store = ModuleCacheStore(demote_on_evict=False)
+        store = ModuleCacheStore(cpu_capacity_bytes=0)
         pc = PromptCache(model, tok, store=store, template=PLAIN_TEMPLATE, **kwargs)
         for source in self.SCHEMAS.values():
             pc.register_schema(source)
@@ -373,7 +373,7 @@ class TestSplicedBase:
         assert pc.store.gpu.stats.hits == hits_before + 2
 
     def test_base_rebuilt_after_store_eviction(self, llama, tok):
-        store = ModuleCacheStore(demote_on_evict=False)
+        store = ModuleCacheStore(cpu_capacity_bytes=0)
         pc = PromptCache(llama, tok, store=store, template=PLAIN_TEMPLATE)
         pc.register_schema(DOC)
         first = pc.serve(PROMPT, max_new_tokens=3)
@@ -384,13 +384,14 @@ class TestSplicedBase:
         assert second.output_ids == first.output_ids
 
     def test_cpu_tier_tokens_and_promotion(self, llama, tok):
-        pc = PromptCache(
-            llama, tok, template=PLAIN_TEMPLATE, promote_on_cpu_hit=True
-        )
-        pc.register_schema(DOC, tier="cpu")
+        t = [0.0]
+        store = ModuleCacheStore(clock=lambda: t[0])
+        pc = PromptCache(llama, tok, store=store, template=PLAIN_TEMPLATE)
+        pc.register_schema(DOC, tier="cpu")  # the encode's lookup: one arrival
+        t[0] = 1.0  # the next, 1 s on: inside placement's 2 s horizon
         first = pc.serve(PROMPT, max_new_tokens=1)
         assert first.tier_tokens["cpu"] > 0
-        # The CPU hit promoted the module; the next serve is a GPU hit.
+        # That DRAM hit promoted the module; the next serve is a GPU hit.
         second = pc.serve(PROMPT, max_new_tokens=1)
         assert second.tier_tokens["gpu"] > 0
         assert second.tier_tokens["cpu"] == 0

@@ -1,4 +1,4 @@
-"""Two-tier module store: capacity, eviction policies, statistics."""
+"""Module store: capacity, eviction policies, statistics, where victims go."""
 
 from __future__ import annotations
 
@@ -200,12 +200,12 @@ class TestDemotionAndPrefetch:
         assert store.fetch(evicted).tier == "cpu"
 
     def test_demotion_can_be_disabled(self):
-        store = ModuleCacheStore(
-            gpu_capacity_bytes=2 * KV_BYTES + 10, demote_on_evict=False
-        )
+        # A zero-byte DRAM tier is no DRAM tier: victims are not demoted.
+        store = ModuleCacheStore(gpu_capacity_bytes=2 * KV_BYTES + 10, cpu_capacity_bytes=0)
         for name in ("a", "b", "c"):
             store.put(key(name), make_kv(10))
         assert len(store.cpu.keys()) == 0
+        assert key("a") not in store and store.gpu.keys() == [key("b"), key("c")]
 
     def test_prefetch_promotes_from_cpu(self):
         store = ModuleCacheStore()
@@ -365,15 +365,13 @@ class TestTTLExpiry:
 
 
 class TestPerTierPolicyAndReasons:
-    def test_tiers_can_run_different_policies(self):
+    def test_one_policy_orders_both_tiers(self):
         store = ModuleCacheStore(
             gpu_capacity_bytes=2 * KV_BYTES + 10,
             cpu_capacity_bytes=2 * KV_BYTES + 10,
-            gpu_policy="lru",
-            cpu_policy="lfu",
+            policy="lfu",
         )
-        assert store.gpu.policy is POLICIES["lru"]
-        assert store.cpu.policy is POLICIES["lfu"]
+        assert store.gpu.policy is store.cpu.policy is POLICIES["lfu"]
 
     def test_capacity_eviction_reports_reason_capacity(self):
         reasons: list[str] = []
@@ -396,3 +394,56 @@ class TestPerTierPolicyAndReasons:
         store.sweep_expired()
         assert not store.gpu.keys()
         assert [k.module for k in store.cpu.keys()] == ["warm"]
+
+
+class TestVictimsDramCannotTake:
+    """A fast-tier victim with no room in DRAM leaves the way a DRAM victim
+    does — spilled when there is a snapshot directory, else dropped — and
+    never fails the ``put`` that evicted it. Evict listeners (the engine's
+    plan invalidation, the runtime's eviction counters) see it."""
+
+    @staticmethod
+    def listened(store: ModuleCacheStore) -> list:
+        seen = []
+        for tier in (store.gpu, store.cpu):
+            tier.add_evict_listener(
+                lambda victim, reason, name=tier.name: seen.append(
+                    (name, victim.key.module, reason)
+                )
+            )
+        return seen
+
+    @pytest.mark.parametrize("spill", [False, True], ids=["dropped", "spilled"])
+    def test_zero_dram_store(self, spill, tmp_path):
+        store = ModuleCacheStore(
+            2 * KV_BYTES + 10, 0, snapshot_dir=tmp_path if spill else None
+        )
+        seen = self.listened(store)
+        kvs = {name: make_kv(10) for name in "abc"}
+        for name, kv in kvs.items():
+            store.put(key(name), kv)
+        assert store.gpu.keys() == [key("b"), key("c")] and not store.cpu.keys()
+        assert store.gpu.stats.evictions == 1
+        assert seen == [("gpu", "a", "capacity")]
+        assert store.snapshot_backed(key("a")) is spill
+        found = store.fetch(key("a"))
+        if not spill:
+            assert found is None
+            return
+        assert found.source == "snapshot" and found.tier == "gpu"
+        assert np.array_equal(found.entry.kv.key_arena, kvs["a"].ensure_arena().key_arena)
+        assert seen[1:] == [("gpu", "b", "capacity")]  # b made room, b spilled
+        assert store.snapshot_backed(key("b"))
+
+    @pytest.mark.parametrize("spill", [False, True], ids=["dropped", "spilled"])
+    def test_every_dram_entry_pinned(self, spill, tmp_path):
+        store = ModuleCacheStore(
+            2 * KV_BYTES + 10, KV_BYTES + 10, snapshot_dir=tmp_path if spill else None
+        )
+        store.put(key("pinned"), make_kv(10), tier="cpu", pinned=True)
+        seen = self.listened(store)
+        for name in "abc":
+            store.put(key(name), make_kv(10))
+        assert key("a") not in store and store.cpu.keys() == [key("pinned")]
+        assert seen == [("gpu", "a", "capacity")]
+        assert store.snapshot_backed(key("a")) is spill
