@@ -109,142 +109,6 @@ def grouped_context(weights: np.ndarray, v: np.ndarray, n_rep: int) -> np.ndarra
     return context.reshape(n_heads, tq, -1)
 
 
-# -- two-phase shared-prefix attention (ChunkAttention, arxiv 2402.15220) ------
-#
-# When many in-flight sequences decode over the *same* spliced module KV,
-# attention over the shared prefix can be computed once per physical copy
-# instead of once per sequence: a chunk-first phase produces partial
-# softmax statistics (running max, exp-sum, weighted context) for every
-# sequence's query over the shared chunk with one stacked kernel call
-# streaming one buffer, a per-sequence phase covers each private suffix,
-# and the online-softmax merge combines them. The merge is algebraically
-# exact (the FlashAttention identity); floating point is reassociated, so
-# activations agree with the single-pass kernel to a few ulps rather than
-# bit-for-bit — greedy decode outputs are byte-identical, which is what
-# the serving tests pin.
-
-
-def _stacked_grouped_scores(q: np.ndarray, k: np.ndarray, n_rep: int) -> np.ndarray:
-    """:func:`grouped_scores` with optional leading stack axes on ``q``.
-
-    ``q`` is (..., n_heads, Tq, head_dim) — the leading axes stack the
-    queries of every sequence in a shared group — and ``k`` is one
-    un-expanded (n_kv_heads, Tk, head_dim) buffer broadcast across the
-    stack, so the shared keys are streamed once for the whole group.
-    """
-    head_dim = q.shape[-1]
-    scale = np.sqrt(np.float32(head_dim))
-    if n_rep == 1:
-        scores = q @ np.swapaxes(k, -2, -1)
-        scores /= scale
-        return scores
-    *lead, n_heads, tq, _ = q.shape
-    n_kv = k.shape[0]
-    folded = q.reshape(*lead, n_kv, n_rep, tq, head_dim)
-    scores = folded @ np.swapaxes(k, -2, -1)[:, None, :, :]
-    scores /= scale
-    return scores.reshape(*lead, n_heads, tq, -1)
-
-
-def _stacked_grouped_context(weights: np.ndarray, v: np.ndarray, n_rep: int) -> np.ndarray:
-    """:func:`grouped_context` with optional leading stack axes on ``weights``."""
-    if n_rep == 1:
-        return weights @ v
-    *lead, n_heads, tq, tk = weights.shape
-    n_kv = v.shape[0]
-    folded = weights.reshape(*lead, n_kv, n_rep, tq, tk)
-    context = folded @ v[:, None, :, :]
-    return context.reshape(*lead, n_heads, tq, -1)
-
-
-@dataclass
-class ChunkPartial:
-    """Partial softmax-attention statistics over one KV chunk.
-
-    ``m`` is the running max of the (scaled, biased) scores, ``l`` the
-    exp-sum relative to ``m``, and ``acc`` the un-normalized weighted
-    context — the classic online-softmax triple. Shapes carry whatever
-    leading stack axes the query had: ``m``/``l`` are
-    (..., n_heads, Tq, 1) and ``acc`` is (..., n_heads, Tq, head_dim).
-    """
-
-    m: np.ndarray
-    l: np.ndarray
-    acc: np.ndarray
-
-    def __getitem__(self, index) -> "ChunkPartial":
-        """Select one sequence's partial out of a stacked chunk phase."""
-        return ChunkPartial(self.m[index], self.l[index], self.acc[index])
-
-
-def chunk_phase(
-    q_stack: np.ndarray,
-    shared_k: np.ndarray,
-    shared_v: np.ndarray,
-    n_rep: int = 1,
-    *,
-    bias: np.ndarray | None = None,
-    allowed: np.ndarray | None = None,
-) -> ChunkPartial:
-    """Partial attention of stacked queries over one shared KV chunk.
-
-    ``q_stack`` is (..., n_heads, Tq, head_dim) — for a shared group the
-    leading axis stacks every member's query, so the chunk's keys and
-    values are each streamed from *one* physical buffer once for the
-    whole group. ``shared_k``/``shared_v`` are (n_kv_heads, Ts, head_dim);
-    GQA queries fold onto the un-expanded KV heads exactly as
-    :func:`grouped_scores` does. ``bias`` (e.g. ALiBi) and ``allowed``
-    (causal mask, True where attention is permitted) must broadcast
-    against the (..., n_heads, Tq, Ts) score block.
-
-    An empty chunk (``Ts == 0``) yields the neutral partial — ``m`` at
-    the mask floor, zero ``l``/``acc`` — which merges as a no-op.
-    """
-    if shared_k.shape[-2] == 0:
-        stat_shape = q_stack.shape[:-1] + (1,)
-        return ChunkPartial(
-            m=np.full(stat_shape, _NEG_INF, dtype=DTYPE),
-            l=np.zeros(stat_shape, dtype=DTYPE),
-            acc=np.zeros(q_stack.shape, dtype=DTYPE),
-        )
-    scores = _stacked_grouped_scores(q_stack, shared_k, n_rep)
-    if bias is not None:
-        scores = scores + bias
-    if allowed is not None:
-        scores = np.where(allowed, scores, _NEG_INF)
-    if scores.dtype != DTYPE:
-        scores = scores.astype(DTYPE)
-    m = scores.max(axis=-1, keepdims=True)
-    p = np.exp(scores - m)
-    l = p.sum(axis=-1, keepdims=True)
-    return ChunkPartial(m=m, l=l, acc=_stacked_grouped_context(p, shared_v, n_rep))
-
-
-def merge_online_softmax(*partials: ChunkPartial) -> np.ndarray:
-    """Combine chunk partials into the normalized attention context.
-
-    The online-softmax identity: with global max ``m*``, the exact
-    softmax context over the concatenated chunks is
-    ``sum_i acc_i * e^(m_i - m*) / sum_i l_i * e^(m_i - m*)`` — splitting
-    a KV range at arbitrary chunk boundaries and merging reproduces the
-    single-pass result (property-tested to tight tolerance; the
-    reassociated sums round differently at the last ulp). At least one
-    chunk must have attended somewhere (all-empty merges divide by zero).
-    """
-    if not partials:
-        raise ValueError("merge_online_softmax needs at least one partial")
-    m = partials[0].m
-    for part in partials[1:]:
-        m = np.maximum(m, part.m)
-    l = np.zeros_like(partials[0].l)
-    acc = np.zeros_like(partials[0].acc)
-    for part in partials:
-        correction = np.exp(part.m - m)
-        l = l + part.l * correction
-        acc = acc + part.acc * correction
-    return acc / l
-
-
 def _decode_context(
     qb: np.ndarray,
     layer_kv,
@@ -271,6 +135,21 @@ def _decode_context(
     return merge_heads(grouped_context(weights, layer_kv.values, n_rep))
 
 
+# -- shared-prefix decode attention (ChunkAttention, arxiv 2402.15220) ---------
+#
+# When many in-flight sequences decode over the *same* spliced module KV,
+# their scores against that prefix are computed once per physical copy
+# instead of once per sequence: every member's query (and its GQA
+# repeats) is folded into one GEMM over the base image, read in place;
+# one stacked GEMM covers every private tail in the arena. The two score
+# blocks of a row are then one softmax — a shared max, one sum, one
+# divide — so there are no partial statistics to rescale and merge. The
+# sums are reassociated against a single pass over the concatenated keys,
+# so activations agree with it to a few ulps rather than bit-for-bit;
+# greedy decode outputs are byte-identical, which is what the serving
+# tests pin.
+
+
 @dataclass
 class DecodeStep:
     """Everything per-sequence about one batched decode step, worked out
@@ -285,7 +164,7 @@ class DecodeStep:
     stay unset in a step that has none. Each ``groups`` entry ``(start,
     stop, image, bias)`` is a run of resident rows sharing one base image
     (``image[layer] = (keys, values)``) and their ALiBi bias over it,
-    already folded to the chunk phase's ``(n_kv_heads, members * n_rep,
+    already folded to the base scores' ``(n_kv_heads, members * n_rep,
     shared_len)`` layout (``None`` without ALiBi).
     """
 
@@ -298,7 +177,7 @@ class DecodeStep:
     arena: object = None  # repro.llm.paged.TailArena
     slots: np.ndarray | None = None  # (resident,) arena row of each resident step row
     write_at: np.ndarray | None = None  # (resident,) tail length before this step's token
-    rows: int = 0  # arena rows the private phase spans: highest live slot + 1
+    rows: int = 0  # arena rows the tail GEMM spans: highest live slot + 1
     longest: int = 0  # longest tail after this step's token
     # Additive (rows, n_kv_heads | 1, n_rep | 1, longest) bias over the arena
     # block: the mask floor past each row's length, ALiBi where in use.
@@ -318,10 +197,10 @@ def plan_decode_step(
     """Plan one batched decode step: who attends where.
 
     Residency decides a row's attention: a cache with a ``tail`` takes
-    the arena phases, any other attends over itself — whatever
+    the arena kernel, any other attends over itself — whatever
     ``shared_groups`` says; a step may hold any mix of the two, all of
     one or none (``resident == 0``). ``shared_groups`` decides only which
-    residents' chunk phases are batched: seated members of one
+    residents share one GEMM over their base: seated members of one
     ``(members, shared_len)`` entry (whose image is indeed ``shared_len``
     long) become one group reading the first such member's image; a
     resident nobody listed is a group of one. Each resident's tail grows
@@ -435,62 +314,78 @@ def arena_decode_attention(
     """One layer's attention for the resident rows of a planned step.
 
     ``q`` is (resident, n_heads, head_dim) and ``k``/``v`` (resident,
-    n_kv_heads, head_dim), rotated, in step order. Returns the merged
-    context (resident, n_heads * head_dim). Three stacked stages, no loop
-    over sequences:
+    n_kv_heads, head_dim), rotated, in step order. Returns the context
+    (resident, n_heads * head_dim). Each row takes one softmax over its
+    keys [base image | arena tail], in stacked stages with no loop over
+    sequences:
 
     1. the new K/V rows land in the arena with one fancy-index write;
-    2. per group, one :func:`chunk_phase` over the base image read in
-       place, its members (and their GQA repeats) folded into the query
-       axis — ``(n_kv_heads, members * n_rep, head_dim) @ (n_kv_heads,
-       head_dim, shared_len)`` is ``n_kv_heads`` GEMMs where a stacked
-       ``(members, n_heads, 1, head_dim)`` query is ``members * n_heads``
-       GEMVs;
-    3. one :func:`chunk_phase` over the arena block ``[:rows, :,
-       :longest]`` under the length mask for every private tail at once,
-       and one :func:`merge_online_softmax` for all rows.
+    2. one GEMM scores every tail in the arena block ``[:rows, :,
+       :longest]`` under the length mask, and each row's max starts there;
+    3. per group, one GEMM over the base image read in place, its
+       members (and their GQA repeats) folded into the query axis —
+       ``(n_kv_heads, members * n_rep, head_dim) @ (n_kv_heads, head_dim,
+       shared_len)``, ``n_kv_heads`` row-major GEMMs since the image keeps
+       its keys head_dim-major — raises each member's max to the row's,
+       exponentiates in place and takes the base's sum and context
+       product;
+    4. the tail scores are shifted by that max and exponentiated in
+       place; their sum and context product join the base's, and one
+       divide normalizes every row.
 
     Sums are reassociated against the single-pass kernel (a few ulps);
     greedy tokens are pinned equal by the serving tests.
     """
     n, n_rep = step.resident, step.n_rep
+    if not n:
+        raise ValueError("arena_decode_attention needs a seated row")
     arena_k, arena_v = step.arena.keys[layer], step.arena.values[layer]
     arena_k[step.slots, :, step.write_at] = k
     arena_v[step.slots, :, step.write_at] = v
     n_kv_heads, head_dim = k.shape[1:]
+    scale = np.sqrt(np.float32(head_dim))
     folded = q.reshape(n, n_kv_heads, n_rep, head_dim)
-
+    # Queries land by arena row for the tail GEMM; free rows stay zero
+    # and fully masked.
     by_slot = np.zeros((step.rows, n_kv_heads, n_rep, head_dim), dtype=DTYPE)
     by_slot[step.slots] = folded
-    private = chunk_phase(
-        by_slot,
-        arena_k[: step.rows, :, : step.longest],
-        arena_v[: step.rows, :, : step.longest],
-        bias=step.tail_bias,
-    )[step.slots]
+    tail = by_slot @ arena_k[: step.rows, :, : step.longest].transpose(0, 1, 3, 2)
+    tail /= scale
+    tail += step.tail_bias
+    tail = tail[step.slots]  # (resident, n_kv_heads, n_rep, longest), step order
+    peak = tail.max(axis=-1, keepdims=True)
+    total = np.empty_like(peak)
+    context = np.empty(folded.shape, dtype=DTYPE)
 
-    parts = []
     for start, stop, image, bias in step.groups:
         members = stop - start
         shared_k, shared_v = image[layer]
-        part = chunk_phase(
-            folded[start:stop].transpose(1, 0, 2, 3).reshape(
-                n_kv_heads, members * n_rep, head_dim
-            ),
-            shared_k,
-            shared_v,
-            bias=bias,
-        )
-        parts.append(
-            [
-                stat.reshape(n_kv_heads, members, n_rep, -1).transpose(1, 0, 2, 3)
-                for stat in (part.m, part.l, part.acc)
-            ]
-        )
-    shared = ChunkPartial(
-        *(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts)))
-    )
-    return merge_online_softmax(shared, private).reshape(n, -1)
+        base = folded[start:stop].transpose(1, 0, 2, 3).reshape(
+            n_kv_heads, members * n_rep, head_dim
+        ) @ shared_k.transpose(0, 2, 1)
+        base /= scale
+        if bias is not None:
+            base += bias
+        # (n_kv_heads, members, n_rep, ·) views line up with step order's
+        # (members, n_kv_heads, n_rep, ·) by one transpose.
+        grid = base.reshape(n_kv_heads, members, n_rep, -1)
+        row_peak = peak[start:stop].transpose(1, 0, 2, 3)
+        np.maximum(row_peak, grid.max(axis=-1, keepdims=True), out=row_peak)
+        grid -= row_peak
+        np.exp(base, out=base)
+        total[start:stop] = grid.sum(axis=-1, keepdims=True).transpose(1, 0, 2, 3)
+        context[start:stop] = (base @ shared_v).reshape(
+            n_kv_heads, members, n_rep, head_dim
+        ).transpose(1, 0, 2, 3)
+
+    tail -= peak
+    np.exp(tail, out=tail)
+    total += tail.sum(axis=-1, keepdims=True)
+    weights = np.zeros((step.rows,) + tail.shape[1:], dtype=DTYPE)
+    weights[step.slots] = tail
+    context += (weights @ arena_v[: step.rows, :, : step.longest])[step.slots]
+    context /= total
+    return context.reshape(n, -1)
 
 
 @dataclass

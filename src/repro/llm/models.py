@@ -289,18 +289,18 @@ class TransformerModel:
         attention (:func:`~repro.llm.attention.decode_step_attention`)
         depends on where a row's KV lives. Rows seated in a
         :class:`~repro.llm.paged.TailArena` share one write of the new
-        K/V rows, the grouped chunk phase, the stacked private phase and
-        one merge. Every other row — raw text with no base, a param below
-        a later module, a group too small to seat — appends to its own
-        cache and attends over it. GEMMs at M = B round differently from
-        B GEMVs and the arena phases reassociate sums, so against
-        sequential :meth:`forward` calls the step pins greedy tokens, not
-        bits.
+        K/V rows, one GEMM per base, one GEMM over the arena tails and
+        one softmax per row over both. Every other row — raw text with no
+        base, a param below a later module, a group too small to seat —
+        appends to its own cache and attends over it. GEMMs at M = B
+        round differently from B GEMVs and the arena kernel reassociates
+        sums, so against sequential :meth:`forward` calls the step pins
+        greedy tokens, not bits.
 
         ``shared_groups`` names, as ``(members, shared_len)``, cache
         indices forked from one spliced base whose first ``shared_len``
         tokens are a common KV prefix; seated members of an entry share
-        one chunk phase per layer instead of one each.
+        one GEMM over the base per layer instead of one each.
         """
         n = len(caches)
         cfg = self.config

@@ -38,10 +38,10 @@ of one group decode over the *same* shared KV prefix. A grouped stream is
 then every decoded token) moves into one row of the scheduler's
 :class:`~repro.llm.paged.TailArena` — and stays seated until it
 finishes, aborts or fails, which frees the row with its fork. Seated rows
-get ChunkAttention's two-phase partition run batched
-(:func:`repro.llm.attention.arena_decode_attention`): one chunk phase
-per base per layer for everyone sharing it, one stacked private phase
-over the arena, one merge; every other row attends over its own cache
+get ChunkAttention's shared/private partition run batched
+(:func:`repro.llm.attention.arena_decode_attention`): one GEMM per base
+per layer for everyone sharing it, one stacked GEMM over the arena, one
+softmax per row over both; every other row attends over its own cache
 inside the same step. Who is seated is one rule, derived each step from
 what is in flight: a stream whose base at least ``SEAT_MIN_GROUP``
 decoding streams share, in a step at least ``SEAT_MIN_BATCH`` wide. The
@@ -75,17 +75,20 @@ from repro.llm.paged import TailArena
 from repro.server.request import LiveRequest
 
 # When a stream is seated in the arena: its base is shared (a group of one
-# gains no chunk-phase batching) and the step is wide enough that the arena
-# phases' fixed per-layer work is repaid. Measured on the small model over
-# 512-token bases, scheduler iteration time with every stream seated over
-# the same step with none (both are the one batched step; only attention
-# differs): 1.17-1.20 / 1.12 / 0.98 / 0.87 / 0.61-0.64 / 0.37-0.41 at
-# 1 / 2 / 3 / 4 / 8 / 16 streams on one base; groups of one 1.16-1.18 /
-# 1.12-1.14 / 1.07-1.11 / 1.05 at 1-4; pairs 1.01-1.06 / 0.93-0.97 /
-# 0.81-0.88 at 4 / 8 / 16. Prefix length moves the size of the gain, not
-# its sign, so there is no minimum-length rule.
+# gains no batched GEMM over its base) in a step at least SEAT_MIN_BATCH
+# wide. Measured on the small model over 512-token bases, scheduler
+# iteration time with every stream seated over the same step with none
+# (both are the one batched step; only attention differs), medians of two
+# series of 5 and 7 alternating rounds: 1.09-1.12 / 0.90-0.93 / 0.82-0.84 /
+# 0.69-0.71 / 0.40-0.55 / 0.28-0.31 at 1 / 2 / 3 / 4 / 8 / 16 streams on
+# one base; groups of one 1.09-1.12 / 1.03-1.06 / 1.03-1.05 / 0.97-1.04 at
+# 1-4; pairs 0.75-0.84 / 0.66-0.69 / 0.51-0.60 at 4 / 8 / 16. Under this
+# rule a lone pair runs at 0.93 and a pair beside a stream on another base
+# at 0.97, so the step needs no more width than the company itself. Prefix
+# length moves the size of the gain, not its sign, so there is no
+# minimum-length rule.
 SEAT_MIN_GROUP = 2
-SEAT_MIN_BATCH = 4
+SEAT_MIN_BATCH = 2
 
 
 @dataclass

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.hw.calibrate import (
@@ -21,8 +23,19 @@ class TestMicroBenchmarks:
 
     @pytest.mark.timing  # two measured rates compared: fails on a noisy host
     def test_small_gemm_slower_or_equal(self):
-        big = measure_matmul_flops(size=256, repeats=2)
-        small = measure_small_gemm_flops(rows=4, width=256, repeats=2)
+        # The square GEMM runs on OpenBLAS's two threads, the thin one on
+        # one. On a two-vCPU VM a two-thread 256^3 GEMM can stall ~16 ms a
+        # call (35-80x) — for single calls while the other core is busy,
+        # and for about a second in a process started after the host sat
+        # idle; one best-of-2 round failed about 1 run in 10. So: the best
+        # of at least three interleaved rounds each, and more while the
+        # thin GEMM still wins, for up to 3 s.
+        big = small = 0.0
+        rounds, deadline = 0, time.monotonic() + 3.0
+        while rounds < 3 or (small > big * 1.5 and time.monotonic() < deadline):
+            big = max(big, measure_matmul_flops(size=256, repeats=2))
+            small = max(small, measure_small_gemm_flops(rows=4, width=256, repeats=2))
+            rounds += 1
         assert small <= big * 1.5  # thin GEMMs never meaningfully beat square
 
     def test_copy_bandwidth(self):

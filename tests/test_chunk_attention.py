@@ -1,23 +1,23 @@
-"""Two-phase shared-prefix batched attention (ChunkAttention).
+"""Shared-prefix batched attention (ChunkAttention's partition, one softmax).
 
 Four layers of coverage for the shared-prefix decode path:
 
-- Kernel properties: splitting a KV range at arbitrary chunk boundaries
-  and recombining with :func:`merge_online_softmax` reproduces
-  single-pass softmax attention against a float64 reference to tight
-  tolerance — across GQA head groupings, additive (ALiBi-style) biases,
-  empty chunks, and the stacked group axis, whose per-member slices are
-  bit-identical to separate calls.
+- Kernel properties: splitting a row's keys at any point into the base
+  image and its arena tail, :func:`arena_decode_attention`'s one
+  softmax over both reproduces single-pass softmax attention against a
+  float64 reference to tight tolerance — across GQA head groupings,
+  ALiBi over gapped positions, stacked group members, and empty arena
+  rows, which leave every seated row bit-identical.
 - The batched decode step's attention: whole steps over a
   :class:`~repro.llm.paged.TailArena` — random bases, group sizes,
   ragged tails, retirements and re-seats, with every row seated, none,
   or a mix beside flat caches, unseated forks and masked param streams —
   against the same float64 reference per sequence.
 - Scheduler policy: the one seating rule that turns stream-level
-  grouping keys into a two-phase plan, its thresholds, and the share
+  grouping keys into seated groups, its thresholds, and the share
   accounting read off who actually holds a seat.
 - Serving contract: greedy decode through the continuous scheduler with
-  the two-phase path engaged is byte-identical to whole-request
+  the arena path engaged is byte-identical to whole-request
   ``serve`` across all four positional families, and the share-factor
   metrics reach the Prometheus exposition.
 """
@@ -33,10 +33,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.engine import PromptCache
 from repro.llm.attention import (
-    ChunkPartial,
-    chunk_phase,
+    arena_decode_attention,
     decode_step_attention,
-    merge_online_softmax,
     plan_decode_step,
 )
 from repro.llm.config import ModelConfig
@@ -60,8 +58,8 @@ def run(coro):
 
 def dense_reference(q, k, v, n_rep, bias=None):
     """Single-pass softmax attention in float64 — the ground truth any
-    chunking of the KV range must reproduce. Uses the kernel's own
-    float32 scale so only the chunked reassociation is under test."""
+    split of the KV range must reproduce. Uses the kernel's own float32
+    scale so only the split's reassociation is under test."""
     kk = np.repeat(k, n_rep, axis=-3).astype(np.float64)
     vv = np.repeat(v, n_rep, axis=-3).astype(np.float64)
     scores = q.astype(np.float64) @ np.swapaxes(kk, -2, -1)
@@ -73,121 +71,6 @@ def dense_reference(q, k, v, n_rep, bias=None):
     return weights @ vv
 
 
-def chunked(q, k, v, n_rep, bounds, bias=None):
-    """Run chunk_phase per ``bounds`` interval and merge."""
-    partials = [
-        chunk_phase(
-            q,
-            k[:, a:b],
-            v[:, a:b],
-            n_rep,
-            bias=None if bias is None else bias[..., a:b],
-        )
-        for a, b in zip(bounds, bounds[1:])
-    ]
-    return merge_online_softmax(*partials)
-
-
-class TestMergeOnlineSoftmax:
-    @given(
-        seed=st.integers(0, 2**16),
-        n_kv=st.integers(1, 3),
-        n_rep=st.sampled_from([1, 2, 4]),
-        head_dim=st.sampled_from([4, 8]),
-        tq=st.integers(1, 3),
-        tk=st.integers(1, 24),
-        cuts=st.lists(st.integers(0, 24), max_size=4),
-        q_scale=st.sampled_from([1.0, 8.0]),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_arbitrary_splits_match_single_pass(
-        self, seed, n_kv, n_rep, head_dim, tq, tk, cuts, q_scale
-    ):
-        """The online-softmax identity, the kernel's whole correctness
-        argument: any chunking of the keys — including empty chunks from
-        duplicate or boundary cuts, GQA foldings, and large score
-        magnitudes exercising the running-max shift — merges back to the
-        single-pass result."""
-        rng = np.random.default_rng(seed)
-        q = rng.normal(size=(n_kv * n_rep, tq, head_dim)).astype(np.float32)
-        q *= np.float32(q_scale)
-        k = rng.normal(size=(n_kv, tk, head_dim)).astype(np.float32)
-        v = rng.normal(size=(n_kv, tk, head_dim)).astype(np.float32)
-        bounds = [0, *sorted(min(c, tk) for c in cuts), tk]
-        merged = chunked(q, k, v, n_rep, bounds)
-        np.testing.assert_allclose(
-            merged, dense_reference(q, k, v, n_rep), rtol=1e-4, atol=1e-5
-        )
-
-    @given(seed=st.integers(0, 2**16), split=st.integers(0, 12))
-    @settings(max_examples=40, deadline=None)
-    def test_bias_splits_with_the_chunks(self, seed, split):
-        """An additive bias (ALiBi) sliced per chunk is equivalent to
-        biasing the single pass — the shared/private phases each see
-        only their own key columns' bias."""
-        rng = np.random.default_rng(seed)
-        heads, tq, tk, hd = 4, 1, 12, 8
-        q = rng.normal(size=(heads, tq, hd)).astype(np.float32)
-        k = rng.normal(size=(heads, tk, hd)).astype(np.float32)
-        v = rng.normal(size=(heads, tk, hd)).astype(np.float32)
-        bias = rng.normal(size=(heads, tq, tk)).astype(np.float32)
-        merged = chunked(q, k, v, 1, [0, split, tk], bias=bias)
-        np.testing.assert_allclose(
-            merged,
-            dense_reference(q, k, v, 1, bias=bias),
-            rtol=1e-4,
-            atol=1e-5,
-        )
-
-    def test_stacked_slices_match_per_member_calls(self):
-        """The group stacking trick: one chunk_phase over a (S, ...)
-        query stack yields, per member, bit-identical partials to S
-        separate calls — NumPy iterates leading matmul axes slice by
-        slice, so stacking changes dispatch count, not arithmetic."""
-        rng = np.random.default_rng(3)
-        stack, n_kv, n_rep, tq, hd, tk = 5, 2, 2, 1, 8, 17
-        q_stack = rng.normal(size=(stack, n_kv * n_rep, tq, hd)).astype(np.float32)
-        k = rng.normal(size=(n_kv, tk, hd)).astype(np.float32)
-        v = rng.normal(size=(n_kv, tk, hd)).astype(np.float32)
-        stacked = chunk_phase(q_stack, k, v, n_rep)
-        for s in range(stack):
-            single = chunk_phase(q_stack[s], k, v, n_rep)
-            np.testing.assert_array_equal(stacked[s].m, single.m)
-            np.testing.assert_array_equal(stacked[s].l, single.l)
-            np.testing.assert_array_equal(stacked[s].acc, single.acc)
-
-    def test_empty_chunk_merges_as_exact_identity(self):
-        """The neutral partial (mask-floor max, zero sums) must not
-        perturb a merge even in the last ulp."""
-        rng = np.random.default_rng(7)
-        q = rng.normal(size=(2, 1, 4)).astype(np.float32)
-        k = rng.normal(size=(2, 9, 4)).astype(np.float32)
-        v = rng.normal(size=(2, 9, 4)).astype(np.float32)
-        full = chunk_phase(q, k, v, 1)
-        empty = chunk_phase(q, k[:, :0], v[:, :0], 1)
-        np.testing.assert_array_equal(
-            merge_online_softmax(full),
-            merge_online_softmax(empty, full, empty),
-        )
-
-    def test_merge_requires_a_partial(self):
-        with pytest.raises(ValueError):
-            merge_online_softmax()
-
-    def test_partial_indexing_selects_one_member(self):
-        part = ChunkPartial(
-            m=np.arange(4.0).reshape(2, 2, 1, 1),
-            l=np.ones((2, 2, 1, 1)),
-            acc=np.zeros((2, 2, 1, 4)),
-        )
-        sliced = part[1]
-        assert sliced.m.shape == (2, 1, 1)
-        assert float(sliced.m[0, 0, 0]) == 2.0
-
-
-# -- the batched arena kernel ----------------------------------------------------
-
-
 def kernel_config(n_kv, n_rep, head_dim):
     return ModelConfig(
         name="kernel", architecture="llama", vocab_size=8,
@@ -195,6 +78,183 @@ def kernel_config(n_kv, n_rep, head_dim):
         n_kv_heads=n_kv, d_ff=8, max_position=4096, positional="rope",
         norm="rmsnorm", mlp="swiglu", parallel_block=False,
     )
+
+
+def split_step(q, k, v, cut, positions=None, *, alibi=None, grouped=True,
+               free_below=0, tails=None):
+    """One :func:`arena_decode_attention` call for ``len(q)`` members of
+    one group, the keys split at ``cut``: ``k[:, :cut]`` is the shared
+    base image, ``k[:, cut:-1]`` every member's seated tail and
+    ``k[:, -1]`` the step's own K/V, at the last (highest) position.
+
+    ``q`` is (members, n_heads, head_dim) and ``k``/``v`` (n_kv_heads,
+    T, head_dim); ``tails`` optionally gives member ``i`` its own
+    ``(k, v)`` in place of ``k``/``v`` from ``cut`` on. ``grouped`` off
+    lists nobody, so every member is a group of one; ``free_below``
+    seats that many other tails first and frees them, leaving empty
+    arena rows under the members'. Returns the context (members, n_heads,
+    head_dim) in member order."""
+    members, n_heads, head_dim = q.shape
+    n_kv, total = k.shape[:2]
+    config = kernel_config(n_kv, n_heads // n_kv, head_dim)
+    positions = np.arange(total) if positions is None else positions
+    tails = tails or [(k, v)] * members
+    base = PagedKVCache.from_module_kvs(
+        config, [ModuleKV(keys=[k[:, :cut]], values=[v[:, :cut]], positions=positions[:cut])]
+    )
+    arena = TailArena(config, slots=free_below + members)
+    fillers = [base.fork() for _ in range(free_below)]
+    for filler in fillers:
+        arena.seat(filler, cut)
+    caches = []
+    for tail_k, tail_v in tails:
+        cache = base.fork()
+        if total - 1 > cut:
+            cache.layers[0].append(
+                tail_k[:, cut:-1], tail_v[:, cut:-1], positions[cut:-1]
+            )
+        caches.append(cache)
+    for cache in caches:
+        assert arena.seat(cache, cut) is cache.tail
+    for filler in fillers:
+        filler.free()
+    step = plan_decode_step(
+        caches, np.full(members, positions[-1]),
+        [(list(range(members)), cut)] if grouped else None,
+        n_heads=n_heads, n_kv_heads=n_kv, alibi=alibi,
+    )
+    assert step.rows == free_below + members
+    new_k = np.stack([tail_k[:, -1] for tail_k, _ in tails])
+    new_v = np.stack([tail_v[:, -1] for _, tail_v in tails])
+    out = arena_decode_attention(
+        step, 0, q[step.order], new_k[step.order], new_v[step.order]
+    )
+    context = np.empty_like(out)
+    context[step.order] = out
+    for cache in caches:
+        cache.free()
+    base.free()
+    return context.reshape(q.shape)
+
+
+class TestMergeOnlineSoftmax:
+    """Each seated row's one softmax over [base image | arena tail]
+    (:func:`arena_decode_attention`) against a single float64 pass over
+    the concatenated keys — wherever the split between the two falls."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n_kv=st.integers(1, 3),
+        n_rep=st.sampled_from([1, 2, 4]),
+        head_dim=st.sampled_from([4, 8]),
+        tq=st.integers(1, 3),
+        tk=st.integers(2, 24),
+        cuts=st.lists(st.integers(0, 24), max_size=4),
+        q_scale=st.sampled_from([1.0, 8.0]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_arbitrary_splits_match_single_pass(
+        self, seed, n_kv, n_rep, head_dim, tq, tk, cuts, q_scale
+    ):
+        """The kernel's whole correctness argument: any split of a row's
+        keys into base image and tail — a one-token base, a tail that is
+        only the step's own token, GQA foldings, ``tq`` members sharing
+        the group, and large score magnitudes exercising the shared max —
+        matches the single pass."""
+        rng = np.random.default_rng(seed)
+        q = rng.normal(size=(tq, n_kv * n_rep, head_dim)).astype(np.float32)
+        q *= np.float32(q_scale)
+        k = rng.normal(size=(n_kv, tk, head_dim)).astype(np.float32)
+        v = rng.normal(size=(n_kv, tk, head_dim)).astype(np.float32)
+        expected = dense_reference(q.transpose(1, 0, 2), k, v, n_rep).transpose(1, 0, 2)
+        for cut in sorted({1, tk - 1, *(min(max(c, 1), tk - 1) for c in cuts)}):
+            np.testing.assert_allclose(
+                split_step(q, k, v, cut), expected, rtol=1e-4, atol=1e-5
+            )
+
+    @given(seed=st.integers(0, 2**16), split=st.integers(1, 11))
+    @settings(max_examples=40, deadline=None)
+    def test_bias_splits_with_the_chunks(self, seed, split):
+        """ALiBi over the base image and over the tail, each built from
+        its own key positions — with the gap PML leaves between a module
+        and the suffix — is the single pass's bias split at the cut."""
+        rng = np.random.default_rng(seed)
+        heads, tk, hd = 4, 12, 8
+        q = rng.normal(size=(1, heads, hd)).astype(np.float32)
+        k = rng.normal(size=(heads, tk, hd)).astype(np.float32)
+        v = rng.normal(size=(heads, tk, hd)).astype(np.float32)
+        positions = np.concatenate([np.arange(split), np.arange(split, tk) + 5])
+        alibi = AlibiBias(heads, 4096)
+        bias = alibi.bias(positions[-1:], positions)
+        np.testing.assert_allclose(
+            split_step(q, k, v, split, positions, alibi=alibi)[0],
+            dense_reference(q[0][:, None], k, v, 1, bias=bias)[:, 0],
+            rtol=1e-4,
+            atol=1e-5,
+        )
+
+    def test_stacked_slices_match_per_member_calls(self):
+        """The group stacking trick: one GEMM over the base for a group's
+        members and their GQA repeats gives each member what the same
+        step gives it as a group of one, and both are the single pass.
+        Stacking changes the GEMM's row count, which OpenBLAS may block
+        differently, so the two agree to float32 rounding, not bits."""
+        rng = np.random.default_rng(3)
+        stack, n_kv, n_rep, hd, tk = 5, 2, 2, 8, 17
+        q = rng.normal(size=(stack, n_kv * n_rep, hd)).astype(np.float32)
+        k = rng.normal(size=(n_kv, tk, hd)).astype(np.float32)
+        v = rng.normal(size=(n_kv, tk, hd)).astype(np.float32)
+        stacked = split_step(q, k, v, 11)
+        np.testing.assert_allclose(
+            stacked, split_step(q, k, v, 11, grouped=False), rtol=1e-5, atol=1e-6
+        )
+        expected = dense_reference(q.transpose(1, 0, 2), k, v, n_rep).transpose(1, 0, 2)
+        np.testing.assert_allclose(stacked, expected, rtol=1e-4, atol=1e-5)
+
+    def test_empty_chunk_merges_as_exact_identity(self):
+        """Empty parts must not perturb a row even in the last ulp: free
+        arena rows under the seated ones — no tail, masked whole, zero
+        queries — ride the tail GEMM without touching anyone's result."""
+        rng = np.random.default_rng(7)
+        q = rng.normal(size=(2, 2, 4)).astype(np.float32)
+        k = rng.normal(size=(2, 9, 4)).astype(np.float32)
+        v = rng.normal(size=(2, 9, 4)).astype(np.float32)
+        np.testing.assert_array_equal(
+            split_step(q, k, v, 5), split_step(q, k, v, 5, free_below=3)
+        )
+
+    def test_merge_requires_a_partial(self):
+        """The kernel is for seated rows: a step with none is refused."""
+        config = kernel_config(1, 1, 4)
+        step = plan_decode_step(
+            [PagedKVCache.empty(config)], np.asarray([0]), None,
+            n_heads=1, n_kv_heads=1,
+        )
+        empty = np.zeros((0, 1, 4), dtype=np.float32)
+        with pytest.raises(ValueError):
+            arena_decode_attention(step, 0, empty, empty, empty)
+
+    def test_partial_indexing_selects_one_member(self):
+        """A member's row reads only its own query and tail (and the
+        base): rewriting every other member's leaves it bit-identical."""
+        rng = np.random.default_rng(11)
+        members, n_kv, hd, tk = 3, 2, 4, 10
+
+        def normal(*shape):
+            return rng.normal(size=shape).astype(np.float32)
+
+        k, v = normal(n_kv, tk, hd), normal(n_kv, tk, hd)
+        q = normal(members, n_kv, hd)
+        tails = [(k, v)] + [(normal(n_kv, tk, hd), normal(n_kv, tk, hd)) for _ in "ab"]
+        first = split_step(q, k, v, 6, tails=tails)
+        q[1:] = normal(members - 1, n_kv, hd)
+        tails[1:] = [(normal(n_kv, tk, hd), normal(n_kv, tk, hd)) for _ in "ab"]
+        again = split_step(q, k, v, 6, tails=tails)
+        np.testing.assert_array_equal(first[0], again[0])
+        assert not np.array_equal(first[1:], again[1:])
+
+
+# -- the batched arena kernel ----------------------------------------------------
 
 
 class _Sequence:
@@ -439,8 +499,8 @@ class TestSharedGroupPlanning:
 
     def test_seating_needs_company_and_a_wide_batch(self):
         """A stream is seated only when its base is shared in flight and
-        the step is wide enough to repay the arena phases; prefix length
-        is no criterion. A group that already holds a seated stream is
+        the step holds at least ``SEAT_MIN_BATCH`` rows; prefix length is
+        no criterion. A group that already holds a seated stream is
         planned regardless — its tail lives in the arena."""
         lone, short, long_ = object(), object(), object()
         streams = [
@@ -457,7 +517,7 @@ class TestSharedGroupPlanning:
         assert streams[0].cache.tail is None
 
         narrow = [_GroupedStream(short, 3) for _ in range(SEAT_MIN_BATCH - 1)]
-        groups, outcome = plan(narrow)  # company, but too few rows
+        groups, outcome = plan(narrow)  # too few rows (at 2: no company either)
         assert groups == [] and outcome.shared_group_sizes == []
         assert outcome.private_kv_tokens == 30 * len(narrow)  # still counted
 
@@ -561,10 +621,10 @@ class TestServingByteIdentity:
         assert stats.saved > 0
 
     def test_staggered_admission_still_identical(self, any_model, tok):
-        """Members joining mid-flight make the step wide enough to seat:
-        the early pair decodes unseated first, then moves into the arena
-        with decoded tokens already in its tail. Nobody's tokens move."""
-        waves = [GROUP_PROMPTS[:2], [], GROUP_PROMPTS[2:]]
+        """Members joining mid-flight give a lone stream company: it
+        decodes unseated first, then moves into the arena with decoded
+        tokens already in its tail. Nobody's tokens move."""
+        waves = [GROUP_PROMPTS[:1], [], GROUP_PROMPTS[1:]]
         served, stats = drive(make_pc(any_model, tok), waves)
         assert served == whole_request(any_model, tok, GROUP_PROMPTS)
         assert stats.sizes and max(stats.sizes) == len(GROUP_PROMPTS)
@@ -726,8 +786,9 @@ class TestShareMetrics:
         had a group, which overstated the shared fraction); the shared
         series stay absent."""
         pc = make_pc(llama, tok)
-        snap, _ = self.serve(pc, GROUP_PROMPTS[:2])  # a pair: too narrow to seat
-        prompt_tokens = sum(pc.prompt_token_count(p)[0] for p in GROUP_PROMPTS[:2])
+        loners = TestArenaServingEqualsWholeRequest.MIXED[:2]  # two bases: no company
+        snap, _ = self.serve(pc, loners)
+        prompt_tokens = sum(pc.prompt_token_count(p)[0] for p in loners)
         # Each stream's step reads its prompt and every token decoded so far.
         assert snap["counters"]["decode_private_kv_tokens_total"] > prompt_tokens
         assert "decode_shared_group_size" not in snap["histograms"]

@@ -7,8 +7,9 @@ import pytest
 
 from repro.cache.encoder import encode_module
 from repro.cache.layout import layout_schema
+from repro.llm.config import ModelConfig
 from repro.llm.generation import decode_loop
-from repro.llm.kv import KVCache
+from repro.llm.kv import KVCache, ModuleKV
 from repro.llm.paged import (
     PAGE_TOKENS,
     PagePool,
@@ -121,6 +122,86 @@ class TestPagedLayerKV:
         layer = make_layer()
         with pytest.raises(ValueError):
             layer.append(block(3), block(2), np.arange(3))
+
+
+def _one_layer_config(heads=2, head_dim=4):
+    return ModelConfig(
+        name="layout", architecture="llama", vocab_size=8, d_model=heads * head_dim,
+        n_layers=1, n_heads=heads, n_kv_heads=heads, d_ff=8, max_position=4096,
+        positional="rope", norm="rmsnorm", mlp="swiglu", parallel_block=False,
+    )
+
+
+def _spliced_base(tokens=40):
+    """A one-layer base spliced from one module, plus its K-major
+    ``(keys, values, positions)``."""
+    k, v, positions = block(tokens), block(tokens), np.arange(tokens)
+    module = ModuleKV(keys=[k], values=[v], positions=positions)
+    return PagedKVCache.from_module_kvs(_one_layer_config(), [module]), [k, v, positions]
+
+
+def _extend(cache, reference, tokens):
+    """Append ``tokens`` fresh tokens to ``cache`` and to its reference."""
+    k, v = block(tokens), block(tokens)
+    start = int(reference[2][-1]) + 1
+    positions = np.arange(start, start + tokens)
+    cache.layers[0].append(k, v, positions)
+    return [
+        np.concatenate([reference[0], k], axis=1),
+        np.concatenate([reference[1], v], axis=1),
+        np.concatenate([reference[2], positions]),
+    ]
+
+
+def _layout_case(name):
+    """``(layer, K-major reference, live pages)`` for one way a
+    sequence's contiguous image comes to be."""
+    base, reference = _spliced_base()  # 40 tokens: three windows
+    if name == "spliced":
+        return base, reference, 3
+    fork = base.fork()
+    if name == "fork-append":  # the fork takes the lease, extends in place
+        return fork, _extend(fork, reference, 5), 4  # + the partial window's copy
+    if name == "grown":  # 140 tokens outgrow 40 + the headroom
+        reference = _extend(fork, reference, 100)
+        assert fork.layers[0]._mirror.capacity >= 140
+        return fork, reference, 3 + 7  # + the copy and six fresh pages
+    if name == "private-seed":
+        _extend(fork, reference, 5)  # holds the lease
+        loser = base.fork()
+        reference = _extend(loser, reference, 3)
+        assert base.pools[0].stats.mirror_private_seeds == 1
+        return loser, reference, 3 + 1 + 1
+    assert name == "gathered"
+    reference = _extend(fork, reference, 5)
+    fork.layers[0].shed_mirror(40)
+    gathers = base.pools[0].stats.mirror_gathers
+    fork.layers[0].keys  # the pages are gathered into a fresh image
+    assert base.pools[0].stats.mirror_gathers == gathers + 1
+    return fork, reference, 4
+
+
+class TestImageLayout:
+    @pytest.mark.parametrize(
+        "case", ["spliced", "fork-append", "grown", "private-seed", "gathered"]
+    )
+    def test_keys_are_head_dim_major(self, case):
+        """However an image comes to be, its keys sit head_dim-major in
+        memory — ``keys`` transposed is a row-major ``(n_kv_heads,
+        head_dim, T)`` GEMM operand — while ``keys`` / ``values`` /
+        ``positions`` read byte for byte as the K-major arrays and the
+        byte accounting does not move."""
+        cache, (keys, values, positions), live_pages = _layout_case(case)
+        layer = cache.layers[0]
+        transposed = np.swapaxes(layer.keys, -2, -1)
+        assert transposed.strides[-1] == transposed.itemsize
+        assert layer.keys.shape == keys.shape
+        assert layer.keys.tobytes() == keys.tobytes()
+        assert layer.values.tobytes() == values.tobytes()
+        assert layer.positions.tobytes() == positions.tobytes()
+        per_token = 2 * layer.n_kv_heads * layer.head_dim * 4 + 8
+        assert cache.physical_bytes() == live_pages * PAGE_TOKENS * per_token
+        assert cache.logical_bytes() == len(positions) * per_token
 
 
 class TestEngineOnPagedCache:
