@@ -37,7 +37,7 @@ def main() -> None:
     per_module = probe.store.gpu.used_bytes // (N_DOCS + 1)
 
     store = ModuleCacheStore(gpu_capacity_bytes=3 * per_module + 1024)
-    pc = PromptCache(model, tok, store=store, template=PLAIN_TEMPLATE, default_tier="gpu")
+    pc = PromptCache(model, tok, store=store, template=PLAIN_TEMPLATE)
     pc.register_schema(build_schema(), eager=False)
 
     # Zipf-ish access pattern: doc0 is hot, the tail is cold.

@@ -491,18 +491,13 @@ class PromptCache:
     template:
         Chat template compiled into role tags; defaults to the model
         architecture's native template.
-    default_tier:
-        Where newly encoded modules are stored (``"gpu"`` or ``"cpu"``).
     plan_cache_size / base_cache_size:
         LRU bounds on the compiled-plan and spliced-base caches.
-    encode_workers:
-        Default process-pool width for eager schema encoding; ``0``/``1``
-        keeps the sequential path. Individual ``register_schema`` calls
-        can override with their own ``workers=``.
-    encode_metrics:
-        Optional metrics registry handed to transient
-        :class:`~repro.cache.parallel.ParallelEncoder` instances (the
-        serving runtime injects its own registry here).
+
+    Every encode — eager registration, a lazy first use, a re-encode
+    after eviction — runs in-process, one module forward at a time (its
+    GEMMs use every core through BLAS), and lands in the fast tier;
+    placement decides where the module lives after that.
     """
 
     def __init__(
@@ -511,12 +506,9 @@ class PromptCache:
         tokenizer,
         store: ModuleCacheStore | None = None,
         template: ChatTemplate | None = None,
-        default_tier: str = "gpu",
         kv_codec=None,
         plan_cache_size: int = 256,
         base_cache_size: int = 8,
-        encode_workers: int = 0,
-        encode_metrics=None,
     ) -> None:
         from repro.cache.compress import IdentityCodec, codec as codec_by_name
 
@@ -524,7 +516,6 @@ class PromptCache:
         self.tokenizer = tokenizer
         self.store = store or ModuleCacheStore()
         self.template = template or template_for_architecture(model.config.architecture)
-        self.default_tier = default_tier
         if kv_codec is None:
             self.kv_codec = IdentityCodec()
         elif isinstance(kv_codec, str):
@@ -534,9 +525,6 @@ class PromptCache:
         self.schemas: dict[str, RegisteredSchema] = {}
         self.plan_cache_size = plan_cache_size
         self.base_cache_size = base_cache_size
-        self.encode_workers = encode_workers
-        self.encode_metrics = encode_metrics
-        self._parallel_encoder = None
         # Guards the two LRU maps, their stats, and paged-base fork/free
         # (page refcounts are not thread-safe on their own).
         self._fastpath_lock = ordered_lock("engine.fastpath", after=("store",))
@@ -561,23 +549,13 @@ class PromptCache:
 
     # -- schema management -----------------------------------------------------
 
-    def register_schema(
-        self,
-        source: str | Schema,
-        eager: bool = True,
-        tier: str | None = None,
-        workers: int | None = None,
-    ) -> Schema:
+    def register_schema(self, source: str | Schema, eager: bool = True) -> Schema:
         """Parse, lay out, and (eagerly) encode a schema's modules.
 
         Eager registration mirrors the paper's flow — "Prompt Cache
         populates its cache when a schema is loaded" (Fig 1c) — so the
         first derived prompt already hits warm states. Lazy registration
-        encodes each module on first use instead. ``workers`` overrides
-        the engine's ``encode_workers`` for this schema; values above 1
-        fan the independent module encodes across a process pool
-        (:class:`~repro.cache.parallel.ParallelEncoder`) with
-        bit-identical results.
+        encodes each module on first use instead.
         """
         schema = source if isinstance(source, Schema) else Schema.parse(source, self.template)
         layout = layout_schema(schema, self.tokenizer)
@@ -599,15 +577,8 @@ class PromptCache:
         # spliced bases derived from the old one are stale.
         self._evict_compiled(schema.name)
         if eager:
-            self._encode_all(registered, tier or self.default_tier, workers=workers)
+            self._encode_all(registered)
         return schema
-
-    def set_parallel_encoder(self, encoder) -> None:
-        """Attach (or detach, with ``None``) a shared
-        :class:`~repro.cache.parallel.ParallelEncoder`, so many schema
-        registrations reuse one warm process pool. The caller owns the
-        encoder's lifetime (``close()``)."""
-        self._parallel_encoder = encoder
 
     # -- compiled-plan cache -----------------------------------------------------
 
@@ -684,63 +655,17 @@ class PromptCache:
             self._notify_plan("invalidation")
         return len(doomed)
 
-    def _encode_all(
-        self, registered: RegisteredSchema, tier: str, workers: int | None = None
-    ) -> None:
-        layout = registered.layout
-        workers = self.encode_workers if workers is None else workers
-        encoder = self._parallel_encoder
-        # Any explicit worker count (even 1) routes through the encode
-        # plane — a 1-worker encoder runs sequentially in-process but
-        # still meters warm-up and job durations.
-        if encoder is not None or workers >= 1:
-            self._encode_all_pooled(registered, tier, workers, encoder)
-            return
-        for name in layout.order:
-            self._ensure_encoded(registered, name, SOLO_VARIANT, tier)
+    def _encode_all(self, registered: RegisteredSchema) -> None:
+        for name in registered.layout.order:
+            self._ensure_encoded(registered, name, SOLO_VARIANT)
         for index in range(len(registered.scaffold_sets)):
-            self._encode_scaffold_set(registered, index, tier)
-
-    def _encode_all_pooled(
-        self, registered: RegisteredSchema, tier: str, workers, encoder
-    ) -> None:
-        """Eager encode through a :class:`ParallelEncoder`.
-
-        Mirrors the sequential path exactly: solo modules already in the
-        store are skipped (``_ensure_encoded`` semantics), scaffold sets
-        are always refreshed, and entries land in the same order.
-        """
-        from repro.cache.parallel import ParallelEncoder
-
-        layout = registered.layout
-        transient = encoder is None
-        if transient:
-            encoder = ParallelEncoder(
-                self.model, workers=workers, metrics=self.encode_metrics
-            )
-        try:
-            present = {
-                name
-                for name in layout.order
-                if CacheKey(layout.schema_name, name, SOLO_VARIANT) in self.store
-            }
-            states = encoder.encode_schema(
-                layout, registered.scaffold_sets, skip_solo=present
-            )
-            for (name, variant), kv in states.items():
-                self.store.put(
-                    CacheKey(layout.schema_name, name, variant),
-                    self.kv_codec.encode(kv),
-                    tier=tier,
-                )
-        finally:
-            if transient:
-                encoder.close()
+            self._encode_scaffold_set(registered, index)
 
     def _ensure_encoded(
-        self, registered: RegisteredSchema, name: str, variant: str, tier: str
+        self, registered: RegisteredSchema, name: str, variant: str
     ) -> tuple[ModuleKV, str]:
-        """Fetch a module's states, encoding on miss. Returns (kv, tier)."""
+        """Fetch a module's states, encoding on miss into the fast tier.
+        Returns (kv, tier)."""
         key = CacheKey(registered.layout.schema_name, name, variant)
         found = self.store.fetch(key)
         if found is not None:
@@ -749,13 +674,13 @@ class PromptCache:
             started = time.perf_counter()
             kv = encode_module(self.model, registered.layout.module(name))
             self.store.observe_reencode(key, len(kv), time.perf_counter() - started)
-            self.store.put(key, self.kv_codec.encode(kv), tier=tier)
-            return kv, tier
+            self.store.put(key, self.kv_codec.encode(kv))
+            return kv, "gpu"
         index = int(variant.removeprefix("scaffold"))
-        return self._encode_scaffold_set(registered, index, tier)[name], tier
+        return self._encode_scaffold_set(registered, index)[name], "gpu"
 
     def _encode_scaffold_set(
-        self, registered: RegisteredSchema, index: int, tier: str
+        self, registered: RegisteredSchema, index: int
     ) -> dict[str, ModuleKV]:
         """Encode scaffold set ``index`` — always materialized as a set —
         and store every member under its ``scaffold<index>`` variant."""
@@ -766,7 +691,6 @@ class PromptCache:
             self.store.put(
                 CacheKey(layout.schema_name, n, f"scaffold{index}"),
                 self.kv_codec.encode(states[n]),
-                tier=tier,
             )
         return states
 
@@ -1015,7 +939,7 @@ class PromptCache:
                 self.invalidate(schema_name, name)
         self.invalidate(schema_name, module_name)
         registered.layout = new_layout
-        self._ensure_encoded(registered, module_name, SOLO_VARIANT, self.default_tier)
+        self._ensure_encoded(registered, module_name, SOLO_VARIANT)
         # Scaffold variants embed cross-module state: always refresh.
         for i, names in enumerate(registered.scaffold_sets):
             if module_name in names:
@@ -1053,9 +977,7 @@ class PromptCache:
             raise ValueError(f"invalid segment [{start}, {end})")
         kv = self._encode_segment(tuple(prefix_tokens), start, end, tuple(ancestors))
         self.store.put(
-            CacheKey(DISCOVERED_SCHEMA, name, SOLO_VARIANT),
-            self.kv_codec.encode(kv),
-            tier=self.default_tier,
+            CacheKey(DISCOVERED_SCHEMA, name, SOLO_VARIANT), self.kv_codec.encode(kv)
         )
         segment = DiscoveredModule(
             name=name,
@@ -1227,8 +1149,8 @@ class PromptCache:
             tuple(int(t) for t in ids), segment.start, segment.end, ancestors
         )
         self.store.observe_reencode(key, len(kv), time.perf_counter() - started)
-        self.store.put(key, self.kv_codec.encode(kv), tier=self.default_tier)
-        return kv, self.default_tier
+        self.store.put(key, self.kv_codec.encode(kv))
+        return kv, "gpu"
 
     def _on_store_evict(self, entry, reason: str) -> None:  # holds-lock: store
         """Store evict listener (runs under the store lock): once a module
@@ -1436,7 +1358,7 @@ class PromptCache:
         records: list[tuple[CacheKey, ModuleKV, str]] = []
         schema_name = registered.layout.schema_name
         for mod, name, variant in self._variants_for(registered, plan, use_scaffolds):
-            kv, tier = self._ensure_encoded(registered, name, variant, self.default_tier)
+            kv, tier = self._ensure_encoded(registered, name, variant)
             kv = drop_param_slots(kv, mod, list(mod.params.values()))
             if plan.recompute_tail is not None and plan.recompute_tail[0] == name:
                 # Fully-cached prompt: skip the tail token being recomputed.

@@ -9,7 +9,7 @@ serve-live run the async serving runtime under a seeded open-loop trace
 serve-cluster  run N sharded workers behind the cache-affinity router
                (``--attach-snapshot DIR`` maps a shared warm snapshot;
                ``--fabric`` pages it in lazily, per module, instead)
-warm       encode a schema set across a process pool and (optionally)
+warm       encode a schema set, time each registration and (optionally)
            write a memmap-ready v2 snapshot for later attach
 loadgen    synthesize a serving trace and print its shape (``--cluster N``
            previews its placement across a worker ring)
@@ -148,23 +148,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     warm = sub.add_parser(
         "warm",
-        help="encode schemas across a process pool; optionally snapshot them",
+        help="encode schemas and time each one; optionally snapshot them",
     )
     warm.add_argument("schemas", type=Path, nargs="*",
                       help="PML schema files to warm (besides --synthetic)")
     warm.add_argument("--synthetic", type=_positive(int), default=None, metavar="N",
                       help="also warm the N-schema synthetic serving workload "
                            "(same generator as serve-cluster)")
-    warm.add_argument("--workers", type=_positive(int), default=1,
-                      help="encode pool size (1 = sequential in-process)")
     warm.add_argument("--out", type=Path, default=None, metavar="DIR",
                       help="write the warmed store as a v2 snapshot")
     warm.add_argument("--arch", default="llama", choices=["llama", "falcon", "mpt", "gpt2"])
     warm.add_argument("--size", default="tiny", choices=["tiny", "small"])
     warm.add_argument("--seed", type=int, default=0)
     warm.add_argument("--module-tokens", type=_positive(int), default=48)
-    warm.add_argument("--format", default="summary",
-                      choices=["summary", "prom", "json"])
 
     loadgen = sub.add_parser(
         "loadgen", help="synthesize a seeded serving trace and print its shape"
@@ -570,12 +566,10 @@ def _cmd_warm(args) -> int:
     import time
 
     from repro.cache.engine import PromptCache
-    from repro.cache.parallel import ParallelEncoder
     from repro.cache.persist import save_store
     from repro.llm import build_model, small_config, tiny_config
     from repro.pml.chat import PLAIN_TEMPLATE
     from repro.server import build_workload
-    from repro.server.metrics import MetricsRegistry
     from repro.serving.traces import SchemaProfile
     from repro.tokenizer import default_tokenizer
 
@@ -601,33 +595,21 @@ def _cmd_warm(args) -> int:
 
     make = tiny_config if args.size == "tiny" else small_config
     model = build_model(make(args.arch, vocab_size=tok.vocab_size), seed=args.seed)
-    metrics = MetricsRegistry()
-    pc = PromptCache(model, tok, template=PLAIN_TEMPLATE, encode_metrics=metrics)
-    per_schema: list[tuple[str, float, bool]] = []
-    start = time.perf_counter()
-    with ParallelEncoder(model, workers=args.workers, metrics=metrics) as encoder:
-        pc.set_parallel_encoder(encoder)
-        for source in sources:
-            schema = pc.register_schema(source)
-            report = encoder.last_report
-            per_schema.append((schema.name, report.wall_s, report.parallel))
-    elapsed = time.perf_counter() - start
+    pc = PromptCache(model, tok, template=PLAIN_TEMPLATE)
+    per_schema: list[tuple[str, float]] = []
+    for source in sources:
+        started = time.perf_counter()
+        schema = pc.register_schema(source)
+        per_schema.append((schema.name, time.perf_counter() - started))
+    elapsed = sum(wall_s for _, wall_s in per_schema)
 
     saved = None
     if args.out is not None:
         saved = save_store(pc.store, args.out)
-    if args.format == "prom":
-        print(metrics.to_prometheus())
-        return 0
-    if args.format == "json":
-        print(metrics.to_json())
-        return 0
     modules = len(pc.store.gpu.entries) + len(pc.store.cpu.entries)
-    mode = "parallel" if any(p for _, _, p in per_schema) else "sequential"
     print(f"warmed {len(per_schema)} schema(s), {modules} module variant(s), "
-          f"{pc.store.total_bytes() / 1024:.0f} KiB in {elapsed:.2f}s "
-          f"({mode}, {args.workers} worker(s))")
-    for name, wall_s, _ in per_schema:
+          f"{pc.store.total_bytes() / 1024:.0f} KiB in {elapsed:.2f}s")
+    for name, wall_s in per_schema:
         print(f"  {name:<16} {wall_s:8.3f}s")
     if saved is not None:
         print(f"snapshot: {args.out} ({saved.summary()}, format v2 — attach "

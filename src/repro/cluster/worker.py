@@ -84,7 +84,6 @@ class ClusterWorker:
         self.residency_tag_limit = residency_tag_limit
         self.pc = PromptCache(
             model, tokenizer, store=self.store, template=template, kv_codec=kv_codec,
-            encode_metrics=self.metrics,
         )
         # Reuse discovery is per-worker: each miner sees only the raw
         # traffic routed here, which is why the router's raw placement is

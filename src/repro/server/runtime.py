@@ -115,10 +115,6 @@ class LiveServer:
         self.pc = pc
         self.options = options or ServeOptions()
         self.metrics = metrics or MetricsRegistry()
-        # Late registrations through this server's engine land their
-        # encode-plane series (schema_warmup_seconds, …) in our registry.
-        if getattr(pc, "encode_metrics", ...) is None:
-            pc.encode_metrics = self.metrics
         self.clock = clock
         self.batcher = CacheAwareBatcher()
         self.trace_log: list[TraceRecord] = []

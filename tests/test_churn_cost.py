@@ -22,7 +22,10 @@ and its schema shape (two 256-token modules):
   hook, as on every unbounded engine — ``maintenance`` costs the TTL
   sweep plus a constant however many keys placement tracks (unbounded
   by it, 120 tracked keys cost ~2 k events), and a fast-tier hit a fixed
-  count (measured: 21; the demand ledger is 7 of them).
+  count (measured: 21; the demand ledger is 7 of them);
+- the cold path — eager ``register_schema`` of the two-module schema,
+  one single-sequence forward per module — costs at most 8,700 call
+  events and 240 NumPy calls per module (measured: 8,521.5 and 230).
 """
 
 from __future__ import annotations
@@ -56,19 +59,23 @@ def model(tok):
     return build_model(small_config("llama", vocab_size=tok.vocab_size), seed=0)
 
 
-@pytest.fixture(scope="module")
-def snapshot(model, tok, tmp_path_factory):
-    """A saved two-module schema: ``(directory, catalog)``."""
+def two_module_schema(name: str = "churn") -> str:
     words = "the quick brown fox jumps over the lazy dog".split()
 
     def body(offset: int) -> str:
         return " ".join(words[(offset + i) % len(words)] for i in range(300))
 
-    pc = PromptCache(model, tok, template=PLAIN_TEMPLATE)
-    pc.register_schema(
-        f'<schema name="churn"><module name="a">{body(0)}</module>'
+    return (
+        f'<schema name="{name}"><module name="a">{body(0)}</module>'
         f'<module name="b">{body(4)}</module></schema>'
     )
+
+
+@pytest.fixture(scope="module")
+def snapshot(model, tok, tmp_path_factory):
+    """A saved two-module schema: ``(directory, catalog)``."""
+    pc = PromptCache(model, tok, template=PLAIN_TEMPLATE)
+    pc.register_schema(two_module_schema())
     for name in "ab":
         assert len(pc.store.peek(CacheKey("churn", name)).kv) >= MODULE_TOKENS
     directory = tmp_path_factory.mktemp("churn-snapshot")
@@ -78,17 +85,22 @@ def snapshot(model, tok, tmp_path_factory):
 
 def profiled(fn):
     """Run ``fn`` under ``sys.setprofile``: ``(result, counts)`` with the
-    total of call events and the tallies the pins below name."""
-    counts = {"all": 0, "memmap_getitem": 0, "compile": 0, "hashlib": 0}
+    total of call events and the tallies the pins below name. ``numpy``
+    counts calls into NumPy's own functions and array methods."""
+    counts = {"all": 0, "memmap_getitem": 0, "compile": 0, "hashlib": 0, "numpy": 0}
 
     def hook(frame, event, arg):
         if event == "call":
             counts["all"] += 1
             code = frame.f_code
+            counts["numpy"] += "numpy" in code.co_filename
             if code.co_name == "__getitem__" and "memmap" in code.co_filename:
                 counts["memmap_getitem"] += 1
         elif event == "c_call":
             counts["all"] += 1
+            owner = getattr(arg, "__module__", None) or type(
+                getattr(arg, "__self__", None)).__module__
+            counts["numpy"] += (owner or "").startswith("numpy")
             if getattr(arg, "__name__", "") == "compile":
                 counts["compile"] += 1
             elif type(getattr(arg, "__self__", None)).__module__ == "_hashlib":
@@ -173,6 +185,19 @@ def test_page_in_costs_under_300_calls_and_compiles_nothing(snapshot, monkeypatc
     if not contracts_enforced():  # ``from_arenas`` runs its contract checks
         assert counts["all"] <= 130, counts
     assert counts["compile"] == 0, counts
+
+
+def test_cold_registration_cost_per_module(model, tok):
+    """The baseline the cold path is judged against: one eager
+    registration, per module encoded."""
+    # Imports, first touch, and the tokenizer's word cache.
+    PromptCache(model, tok, template=PLAIN_TEMPLATE).register_schema(two_module_schema("warm"))
+    pc = PromptCache(model, tok, template=PLAIN_TEMPLATE)
+    _, counts = profiled(lambda: pc.register_schema(two_module_schema("cold")))
+    assert [key.module for key in pc.store.gpu.keys()] == ["a", "b"]
+    if not contracts_enforced():  # contracts run per module and per layer
+        assert counts["all"] <= 2 * 8_700, counts
+        assert counts["numpy"] <= 2 * 240, counts
 
 
 def test_warm_churn_encodes_nothing(llama, tok, tmp_path, monkeypatch):

@@ -120,7 +120,7 @@ class TestWarm:
     def test_warm_schema_file_and_snapshot(self, schema_file, tmp_path, capsys):
         out_dir = tmp_path / "snap"
         assert main([
-            "warm", str(schema_file), "--workers", "1", "--out", str(out_dir),
+            "warm", str(schema_file), "--out", str(out_dir),
         ]) == 0
         out = capsys.readouterr().out
         assert "warmed 1 schema(s)" in out
@@ -128,14 +128,11 @@ class TestWarm:
         assert (out_dir / "index.json").exists()
         assert list(out_dir.glob("*.keys.npy"))
 
-    def test_warm_synthetic_prom_metrics(self, capsys):
-        assert main([
-            "warm", "--synthetic", "2", "--module-tokens", "24",
-            "--workers", "1", "--format", "prom",
-        ]) == 0
+    def test_warm_synthetic_times_each_schema(self, capsys):
+        assert main(["warm", "--synthetic", "2", "--module-tokens", "24"]) == 0
         out = capsys.readouterr().out
-        assert "schema_warmup_seconds" in out
-        assert "encode_jobs_total" in out
+        assert "warmed 2 schema(s)" in out
+        assert "schema0" in out and "schema1" in out
 
     def test_warm_nothing_to_do_errors(self, capsys):
         assert main(["warm"]) == 2
@@ -145,7 +142,7 @@ class TestWarm:
                                                    capsys):
         out_dir = tmp_path / "snap"
         main(["warm", "--synthetic", "1", "--module-tokens", "24",
-              "--workers", "1", "--out", str(out_dir)])
+              "--out", str(out_dir)])
         capsys.readouterr()
         assert main([
             "serve-cluster", "--workers", "2", "--schemas", "1",

@@ -212,6 +212,15 @@ class TestNewTextPlacement:
         assert result.output_ids  # generated without position collisions
 
 
+def demote_to_dram(store: ModuleCacheStore) -> None:
+    """Move every fast-tier entry down to DRAM, as a capacity demotion
+    would: a fresh encode always lands in the fast tier."""
+    for key in store.gpu.keys():
+        kv = store.gpu.peek(key).kv
+        store.gpu.remove(key)
+        store.put(key, kv, tier="cpu")
+
+
 class TestStorageIntegration:
     def test_eager_registration_precomputes(self, llama, tok):
         store = ModuleCacheStore()
@@ -229,8 +238,8 @@ class TestStorageIntegration:
 
     def test_cpu_tier_serving(self, llama, tok):
         store = ModuleCacheStore(gpu_capacity_bytes=0)
-        pc = PromptCache(llama, tok, store=store, template=PLAIN_TEMPLATE, default_tier="cpu")
-        pc.register_schema(TRAVEL)
+        pc = PromptCache(llama, tok, store=store, template=PLAIN_TEMPLATE)
+        pc.register_schema(TRAVEL)  # no fast tier: every encode falls back to DRAM
         result = pc.serve('<prompt schema="travel"><miami/> x</prompt>', max_new_tokens=2)
         assert result.tier_tokens["cpu"] > 0
         assert result.tier_tokens["gpu"] == 0
@@ -249,9 +258,9 @@ class TestStorageIntegration:
         is promoted to the fast tier."""
         t = [0.0]
         store = ModuleCacheStore(clock=lambda: t[0])
-        pc = PromptCache(llama, tok, store=store, template=PLAIN_TEMPLATE,
-                         default_tier="cpu")
+        pc = PromptCache(llama, tok, store=store, template=PLAIN_TEMPLATE)
         pc.register_schema(TRAVEL)  # the encode's lookup: one arrival
+        demote_to_dram(store)
         assert any(k.module == "miami" for k in store.cpu.keys())
         t[0] = 1.0  # the next, 1 s on: inside placement's 2 s horizon
         pc.serve('<prompt schema="travel"><miami/> x</prompt>', max_new_tokens=2)
@@ -262,9 +271,9 @@ class TestStorageIntegration:
         worth the promotion copy."""
         t = [0.0]
         store = ModuleCacheStore(clock=lambda: t[0])
-        pc = PromptCache(llama, tok, store=store, template=PLAIN_TEMPLATE,
-                         default_tier="cpu")
+        pc = PromptCache(llama, tok, store=store, template=PLAIN_TEMPLATE)
         pc.register_schema(TRAVEL)
+        demote_to_dram(store)
         t[0] = 100.0
         pc.serve('<prompt schema="travel"><miami/> x</prompt>', max_new_tokens=2)
         assert not any(k.module == "miami" for k in store.gpu.keys())

@@ -80,7 +80,8 @@ def test_option_surface_is_pinned():
     """Every option doubles the configurations to cover, so adding one is
     a reviewed, one-line change here: the exact field set of
     ``ServeOptions`` and parameter lists of ``PromptCache.__init__``,
-    ``ModuleCacheStore.__init__`` and ``ContinuousScheduler.__init__``."""
+    ``PromptCache.register_schema``, ``ModuleCacheStore.__init__`` and
+    ``ContinuousScheduler.__init__``."""
     import dataclasses
     import inspect
 
@@ -98,8 +99,11 @@ def test_option_surface_is_pinned():
         "pc", "max_inflight", "prefill_chunk_tokens", "clock", "maintenance",
     ]
     assert list(inspect.signature(PromptCache.__init__).parameters)[1:] == [
-        "model", "tokenizer", "store", "template", "default_tier", "kv_codec",
-        "plan_cache_size", "base_cache_size", "encode_workers", "encode_metrics",
+        "model", "tokenizer", "store", "template", "kv_codec",
+        "plan_cache_size", "base_cache_size",
+    ]
+    assert list(inspect.signature(PromptCache.register_schema).parameters)[1:] == [
+        "source", "eager",
     ]
     assert list(inspect.signature(ModuleCacheStore.__init__).parameters)[1:] == [
         "gpu_capacity_bytes", "cpu_capacity_bytes", "policy", "gpu_ttl_s",

@@ -57,7 +57,8 @@ class TestPersistence:
             )
 
     def test_round_trip_preserves_tier(self, llama, tok, tmp_path):
-        pc = PromptCache(llama, tok, template=PLAIN_TEMPLATE, default_tier="cpu")
+        store = ModuleCacheStore(gpu_capacity_bytes=0)  # every encode lands in DRAM
+        pc = PromptCache(llama, tok, store=store, template=PLAIN_TEMPLATE)
         pc.register_schema(SCHEMA)
         save_store(pc.store, tmp_path)
         restored = load_store(tmp_path)

@@ -26,6 +26,7 @@ from repro.cache.storage import CacheKey, ModuleCacheStore
 from repro.llm.generation import decode_loop
 from repro.llm.kv import KVCache, LayerKV, allocation_count, reset_allocation_count
 from repro.pml import PLAIN_TEMPLATE
+from tests.test_engine import demote_to_dram
 
 DOC = (
     '<schema name="doc"><module name="d">the quick brown fox jumps over the '
@@ -387,7 +388,8 @@ class TestSplicedBase:
         t = [0.0]
         store = ModuleCacheStore(clock=lambda: t[0])
         pc = PromptCache(llama, tok, store=store, template=PLAIN_TEMPLATE)
-        pc.register_schema(DOC, tier="cpu")  # the encode's lookup: one arrival
+        pc.register_schema(DOC)  # the encode's lookup: one arrival
+        demote_to_dram(store)
         t[0] = 1.0  # the next, 1 s on: inside placement's 2 s horizon
         first = pc.serve(PROMPT, max_new_tokens=1)
         assert first.tier_tokens["cpu"] > 0
