@@ -4,8 +4,12 @@ Each module's direct token sequence runs through the model **alone**, with
 its schema-assigned (absolute, possibly gapped) position IDs and an empty
 KV cache — so attention is confined to the module's own span. This is the
 paper's implicit per-module attention mask: encoding in isolation is
-mathematically identical to a full prefill under a block-diagonal mask
-(verified bit-exactly by the equivalence tests).
+mathematically identical to a full prefill under a block-diagonal mask.
+Each encode is ``forward(..., logits=False)`` over a pack of one, the
+same pass as the reference ``forward`` over the module's tokens on an
+empty cache, so its K/V are verified bit-exactly against that reference
+by the equivalence tests; only the last layer's work past its K/V append
+— which feeds nothing but logits — is skipped.
 
 Scaffolds (§3.3 "Attention masking effect") are the escape hatch for
 semantically dependent modules: a scaffold set is encoded *jointly* — one
@@ -48,7 +52,7 @@ def encode_module(model: TransformerModel, layout: ModuleLayout) -> ModuleKV:
     if n == 0:
         return _empty_module_kv(model)
     cache = model.new_cache(capacity=n)
-    model.forward(layout.token_ids, layout.positions, cache)
+    model.forward(layout.token_ids, layout.positions, cache, logits=False)
     return _arena_from_cache(cache, 0, n, layout.positions)
 
 
@@ -67,7 +71,7 @@ def encode_scaffold(
     token_ids = np.concatenate([m.token_ids for m in ordered])
     positions = np.concatenate([m.positions for m in ordered])
     cache = model.new_cache(capacity=len(token_ids))
-    model.forward(token_ids, positions, cache)
+    model.forward(token_ids, positions, cache, logits=False)
 
     out: dict[str, ModuleKV] = {}
     offset = 0

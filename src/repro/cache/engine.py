@@ -164,8 +164,8 @@ class ServeStream:
       :meth:`prefill_done` takes the outcome back — first-token logits
       when the prompt completes, and the packed call's wall time, which
       ``suffix_s`` charges in full to each stream in it;
-      :meth:`prefill_step` is the same step for this stream alone, on
-      the single-sequence reference ``forward``;
+      :meth:`prefill_step` is the same step for this stream alone, a
+      pack of one;
     - :meth:`next_token` samples one token in :func:`decode_loop`'s
       sample-then-check order, and the scheduler feeds the batched
       forward's logits row back through :meth:`set_logits`;
@@ -265,11 +265,14 @@ class ServeStream:
         if take <= 0:
             return 0
         chunk = slice(self._offset, self._offset + take)
+        last = take == remaining
         start = time.perf_counter()
+        # Only the prompt's last row is ever sampled from.
         logits = self.pc.model.forward(
-            self._pending_ids[chunk], self._pending_positions[chunk], self.cache
+            self._pending_ids[chunk], self._pending_positions[chunk],
+            [(self.cache, take)], logits=last,
         )
-        self.prefill_done(take, logits[-1], time.perf_counter() - start)
+        self.prefill_done(take, logits[0] if last else None, time.perf_counter() - start)
         return take
 
     def prefill_chunk(self, max_tokens: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1016,7 +1019,7 @@ class PromptCache:
             first = 0
         self.model.forward(
             np.asarray(token_ids[first:end], dtype=np.int64),
-            np.arange(first, end, dtype=np.int64), cache,
+            np.arange(first, end, dtype=np.int64), cache, logits=False,
         )
         return _arena_from_cache(
             cache, start, end, np.arange(start, end, dtype=np.int64)

@@ -59,7 +59,9 @@ class GenerationSession:
         self._cache = _arena_splice(pc.model.config, [kv for _, kv, _ in records])
         token_ids, positions = _merge_uncached(plan.uncached)
         self._cache.reserve(len(self._cache) + len(token_ids) + 64)
-        self._last_logits = pc.model.forward(token_ids, positions, self._cache)[-1]
+        self._last_logits = pc.model.forward(
+            token_ids, positions, [(self._cache, len(token_ids))]
+        )[0]
         self._next_position = plan.next_position
         self.turns: list[Turn] = []
 
@@ -85,7 +87,7 @@ class GenerationSession:
         self._cache.reserve(len(self._cache) + len(ids) + max_new_tokens)
         start = time.perf_counter()
         if len(ids):
-            self._last_logits = model.forward(ids, positions, self._cache)[-1]
+            self._last_logits = model.forward(ids, positions, [(self._cache, len(ids))])[0]
             self._next_position += len(ids)
         ttft = time.perf_counter() - start
         output_ids, _ = decode_loop(

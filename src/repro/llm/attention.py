@@ -15,18 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.llm.layers import DTYPE, linear, softmax
-from repro.llm.kv import LayerKV
+from repro.llm.layers import DTYPE, softmax
 from repro.llm.positional.alibi import AlibiBias
-from repro.llm.positional.rope import RotaryEmbedding
 
 _NEG_INF = np.float32(-1e9)
-
-
-def split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    """(T, n_heads * head_dim) -> (n_heads, T, head_dim)."""
-    t, width = x.shape
-    return x.reshape(t, n_heads, width // n_heads).transpose(1, 0, 2)
 
 
 def merge_heads(x: np.ndarray) -> np.ndarray:
@@ -47,22 +39,6 @@ def causal_position_mask(
 ) -> np.ndarray:
     """Boolean (Tq, Tk) mask, True where attention is allowed."""
     return np.asarray(k_positions)[None, :] <= np.asarray(q_positions)[:, None]
-
-
-def attention_scores(
-    q: np.ndarray,
-    k: np.ndarray,
-    q_positions: np.ndarray,
-    k_positions: np.ndarray,
-    alibi: AlibiBias | None = None,
-) -> np.ndarray:
-    """Masked, scaled scores (n_heads, Tq, Tk) before softmax."""
-    head_dim = q.shape[-1]
-    scores = q @ k.transpose(0, 2, 1) / np.sqrt(np.float32(head_dim))
-    if alibi is not None:
-        scores = scores + alibi.bias(q_positions, k_positions)
-    allowed = causal_position_mask(q_positions, k_positions)
-    return np.where(allowed[None, :, :], scores, _NEG_INF)
 
 
 def _mask_free(layer_kv, k_positions: np.ndarray, position) -> bool:
@@ -119,9 +95,9 @@ def _decode_context(
     """One sequence's single-pass decode attention over its own cache:
     ``qb`` (n_heads, 1, head_dim) at position ``pos`` (1,) against every
     key in ``layer_kv``, this step's included. What a row of the batched
-    decode step gets when it is not seated in the tail arena — the same
-    op sequence as :func:`self_attention`'s decode fast path, mask skip
-    included. Returns (1, n_heads * head_dim)."""
+    decode step gets when it is not seated in the tail arena; the mask is
+    skipped when the query sits at or after every key, where it would be
+    an elementwise identity. Returns (1, n_heads * head_dim)."""
     k_positions = layer_kv.positions
     scores = grouped_scores(qb, layer_kv.keys, n_rep)
     if alibi is not None:
@@ -447,91 +423,53 @@ def packed_prefill_attention(
     q: np.ndarray,
     k: np.ndarray,
     v: np.ndarray,
+    *,
+    queries: int | None = None,
+    trace: list | None = None,
 ) -> np.ndarray:
-    """One layer's attention for every row of a packed prefill.
+    """One layer's attention for the rows of a packed prefill.
 
-    ``q`` is (rows, n_heads, head_dim) and ``k``/``v`` (rows, n_kv_heads,
+    ``k``/``v`` are (rows, n_kv_heads, head_dim) and ``q`` (rows, n_heads,
     head_dim), rotated, in pack order. Each segment's K/V rows are
     appended to *its* cache and its queries attend over that cache —
     base and tail in one pass — under the planned bias. Returns the
     context (rows, n_heads * head_dim).
+
+    ``queries``, when given, is how many of each segment's last rows
+    attend — the last layer of a call that returns fewer logits than it
+    has rows: ``q`` and the context then hold only those rows, still in
+    pack order, while every row's K/V is appended all the same.
+
+    ``trace``, when a list, receives per segment ``(weights, key
+    positions)``: the post-softmax weights (n_heads, queries, keys) and
+    the cache's position IDs, copies made only then.
     """
-    rows, n_heads, head_dim = q.shape
+    n_heads, head_dim = q.shape[1:]
     n_rep = n_heads // k.shape[1]
+    context = np.empty(q.shape, dtype=q.dtype)
     q, k, v = (t.transpose(1, 0, 2) for t in (q, k, v))
-    context = np.empty((rows, n_heads, head_dim), dtype=q.dtype)
+    at = 0  # the segment's first row in ``q``
     for seg in plan:
-        span = slice(seg.start, seg.stop)
         layer_kv = seg.cache.layers[layer]
-        layer_kv.append(k[:, span], v[:, span], seg.positions)
+        layer_kv.append(
+            k[:, seg.start : seg.stop], v[:, seg.start : seg.stop], seg.positions
+        )
+        rows = seg.stop - seg.start
+        first = 0 if queries is None else max(rows - queries, 0)
+        span = slice(at, at + rows - first)
+        at = span.stop
+        if span.start == span.stop:
+            continue
         scores = grouped_scores(q[:, span], layer_kv.keys, n_rep)
-        scores[:, :, seg.bias_from :] += seg.bias
+        scores[:, :, seg.bias_from :] += seg.bias[..., first:, :]
         # Softmax with the division moved past the value product: it
         # then runs over head_dim columns per row instead of every key.
         scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
         attended = grouped_context(scores, layer_kv.values, n_rep)
-        attended /= scores.sum(axis=-1, keepdims=True)
+        total = scores.sum(axis=-1, keepdims=True)
+        attended /= total
+        if trace is not None:
+            trace.append((scores / total, layer_kv.positions.copy()))
         context[span] = attended.transpose(1, 0, 2)
-    return context.reshape(rows, -1)
-
-
-def self_attention(
-    x: np.ndarray,
-    *,
-    wq: np.ndarray,
-    wk: np.ndarray,
-    wv: np.ndarray,
-    wo: np.ndarray,
-    bq: np.ndarray | None,
-    bk: np.ndarray | None,
-    bv: np.ndarray | None,
-    bo: np.ndarray | None,
-    n_heads: int,
-    n_kv_heads: int,
-    position_ids: np.ndarray,
-    layer_kv: LayerKV,
-    rope: RotaryEmbedding | None = None,
-    alibi: AlibiBias | None = None,
-    trace: list | None = None,
-) -> np.ndarray:
-    """One attention layer over ``x`` (T, d_model), updating ``layer_kv``.
-
-    New tokens' K/V are appended to ``layer_kv`` (with their position IDs)
-    and attention runs over *all* cached entries — whether they came from an
-    earlier forward pass, a decode step, or a spliced-in prompt module.
-
-    When ``trace`` is a list, the post-softmax attention weights
-    ``(n_heads, Tq, Tk)`` and the key position IDs are appended to it —
-    the introspection hook used by :func:`repro.llm.introspect.attention_trace`.
-    """
-    q = split_heads(linear(x, wq, bq), n_heads)
-    k = split_heads(linear(x, wk, bk), n_kv_heads)
-    v = split_heads(linear(x, wv, bv), n_kv_heads)
-
-    if rope is not None:
-        q = rope.apply(q, position_ids)
-        k = rope.apply(k, position_ids)
-
-    layer_kv.append(k, v, position_ids)
-    n_rep = n_heads // n_kv_heads
-    k_positions = layer_kv.positions
-
-    scores = grouped_scores(q, layer_kv.keys, n_rep)
-    if alibi is not None:
-        scores = scores + alibi.bias(position_ids, k_positions)
-    if q.shape[1] == 1 and _mask_free(layer_kv, k_positions, position_ids[0]):
-        # Decode fast path: a single query token whose position is at or
-        # after every cached key — the causal mask is all-True, so the
-        # np.where would be an elementwise identity. Skip building it.
-        pass
-    else:
-        allowed = causal_position_mask(position_ids, k_positions)
-        scores = np.where(allowed[None, :, :], scores, _NEG_INF)
-    if scores.dtype != DTYPE:
-        scores = scores.astype(DTYPE)
-    weights = softmax(scores)
-    if trace is not None:
-        trace.append((weights.copy(), k_positions.copy()))
-    context = grouped_context(weights, layer_kv.values, n_rep)
-    return linear(merge_heads(context), wo, bo)
+    return context.reshape(len(context), n_heads * head_dim)

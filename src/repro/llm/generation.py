@@ -53,8 +53,10 @@ def prefill(
     if position_ids is None:
         start = len(cache)
         position_ids = np.arange(start, start + token_ids.shape[0])
-    logits = model.forward(token_ids, np.asarray(position_ids), cache)
-    return logits[-1]
+    logits = model.forward(
+        token_ids, np.asarray(position_ids), [(cache, len(token_ids))]
+    )
+    return logits[0]
 
 
 def decode_loop(

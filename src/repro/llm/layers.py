@@ -16,27 +16,21 @@ import numpy as np
 DTYPE = np.float32
 
 
-def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """``x @ weight.T (+ bias)`` with weight stored (out_features, in_features)."""
-    out = x @ weight.T
-    if bias is not None:
-        out += bias
-    return out
-
-
 def linear_rows(
     x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None
 ) -> np.ndarray:
-    """:func:`linear` for a short stack of rows ``x`` (B, in_features),
-    evaluated weight-first: ``(weight @ x.T).T``.
+    """``x @ weight.T (+ bias)`` for rows ``x`` (B, in_features) with the
+    weight stored (out_features, in_features), evaluated weight-first:
+    ``(weight @ x.T).T``.
 
     Same product, other operand order: with the (out, in) weight on the
     left the GEMM's long side is M, and OpenBLAS runs it about twice as
     fast at B <= 16 as the skinny ``(B, in) @ (in, out)`` (qkv at B=16:
     ~110 vs ~260 us) — without keeping a transposed copy of any weight.
-    The result is a Fortran-ordered (B, out_features) view; reductions
-    round differently from :func:`linear`, so use it only where equal
-    bits with the single-sequence path are not promised.
+    The result is a Fortran-ordered (B, out_features) view. Every model
+    GEMM goes through here; its rounding depends on B, which is why a
+    pack of several sequences agrees with packs of one to float32
+    tolerance rather than bitwise.
     """
     out = (weight @ x.T).T
     if bias is not None:
@@ -71,27 +65,6 @@ def gelu(x: np.ndarray) -> np.ndarray:
     """GELU (tanh approximation, matching common inference kernels)."""
     c = np.sqrt(2.0 / np.pi).astype(DTYPE)
     return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
-
-
-def swiglu_mlp(
-    x: np.ndarray,
-    gate_weight: np.ndarray,
-    up_weight: np.ndarray,
-    down_weight: np.ndarray,
-) -> np.ndarray:
-    """Llama-style gated MLP: ``down(silu(gate(x)) * up(x))``."""
-    return linear(silu(linear(x, gate_weight)) * linear(x, up_weight), down_weight)
-
-
-def gelu_mlp(
-    x: np.ndarray,
-    up_weight: np.ndarray,
-    up_bias: np.ndarray | None,
-    down_weight: np.ndarray,
-    down_bias: np.ndarray | None,
-) -> np.ndarray:
-    """Classic two-matrix MLP with GELU (Falcon / MPT / GPT-2)."""
-    return linear(gelu(linear(x, up_weight, up_bias)), down_weight, down_bias)
 
 
 def embed(token_ids: np.ndarray, table: np.ndarray) -> np.ndarray:

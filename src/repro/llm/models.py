@@ -13,16 +13,24 @@ mpt           LayerNorm ALiBi        GELU       sequential
 gpt2          LayerNorm learned      GELU       sequential
 ============  ========  ===========  =========  ==============
 
-There are two prefill entry points, both ``forward``. Given one cache it
-is the single-sequence pass (no batch axis: Prompt Cache is a
-prefill-stage transformation and all paper results are per-request
-TTFT) — the bit reference behind ``serve``, ``generate`` and module
-encoding. Given a sequence of ``(cache, rows)`` it is the *packed*
-prefill the serving scheduler runs: the chunks of several sequences as
-one (sum_rows, d_model) hidden state, attention per sequence. The packed
-pass multiplies weight-first at M = sum_rows, which rounds differently
-from M = rows, so the two agree on greedy tokens and to float32
-tolerance, not in the last ulp — the promise the batched decode step
+There is one prefill pass, ``forward``, and it is *packed*: given a
+sequence of ``(cache, rows)`` it runs the chunks of several sequences as
+one (sum_rows, d_model) hidden state, attention per sequence — what the
+serving scheduler runs. Given one cache it is that pass over the single
+segment ``[(cache, len(ids))]``, a pack of one, and that call is the bit
+reference behind ``serve``, ``generate``, ``check`` and module encoding
+(there is no batch axis: Prompt Cache is a prefill-stage transformation
+and all paper results are per-request TTFT).
+
+Every layer appends every row's K/V. The **last** layer then runs
+attention, the output projection, the MLP, the final norm and the LM
+head only on the rows whose logits are returned: none with
+``logits=False`` (every module encode, a chunk that does not complete
+its prompt), the last row of each segment for a packed call, every row
+only for the single-cache call. K/V bytes do not depend on which. GEMMs
+at M = sum_rows round differently from M = rows, so a pack of several
+agrees with packs of one on greedy tokens and to float32 tolerance, not
+in the last ulp — the promise the batched decode step
 (``forward_decode_batch``) makes as well.
 """
 
@@ -37,20 +45,10 @@ from repro.llm.attention import (
     packed_prefill_attention,
     plan_decode_step,
     plan_packed_prefill,
-    self_attention,
 )
 from repro.llm.config import ModelConfig
 from repro.llm.kv import KVCache
-from repro.llm.layers import (
-    embed,
-    gelu,
-    gelu_mlp,
-    layer_norm,
-    linear_rows,
-    rms_norm,
-    silu,
-    swiglu_mlp,
-)
+from repro.llm.layers import embed, gelu, layer_norm, linear_rows, rms_norm, silu
 from repro.llm.positional import (
     AlibiBias,
     LearnedPositionalEmbedding,
@@ -128,50 +126,6 @@ class TransformerModel:
             return rms_norm(x, self._p(f"{prefix}.weight"))
         return layer_norm(x, self._p(f"{prefix}.weight"), self._p(f"{prefix}.bias"))
 
-    def _mlp(self, x: np.ndarray, i: int) -> np.ndarray:
-        if self.config.mlp == "swiglu":
-            return swiglu_mlp(
-                x,
-                self._p(f"layers.{i}.mlp.gate"),
-                self._p(f"layers.{i}.mlp.up"),
-                self._p(f"layers.{i}.mlp.down"),
-            )
-        return gelu_mlp(
-            x,
-            self._p(f"layers.{i}.mlp.up"),
-            self._maybe(f"layers.{i}.mlp.up_bias"),
-            self._p(f"layers.{i}.mlp.down"),
-            self._maybe(f"layers.{i}.mlp.down_bias"),
-        )
-
-    def _attention(
-        self,
-        x: np.ndarray,
-        i: int,
-        position_ids: np.ndarray,
-        cache: KVCache,
-        trace: list | None = None,
-    ) -> np.ndarray:
-        cfg = self.config
-        return self_attention(
-            x,
-            wq=self._p(f"layers.{i}.attn.wq"),
-            wk=self._p(f"layers.{i}.attn.wk"),
-            wv=self._p(f"layers.{i}.attn.wv"),
-            wo=self._p(f"layers.{i}.attn.wo"),
-            bq=self._maybe(f"layers.{i}.attn.bq"),
-            bk=self._maybe(f"layers.{i}.attn.bk"),
-            bv=self._maybe(f"layers.{i}.attn.bv"),
-            bo=self._maybe(f"layers.{i}.attn.bo"),
-            n_heads=cfg.n_heads,
-            n_kv_heads=cfg.n_kv_heads,
-            position_ids=position_ids,
-            layer_kv=cache.layers[i],
-            rope=self.rope,
-            alibi=self.alibi,
-            trace=trace,
-        )
-
     # -- forward ---------------------------------------------------------------
 
     def forward(
@@ -184,7 +138,8 @@ class TransformerModel:
         logits: bool = True,
     ) -> np.ndarray:
         """Run ``token_ids`` (T,) at ``position_ids`` (T,), appending K/V to
-        ``cache``. Returns logits of shape (T, vocab).
+        ``cache``. Returns logits of shape (T, vocab), or ``None`` with
+        ``logits=False``.
 
         ``cache`` may already hold states — from an earlier chunk of this
         prompt, previous decode steps, or Prompt Cache module splicing; the
@@ -193,47 +148,33 @@ class TransformerModel:
         ``trace``, when a list, collects per-layer post-softmax attention
         weights (see :mod:`repro.llm.introspect`).
 
-        This single-sequence pass is the bit reference. Given a sequence
-        of ``(cache, rows)`` pairs in place of ``cache`` the call is the
-        *packed* prefill instead (:meth:`_forward_packed`): the ids are
-        several sequences' chunks laid end to end, and the result is the
-        last row's logits per sequence — or, with ``logits=False`` (which
-        only the packed call reads), nothing.
+        Given a sequence of ``(cache, rows)`` pairs in place of ``cache``
+        the ids are several sequences' chunks laid end to end, and the
+        result is the last row's logits per sequence, (len(segments),
+        vocab) — so a caller that reads only a chunk's last row passes
+        ``[(cache, len(token_ids))]``. Either way the call is
+        :meth:`_forward_packed`; the single-cache one is a pack of one
+        that returns every row.
         """
         token_ids = np.asarray(token_ids)
         position_ids = np.asarray(position_ids)
         if token_ids.shape != position_ids.shape:
             raise ValueError("token_ids and position_ids must have equal shape")
-        if not hasattr(cache, "layers"):
-            return self._forward_packed(token_ids, position_ids, cache, logits)
-
-        hidden = embed(token_ids, self._p("embed.weight"))
-        if self.learned_pos is not None:
-            hidden = self.learned_pos.apply(hidden, position_ids)
-
-        for i in range(self.config.n_layers):
-            normed = self._norm(hidden, f"layers.{i}.attn_norm")
-            attn_out = self._attention(normed, i, position_ids, cache, trace)
-            if self.config.parallel_block:
-                # Falcon layout: attention and MLP both read the same
-                # normalized input and are summed into the residual.
-                hidden = hidden + attn_out + self._mlp(normed, i)
-            else:
-                hidden = hidden + attn_out
-                hidden = hidden + self._mlp(
-                    self._norm(hidden, f"layers.{i}.mlp_norm"), i
-                )
-
-        hidden = self._norm(hidden, "final_norm")
-        # Weight-tied LM head: logits share the embedding matrix.
-        return hidden @ self._p("embed.weight").T
+        if hasattr(cache, "layers"):
+            segments, returned = [(cache, len(token_ids))], None
+        else:
+            segments, returned = cache, 1
+        return self._forward_packed(
+            token_ids, position_ids, segments, returned if logits else 0, trace
+        )
 
     def _forward_packed(
         self,
         token_ids: np.ndarray,
         position_ids: np.ndarray,
         segments,
-        logits: bool,
+        returned: int | None,
+        trace: list | None = None,
     ) -> np.ndarray | None:
         """Prefill chunks of several sequences in one pass.
 
@@ -245,28 +186,39 @@ class TransformerModel:
         fused gate/up and one down GEMM, however ragged the pack — while
         K/V is appended per sequence to *its* cache and each sequence
         attends over its own base + tail under the position-ID mask
-        (:func:`~repro.llm.attention.packed_prefill_attention`). Final
-        norm and LM head run on the last row of each sequence only:
-        returns (len(segments), vocab), rows contiguous, or ``None``
-        without ``logits``.
+        (:func:`~repro.llm.attention.packed_prefill_attention`).
+
+        ``returned`` is how many of each segment's last rows the logits
+        cover — ``None`` for all of them. Those rows are all the last
+        layer carries past its K/V append: with ``0`` it stops there and
+        the call returns ``None``; otherwise the logits, rows contiguous,
+        in pack order.
 
         Streams forked from one spliced base each read it through their
         own cache; folding their queries into one score GEMM over the
         shared image was measured and left out (see CHANGES.md, ISSUE 22).
-        GEMMs at M = sum_rows round differently from M = rows, so against
-        per-sequence :meth:`forward` calls this pins greedy tokens, not
-        bits — the batched decode step's promise.
         """
         plan = plan_packed_prefill(segments, position_ids, self.alibi)
         hidden, rotary = self._embed_rows(token_ids, position_ids)
-        attend = partial(packed_prefill_attention, plan)
-        for i in range(self.config.n_layers):
+        attend = partial(packed_prefill_attention, plan, trace=trace)
+        last = self.config.n_layers - 1
+        for i in range(last):
             hidden = self._layer_rows(i, hidden, rotary, attend)
-        if not logits:
+        keep = None
+        if returned is not None:
+            keep = [
+                row for seg in plan
+                for row in range(max(seg.start, seg.stop - returned), seg.stop)
+            ]
+        hidden = self._layer_rows(
+            last, hidden, rotary, partial(attend, queries=returned), keep
+        )
+        if not len(hidden):
             return None
-        last = self._norm(hidden[[seg.stop - 1 for seg in plan]], "final_norm")
         # Weight-tied LM head, C order so each row is a contiguous vector.
-        return np.ascontiguousarray(linear_rows(last, self._p("embed.weight")))
+        return np.ascontiguousarray(
+            linear_rows(self._norm(hidden, "final_norm"), self._p("embed.weight"))
+        )
 
     def forward_decode_batch(
         self,
@@ -335,13 +287,20 @@ class TransformerModel:
             rotary = tuple(t[:, None, :] for t in self.rope.rows(position_ids))
         return hidden, rotary
 
-    def _layer_rows(self, i: int, hidden: np.ndarray, rotary, attend) -> np.ndarray:
+    def _layer_rows(
+        self, i: int, hidden: np.ndarray, rotary, attend, keep=None
+    ) -> np.ndarray:
         """Layer ``i`` over (rows, d_model) hidden state whose rows may
         belong to different sequences: one norm, one fused qkv GEMM, one
         rotation, ``attend(i, q, k, v)`` — which owns whatever is per
         sequence: the K/V append and the attention itself, on (rows,
         heads, head_dim) operands — one output GEMM and the fused MLP.
-        Weight-first GEMMs (:func:`~repro.llm.layers.linear_rows`)."""
+        Weight-first GEMMs (:func:`~repro.llm.layers.linear_rows`).
+
+        ``keep``, when given, lists the rows whose output is wanted:
+        every row's K/V is still appended, but ``attend`` gets those
+        rows' queries only and the output GEMM and the MLP run on those
+        rows alone; the result is (len(keep), d_model)."""
         cfg = self.config
         rows, d, kv_dim = len(hidden), cfg.d_model, cfg.kv_dim
         wqkv, bqkv, gate_up = self._fused[i]
@@ -353,20 +312,23 @@ class TransformerModel:
         if rotary is not None:
             q = rotate(q, *rotary)
             k = rotate(k, *rotary)
+        if keep is not None:
+            hidden, normed, q = hidden[keep], normed[keep], q[keep]
+        context = attend(i, q, k, v)
+        if not len(hidden):
+            return hidden
         attn_out = linear_rows(
-            attend(i, q, k, v), self._p(f"layers.{i}.attn.wo"),
-            self._maybe(f"layers.{i}.attn.bo"),
+            context, self._p(f"layers.{i}.attn.wo"), self._maybe(f"layers.{i}.attn.bo")
         )
         if cfg.parallel_block:
-            return hidden + attn_out + self._mlp_rows(normed, i, gate_up)
+            return hidden + attn_out + self._mlp(normed, i, gate_up)
         hidden = hidden + attn_out
-        return hidden + self._mlp_rows(
-            self._norm(hidden, f"layers.{i}.mlp_norm"), i, gate_up
-        )
+        return hidden + self._mlp(self._norm(hidden, f"layers.{i}.mlp_norm"), i, gate_up)
 
-    def _mlp_rows(self, x: np.ndarray, i: int, gate_up: np.ndarray | None) -> np.ndarray:
-        """:meth:`_mlp` on (B, d_model) rows with weight-first GEMMs and,
-        for SwiGLU, gate and up as one product."""
+    def _mlp(self, x: np.ndarray, i: int, gate_up: np.ndarray | None) -> np.ndarray:
+        """Layer ``i``'s MLP on (rows, d_model) with weight-first GEMMs:
+        SwiGLU ``down(silu(gate(x)) * up(x))`` with gate and up as one
+        product, or ``down(gelu(up(x)))`` with optional biases."""
         if gate_up is not None:
             both = linear_rows(x, gate_up)
             half = both.shape[1] // 2

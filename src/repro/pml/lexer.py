@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from repro.pml.errors import ParseError
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-.]*")
+_BARE_VALUE_RE = re.compile(r"[^\s>/]+")
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 _ENTITY_RE = re.compile(r"&(lt|gt|amp|quot|apos);")
 
@@ -86,8 +87,12 @@ class Lexer:
             else:
                 if not text_parts:
                     text_line, text_col = self.line, self.column
-                text_parts.append(ch)
-                self._advance()
+                # The whole run up to the next "<" in one step.
+                end = self.source.find("<", self.pos + 1)
+                if end < 0:
+                    end = len(self.source)
+                text_parts.append(self.source[self.pos : end])
+                self._advance(end - self.pos)
         flush_text()
         return out
 
@@ -98,13 +103,14 @@ class Lexer:
         return bool(nxt) and (nxt.isalpha() or nxt in "_/!")
 
     def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.source) and self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
+        end = self.pos + n
+        newlines = self.source.count("\n", self.pos, end)
+        if newlines:
+            self.line += newlines
+            self.column = end - self.source.rfind("\n", self.pos, end)
+        else:
+            self.column += n
+        self.pos = end
 
     def _error(self, message: str) -> ParseError:
         return ParseError(message, self.line, self.column)
@@ -175,10 +181,10 @@ class Lexer:
             value = self.source[self.pos + 1 : end]
             self._advance(end + 1 - self.pos)
             return decode_entities(value)
-        match = re.match(r"[^\s>/]+", self.source[self.pos :])
+        match = _BARE_VALUE_RE.match(self.source, self.pos)
         if not match:
             raise self._error("expected an attribute value")
-        self._advance(match.end())
+        self._advance(match.end() - self.pos)
         return decode_entities(match.group())
 
     def _skip_spaces(self) -> None:

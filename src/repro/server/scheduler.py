@@ -23,7 +23,7 @@ and the model runs its single-token forwards one sequence at a time.
    sequence over its own cache), and those sequences sample their first
    token at once (TTFT never waits an extra iteration). The at most one
    chunk that does not complete runs after that, as its own call with no
-   logits. A stream whose positions the model cannot place fails alone,
+   logits, whose last layer stops at its K/V append. A stream whose positions the model cannot place fails alone,
    before the pack is formed; an exception inside a packed forward fails
    everyone in it. The scheduler never runs a per-sequence prefill — one
    stream is a pack of one.

@@ -6,25 +6,53 @@ import numpy as np
 import pytest
 
 from repro.llm.attention import (
-    attention_scores,
     causal_position_mask,
     merge_heads,
+    packed_prefill_attention,
+    plan_packed_prefill,
     repeat_kv,
-    split_heads,
 )
+from repro.llm.kv import KVCache, LayerKV
 from repro.llm.positional.alibi import AlibiBias
 
 RNG = np.random.default_rng(9)
 
 
+def one_layer_cache(n_kv_heads, head_dim, positions=()):
+    """A one-layer cache holding random keys/values at ``positions``."""
+    positions = np.asarray(positions, dtype=np.int64)
+    shape = (n_kv_heads, len(positions), head_dim)
+    if not len(positions):
+        return KVCache([LayerKV(n_kv_heads, head_dim)])
+    return KVCache([LayerKV.from_arrays(
+        RNG.normal(size=shape).astype(np.float32),
+        RNG.normal(size=shape).astype(np.float32),
+        positions,
+    )])
+
+
+def attend_one(cache, q, k, v, positions, alibi=None):
+    """One packed-prefill layer over a pack of one: ``(segment, context)``."""
+    (seg,) = plan = plan_packed_prefill([(cache, len(positions))], positions, alibi)
+    return seg, packed_prefill_attention(plan, 0, q, k, v)
+
+
 class TestHeadReshaping:
     def test_split_merge_round_trip(self):
+        """``merge_heads`` inverts the (heads, rows, head_dim) layout the
+        kernels compute in."""
         x = RNG.normal(size=(5, 12)).astype(np.float32)
-        assert np.array_equal(merge_heads(split_heads(x, 3)), x)
+        heads = x.reshape(5, 3, 4).transpose(1, 0, 2)
+        assert np.array_equal(merge_heads(heads), x)
 
     def test_split_shape(self):
-        x = RNG.normal(size=(7, 8)).astype(np.float32)
-        assert split_heads(x, 2).shape == (2, 7, 4)
+        """The prefill kernel takes (rows, heads, head_dim) operands and
+        returns each row's heads merged: (rows, heads * head_dim)."""
+        q = RNG.normal(size=(7, 2, 4)).astype(np.float32)
+        k = RNG.normal(size=(7, 1, 4)).astype(np.float32)
+        v = RNG.normal(size=(7, 1, 4)).astype(np.float32)
+        _, context = attend_one(one_layer_cache(1, 4), q, k, v, np.arange(7))
+        assert context.shape == (7, 8)
 
     def test_repeat_kv_identity(self):
         x = RNG.normal(size=(2, 3, 4)).astype(np.float32)
@@ -66,30 +94,45 @@ class TestCausalMask:
 
 
 class TestAttentionScores:
+    """The mask, scale and ALiBi semantics of the prefill kernel's scores."""
+
     def test_masked_entries_are_large_negative(self):
-        q = RNG.normal(size=(1, 2, 4)).astype(np.float32)
-        k = RNG.normal(size=(1, 3, 4)).astype(np.float32)
-        scores = attention_scores(q, k, np.array([0, 1]), np.array([0, 1, 2]))
-        assert scores[0, 0, 1] <= -1e8  # future key masked
-        assert scores[0, 0, 2] <= -1e8
-        assert scores[0, 1, 2] <= -1e8
+        # A cached key at position 2 (a later module) and queries at 0, 1:
+        # every key after a query's position is masked, the rest are not.
+        q = RNG.normal(size=(2, 1, 4)).astype(np.float32)
+        k = RNG.normal(size=(2, 1, 4)).astype(np.float32)
+        seg, context = attend_one(one_layer_cache(1, 4, [2]), q, k, k, np.arange(2))
+        assert seg.bias_from == 0  # a cached key lies above the chunk
+        # Keys in cache order: positions [2, 0, 1].
+        assert seg.bias[0, 0] <= -1e8 and seg.bias[0, 2] <= -1e8
+        assert seg.bias[1, 0] <= -1e8
+        assert seg.bias[0, 1] == seg.bias[1, 1] == seg.bias[1, 2] == 0
+        # Query 0 sees only its own key, so its context is its own value.
+        np.testing.assert_allclose(context[0], k[0, 0], rtol=1e-6)
 
     def test_scaling_by_sqrt_head_dim(self):
-        q = np.ones((1, 1, 16), dtype=np.float32)
-        k = np.ones((1, 1, 16), dtype=np.float32)
-        scores = attention_scores(q, k, np.array([0]), np.array([0]))
-        assert scores[0, 0, 0] == pytest.approx(16 / 4.0)
+        # Query 1 scores key 0 (ones) at 16 / sqrt(16) = 4 and key 1
+        # (zeros) at 0; the values pick the two weights apart.
+        q = np.ones((2, 1, 16), dtype=np.float32)
+        k = np.stack([np.ones(16), np.zeros(16)]).astype(np.float32)[:, None, :]
+        v = np.zeros((2, 1, 16), dtype=np.float32)
+        v[0, 0, 0] = v[1, 0, 1] = 1.0
+        _, context = attend_one(one_layer_cache(1, 16), q, k, v, np.arange(2))
+        e4 = np.exp(4.0)
+        np.testing.assert_allclose(context[1, :2], [e4 / (e4 + 1), 1 / (e4 + 1)], rtol=1e-5)
 
     def test_alibi_bias_is_added(self):
-        q = RNG.normal(size=(2, 1, 4)).astype(np.float32)
-        k = RNG.normal(size=(2, 3, 4)).astype(np.float32)
+        # A query at 10 over cached keys at 0 and 5 and itself: nothing is
+        # masked, so the bias is exactly ALiBi's distance term.
+        q = RNG.normal(size=(1, 2, 4)).astype(np.float32)
+        k = RNG.normal(size=(1, 2, 4)).astype(np.float32)
         qpos, kpos = np.array([10]), np.array([0, 5, 10])
         alibi = AlibiBias(2, 64)
-        plain = attention_scores(q, k, qpos, kpos)
-        biased = attention_scores(q, k, qpos, kpos, alibi=alibi)
-        np.testing.assert_allclose(
-            biased - plain, alibi.bias(qpos, kpos), atol=1e-5
-        )
+        plain, _ = attend_one(one_layer_cache(2, 4, [0, 5]), q, k, k, qpos)
+        biased, _ = attend_one(one_layer_cache(2, 4, [0, 5]), q, k, k, qpos, alibi)
+        assert plain.bias_from == 2 and not plain.bias.any()
+        assert biased.bias_from == 0
+        np.testing.assert_allclose(biased.bias, alibi.bias(qpos, kpos), atol=1e-5)
 
 
 class TestGroupedBroadcastPaths:

@@ -602,7 +602,7 @@ def drive(pc, waves, max_new_tokens=10):
 
 def whole_request(model, tok, prompts, max_new_tokens=10):
     """What :func:`drive` must return: ``serve`` on a fresh engine, one
-    request at a time — the single-sequence forward, no arena."""
+    request at a time — packs of one, no arena."""
     oracle = make_pc(model, tok)
     served = (oracle.serve(p, max_new_tokens=max_new_tokens) for p in prompts)
     return {f"r{i}": (tuple(r.output_ids), r.text) for i, r in enumerate(served)}

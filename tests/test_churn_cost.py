@@ -24,8 +24,12 @@ and its schema shape (two 256-token modules):
   by it, 120 tracked keys cost ~2 k events), and a fast-tier hit a fixed
   count (measured: 21; the demand ledger is 7 of them);
 - the cold path — eager ``register_schema`` of the two-module schema,
-  one single-sequence forward per module — costs at most 8,700 call
-  events and 240 NumPy calls per module (measured: 8,521.5 and 230).
+  one ``forward(..., logits=False)`` per module — costs at most 2,550
+  call events and 160 NumPy calls per module (measured: 2,475 and 155;
+  8,521.5 and 230 before PML text was lexed a run at a time and the
+  encode's last layer stopped at its K/V). Per module that is ~185 in
+  ``Schema.parse``, ~1,224 in layout and tokenizing, ~389 (153 NumPy)
+  in the encode and ~678 in store bookkeeping.
 """
 
 from __future__ import annotations
@@ -196,8 +200,8 @@ def test_cold_registration_cost_per_module(model, tok):
     _, counts = profiled(lambda: pc.register_schema(two_module_schema("cold")))
     assert [key.module for key in pc.store.gpu.keys()] == ["a", "b"]
     if not contracts_enforced():  # contracts run per module and per layer
-        assert counts["all"] <= 2 * 8_700, counts
-        assert counts["numpy"] <= 2 * 240, counts
+        assert counts["all"] <= 2 * 2_550, counts
+        assert counts["numpy"] <= 2 * 160, counts
 
 
 def test_warm_churn_encodes_nothing(llama, tok, tmp_path, monkeypatch):

@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 from scipy.special import softmax as scipy_softmax
 
+from repro.llm import build_model, tiny_config
 from repro.llm.layers import (
     embed,
     gelu,
-    gelu_mlp,
     layer_norm,
-    linear,
+    linear_rows,
     rms_norm,
     silu,
     softmax,
-    swiglu_mlp,
 )
 
 RNG = np.random.default_rng(42)
@@ -28,12 +27,12 @@ def rand(*shape):
 class TestLinear:
     def test_matches_manual_matmul(self):
         x, w, b = rand(5, 8), rand(3, 8), rand(3)
-        out = linear(x, w, b)
+        out = linear_rows(x, w, b)
         np.testing.assert_allclose(out, x @ w.T + b, rtol=1e-6)
 
     def test_no_bias(self):
         x, w = rand(4, 6), rand(2, 6)
-        np.testing.assert_allclose(linear(x, w), x @ w.T, rtol=1e-6)
+        np.testing.assert_allclose(linear_rows(x, w), x @ w.T, rtol=1e-6)
 
 
 class TestNorms:
@@ -113,22 +112,33 @@ class TestSoftmax:
 
 
 class TestMLPs:
+    """The model's MLP (``TransformerModel._mlp``) against its formula."""
+
     def test_swiglu_shape_and_gating(self):
-        x = rand(4, 8)
-        gate, up, down = rand(16, 8), rand(16, 8), rand(8, 16)
-        out = swiglu_mlp(x, gate, up, down)
-        assert out.shape == (4, 8)
+        model = build_model(tiny_config("llama"), seed=1)
+        x = rand(4, model.config.d_model)
+        gate_up = model._fused[0][2]
+        out = model._mlp(x, 0, gate_up)
+        assert out.shape == (4, model.config.d_model)
+        p = model.params
+        gate, up, down = (p[f"layers.0.mlp.{n}"] for n in ("gate", "up", "down"))
         expected = (silu(x @ gate.T) * (x @ up.T)) @ down.T
-        np.testing.assert_allclose(out, expected, rtol=1e-5)
+        np.testing.assert_allclose(out, expected, rtol=1e-4, atol=1e-6)
 
     def test_gelu_mlp_with_and_without_bias(self):
-        x = rand(3, 8)
-        up, down = rand(16, 8), rand(8, 16)
-        no_bias = gelu_mlp(x, up, None, down, None)
-        with_zero_bias = gelu_mlp(
-            x, up, np.zeros(16, dtype=np.float32), down, np.zeros(8, dtype=np.float32)
-        )
+        model = build_model(tiny_config("gpt2"), seed=1)
+        p = model.params
+        x = rand(3, model.config.d_model)
+        assert "layers.0.mlp.up_bias" in p  # zero at initialisation
+        with_zero_bias = model._mlp(x, 0, None)
+        biases = {n: p.pop(f"layers.0.mlp.{n}") for n in ("up_bias", "down_bias")}
+        try:
+            no_bias = model._mlp(x, 0, None)
+        finally:
+            p.update({f"layers.0.mlp.{n}": b for n, b in biases.items()})
         np.testing.assert_allclose(no_bias, with_zero_bias, rtol=1e-6)
+        expected = gelu(x @ p["layers.0.mlp.up"].T) @ p["layers.0.mlp.down"].T
+        np.testing.assert_allclose(no_bias, expected, rtol=1e-4, atol=1e-6)
 
 
 class TestEmbed:

@@ -229,7 +229,7 @@ class TestPackedForward:
         """The packed prefill, and one batched decode step on top of it —
         forks in the tail arena (``seat``) or on their own caches, flat
         caches and masked param streams always unseated — against the
-        single-sequence ``forward`` on a cache of its own."""
+        ``forward`` on a cache of its own (a pack of one)."""
         rng = np.random.default_rng(seed)
         model = family_model(architecture, gqa)
         config = model.config
@@ -300,7 +300,8 @@ class TestPackedForward:
 
     def test_without_logits_the_same_kv_is_appended(self, any_model):
         """``logits=False`` — the call a chunk that does not complete its
-        prompt gets — skips the LM head and nothing else."""
+        prompt gets — stops the last layer at its K/V append and changes
+        no K/V (``test_prefill_trim`` pins this across families)."""
         rng = np.random.default_rng(0)
         ids = rng.integers(0, any_model.config.vocab_size, size=9)
         positions = np.concatenate([np.arange(5), np.arange(4)])

@@ -89,6 +89,35 @@ class TestTextLeniency:
         tag = [t for t in tokens if t.kind == "open"][0]
         assert tag.line == 2 and tag.column == 3
 
+    def test_positions_across_runs_cdata_and_comments(self):
+        """Text is scanned a run at a time; every token's line and column
+        — and an error's after them — are what a character-by-character
+        scan gives."""
+        source = (
+            "<schema name='s'>\n"
+            "  first line of text\n"
+            "  if a < 3 and b <= 4:\n"
+            "    x = y <\n"
+            "<![CDATA[raw <tag>\nspanning]]> after\n"
+            "  <!-- a\ncomment --> tail <m/>"
+        )
+        assert [(t.kind, t.line, t.column, t.text) for t in lex(source)] == [
+            ("open", 1, 1, ""),
+            ("text", 1, 18, "\n  first line of text\n  if a < 3 and b <= 4:\n    x = y <\n"),
+            ("text", 6, 12, "raw <tag>\nspanning after\n  "),
+            ("text", 8, 12, " tail "),
+            ("open", 8, 18, ""),
+        ]
+        with pytest.raises(ParseError) as exc:
+            lex(source + "\n  more <module name='x'")
+        assert (exc.value.line, exc.value.column) == (9, 24)
+        with pytest.raises(ParseError) as exc:
+            lex(source + '\n  more <m name="x></m>')
+        assert (exc.value.line, exc.value.column) == (9, 16)
+        with pytest.raises(ParseError) as exc:
+            lex(source + "\n\n <m v=>")
+        assert (exc.value.line, exc.value.column) == (10, 7)
+
 
 class TestEntities:
     def test_all_five(self):

@@ -10,8 +10,8 @@ benchmark's model shape (four layers):
   per-stream prefill this replaced made four);
 - that forward makes the same number of GEMM-level calls
   (``linear_rows``) for one stream and for four — seventeen: four per
-  layer and the LM head (per-stream ``forward`` makes 28 ``linear`` calls
-  *each*) — the pack is an array dimension there;
+  layer and the LM head (four per-stream forwards would make 68) — the
+  pack is an array dimension there;
 - four streams cost at most 2.3 k call events inside it (3,452 before).
 """
 
@@ -29,7 +29,7 @@ from repro.server import ContinuousScheduler
 from repro.server.request import LiveRequest
 
 WORDS = "the quick brown fox jumps over the lazy dog".split()
-GEMMS = ("linear", "linear_rows")
+GEMM = "linear_rows"
 
 
 def prompt(i: int) -> str:
@@ -69,7 +69,7 @@ def profile_admission(pc, width):
             if name == "forward":
                 depth += 1
                 counts["forwards"] += 1
-            elif depth and name in GEMMS:
+            elif depth and name == GEMM:
                 counts["gemms"] += 1
         elif event == "return" and name == "forward":
             depth -= 1
