@@ -1,31 +1,36 @@
 """Disk persistence for encoded prompt modules.
 
 Encoding a module costs a full prefill of its text; serving systems want
-those states to survive restarts. ``save_store``/``load_store`` round-trip
-a :class:`~repro.cache.storage.ModuleCacheStore`'s entries through disk.
+those states to survive restarts. ``save_store`` writes a
+:class:`~repro.cache.storage.ModuleCacheStore`'s entries to a directory
+in one format (v2): each raw module's layer-major key/value arenas as
+plain ``.npy`` payloads that a reader can ``np.memmap``, codec-compressed
+entries in an npz container (their tensors are rebuilt on decode anyway),
+and an ``index.json`` naming them — every file written under a temporary
+name and renamed into place.
 
-Two snapshot formats coexist:
+A snapshot is read two ways:
 
-- **v1** (``format="v1"``): one ``savez_compressed`` archive per entry.
-  Compact, but a restore decompresses and copies every byte before the
-  first request can be served — O(total KV bytes) warm start.
-- **v2** (default): each raw module's layer-major key/value arenas are
-  written as plain aligned ``.npy`` payloads, so a restore can
-  ``np.memmap`` them — warm start becomes O(index) with lazy page-in,
-  and N same-host workers that attach the same snapshot share one
-  resident copy of the pages (the paper's §3.4 CPU-memory accounting).
-  Codec-compressed entries keep the npz container (their tensors are
-  rebuilt on decode anyway).
+- **The catalog** (the serving path): ``ModuleCacheStore(snapshot_dir=)``
+  indexes the records with :func:`snapshot_catalog` — O(index), no payload
+  opened — and pages one in on demand with :func:`load_catalog_entry`,
+  which maps its arenas read-only. N same-host workers on one directory
+  page against one resident copy (the paper's §3.4 CPU-memory
+  accounting). This is the only path that maps a snapshot.
+- **``load_store``**, an eager private copy checked against full digests.
+  It also reads the retired v1 layout (a bare record list and one npz
+  archive per entry), so ``save_store(load_store(old), new)`` upgrades a
+  v1 directory; nothing writes v1 any more.
 
 Integrity: ``index.json`` records a full SHA-256 per payload file plus a
 **sparse** digest over the file size, head block, and evenly sampled
-64 KiB blocks. Eager loads verify the full digest; mapped attaches verify
-the sparse digest up front (cheap — it pages in a handful of blocks, not
-the whole snapshot) and delegate the full digest to a background sweep
-(:class:`DigestSweep`) that drops entries failing verification. Corrupt,
-truncated, or missing files are skipped with a warning instead of raising
-mid-load — one bad file costs one module (a re-encode), not the whole
-snapshot.
+64 KiB blocks. ``load_store`` checks the full digest; a page-in checks the
+sparse one (cheap — a handful of blocks, not the whole payload), and
+:meth:`~repro.cache.storage.ModuleCacheStore.verify_catalog` full-hashes
+every cataloged payload, attached and spilled, with
+:func:`catalog_entry_fault`. Corrupt, truncated, or missing files are
+skipped with a warning instead of raising mid-load — one bad file costs
+one module (a re-encode), not the whole snapshot.
 
 Every read goes through **one descriptor per payload file**
 (:func:`_open_verified`): ``open`` once, ``fstat`` and hash *that
@@ -34,8 +39,7 @@ bytes that were checked are the bytes that are mapped even when another
 worker renames a new file over the name in between (``_write_atomic``
 allows exactly that).
 
-A caller that pages the same record in again and again (the store's
-snapshot tier) passes a :class:`VerifyLedger`: once a file's sparse digest
+A page-in takes a :class:`VerifyLedger`: once a file's sparse digest
 has matched, the ``fstat`` state it matched at — ``(st_dev, st_ino,
 st_size, st_mtime_ns, st_ctime_ns)`` — is remembered, and a later page-in
 whose descriptor shows exactly that state maps it without hashing. Any
@@ -121,10 +125,6 @@ def _safe_stem(key: CacheKey) -> str:
     return f"{key.schema}__{key.module}__{key.variant}".replace("/", "_")
 
 
-def _entry_path(directory: Path, key: CacheKey) -> Path:
-    return directory / f"{_safe_stem(key)}.npz"
-
-
 def _sha256(fd: int) -> str:
     digest = hashlib.sha256()
     offset = 0
@@ -138,11 +138,11 @@ def _sparse_sha256(fd: int) -> str:
     """Digest of the file size + head block + evenly sampled blocks.
 
     Touches at most ``(_SPARSE_SAMPLES + 1) * _SPARSE_BLOCK`` bytes, so a
-    mapped attach can sanity-check every payload (length, npy header, a
-    spread of pages) without paging the whole snapshot in. Truncation and
-    most corruption patterns are caught; the full digest still runs in the
-    background sweep. A page-in runs this on the descriptor it goes on to
-    map: one ``pread`` per block, no buffered-reader round trips.
+    page-in can sanity-check a payload (length, npy header, a spread of
+    pages) without reading it whole. Truncation and most corruption
+    patterns are caught; the full digest is the store's
+    ``verify_catalog``. A page-in runs this on the descriptor it goes on
+    to map: one ``pread`` per block, no buffered-reader round trips.
     """
     size = os.fstat(fd).st_size
     digest = hashlib.sha256(str(size).encode())
@@ -195,21 +195,13 @@ def _raw_arenas(payload: ModuleKV) -> tuple[np.ndarray, np.ndarray]:
     return empty, empty
 
 
-def _save_entry_v1(path, payload) -> str:
-    """Write one npz archive to ``path`` (a path or an open binary file)."""
-    if isinstance(payload, ModuleKV):
-        arrays = {"positions": payload.positions}
-        for i, (k, v) in enumerate(zip(payload.keys, payload.values)):
-            arrays[f"keys{i}"] = k
-            arrays[f"values{i}"] = v
-        np.savez_compressed(path, **arrays)
-        return "raw"
+def _save_npz(handle, payload: CompressedModuleKV) -> None:
+    """Write a codec-compressed entry's tensors as one npz archive."""
     arrays = {"positions": payload.positions}
     for field_name, tensors in payload.payload.items():
         for i, tensor in enumerate(tensors):
             arrays[f"{field_name}{i}"] = tensor
-    np.savez_compressed(path, **arrays)
-    return payload.codec
+    np.savez_compressed(handle, **arrays)
 
 
 def _save_entry_v2(directory: Path, key: CacheKey, payload) -> dict:
@@ -237,7 +229,7 @@ def _save_entry_v2(directory: Path, key: CacheKey, payload) -> dict:
             files[part] = info
         return {"kind": _ARENA_KIND, "files": files}
     info = _write_atomic(
-        directory / f"{stem}.npz", lambda handle: _save_entry_v1(handle, payload)
+        directory / f"{stem}.npz", lambda handle: _save_npz(handle, payload)
     )
     return {"kind": payload.codec, "files": {"payload": info}}
 
@@ -263,18 +255,17 @@ def write_catalog_entry(directory: str | Path, key: CacheKey, payload) -> dict:
     return record
 
 
-def save_store(
-    store: ModuleCacheStore, directory: str | Path, *, format: str = "v2"
-) -> SaveReport:
-    """Write every entry of both tiers to ``directory``.
+def save_store(store: ModuleCacheStore, directory: str | Path) -> SaveReport:
+    """Write every entry of both tiers to ``directory`` as a v2 snapshot.
 
-    ``format="v2"`` (default) stores raw modules as memmap-ready ``.npy``
-    arena payloads; ``format="v1"`` keeps the legacy one-npz-per-entry
-    layout. Returns a :class:`SaveReport`; check ``report.partial`` to
-    detect entries (simulator stand-ins) that could not be serialized.
+    Payload files land first and ``index.json`` last, each through a
+    temporary sibling and a rename: a save that fails part-way leaves the
+    previous index whole, never a truncated one (a payload it rewrote
+    fails that index's digest and is skipped, like any changed file).
+    Returns a
+    :class:`SaveReport`; check ``report.partial`` to detect entries
+    (simulator stand-ins) that could not be serialized.
     """
-    if format not in ("v1", "v2"):
-        raise ValueError(f"unknown snapshot format {format!r}; expected 'v1' or 'v2'")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries: list[dict] = []
@@ -289,24 +280,13 @@ def save_store(
                 report.skipped += 1
                 report.skipped_keys.append(key.tag())
                 continue
-            if format == "v1":
-                path = _entry_path(directory, key)
-                record = _key_record(key)
-                record["kind"] = _save_entry_v1(path, payload)
-                record["file"] = path.name
-                with open(path, "rb") as handle:
-                    record["sha256"] = _sha256(handle.fileno())
-            else:
-                record = write_catalog_entry(directory, key, payload)
+            record = write_catalog_entry(directory, key, payload)
             record["tier"] = tier_name
             record["pinned"] = entry.pinned
             entries.append(record)
             report.saved += 1
-    if format == "v1":
-        index: object = entries
-    else:
-        index = {"version": SNAPSHOT_VERSION, "entries": entries}
-    (directory / _INDEX).write_text(json.dumps(index, indent=1))
+    index = json.dumps({"version": SNAPSHOT_VERSION, "entries": entries}, indent=1)
+    _write_atomic(directory / _INDEX, lambda handle: handle.write(index.encode()))
     if report.partial:
         warnings.warn(f"partial snapshot: {report.summary()}", stacklevel=2)
     return report
@@ -383,19 +363,14 @@ def _expect(label: str, expected: str | None, actual: str) -> None:
         )
 
 
-def _verify_fd(fd: int, info: dict, verify: str, ledger: VerifyLedger | None) -> None:
+def _verify_fd(fd: int, info: dict, ledger: VerifyLedger | None) -> None:
     """Check an open payload file against its index record; raises
-    :class:`_Rejected`. With a ``ledger``, a sparse check whose ``fstat``
-    state equals the remembered one is trusted without hashing, and a
-    digest that matches is remembered unless the file is younger than
-    ``_RACY_MARGIN_NS``."""
-    if verify == "off":
-        return
-    if verify != "sparse" or "sparse_sha256" not in info:
+    :class:`_Rejected`. Without a ``ledger`` the full digest is checked.
+    With one (a page-in) the sparse digest is, and only when the file's
+    ``fstat`` state differs from the remembered one; a digest that matches
+    is remembered unless the file is younger than ``_RACY_MARGIN_NS``."""
+    if ledger is None or "sparse_sha256" not in info:
         _expect("checksum", info.get("sha256"), _sha256(fd))
-        return
-    if ledger is None:
-        _expect("sparse checksum", info["sparse_sha256"], _sparse_sha256(fd))
         return
     name = info["file"]
     st = os.fstat(fd)
@@ -410,9 +385,7 @@ def _verify_fd(fd: int, info: dict, verify: str, ledger: VerifyLedger | None) ->
         ledger.states[name] = state
 
 
-def _open_verified(
-    directory, info: dict, verify: str, ledger: VerifyLedger | None = None
-):
+def _open_verified(directory, info: dict, ledger: VerifyLedger | None):
     """Open one payload file and verify *that descriptor*; returns the
     open (unbuffered, binary) file for the caller to read or map and then
     close, or raises :class:`_Rejected`."""
@@ -421,7 +394,7 @@ def _open_verified(
     except FileNotFoundError:
         raise _Rejected("payload file missing") from None
     try:
-        _verify_fd(handle.fileno(), info, verify, ledger)
+        _verify_fd(handle.fileno(), info, ledger)
     except BaseException:
         handle.close()
         raise
@@ -472,24 +445,23 @@ def _read_part(handle, info: dict, mmap: bool) -> np.ndarray:
     return np.fromfile(handle, dtype=dtype, count=count).reshape(shape)
 
 
-def _load_entry_v2(
-    directory,
-    record: dict,
-    mmap: bool,
-    verify: str,
-    ledger: VerifyLedger | None = None,
-):
+def _load_entry_v2(directory, record: dict, ledger: VerifyLedger | None):
     """Build the entry payload; ``None`` after a warning for malformed
-    arenas, :class:`_Rejected` for a file that fails verification."""
+    arenas, :class:`_Rejected` for a file that fails verification.
+
+    With a ``ledger`` (a catalog page-in) the arenas are mapped and
+    sparse-verified; without one (``load_store``) they are private copies
+    checked against the full digest."""
+    mapped = ledger is not None
     handles: dict = {}
     try:
         for part, info in record["files"].items():
-            handles[part] = _open_verified(directory, info, verify, ledger)
+            handles[part] = _open_verified(directory, info, ledger)
         if record["kind"] != _ARENA_KIND:
             return _load_npz(handles["payload"], record)
         files = record["files"]
-        key_arena = _read_part(handles["keys"], files["keys"], mmap)
-        value_arena = _read_part(handles["values"], files["values"], mmap)
+        key_arena = _read_part(handles["keys"], files["keys"], mapped)
+        value_arena = _read_part(handles["values"], files["values"], mapped)
         # Positions are tiny and hot (every splice reads them) — always eager.
         positions = _read_part(handles["positions"], files["positions"], False)
     finally:
@@ -503,9 +475,9 @@ def _load_entry_v2(
     return ModuleKV.from_arenas(key_arena, value_arena, positions)
 
 
-def _load_entry_v1(directory: Path, record: dict, verify: str):
+def _load_entry_v1(directory: Path, record: dict):
     info = {"file": record["file"], "sha256": record.get("sha256")}
-    with _open_verified(directory, info, "off" if verify == "off" else "full") as handle:
+    with _open_verified(directory, info, None) as handle:
         return _load_npz(handle, record)
 
 
@@ -537,52 +509,39 @@ def _index_entries(directory: Path) -> tuple[int, list[dict]]:
 
 
 def load_store(
-    directory: str | Path,
-    store: ModuleCacheStore | None = None,
-    *,
-    mmap: bool = False,
-    verify: str | None = None,
+    directory: str | Path, store: ModuleCacheStore | None = None
 ) -> ModuleCacheStore:
-    """Rebuild a store from :func:`save_store` output (either format).
+    """Copy a snapshot (v2, or a v1 one written by an earlier version) into
+    ``store``'s private memory, checking every payload's full digest.
 
-    ``mmap=True`` maps v2 arena payloads read-only instead of copying them
-    into private memory — the zero-copy warm start. ``verify`` is
-    ``"full"``, ``"sparse"``, or ``"off"``; it defaults to ``"full"`` for
-    eager loads and ``"sparse"`` for mapped ones (pair mapped loads with a
-    :class:`DigestSweep`, as :func:`attach_snapshot` does, to keep full
-    coverage). Corrupt, truncated, or missing payload files are skipped
-    with a warning (the module simply re-encodes on first use); only a
-    missing or unreadable ``index.json`` raises.
+    A serving store reads a snapshot through its catalog instead
+    (``ModuleCacheStore(snapshot_dir=)``); this is the eager reader — and
+    with ``save_store`` the upgrader for a v1 directory. Corrupt,
+    truncated, or missing payload files are skipped with a warning (the
+    module simply re-encodes on first use); only a missing or unreadable
+    ``index.json`` raises.
     """
     from repro.cache.storage import ModuleCacheStore
 
     directory = Path(directory)
     store = store or ModuleCacheStore()
-    if verify is None:
-        verify = "sparse" if mmap else "full"
-    if verify not in ("full", "sparse", "off"):
-        raise ValueError(f"unknown verify mode {verify!r}")
     version, entries = _index_entries(directory)
     for record in entries:
-        key = _record_key(record)
         if version == 1:
-            kv = _load_or_skip(_load_entry_v1, directory, record, verify)
+            kv = _load_or_skip(_load_entry_v1, directory, record)
         else:
-            kv = _load_or_skip(_load_entry_v2, directory, record, mmap, verify)
+            kv = _load_or_skip(_load_entry_v2, directory, record, None)
         if kv is None:
             continue
-        store.put(key, kv, tier=record["tier"], pinned=record["pinned"])
+        store.put(_record_key(record), kv, tier=record["tier"], pinned=record["pinned"])
     return store
 
 
 def snapshot_catalog(directory: str | Path) -> dict[CacheKey, dict]:
-    """Index a v2 snapshot for lazy per-entry attach.
-
-    Where :func:`attach_snapshot` maps every entry up front, the module
-    store treats the snapshot as a cold *tier*: it indexes the records now
-    and materializes individual entries on demand with
-    :func:`load_catalog_entry`. Only v2 snapshots qualify — v1 archives
-    cannot be mapped and would silently degrade the tier to eager loads.
+    """Index a v2 snapshot: the records a store's catalog pages in, one
+    at a time, with :func:`load_catalog_entry`. Opens ``index.json`` and no
+    payload file. A v1 snapshot is refused — its archives cannot be
+    mapped; upgrade it with ``save_store(load_store(old), new)``.
     """
     directory = Path(directory)
     version, entries = _index_entries(directory)
@@ -599,119 +558,28 @@ def catalog_entry_nbytes(record: dict) -> int:
     return sum(info.get("nbytes", 0) for info in record.get("files", {}).values())
 
 
-def load_catalog_entry(
-    directory: str | Path,
-    record: dict,
-    *,
-    mmap: bool = True,
-    verify: str = "sparse",
-    ledger: VerifyLedger | None = None,
-):
-    """Materialize one catalog record; ``None`` (after a warning) when the
-    payload is corrupt, truncated, or missing — the caller re-encodes.
-    A caller that pages the record in repeatedly passes a
-    :class:`VerifyLedger` so an unchanged file is hashed once."""
-    kv = _load_or_skip(
-        _load_entry_v2, os.fspath(directory), record, mmap, verify, ledger
-    )
-    if kv is None and ledger is not None:
+def load_catalog_entry(directory: str | Path, record: dict, *, ledger: VerifyLedger):
+    """Materialize one catalog record, its arenas mapped read-only and its
+    files checked through ``ledger`` (an unchanged file is hashed once);
+    ``None`` (after a warning) when the payload is corrupt, truncated, or
+    missing — the caller re-encodes."""
+    kv = _load_or_skip(_load_entry_v2, os.fspath(directory), record, ledger)
+    if kv is None:
         ledger.failed += 1
     return kv
 
 
-class DigestSweep(threading.Thread):
-    """Background full-digest verification of a mapped snapshot.
-
-    A mapped attach only verifies sparse digests eagerly; this daemon
-    re-reads every payload file, checks the full SHA-256, and **removes**
-    entries whose files fail (the module re-encodes on next use) so a
-    worker never keeps serving from a payload the sparse probe happened to
-    miss. ``join()`` it in tests; production just lets it run.
-    """
-
-    def __init__(
-        self,
-        directory: Path,
-        store: ModuleCacheStore,
-        entries: list[dict],
-        metrics=None,
-    ) -> None:
-        super().__init__(name="snapshot-digest-sweep", daemon=True)
-        self.directory = directory
-        self.store = store
-        self.entries = entries
-        self.metrics = metrics
-        self.verified = 0
-        self.failures: list[str] = []
-
-    def run(self) -> None:
-        for record in self.entries:
-            key = _record_key(record)
-            bad = None
-            for info in record.get("files", {}).values():
-                try:
-                    _open_verified(self.directory, info, "full").close()
-                except _Rejected as reason:
-                    bad = f"{info['file']}: {reason}"
-                    break
-            if bad is None:
-                self.verified += 1
-                continue
-            self.failures.append(f"{_record_tag(record)} ({bad})")
-            warnings.warn(
-                f"background digest sweep evicting {_record_tag(record)}: {bad}",
-                stacklevel=2,
-            )
-            for tier in (self.store.gpu, self.store.cpu):
-                if key in tier:
-                    tier.remove(key)
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "snapshot_verify_failures_total",
-                    "Snapshot payloads failing the background full digest",
-                    phase="background",
-                ).inc()
-
-
-@dataclass
-class AttachResult:
-    """Outcome of :func:`attach_snapshot`: the (shared, read-only mapped)
-    store, the running background digest sweep, and how many bytes of
-    module KV are mapped rather than privately resident."""
-
-    store: ModuleCacheStore
-    sweep: DigestSweep | None
-    mapped_bytes: int
-
-
-def attach_snapshot(
-    directory: str | Path,
-    store: ModuleCacheStore | None = None,
-    *,
-    metrics=None,
-    background_verify: bool = True,
-) -> AttachResult:
-    """Map a v2 snapshot read-only into ``store`` — the same-host share
-    mode: every worker that attaches the same directory pages against one
-    resident copy of the module KV. Sparse digests are verified eagerly;
-    the full digests run in a background :class:`DigestSweep` (disable
-    with ``background_verify=False``).
-    """
-    directory = Path(directory)
-    store = load_store(directory, store, mmap=True, verify="sparse")
-    _, entries = _index_entries(directory)
-    mapped = store.mapped_bytes()
-    if metrics is not None:
-        metrics.gauge(
-            "snapshot_mapped_bytes",
-            "Bytes of module KV served from the shared snapshot mapping",
-        ).set(mapped)
-        observe_residency(store, metrics)
-    sweep = None
-    if background_verify:
-        sweep = DigestSweep(directory, store, entries, metrics=metrics)
-        sweep.start()
-    return AttachResult(store=store, sweep=sweep, mapped_bytes=mapped)
+def catalog_entry_fault(directory: str | Path, record: dict) -> str | None:
+    """Check every payload file of one catalog record against its full
+    SHA-256: ``None`` when all match, else which file failed and why."""
+    for info in record["files"].values():
+        try:
+            _open_verified(os.fspath(directory), info, None).close()
+        except _Rejected as reason:
+            return f"{info['file']}: {reason}"
+        except OSError as exc:
+            return f"{info['file']}: unreadable ({type(exc).__name__}: {exc})"
+    return None
 
 
 def _base_memmap(array: np.ndarray) -> np.memmap | None:
@@ -754,14 +622,15 @@ def resident_snapshot_bytes(store: ModuleCacheStore) -> int | None:
     """Bytes of mapped snapshot payloads actually paged in right now.
 
     The gap between :meth:`ModuleCacheStore.mapped_bytes` and this number
-    is the lazy-page-in win: a fresh attach maps gigabytes while touching
-    almost nothing. ``None`` when the platform cannot report residency.
+    is what no reader of those files has faulted in yet. ``None`` when the
+    platform cannot report residency.
     """
     total = 0
     seen: set[int] = set()
     for tier in (store.gpu, store.cpu):
-        for entry in tier.entries.values():
-            kv = entry.kv
+        for key in tier.keys():  # read beside a serving thread: no live view
+            entry = tier.peek(key)
+            kv = entry.kv if entry is not None else None
             if not getattr(kv, "is_mapped", False):
                 continue
             for arena in (kv.key_arena, kv.value_arena):

@@ -18,6 +18,8 @@ in one class. A ``fetch`` walks it hot to cold:
   :class:`~repro.cache.persist.VerifyLedger` and maps the descriptor it
   checked, and installs the result only if the catalog still holds that
   record — a text edit that lands mid-page-in makes the fetch a miss.
+  :meth:`ModuleCacheStore.verify_catalog` checks every record's full
+  digest, under the same rule.
 - **The peer tier** is the miss fetcher (``set_miss_fetcher``), called
   outside the store lock with its round-trip observed; its answer is not
   installed if a ``remove_matching`` ran while it was in flight.
@@ -49,6 +51,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,6 +59,7 @@ from repro.analysis.locks import ordered_lock
 from repro.cache.compress import CompressedModuleKV
 from repro.cache.persist import (
     VerifyLedger,
+    catalog_entry_fault,
     catalog_entry_nbytes,
     load_catalog_entry,
     snapshot_catalog,
@@ -413,7 +417,8 @@ class ModuleCacheStore:
         self.snapshot_stats = TierStats()  # guarded-by: _lock
         self.prefetch_page_ins = 0  # guarded-by: _lock
         # Payload files a page-in hashed / mapped on a remembered state /
-        # refused (see ``repro.cache.persist.VerifyLedger``).
+        # refused (see ``repro.cache.persist.VerifyLedger``); a record
+        # ``verify_catalog`` drops counts as refused too.
         self.verify_hashed = 0  # guarded-by: _lock
         self.verify_trusted = 0  # guarded-by: _lock
         self.verify_failed = 0  # guarded-by: _lock
@@ -636,6 +641,36 @@ class ModuleCacheStore:
             except CapacityError:
                 return None  # every resident entry outranks the prediction
             return FetchResult(entry=entry, tier="cpu", source="snapshot")
+
+    def verify_catalog(self) -> int:
+        """Check every cataloged payload file — attached and spilled —
+        against its full SHA-256 and drop each record that fails, with any
+        resident copy of its key (the module re-encodes on next use).
+        Returns the number of records dropped.
+
+        Hashing runs outside the store lock. A failure drops the record
+        only if the catalog still holds that same record object (the
+        ``_page_in`` rule), so a text edit that lands mid-sweep is never
+        undone; it counts in ``verify_failed``. The cluster worker runs
+        this on a daemon thread when its store has a ``snapshot_dir``."""
+        with self._lock:
+            records = list(self._catalog.items())
+        dropped = 0
+        for key, record in records:
+            fault = catalog_entry_fault(self.snapshot_dir, record)
+            if fault is None:
+                continue
+            with self._lock:
+                if self._catalog.get(key) is not record:
+                    continue  # forgotten (or replaced) while it hashed
+                del self._catalog[key]
+                for tier in (self.gpu, self.cpu):
+                    if key in tier:
+                        tier.remove(key)
+                self.verify_failed += 1
+            dropped += 1
+            warnings.warn(f"digest sweep dropping {key.tag()}: {fault}", stacklevel=2)
+        return dropped
 
     def snapshot_backed(self, key: CacheKey) -> bool:
         with self._lock:

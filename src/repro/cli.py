@@ -7,8 +7,8 @@ analyze    run the repo's own AST lint rules (repro.analysis) over src/
 serve      serve a PML prompt against a schema with a seeded engine
 serve-live run the async serving runtime under a seeded open-loop trace
 serve-cluster  run N sharded workers behind the cache-affinity router
-               (``--attach-snapshot DIR`` maps a shared warm snapshot;
-               ``--fabric`` pages it in lazily, per module, instead)
+               (``--attach-snapshot DIR`` gives every worker's store a
+               shared warm snapshot to page modules in from)
 warm       encode a schema set, time each registration and (optionally)
            write a memmap-ready v2 snapshot for later attach
 loadgen    synthesize a serving trace and print its shape (``--cluster N``
@@ -131,18 +131,14 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--vnodes", type=_positive(int), default=64)
     cluster.add_argument("--deadline", type=float, default=None)
     cluster.add_argument("--attach-snapshot", type=Path, default=None, metavar="DIR",
-                         help="map a v2 snapshot (from `repro warm --out`) "
-                              "read-only into every worker's store — one "
-                              "resident copy of the module KV per host")
-    cluster.add_argument("--fabric", action="store_true",
-                         help="give every worker a store with a bounded fast "
-                              "tier (--fabric-gpu-kb) and the snapshot "
-                              "(--attach-snapshot) as a lazily paged-in "
-                              "tier instead of mapped whole; prints w0's "
-                              "placement/spill/prefetch statistics")
+                         help="catalog a v2 snapshot (from `repro warm --out`) "
+                              "in every worker's store: modules page in on "
+                              "first use as read-only mappings, one resident "
+                              "copy per host, and each worker full-hashes "
+                              "the payloads in the background")
     cluster.add_argument("--fabric-gpu-kb", type=_positive(int), default=None,
-                         help="[--fabric] fast-tier capacity per worker "
-                              "(forces demotions/drops)")
+                         help="fast-tier capacity per worker (forces "
+                              "demotions/drops)")
     cluster.add_argument("--format", default="summary",
                          choices=["summary", "prom", "json"])
 
@@ -476,18 +472,12 @@ def _cmd_serve_cluster(args) -> int:
         max_queue_depth=args.max_queue,
         queue_delay_budget_s=None,
     )
-    attach = str(args.attach_snapshot) if args.attach_snapshot else None
+    attach = args.attach_snapshot
     fast_bytes = args.fabric_gpu_kb * 1024 if args.fabric_gpu_kb else None
     workers = [
         ClusterWorker(
             f"w{i}", model, tok, template=PLAIN_TEMPLATE, options=options,
-            # --fabric: the snapshot is each store's lazily paged-in tier
-            # instead of being mapped whole into the worker's tiers.
-            store=(
-                ModuleCacheStore(fast_bytes, snapshot_dir=attach)
-                if args.fabric else None
-            ),
-            attach_snapshot=attach,
+            store=ModuleCacheStore(fast_bytes, snapshot_dir=attach),
         )
         for i in range(args.workers)
     ]
@@ -541,7 +531,7 @@ def _cmd_serve_cluster(args) -> int:
           f"re-encode avoided {avoided:g} tokens")
     shares = ", ".join(f"{n}={s:.2f}" for n, s in sorted(snap["ring"].items()))
     print(f"ring ownership: {shares}")
-    if args.fabric:
+    if attach is not None or fast_bytes is not None:
         fab = workers[0].store.fabric_snapshot()
         placement = fab["placement"]
         prefetch = fab["prefetch"]
@@ -551,14 +541,14 @@ def _cmd_serve_cluster(args) -> int:
               f"/x{placement['drops']}, "
               f"prefetch planned {prefetch['planned']} "
               f"(budget-denied {prefetch['skipped_budget']})")
-    elif attach is not None:
+    if attach is not None:
         from repro.cache.persist import resident_snapshot_bytes
 
         mapped = workers[0].store.mapped_bytes()
         resident = resident_snapshot_bytes(workers[0].store)
         resident_text = f"{resident / 1024:.0f}" if resident is not None else "?"
-        print(f"snapshot: {mapped / 1024:.0f} KiB mapped/worker (one resident "
-              f"copy shared host-wide), {resident_text} KiB paged in on w0")
+        print(f"snapshot (w0): {mapped / 1024:.0f} KiB mapped (one resident "
+              f"copy shared host-wide), {resident_text} KiB paged in")
     return 0
 
 

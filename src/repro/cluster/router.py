@@ -432,7 +432,7 @@ class ClusterRouter:
         return {
             "router": self.metrics.snapshot(),
             "workers": {
-                name: worker.server.snapshot()
+                name: worker.stats()
                 for name, worker in self.workers.items()
                 if not worker._killed
             },

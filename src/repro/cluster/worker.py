@@ -33,6 +33,7 @@ import threading
 
 from repro.analysis.locks import assert_unheld
 from repro.cache.engine import PromptCache
+from repro.cache.persist import observe_residency
 from repro.cache.storage import CacheKey, ModuleCacheStore
 from repro.hw.allocator import CapacityError
 from repro.cluster.exporter import CacheExporter
@@ -60,26 +61,14 @@ class ClusterWorker:
         max_fetch_peers: int = 3,
         fetch_budget_s: float = 10.0,
         heartbeat_interval_s: float = 0.05,
-        attach_snapshot: str | None = None,
         discovery=None,
         residency_tag_limit: int = 256,
     ) -> None:
         self.name = name
         self.metrics = MetricsRegistry()
-        # Attach mode: map a shared read-only snapshot instead of starting
-        # with an empty private store — N same-host workers attached to
-        # one snapshot page against a single resident copy of the module
-        # KV. The background digest sweep handle is kept so tests (and
-        # shutdown paths) can join it. (A ``store`` built with
-        # ``snapshot_dir`` instead treats the snapshot as its lazy tier:
-        # cataloged up front, paged in per entry on demand.)
-        self.snapshot_sweep = None
-        if attach_snapshot is not None and store is None:
-            from repro.cache.persist import attach_snapshot as _attach
-
-            attached = _attach(attach_snapshot, metrics=self.metrics)
-            store = attached.store
-            self.snapshot_sweep = attached.sweep
+        # A ``store`` built with ``snapshot_dir`` attaches a snapshot: its
+        # catalog pages modules in on demand, each a read-only mapping, so
+        # N same-host workers on one directory share one resident copy.
         self.store = store or ModuleCacheStore()
         self.residency_tag_limit = residency_tag_limit
         self.pc = PromptCache(
@@ -98,7 +87,7 @@ class ClusterWorker:
             host=exporter_host,
             port=exporter_port,
             health_snapshot=self._health_snapshot,
-            stats_snapshot=lambda: self.server.snapshot(),
+            stats_snapshot=self.stats,
         )
         self.fetcher = fetcher or PeerFetcher(metrics=self.metrics)
         self.max_fetch_peers = max_fetch_peers
@@ -135,6 +124,14 @@ class ClusterWorker:
         self.store.peer_prefetch = self._peer_prefetch
         self._heartbeat_task = asyncio.create_task(self._heartbeat_loop())
         self._beat()
+        if self.store.snapshot_dir is not None:
+            # Page-ins check sparse digests; the full ones run here, off
+            # the serving path, over every cataloged payload.
+            threading.Thread(
+                target=self.store.verify_catalog,
+                name=f"{self.name}-digest-sweep",
+                daemon=True,
+            ).start()
         return self
 
     async def stop(self, drain: bool = True) -> None:
@@ -176,6 +173,15 @@ class ClusterWorker:
         would duplicate the very prefill work the plane exists to share.
         """
         return self.pc.register_schema(source, eager=eager)
+
+    def stats(self) -> dict:
+        """This worker's JSON metrics snapshot. With a snapshot attached,
+        the mapped/resident byte gauges are refreshed here, per scrape —
+        the residency probe walks every mapped arena, too much for the
+        server's per-completion refresh."""
+        if self.store.snapshot_dir is not None:
+            observe_residency(self.store, self.metrics)
+        return self.server.snapshot()
 
     # -- heartbeats ---------------------------------------------------------------
 

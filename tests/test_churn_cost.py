@@ -46,6 +46,7 @@ from repro.cache import persist
 from repro.cache.persist import (
     VerifyLedger,
     load_catalog_entry,
+    load_store,
     save_store,
     snapshot_catalog,
 )
@@ -121,7 +122,7 @@ def profiled(fn):
 def mapped_modules(snapshot):
     directory, catalog = snapshot
     modules = [
-        load_catalog_entry(directory, catalog[CacheKey("churn", name)])
+        load_catalog_entry(directory, catalog[CacheKey("churn", name)], ledger=VerifyLedger())
         for name in "ab"
     ]
     assert all(kv is not None and kv.is_mapped for kv in modules)
@@ -172,8 +173,8 @@ def test_base_build_allocates_the_prefix_once(model, snapshot):
 def test_page_in_costs_under_300_calls_and_compiles_nothing(snapshot, monkeypatch):
     directory, catalog = snapshot
     record = catalog[CacheKey("churn", "a")]
-    assert load_catalog_entry(directory, record) is not None  # imports
-    # Hashed: no ledger, or (as here) one that remembers nothing yet.
+    assert load_catalog_entry(directory, record, ledger=VerifyLedger()) is not None  # imports
+    # Hashed: the ledger remembers nothing yet.
     monkeypatch.setattr(persist, "_wall_clock_ns", lambda: 1 << 62)  # files are old
     ledger = VerifyLedger()
     kv, counts = profiled(lambda: load_catalog_entry(directory, record, ledger=ledger))
@@ -221,8 +222,7 @@ def test_warm_churn_encodes_nothing(llama, tok, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("ttl_s", [None, 60.0], ids=["no-ttl", "ttl"])
 def test_upkeep_and_hits_cost_a_constant_where_nothing_churns(snapshot, ttl_s):
-    _, catalog = snapshot
-    kv = load_catalog_entry(snapshot[0], catalog[CacheKey("churn", "a")], mmap=False)
+    kv = load_store(snapshot[0]).peek(CacheKey("churn", "a")).kv  # a private copy
     store = ModuleCacheStore(gpu_ttl_s=ttl_s, cpu_ttl_s=ttl_s)
     keys = [CacheKey("tracked", f"m{i}") for i in range(120)]
     for key in keys[:8]:

@@ -150,7 +150,8 @@ class TestWarm:
             "--attach-snapshot", str(out_dir),
         ]) == 0
         out = capsys.readouterr().out
-        assert "mapped/worker" in out
+        assert "fabric (w0): 1 cataloged" in out
+        assert "snapshot (w0):" in out and "KiB mapped" in out
 
 
 class TestLoadgen:

@@ -80,13 +80,17 @@ def test_option_surface_is_pinned():
     """Every option doubles the configurations to cover, so adding one is
     a reviewed, one-line change here: the exact field set of
     ``ServeOptions`` and parameter lists of ``PromptCache.__init__``,
-    ``PromptCache.register_schema``, ``ModuleCacheStore.__init__`` and
-    ``ContinuousScheduler.__init__``."""
+    ``PromptCache.register_schema``, ``ModuleCacheStore.__init__``,
+    ``ContinuousScheduler.__init__``, ``ClusterWorker.__init__`` and the
+    snapshot functions ``save_store``, ``load_store`` and
+    ``load_catalog_entry``."""
     import dataclasses
     import inspect
 
     from repro.cache.engine import PromptCache
+    from repro.cache.persist import load_catalog_entry, load_store, save_store
     from repro.cache.storage import ModuleCacheStore
+    from repro.cluster import ClusterWorker
     from repro.server import ContinuousScheduler, ServeOptions
 
     assert [f.name for f in dataclasses.fields(ServeOptions)] == [
@@ -108,4 +112,15 @@ def test_option_surface_is_pinned():
     assert list(inspect.signature(ModuleCacheStore.__init__).parameters)[1:] == [
         "gpu_capacity_bytes", "cpu_capacity_bytes", "policy", "gpu_ttl_s",
         "cpu_ttl_s", "snapshot_dir", "prefetch_bytes_per_s", "clock",
+    ]
+    assert list(inspect.signature(save_store).parameters) == ["store", "directory"]
+    assert list(inspect.signature(load_store).parameters) == ["directory", "store"]
+    assert list(inspect.signature(load_catalog_entry).parameters) == [
+        "directory", "record", "ledger",
+    ]
+    assert list(inspect.signature(ClusterWorker.__init__).parameters)[1:] == [
+        "name", "model", "tokenizer", "template", "options", "store", "kv_codec",
+        "exporter_host", "exporter_port", "fetcher", "max_fetch_peers",
+        "fetch_budget_s", "heartbeat_interval_s", "discovery",
+        "residency_tag_limit",
     ]

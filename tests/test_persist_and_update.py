@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,31 @@ def pc(llama, tok):
     return cache
 
 
+def save_v1(store: ModuleCacheStore, directory) -> None:
+    """Write ``store``'s raw entries in the retired v1 layout, frozen here
+    because nothing else writes it any more: one ``savez_compressed``
+    archive per entry (``positions`` plus ``keys{i}``/``values{i}`` per
+    layer) and an ``index.json`` that is a bare list of records."""
+    directory.mkdir(parents=True, exist_ok=True)
+    records = []
+    for tier_name in ("gpu", "cpu"):
+        for key, entry in store.tier(tier_name).entries.items():
+            kv = entry.kv
+            arrays = {"positions": kv.positions}
+            for i, (k, v) in enumerate(zip(kv.keys, kv.values)):
+                arrays[f"keys{i}"] = k
+                arrays[f"values{i}"] = v
+            path = _payload_path(directory, key.schema, key.module, key.variant)
+            np.savez_compressed(path, **arrays)
+            records.append({
+                "schema": key.schema, "module": key.module, "variant": key.variant,
+                "kind": "raw", "file": path.name,
+                "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+                "tier": tier_name, "pinned": entry.pinned,
+            })
+    (directory / "index.json").write_text(json.dumps(records, indent=1))
+
+
 class TestPersistence:
     def test_round_trip_raw_entries(self, pc, tmp_path):
         report = save_store(pc.store, tmp_path)
@@ -43,7 +71,7 @@ class TestPersistence:
         path: the loader rebuilds them via ``ModuleKV.from_arenas``, not
         as loose per-layer lists (the pre-v2 loader silently dropped the
         arena on restart)."""
-        save_store(pc.store, tmp_path, format=format)
+        (save_v1 if format == "v1" else save_store)(pc.store, tmp_path)
         restored = load_store(tmp_path)
         for name in ("a", "b"):
             key = CacheKey("lib", name)
@@ -152,16 +180,33 @@ class _StandIn:
 
 class TestSnapshotIntegrity:
     def test_v1_index_records_sha256(self, pc, tmp_path):
-        save_store(pc.store, tmp_path, format="v1")
-        import json
-
+        """v1 recorded a digest per archive, so the corrupt-file test below
+        exercises the checksum, not the unreadable-payload fallback."""
+        save_v1(pc.store, tmp_path)
         index = json.loads((tmp_path / "index.json").read_text())
         assert index
         for record in index:
             assert len(record["sha256"]) == 64
 
+    def test_v1_snapshot_upgrades_to_a_catalog(self, pc, tmp_path):
+        """The catalog refuses v1 (its archives cannot be mapped);
+        ``save_store(load_store(old), new)`` upgrades it to one that
+        serves the same bytes through page-ins."""
+        save_v1(pc.store, tmp_path / "v1")
+        with pytest.raises(ValueError, match="needs a v2 snapshot"):
+            ModuleCacheStore(snapshot_dir=tmp_path / "v1")
+        save_store(load_store(tmp_path / "v1"), tmp_path / "v2")
+        attached = ModuleCacheStore(snapshot_dir=tmp_path / "v2")
+        for name in ("a", "b"):
+            key = CacheKey("lib", name)
+            found = attached.fetch(key)
+            assert found.source == "snapshot" and found.entry.kv.is_mapped
+            original = pc.store.peek(key).kv
+            np.testing.assert_array_equal(found.entry.kv.key_arena, original.key_arena)
+            np.testing.assert_array_equal(found.entry.kv.value_arena, original.value_arena)
+
     def test_corrupt_file_is_skipped_with_warning(self, pc, tmp_path):
-        save_store(pc.store, tmp_path, format="v1")
+        save_v1(pc.store, tmp_path)
         victim = _flip_byte(tmp_path, "lib", "a")
         with pytest.warns(UserWarning, match="checksum mismatch"):
             restored = load_store(tmp_path)
@@ -170,7 +215,7 @@ class TestSnapshotIntegrity:
         assert victim.exists()  # we only skip, never delete
 
     def test_missing_file_is_skipped_with_warning(self, pc, tmp_path):
-        save_store(pc.store, tmp_path, format="v1")
+        save_v1(pc.store, tmp_path)
         _payload_path(tmp_path, "lib", "a").unlink()
         with pytest.warns(UserWarning, match="missing"):
             restored = load_store(tmp_path)
@@ -180,9 +225,7 @@ class TestSnapshotIntegrity:
     def test_truncated_legacy_file_is_skipped(self, pc, tmp_path):
         """Pre-checksum snapshots (no sha256 in the index) still degrade
         to a skip when the archive itself is truncated."""
-        import json
-
-        save_store(pc.store, tmp_path, format="v1")
+        save_v1(pc.store, tmp_path)
         index_path = tmp_path / "index.json"
         index = json.loads(index_path.read_text())
         for record in index:
@@ -210,9 +253,7 @@ class TestSnapshotIntegrity:
 
 
 def _payload_path(directory, schema, module, variant="solo"):
-    from repro.cache.persist import _entry_path
-
-    return _entry_path(directory, CacheKey(schema, module, variant))
+    return directory / f"{schema}__{module}__{variant}.npz"
 
 
 def _flip_byte(directory, schema, module):
