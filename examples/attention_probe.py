@@ -51,7 +51,7 @@ def main() -> None:
     registered = pc.schemas["probe"]
     plan = pc._plan(resolved, registered)
     records = pc._gather_module_records(registered, plan, True)
-    cache = _arena_splice(model.config, [kv for _, kv, _ in records])
+    cache = _arena_splice(model.config, pc._module_kvs(records))
     suffix_ids = np.concatenate([t for t, _ in plan.uncached])
     suffix_pos = np.concatenate([p for _, p in plan.uncached])
     logits, trace = attention_trace(model, suffix_ids, suffix_pos, cache)

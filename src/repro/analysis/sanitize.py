@@ -1,17 +1,17 @@
-"""Runtime sanitizers for the paged-KV and splice invariants.
+"""Runtime sanitizers for the shared-KV and splice invariants.
 
 Static rules catch lock-discipline regressions; these sanitizers catch
 the *dynamic* invariants the paper's §3.2–3.4 machinery depends on:
 
-- :class:`PageAuditor` shadows every :class:`~repro.llm.paged.PagePool`'s
-  refcounts in an independent ledger and raises :class:`SanitizerError`
-  on **double release**, **retain of a freed page**, and **in-place
-  mirror extension without holding the lease** (or below a forked
-  sharer's prefix — the write would corrupt a sibling's tokens).
-  :meth:`PageAuditor.expect_balanced` turns "every fork must be freed"
-  into an assertion for tests, and :func:`assert_quiescent` checks a
-  pool has zero live pages — and a tail arena no seated row, whose
-  double seat/release the auditor also catches — at end of test.
+- :class:`PageAuditor` shadows, in an independent ledger, the live forks
+  of every :class:`~repro.llm.paged.SplicedKV` base, the seated rows of
+  every :class:`~repro.llm.paged.TailArena` and the refcounts of every
+  :class:`~repro.llm.paged.PagePool`, and raises :class:`SanitizerError`
+  on a **double release** of any of them and on a **retain of a freed
+  page**. :meth:`PageAuditor.expect_balanced` turns "every fork must be
+  freed" into an assertion for tests, and :func:`assert_quiescent`
+  checks at end of test that a base has no live fork, an arena no
+  seated row and a pool no live page.
 - A **splice-plan validator** re-derives the position-ID invariants of
   every compiled plan: selected modules occupy disjoint, monotonically
   increasing position sets; uncached work only lands on parameter slots,
@@ -55,7 +55,7 @@ _ENV_FLAG = "REPRO_SANITIZE"
 
 
 class SanitizerError(AssertionError):
-    """A runtime invariant of the paged/splice machinery was violated."""
+    """A runtime invariant of the shared-KV/splice machinery was violated."""
 
 
 def sanitizers_enabled() -> bool:
@@ -64,20 +64,22 @@ def sanitizers_enabled() -> bool:
 
 
 class PageAuditor:
-    """Independent refcount/lease ledger for every live page pool.
+    """Independent ledger of base forks, arena seats and page refcounts.
 
-    The ledger never trusts the pool's own counts: hooks fire *before*
-    the pool mutates, so a buggy release is caught at the faulting call,
-    with the page id in hand, instead of as corruption three requests
-    later when the recycled page is rewritten under a live reader.
+    The ledger never trusts the owners' own counts: hooks fire *before*
+    the owner mutates, so a buggy release is caught at the faulting call
+    instead of as corruption three requests later, when a recycled row or
+    page is rewritten under a live reader.
     """
 
     def __init__(self) -> None:
         # pool -> {page index -> expected refcount}; weak keys so pools
         # dropped by tests don't pin the ledger.
         self._pools: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        # arena -> seated slots (same weak keying, same lazy seeding).
+        # arena -> seated slots; base -> live forks (same weak keying,
+        # same lazy seeding from the owner's own state).
         self._seats: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+        self._forks: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self.errors_raised = 0
 
     # -- pool ledger ----------------------------------------------------------
@@ -122,21 +124,21 @@ class PageAuditor:
             )
         self._ledger(pool)[page] = expected - 1
 
-    # -- mirror lease ---------------------------------------------------------
+    # -- spliced-base forks ---------------------------------------------------
 
-    def on_inplace_extend(self, layer, mirror) -> None:
-        """Called by the lease holder right before writing the shared tail."""
-        if mirror.lease is not layer:
+    def on_fork(self, base) -> None:
+        """Called right before ``base`` hands out a fork."""
+        self._forks[base] = self._forks.get(base, base.forks) + 1
+
+    def on_unfork(self, base) -> None:
+        """Called right before a fork gives ``base`` back."""
+        expected = self._forks.get(base, base.forks)
+        if expected <= 0:
             self._fail(
-                "in-place mirror extension without holding the lease: "
-                f"lease is owned by {mirror.lease!r}"
+                "double release of a fork of a spliced base: no fork is "
+                "live — a stream freed a cache it no longer holds"
             )
-        if mirror.length < mirror.fork_high_water:
-            self._fail(
-                f"in-place mirror extension at offset {mirror.length} below "
-                f"the fork high-water mark {mirror.fork_high_water}: the "
-                "write would overwrite a forked sharer's prefix"
-            )
+        self._forks[base] = expected - 1
 
     # -- tail-arena seats -----------------------------------------------------
 
@@ -169,52 +171,64 @@ class PageAuditor:
 
     # -- balance / quiescence -------------------------------------------------
 
-    def live_pages(self, pool) -> int:
-        ledger = self._pools.get(pool)
+    def live(self, owner) -> int:
+        """Live forks of a base, or live pages of a pool, by the ledger."""
+        if hasattr(owner, "forks"):
+            return self._forks.get(owner, owner.forks)
+        ledger = self._pools.get(owner)
         if ledger is None:
-            return pool.live_pages
+            return owner.live_pages
         return sum(1 for count in ledger.values() if count > 0)
 
     @contextmanager
-    def expect_balanced(self, *pools):
-        """Assert no net page leak across the ``with`` body.
+    def expect_balanced(self, *owners):
+        """Assert no net fork or page leak across the ``with`` body.
 
         Every fork/allocation inside the region must be matched by a
         release before it exits — the end-of-test discipline for code
-        that borrows pages (``serve`` forks, batch forks, sessions).
+        that borrows bases or pages (``serve`` forks, batch forks).
         """
-        before = {pool: self.live_pages(pool) for pool in pools}
+        before = {owner: self.live(owner) for owner in owners}
         yield self
-        for pool, baseline in before.items():
-            live = self.live_pages(pool)
+        for owner, baseline in before.items():
+            live = self.live(owner)
             if live > baseline:
+                what = "fork" if hasattr(owner, "forks") else "page"
                 self._fail(
-                    f"page leak: pool holds {live} live pages, expected "
-                    f"{baseline} — {live - baseline} page(s) were never "
-                    "released (a fork was dropped without free())"
+                    f"{what} leak: {live} live {what}s, expected {baseline} "
+                    f"— {live - baseline} never released (a fork was "
+                    "dropped without free())"
                 )
 
 
-def assert_quiescent(*pools) -> None:
-    """Raise if any page pool still holds live pages, or any
-    :class:`~repro.llm.paged.TailArena` a seated row (end-of-test check)."""
-    for pool in pools:
-        if hasattr(pool, "live_slots"):
-            if pool.live_slots:
+def assert_quiescent(*owners) -> None:
+    """Raise if any spliced base still has a live fork, any
+    :class:`~repro.llm.paged.TailArena` a seated row, or any page pool a
+    live page (end-of-test check)."""
+    for owner in owners:
+        if hasattr(owner, "forks"):
+            if owner.forks:
                 raise SanitizerError(
-                    f"arena not quiescent: {pool.live_slots} of {pool.slots} "
+                    f"base not quiescent: {owner.forks} live fork(s) — a "
+                    "stream ended without freeing its cache"
+                )
+            continue
+        if hasattr(owner, "live_slots"):
+            if owner.live_slots:
+                raise SanitizerError(
+                    f"arena not quiescent: {owner.live_slots} of {owner.slots} "
                     "slot(s) still seated — a stream ended without freeing "
                     "its fork"
                 )
             continue
-        if pool.live_pages:
+        if owner.live_pages:
             nonzero = [
                 page
-                for page in range(len(pool._refcounts))
-                if pool._refcounts[page] > 0
+                for page in range(len(owner._refcounts))
+                if owner._refcounts[page] > 0
             ]
             raise SanitizerError(
-                f"pool not quiescent: {pool.live_pages} live page(s) with "
+                f"pool not quiescent: {owner.live_pages} live page(s) with "
                 f"nonzero refcounts {nonzero[:8]}{'…' if len(nonzero) > 8 else ''}"
             )
 

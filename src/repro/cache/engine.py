@@ -7,8 +7,8 @@
    the module store (:mod:`repro.cache.storage`).
 2. **Serve** a prompt → one pipeline behind every entry point: *plan*
    (resolve a PML prompt against its schema, or match raw text against
-   the discovered prefixes), *fork* a shared pre-spliced base of the
-   cached module KV states (§4.2), and let a :class:`ServeStream`
+   the discovered prefixes), *fork* a shared spliced base — the cached
+   module KV states by reference (§3.4, §4.2) — and let a :class:`ServeStream`
    prefill only the uncached tokens (parameter arguments + new text) at
    their planned positions and decode. TTFT = splice + suffix prefill,
    replacing the full quadratic prefill (§3.4). The scheduler drives
@@ -22,6 +22,7 @@ pair up cached vs baseline runs.
 
 from __future__ import annotations
 
+import operator
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -42,7 +43,7 @@ from repro.llm.generation import GenerationResult, decode_loop, generate
 from repro.llm.sampling import GreedySampler
 from repro.llm.kv import KVCache, LayerKV, ModuleKV, tracked_alloc
 from repro.llm.models import TransformerModel
-from repro.llm.paged import PagedKVCache
+from repro.llm.paged import IMAGE_AT_FORK, ForkCache, SplicedKV, physical_bytes
 from repro.pml.chat import ChatTemplate, template_for_architecture
 from repro.pml.errors import SchemaMismatchError, UnknownSchemaError
 from repro.pml.parser import parse_prompt
@@ -131,7 +132,7 @@ class BatchServeResult:
     """Batch outcome plus the §3.4 memory picture."""
 
     results: list[ServeResult]
-    physical_bytes: int  # live page storage (shared modules counted once)
+    physical_bytes: int  # distinct parts and images once, plus every tail
     duplicated_bytes: int  # what per-request private caches would cost
     shared_groups: int  # distinct module sequences in the batch
 
@@ -152,9 +153,9 @@ class ServeStream:
     """One request's serve, resumable between prefill chunks and decode steps.
 
     Every serve in this package is a stream: a planner names the cached
-    prefix, :meth:`PromptCache._open` forks the shared pre-spliced base
-    holding it, and the stream owns that fork — and its mirror lease —
-    until it is finished or aborted. Its pieces are scheduler-sized, so
+    prefix, :meth:`PromptCache._open` forks the shared spliced base
+    holding it, and the stream owns that fork until it is finished or
+    aborted. Its pieces are scheduler-sized, so
     the iteration-level runtime (:mod:`repro.server.scheduler`) can
     interleave many requests over one engine:
 
@@ -179,16 +180,17 @@ class ServeStream:
     the same, the forwards are the same arithmetic up to how batched
     GEMMs round, only the loop structure differs.
 
-    Where the stream's KV lives: the spliced prefix is the shared base's
-    pages; the prefilled suffix is appended to the fork's own pages and
-    mirror. A scheduler that batches decode over a
+    Where the stream's KV lives: the spliced prefix is the shared base —
+    its modules' K/V read in place, or its image once a second stream
+    has forked it; the prefilled suffix is appended to the fork's
+    private flat tail. A scheduler that batches decode over a
     :class:`~repro.llm.paged.TailArena` calls :meth:`seat_tail` at the
-    stream's first decode step; from then on decoded tokens are appended
-    to the arena row **only** — the fork's pages and mirror stay frozen
-    at prefix + suffix, and ``len(stream.cache)`` counts both. Read the
-    private tail through :meth:`tail_kv`, wherever it lives. A prompt
-    with nothing cached has no base: its stream runs on a private flat
-    cache and is never seated.
+    stream's first decode step, which moves the tail into an arena row;
+    from then on decoded tokens are appended there, and
+    ``len(stream.cache)`` counts base and row. Read the private tail
+    through :meth:`tail_kv`, wherever it lives. A prompt with nothing
+    cached has no base: its stream runs on a private flat cache and is
+    never seated.
     """
 
     def __init__(
@@ -209,10 +211,10 @@ class ServeStream:
         self.pc = pc
         self.cache = cache
         # ChunkAttention grouping key: the _SplicedBase this stream's
-        # paged cache was forked from (identity-compared — two streams
-        # holding the same base object share its mirror image bytes) and
-        # the spliced-prefix length those shared tokens cover. None for a
-        # prompt with nothing cached: no fork to free, never grouped.
+        # cache was forked from (identity-compared — two streams holding
+        # the same base object read the same K/V) and the spliced-prefix
+        # length those shared tokens cover. None for a prompt with
+        # nothing cached: no fork to free, never grouped.
         self.shared_group = base
         self.shared_len = len(cache) if base is not None else 0
         self._pending_ids = pending_ids
@@ -339,8 +341,8 @@ class ServeStream:
 
     def seat_tail(self, arena) -> bool:
         """Move the private tail into ``arena`` for batched decode; True
-        when the stream is (now or already) seated. Only a paged fork of
-        a spliced base qualifies, and only in the ordinary decode state —
+        when the stream is (now or already) seated. Only a fork of a
+        spliced base qualifies, and only in the ordinary decode state —
         the next position at or after every cached key, which is what
         lets the arena kernel skip the causal mask. The seat is for life:
         it goes back with the fork in :meth:`abort` / :meth:`finish`."""
@@ -350,23 +352,24 @@ class ServeStream:
             return True
         if self.cache.layers[0].max_position > self._position:
             return False
-        return arena.seat(self.cache, self.shared_len) is not None
+        return arena.seat(self.cache) is not None
 
     def tail_kv(self, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(keys, values, positions)`` of everything past the shared
         prefix at ``layer`` — suffix and decoded tokens — read from the
         arena row once seated, from the cache itself before."""
-        tail = getattr(self.cache, "tail", None)
-        if tail is not None:
-            return tail.kv(layer)
+        if self.cache.tail is not None:
+            return self.cache.tail.kv(layer)
         kv = self.cache.layers[layer]
-        n = self.shared_len
-        return kv.keys[:, n:], kv.values[:, n:], kv.positions[n:]
+        if self.shared_group is not None:  # a fork: its private tail
+            base = self.cache.base
+            kv = kv.tail if kv.tail is not None else LayerKV(base.n_kv_heads, base.head_dim, 0)
+        return kv.keys, kv.values, kv.positions
 
     # -- completion --------------------------------------------------------------
 
     def abort(self) -> None:
-        """Release the paged fork — and with it the arena seat, if any —
+        """Release the fork — and with it the arena seat, if any —
         (idempotent) without building a result: the failure/shutdown
         path."""
         if not self._closed:
@@ -416,7 +419,7 @@ class PlanCacheStats:
     hits: int = 0
     misses: int = 0
     invalidations: int = 0
-    base_hits: int = 0  # serve() reused an already-spliced paged base
+    base_hits: int = 0  # serve() reused an already-spliced base
     base_misses: int = 0
 
     @property
@@ -444,17 +447,21 @@ class _CompiledPlan:
 
 @dataclass
 class _SplicedBase:
-    """A shared, mirrored paged image of one spliced module sequence.
+    """One spliced module sequence every stream naming it forks.
 
     ``entries`` records each contributing store key with its post-drop
-    token count so a hit can be re-validated against the store (keeping
-    hit statistics, tier occupancy, and CPU-hit promotion identical to
-    a base build) and rebuilt if any backing entry disappeared.
+    token count, and ``sources`` the very store objects the base was
+    built from: a fork is a hit only while the store still serves those
+    objects, so a module re-encoded or paged in again rebuilds the base.
+    ``lifetime_forks`` counts every fork the base ever handed out; the
+    ``IMAGE_AT_FORK``-th copies it into an image.
     """
 
-    cache: PagedKVCache
+    kv: SplicedKV
     entries: list[tuple[CacheKey, int]]
+    sources: tuple
     module_names: frozenset[str]
+    lifetime_forks: int = 0
 
 
 class _ModuleIndex:
@@ -528,8 +535,8 @@ class PromptCache:
         self.schemas: dict[str, RegisteredSchema] = {}
         self.plan_cache_size = plan_cache_size
         self.base_cache_size = base_cache_size
-        # Guards the two LRU maps, their stats, and paged-base fork/free
-        # (page refcounts are not thread-safe on their own).
+        # Guards the two LRU maps, their stats, and base fork/free
+        # (fork counts are not thread-safe on their own).
         self._fastpath_lock = ordered_lock("engine.fastpath", after=("store",))
         self.plan_stats = PlanCacheStats()  # guarded-by: _fastpath_lock
         self._plan_cache: OrderedDict[str, _CompiledPlan] = OrderedDict()  # guarded-by: _fastpath_lock
@@ -640,7 +647,6 @@ class PromptCache:
         with self._fastpath_lock:  # re-entrant: callers hold it
             base = self._bases.pop(key)
             self._base_index.discard(key, key[0], base.module_names)
-            base.cache.free()
 
     def _evict_compiled(
         self, schema_name: str, module_name: str | None = None
@@ -666,36 +672,34 @@ class PromptCache:
 
     def _ensure_encoded(
         self, registered: RegisteredSchema, name: str, variant: str
-    ) -> tuple[ModuleKV, str]:
+    ) -> tuple[object, str]:
         """Fetch a module's states, encoding on miss into the fast tier.
-        Returns (kv, tier)."""
+        Returns (the stored object, in the codec's form; tier)."""
         key = CacheKey(registered.layout.schema_name, name, variant)
         found = self.store.fetch(key)
         if found is not None:
-            return self.kv_codec.decode(found.entry.kv), found.tier
+            return found.entry.kv, found.tier
         if variant == SOLO_VARIANT:
             started = time.perf_counter()
             kv = encode_module(self.model, registered.layout.module(name))
             self.store.observe_reencode(key, len(kv), time.perf_counter() - started)
-            self.store.put(key, self.kv_codec.encode(kv))
-            return kv, "gpu"
+            stored = self.kv_codec.encode(kv)
+            self.store.put(key, stored)
+            return stored, "gpu"
         index = int(variant.removeprefix("scaffold"))
         return self._encode_scaffold_set(registered, index)[name], "gpu"
 
-    def _encode_scaffold_set(
-        self, registered: RegisteredSchema, index: int
-    ) -> dict[str, ModuleKV]:
+    def _encode_scaffold_set(self, registered: RegisteredSchema, index: int) -> dict:
         """Encode scaffold set ``index`` — always materialized as a set —
-        and store every member under its ``scaffold<index>`` variant."""
+        and store every member under its ``scaffold<index>`` variant.
+        Returns the stored objects by module name."""
         layout = registered.layout
         names = registered.scaffold_sets[index]
         states = encode_scaffold(self.model, [layout.module(n) for n in names])
+        stored = {n: self.kv_codec.encode(states[n]) for n in names}
         for n in names:
-            self.store.put(
-                CacheKey(layout.schema_name, n, f"scaffold{index}"),
-                self.kv_codec.encode(states[n]),
-            )
-        return states
+            self.store.put(CacheKey(layout.schema_name, n, f"scaffold{index}"), stored[n])
+        return stored
 
     # -- serving ------------------------------------------------------------------
 
@@ -726,13 +730,12 @@ class PromptCache:
         sampler=None,
         stop_ids: set[int] | None = None,
     ) -> "BatchServeResult":
-        """Serve a batch with paged module sharing (paper §3.4).
+        """Serve a batch with module sharing (paper §3.4).
 
-        Prompts selecting the same module sequence share one physical copy
-        of the spliced states via refcounted pages
-        (:mod:`repro.llm.paged`); each request's suffix and generated
-        tokens extend a private fork (copy-on-write on the boundary page).
-        Outputs are identical to serving each prompt alone.
+        Prompts selecting the same module sequence fork one spliced base
+        (:mod:`repro.llm.paged`), which reads the modules' K/V by
+        reference; each request's suffix and generated tokens extend a
+        private tail. Outputs are identical to serving each prompt alone.
         """
         held: list[ServeStream] = []
         try:
@@ -759,13 +762,12 @@ class PromptCache:
 
     def _batch_result(self, held: list[ServeStream]) -> BatchServeResult:
         """Finish a batch of completed streams. The §3.4 memory picture
-        is read first, while every fork is still live: shared pages are
-        counted once only as long as all their holders exist."""
+        is read first, while every fork still holds its tail: the
+        distinct parts and images the forks read, once, plus the tails."""
         forked = [s for s in held if s.shared_group is not None]
-        bases = {id(s.shared_group): s.shared_group for s in forked}
+        bases = {id(s.shared_group) for s in forked}
+        physical = physical_bytes([s.cache for s in forked])
         duplicated = sum(s.cache.logical_bytes() for s in forked)
-        with self._fastpath_lock:
-            physical = sum(base.cache.physical_bytes() for base in bases.values())
         return BatchServeResult(
             results=[stream.finish() for stream in held],
             physical_bytes=physical,
@@ -785,7 +787,7 @@ class PromptCache:
     ) -> ServeStream:
         """Begin a resumable serve for a PML prompt.
 
-        The splice happens here — a fork of the shared base for the
+        The splice happens here — a fork of the spliced base for the
         prompt's module sequence; prefill chunks and decode steps are
         driven by the caller through the returned :class:`ServeStream`.
         The iteration-level scheduler's entry point.
@@ -872,7 +874,9 @@ class PromptCache:
         if key is None:
             cache = self.model.new_cache(capacity=len(token_ids) + max_new_tokens)
         else:
-            cache, base, tier_tokens = self._fork(key, gather)
+            cache, base, tier_tokens = self._fork(
+                key, gather, len(token_ids) + max_new_tokens
+            )
             release = cache
         try:
             return ServeStream(
@@ -1123,37 +1127,37 @@ class PromptCache:
 
     def _gather_discovered_records(
         self, chain: list[DiscoveredModule], trim: bool, ids: list[int]
-    ) -> list[tuple[CacheKey, ModuleKV, str]]:
-        """(store key, kv, tier served from) per segment of a discovered
-        chain — the raw-text mirror of :meth:`_gather_module_records`;
-        re-encodes a dropped segment from ``ids``."""
-        records: list[tuple[CacheKey, ModuleKV, str]] = []
+    ) -> list[tuple]:
+        """Records per segment of a discovered chain — the raw-text
+        mirror of :meth:`_gather_module_records`; re-encodes a dropped
+        segment from ``ids``."""
+        records = []
         for i, segment in enumerate(chain):
             ancestors = tuple(s.name for s in chain[:i])
-            kv, tier = self._ensure_discovered(segment, ids, ancestors)
-            if trim and segment is chain[-1]:
-                kv = kv.slice(0, len(kv) - 1)
+            stored, tier = self._ensure_discovered(segment, ids, ancestors)
             key = CacheKey(DISCOVERED_SCHEMA, segment.name, SOLO_VARIANT)
-            records.append((key, kv, tier))
+            last = trim and segment is chain[-1]
+            records.append((key, tier, stored, partial(_drop_last, last)))
         return records
 
     def _ensure_discovered(
         self, segment: DiscoveredModule, ids: list[int], ancestors: tuple
-    ) -> tuple[ModuleKV, str]:
-        """Fetch a discovered module's KV, re-encoding from the observed
-        prompt if the store dropped it (capacity/TTL) — the trie keeps
-        the boundary, the KV self-heals on the next hit."""
+    ) -> tuple[object, str]:
+        """Fetch a discovered module's stored KV, re-encoding from the
+        observed prompt if the store dropped it (capacity/TTL) — the trie
+        keeps the boundary, the KV self-heals on the next hit."""
         key = CacheKey(DISCOVERED_SCHEMA, segment.name, SOLO_VARIANT)
         found = self.store.fetch(key)
         if found is not None:
-            return self.kv_codec.decode(found.entry.kv), found.tier
+            return found.entry.kv, found.tier
         started = time.perf_counter()
         kv = self._encode_segment(
             tuple(int(t) for t in ids), segment.start, segment.end, ancestors
         )
         self.store.observe_reencode(key, len(kv), time.perf_counter() - started)
-        self.store.put(key, self.kv_codec.encode(kv))
-        return kv, "gpu"
+        stored = self.kv_codec.encode(kv)
+        self.store.put(key, stored)
+        return stored, "gpu"
 
     def _on_store_evict(self, entry, reason: str) -> None:  # holds-lock: store
         """Store evict listener (runs under the store lock): once a module
@@ -1355,19 +1359,27 @@ class PromptCache:
 
     def _gather_module_records(
         self, registered: RegisteredSchema, plan: _Plan, use_scaffolds: bool
-    ) -> list[tuple[CacheKey, ModuleKV, str]]:
-        """(store key, slot-dropped kv, tier served from) per selected
-        module, in document order; encodes on miss."""
-        records: list[tuple[CacheKey, ModuleKV, str]] = []
+    ) -> list[tuple]:
+        """``(store key, tier served from, stored object, shape)`` per
+        selected module, in document order; encodes on miss. The store
+        lookups happen here; ``shape`` (slot drop, recomputed tail) waits
+        for :meth:`_module_kvs`, which only a base build needs."""
+        records = []
         schema_name = registered.layout.schema_name
         for mod, name, variant in self._variants_for(registered, plan, use_scaffolds):
-            kv, tier = self._ensure_encoded(registered, name, variant)
-            kv = drop_param_slots(kv, mod, list(mod.params.values()))
-            if plan.recompute_tail is not None and plan.recompute_tail[0] == name:
-                # Fully-cached prompt: skip the tail token being recomputed.
-                kv = kv.slice(0, len(kv) - 1)
-            records.append((CacheKey(schema_name, name, variant), kv, tier))
+            stored, tier = self._ensure_encoded(registered, name, variant)
+            # A fully-cached prompt recomputes its tail token.
+            last = plan.recompute_tail is not None and plan.recompute_tail[0] == name
+            records.append((
+                CacheKey(schema_name, name, variant), tier, stored,
+                partial(_spliced_form, mod, last),
+            ))
         return records
+
+    def _module_kvs(self, records: list[tuple]) -> list[ModuleKV]:
+        """Each gathered record's K/V as a splice reads it: decoded and
+        shaped."""
+        return [shape(self.kv_codec.decode(stored)) for _, _, stored, shape in records]
 
     def _base_key(
         self, registered: RegisteredSchema, plan: _Plan, use_scaffolds: bool
@@ -1381,75 +1393,61 @@ class PromptCache:
             plan.recompute_tail,
         )
 
-    def _validate_base(self, base: _SplicedBase) -> dict[str, int] | None:
-        """Re-check a spliced base's backing entries against the store.
-
-        Keeps a base hit honest: store hit statistics and tier
-        occupancy are recorded exactly as a base build would record
-        them, CPU-tier hits still trigger promotion, and a base whose
-        backing entries vanished (capacity eviction) is rebuilt instead
-        of served stale. Returns tier_tokens, or None on any miss.
-        """
-        tier_tokens: dict[str, int] = {"gpu": 0, "cpu": 0}
-        for cache_key, count in base.entries:
-            found = self.store.fetch(cache_key)
-            if found is None:
-                return None
-            tier_tokens[found.tier] += count
-        return tier_tokens
-
     def _fork(
-        self, key: tuple, gather
-    ) -> tuple[PagedKVCache, _SplicedBase, dict[str, int]]:
-        """The splice: fork the shared pre-spliced base ``key`` names.
+        self, key: tuple, gather, capacity: int
+    ) -> tuple[ForkCache, _SplicedBase, dict[str, int]]:
+        """The splice: fork the shared spliced base ``key`` names.
 
-        On a base hit the "splice" is refcount bumps plus a store
-        re-validation — no tensor copies at all; the fork inherits the
-        base's contiguous mirrors and extends them in place during
-        decode. On a miss ``gather()`` yields the ``(store key, kv,
-        tier)`` records of the module sequence and the base is built
-        once (arena-backed module states paged in), mirrored, and kept
-        for subsequent requests. Returns ``(fork, base, tier_tokens)``;
-        the base object is the ChunkAttention grouping key — streams
-        forked from the same base share its mirror prefix.
+        ``gather()`` makes every store lookup first — hit statistics,
+        tier occupancy and DRAM-hit promotion are those of a build
+        whatever follows. Then the base is looked up: it is a hit only if
+        it is still the entry for ``key`` (no module of it has left the
+        store since it was built) and was built from the very objects
+        the lookups returned, and it is forked under the same lock hold.
+        On a miss the base is built from the records — parts read in
+        place, nothing copied — and kept for subsequent requests. The
+        ``IMAGE_AT_FORK``-th fork of a base copies it into an image.
+        Returns ``(fork, base, tier_tokens)``; ``capacity`` is the tail
+        room the fork allocates at its first append. The base object is
+        the ChunkAttention grouping key.
         """
+        records = gather()
+        sources = tuple(stored for _, _, stored, _ in records)
+        tier_tokens = {"gpu": 0, "cpu": 0}
         with self._fastpath_lock:
             base = self._bases.get(key)
-            if base is not None:
+            if base is not None and all(map(operator.is_, base.sources, sources)):
                 self._bases.move_to_end(key)
-        tier_tokens = self._validate_base(base) if base is not None else None
-        hit = tier_tokens is not None
-        if not hit:
-            if base is not None:  # a backing entry vanished: rebuild
-                with self._fastpath_lock:
-                    if self._bases.get(key) is base:
-                        self._pop_base(key)
-            tier_tokens = {"gpu": 0, "cpu": 0}
-            entries: list[tuple[CacheKey, int]] = []
-            module_kvs: list[ModuleKV] = []
-            for cache_key, kv, tier in gather():
-                tier_tokens[tier] += len(kv)
-                entries.append((cache_key, len(kv)))
-                if len(kv):
-                    module_kvs.append(kv)
-            base = _SplicedBase(
-                cache=PagedKVCache.from_module_kvs(self.model.config, module_kvs),
-                entries=entries,
-                module_names=frozenset(k.module for k, _ in entries),
-            )
-        with self._fastpath_lock:
-            if hit:
                 self.plan_stats.base_hits += 1
-            else:
-                self.plan_stats.base_misses += 1
-                if key in self._bases:  # two threads built it at once
-                    self._pop_base(key)
-                self._bases[key] = base
-                self._base_index.add(key, key[0], base.module_names)
-                while len(self._bases) > self.base_cache_size:
-                    self._pop_base(next(iter(self._bases)))
-            cache = base.cache.fork()
-        return cache, base, tier_tokens
+                for (_, tier, _, _), (_, count) in zip(records, base.entries):
+                    tier_tokens[tier] += count
+                return self._fork_base(base, capacity), base, tier_tokens
+        module_kvs = self._module_kvs(records)
+        entries = [(cache_key, len(kv)) for (cache_key, *_), kv in zip(records, module_kvs)]
+        for (_, tier, _, _), kv in zip(records, module_kvs):
+            tier_tokens[tier] += len(kv)
+        base = _SplicedBase(
+            kv=SplicedKV.from_module_kvs(self.model.config, module_kvs),
+            entries=entries,
+            sources=sources,
+            module_names=frozenset(k.module for k, _ in entries),
+        )
+        with self._fastpath_lock:
+            self.plan_stats.base_misses += 1
+            if key in self._bases:  # stale, or two threads built it at once
+                self._pop_base(key)
+            self._bases[key] = base
+            self._base_index.add(key, key[0], base.module_names)
+            while len(self._bases) > self.base_cache_size:
+                self._pop_base(next(iter(self._bases)))
+            return self._fork_base(base, capacity), base, tier_tokens
+
+    def _fork_base(self, base: _SplicedBase, capacity: int) -> ForkCache:
+        with self._fastpath_lock:  # re-entrant: callers hold it
+            base.lifetime_forks += 1
+            if base.lifetime_forks == IMAGE_AT_FORK:
+                base.kv.to_image()
+            return base.kv.fork(capacity)
 
     def _free_fork(self, cache) -> None:
         with self._fastpath_lock:
@@ -1462,8 +1460,8 @@ def _arena_splice(
     """A private flat copy of a module sequence, one allocation per side
     — for callers whose cache outlives a request (a
     :class:`~repro.cache.session.GenerationSession`, an attention probe,
-    a discovered segment being encoded) and so must not hold a fork of a
-    shared base, which would pin that base's mirror lease.
+    a discovered segment being encoded) and so should not pin a shared
+    base and its modules.
 
     Builds a single ``(n_layers, n_kv_heads, capacity, head_dim)`` arena
     per side; each module lands with one contiguous copy covering every
@@ -1496,6 +1494,16 @@ def _arena_splice(
         for i in range(config.n_layers)
     ]
     return KVCache(layers)
+
+
+def _spliced_form(mod: ModuleLayout, drop_last: bool, kv: ModuleKV) -> ModuleKV:
+    """A module's stored K/V as a base splices it: parameter slots
+    dropped, and the last token too when the prompt recomputes it."""
+    return _drop_last(drop_last, drop_param_slots(kv, mod, list(mod.params.values())))
+
+
+def _drop_last(drop: bool, kv: ModuleKV) -> ModuleKV:
+    return kv.slice(0, len(kv) - 1) if drop else kv
 
 
 def _keep_mask(mod: ModuleLayout) -> np.ndarray:

@@ -54,9 +54,9 @@ class GenerationSession:
         registered = pc._registered(resolved.schema.name)
         plan = pc._plan(resolved, registered)
         # A private flat copy, not a fork: the session outlives requests
-        # and must not pin a shared base's mirror lease.
+        # and should not pin a shared base and its modules.
         records = pc._gather_module_records(registered, plan, True)
-        self._cache = _arena_splice(pc.model.config, [kv for _, kv, _ in records])
+        self._cache = _arena_splice(pc.model.config, pc._module_kvs(records))
         token_ids, positions = _merge_uncached(plan.uncached)
         self._cache.reserve(len(self._cache) + len(token_ids) + 64)
         self._last_logits = pc.model.forward(

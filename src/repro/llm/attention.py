@@ -41,17 +41,6 @@ def causal_position_mask(
     return np.asarray(k_positions)[None, :] <= np.asarray(q_positions)[:, None]
 
 
-def _mask_free(layer_kv, k_positions: np.ndarray, position) -> bool:
-    """True when a single query at ``position`` sits at or after every
-    cached key, so the causal mask would be an elementwise identity.
-    Uses the cache's O(1) ``max_position`` when it tracks one; falls
-    back to scanning the positions array for duck-typed caches."""
-    max_position = getattr(layer_kv, "max_position", None)
-    if max_position is not None:
-        return max_position <= position
-    return bool((k_positions <= position).all())
-
-
 def grouped_scores(q: np.ndarray, k: np.ndarray, n_rep: int) -> np.ndarray:
     """Scaled scores (n_heads, Tq, Tk) without expanding KV heads.
 
@@ -85,6 +74,47 @@ def grouped_context(weights: np.ndarray, v: np.ndarray, n_rep: int) -> np.ndarra
     return context.reshape(n_heads, tq, -1)
 
 
+def part_scores(q: np.ndarray, parts, n_rep: int) -> np.ndarray:
+    """Scaled scores (n_heads, Tq, keys) of ``q`` against keys held as
+    consecutive ``parts`` — ``(keys, values)`` pairs, a spliced base's
+    modules read in place, then a private tail. Each part's GEMM writes
+    its own columns of one buffer, so no key is copied; one part is
+    :func:`grouped_scores` itself."""
+    if len(parts) == 1:
+        return grouped_scores(q, parts[0][0], n_rep)
+    n_heads, tq, head_dim = q.shape
+    total = 0
+    for k, _ in parts:
+        total += k.shape[1]
+    scores = np.empty((n_heads, tq, total), dtype=q.dtype)
+    grid = scores.reshape(-1, n_rep, tq, total)
+    folded = q.reshape(grid.shape[:3] + (head_dim,))
+    start = 0
+    for k, _ in parts:
+        stop = start + k.shape[1]
+        np.matmul(folded, k[:, None].swapaxes(-2, -1), out=grid[..., start:stop])
+        start = stop
+    scores /= np.sqrt(np.float32(head_dim))
+    return scores
+
+
+def part_context(weights: np.ndarray, parts, n_rep: int) -> np.ndarray:
+    """``weights @ values`` (n_heads, Tq, head_dim) over keys held as
+    consecutive ``parts``: one product per part over its columns of
+    ``weights``, summed in part order."""
+    context = None
+    start = 0
+    for _, v in parts:
+        stop = start + v.shape[1]
+        piece = grouped_context(weights[..., start:stop], v, n_rep)
+        start = stop
+        if context is None:
+            context = piece
+        else:
+            context += piece
+    return context
+
+
 def _decode_context(
     qb: np.ndarray,
     layer_kv,
@@ -94,21 +124,27 @@ def _decode_context(
 ) -> np.ndarray:
     """One sequence's single-pass decode attention over its own cache:
     ``qb`` (n_heads, 1, head_dim) at position ``pos`` (1,) against every
-    key in ``layer_kv``, this step's included. What a row of the batched
-    decode step gets when it is not seated in the tail arena; the mask is
-    skipped when the query sits at or after every key, where it would be
-    an elementwise identity. Returns (1, n_heads * head_dim)."""
-    k_positions = layer_kv.positions
-    scores = grouped_scores(qb, layer_kv.keys, n_rep)
-    if alibi is not None:
-        scores = scores + alibi.bias(pos, k_positions)
-    if not _mask_free(layer_kv, k_positions, pos[0]):
-        allowed = causal_position_mask(pos, k_positions)
-        scores = np.where(allowed[None, :, :], scores, _NEG_INF)
+    key in ``layer_kv`` — its base's parts and its tail, this step's key
+    included. What a row of the batched decode step gets when it is not
+    seated in the tail arena; the mask is skipped when the query sits at
+    or after every key, where it would be an elementwise identity.
+    Returns (1, n_heads * head_dim)."""
+    parts = layer_kv.parts
+    scores = part_scores(qb, parts, n_rep)
+    # The cache's O(1) max_position says whether the query sits at or
+    # after every key; only then is the key positions array not read.
+    masked = layer_kv.max_position > pos[0]
+    if alibi is not None or masked:
+        k_positions = layer_kv.positions
+        if alibi is not None:
+            scores = scores + alibi.bias(pos, k_positions)
+        if masked:
+            allowed = causal_position_mask(pos, k_positions)
+            scores = np.where(allowed[None, :, :], scores, _NEG_INF)
     if scores.dtype != DTYPE:
         scores = scores.astype(DTYPE)
     weights = softmax(scores)
-    return merge_heads(grouped_context(weights, layer_kv.values, n_rep))
+    return merge_heads(part_context(weights, parts, n_rep))
 
 
 # -- shared-prefix decode attention (ChunkAttention, arxiv 2402.15220) ---------
@@ -116,7 +152,7 @@ def _decode_context(
 # When many in-flight sequences decode over the *same* spliced module KV,
 # their scores against that prefix are computed once per physical copy
 # instead of once per sequence: every member's query (and its GQA
-# repeats) is folded into one GEMM over the base image, read in place;
+# repeats) is folded into one GEMM per part of the base, read in place;
 # one stacked GEMM covers every private tail in the arena. The two score
 # blocks of a row are then one softmax — a shared max, one sum, one
 # divide — so there are no partial statistics to rescale and merge. The
@@ -138,8 +174,9 @@ class DecodeStep:
     cache.layers, position as (1,))`` each — and attend over their own
     caches. The fields from ``arena`` on describe the resident rows and
     stay unset in a step that has none. Each ``groups`` entry ``(start,
-    stop, image, bias)`` is a run of resident rows sharing one base image
-    (``image[layer] = (keys, values)``) and their ALiBi bias over it,
+    stop, base, bias)`` is a run of resident rows sharing one
+    :class:`~repro.llm.paged.SplicedKV` (``base.parts[layer]``, read when
+    the layer runs) and their ALiBi bias over it,
     already folded to the base scores' ``(n_kv_heads, members * n_rep,
     shared_len)`` layout (``None`` without ALiBi).
     """
@@ -177,8 +214,8 @@ def plan_decode_step(
     ``shared_groups`` says; a step may hold any mix of the two, all of
     one or none (``resident == 0``). ``shared_groups`` decides only which
     residents share one GEMM over their base: seated members of one
-    ``(members, shared_len)`` entry (whose image is indeed ``shared_len``
-    long) become one group reading the first such member's image; a
+    ``(members, shared_len)`` entry (whose base is indeed ``shared_len``
+    long) become one group reading the first such member's base; a
     resident nobody listed is a group of one. Each resident's tail grows
     by this step's token here: position recorded, length bumped, arena
     capacity reserved.
@@ -246,12 +283,12 @@ def plan_decode_step(
         if alibi is not None:
             # (n_heads, members, shared) -> (n_kv_heads, members * n_rep, shared)
             bias = (
-                alibi.bias(positions[start:stop], lead.image_positions)
+                alibi.bias(positions[start:stop], lead.base.positions)
                 .reshape(n_kv_heads, n_rep, stop - start, -1)
                 .transpose(0, 2, 1, 3)
                 .reshape(n_kv_heads, (stop - start) * n_rep, -1)
             )
-        groups.append((start, stop, lead.image, bias))
+        groups.append((start, stop, lead.base, bias))
     return DecodeStep(
         order, position_ids, resident, unseated, n_rep, alibi, arena=arena,
         slots=slots, write_at=write_at, rows=rows, longest=longest,
@@ -292,18 +329,18 @@ def arena_decode_attention(
     ``q`` is (resident, n_heads, head_dim) and ``k``/``v`` (resident,
     n_kv_heads, head_dim), rotated, in step order. Returns the context
     (resident, n_heads * head_dim). Each row takes one softmax over its
-    keys [base image | arena tail], in stacked stages with no loop over
+    keys [base | arena tail], in stacked stages with no loop over
     sequences:
 
     1. the new K/V rows land in the arena with one fancy-index write;
     2. one GEMM scores every tail in the arena block ``[:rows, :,
        :longest]`` under the length mask, and each row's max starts there;
-    3. per group, one GEMM over the base image read in place, its
+    3. per group, one GEMM per part of the base read in place, its
        members (and their GQA repeats) folded into the query axis —
        ``(n_kv_heads, members * n_rep, head_dim) @ (n_kv_heads, head_dim,
-       shared_len)``, ``n_kv_heads`` row-major GEMMs since the image keeps
-       its keys head_dim-major — raises each member's max to the row's,
-       exponentiates in place and takes the base's sum and context
+       part_len)``, ``n_kv_heads`` row-major GEMMs over an image, which
+       keeps its keys head_dim-major — raises each member's max to the
+       row's, exponentiates in place and takes the base's sum and context
        product;
     4. the tail scores are shifted by that max and exponentiated in
        place; their sum and context product join the base's, and one
@@ -329,34 +366,37 @@ def arena_decode_attention(
     tail /= scale
     tail += step.tail_bias
     tail = tail[step.slots]  # (resident, n_kv_heads, n_rep, longest), step order
-    peak = tail.max(axis=-1, keepdims=True)
+    # ufunc reductions: ndarray.max/.sum would add a Python frame each.
+    peak = np.maximum.reduce(tail, axis=-1, keepdims=True)
     total = np.empty_like(peak)
     context = np.empty(folded.shape, dtype=DTYPE)
 
-    for start, stop, image, bias in step.groups:
+    for start, stop, base, bias in step.groups:
         members = stop - start
-        shared_k, shared_v = image[layer]
-        base = folded[start:stop].transpose(1, 0, 2, 3).reshape(
-            n_kv_heads, members * n_rep, head_dim
-        ) @ shared_k.transpose(0, 2, 1)
-        base /= scale
+        parts = base.parts[layer]
+        shared = part_scores(
+            folded[start:stop].transpose(1, 0, 2, 3).reshape(
+                n_kv_heads, members * n_rep, head_dim
+            ),
+            parts, 1,
+        )
         if bias is not None:
-            base += bias
+            shared += bias
         # (n_kv_heads, members, n_rep, ·) views line up with step order's
         # (members, n_kv_heads, n_rep, ·) by one transpose.
-        grid = base.reshape(n_kv_heads, members, n_rep, -1)
+        grid = shared.reshape(n_kv_heads, members, n_rep, -1)
         row_peak = peak[start:stop].transpose(1, 0, 2, 3)
-        np.maximum(row_peak, grid.max(axis=-1, keepdims=True), out=row_peak)
+        np.maximum(row_peak, np.maximum.reduce(grid, axis=-1, keepdims=True), out=row_peak)
         grid -= row_peak
-        np.exp(base, out=base)
-        total[start:stop] = grid.sum(axis=-1, keepdims=True).transpose(1, 0, 2, 3)
-        context[start:stop] = (base @ shared_v).reshape(
+        np.exp(shared, out=shared)
+        total[start:stop] = np.add.reduce(grid, axis=-1, keepdims=True).transpose(1, 0, 2, 3)
+        context[start:stop] = part_context(shared, parts, 1).reshape(
             n_kv_heads, members, n_rep, head_dim
         ).transpose(1, 0, 2, 3)
 
     tail -= peak
     np.exp(tail, out=tail)
-    total += tail.sum(axis=-1, keepdims=True)
+    total += np.add.reduce(tail, axis=-1, keepdims=True)
     weights = np.zeros((step.rows,) + tail.shape[1:], dtype=DTYPE)
     weights[step.slots] = tail
     context += (weights @ arena_v[: step.rows, :, : step.longest])[step.slots]
@@ -432,8 +472,9 @@ def packed_prefill_attention(
     ``k``/``v`` are (rows, n_kv_heads, head_dim) and ``q`` (rows, n_heads,
     head_dim), rotated, in pack order. Each segment's K/V rows are
     appended to *its* cache and its queries attend over that cache —
-    base and tail in one pass — under the planned bias. Returns the
-    context (rows, n_heads * head_dim).
+    its base's parts, read in place, and its tail, under one softmax —
+    under the planned bias. Returns the context (rows, n_heads *
+    head_dim).
 
     ``queries``, when given, is how many of each segment's last rows
     attend — the last layer of a call that returns fewer logits than it
@@ -460,13 +501,14 @@ def packed_prefill_attention(
         at = span.stop
         if span.start == span.stop:
             continue
-        scores = grouped_scores(q[:, span], layer_kv.keys, n_rep)
+        parts = layer_kv.parts
+        scores = part_scores(q[:, span], parts, n_rep)
         scores[:, :, seg.bias_from :] += seg.bias[..., first:, :]
         # Softmax with the division moved past the value product: it
         # then runs over head_dim columns per row instead of every key.
         scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
-        attended = grouped_context(scores, layer_kv.values, n_rep)
+        attended = part_context(scores, parts, n_rep)
         total = scores.sum(axis=-1, keepdims=True)
         attended /= total
         if trace is not None:

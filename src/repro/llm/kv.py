@@ -161,6 +161,12 @@ class LayerKV:
     def positions(self) -> np.ndarray:
         return self._positions[: self._length]
 
+    @property
+    def parts(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The keys and values as the attention kernels read a layer: a
+        flat layer is one part (see :class:`repro.llm.paged.SplicedKV`)."""
+        return [(self.keys, self.values)]
+
     def reserve(self, total: int) -> None:
         """Ensure capacity for ``total`` tokens, growing geometrically."""
         capacity = self._keys.shape[1]

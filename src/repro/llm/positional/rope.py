@@ -49,20 +49,6 @@ class RotaryEmbedding:
         self.check(position_ids)
         return self._cos[position_ids], self._sin[position_ids]
 
-    def apply(self, x: np.ndarray, position_ids: np.ndarray) -> np.ndarray:
-        """Rotate ``x`` of shape (heads, T, head_dim) by per-token positions.
-
-        ``position_ids`` is any integer array of shape (T,); gaps and
-        non-zero starts are the whole point.
-        """
-        position_ids = np.asarray(position_ids)
-        if position_ids.ndim != 1 or position_ids.shape[0] != x.shape[-2]:
-            raise ValueError(
-                f"position_ids shape {position_ids.shape} does not match "
-                f"sequence length {x.shape[-2]}"
-            )
-        return rotate(x, *self.rows(position_ids))  # tables: (T, head_dim)
-
 
 def rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """Rotate-half RoPE of ``x`` by table rows broadcastable against it."""

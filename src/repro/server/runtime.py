@@ -205,7 +205,7 @@ class LiveServer:
             self._worker_task = None
         if self._scheduler is not None:
             # Non-drain stop with sequences mid-decode: release their
-            # paged forks (and mirror leases) and fail the requests.
+            # forks and fail the requests.
             now = self.clock()
             for request in self._scheduler.abort_all():
                 request.finished_at = now

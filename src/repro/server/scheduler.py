@@ -8,11 +8,11 @@ and the model runs its single-token forwards one sequence at a time.
 
 1. **Sample & retire.** Every decoding sequence takes one sampling
    decision. A sequence hitting a stop token or its budget retires on
-   the spot — its paged fork (and mirror lease) is freed *before*
-   admission runs, so the slot is refilled this same iteration.
+   the spot — its fork is freed *before* admission runs, so the slot is
+   refilled this same iteration.
 2. **Admit.** Queued requests are admitted up to ``max_inflight``; the
-   splice (fork of the shared pre-spliced base) happens here, on the
-   engine thread.
+   splice (fork of the shared spliced base, which reads its modules'
+   K/V in place) happens here, on the engine thread.
 3. **Packed prefill.** Up to ``prefill_chunk_tokens`` uncached prompt
    tokens are taken across prefilling sequences, oldest first — a long
    cold prefill is spread over iterations instead of stalling decode
@@ -31,11 +31,11 @@ and the model runs its single-token forwards one sequence at a time.
    **one** ``forward_decode_batch`` call.
 
 The decode call is one step whatever the sequences are; what differs per
-row is where its KV lives. Sequences are grouped by the pre-spliced base
-their paged cache was forked from (``ServeStream.shared_group``): members
-of one group decode over the *same* shared KV prefix. A grouped stream is
+row is where its KV lives. Sequences are grouped by the spliced base
+their cache was forked from (``ServeStream.shared_group``): members of
+one group decode over the *same* shared KV prefix. A grouped stream is
 *seated* at its first decode step — its private tail (prefilled suffix,
-then every decoded token) moves into one row of the scheduler's
+then every decoded token) is copied once into one row of the scheduler's
 :class:`~repro.llm.paged.TailArena` — and stays seated until it
 finishes, aborts or fails, which frees the row with its fork. Seated rows
 get ChunkAttention's shared/private partition run batched
@@ -370,12 +370,11 @@ class ContinuousScheduler:
     def _seat_shared_groups(
         self, forward: list[_InFlight]
     ) -> list[tuple[list[int], int]]:
-        """Group this iteration's decoding sequences by the pre-spliced
-        base their caches were forked from, and seat the groups worth
-        seating. Two streams holding the same ``shared_group`` object
-        (the engine's ``_SplicedBase``) decode over byte-identical copies
-        of that base's first ``shared_len`` mirror tokens, so their
-        shared-prefix attention can run once. Returns ``(member indices
+        """Group this iteration's decoding sequences by the spliced base
+        their caches were forked from, and seat the groups worth seating.
+        Two streams holding the same ``shared_group`` object (the
+        engine's ``_SplicedBase``) decode over the same ``shared_len``
+        base tokens, so their shared-prefix attention can run once. Returns ``(member indices
         into forward, shared_len)`` per planned group — none when nothing
         qualifies; a planned member the arena cannot take (see
         ``ServeStream.seat_tail``) stays on its own cache."""

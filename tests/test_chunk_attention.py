@@ -3,7 +3,7 @@
 Four layers of coverage for the shared-prefix decode path:
 
 - Kernel properties: splitting a row's keys at any point into the base
-  image and its arena tail, :func:`arena_decode_attention`'s one
+  (its modules' parts, or their image) and its arena tail, :func:`arena_decode_attention`'s one
   softmax over both reproduces single-pass softmax attention against a
   float64 reference to tight tolerance — across GQA head groupings,
   ALiBi over gapped positions, stacked group members, and empty arena
@@ -39,7 +39,7 @@ from repro.llm.attention import (
 )
 from repro.llm.config import ModelConfig
 from repro.llm.kv import KVCache, ModuleKV
-from repro.llm.paged import PagedKVCache, TailArena
+from repro.llm.paged import SplicedKV, TailArena
 from repro.llm.positional import AlibiBias
 from repro.pml.chat import PLAIN_TEMPLATE
 from repro.reuse import DiscoveryConfig
@@ -81,11 +81,13 @@ def kernel_config(n_kv, n_rep, head_dim):
 
 
 def split_step(q, k, v, cut, positions=None, *, alibi=None, grouped=True,
-               free_below=0, tails=None):
+               free_below=0, tails=None, modules=1):
     """One :func:`arena_decode_attention` call for ``len(q)`` members of
     one group, the keys split at ``cut``: ``k[:, :cut]`` is the shared
-    base image, ``k[:, cut:-1]`` every member's seated tail and
-    ``k[:, -1]`` the step's own K/V, at the last (highest) position.
+    base, ``k[:, cut:-1]`` every member's seated tail and ``k[:, -1]``
+    the step's own K/V, at the last (highest) position. The base is an
+    image, or with ``modules`` > 1 that many modules' parts read in
+    place (as many as the cut leaves room for).
 
     ``q`` is (members, n_heads, head_dim) and ``k``/``v`` (n_kv_heads,
     T, head_dim); ``tails`` optionally gives member ``i`` its own
@@ -99,13 +101,17 @@ def split_step(q, k, v, cut, positions=None, *, alibi=None, grouped=True,
     config = kernel_config(n_kv, n_heads // n_kv, head_dim)
     positions = np.arange(total) if positions is None else positions
     tails = tails or [(k, v)] * members
-    base = PagedKVCache.from_module_kvs(
-        config, [ModuleKV(keys=[k[:, :cut]], values=[v[:, :cut]], positions=positions[:cut])]
-    )
+    bounds = np.linspace(0, cut, min(modules, cut) + 1).astype(int)
+    base = SplicedKV.from_module_kvs(config, [
+        ModuleKV(keys=[k[:, a:b]], values=[v[:, a:b]], positions=positions[a:b])
+        for a, b in zip(bounds, bounds[1:])
+    ])
+    if modules == 1:
+        base.to_image()
     arena = TailArena(config, slots=free_below + members)
     fillers = [base.fork() for _ in range(free_below)]
     for filler in fillers:
-        arena.seat(filler, cut)
+        arena.seat(filler)
     caches = []
     for tail_k, tail_v in tails:
         cache = base.fork()
@@ -115,7 +121,7 @@ def split_step(q, k, v, cut, positions=None, *, alibi=None, grouped=True,
             )
         caches.append(cache)
     for cache in caches:
-        assert arena.seat(cache, cut) is cache.tail
+        assert arena.seat(cache) is cache.tail
     for filler in fillers:
         filler.free()
     step = plan_decode_step(
@@ -133,7 +139,7 @@ def split_step(q, k, v, cut, positions=None, *, alibi=None, grouped=True,
     context[step.order] = out
     for cache in caches:
         cache.free()
-    base.free()
+    assert base.forks == 0
     return context.reshape(q.shape)
 
 
@@ -157,10 +163,11 @@ class TestMergeOnlineSoftmax:
         self, seed, n_kv, n_rep, head_dim, tq, tk, cuts, q_scale
     ):
         """The kernel's whole correctness argument: any split of a row's
-        keys into base image and tail — a one-token base, a tail that is
-        only the step's own token, GQA foldings, ``tq`` members sharing
-        the group, and large score magnitudes exercising the shared max —
-        matches the single pass."""
+        keys into base and tail — an image or three parts read in place,
+        a one-token base, a tail that is only the step's own token, GQA
+        foldings, ``tq`` members sharing the group, and large score
+        magnitudes exercising the shared max — matches the single
+        pass."""
         rng = np.random.default_rng(seed)
         q = rng.normal(size=(tq, n_kv * n_rep, head_dim)).astype(np.float32)
         q *= np.float32(q_scale)
@@ -168,9 +175,11 @@ class TestMergeOnlineSoftmax:
         v = rng.normal(size=(n_kv, tk, head_dim)).astype(np.float32)
         expected = dense_reference(q.transpose(1, 0, 2), k, v, n_rep).transpose(1, 0, 2)
         for cut in sorted({1, tk - 1, *(min(max(c, 1), tk - 1) for c in cuts)}):
-            np.testing.assert_allclose(
-                split_step(q, k, v, cut), expected, rtol=1e-4, atol=1e-5
-            )
+            for modules in (1, 3):
+                np.testing.assert_allclose(
+                    split_step(q, k, v, cut, modules=modules), expected,
+                    rtol=1e-4, atol=1e-5,
+                )
 
     @given(seed=st.integers(0, 2**16), split=st.integers(1, 11))
     @settings(max_examples=40, deadline=None)
@@ -227,7 +236,7 @@ class TestMergeOnlineSoftmax:
         """The kernel is for seated rows: a step with none is refused."""
         config = kernel_config(1, 1, 4)
         step = plan_decode_step(
-            [PagedKVCache.empty(config)], np.asarray([0]), None,
+            [KVCache.empty(config)], np.asarray([0]), None,
             n_heads=1, n_kv_heads=1,
         )
         empty = np.zeros((0, 1, 4), dtype=np.float32)
@@ -332,15 +341,16 @@ class TestArenaKernel:
                 values=[rng.normal(size=(n_kv, shared, head_dim)).astype(np.float32)],
                 positions=np.arange(shared),
             )
-            base = PagedKVCache.from_module_kvs(config, [kv])
-            base.materialize()
+            base = SplicedKV.from_module_kvs(config, [kv])
+            if rng.random() < 0.5:  # read in place, or as an image
+                base.to_image()
             bases.append((base, kv))
 
         def admit(g, kind="fork", seated=seat):
             base, kv = bases[g]
             seq = _Sequence(rng, config, base, kv, int(rng.integers(0, 40)), kind)
             if seated:
-                assert arena.seat(seq.cache, seq.shared_len) is seq.cache.tail
+                assert arena.seat(seq.cache) is seq.cache.tail
             return seq
 
         live = [admit(g) for g, size in enumerate(group_sizes) for _ in range(size)]
@@ -395,6 +405,8 @@ class TestArenaKernel:
                 if seq.cache.tail is None:
                     own, n = seq.cache.layers[0], seq.shared_len
                     tail_k, tail_v, tail_pos = own.keys[:, n:], own.values[:, n:], own.positions[n:]
+                    if seq.base is not None:
+                        assert len(own.parts) == len(seq.base.parts[0]) + 1  # base in place
                 else:
                     tail_k, tail_v, tail_pos = seq.cache.tail.kv(0)
                 np.testing.assert_array_equal(tail_k, seq.keys[:, seq.shared_len:])
@@ -404,8 +416,7 @@ class TestArenaKernel:
         for seq in live + alone:
             seq.free()
         assert arena.live_slots == 0
-        for base, _ in bases:
-            base.free()
+        assert all(base.forks == 0 for base, _ in bases)
 
     def test_unlisted_resident_is_a_group_of_one(self):
         """Residency, not the caller's grouping, decides the kernel: a
@@ -419,11 +430,10 @@ class TestArenaKernel:
             values=[rng.normal(size=(2, 6, 4)).astype(np.float32)],
             positions=np.arange(6),
         )
-        base = PagedKVCache.from_module_kvs(config, [kv])
-        base.materialize()
+        base = SplicedKV.from_module_kvs(config, [kv])
         seqs = [_Sequence(rng, config, base, kv, 2) for _ in range(2)]
         for seq in seqs:
-            arena.seat(seq.cache, seq.shared_len)
+            arena.seat(seq.cache)
         caches = [seq.cache for seq in seqs]
         positions = np.asarray([seq.next_position for seq in seqs])
         for groups in (None, [([0, 1], 5)]):
@@ -431,13 +441,15 @@ class TestArenaKernel:
                 caches, positions, groups, n_heads=2, n_kv_heads=2
             )
             assert [(a, b) for a, b, *_ in plan.groups] == [(0, 1), (1, 2)]
-        assert arena.seat(base.fork(), 6) is None  # both rows taken
+        spare = base.fork()
+        assert arena.seat(spare) is None  # both rows taken
+        spare.free()
 
     def test_no_resident_plans_no_arena_phase(self):
         """Nobody seated is a step like any other: every row attends over
         its own cache, whatever the caller listed."""
         config = kernel_config(1, 1, 4)
-        cache = PagedKVCache.empty(config)
+        cache = KVCache.empty(config)
         plan = plan_decode_step(
             [cache], np.asarray([0]), [([0], 4)], n_heads=1, n_kv_heads=1
         )
@@ -718,9 +730,9 @@ class TestArenaServingEqualsWholeRequest:
 
     def test_tail_kv_reads_the_tail_wherever_it_lives(self, llama, tok):
         """``ServeStream.tail_kv`` is the one accessor for everything
-        past the shared prefix: the seat moves the suffix unchanged, and
-        from then on each decode step grows the tail by one row while
-        the stream's own pages stay frozen at prefix + suffix."""
+        past the shared prefix: the seat moves the suffix unchanged out of
+        the fork's private tail, and from then on each decode step grows
+        the arena row by one while the fork holds only its base."""
         pc = make_pc(llama, tok)
         stream = pc.open_stream(GROUP_PROMPTS[0], max_new_tokens=4)
         stream.prefill_step(1 << 20)
@@ -742,7 +754,7 @@ class TestArenaServingEqualsWholeRequest:
         assert keys.shape[1] == len(positions) == suffix + 1
         assert positions[-1] == stream.decode_position
         assert len(stream.cache) == stream.shared_len + suffix + 1
-        assert len(stream.cache.layers[0]) == stream.shared_len + suffix  # pages frozen
+        assert len(stream.cache.layers[0]) == stream.shared_len  # the tail moved out
         stream.abort()
         assert arena.live_slots == 0
 

@@ -1,16 +1,21 @@
 """What tier churn costs, in counts rather than clocks.
 
-``tier_churn`` rebuilds ~50 spliced bases a second out of modules it has
+``tier_churn`` opens ~50 spliced bases a second out of modules it has
 just paged in; its wall time drifts with the host, the number of Python
-and C calls it makes does not (``sys.setprofile``, as in
-``test_decode_step_cost``). On the benchmark's model shape (four layers)
-and its schema shape (two 256-token modules):
+and C calls it makes and the bytes it allocates do not
+(``sys.setprofile`` and ``tracemalloc``, as in ``test_decode_step_cost``).
+On the benchmark's model shape (four layers) and its schema shape (two
+256-token modules):
 
-- building one base out of two *mapped* modules costs at most 600 call
+- ``open_stream`` on a cold base reads the modules' K/V in place: it
+  allocates under 64 KiB (measured: 9.8 KB; copying both modules into
+  an image was ~4.9 MB) and costs at most 250 call events (measured:
+  159); the base's second fork allocates the one image it then keeps,
+  and a fork of an image allocates nothing either;
+- building that image out of two *mapped* modules costs at most 600 call
   events (page-by-page it was ~5.4 k) and never goes through
-  ``np.memmap.__getitem__``;
-- its peak allocation is the base once plus mirror headroom — not pages
-  and a gathered mirror beside them;
+  ``np.memmap.__getitem__``; its peak allocation is the base once, and
+  it goes with the base;
 - paging one module in costs at most 300 call events (was ~810) and
   compiles nothing: the catalog record says where the data is, no npy
   header is parsed — and at most 130 (measured: 121; 200 under
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -52,7 +58,7 @@ from repro.cache.persist import (
 )
 from repro.cache.storage import CacheKey, ModuleCacheStore
 from repro.llm import build_model, small_config
-from repro.llm.paged import PagedKVCache
+from repro.llm.paged import IMAGE_AT_FORK, SplicedKV
 from repro.pml.chat import PLAIN_TEMPLATE
 from tests.test_fabric_spill import N_SCHEMAS, churn_engine, round_robin
 
@@ -129,45 +135,80 @@ def mapped_modules(snapshot):
     return modules
 
 
-def build_base(config, modules) -> PagedKVCache:
-    """What the engine needs before it can fork: pages *and* the
-    contiguous image forks read through (``materialize`` has nothing
-    left to gather when the pages are windows onto that image)."""
-    base = PagedKVCache.from_module_kvs(config, modules)
-    base.materialize()
+def build_base(config, modules) -> SplicedKV:
+    """The most a base costs: spliced by reference, then copied into
+    the image a reused base is read through."""
+    base = SplicedKV.from_module_kvs(config, modules)
+    base.to_image()
     return base
+
+
+def allocated(fn):
+    """``(result, peak bytes fn allocated)`` under ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before
 
 
 def test_base_build_costs_under_600_calls(model, snapshot):
     modules = mapped_modules(snapshot)
-    build_base(model.config, modules).free()  # imports, first touch
+    build_base(model.config, modules)  # imports, first touch
     base, counts = profiled(lambda: build_base(model.config, modules))
     assert len(base) == sum(len(kv) for kv in modules) >= 2 * MODULE_TOKENS
     assert counts["memmap_getitem"] == 0, counts
-    if not contracts_enforced():  # the page auditor adds a hook call per page
+    if not contracts_enforced():
         assert counts["all"] <= 600, counts
-    base.free()
 
 
 def test_base_build_allocates_the_prefix_once(model, snapshot):
     modules = mapped_modules(snapshot)
     kv_bytes = sum(kv.nbytes() for kv in modules)
-    build_base(model.config, modules).free()
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        base = build_base(model.config, modules)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - before <= 1.25 * kv_bytes, (peak - before) / kv_bytes
-    # ...and what it allocated goes when the base does: the pool keeps
-    # page *indices* of a freed run, not its storage.
-    pools = base.pools
-    base.free()
-    assert all(pool.live_pages == 0 and not pool._free for pool in pools)
-    assert all(all(k is None for k in pool._keys) for pool in pools)
+    build_base(model.config, modules)
+    base, peak = allocated(lambda: build_base(model.config, modules))
+    assert peak <= 1.25 * kv_bytes, peak / kv_bytes
+    # ...and what it allocated goes when the base does.
+    image = weakref.ref(base.parts[0][0][0].base)
+    del base
+    assert image() is None
+
+
+def test_cold_open_allocates_no_image(model, tok):
+    """A cold two-module base is read in place; the second fork copies
+    it into the image every later fork shares."""
+    pc = PromptCache(model, tok, template=PLAIN_TEMPLATE)
+    pc.register_schema(two_module_schema("open"))
+    pc.register_schema(two_module_schema("warm"))
+    prompt = '<prompt schema="{}"><a/><b/> what now ?</prompt>'
+    pc.open_stream(prompt.format("warm"), max_new_tokens=2).abort()  # imports, first touch
+    pc._compiled(prompt.format("open"))  # the plan is not the splice
+    kv_bytes = sum(pc.store.peek(CacheKey("open", m)).kv.nbytes() for m in "ab")
+
+    def open_stream():
+        return pc.open_stream(prompt.format("open"), max_new_tokens=2)
+
+    streams = []
+    for fork in range(1, IMAGE_AT_FORK + 2):
+        stream, peak = allocated(open_stream)
+        streams.append(stream)
+        base = stream.shared_group
+        assert base.lifetime_forks == fork and stream.cached_tokens == len(base.kv) >= 2 * MODULE_TOKENS
+        if fork == IMAGE_AT_FORK:  # the image: both modules, once
+            assert base.kv.image and 0.9 * kv_bytes <= peak <= 1.25 * kv_bytes, peak / kv_bytes
+        else:
+            assert peak < 64 * 1024, peak
+            assert base.kv.image == (fork > IMAGE_AT_FORK)
+    for stream in streams:
+        stream.abort()
+    pc._bases.clear()
+    _, counts = profiled(open_stream)
+    if not contracts_enforced():
+        assert counts["all"] <= 250, counts
 
 
 def test_page_in_costs_under_300_calls_and_compiles_nothing(snapshot, monkeypatch):

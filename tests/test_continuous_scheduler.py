@@ -8,7 +8,7 @@ the end-to-end contracts: one identity matrix — ``serve`` ==
 sizes == the live server (== ``baseline()`` where the paper's
 equivalence is exact), and the same for raw text against ``generate``
 with discovery on and off — across all four positional families; no
-starvation under adversarial arrival order; and balanced paged-lease
+starvation under adversarial arrival order; and balanced fork
 accounting under the page auditor.
 """
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -85,14 +86,18 @@ def make_pc(model, tok):
     return pc
 
 
-def scheduled(pc, prompts, *, chunk, raw=False, max_new_tokens=6):
+def scheduled(pc, prompts, *, chunk, raw=False, max_new_tokens=6, first_logits=None):
     """Results of streams driven to completion by a scheduler that admits
     all of ``prompts`` at once — into one iteration, so their last chunks
     share packed prefills — and prefills ``chunk`` tokens an iteration.
-    ``raw`` and ``max_new_tokens`` are one value for all or one per prompt."""
+    ``raw`` and ``max_new_tokens`` are one value for all or one per prompt.
+    A ``first_logits`` dict receives each stream's first-token logits by
+    prompt index."""
     sched = ContinuousScheduler(
         pc, max_inflight=len(prompts), prefill_chunk_tokens=chunk
     )
+    if first_logits is not None:
+        sched._open = partial(recording_open, sched._open, first_logits)
     flags = raw if isinstance(raw, list) else [raw] * len(prompts)
     budgets = max_new_tokens if isinstance(max_new_tokens, list) else [max_new_tokens] * len(prompts)
     admissions = [
@@ -111,6 +116,39 @@ def scheduled(pc, prompts, *, chunk, raw=False, max_new_tokens=6):
 
 def ids(results):
     return [r.output_ids for r in results]
+
+
+def recording_open(open_stream, first_logits, request):
+    """A scheduler's ``_open`` that keeps a copy of each stream's
+    first-token logits in ``first_logits``, by request id as an int."""
+    stream = open_stream(request)
+    done = stream.prefill_done
+
+    def prefill_done(rows, logits, seconds):
+        done(rows, logits, seconds)
+        if stream.logits is not None:
+            first_logits.setdefault(int(request.request_id), stream.logits.copy())
+
+    stream.prefill_done = prefill_done
+    return stream
+
+
+def served(pc, prompt, max_new_tokens=6, raw=False):
+    """``serve``'s own path by hand — one prefill chunk, then the
+    per-sequence decode loop: ``(result, first-token logits)``."""
+    open_stream = pc.open_text_stream if raw else pc.open_stream
+    stream = open_stream(prompt, max_new_tokens=max_new_tokens)
+    stream.prefill_step(stream.prefill_remaining)
+    first = stream.logits.copy()
+    stream.run()
+    return stream.finish(), first
+
+
+def assert_same_first_logits(first_logits, expected):
+    """Float32 tolerance, per prompt index."""
+    assert sorted(first_logits) == list(range(len(expected)))
+    for i, want in enumerate(expected):
+        np.testing.assert_allclose(first_logits[i], want, rtol=1e-4, atol=1e-4)
 
 
 # -- batched decode forward ------------------------------------------------------
@@ -224,11 +262,11 @@ class TestServeStream:
     def test_abort_is_idempotent_and_releases_fork(self, llama, tok):
         pc = make_pc(llama, tok)
         pc.serve(PROMPTS[0], max_new_tokens=1)  # build the shared base
-        live_before = [pool.live_pages for pool in _base_pools(pc)]
+        live_before = [base.forks for base in _spliced_bases(pc)]
         stream = pc.open_stream(PROMPTS[0], max_new_tokens=4)
         stream.abort()
         stream.abort()
-        assert [p.live_pages for p in _base_pools(pc)] == live_before
+        assert [base.forks for base in _spliced_bases(pc)] == live_before
 
     def test_text_stream_matches_serve_text(self, models, tok):
         """The raw-text identity matrix, per positional family:
@@ -264,12 +302,9 @@ class TestServeStream:
             assert solo[0].cached_tokens > 0 and solo[3].cached_tokens > 0
 
 
-def _base_pools(pc):
-    """Page pools behind every shared spliced base the engine holds."""
-    pools = []
-    for base in pc._bases.values():
-        pools.extend(getattr(base.cache, "pools", []))
-    return pools
+def _spliced_bases(pc):
+    """Every shared spliced base the engine holds."""
+    return [base.kv for base in pc._bases.values()]
 
 
 # -- admission queue satellites --------------------------------------------------
@@ -359,10 +394,12 @@ class TestContinuousServer:
         running a prompt — ``serve``, ``serve_batch``, streams under the
         scheduler at prefill chunks of 1 / 7 / everything, the live
         server — makes the same greedy tokens and the same cached /
-        uncached split."""
+        uncached split, and the scheduler's first-token logits are
+        ``serve``'s to float32 tolerance."""
         pc = make_pc(any_model, tok)
         prompts = [*PROMPTS, EXACT_PROMPT]
-        solo = [pc.serve(p, max_new_tokens=6) for p in prompts]
+        solo, solo_first = zip(*(served(pc, p) for p in prompts))
+        assert ids(solo) == [pc.serve(p, max_new_tokens=6).output_ids for p in prompts]
 
         async def main():
             async with LiveServer(pc, self.options()) as server:
@@ -372,7 +409,10 @@ class TestContinuousServer:
                 return [await r.wait() for r in requests]
 
         runs = [pc.serve_batch(prompts, max_new_tokens=6).results, run(main())]
-        runs += [scheduled(pc, prompts, chunk=chunk) for chunk in (1, 7, 256)]
+        for chunk in (1, 7, 256):
+            first_logits = {}
+            runs.append(scheduled(pc, prompts, chunk=chunk, first_logits=first_logits))
+            assert_same_first_logits(first_logits, solo_first)
         # Several PML requests — two of them twice, so forks of one base
         # meet in one pack — and raw ones admitted into one iteration.
         texts = [pc.serve_text(t, max_new_tokens=6) for t in TEXTS[:3]]
@@ -421,16 +461,15 @@ class TestContinuousServer:
             assert short.finished_at < long_req.finished_at
 
     def test_paged_leases_balance_across_serving(self, llama, tok):
-        """Every fork the scheduler takes (and every private mirror
-        seed behind it) is released by retirement — audited page
-        balance across a concurrent serving burst."""
+        """Every fork the scheduler takes is released by retirement —
+        audited fork balance across a concurrent serving burst."""
         already = sanitize.active_auditor()
         auditor = install_sanitizers()
         try:
             pc = make_pc(llama, tok)
             pc.serve_batch(PROMPTS, max_new_tokens=2)  # build shared bases
-            pools = _base_pools(pc)
-            assert pools
+            bases = _spliced_bases(pc)
+            assert bases
 
             async def main():
                 async with LiveServer(pc, self.options()) as server:
@@ -440,7 +479,7 @@ class TestContinuousServer:
                     ]
                     await asyncio.gather(*(r.wait() for r in requests))
 
-            with auditor.expect_balanced(*pools):
+            with auditor.expect_balanced(*bases):
                 run(main())
             assert auditor.errors_raised == 0
         finally:
@@ -541,8 +580,8 @@ class TestContinuousServer:
     def test_shutdown_aborts_inflight_without_leaks(self, llama, tok):
         pc = make_pc(llama, tok)
         pc.serve(PROMPTS[0], max_new_tokens=1)
-        pools = _base_pools(pc)
-        live_before = [p.live_pages for p in pools]
+        bases = _spliced_bases(pc)
+        live_before = [base.forks for base in bases]
 
         async def main():
             server = LiveServer(pc, self.options())
@@ -558,4 +597,4 @@ class TestContinuousServer:
 
         request = run(main())
         assert request.state == FAILED
-        assert [p.live_pages for p in pools] == live_before
+        assert [base.forks for base in bases] == live_before

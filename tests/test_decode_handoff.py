@@ -497,8 +497,8 @@ class TestArenaSlotLifecycle:
         """200 admissions through the real engine: streams retire on
         their budgets, a poisoned forward fails whole batches
         (``_fail``), and ``abort_all`` sweeps the rest now and then.
-        Afterwards no arena row is seated, no page is live beyond the
-        shared bases', and the auditor saw no double seat or release."""
+        Afterwards no arena row is seated, no fork of a shared base is
+        live, and the auditor saw no double seat or release."""
         already = sanitize.active_auditor()
         auditor = install_sanitizers()
         try:
@@ -506,7 +506,7 @@ class TestArenaSlotLifecycle:
             pc.register_schema(SCHEMA)
             for p in PROMPTS:
                 pc.serve(p, max_new_tokens=1)  # build the shared bases
-            pools = [pool for base in pc._bases.values() for pool in base.cache.pools]
+            bases = [base.kv for base in pc._bases.values()]
             sched = ContinuousScheduler(pc, max_inflight=8)
             rng = np.random.default_rng(0)
             real_forward = llama.forward_decode_batch
@@ -521,7 +521,7 @@ class TestArenaSlotLifecycle:
             llama.forward_decode_batch = forward
             admitted = failures = seated_peak = 0
             try:
-                with auditor.expect_balanced(*pools):
+                with auditor.expect_balanced(*bases):
                     while admitted < 200 or sched.active:
                         take = min(
                             sched.predicted_free_slots(), 200 - admitted,

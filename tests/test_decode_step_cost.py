@@ -12,7 +12,7 @@ is profiled with ``sys.setprofile``:
   28, the replaced kernel 59), and going from 4 streams to 16 in the
   same group adds **no** call inside it — batch size is an array
   dimension there — only per-sequence bookkeeping around it;
-- a seated stream's decode step never calls ``PagedLayerKV.append``:
+- a seated stream's decode step never calls ``ForkLayer.append``:
   its tail grows in the arena;
 - streams on *distinct* 512-token bases are never seated and attend per
   sequence inside the same step: at most 500 call events for one, 1,050
@@ -29,7 +29,7 @@ import pytest
 from repro.analysis.contracts import contracts_enforced
 from repro.cache.engine import PromptCache
 from repro.llm import build_model, small_config
-from repro.llm.paged import PagedLayerKV
+from repro.llm.paged import ForkLayer
 from repro.pml.chat import PLAIN_TEMPLATE
 from repro.server import ContinuousScheduler
 from repro.server.request import LiveRequest
@@ -56,7 +56,7 @@ def pc(tok):
 def profile_iteration(pc, width, distinct=False):
     """Call events of one steady-state iteration with ``width`` streams
     on one base — or, ``distinct``, on one base each: ``(all, inside the
-    per-layer kernel, PagedLayerKV.append calls, linear_rows calls)``."""
+    per-layer kernel, ForkLayer.append calls, linear_rows calls)``."""
     sched = ContinuousScheduler(pc, max_inflight=16)
     sched.iterate([
         LiveRequest(request_id=f"r{i}", schema="hot", max_new_tokens=32, submitted_at=0.0,
@@ -66,8 +66,8 @@ def profile_iteration(pc, width, distinct=False):
     sched.iterate([])  # seats taken, arena grown: the next one is steady state
     counts = {"all": 0, "kernel": 0, "append": 0, "gemm": 0}
     depth = 0  # > 0 while a kernel frame is on the stack
-    append_code = PagedLayerKV.append.__wrapped__.__code__ if hasattr(
-        PagedLayerKV.append, "__wrapped__") else PagedLayerKV.append.__code__
+    append_code = ForkLayer.append.__wrapped__.__code__ if hasattr(
+        ForkLayer.append, "__wrapped__") else ForkLayer.append.__code__
 
     def hook(frame, event, arg):
         nonlocal depth

@@ -14,19 +14,34 @@ families:
   ``invalidate`` followed by the same serves (the re-encode the
   ``tier_churn`` output check compares against eager encodes);
 - for a one-module schema, greedy ids from ``serve`` equal those from
-  ``baseline``, the same tokens prefilled in one piece.
+  ``baseline``, the same tokens prefilled in one piece;
+- every prompt run through :class:`~repro.server.ContinuousScheduler`
+  on a cold base (its modules' K/V read in place) and after the base's
+  second fork (its image), unseated and seated, agrees with ``serve`` on
+  a fresh engine: greedy ids, first-token logits to float32 tolerance,
+  and ``cached_tokens`` equal to the plan's cached span. Random weights
+  make greedy ids nearly blind to the cached context; the logits are not.
 """
 
 from __future__ import annotations
+
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.cache.engine import PromptCache
+from repro.llm.paged import TailArena
 from repro.pml import PLAIN_TEMPLATE
 from tests.conftest import ARCHITECTURES
 from tests.strategies import GeneratedSchema, schemas
+from tests.test_continuous_scheduler import (
+    assert_same_first_logits,
+    ids,
+    scheduled,
+    served,
+)
 
 SETTINGS = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow],
@@ -87,3 +102,75 @@ def test_one_module_serve_matches_baseline(arch, models, tok, generated):
     prompt = generated.prompt(text="what comes next ?")
     served = pc.serve(prompt, max_new_tokens=4)
     assert served.output_ids == pc.baseline(prompt, max_new_tokens=4).output_ids
+
+
+BUDGET = 4
+
+
+def engine(model, tok, generated: GeneratedSchema) -> PromptCache:
+    pc = PromptCache(model, tok, template=PLAIN_TEMPLATE)
+    pc.register_schema(generated.source)
+    return pc
+
+
+def seated_by_hand(pc: PromptCache, prompt: str):
+    """One stream prefilled alone, then seated in an arena of its own —
+    the scheduler seats only a base two streams decode over, and by then
+    the base is an image — and decoded by batched steps of one."""
+    stream = pc.open_stream(prompt, max_new_tokens=BUDGET)
+    stream.prefill_step(stream.prefill_remaining)
+    first = stream.logits.copy()
+    cached_by = stream.shared_group.kv
+    assert not cached_by.image and stream.seat_tail(TailArena(pc.model.config, 1))
+    while stream.decoding:
+        token, needs_forward = stream.next_token()
+        if needs_forward:
+            logits = pc.model.forward_decode_batch(
+                np.asarray([token]), np.asarray([stream.decode_position]), [stream.cache]
+            )
+            stream.set_logits(logits[0], 0.0)
+    return stream.finish(), first
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(generated=schemas())
+def test_scheduler_agrees_with_serve_on_parts_and_image(arch, models, tok, generated):
+    model = models[arch]
+    prompts = generated.prompts()
+    reference = engine(model, tok, generated)
+    expected, expected_first = zip(*(served(reference, p, BUDGET) for p in prompts))
+    spans = [reference.prompt_token_count(p)[0] for p in prompts]
+    assert [r.cached_tokens for r in expected] == spans
+
+    def check(results, first_logits):
+        assert ids(results) == ids(expected)
+        assert [r.cached_tokens for r in results] == spans
+        assert_same_first_logits(first_logits, expected_first)
+
+    # Cold bases, one stream each: read in place, never seated.
+    pc = engine(model, tok, generated)
+    first_logits = {}
+    check(scheduled(pc, prompts, chunk=256, max_new_tokens=BUDGET,
+                    first_logits=first_logits), first_logits)
+    assert all(not base.kv.image for base in pc._bases.values())
+    # Two streams a prompt: each base's second fork makes its image, and
+    # the pair decoding over it is seated.
+    first_logits = {}
+    with patch.object(TailArena, "seat", autospec=True, side_effect=TailArena.seat) as seat:
+        pairs = scheduled(pc, prompts * 2, chunk=256, max_new_tokens=BUDGET,
+                          first_logits=first_logits)
+    assert seat.call_count == 2 * len(prompts)
+    check(pairs[: len(prompts)], {i: first_logits[i] for i in range(len(prompts))})
+    check(pairs[len(prompts):], {
+        i: first_logits[i + len(prompts)] for i in range(len(prompts))
+    })
+    assert all(base.kv.image for base in pc._bases.values())
+    # The image again, one stream each: unseated.
+    first_logits = {}
+    check(scheduled(pc, prompts, chunk=256, max_new_tokens=BUDGET,
+                    first_logits=first_logits), first_logits)
+    # A cold base seated by hand: the arena kernel over parts.
+    cold = engine(model, tok, generated)
+    results, firsts = zip(*(seated_by_hand(cold, p) for p in prompts))
+    check(results, dict(enumerate(firsts)))

@@ -8,7 +8,8 @@ sequence:
 - **Kernel.** ``plan_packed_prefill`` + ``packed_prefill_attention``
   equal single-pass float64 attention over each sequence's own keys
   under the position-ID mask — ragged packs, empty and non-empty flat
-  caches, paged forks of shared bases, a param sitting *below* a cached
+  caches, forks of shared bases read as parts or as an image, a param
+  sitting *below* a cached
   module (the mask must bite) and a suffix above everything cached (the
   mask-free branch), MHA and GQA, with and without ALiBi.
 - **Whole calls.** Over all four families (RoPE sequential and parallel
@@ -18,7 +19,7 @@ sequence:
 - **Failure isolation.** Under the page auditor: a stream whose
   positions the model cannot place fails alone before the pack is
   formed; an exception inside the packed forward fails every stream in
-  it; either way page refcounts, mirror leases and arena seats balance.
+  it; either way base forks and arena seats balance.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from repro.cache.engine import PromptCache
 from repro.llm import build_model, tiny_config
 from repro.llm.attention import packed_prefill_attention, plan_packed_prefill
 from repro.llm.kv import KVCache, ModuleKV
-from repro.llm.paged import PagedKVCache, TailArena
+from repro.llm.paged import ForkCache, SplicedKV, TailArena
 from repro.llm.positional import AlibiBias
 from repro.pml.chat import PLAIN_TEMPLATE
 from repro.server import ContinuousScheduler
@@ -51,7 +52,7 @@ VOCAB = 97
 
 # One segment of a pack: where its cache comes from and how many rows it
 # prefills. "flat" is a private cache (``earlier`` tokens already in it: a
-# continuing chunk), "fork" a paged fork of base 0 or 1 prefilling above
+# continuing chunk), "fork" a fork of base 0 or 1 prefilling above
 # everything cached, "param" a fork of the gapped base 2 whose rows start
 # inside the gap — below the module cached after it.
 segment_specs = st.lists(
@@ -80,19 +81,23 @@ def random_module(rng, config, positions):
 
 def shared_bases(rng, config):
     """Two contiguous bases and a gapped one (two modules, ``GAP`` open
-    positions between them)."""
+    positions between them); each is read as its modules' parts or, at
+    random, as an image."""
     lengths = [int(rng.integers(1, 40)) for _ in range(2)]
     bases = [
-        PagedKVCache.from_module_kvs(config, [random_module(rng, config, range(n))])
+        SplicedKV.from_module_kvs(config, [random_module(rng, config, range(n))])
         for n in lengths
     ]
     first, second = int(rng.integers(1, 20)), int(rng.integers(1, 20))
     bases.append(
-        PagedKVCache.from_module_kvs(config, [
+        SplicedKV.from_module_kvs(config, [
             random_module(rng, config, range(first)),
             random_module(rng, config, range(first + GAP, first + GAP + second)),
         ])
     )
+    for base in bases:
+        if rng.random() < 0.5:
+            base.to_image()
     return bases, first
 
 
@@ -179,10 +184,9 @@ class TestPackedAttentionKernel:
                 rtol=1e-4, atol=1e-5,
             )
         for cache in caches:
-            if isinstance(cache, PagedKVCache):
+            if isinstance(cache, ForkCache):
                 cache.free()
-        for base in bases:
-            base.free()
+        assert all(base.forks == 0 for base in bases)
 
     def test_rows_must_cover_the_pack(self):
         config = kernel_config(1, 1, 4)
@@ -275,7 +279,7 @@ class TestPackedForward:
         groups: dict[int, list[int]] = {}
         for b, ((kind, which, *_), (cache, _)) in enumerate(zip(specs, segments)):
             if seat and kind == "fork":
-                assert arena.seat(cache, len(bases[which])) is cache.tail
+                assert arena.seat(cache) is cache.tail
                 groups.setdefault(which, []).append(b)
         ids = rng.integers(0, VOCAB, size=len(specs))
         positions = np.asarray([positions[-1] + 1 for _, positions in chunks])
@@ -289,13 +293,12 @@ class TestPackedForward:
             assert len(segments[b][0]) == len(alone)
 
         for cache, _ in segments:
-            if isinstance(cache, PagedKVCache):
+            if isinstance(cache, ForkCache):
                 cache.free()
         for alone, _ in reference:
-            if isinstance(alone, PagedKVCache):
+            if isinstance(alone, ForkCache):
                 alone.free()
-        for base in bases:
-            base.free()
+        assert all(base.forks == 0 for base in bases)
         assert arena.live_slots == 0
 
     def test_without_logits_the_same_kv_is_appended(self, any_model):
@@ -381,14 +384,12 @@ def audited():
             uninstall_sanitizers()
 
 
-def base_pools(pc):
-    return [pool for base in pc._bases.values() for pool in base.cache.pools]
+def spliced_bases(pc):
+    return [base.kv for base in pc._bases.values()]
 
 
-def assert_leases_returned(pc):
-    for base in pc._bases.values():
-        for layer in base.cache.layers:
-            assert layer._mirror.lease is None
+def assert_forks_returned(pc):
+    assert_quiescent(*spliced_bases(pc))
 
 
 class TestFailureIsolation:
@@ -402,7 +403,7 @@ class TestFailureIsolation:
             i: pc.serve(prompts[i], max_new_tokens=4).output_ids for i in (0, 1, 3, 4)
         }
         sched = ContinuousScheduler(pc, max_inflight=5)
-        with audited.expect_balanced(*base_pools(pc)):
+        with audited.expect_balanced(*spliced_bases(pc)):
             first = sched.iterate(requests(prompts))
             # The bad prompt failed before the pack was formed; the other
             # four shared one forward and each made its first token.
@@ -417,7 +418,7 @@ class TestFailureIsolation:
             result, error = done[f"r{i}"]
             assert error is None and result.output_ids == expected[i]
         assert_quiescent(sched._arena)
-        assert_leases_returned(pc)
+        assert_forks_returned(pc)
 
     def test_poisoned_packed_forward_fails_every_participant(self, llama, tok, audited):
         pc = PromptCache(llama, tok, template=PLAIN_TEMPLATE)
@@ -431,7 +432,7 @@ class TestFailureIsolation:
                 raise FloatingPointError("poisoned pack")
             return real_forward(token_ids, position_ids, cache, **kwargs)
 
-        with audited.expect_balanced(*base_pools(pc)):
+        with audited.expect_balanced(*spliced_bases(pc)):
             llama.forward = poisoned
             try:
                 outcome = sched.iterate(requests(PROMPTS))
@@ -449,4 +450,4 @@ class TestFailureIsolation:
         assert [done[f"r{i}"][0].output_ids for i in range(4)] == expected
         assert sched._arena is not None  # the pair on one base was seated
         assert_quiescent(sched._arena)
-        assert_leases_returned(pc)
+        assert_forks_returned(pc)

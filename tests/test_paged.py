@@ -1,4 +1,5 @@
-"""Paged KV storage: page accounting, copy-on-write, engine equivalence."""
+"""Paged KV storage: page accounting, copy-on-write, engine equivalence;
+and the key layout of every contiguous image, a spliced base's included."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from repro.llm.paged import (
     PagePool,
     PagedKVCache,
     PagedLayerKV,
+    SplicedKV,
     shared_batch_caches,
 )
 from repro.pml import Schema
@@ -156,25 +158,19 @@ def _extend(cache, reference, tokens):
 def _layout_case(name):
     """``(layer, K-major reference, live pages)`` for one way a
     sequence's contiguous image comes to be."""
-    base, reference = _spliced_base()  # 40 tokens: three windows
+    base, reference = _spliced_base()  # 40 tokens: three pages
     if name == "spliced":
         return base, reference, 3
     fork = base.fork()
-    if name == "fork-append":  # the fork takes the lease, extends in place
-        return fork, _extend(fork, reference, 5), 4  # + the partial window's copy
+    if name == "fork-append":  # the fork copies the shared partial page
+        return fork, _extend(fork, reference, 5), 4
     if name == "grown":  # 140 tokens outgrow 40 + the headroom
+        fork.layers[0].keys  # gathered before the appends, so they extend it
         reference = _extend(fork, reference, 100)
         assert fork.layers[0]._mirror.capacity >= 140
         return fork, reference, 3 + 7  # + the copy and six fresh pages
-    if name == "private-seed":
-        _extend(fork, reference, 5)  # holds the lease
-        loser = base.fork()
-        reference = _extend(loser, reference, 3)
-        assert base.pools[0].stats.mirror_private_seeds == 1
-        return loser, reference, 3 + 1 + 1
     assert name == "gathered"
     reference = _extend(fork, reference, 5)
-    fork.layers[0].shed_mirror(40)
     gathers = base.pools[0].stats.mirror_gathers
     fork.layers[0].keys  # the pages are gathered into a fresh image
     assert base.pools[0].stats.mirror_gathers == gathers + 1
@@ -182,9 +178,7 @@ def _layout_case(name):
 
 
 class TestImageLayout:
-    @pytest.mark.parametrize(
-        "case", ["spliced", "fork-append", "grown", "private-seed", "gathered"]
-    )
+    @pytest.mark.parametrize("case", ["spliced", "fork-append", "grown", "gathered"])
     def test_keys_are_head_dim_major(self, case):
         """However an image comes to be, its keys sit head_dim-major in
         memory — ``keys`` transposed is a row-major ``(n_kv_heads,
@@ -202,6 +196,24 @@ class TestImageLayout:
         per_token = 2 * layer.n_kv_heads * layer.head_dim * 4 + 8
         assert cache.physical_bytes() == live_pages * PAGE_TOKENS * per_token
         assert cache.logical_bytes() == len(positions) * per_token
+
+    def test_a_spliced_base_image_is_head_dim_major(self):
+        """A base forked a second time becomes an image with the same
+        layout — every layer's keys, in one allocation per side — and
+        reads byte for byte as the modules it was spliced from."""
+        config = _one_layer_config()
+        modules = [
+            ModuleKV(keys=[block(n)], values=[block(n)], positions=np.arange(a, a + n))
+            for a, n in ((0, 7), (9, 12))
+        ]
+        base = SplicedKV.from_module_kvs(config, modules)
+        assert all(k is m.keys[0] for (k, _), m in zip(base.parts[0], modules))  # in place
+        base.to_image()
+        (keys, values), = base.parts[0]
+        assert np.swapaxes(keys, -2, -1).flags.c_contiguous
+        np.testing.assert_array_equal(keys, np.concatenate([m.keys[0] for m in modules], axis=1))
+        np.testing.assert_array_equal(values, np.concatenate([m.values[0] for m in modules], axis=1))
+        np.testing.assert_array_equal(base.positions, np.r_[0:7, 9:21])
 
 
 class TestEngineOnPagedCache:

@@ -12,6 +12,7 @@ from repro.llm.positional import (
     RotaryEmbedding,
     alibi_slopes,
 )
+from repro.llm.positional.rope import rotate
 
 RNG = np.random.default_rng(3)
 
@@ -24,13 +25,13 @@ class TestRotaryEmbedding:
     def test_position_zero_is_identity(self):
         rope = RotaryEmbedding(head_dim=8, max_position=32)
         x = RNG.normal(size=(2, 1, 8)).astype(np.float32)
-        np.testing.assert_allclose(rope.apply(x, np.array([0])), x, atol=1e-6)
+        np.testing.assert_allclose(rotate(x, *rope.rows(np.array([0]))), x, atol=1e-6)
 
     def test_preserves_norm(self):
         """Rotations are orthogonal: token norms are unchanged."""
         rope = RotaryEmbedding(head_dim=16, max_position=64)
         x = RNG.normal(size=(4, 10, 16)).astype(np.float32)
-        out = rope.apply(x, np.arange(10))
+        out = rotate(x, *rope.rows(np.arange(10)))
         np.testing.assert_allclose(
             np.linalg.norm(out, axis=-1), np.linalg.norm(x, axis=-1), rtol=1e-4
         )
@@ -43,8 +44,8 @@ class TestRotaryEmbedding:
         k = RNG.normal(size=(1, 1, 8)).astype(np.float32)
 
         def score(qpos, kpos):
-            qr = rope.apply(q, np.array([qpos]))
-            kr = rope.apply(k, np.array([kpos]))
+            qr = rotate(q, *rope.rows(np.array([qpos])))
+            kr = rotate(k, *rope.rows(np.array([kpos])))
             return float(qr[0, 0] @ kr[0, 0])
 
         assert score(10, 4) == pytest.approx(score(110, 104), abs=1e-3)
@@ -58,23 +59,23 @@ class TestRotaryEmbedding:
         gapped = np.array([5, 40, 99])
         full = RNG.normal(size=(2, 128, 8)).astype(np.float32)
         full[:, gapped, :] = x
-        out_full = rope.apply(full, np.arange(128))
-        out_gapped = rope.apply(x, gapped)
+        out_full = rotate(full, *rope.rows(np.arange(128)))
+        out_gapped = rotate(x, *rope.rows(gapped))
         np.testing.assert_allclose(out_gapped, out_full[:, gapped, :], atol=1e-5)
 
     def test_out_of_range_positions_rejected(self):
         rope = RotaryEmbedding(head_dim=8, max_position=16)
         x = RNG.normal(size=(1, 1, 8)).astype(np.float32)
         with pytest.raises(ValueError):
-            rope.apply(x, np.array([16]))
+            rotate(x, *rope.rows(np.array([16])))
         with pytest.raises(ValueError):
-            rope.apply(x, np.array([-1]))
+            rotate(x, *rope.rows(np.array([-1])))
 
     def test_mismatched_length_rejected(self):
         rope = RotaryEmbedding(head_dim=8, max_position=16)
         x = RNG.normal(size=(1, 3, 8)).astype(np.float32)
         with pytest.raises(ValueError):
-            rope.apply(x, np.array([0, 1]))
+            rotate(x, *rope.rows(np.array([0, 1])))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=200), st.integers(min_value=0, max_value=55))
@@ -82,10 +83,10 @@ class TestRotaryEmbedding:
         rope = _ROPE
         q = _QK[0]
         k = _QK[1]
-        qr = rope.apply(q, np.array([base + delta]))
-        kr = rope.apply(k, np.array([base]))
-        qr0 = rope.apply(q, np.array([delta]))
-        kr0 = rope.apply(k, np.array([0]))
+        qr = rotate(q, *rope.rows(np.array([base + delta])))
+        kr = rotate(k, *rope.rows(np.array([base])))
+        qr0 = rotate(q, *rope.rows(np.array([delta])))
+        kr0 = rotate(k, *rope.rows(np.array([0])))
         assert float(qr[0, 0] @ kr[0, 0]) == pytest.approx(
             float(qr0[0, 0] @ kr0[0, 0]), abs=1e-3
         )

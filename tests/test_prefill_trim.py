@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.llm import build_model
-from repro.llm.paged import PagedKVCache
+from repro.llm.paged import ForkCache
 from tests.test_gqa import gqa_config
 from tests.test_packed_prefill import (
     assert_same_logits,
@@ -100,10 +100,9 @@ def test_packed_trim_keeps_kv_and_last_rows(name):
         assert_same_logits(row, expected)
 
     for cache in every + last_rows + no_logits:
-        if isinstance(cache, PagedKVCache):
+        if isinstance(cache, ForkCache):
             cache.free()
-    for base in bases:
-        base.free()
+    assert all(base.forks == 0 for base in bases)
 
 
 @pytest.mark.parametrize("name", list(MODELS))

@@ -1,5 +1,5 @@
 """REPRO_SANITIZE runtime sanitizers: the auditor catches deliberate
-refcount/lease abuse, the plan/layout validators accept every real plan
+refcount, fork and seat abuse, the plan/layout validators accept every real plan
 and reject tampered ones, and shape contracts flag mis-ranked tensors."""
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from repro.analysis.sanitize import (
 )
 from repro.cache.engine import PromptCache
 from repro.cache.layout import layout_schema
-from repro.llm.paged import PagePool, PagedLayerKV
+from repro.llm.kv import ModuleKV
+from repro.llm.paged import PagePool, PagedLayerKV, SplicedKV, TailArena
 from repro.pml import PLAIN_TEMPLATE
 from repro.pml.schema import Schema
 
@@ -122,37 +123,48 @@ class TestPageAuditor:
         assert auditor.errors_raised == 0
 
 
-class TestMirrorLease:
-    def test_extend_without_lease_raises(self, auditor):
-        holder = object()
-        mirror = SimpleNamespace(lease=holder, length=4, fork_high_water=0)
-        with pytest.raises(SanitizerError, match="without holding the lease"):
-            auditor.on_inplace_extend(object(), mirror)
+def one_layer_base(tokens=6):
+    """A one-layer base over one module of ``block(tokens)``."""
+    config = SimpleNamespace(n_layers=1, n_kv_heads=2, head_dim=4)
+    kv = ModuleKV(keys=[block(tokens)], values=[block(tokens)], positions=np.arange(tokens))
+    return SplicedKV.from_module_kvs(config, [kv]), config
 
-    def test_extend_below_high_water_raises_via_real_append(self, auditor):
-        pool = PagePool(2, 4)
-        layer = PagedLayerKV(pool)
-        layer.append(block(5), block(5), np.arange(5))
-        _ = layer.keys  # materialize the mirror
-        layer.append(block(2), block(2), np.arange(5, 7))  # takes the lease
-        mirror = layer._mirror
-        assert mirror.lease is layer
-        # Simulate a fork bookkeeping bug: the high-water mark claims a
-        # sharer's prefix extends past the image length.
-        mirror.fork_high_water = mirror.length + 3
-        with pytest.raises(SanitizerError, match="fork high-water"):
-            layer.append(block(1), block(1), np.arange(7, 8))
-        layer.free()
 
-    def test_leased_decode_extension_is_clean(self, auditor):
-        pool = PagePool(2, 4)
-        layer = PagedLayerKV(pool)
-        layer.append(block(5), block(5), np.arange(5))
-        _ = layer.keys
-        for step in range(5, 9):  # in-place decode appends
-            layer.append(block(1), block(1), np.arange(step, step + 1))
-        assert layer._mirror.lease is layer
-        layer.free()
+class TestForkLedger:
+    """The spliced-base half of the auditor: every fork a base hands out
+    comes back exactly once, and an arena row is seated by one fork at a
+    time."""
+
+    def test_double_free_of_a_fork_raises(self, auditor):
+        base, _ = one_layer_base()
+        fork = base.fork()
+        fork.free()
+        with pytest.raises(SanitizerError, match="double release of a fork"):
+            fork.free()
+        assert auditor.errors_raised == 1
+
+    def test_leaked_fork_of_a_base_raises(self, auditor):
+        base, _ = one_layer_base()
+        with pytest.raises(SanitizerError, match="fork leak"):
+            with auditor.expect_balanced(base):
+                base.fork()  # dropped without free()
+        with pytest.raises(SanitizerError, match="base not quiescent"):
+            assert_quiescent(base)
+
+    def test_seated_forks_balance_across_an_image(self, auditor):
+        """Forks taken before and after the base becomes an image, one of
+        them seated, all freed: the ledger and the arena end empty."""
+        base, config = one_layer_base()
+        arena = TailArena(config, slots=2)
+        with auditor.expect_balanced(base):
+            first = base.fork(capacity=4)
+            first.layers[0].append(block(3), block(3), np.arange(6, 9))
+            base.to_image()
+            second = base.fork()
+            assert arena.seat(first) is first.tail and len(first) == 9
+            first.free()
+            second.free()
+        assert_quiescent(base, arena)
         assert auditor.errors_raised == 0
 
 

@@ -1,4 +1,4 @@
-"""The three-level splice fast path: compiled plans, spliced bases, mirrors.
+"""The three-level splice fast path: compiled plans, spliced bases, images.
 
 Correctness contracts:
 
@@ -11,11 +11,14 @@ Correctness contracts:
   ``invalidate`` and ``update_module_text`` evict affected entries.
 - A spliced-base hit records the same store statistics, tier occupancy
   and CPU-hit promotion as the slow path, and skips the splice memcpy.
-- The paged mirror is extended in place during decode; freeing a request
-  hands the lease back so the next fork also skips the gather.
+- A base is read in place until its second fork copies it into an
+  image; forks of an image copy nothing, decode appends grow the fork's
+  private tail in place, and every fork goes back to its base.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from repro.cache.engine import PromptCache, _arena_splice
 from repro.cache.storage import CacheKey, ModuleCacheStore
 from repro.llm.generation import decode_loop
 from repro.llm.kv import KVCache, LayerKV, allocation_count, reset_allocation_count
+from repro.llm.paged import IMAGE_AT_FORK
 from repro.pml import PLAIN_TEMPLATE
 from tests.test_engine import demote_to_dram
 
@@ -355,12 +359,14 @@ class TestSpliceModeEquivalence:
 class TestSplicedBase:
     def test_base_hit_skips_splice_allocations(self, llama, tok):
         pc = make_pc(llama, tok)
-        pc.serve(PROMPT, max_new_tokens=2)  # builds + mirrors the base
+        for _ in range(IMAGE_AT_FORK):  # builds the base, then its image
+            pc.serve(PROMPT, max_new_tokens=2)
         assert pc.plan_stats.base_misses == 1
         reset_allocation_count()
         pc.serve(PROMPT, max_new_tokens=2)
-        assert pc.plan_stats.base_hits == 1
-        # The fork shares pages and mirrors; decode extends in place. No
+        assert pc.plan_stats.base_hits == IMAGE_AT_FORK
+        # The fork reads the image in place; its private tails are one
+        # allocation per side for every layer, sized for the decode. No
         # per-module, per-layer splice copies remain on the hot path.
         n_layers = llama.config.n_layers
         assert allocation_count() <= n_layers
@@ -398,17 +404,65 @@ class TestSplicedBase:
         assert second.tier_tokens["gpu"] > 0
         assert second.tier_tokens["cpu"] == 0
 
+    def test_a_base_freed_by_its_own_lookups_is_rebuilt(self, llama, tok, tmp_path):
+        """The DRAM hit on ``a`` promotes it; the fast tier's victim ``x``
+        demotes into a full DRAM tier, which evicts ``b`` (spilled to the
+        snapshot) and with it the base — then ``b`` pages straight back
+        in. The stream must not fork the base those lookups dropped: it
+        holds the whole cached span, and its first logits are a fresh
+        engine's."""
+        pair = (
+            '<schema name="pair"><module name="a">the quick brown fox jumps over '
+            'the lazy dog</module><module name="b">paris museums cafes '
+            "architecture louvre seine</module></schema>"
+        )
+        other = '<schema name="other"><module name="x">miami beaches nightlife surf</module></schema>'
+        prompt = '<prompt schema="pair"><a/><b/> plan a trip</prompt>'
+        fresh = PromptCache(llama, tok, template=PLAIN_TEMPLATE)
+        fresh.register_schema(pair)
+        fresh.register_schema(other)
+        size = {
+            key.module: fresh.store.peek(key).nbytes for key in fresh.store.gpu.keys()
+        }
+        fast = max(size.values())
+        dram = max(size["a"] + size["b"], size["a"] + size["x"])
+        assert fast < min(size["a"] + size["b"], size["a"] + size["x"])
+        assert dram < sum(size.values())
+        t = [0.0]
+        store = ModuleCacheStore(fast, dram, snapshot_dir=tmp_path, clock=lambda: t[0])
+        pc = PromptCache(llama, tok, store=store, template=PLAIN_TEMPLATE)
+        pc.register_schema(pair)  # a, then b evicting a into DRAM
+        pc.register_schema(other)  # x evicting b into DRAM
+        assert set(store.gpu.keys()) == {CacheKey("other", "x")}
+        pc.serve(prompt, max_new_tokens=1)  # the base; no promotion yet
+        assert pc.plan_stats.base_misses == 1
+
+        t[0] = 1.0  # a second arrival 1 s on: ``a`` is worth promoting
+        stream = pc.open_stream(prompt, max_new_tokens=1)
+        try:
+            assert store.fabric_snapshot()["spills"] == 1  # b left DRAM
+            cached = pc.prompt_token_count(prompt)[0]
+            assert stream.cached_tokens == stream.shared_len == cached > 0
+            assert pc.plan_stats.base_misses == 2  # rebuilt, not forked
+            stream.prefill_step(1 << 20)
+            expected = fresh.open_stream(prompt, max_new_tokens=1)
+            expected.prefill_step(1 << 20)
+            expected.abort()
+            np.testing.assert_allclose(stream.logits, expected.logits, rtol=1e-4, atol=1e-4)
+        finally:
+            stream.abort()
+
     def test_base_lru_bound_frees_pages(self, llama, tok):
         pc = PromptCache(
             llama, tok, template=PLAIN_TEMPLATE, base_cache_size=1
         )
         pc.register_schema(TWO_MODULES)
         pc.serve('<prompt schema="duo2"><a/> q</prompt>', max_new_tokens=1)
-        base_a = next(iter(pc._bases.values()))
+        base_a = weakref.ref(next(iter(pc._bases.values())))
         pc.serve('<prompt schema="duo2"><b/> q</prompt>', max_new_tokens=1)
         assert len(pc._bases) == 1
-        # The evicted base released every page it held.
-        assert all(len(layer) == 0 for layer in base_a.cache.layers)
+        # The evicted base, with no fork live, is gone with what it held.
+        assert base_a() is None
 
 
 class TestServeBatchTierTokens:
@@ -424,40 +478,51 @@ class TestServeBatchTierTokens:
 
 
 class TestMirrorLease:
+    """A fork's hold on its base: taken at the open, given back at the
+    finish, and never a right to write the base."""
+
     def test_decode_extends_in_place(self, llama, tok):
         pc = make_pc(llama, tok)
         pc.serve(PROMPT, max_new_tokens=4)
-        base = next(iter(pc._bases.values()))
-        gathers = base.cache.pools[0].stats.mirror_gathers
-        pc.serve(PROMPT, max_new_tokens=4)
-        # The second request reused the base's mirrors: no new gathers.
-        assert base.cache.pools[0].stats.mirror_gathers == gathers
+        stream = pc.open_stream(PROMPT, max_new_tokens=4)  # the image's fork
+        try:
+            base = next(iter(pc._bases.values()))
+            assert base.kv.image
+            image = [[a.copy() for a in part] for part in base.kv.parts[0]]
+            stream.run()
+            tail = stream.cache.layers[0].tail
+            # Suffix and decode tokens share the buffer the first append
+            # allocated; the image is read, never written.
+            assert len(tail) == len(stream.tail_kv(0)[2]) > 3
+            assert tail._keys.shape[1] == stream.cache.capacity
+            for (k, v), (k0, v0) in zip(base.kv.parts[0], image):
+                np.testing.assert_array_equal(k, k0)
+                np.testing.assert_array_equal(v, v0)
+        finally:
+            stream.finish()
 
     def test_lease_returns_after_free(self, llama, tok):
         pc = make_pc(llama, tok)
-        pc.serve(PROMPT, max_new_tokens=3)
+        for _ in range(3):
+            pc.serve(PROMPT, max_new_tokens=3)
         base = next(iter(pc._bases.values()))
-        for layer in base.cache.layers:
-            mirror = layer._mirror
-            assert mirror is not None
-            assert mirror.lease is None  # request freed -> lease returned
-            assert mirror.length == layer._mirror_len  # truncated to base
+        assert base.lifetime_forks == 3 and base.kv.forks == 0  # every fork returned
 
     def test_concurrent_forks_stay_isolated(self, llama, tok):
         pc = make_pc(llama, tok)
         pc.serve(PROMPT, max_new_tokens=1)
         with pc._fastpath_lock:
             base = next(iter(pc._bases.values()))
-            fork_a = base.cache.fork()
-            fork_b = base.cache.fork()
-        start = len(base.cache)
+            fork_a = base.kv.fork()
+            fork_b = base.kv.fork()
+        start = len(base.kv)
         ids = np.array(tok.encode(" what happened ?"))
         pos_a = np.arange(start, start + len(ids))
         la = pc.model.forward(ids, pos_a, fork_a)
         before = np.array(fork_a.layers[0].keys)
         other = np.array(tok.encode(" plan a trip now"))
         lb = pc.model.forward(other, np.arange(start, start + len(other)), fork_b)
-        # fork_b's appends (private mirror fallback) left fork_a intact.
+        # fork_b's appends went to its own tail and left fork_a intact.
         np.testing.assert_array_equal(fork_a.layers[0].keys, before)
         assert not np.allclose(la[-1], lb[-1])
         fork_a.free()
