@@ -1,94 +1,67 @@
-"""§3.4 with real tensors — paged module sharing across a batch.
+"""§3.4 with real tensors — module sharing across a batch on the serving path.
 
 Complements `bench_sec34_batch_memory.py` (analytic accounting at paper
-shapes) by demonstrating the mechanism itself: N requests over the same
-cached document module, each with its own suffix and decode, backed by one
-refcounted physical copy of the module pages. Measured: physical vs
-logical bytes, copy-on-write count, and output equivalence with private
-caches.
+shapes) by measuring the mechanism itself: N requests over the same
+cached document module, each with its own suffix and decode, served by
+``PromptCache.serve_batch``. Every request forks one spliced base that
+reads the module's K/V by reference, and keeps a private tail. Measured:
+physical vs duplicated bytes, and output equality with serving each
+request alone.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.bench import emit, format_table
-from repro.cache.encoder import encode_module
-from repro.cache.layout import layout_schema
-from repro.llm.generation import decode_loop
-from repro.llm.kv import KVCache, LayerKV
-from repro.llm.paged import shared_batch_caches
-from repro.pml import Schema
+from repro.cache.engine import PromptCache
+from repro.pml.chat import PLAIN_TEMPLATE
 
 BATCH = 12
 DOC = "the quick brown fox jumps over the lazy dog . " * 12
+SCHEMA = f'<schema name="pg"><module name="doc">{DOC}</module></schema>'
+
+
+def _engine(model, tok) -> PromptCache:
+    pc = PromptCache(model, tok, template=PLAIN_TEMPLATE)
+    pc.register_schema(SCHEMA)
+    return pc
 
 
 def test_paged_sharing(benchmark, small_model, tok):
-    layout = layout_schema(
-        Schema.parse(f'<schema name="pg"><module name="doc">{DOC}</module></schema>'),
-        tok,
-    )
-    module_kv = encode_module(small_model, layout.module("doc"))
-    start = layout.total_length
+    prompts = [
+        f'<prompt schema="pg"><doc/> request {i} asks : what happened ?</prompt>'
+        for i in range(BATCH)
+    ]
+    pc = _engine(small_model, tok)
+    batch = pc.serve_batch(prompts, max_new_tokens=4)
 
-    caches, base = shared_batch_caches(small_model.config, [module_kv], BATCH)
-    outputs = []
-    for i, cache in enumerate(caches):
-        suffix = np.array(tok.encode(f" request {i} asks : what happened ?"))
-        logits = small_model.forward(
-            suffix, np.arange(start, start + len(suffix)), cache
-        )[-1]
-        tokens, _ = decode_loop(
-            small_model, cache, logits, max_new_tokens=4,
-            next_position=start + len(suffix),
-        )
-        outputs.append(tokens)
-
-    physical = base.physical_bytes()
-    logical = sum(c.logical_bytes() for c in caches)
-    duplicated = BATCH * module_kv.nbytes()
-    cow = sum(pool.stats.cow_copies for pool in base.pools)
-
-    # Reference request through a private flat cache.
-    flat = KVCache(
-        [
-            LayerKV.from_arrays(module_kv.keys[i], module_kv.values[i], module_kv.positions)
-            for i in range(small_model.config.n_layers)
-        ]
-    )
-    suffix = np.array(tok.encode(" request 0 asks : what happened ?"))
-    logits = small_model.forward(suffix, np.arange(start, start + len(suffix)), flat)[-1]
-    reference, _ = decode_loop(
-        small_model, flat, logits, max_new_tokens=4, next_position=start + len(suffix)
+    # Reference: each request alone, on an engine that never shared.
+    solo = _engine(small_model, tok)
+    matches = all(
+        result.output_ids == solo.serve(prompt, max_new_tokens=4).output_ids
+        for prompt, result in zip(prompts, batch.results)
     )
 
     emit(
         "paged_sharing",
         format_table(
-            f"Sec 3.4 mechanism: {BATCH} requests sharing one module's pages",
+            f"Sec 3.4 mechanism: {BATCH} requests sharing one module by reference",
             ["quantity", "value"],
             [
-                ["module tokens", len(module_kv)],
-                ["physical bytes (shared pages)", physical],
-                ["logical bytes (sum over requests)", logical],
-                ["duplicated bytes (no sharing)", duplicated],
-                ["physical / duplicated", f"{physical / duplicated:.2f}"],
-                ["copy-on-write pages", cow],
-                ["outputs match private-cache serving", outputs[0] == reference],
+                ["module tokens", batch.results[0].cached_tokens],
+                ["shared groups", batch.shared_groups],
+                ["physical bytes (base once + tails)", batch.physical_bytes],
+                ["duplicated bytes (private caches)", batch.duplicated_bytes],
+                ["physical / duplicated", f"{batch.physical_bytes / batch.duplicated_bytes:.2f}"],
+                ["memory saved", f"{100 * batch.memory_savings:.0f}%"],
+                ["outputs match solo serve", matches],
             ],
-            note="refcounted pages: the paper's pointer-sharing, with real tensors",
+            note="PromptCache.serve_batch: forks of one spliced base, the paper's pointer-sharing",
         ),
     )
-    assert physical < 0.45 * duplicated
-    assert outputs[0] == reference
-    assert cow <= BATCH * small_model.config.n_layers  # at most one COW per fork/layer
+    assert batch.physical_bytes < 0.45 * batch.duplicated_bytes
+    assert matches
 
     def one_request():
-        cache = base.fork()
-        s = np.array(tok.encode(" quick question ?"))
-        l = small_model.forward(s, np.arange(start, start + len(s)), cache)[-1]
-        decode_loop(small_model, cache, l, max_new_tokens=1, next_position=start + len(s))
-        cache.free()
+        pc.serve('<prompt schema="pg"><doc/> quick question ?</prompt>', max_new_tokens=1)
 
     benchmark(one_request)

@@ -1,13 +1,14 @@
-"""Batched serving with paged module sharing (paper §3.4).
+"""Batched serving with module sharing (paper §3.4).
 
 Run:  python examples/batch_serving.py
 
 Twelve concurrent requests over the same cached document are served via
 ``PromptCache.serve_batch``: one physical copy of the module's attention
-states (refcounted pages), a private copy-on-write fork per request.
-Outputs are identical to serving each request alone; memory is a fraction
-of the duplicated footprint — the mechanism behind the paper's "larger
-working batch size and thus higher throughput" argument.
+states, which every request's fork reads by reference, plus a private
+tail per request for its suffix and generated tokens. Outputs are
+identical to serving each request alone; memory is a fraction of the
+duplicated footprint — the mechanism behind the paper's "larger working
+batch size and thus higher throughput" argument.
 """
 
 from repro import PromptCache, build_model, small_config

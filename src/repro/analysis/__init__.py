@@ -23,7 +23,7 @@ lints — and dynamically audits — the reproduction's own code:
   the ``kv-contract`` rule cross-checks (runtime-enforced when
   sanitizers are on);
 - :mod:`repro.analysis.sanitize` — ``REPRO_SANITIZE=1`` runtime
-  sanitizers: the paged-KV refcount/lease auditor, the splice-plan
+  sanitizers: the base-fork / arena-seat auditor, the splice-plan
   validator, and the :class:`LockDep` acquisition-order recorder;
 - :mod:`repro.analysis.sarif` — SARIF 2.1.0 export for code-scanning
   upload.

@@ -1,7 +1,7 @@
 """Shape contracts for KV tensors, declared where the tensors flow.
 
 The engine moves ``(n_layers, n_kv_heads, T, head_dim)`` tensors through
-many hands — encoder, splicer, page pool, mirror — and a transposed or
+many hands — encoder, splicer, fork tails, arena — and a transposed or
 mis-ranked array survives NumPy broadcasting long enough to corrupt
 outputs silently. :func:`shape_contract` makes the expected rank part of
 the function's signature:

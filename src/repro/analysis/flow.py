@@ -5,8 +5,8 @@ the static counterparts of the ``REPRO_SANITIZE=1`` runtime auditors —
 they cover the paths tests never execute:
 
 - :class:`LeaseLifecycleRule` (``lease-lifecycle``) — an abstract
-  interpreter ("borrow checker") for `PagedLayerKV` forks, page
-  refcounts, and serve-stream leases. It tracks acquire/release facts
+  interpreter ("borrow checker") for forks of a spliced base, tail-arena
+  seats, and serve-stream leases. It tracks acquire/release facts
   through branches, loops, ``try/finally``, ``with``, and early
   returns; follows calls through :class:`~repro.analysis.callgraph.
   ProjectIndex` using per-function summaries (which parameters a callee
@@ -586,8 +586,7 @@ class LockOrderRule(ProjectRule):
 #: receiver methods that release it. Resolution-based where names are
 #: generic; name-based where the name is distinctive project-wide.
 _SEED_BY_RESOLUTION = {
-    ("PagePool", "allocate"): ("page", ()),
-    ("PagePool", "copy_page"): ("page", ()),
+    ("TailArena", "seat"): ("seat", ("release",)),
 }
 _SEED_BY_NAME = {
     "fork": ("fork", ("free",)),
@@ -620,7 +619,7 @@ class _Summary:
 @dataclass
 class _Resource:
     rid: int
-    kind: str  # "fork" | "stream" | "page" | "param"
+    kind: str  # "fork" | "stream" | "seat" | "param"
     state: str  # "ACQ" | "REL" | "ESC" | "PARAM"
     line: int
     releasers: tuple[str, ...]
@@ -649,7 +648,7 @@ class _State:
 
 
 class LeaseLifecycleRule(ProjectRule):
-    """Abstract interpreter for KV lease / page-refcount lifecycles."""
+    """Abstract interpreter for KV lease lifecycles: forks, seats, streams."""
 
     name = "lease-lifecycle"
     description = "leaked, double-released, or used-after-release KV leases"
@@ -1129,29 +1128,17 @@ class _Interp:
         if receiver is not None and not isinstance(receiver, ast.Name):
             self._expr(receiver, state)
 
-        # Receiver-release: x.free() / x.finish() / x.abort() ...
+        # Receiver-release: x.free() / x.finish() / x.release() ...
         if receiver is not None and isinstance(receiver, ast.Name):
             rid = state.env.get(receiver.id)
             resource = state.res.get(rid) if rid is not None else None
             if resource is not None:
-                if resource.state == "REL":
-                    self._use_after_release(call.lineno, receiver.id, resource)
-                elif name in resource.releasers and not (
-                    name == "release" and call.args
-                ):
-                    # x.release() frees x; pool.release(page) frees the
-                    # argument (handled below), not the pool.
+                if name in resource.releasers:
                     self._release(state, receiver.id, call.lineno)
                     return []
-            if resource is not None and resource.state == "REL":
-                return []
-
-        # Argument-release: pool.release(x).
-        if name == "release":
-            for arg in call.args:
-                if isinstance(arg, ast.Name):
-                    self._release(state, arg.id, call.lineno)
-            return []
+                if resource.state == "REL":
+                    self._use_after_release(call.lineno, receiver.id, resource)
+                    return []
 
         targets = self.index.resolve_call(call, self.fn)
         acquired = self._seed(call, targets)

@@ -4,14 +4,13 @@ Static rules catch lock-discipline regressions; these sanitizers catch
 the *dynamic* invariants the paper's §3.2–3.4 machinery depends on:
 
 - :class:`PageAuditor` shadows, in an independent ledger, the live forks
-  of every :class:`~repro.llm.paged.SplicedKV` base, the seated rows of
-  every :class:`~repro.llm.paged.TailArena` and the refcounts of every
-  :class:`~repro.llm.paged.PagePool`, and raises :class:`SanitizerError`
-  on a **double release** of any of them and on a **retain of a freed
-  page**. :meth:`PageAuditor.expect_balanced` turns "every fork must be
-  freed" into an assertion for tests, and :func:`assert_quiescent`
-  checks at end of test that a base has no live fork, an arena no
-  seated row and a pool no live page.
+  of every :class:`~repro.llm.paged.SplicedKV` base and the seated rows
+  of every :class:`~repro.llm.paged.TailArena`, and raises
+  :class:`SanitizerError` on a **double release** of either and on a
+  slot **seated twice**. :meth:`PageAuditor.expect_balanced` turns
+  "every fork must be freed, every seat given back" into an assertion
+  for tests, and :func:`assert_quiescent` checks at end of test that a
+  base has no live fork and an arena no seated row.
 - A **splice-plan validator** re-derives the position-ID invariants of
   every compiled plan: selected modules occupy disjoint, monotonically
   increasing position sets; uncached work only lands on parameter slots,
@@ -64,65 +63,25 @@ def sanitizers_enabled() -> bool:
 
 
 class PageAuditor:
-    """Independent ledger of base forks, arena seats and page refcounts.
+    """Independent ledger of base forks and arena seats.
 
     The ledger never trusts the owners' own counts: hooks fire *before*
     the owner mutates, so a buggy release is caught at the faulting call
-    instead of as corruption three requests later, when a recycled row or
-    page is rewritten under a live reader.
+    instead of as corruption three requests later, when a recycled row is
+    rewritten under a live reader.
     """
 
     def __init__(self) -> None:
-        # pool -> {page index -> expected refcount}; weak keys so pools
-        # dropped by tests don't pin the ledger.
-        self._pools: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        # arena -> seated slots; base -> live forks (same weak keying,
-        # same lazy seeding from the owner's own state).
+        # arena -> seated slots; base -> live forks. Weak keys so owners
+        # dropped by tests don't pin the ledger; seeded lazily from the
+        # owner's own state when it predates the auditor.
         self._seats: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._forks: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self.errors_raised = 0
 
-    # -- pool ledger ----------------------------------------------------------
-
-    def _ledger(self, pool) -> dict[int, int]:
-        ledger = self._pools.get(pool)
-        if ledger is None:
-            # Pool predates the auditor (install mid-run): seed lazily
-            # from its current counts as pages are first touched.
-            ledger = {}
-            self._pools[pool] = ledger
-        return ledger
-
-    def _expected(self, pool, page: int) -> int:
-        ledger = self._ledger(pool)
-        if page not in ledger:
-            ledger[page] = pool.refcount(page) if page < len(pool._refcounts) else 0
-        return ledger[page]
-
     def _fail(self, message: str):
         self.errors_raised += 1
         raise SanitizerError(message)
-
-    def on_allocate(self, pool, page: int) -> None:
-        self._ledger(pool)[page] = 1
-
-    def on_retain(self, pool, page: int) -> None:
-        expected = self._expected(pool, page)
-        if expected <= 0:
-            self._fail(
-                f"retain of freed page {page}: the page was fully released "
-                "and may already be recycled into another sequence"
-            )
-        self._ledger(pool)[page] = expected + 1
-
-    def on_release(self, pool, page: int) -> None:
-        expected = self._expected(pool, page)
-        if expected <= 0:
-            self._fail(
-                f"double release of page {page}: refcount already zero — a "
-                "sequence freed pages it no longer owns"
-            )
-        self._ledger(pool)[page] = expected - 1
 
     # -- spliced-base forks ---------------------------------------------------
 
@@ -172,28 +131,26 @@ class PageAuditor:
     # -- balance / quiescence -------------------------------------------------
 
     def live(self, owner) -> int:
-        """Live forks of a base, or live pages of a pool, by the ledger."""
+        """Live forks of a base, or seated rows of an arena, by the ledger."""
         if hasattr(owner, "forks"):
             return self._forks.get(owner, owner.forks)
-        ledger = self._pools.get(owner)
-        if ledger is None:
-            return owner.live_pages
-        return sum(1 for count in ledger.values() if count > 0)
+        return len(self._seated(owner))
 
     @contextmanager
     def expect_balanced(self, *owners):
-        """Assert no net fork or page leak across the ``with`` body.
+        """Assert no net fork or seat leak across the ``with`` body.
 
-        Every fork/allocation inside the region must be matched by a
-        release before it exits — the end-of-test discipline for code
-        that borrows bases or pages (``serve`` forks, batch forks).
+        Every fork or seat inside the region must be matched by a release
+        before it exits — the end-of-test discipline for code that
+        borrows bases or arena rows (``serve`` forks, batch forks, seated
+        decode tails).
         """
         before = {owner: self.live(owner) for owner in owners}
         yield self
         for owner, baseline in before.items():
             live = self.live(owner)
             if live > baseline:
-                what = "fork" if hasattr(owner, "forks") else "page"
+                what = "fork" if hasattr(owner, "forks") else "seat"
                 self._fail(
                     f"{what} leak: {live} live {what}s, expected {baseline} "
                     f"— {live - baseline} never released (a fork was "
@@ -202,9 +159,8 @@ class PageAuditor:
 
 
 def assert_quiescent(*owners) -> None:
-    """Raise if any spliced base still has a live fork, any
-    :class:`~repro.llm.paged.TailArena` a seated row, or any page pool a
-    live page (end-of-test check)."""
+    """Raise if any spliced base still has a live fork or any
+    :class:`~repro.llm.paged.TailArena` a seated row (end-of-test check)."""
     for owner in owners:
         if hasattr(owner, "forks"):
             if owner.forks:
@@ -212,24 +168,11 @@ def assert_quiescent(*owners) -> None:
                     f"base not quiescent: {owner.forks} live fork(s) — a "
                     "stream ended without freeing its cache"
                 )
-            continue
-        if hasattr(owner, "live_slots"):
-            if owner.live_slots:
-                raise SanitizerError(
-                    f"arena not quiescent: {owner.live_slots} of {owner.slots} "
-                    "slot(s) still seated — a stream ended without freeing "
-                    "its fork"
-                )
-            continue
-        if owner.live_pages:
-            nonzero = [
-                page
-                for page in range(len(owner._refcounts))
-                if owner._refcounts[page] > 0
-            ]
+        elif owner.live_slots:
             raise SanitizerError(
-                f"pool not quiescent: {owner.live_pages} live page(s) with "
-                f"nonzero refcounts {nonzero[:8]}{'…' if len(nonzero) > 8 else ''}"
+                f"arena not quiescent: {owner.live_slots} of {owner.slots} "
+                "slot(s) still seated — a stream ended without freeing "
+                "its fork"
             )
 
 

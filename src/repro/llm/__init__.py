@@ -15,13 +15,6 @@ from repro.llm.config import (
     tiny_config,
 )
 from repro.llm.kv import KVCache, LayerKV, ModuleKV, buffered_concat
-from repro.llm.paged import (
-    PAGE_TOKENS,
-    PagePool,
-    PagedKVCache,
-    PagedLayerKV,
-    shared_batch_caches,
-)
 from repro.llm.models import TransformerModel, build_model
 from repro.llm.generation import (
     GenerationResult,
@@ -43,11 +36,6 @@ __all__ = [
     "LayerKV",
     "ModuleKV",
     "buffered_concat",
-    "PagedKVCache",
-    "PagedLayerKV",
-    "PagePool",
-    "PAGE_TOKENS",
-    "shared_batch_caches",
     "TransformerModel",
     "build_model",
     "GenerationResult",

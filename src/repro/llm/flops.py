@@ -85,78 +85,6 @@ def lm_head_flops(config: ModelConfig) -> int:
     return 2 * config.d_model * config.vocab_size
 
 
-# -- two-phase (ChunkAttention) decode accounting ------------------------------
-#
-# Decode attention on real hardware is memory-bandwidth bound: the cost
-# that matters is KV tokens *streamed from memory*, not multiply-adds
-# (each sequence's query is distinct, so the MAC count of the score and
-# context products is the same with or without sharing). These helpers
-# price the bandwidth-equivalent "effective FLOPs" of a batched decode
-# step — the score + context work attached to each KV token the kernel
-# actually streams. The two-phase path streams a shared chunk once per
-# *group* instead of once per *sequence*, which is exactly the quantity
-# ChunkAttention (arxiv 2402.15220) optimizes and what the scheduler's
-# decode_flops_saved_total reports (pinned in tests/test_flops.py).
-
-
-def decode_attention_stream_flops(
-    config: ModelConfig, kv_tokens: int, queries: int = 1
-) -> int:
-    """Effective attention cost of streaming ``kv_tokens`` cached keys
-    and values for ``queries`` single-token decoders: one score dot and
-    one context accumulation per query head per token."""
-    per_token = 2 * config.n_heads * config.head_dim  # Q . K per query head
-    per_token += 2 * config.n_heads * config.head_dim  # weights @ V
-    return per_token * kv_tokens * queries
-
-
-def two_phase_merge_flops(config: ModelConfig, queries: int = 1) -> int:
-    """Online-softmax merge overhead per merged sequence: rescaling the
-    exp-sums and the two partial context vectors (a few elementwise
-    passes over ``head_dim`` per head — noise next to the streams, but
-    counted so savings never read as free)."""
-    return 8 * config.n_heads * config.head_dim * queries
-
-
-def shared_decode_attention_flops(
-    config: ModelConfig, shared_len: int, private_lens: list[int]
-) -> int:
-    """Effective attention cost of one two-phase batched decode step for
-    a group of ``len(private_lens)`` sequences sharing ``shared_len`` KV
-    tokens: the shared chunk is streamed once for the whole group, each
-    private suffix once per owner, plus the per-sequence merge."""
-    group = len(private_lens)
-    shared = decode_attention_stream_flops(config, shared_len)
-    private = sum(
-        decode_attention_stream_flops(config, n) for n in private_lens
-    )
-    return shared + private + group * two_phase_merge_flops(config)
-
-
-def single_pass_decode_attention_flops(
-    config: ModelConfig, shared_len: int, private_lens: list[int]
-) -> int:
-    """The same step without sharing: every sequence streams the full
-    ``shared_len + private`` context itself."""
-    return sum(
-        decode_attention_stream_flops(config, shared_len + n)
-        for n in private_lens
-    )
-
-
-def shared_decode_flops_saved(
-    config: ModelConfig, shared_len: int, group_size: int
-) -> int:
-    """Effective attention FLOPs one two-phase group saves per decode
-    step versus the single-pass path, net of merge overhead — the
-    ``decode_flops_saved_total`` gauge's per-iteration increment.
-    Private-suffix streams cancel between the two paths, so only the
-    shared chunk's duplication factor and the merge enter."""
-    saved = (group_size - 1) * decode_attention_stream_flops(config, shared_len)
-    saved -= group_size * two_phase_merge_flops(config)
-    return max(saved, 0)
-
-
 # -- bytes --------------------------------------------------------------------
 
 

@@ -215,7 +215,7 @@ class LayerKV:
 class KVCache:
     """Whole-model KV cache: one :class:`LayerKV` per transformer layer."""
 
-    # Never seated in a tail arena (see repro.llm.paged.PagedKVCache.tail):
+    # Never seated in a tail arena (unlike repro.llm.paged.ForkCache.tail):
     # a batched decode step attends over the flat cache itself.
     tail = None
 

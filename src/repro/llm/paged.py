@@ -22,17 +22,13 @@ serving path keeps exactly the pointers:
   loop over caches (see
   :func:`repro.llm.attention.arena_decode_attention`).
 
-:class:`PagePool`, :class:`PagedLayerKV`, :class:`PagedKVCache` and
-:func:`shared_batch_caches` — fixed-size refcounted pages with
-copy-on-write of the last partial page — remain as the subject of the
-page-sharing benchmarks (``bench_paged_sharing.py``,
-``bench_abl_page_size.py``); nothing that serves uses them.
+Nothing is paged or refcounted: sharing is by reference, and
+:func:`physical_bytes` counts each shared array once.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,16 +37,14 @@ from repro.llm.config import ModelConfig
 from repro.llm.kv import LayerKV, ModuleKV, tracked_alloc
 from repro.llm.layers import DTYPE
 
-PAGE_TOKENS = 16
-
-# Optional refcount auditor (repro.analysis.sanitize). None in
+# Optional fork and seat auditor (repro.analysis.sanitize). None in
 # production: each hook site is a single is-None check.
 _AUDITOR = None
 
 
 def set_page_auditor(auditor) -> None:
     """Install (or clear, with ``None``) the sanitizer auditor that
-    shadows page refcounts, base forks and arena seats."""
+    shadows base forks and arena seats."""
     global _AUDITOR
     _AUDITOR = auditor
 
@@ -248,7 +242,7 @@ class ForkCache:
         if self.tail is not None:
             self.tail.release()
             self.tail = None
-        self.layers = []  # the tails go with them, by refcount
+        self.layers = []  # the tails go with them
         self.base._unfork()
 
 
@@ -408,315 +402,3 @@ class ArenaTail:
         if self.slot >= 0:
             self.arena._release(self.slot)
             self.slot = -1
-
-
-# -- fixed-size pages (the page-sharing benchmarks' subject) -------------------
-
-
-@dataclass
-class PoolStats:
-    pages_allocated: int = 0
-    pages_freed: int = 0
-    peak_live_pages: int = 0
-    cow_copies: int = 0
-    mirror_gathers: int = 0
-
-
-class PagePool:
-    """Allocator of fixed-size KV pages for one layer shape: each page
-    owns ``(n_kv_heads, page_tokens, head_dim)`` storage, refcounted and
-    recycled through a free list."""
-
-    def __init__(
-        self, n_kv_heads: int, head_dim: int, page_tokens: int = PAGE_TOKENS
-    ) -> None:
-        if page_tokens < 1:
-            raise ValueError("page_tokens must be positive")
-        self.n_kv_heads = n_kv_heads
-        self.head_dim = head_dim
-        self.page_tokens = page_tokens
-        self._keys: list[np.ndarray] = []
-        self._values: list[np.ndarray] = []
-        self._positions: list[np.ndarray] = []
-        self._used: list[int] = []  # tokens filled per page
-        self._refcounts: list[int] = []
-        self._free: list[int] = []  # released pages, storage kept
-        self.stats = PoolStats()
-
-    def allocate(self) -> int:
-        if self._free:
-            page = self._free.pop()
-        else:
-            page = len(self._keys)
-            shape = (self.n_kv_heads, self.page_tokens, self.head_dim)
-            self._keys.append(tracked_alloc(shape))
-            self._values.append(tracked_alloc(shape))
-            self._positions.append(np.empty(self.page_tokens, dtype=np.int64))
-            self._used.append(0)
-            self._refcounts.append(0)
-            self.stats.pages_allocated += 1
-        self._used[page] = 0
-        self._refcounts[page] = 1
-        self.stats.peak_live_pages = max(self.stats.peak_live_pages, self.live_pages)
-        if _AUDITOR is not None:
-            _AUDITOR.on_allocate(self, page)
-        return page
-
-    def retain(self, page: int) -> None:
-        if _AUDITOR is not None:
-            _AUDITOR.on_retain(self, page)
-        self._refcounts[page] += 1
-
-    def release(self, page: int) -> None:
-        if _AUDITOR is not None:
-            _AUDITOR.on_release(self, page)
-        self._refcounts[page] -= 1
-        if self._refcounts[page] == 0:
-            self._free.append(page)
-            self.stats.pages_freed += 1
-
-    def refcount(self, page: int) -> int:
-        return self._refcounts[page]
-
-    @property
-    def live_pages(self) -> int:
-        return len(self._keys) - len(self._free)
-
-    def physical_bytes(self) -> int:
-        """Bytes of live page storage (shared pages counted once)."""
-        return self.live_pages * self.page_tokens * _token_bytes(self.n_kv_heads, self.head_dim)
-
-    def write(self, page: int, offset: int, k, v, positions) -> int:
-        """Fill ``page`` from ``offset``; returns tokens written."""
-        count = min(self.page_tokens - offset, k.shape[1])
-        self._keys[page][:, offset : offset + count] = k[:, :count]
-        self._values[page][:, offset : offset + count] = v[:, :count]
-        self._positions[page][offset : offset + count] = positions[:count]
-        self._used[page] = offset + count
-        return count
-
-    def copy_page(self, page: int) -> int:
-        """Private duplicate of ``page`` (copy-on-write support)."""
-        fresh = self.allocate()
-        self._keys[fresh][:] = self._keys[page]
-        self._values[fresh][:] = self._values[page]
-        self._positions[fresh][:] = self._positions[page]
-        self._used[fresh] = self._used[page]
-        self.stats.cow_copies += 1
-        return fresh
-
-    def page_views(self, page: int, upto: int):
-        return (
-            self._keys[page][:, :upto],
-            self._values[page][:, :upto],
-            self._positions[page][:upto],
-        )
-
-
-class _Mirror:
-    """A paged sequence's own contiguous image, with spare capacity:
-    gathered from the pages at the first read, extended in place by
-    later appends."""
-
-    __slots__ = ("keys", "values", "positions", "length")
-
-    def __init__(self, n_kv_heads: int, head_dim: int, capacity: int) -> None:
-        self.keys, self.values = _image_buffers((n_kv_heads, capacity, head_dim))
-        self.positions = np.empty(capacity, dtype=np.int64)
-        self.length = 0
-
-    @property
-    def capacity(self) -> int:
-        return self.keys.shape[1]
-
-    @shape_contract(keys="(n_kv_heads, T, head_dim)", values="(n_kv_heads, T, head_dim)")
-    def extend(self, keys, values, positions) -> None:
-        end = self.length + keys.shape[1]
-        if end > self.capacity:
-            grown = _Mirror(self.keys.shape[0], self.keys.shape[2], max(end, 2 * self.capacity))
-            grown.extend(self.keys[:, : self.length], self.values[:, : self.length],
-                         self.positions[: self.length])
-            self.keys, self.values, self.positions = grown.keys, grown.values, grown.positions
-        self.keys[:, self.length : end] = keys
-        self.values[:, self.length : end] = values
-        self.positions[self.length : end] = positions
-        self.length = end
-
-
-# Spare capacity (tokens) built into a freshly gathered mirror.
-_MIRROR_HEADROOM = 64
-
-
-class PagedLayerKV:
-    """LayerKV-compatible store backed by a page table: ``fork()`` shares
-    pages between sequences, ``append()`` copies-on-write only a shared
-    final partial page. ``keys``/``values``/``positions`` read a private
-    :class:`_Mirror`."""
-
-    def __init__(self, pool: PagePool) -> None:
-        self.pool = pool
-        self.n_kv_heads = pool.n_kv_heads
-        self.head_dim = pool.head_dim
-        self._table: list[int] = []
-        self._length = 0
-        self._mirror: _Mirror | None = None
-        self.max_position = -1
-
-    def __len__(self) -> int:
-        return self._length
-
-    @property
-    def page_table(self) -> list[int]:
-        return list(self._table)
-
-    @shape_contract(keys="(n_kv_heads, T, head_dim)", values="(n_kv_heads, T, head_dim)")
-    def append(self, keys, values, positions) -> None:
-        added = keys.shape[1]
-        if values.shape[1] != added or len(positions) != added:
-            raise ValueError("keys, values and positions must agree on length")
-        offset = 0
-        while offset < added:
-            tail_used = self._length % self.pool.page_tokens
-            if self._table and tail_used != 0:
-                page = self._table[-1]
-                if self.pool.refcount(page) > 1:
-                    # Copy-on-write: the partial tail is shared with a
-                    # sibling sequence; take a private copy first.
-                    private = self.pool.copy_page(page)
-                    self.pool.release(page)
-                    self._table[-1] = private
-                    page = private
-            else:
-                page = self.pool.allocate()
-                self._table.append(page)
-                tail_used = 0
-            wrote = self.pool.write(
-                page, tail_used,
-                keys[:, offset:], values[:, offset:], positions[offset:],
-            )
-            offset += wrote
-            self._length += wrote
-        if added:
-            self.max_position = max(self.max_position, int(positions.max()))
-        if self._mirror is not None:
-            self._mirror.extend(keys, values, positions)
-
-    def fork(self) -> "PagedLayerKV":
-        """A new sequence sharing every current page (refcounted)."""
-        sibling = PagedLayerKV(self.pool)
-        sibling._table = list(self._table)
-        sibling._length = self._length
-        sibling.max_position = self.max_position
-        for page in sibling._table:
-            self.pool.retain(page)
-        return sibling
-
-    def free(self) -> None:
-        self._mirror = None
-        for page in self._table:
-            self.pool.release(page)
-        self._table = []
-        self._length = 0
-        self.max_position = -1
-
-    def _ensure_mirror(self) -> _Mirror:
-        if self._mirror is None:
-            mirror = _Mirror(self.n_kv_heads, self.head_dim, self._length + _MIRROR_HEADROOM)
-            remaining = self._length
-            for page in self._table:
-                upto = min(self.pool.page_tokens, remaining)
-                mirror.extend(*self.pool.page_views(page, upto))
-                remaining -= upto
-            self.pool.stats.mirror_gathers += 1
-            self._mirror = mirror
-        return self._mirror
-
-    @property
-    def keys(self) -> np.ndarray:
-        return self._ensure_mirror().keys[:, : self._length]
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._ensure_mirror().values[:, : self._length]
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self._ensure_mirror().positions[: self._length]
-
-    @property
-    def parts(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(self.keys, self.values)]
-
-    def nbytes(self) -> int:
-        """This sequence's *logical* bytes (shared pages fully charged)."""
-        return self._length * _token_bytes(self.n_kv_heads, self.head_dim)
-
-
-class PagedKVCache:
-    """Whole-model paged cache: one :class:`PagedLayerKV` per layer.
-    Satisfies the engine's cache interface, so ``model.forward`` and
-    ``decode_loop`` run on it unchanged; never seated in an arena."""
-
-    tail = None
-
-    def __init__(self, layers: list[PagedLayerKV], pools: list[PagePool]) -> None:
-        self.layers = layers
-        self.pools = pools
-
-    @classmethod
-    def empty(
-        cls,
-        config: ModelConfig,
-        pools: list[PagePool] | None = None,
-        page_tokens: int = PAGE_TOKENS,
-    ) -> "PagedKVCache":
-        pools = pools or [
-            PagePool(config.n_kv_heads, config.head_dim, page_tokens)
-            for _ in range(config.n_layers)
-        ]
-        return cls([PagedLayerKV(pool) for pool in pools], pools)
-
-    @classmethod
-    def from_module_kvs(
-        cls, config: ModelConfig, modules: list[ModuleKV],
-        pools: list[PagePool] | None = None,
-        page_tokens: int = PAGE_TOKENS,
-    ) -> "PagedKVCache":
-        """Copy module states, in order, into a fresh paged cache."""
-        cache = cls.empty(config, pools, page_tokens)
-        for kv in modules:
-            if len(kv):
-                for i, layer in enumerate(cache.layers):
-                    layer.append(kv.keys[i], kv.values[i], kv.positions)
-        return cache
-
-    def __len__(self) -> int:
-        return len(self.layers[0]) if self.layers else 0
-
-    def fork(self) -> "PagedKVCache":
-        return PagedKVCache([layer.fork() for layer in self.layers], self.pools)
-
-    def free(self) -> None:
-        for layer in self.layers:
-            layer.free()
-
-    def physical_bytes(self) -> int:
-        return sum(pool.physical_bytes() for pool in self.pools)
-
-    def logical_bytes(self) -> int:
-        return sum(layer.nbytes() for layer in self.layers)
-
-
-def shared_batch_caches(
-    config: ModelConfig, modules: list[ModuleKV], batch_size: int,
-    page_tokens: int = PAGE_TOKENS,
-) -> tuple[list[PagedKVCache], PagedKVCache]:
-    """Per-request caches all sharing one physical copy of ``modules``.
-
-    Returns (request caches, the base cache). Every request cache forks the
-    base: module pages are shared (refcounted); each request's subsequent
-    appends (uncached text, generated tokens) copy-on-write only the final
-    partial page and then extend privately — the §3.4 picture in pages.
-    """
-    base = PagedKVCache.from_module_kvs(config, modules, page_tokens=page_tokens)
-    return [base.fork() for _ in range(batch_size)], base

@@ -136,7 +136,6 @@ class LiveServer:
         self._queue_labels: set[str] = set()
         self._last_done_at: float | None = None
         self._decode_rate_ewma = 0.0
-        self._flops_saved_total = 0  # ChunkAttention savings accumulator
         self._wire_store_metrics()
 
     @property
@@ -576,21 +575,15 @@ class LiveServer:
         if outcome.shared_group_sizes:
             group_size = self.metrics.histogram(
                 "decode_shared_group_size",
-                "sequences per shared-prefix attention group (two-phase path)",
+                "seated forks per shared base in a batched decode step",
                 buckets=BATCH_SIZE_BUCKETS,
             )
             for size in outcome.shared_group_sizes:
                 group_size.observe(size)
             self.metrics.counter(
                 "decode_shared_kv_tokens_total",
-                "KV tokens streamed once per shared chunk in two-phase decode",
+                "KV tokens streamed once per shared base in batched decode",
             ).inc(outcome.shared_kv_tokens)
-            self._flops_saved_total += outcome.flops_saved
-            self.metrics.gauge(
-                "decode_flops_saved_total",
-                "cumulative effective attention FLOPs saved by shared-prefix "
-                "(ChunkAttention) grouping",
-            ).set(self._flops_saved_total)
         if outcome.elapsed_s > 0:
             alpha = self.options.service_time_alpha
             rate = outcome.tokens / outcome.elapsed_s

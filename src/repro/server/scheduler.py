@@ -70,7 +70,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.llm.flops import shared_decode_flops_saved
 from repro.llm.paged import TailArena
 from repro.server.request import LiveRequest
 
@@ -129,16 +128,14 @@ class IterationOutcome:
     decode_batch: int = 0  # sequences in this iteration's batched forward
     active_after: int = 0
     elapsed_s: float = 0.0
-    # ChunkAttention share-factor picture for this iteration's decode
-    # step, read off who held an arena seat in it: sizes of the seated
-    # groups, KV tokens streamed once per shared chunk vs per sequence
-    # (private tails and whole unseated caches — counted on every step,
-    # grouped or not), and the effective attention FLOPs the sharing
-    # saved (see repro.llm.flops.shared_decode_flops_saved).
+    # Share-factor picture for this iteration's decode step, read off
+    # who held an arena seat in it: sizes of the seated groups, and KV
+    # tokens streamed once per shared base vs per sequence (private
+    # tails and whole unseated caches — counted on every step, grouped
+    # or not).
     shared_group_sizes: list[int] = field(default_factory=list)
     shared_kv_tokens: int = 0
     private_kv_tokens: int = 0
-    flops_saved: int = 0
 
 
 class ContinuousScheduler:
@@ -406,15 +403,12 @@ class ContinuousScheduler:
         off residency: KV tokens streamed once per shared chunk (a
         planned group's members that hold a seat) vs per sequence
         (arena tails and whole unseated caches, this step's token
-        included), and the effective attention FLOPs the grouping saved."""
+        included)."""
         for members, length in shared_groups:
             seated = sum(forward[i].stream.cache.tail is not None for i in members)
             if seated:
                 outcome.shared_group_sizes.append(seated)
                 outcome.shared_kv_tokens += length
-                outcome.flops_saved += shared_decode_flops_saved(
-                    self.pc.model.config, length, seated
-                )
         for seq in forward:
             cache = seq.stream.cache
             outcome.private_kv_tokens += len(cache if cache.tail is None else cache.tail)

@@ -2,8 +2,8 @@
 built once per session so the suite stays fast.
 
 With ``REPRO_SANITIZE=1`` in the environment the whole suite runs under
-the runtime sanitizers (:mod:`repro.analysis.sanitize`): page
-refcount/lease auditing, splice-plan validation, and shape-contract
+the runtime sanitizers (:mod:`repro.analysis.sanitize`): fork and
+seat auditing, splice-plan validation, and shape-contract
 enforcement — any violation fails the offending test at the faulting
 call."""
 

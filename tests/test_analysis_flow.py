@@ -23,15 +23,12 @@ def lock_findings(*sources: str):
     return LockOrderRule().check_project(modules)
 
 
-# A pool class that mints page leases by resolution (PagePool.allocate
-# is a seeded acquire) and releases them by argument.
-POOL = """\
-class PagePool:
-    def allocate(self):
+# An arena that mints seat leases by resolution (TailArena.seat is a
+# seeded acquire); the handle it returns is released by its release().
+ARENA = """\
+class TailArena:
+    def seat(self, cache):
         return object()
-
-    def release(self, page):
-        pass
 """
 
 
@@ -83,32 +80,32 @@ def serve(pool, model):
         assert lease_findings(src) == []
 
     def test_double_release(self):
-        src = POOL + """\
-def use(pool):
-    page = pool.allocate()
-    pool.release(page)
-    pool.release(page)
+        src = ARENA + """\
+def use(arena, cache):
+    tail = arena.seat(cache)
+    tail.release()
+    tail.release()
 """
         messages = [f.message for f in lease_findings(src)]
-        assert any("double release of 'page'" in m for m in messages)
+        assert any("double release of 'tail'" in m for m in messages)
 
     def test_use_after_release(self):
-        src = POOL + """\
-def use(pool):
-    page = pool.allocate()
-    pool.release(page)
-    page.write()
+        src = ARENA + """\
+def use(arena, cache):
+    tail = arena.seat(cache)
+    tail.release()
+    tail.kv(0)
 """
         messages = [f.message for f in lease_findings(src)]
-        assert any("use of 'page'" in m for m in messages)
+        assert any("use of 'tail'" in m for m in messages)
 
     def test_lease_returned_by_helper_leaks_in_the_caller(self):
-        src = POOL + """\
-def make(pool):
-    return pool.allocate()
+        src = ARENA + """\
+def make(arena, cache):
+    return arena.seat(cache)
 
-def outer(pool):
-    page = make(pool)
+def outer(arena, cache):
+    tail = make(arena, cache)
 """
         findings = lease_findings(src)
         assert any(
@@ -119,15 +116,45 @@ def outer(pool):
         assert not any("make" in f.message for f in findings)
 
     def test_release_through_helper_is_clean(self):
-        src = POOL + """\
-def free_it(pool, page):
-    pool.release(page)
+        src = ARENA + """\
+def give_back(tail):
+    tail.release()
 
-def outer(pool):
-    page = pool.allocate()
-    free_it(pool, page)
+def outer(arena, cache):
+    tail = arena.seat(cache)
+    give_back(tail)
 """
         assert lease_findings(src) == []
+
+    def test_leaked_seat_is_seeded(self):
+        """``TailArena.seat`` mints a lease by resolution: a seat that is
+        never released is a leak, though ``seat`` returns a plain value."""
+        src = ARENA + """\
+def decode(arena, cache, model):
+    tail = arena.seat(cache)
+    model.step()
+"""
+        assert any(
+            "seat lease" in f.message and "never released" in f.message
+            for f in lease_findings(src)
+        )
+
+    def test_leaked_fork_is_seeded(self):
+        """``fork`` mints a lease by name, even when the base's class
+        resolves and its ``fork`` returns a plain value."""
+        src = """\
+class SplicedKV:
+    def fork(self):
+        return object()
+
+def serve(base, model):
+    cache = base.fork()
+    model.prefill()
+"""
+        assert any(
+            "fork lease" in f.message and "never released" in f.message
+            for f in lease_findings(src)
+        )
 
     def test_escape_into_container_transfers_ownership(self):
         src = """\

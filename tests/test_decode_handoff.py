@@ -14,9 +14,10 @@ tails to the arena.
   mid-iteration or mid-burst, or expires a queued request meanwhile; a
   closed loop ends the burst without failing anyone;
   ``inline_execution`` behaves as it always did.
-- **Slot lifecycle.** Under the page auditor, hundreds of admissions
-  through the real engine with retirements, injected failures and
-  ``abort_all`` leave every arena row free and every page pool balanced.
+- **Slot lifecycle.** Under the fork and seat auditor, hundreds of
+  admissions through the real engine with retirements, injected failures
+  and ``abort_all`` leave every arena row free and every base's forks
+  balanced.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ calls it makes does not. One scheduler iteration with streams decoding
 over one 512-token base, on the benchmark's model shape (four layers),
 is profiled with ``sys.setprofile``:
 
-- sixteen streams cost at most 950 call events (measured 888; the
+- sixteen streams cost at most 950 call events (measured 873; the
   chunk-phase-plus-merge kernel this replaced made 1,012, the
   per-sequence two-phase loop before it ~4.8 k);
 - the per-layer kernel costs at most 30 call events a layer (measured
@@ -117,7 +117,7 @@ def test_seated_streams_never_append_to_their_pages(pc):
 
 def test_unseated_streams_cost_under_500_and_1050_calls(pc):
     one, four = (profile_iteration(pc, n, distinct=True) for n in (1, DISTINCT))
-    if not contracts_enforced():  # the page auditor hooks every paged append
+    if not contracts_enforced():  # shape contracts wrap every tail append
         assert one["all"] <= 500 and four["all"] <= 1050, (one, four)
     assert one["kernel"] == four["kernel"] == 0
     # Projections are per step; only attention is per sequence.

@@ -360,7 +360,7 @@ class TestServeBatch:
             assert result.output_ids == solo.output_ids
 
     def test_memory_shared_within_group(self, llama, tok):
-        # Sharing is page-granular: use a module spanning many pages.
+        # A long module: the shared base dominates the batch's bytes.
         long_doc = "the quick brown fox jumps over the lazy dog . " * 12
         pc = PromptCache(llama, tok, template=PLAIN_TEMPLATE)
         pc.register_schema(

@@ -94,35 +94,6 @@ class TestModelFlops:
         assert F.mlp_flops(gelu, 10) == 2 * 2 * 10 * llama.d_model * llama.d_ff
 
 
-class TestTwoPhaseFlops:
-    """Pins for the ChunkAttention effective-FLOP accounting that feeds
-    the decode_flops_saved_total gauge and the ablation benchmark."""
-
-    TINY = tiny_config("llama")  # 4 heads of dim 16
-
-    def test_stream_and_merge_pinned(self):
-        assert F.decode_attention_stream_flops(self.TINY, 100) == 25_600
-        assert F.decode_attention_stream_flops(self.TINY, 100, queries=3) == 76_800
-        assert F.two_phase_merge_flops(self.TINY) == 512
-
-    def test_shared_step_cheaper_and_consistent(self):
-        shared = F.shared_decode_attention_flops(self.TINY, 40, [2, 3, 4])
-        single = F.single_pass_decode_attention_flops(self.TINY, 40, [2, 3, 4])
-        assert shared == 14_080
-        assert single == 33_024
-        # The gauge's increment is exactly the two paths' difference
-        # (private streams cancel; only chunk duplication and the merge
-        # overhead remain).
-        assert single - shared == F.shared_decode_flops_saved(self.TINY, 40, 3)
-
-    def test_saved_pinned_and_floored_at_zero(self):
-        assert F.shared_decode_flops_saved(self.TINY, 40, 16) == 145_408
-        # A trivial share can cost more in merges than it saves in
-        # streaming; the policy metric never goes negative.
-        assert F.shared_decode_flops_saved(self.TINY, 1, 2) == 0
-        assert F.shared_decode_flops_saved(self.TINY, 40, 1) == 0
-
-
 class TestBytes:
     def test_kv_bytes_matches_table2_accounting(self):
         assert F.kv_bytes(LLAMA7B, 1000) == 1000 * LLAMA7B.kv_bytes_per_token()

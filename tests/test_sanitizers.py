@@ -1,5 +1,5 @@
 """REPRO_SANITIZE runtime sanitizers: the auditor catches deliberate
-refcount, fork and seat abuse, the plan/layout validators accept every real plan
+fork and seat abuse, the plan/layout validators accept every real plan
 and reject tampered ones, and shape contracts flag mis-ranked tensors."""
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from repro.analysis.sanitize import (
 )
 from repro.cache.engine import PromptCache
 from repro.cache.layout import layout_schema
-from repro.llm.kv import ModuleKV
-from repro.llm.paged import PagePool, PagedLayerKV, SplicedKV, TailArena
+from repro.llm.kv import LayerKV, ModuleKV
+from repro.llm.paged import SplicedKV, TailArena
 from repro.pml import PLAIN_TEMPLATE
 from repro.pml.schema import Schema
 
@@ -72,57 +72,6 @@ class TestEnvFlag:
         assert sanitize.active_auditor() is auditor
 
 
-class TestPageAuditor:
-    def test_double_release_raises(self, auditor):
-        pool = PagePool(2, 4)
-        page = pool.allocate()
-        pool.release(page)
-        with pytest.raises(SanitizerError, match="double release"):
-            pool.release(page)
-        assert auditor.errors_raised == 1
-
-    def test_retain_after_free_raises(self, auditor):
-        pool = PagePool(2, 4)
-        page = pool.allocate()
-        pool.release(page)
-        with pytest.raises(SanitizerError, match="retain of freed page"):
-            pool.retain(page)
-
-    def test_balanced_fork_free_passes(self, auditor):
-        pool = PagePool(2, 4)
-        layer = PagedLayerKV(pool)
-        with auditor.expect_balanced(pool):
-            layer.append(block(5), block(5), np.arange(5))
-            sibling = layer.fork()
-            sibling.append(block(3), block(3), np.arange(5, 8))
-            sibling.free()
-            layer.free()
-        assert_quiescent(pool)
-
-    def test_leaked_fork_raises(self, auditor):
-        pool = PagePool(2, 4)
-        layer = PagedLayerKV(pool)
-        with pytest.raises(SanitizerError, match="page leak"):
-            with auditor.expect_balanced(pool):
-                layer.append(block(5), block(5), np.arange(5))
-                layer.fork()  # dropped without free()
-                layer.free()
-        # The fork's pages are still live — quiescence also fails.
-        with pytest.raises(SanitizerError, match="not quiescent"):
-            assert_quiescent(pool)
-
-    def test_normal_lifecycle_is_silent(self, auditor):
-        pool = PagePool(2, 4)
-        layer = PagedLayerKV(pool)
-        layer.append(block(9), block(9), np.arange(9))
-        sibling = layer.fork()
-        sibling.append(block(2), block(2), np.arange(9, 11))
-        layer.free()
-        sibling.free()
-        assert_quiescent(pool)
-        assert auditor.errors_raised == 0
-
-
 def one_layer_base(tokens=6):
     """A one-layer base over one module of ``block(tokens)``."""
     config = SimpleNamespace(n_layers=1, n_kv_heads=2, head_dim=4)
@@ -131,9 +80,8 @@ def one_layer_base(tokens=6):
 
 
 class TestForkLedger:
-    """The spliced-base half of the auditor: every fork a base hands out
-    comes back exactly once, and an arena row is seated by one fork at a
-    time."""
+    """Every fork a base hands out comes back exactly once, and an arena
+    row is seated by one fork at a time."""
 
     def test_double_free_of_a_fork_raises(self, auditor):
         base, _ = one_layer_base()
@@ -166,6 +114,31 @@ class TestForkLedger:
             second.free()
         assert_quiescent(base, arena)
         assert auditor.errors_raised == 0
+
+    def test_balanced_seats_pass_on_an_arena(self, auditor):
+        """``expect_balanced`` and ``live`` read an arena's seat ledger:
+        seats given back inside the region balance it."""
+        base, config = one_layer_base()
+        arena = TailArena(config, slots=2)
+        with auditor.expect_balanced(arena):
+            forks = [base.fork(), base.fork()]
+            for fork in forks:
+                arena.seat(fork)
+            assert auditor.live(arena) == 2
+            for fork in forks:
+                fork.free()
+        assert auditor.live(arena) == 0
+        assert_quiescent(arena)
+        assert auditor.errors_raised == 0
+
+    def test_leaked_seat_raises(self, auditor):
+        base, config = one_layer_base()
+        arena = TailArena(config, slots=2)
+        with pytest.raises(SanitizerError, match="seat leak"):
+            with auditor.expect_balanced(arena):
+                arena.seat(base.fork())  # the fork is never freed
+        with pytest.raises(SanitizerError, match="arena not quiescent"):
+            assert_quiescent(arena)
 
 
 def stub_module(positions, params=None, slots=None):
@@ -293,12 +266,11 @@ class TestShapeContracts:
                 return keys
 
     def test_real_append_under_contracts(self, auditor):
-        pool = PagePool(2, 4)
-        layer = PagedLayerKV(pool)
+        layer = LayerKV(2, 4)
         with pytest.raises(ContractViolation):
             layer.append(block(5)[0], block(5)[0], np.arange(5))  # rank 2
         layer.append(block(5), block(5), np.arange(5))
-        layer.free()
+        assert len(layer) == 5
 
 
 DOC = (
