@@ -410,6 +410,8 @@ class NoWriteToMappedRule(ProjectRule):
             if isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for target in targets:
+                    if isinstance(node, ast.Assign) and not isinstance(target, ast.Subscript):
+                        continue  # rebinding the attribute writes into no array
                     arena = self._arena_expr(target)
                     if arena is not None:
                         findings.append(self._flag(module, node, arena, "subscript store"))

@@ -1,13 +1,15 @@
 """Paper-style table and series rendering for the benchmark harness.
 
-Each benchmark prints its table to stdout *and* appends it to
-``benchmarks/results/<name>.txt`` so the regenerated rows survive pytest's
-output capture. EXPERIMENTS.md points at these files.
+Each benchmark prints its table to stdout *and* writes it to
+``benchmarks/results/<name>.txt``, headed by the commit that produced it,
+so the regenerated rows survive pytest's output capture. EXPERIMENTS.md
+points at these files.
 """
 
 from __future__ import annotations
 
 import os
+import subprocess
 from pathlib import Path
 
 RESULTS_DIR = Path(
@@ -44,11 +46,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _commit() -> str:
+    """The checkout's commit, ``-dirty`` when tracked files differ from it."""
+    try:
+        done = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=12"],
+            cwd=Path(__file__).resolve().parent, capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return done.stdout.strip() if done.returncode == 0 else "unknown"
+
+
 def emit(name: str, text: str) -> str:
-    """Print a report block and persist it under benchmarks/results/."""
+    """Print a report block and persist it under benchmarks/results/,
+    headed by the producing commit."""
     print("\n" + text)
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    (RESULTS_DIR / f"{name}.txt").write_text(f"commit: {_commit()}\n{text}\n")
     return text
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cache.layout import ModuleLayout, ParamSlot
-from repro.llm.kv import ModuleKV, tracked_alloc
+from repro.llm.kv import KVCache, LayerKV, ModuleKV, alloc_keys, tracked_alloc
 from repro.llm.models import TransformerModel
 
 
@@ -32,7 +32,7 @@ def _arena_from_cache(cache, start: int, stop: int, positions) -> ModuleKV:
     n_layers = len(cache.layers)
     first = cache.layers[0]
     shape = (n_layers, first.n_kv_heads, stop - start, first.head_dim)
-    key_arena = tracked_alloc(shape)
+    key_arena = alloc_keys(shape)
     value_arena = tracked_alloc(shape)
     for i, layer in enumerate(cache.layers):
         key_arena[i] = layer.keys[:, start:stop, :]
@@ -46,14 +46,21 @@ def encode_module(model: TransformerModel, layout: ModuleLayout) -> ModuleKV:
     The result is **arena-backed**: one contiguous
     ``(n_layers, n_kv_heads, T, head_dim)`` tensor per side, so the splice
     phase can copy the whole module in one memcpy (see
-    :class:`~repro.llm.kv.ModuleKV`).
+    :class:`~repro.llm.kv.ModuleKV`). The arenas are the encode's own
+    cache: each layer adopts its slice, and the forward fills them.
     """
     n = len(layout.token_ids)
     if n == 0:
         return _empty_module_kv(model)
-    cache = model.new_cache(capacity=n)
+    cfg = model.config
+    shape = (cfg.n_layers, cfg.n_kv_heads, n, cfg.head_dim)
+    key_arena, value_arena = alloc_keys(shape), tracked_alloc(shape)
+    cache = KVCache([
+        LayerKV.adopt(key_arena[i], value_arena[i], np.empty(n, dtype=np.int64), 0)
+        for i in range(cfg.n_layers)
+    ])
     model.forward(layout.token_ids, layout.positions, cache, logits=False)
-    return _arena_from_cache(cache, 0, n, layout.positions)
+    return ModuleKV.from_arenas(key_arena, value_arena, layout.positions.copy())
 
 
 def encode_scaffold(
@@ -100,18 +107,31 @@ def drop_param_slots(
     for slot in slots:
         keep[slot.offset : slot.offset + slot.length] = False
     if module_kv.is_arena:
-        # One fancy-index over the token axis drops the slots from every
-        # layer at once, keeping the result arena-backed (contiguous).
+        # Each side is indexed once over the token axis for every layer,
+        # keeping the result arena-backed (contiguous).
         return ModuleKV.from_arenas(
-            module_kv.key_arena[:, :, keep, :],
+            _kept_keys(module_kv.key_arena, keep),
             module_kv.value_arena[:, :, keep, :],
             module_kv.positions[keep],
         )
     return ModuleKV(
-        keys=[k[:, keep, :] for k in module_kv.keys],
+        keys=[_kept_keys(k, keep) for k in module_kv.keys],
         values=[v[:, keep, :] for v in module_kv.values],
         positions=module_kv.positions[keep],
     )
+
+
+def _kept_keys(keys: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``keys[..., keep, :]`` in a fresh head_dim-major buffer, one slice
+    copy per run of kept tokens: a fancy index would lay the result out
+    anew, and ``np.compress`` into the strided buffer is 4-5x slower."""
+    out = alloc_keys(keys.shape[:-2] + (int(keep.sum()), keys.shape[-1]), keys.dtype)
+    edges = np.flatnonzero(np.diff(keep, prepend=False, append=False))
+    at = 0
+    for start, stop in zip(edges[::2], edges[1::2]):
+        out[..., at : at + stop - start, :] = keys[..., start:stop, :]
+        at += stop - start
+    return out
 
 
 def _empty_module_kv(model: TransformerModel) -> ModuleKV:

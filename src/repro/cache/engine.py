@@ -41,9 +41,9 @@ from repro.cache.layout import ModuleLayout, SchemaLayout, layout_schema
 from repro.cache.storage import CacheKey, ModuleCacheStore, SOLO_VARIANT
 from repro.llm.generation import GenerationResult, decode_loop, generate
 from repro.llm.sampling import GreedySampler
-from repro.llm.kv import KVCache, LayerKV, ModuleKV, tracked_alloc
+from repro.llm.kv import KVCache, LayerKV, ModuleKV, alloc_keys, tracked_alloc
 from repro.llm.models import TransformerModel
-from repro.llm.paged import IMAGE_AT_FORK, ForkCache, SplicedKV, physical_bytes
+from repro.llm.paged import ForkCache, SplicedKV, physical_bytes
 from repro.pml.chat import ChatTemplate, template_for_architecture
 from repro.pml.errors import SchemaMismatchError, UnknownSchemaError
 from repro.pml.parser import parse_prompt
@@ -132,7 +132,7 @@ class BatchServeResult:
     """Batch outcome plus the §3.4 memory picture."""
 
     results: list[ServeResult]
-    physical_bytes: int  # distinct parts and images once, plus every tail
+    physical_bytes: int  # distinct parts once, plus every tail
     duplicated_bytes: int  # what per-request private caches would cost
     shared_groups: int  # distinct module sequences in the batch
 
@@ -181,9 +181,8 @@ class ServeStream:
     GEMMs round, only the loop structure differs.
 
     Where the stream's KV lives: the spliced prefix is the shared base —
-    its modules' K/V read in place, or its image once a second stream
-    has forked it; the prefilled suffix is appended to the fork's
-    private flat tail. A scheduler that batches decode over a
+    its modules' K/V read in place — and the prefilled suffix is appended
+    to the fork's private flat tail. A scheduler that batches decode over a
     :class:`~repro.llm.paged.TailArena` calls :meth:`seat_tail` at the
     stream's first decode step, which moves the tail into an arena row;
     from then on decoded tokens are appended there, and
@@ -453,15 +452,12 @@ class _SplicedBase:
     token count, and ``sources`` the very store objects the base was
     built from: a fork is a hit only while the store still serves those
     objects, so a module re-encoded or paged in again rebuilds the base.
-    ``lifetime_forks`` counts every fork the base ever handed out; the
-    ``IMAGE_AT_FORK``-th copies it into an image.
     """
 
     kv: SplicedKV
     entries: list[tuple[CacheKey, int]]
     sources: tuple
     module_names: frozenset[str]
-    lifetime_forks: int = 0
 
 
 class _ModuleIndex:
@@ -763,7 +759,7 @@ class PromptCache:
     def _batch_result(self, held: list[ServeStream]) -> BatchServeResult:
         """Finish a batch of completed streams. The §3.4 memory picture
         is read first, while every fork still holds its tail: the
-        distinct parts and images the forks read, once, plus the tails."""
+        distinct parts the forks read, once, plus the tails."""
         forked = [s for s in held if s.shared_group is not None]
         bases = {id(s.shared_group) for s in forked}
         physical = physical_bytes([s.cache for s in forked])
@@ -1405,8 +1401,7 @@ class PromptCache:
         store since it was built) and was built from the very objects
         the lookups returned, and it is forked under the same lock hold.
         On a miss the base is built from the records — parts read in
-        place, nothing copied — and kept for subsequent requests. The
-        ``IMAGE_AT_FORK``-th fork of a base copies it into an image.
+        place, nothing copied — and kept for subsequent requests.
         Returns ``(fork, base, tier_tokens)``; ``capacity`` is the tail
         room the fork allocates at its first append. The base object is
         the ChunkAttention grouping key.
@@ -1421,7 +1416,7 @@ class PromptCache:
                 self.plan_stats.base_hits += 1
                 for (_, tier, _, _), (_, count) in zip(records, base.entries):
                     tier_tokens[tier] += count
-                return self._fork_base(base, capacity), base, tier_tokens
+                return base.kv.fork(capacity), base, tier_tokens
         module_kvs = self._module_kvs(records)
         entries = [(cache_key, len(kv)) for (cache_key, *_), kv in zip(records, module_kvs)]
         for (_, tier, _, _), kv in zip(records, module_kvs):
@@ -1440,14 +1435,7 @@ class PromptCache:
             self._base_index.add(key, key[0], base.module_names)
             while len(self._bases) > self.base_cache_size:
                 self._pop_base(next(iter(self._bases)))
-            return self._fork_base(base, capacity), base, tier_tokens
-
-    def _fork_base(self, base: _SplicedBase, capacity: int) -> ForkCache:
-        with self._fastpath_lock:  # re-entrant: callers hold it
-            base.lifetime_forks += 1
-            if base.lifetime_forks == IMAGE_AT_FORK:
-                base.kv.to_image()
-            return base.kv.fork(capacity)
+            return base.kv.fork(capacity), base, tier_tokens
 
     def _free_fork(self, cache) -> None:
         with self._fastpath_lock:
@@ -1474,7 +1462,7 @@ def _arena_splice(
     total = sum(len(kv) for kv in module_kvs)
     capacity = max(total + extra_capacity, 1)
     shape = (config.n_layers, config.n_kv_heads, capacity, config.head_dim)
-    key_arena = tracked_alloc(shape)
+    key_arena = alloc_keys(shape)
     value_arena = tracked_alloc(shape)
     positions = np.empty(capacity, dtype=np.int64)
     offset = 0

@@ -4,7 +4,10 @@ Encoding a module costs a full prefill of its text; serving systems want
 those states to survive restarts. ``save_store`` writes a
 :class:`~repro.cache.storage.ModuleCacheStore`'s entries to a directory
 in one format (v2): each raw module's layer-major key/value arenas as
-plain ``.npy`` payloads that a reader can ``np.memmap``, codec-compressed
+plain ``.npy`` payloads that a reader can ``np.memmap`` — the key file is
+the key arena's own memory, ``(n_layers, n_kv_heads, head_dim, T)``,
+which the record labels ``key_layout`` (a record without the label, or a
+v1 one, is copied into that layout when read) — codec-compressed
 entries in an npz container (their tensors are rebuilt on decode anyway),
 and an ``index.json`` naming them — every file written under a temporary
 name and renamed into place.
@@ -72,7 +75,7 @@ from zipfile import BadZipFile
 import numpy as np
 
 from repro.cache.compress import CompressedModuleKV
-from repro.llm.kv import ModuleKV
+from repro.llm.kv import KEY_LAYOUT, ModuleKV
 
 if TYPE_CHECKING:  # the store pages in through this module: import at use
     from repro.cache.storage import CacheKey, ModuleCacheStore
@@ -211,7 +214,7 @@ def _save_entry_v2(directory: Path, key: CacheKey, payload) -> dict:
     if isinstance(payload, ModuleKV):
         key_arena, value_arena = _raw_arenas(payload)
         parts = {
-            "keys": np.ascontiguousarray(key_arena),
+            "keys": np.ascontiguousarray(key_arena.swapaxes(-2, -1)),
             "values": np.ascontiguousarray(value_arena),
             "positions": np.ascontiguousarray(payload.positions),
         }
@@ -227,7 +230,7 @@ def _save_entry_v2(directory: Path, key: CacheKey, payload) -> dict:
             info["dtype"] = array.dtype.str
             info["offset"] = info["nbytes"] - array.nbytes
             files[part] = info
-        return {"kind": _ARENA_KIND, "files": files}
+        return {"kind": _ARENA_KIND, "key_layout": KEY_LAYOUT, "files": files}
     info = _write_atomic(
         directory / f"{stem}.npz", lambda handle: _save_npz(handle, payload)
     )
@@ -461,6 +464,8 @@ def _load_entry_v2(directory, record: dict, ledger: VerifyLedger | None):
             return _load_npz(handles["payload"], record)
         files = record["files"]
         key_arena = _read_part(handles["keys"], files["keys"], mapped)
+        if record.get("key_layout") == KEY_LAYOUT:
+            key_arena = key_arena.swapaxes(-2, -1)
         value_arena = _read_part(handles["values"], files["values"], mapped)
         # Positions are tiny and hot (every splice reads them) — always eager.
         positions = _read_part(handles["positions"], files["positions"], False)

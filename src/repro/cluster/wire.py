@@ -18,12 +18,16 @@ This module defines the byte format both ends speak:
   The reply is one META frame (JSON header: schema/module/variant, payload
   kind — ``raw`` :class:`~repro.llm.kv.ModuleKV` or a codec name for
   :class:`~repro.cache.compress.CompressedModuleKV` — per-segment dtype and
-  shape, total byte count, xxh64 checksum), then the segments' bytes as
+  shape, total byte count, xxh64 checksum, and for raw keys their
+  ``key_layout``: each layer's keys travel in the memory order they are
+  stored in, ``(n_kv_heads, head_dim, T)``), then the segments' bytes as
   CHUNK frames, then an END frame. Serialization is **zero-copy** on the
   send side: contiguous tensors are framed as :class:`memoryview`\\ s, never
   joined into an intermediate buffer. The receiver assembles into one
   preallocated ``bytearray`` and builds NumPy views over it — one
-  allocation for the whole module.
+  allocation for the whole module. A header from an older peer has no
+  ``key_layout``: its keys are ``(n_kv_heads, T, head_dim)`` and are
+  copied into the stored layout on receipt.
 - **Integrity.** The META header carries an xxh64 checksum of the whole
   payload; the receiver verifies before the module is trusted. xxh64 is
   implemented here in pure Python (the container has no ``xxhash`` wheel)
@@ -40,7 +44,7 @@ import numpy as np
 
 from repro.cache.compress import CompressedModuleKV
 from repro.cache.storage import CacheKey
-from repro.llm.kv import ModuleKV
+from repro.llm.kv import KEY_LAYOUT, ModuleKV
 
 MAGIC = b"PCKV"
 VERSION = 1
@@ -313,7 +317,7 @@ def serialize_module(key: CacheKey, kv) -> WireModule:
         kind = _RAW_KIND
         named: list[tuple[str, np.ndarray]] = [("positions", kv.positions)]
         for i, (k, v) in enumerate(zip(kv.keys, kv.values)):
-            named.append((f"keys{i}", k))
+            named.append((f"keys{i}", k.swapaxes(-2, -1)))
             named.append((f"values{i}", v))
     elif isinstance(kv, CompressedModuleKV):
         kind = kv.codec
@@ -336,6 +340,8 @@ def serialize_module(key: CacheKey, kv) -> WireModule:
         "total_bytes": sum(len(b) for b in buffers),
         "checksum": f"{checksum.digest():016x}",
     }
+    if kind == _RAW_KIND:
+        meta["key_layout"] = KEY_LAYOUT
     return WireModule(meta=meta, buffers=buffers)
 
 
@@ -382,8 +388,11 @@ def deserialize_module(meta: dict, payload: bytearray | bytes):
     positions = arrays.pop("positions")
     if meta["kind"] == _RAW_KIND:
         n_layers = sum(1 for name in arrays if name.startswith("keys"))
+        keys = [arrays[f"keys{i}"] for i in range(n_layers)]
+        if meta.get("key_layout") == KEY_LAYOUT:
+            keys = [k.swapaxes(-2, -1) for k in keys]
         return ModuleKV(
-            keys=[arrays[f"keys{i}"] for i in range(n_layers)],
+            keys=keys,
             values=[arrays[f"values{i}"] for i in range(n_layers)],
             positions=positions,
         )

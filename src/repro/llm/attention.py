@@ -338,8 +338,8 @@ def arena_decode_attention(
     3. per group, one GEMM per part of the base read in place, its
        members (and their GQA repeats) folded into the query axis —
        ``(n_kv_heads, members * n_rep, head_dim) @ (n_kv_heads, head_dim,
-       part_len)``, ``n_kv_heads`` row-major GEMMs over an image, which
-       keeps its keys head_dim-major — raises each member's max to the
+       part_len)``, ``n_kv_heads`` row-major GEMMs, since every part keeps
+       its keys head_dim-major — raises each member's max to the
        row's, exponentiates in place and takes the base's sum and context
        product;
     4. the tail scores are shifted by that max and exponentiated in

@@ -196,7 +196,7 @@ class TransformerModel:
 
         Streams forked from one spliced base each read it through their
         own cache; folding their queries into one score GEMM over the
-        shared image was measured and left out (see CHANGES.md, ISSUE 22).
+        shared base was measured and left out (see CHANGES.md).
         """
         plan = plan_packed_prefill(segments, position_ids, self.alibi)
         hidden, rotary = self._embed_rows(token_ids, position_ids)

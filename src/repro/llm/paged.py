@@ -7,10 +7,10 @@ serving path keeps exactly the pointers:
 
 - :class:`SplicedKV` — a spliced base: per layer, the ordered list of
   its modules' K/V *parts*, the arrays the store holds, which the
-  attention kernels read in place. Building one copies nothing. A base
-  forked a second time has shown it is reused, and is copied once into
-  an *image*: one part per layer whose keys sit head_dim-major
-  (:func:`_image_buffers`), the layout a score GEMM reads fastest;
+  attention kernels read in place. Building one copies nothing, and
+  nothing copies it later: module keys are head_dim-major at rest
+  (:func:`repro.llm.kv.alloc_keys`), the layout a score GEMM reads
+  fastest;
 - :class:`ForkCache` — one stream's cache: a base, plus a private flat
   *tail* per layer for the prefilled suffix and every decode token not
   seated in an arena. A plain :class:`~repro.llm.kv.KVCache` is the same
@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.analysis.contracts import shape_contract
 from repro.llm.config import ModelConfig
-from repro.llm.kv import LayerKV, ModuleKV, tracked_alloc
+from repro.llm.kv import LayerKV, ModuleKV, alloc_keys, tracked_alloc
 from repro.llm.layers import DTYPE
 
 # Optional fork and seat auditor (repro.analysis.sanitize). None in
@@ -49,35 +49,13 @@ def set_page_auditor(auditor) -> None:
     _AUDITOR = auditor
 
 
-def _image_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Uninitialized ``(keys, values)`` of a contiguous image, each seen
-    as ``shape`` — ``(..., capacity, head_dim)``.
-
-    The keys are stored head_dim-major — ``(..., head_dim, capacity)`` in
-    memory, handed out as the transposed view — because every reader
-    multiplies by K^T: over the view's transpose a score product is a
-    row-major GEMM, where a K-major buffer sends OpenBLAS down its
-    transposed-B path (8 KV heads, 8 queries, 512 keys, head_dim 32:
-    88 µs against 23). The values stay K-major, the layout ``p @ V``
-    reads row-major. This is the one place the key layout is decided."""
-    keys = tracked_alloc(shape[:-2] + shape[:-3:-1]).swapaxes(-2, -1)
-    return keys, tracked_alloc(shape)
-
-
-# A base becomes an image at this fork of its lifetime: the first stream
-# reads the modules in place, the second shows the base is reused.
-IMAGE_AT_FORK = 2
-
-
 class SplicedKV:
     """The K/V of a module sequence laid end to end, by reference.
 
     ``parts[layer]`` lists ``(keys, values)`` pairs of ``(n_kv_heads,
-    T_i, head_dim)`` — each module's own arrays, K-major as the store
-    holds them — and ``positions`` the ``(T,)`` position IDs every layer
-    shares. :meth:`to_image` swaps the parts for one image per layer;
-    the K/V never change, only where they live, so a reader holding
-    either sees the same tokens.
+    T_i, head_dim)`` — each module's own arrays, keys head_dim-major as
+    the store holds them — and ``positions`` the ``(T,)`` position IDs
+    every layer shares.
 
     ``forks`` counts live forks (:meth:`fork` and ``ForkCache.free``);
     the sanitizer's auditor shadows it.
@@ -89,7 +67,6 @@ class SplicedKV:
         self.parts = parts
         self.positions = positions
         self.max_position = int(positions.max()) if len(positions) else -1
-        self.image = False
         self.forks = 0
 
     @classmethod
@@ -109,23 +86,6 @@ class SplicedKV:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    def to_image(self) -> None:
-        """Copy the parts into one image — one allocation per side for
-        every layer, keys head_dim-major — and read that from now on."""
-        if self.image:
-            return
-        shape = (len(self.parts), self.n_kv_heads, len(self), self.head_dim)
-        keys, values = _image_buffers(shape)
-        for i, layer in enumerate(self.parts):
-            start = 0
-            for k, v in layer:
-                stop = start + k.shape[1]
-                keys[i, :, start:stop] = k
-                values[i, :, start:stop] = v
-                start = stop
-        self.parts = [[(keys[i], values[i])] for i in range(len(self.parts))]
-        self.image = True
 
     def fork(self, capacity: int = 0) -> "ForkCache":
         """A new sequence over this base; ``capacity`` is the tail room
@@ -219,7 +179,7 @@ class ForkCache:
         """Every layer's private tail, one allocation per side."""
         capacity = max(self.capacity, added, 1)
         shape = (len(self.layers), self.base.n_kv_heads, capacity, self.base.head_dim)
-        keys, values = tracked_alloc(shape), tracked_alloc(shape)
+        keys, values = alloc_keys(shape), tracked_alloc(shape)
         for i, layer in enumerate(self.layers):
             layer.tail = LayerKV.adopt(
                 keys[i], values[i], np.empty(capacity, dtype=np.int64), 0
@@ -253,8 +213,8 @@ def _token_bytes(n_kv_heads: int, head_dim: int) -> int:
 
 def physical_bytes(caches: list[ForkCache]) -> int:
     """Bytes the forks ``caches`` hold between them: every distinct part
-    once — a module two bases share, an image every fork reads — plus
-    each private tail."""
+    once — a module two bases share, or every fork of one base reads —
+    plus each private tail."""
     seen: dict[tuple[int, int], int] = {}
     positions: dict[int, int] = {}
     for cache in caches:
@@ -292,6 +252,12 @@ class TailArena:
     use and ``capacity`` doubles whenever the longest live tail outgrows
     it, so memory follows the tails actually in flight; untouched
     capacity is never-written zero pages.
+
+    Unlike every other key buffer, an arena row keeps its keys K-major:
+    the tail product is a batched GEMV, which either layout serves, and
+    the step's one-token fancy-index write lands in one contiguous run
+    per head here, where through a head_dim-major view it scatters
+    head_dim strided floats (see docs/ARCHITECTURE.md, "The key layout").
 
     Not thread-safe: owned and driven by the one engine thread that runs
     the scheduler's iterations.

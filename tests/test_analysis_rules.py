@@ -354,6 +354,7 @@ def ok(kv, x, out):
     kv.key_arena.copy()[0] = x             # explicit copy-on-write
     key_arena = np.empty_like(y)           # plain local, not an attribute
     key_arena[0] = x
+    kv.key_arena = key_arena               # rebinding, not a write
     return y
 """
         assert run_rule(NoWriteToMappedRule(), src) == []

@@ -3,7 +3,7 @@
 Four layers of coverage for the shared-prefix decode path:
 
 - Kernel properties: splitting a row's keys at any point into the base
-  (its modules' parts, or their image) and its arena tail, :func:`arena_decode_attention`'s one
+  (its modules' parts, read in place) and its arena tail, :func:`arena_decode_attention`'s one
   softmax over both reproduces single-pass softmax attention against a
   float64 reference to tight tolerance — across GQA head groupings,
   ALiBi over gapped positions, stacked group members, and empty arena
@@ -85,8 +85,8 @@ def split_step(q, k, v, cut, positions=None, *, alibi=None, grouped=True,
     """One :func:`arena_decode_attention` call for ``len(q)`` members of
     one group, the keys split at ``cut``: ``k[:, :cut]`` is the shared
     base, ``k[:, cut:-1]`` every member's seated tail and ``k[:, -1]``
-    the step's own K/V, at the last (highest) position. The base is an
-    image, or with ``modules`` > 1 that many modules' parts read in
+    the step's own K/V, at the last (highest) position. The base is one
+    module, or with ``modules`` > 1 that many modules' parts, read in
     place (as many as the cut leaves room for).
 
     ``q`` is (members, n_heads, head_dim) and ``k``/``v`` (n_kv_heads,
@@ -106,8 +106,6 @@ def split_step(q, k, v, cut, positions=None, *, alibi=None, grouped=True,
         ModuleKV(keys=[k[:, a:b]], values=[v[:, a:b]], positions=positions[a:b])
         for a, b in zip(bounds, bounds[1:])
     ])
-    if modules == 1:
-        base.to_image()
     arena = TailArena(config, slots=free_below + members)
     fillers = [base.fork() for _ in range(free_below)]
     for filler in fillers:
@@ -144,7 +142,7 @@ def split_step(q, k, v, cut, positions=None, *, alibi=None, grouped=True,
 
 
 class TestMergeOnlineSoftmax:
-    """Each seated row's one softmax over [base image | arena tail]
+    """Each seated row's one softmax over [base | arena tail]
     (:func:`arena_decode_attention`) against a single float64 pass over
     the concatenated keys — wherever the split between the two falls."""
 
@@ -163,7 +161,7 @@ class TestMergeOnlineSoftmax:
         self, seed, n_kv, n_rep, head_dim, tq, tk, cuts, q_scale
     ):
         """The kernel's whole correctness argument: any split of a row's
-        keys into base and tail — an image or three parts read in place,
+        keys into base and tail — one part or three read in place,
         a one-token base, a tail that is only the step's own token, GQA
         foldings, ``tq`` members sharing the group, and large score
         magnitudes exercising the shared max — matches the single
@@ -184,7 +182,7 @@ class TestMergeOnlineSoftmax:
     @given(seed=st.integers(0, 2**16), split=st.integers(1, 11))
     @settings(max_examples=40, deadline=None)
     def test_bias_splits_with_the_chunks(self, seed, split):
-        """ALiBi over the base image and over the tail, each built from
+        """ALiBi over the base and over the tail, each built from
         its own key positions — with the gap PML leaves between a module
         and the suffix — is the single pass's bias split at the cut."""
         rng = np.random.default_rng(seed)
@@ -342,8 +340,6 @@ class TestArenaKernel:
                 positions=np.arange(shared),
             )
             base = SplicedKV.from_module_kvs(config, [kv])
-            if rng.random() < 0.5:  # read in place, or as an image
-                base.to_image()
             bases.append((base, kv))
 
         def admit(g, kind="fork", seated=seat):

@@ -7,16 +7,14 @@ and C calls it makes and the bytes it allocates do not
 On the benchmark's model shape (four layers) and its schema shape (two
 256-token modules):
 
-- ``open_stream`` on a cold base reads the modules' K/V in place: it
-  allocates under 64 KiB (measured: 9.8 KB; copying both modules into
-  an image was ~4.9 MB) and costs at most 250 call events (measured:
-  159); the base's second fork allocates the one image it then keeps,
-  and a fork of an image allocates nothing either;
-- building that image out of two *mapped* modules costs at most 600 call
-  events (page-by-page it was ~5.4 k) and never goes through
-  ``np.memmap.__getitem__``; its peak allocation is the base once, and
-  it goes with the base;
-- paging one module in costs at most 300 call events (was ~810) and
+- ``open_stream`` reads a base's modules' K/V in place, on its first
+  fork and every later one: each allocates under 64 KiB (measured: 9.8
+  KB; copying both modules into one head_dim-major image, as the second
+  fork once did, was ~4.9 MB) and a cold open costs at most 250 call
+  events (measured: 159);
+- paging one module in allocates under 64 KiB — its key file is the key
+  arena's own memory, mapped as it lies — and costs at most 300 call
+  events (was ~810) and
   compiles nothing: the catalog record says where the data is, no npy
   header is parsed — and at most 130 (measured: 121; 200 under
   ``REPRO_SANITIZE``, measured 159), none of them in ``hashlib``, once
@@ -30,18 +28,17 @@ On the benchmark's model shape (four layers) and its schema shape (two
   count (measured: 21; the demand ledger is 7 of them);
 - the cold path — eager ``register_schema`` of the two-module schema,
   one ``forward(..., logits=False)`` per module — costs at most 2,550
-  call events and 160 NumPy calls per module (measured: 2,475 and 155;
-  8,521.5 and 230 before PML text was lexed a run at a time and the
-  encode's last layer stopped at its K/V). Per module that is ~185 in
-  ``Schema.parse``, ~1,224 in layout and tokenizing, ~389 (153 NumPy)
-  in the encode and ~678 in store bookkeeping.
+  call events and 160 NumPy calls per module (measured: 2,467 and 148,
+  the encode filling the module's arenas as its own cache; 2,475 and
+  155 when it copied a cache into them; 8,521.5 and 230 before PML text
+  was lexed a run at a time and the encode's last layer stopped at its
+  K/V).
 """
 
 from __future__ import annotations
 
 import sys
 import tracemalloc
-import weakref
 
 import pytest
 
@@ -58,7 +55,6 @@ from repro.cache.persist import (
 )
 from repro.cache.storage import CacheKey, ModuleCacheStore
 from repro.llm import build_model, small_config
-from repro.llm.paged import IMAGE_AT_FORK, SplicedKV
 from repro.pml.chat import PLAIN_TEMPLATE
 from tests.test_fabric_spill import N_SCHEMAS, churn_engine, round_robin
 
@@ -125,24 +121,6 @@ def profiled(fn):
     return result, counts
 
 
-def mapped_modules(snapshot):
-    directory, catalog = snapshot
-    modules = [
-        load_catalog_entry(directory, catalog[CacheKey("churn", name)], ledger=VerifyLedger())
-        for name in "ab"
-    ]
-    assert all(kv is not None and kv.is_mapped for kv in modules)
-    return modules
-
-
-def build_base(config, modules) -> SplicedKV:
-    """The most a base costs: spliced by reference, then copied into
-    the image a reused base is read through."""
-    base = SplicedKV.from_module_kvs(config, modules)
-    base.to_image()
-    return base
-
-
 def allocated(fn):
     """``(result, peak bytes fn allocated)`` under ``tracemalloc``."""
     tracemalloc.start()
@@ -156,59 +134,46 @@ def allocated(fn):
     return result, peak - before
 
 
-def test_base_build_costs_under_600_calls(model, snapshot):
-    modules = mapped_modules(snapshot)
-    build_base(model.config, modules)  # imports, first touch
-    base, counts = profiled(lambda: build_base(model.config, modules))
-    assert len(base) == sum(len(kv) for kv in modules) >= 2 * MODULE_TOKENS
-    assert counts["memmap_getitem"] == 0, counts
-    if not contracts_enforced():
-        assert counts["all"] <= 600, counts
-
-
-def test_base_build_allocates_the_prefix_once(model, snapshot):
-    modules = mapped_modules(snapshot)
-    kv_bytes = sum(kv.nbytes() for kv in modules)
-    build_base(model.config, modules)
-    base, peak = allocated(lambda: build_base(model.config, modules))
-    assert peak <= 1.25 * kv_bytes, peak / kv_bytes
-    # ...and what it allocated goes when the base does.
-    image = weakref.ref(base.parts[0][0][0].base)
-    del base
-    assert image() is None
-
-
 def test_cold_open_allocates_no_image(model, tok):
-    """A cold two-module base is read in place; the second fork copies
-    it into the image every later fork shares."""
+    """A two-module base is read in place by its first fork and by every
+    later one: no fork copies it."""
     pc = PromptCache(model, tok, template=PLAIN_TEMPLATE)
     pc.register_schema(two_module_schema("open"))
     pc.register_schema(two_module_schema("warm"))
     prompt = '<prompt schema="{}"><a/><b/> what now ?</prompt>'
     pc.open_stream(prompt.format("warm"), max_new_tokens=2).abort()  # imports, first touch
     pc._compiled(prompt.format("open"))  # the plan is not the splice
-    kv_bytes = sum(pc.store.peek(CacheKey("open", m)).kv.nbytes() for m in "ab")
 
     def open_stream():
         return pc.open_stream(prompt.format("open"), max_new_tokens=2)
 
     streams = []
-    for fork in range(1, IMAGE_AT_FORK + 2):
+    for _ in range(3):
         stream, peak = allocated(open_stream)
         streams.append(stream)
-        base = stream.shared_group
-        assert base.lifetime_forks == fork and stream.cached_tokens == len(base.kv) >= 2 * MODULE_TOKENS
-        if fork == IMAGE_AT_FORK:  # the image: both modules, once
-            assert base.kv.image and 0.9 * kv_bytes <= peak <= 1.25 * kv_bytes, peak / kv_bytes
-        else:
-            assert peak < 64 * 1024, peak
-            assert base.kv.image == (fork > IMAGE_AT_FORK)
+        assert stream.cached_tokens == len(stream.shared_group.kv) >= 2 * MODULE_TOKENS
+        assert peak < 64 * 1024, peak
+    assert len({id(stream.shared_group) for stream in streams}) == 1
     for stream in streams:
         stream.abort()
     pc._bases.clear()
     _, counts = profiled(open_stream)
     if not contracts_enforced():
         assert counts["all"] <= 250, counts
+
+
+def test_a_page_in_allocates_under_64_kib(snapshot, monkeypatch):
+    """Its keys are mapped as they lie, not copied into another layout.
+    Measured on a trusted ledger: a sparse hash reads 64 KiB blocks."""
+    directory, catalog = snapshot
+    record = catalog[CacheKey("churn", "a")]
+    monkeypatch.setattr(persist, "_wall_clock_ns", lambda: 1 << 62)  # files are old
+    ledger = VerifyLedger()
+    assert load_catalog_entry(directory, record, ledger=ledger) is not None  # hashed
+    kv, peak = allocated(lambda: load_catalog_entry(directory, record, ledger=ledger))
+    assert ledger.trusted == 3
+    assert kv.is_mapped and kv.nbytes() > 16 * 64 * 1024  # the module is not copied
+    assert peak < 64 * 1024, peak
 
 
 def test_page_in_costs_under_300_calls_and_compiles_nothing(snapshot, monkeypatch):

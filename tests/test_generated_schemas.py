@@ -16,8 +16,8 @@ families:
 - for a one-module schema, greedy ids from ``serve`` equal those from
   ``baseline``, the same tokens prefilled in one piece;
 - every prompt run through :class:`~repro.server.ContinuousScheduler`
-  on a cold base (its modules' K/V read in place) and after the base's
-  second fork (its image), unseated and seated, agrees with ``serve`` on
+  on a cold base and on one already forked (its modules' K/V read in
+  place either way), unseated and seated, agrees with ``serve`` on
   a fresh engine: greedy ids, first-token logits to float32 tolerance,
   and ``cached_tokens`` equal to the plan's cached span. Random weights
   make greedy ids nearly blind to the cached context; the logits are not.
@@ -115,13 +115,12 @@ def engine(model, tok, generated: GeneratedSchema) -> PromptCache:
 
 def seated_by_hand(pc: PromptCache, prompt: str):
     """One stream prefilled alone, then seated in an arena of its own —
-    the scheduler seats only a base two streams decode over, and by then
-    the base is an image — and decoded by batched steps of one."""
+    the scheduler seats only a base two streams decode over — and
+    decoded by batched steps of one."""
     stream = pc.open_stream(prompt, max_new_tokens=BUDGET)
     stream.prefill_step(stream.prefill_remaining)
     first = stream.logits.copy()
-    cached_by = stream.shared_group.kv
-    assert not cached_by.image and stream.seat_tail(TailArena(pc.model.config, 1))
+    assert stream.seat_tail(TailArena(pc.model.config, 1))
     while stream.decoding:
         token, needs_forward = stream.next_token()
         if needs_forward:
@@ -153,9 +152,8 @@ def test_scheduler_agrees_with_serve_on_parts_and_image(arch, models, tok, gener
     first_logits = {}
     check(scheduled(pc, prompts, chunk=256, max_new_tokens=BUDGET,
                     first_logits=first_logits), first_logits)
-    assert all(not base.kv.image for base in pc._bases.values())
-    # Two streams a prompt: each base's second fork makes its image, and
-    # the pair decoding over it is seated.
+    # Two streams a prompt over the bases just built: the pair decoding
+    # over one is seated.
     first_logits = {}
     with patch.object(TailArena, "seat", autospec=True, side_effect=TailArena.seat) as seat:
         pairs = scheduled(pc, prompts * 2, chunk=256, max_new_tokens=BUDGET,
@@ -165,11 +163,6 @@ def test_scheduler_agrees_with_serve_on_parts_and_image(arch, models, tok, gener
     check(pairs[len(prompts):], {
         i: first_logits[i + len(prompts)] for i in range(len(prompts))
     })
-    assert all(base.kv.image for base in pc._bases.values())
-    # The image again, one stream each: unseated.
-    first_logits = {}
-    check(scheduled(pc, prompts, chunk=256, max_new_tokens=BUDGET,
-                    first_logits=first_logits), first_logits)
     # A cold base seated by hand: the arena kernel over parts.
     cold = engine(model, tok, generated)
     results, firsts = zip(*(seated_by_hand(cold, p) for p in prompts))

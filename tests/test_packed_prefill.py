@@ -8,7 +8,7 @@ sequence:
 - **Kernel.** ``plan_packed_prefill`` + ``packed_prefill_attention``
   equal single-pass float64 attention over each sequence's own keys
   under the position-ID mask — ragged packs, empty and non-empty flat
-  caches, forks of shared bases read as parts or as an image, a param
+  caches, forks of shared bases read as their modules' parts, a param
   sitting *below* a cached
   module (the mask must bite) and a suffix above everything cached (the
   mask-free branch), MHA and GQA, with and without ALiBi.
@@ -81,8 +81,7 @@ def random_module(rng, config, positions):
 
 def shared_bases(rng, config):
     """Two contiguous bases and a gapped one (two modules, ``GAP`` open
-    positions between them); each is read as its modules' parts or, at
-    random, as an image."""
+    positions between them); each is read as its modules' parts."""
     lengths = [int(rng.integers(1, 40)) for _ in range(2)]
     bases = [
         SplicedKV.from_module_kvs(config, [random_module(rng, config, range(n))])
@@ -95,9 +94,6 @@ def shared_bases(rng, config):
             random_module(rng, config, range(first + GAP, first + GAP + second)),
         ])
     )
-    for base in bases:
-        if rng.random() < 0.5:
-            base.to_image()
     return bases, first
 
 

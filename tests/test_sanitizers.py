@@ -28,6 +28,8 @@ from repro.analysis.sanitize import (
 )
 from repro.cache.engine import PromptCache
 from repro.cache.layout import layout_schema
+from repro.cache.persist import save_store
+from repro.cache.storage import CacheKey, ModuleCacheStore
 from repro.llm.kv import LayerKV, ModuleKV
 from repro.llm.paged import SplicedKV, TailArena
 from repro.pml import PLAIN_TEMPLATE
@@ -99,15 +101,14 @@ class TestForkLedger:
         with pytest.raises(SanitizerError, match="base not quiescent"):
             assert_quiescent(base)
 
-    def test_seated_forks_balance_across_an_image(self, auditor):
-        """Forks taken before and after the base becomes an image, one of
-        them seated, all freed: the ledger and the arena end empty."""
+    def test_seated_and_unseated_forks_balance(self, auditor):
+        """Two forks of one base, one of them seated, both freed: the
+        ledger and the arena end empty."""
         base, config = one_layer_base()
         arena = TailArena(config, slots=2)
         with auditor.expect_balanced(base):
             first = base.fork(capacity=4)
             first.layers[0].append(block(3), block(3), np.arange(6, 9))
-            base.to_image()
             second = base.fork()
             assert arena.seat(first) is first.tail and len(first) == 9
             first.free()
@@ -154,6 +155,24 @@ def stub_plan(modules, uncached=(), recompute_tail=None):
     return SimpleNamespace(
         modules=modules, uncached=list(uncached), recompute_tail=recompute_tail
     )
+
+
+class TestMappedKeys:
+    def test_append_into_a_mapped_head_dim_major_view_raises(self, auditor, tmp_path):
+        """A paged-in module's keys are the snapshot file's bytes, mapped
+        head_dim-major as they lie; a cache adopted over them must not
+        append there."""
+        key = CacheKey("s", "m")
+        store = ModuleCacheStore()
+        store.put(key, ModuleKV(keys=[block(6)], values=[block(6)], positions=np.arange(6)))
+        save_store(store, tmp_path)
+        mapped = ModuleCacheStore(snapshot_dir=tmp_path).fetch(key).entry.kv
+        keys = mapped.keys[0]
+        assert mapped.is_mapped and keys.strides[-2] == keys.itemsize
+        layer = LayerKV.adopt(keys, mapped.values[0], mapped.positions.copy(), length=5)
+        grow = block(1)
+        with pytest.raises(SanitizerError, match="snapshot-mapped"):
+            layer.append(grow, grow, np.array([99]))
 
 
 class TestPlanValidator:

@@ -1,4 +1,4 @@
-"""The three-level splice fast path: compiled plans, spliced bases, images.
+"""The splice fast path: compiled plans and spliced bases.
 
 Correctness contracts:
 
@@ -11,9 +11,9 @@ Correctness contracts:
   ``invalidate`` and ``update_module_text`` evict affected entries.
 - A spliced-base hit records the same store statistics, tier occupancy
   and CPU-hit promotion as the slow path, and skips the splice memcpy.
-- A base is read in place until its second fork copies it into an
-  image; forks of an image copy nothing, decode appends grow the fork's
-  private tail in place, and every fork goes back to its base.
+- A base is read in place by every fork and never copied; decode
+  appends grow the fork's private tail in place, and every fork goes
+  back to its base.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.cache.engine import PromptCache, _arena_splice
 from repro.cache.storage import CacheKey, ModuleCacheStore
 from repro.llm.generation import decode_loop
 from repro.llm.kv import KVCache, LayerKV, allocation_count, reset_allocation_count
-from repro.llm.paged import IMAGE_AT_FORK
 from repro.pml import PLAIN_TEMPLATE
 from tests.test_engine import demote_to_dram
 
@@ -359,13 +358,12 @@ class TestSpliceModeEquivalence:
 class TestSplicedBase:
     def test_base_hit_skips_splice_allocations(self, llama, tok):
         pc = make_pc(llama, tok)
-        for _ in range(IMAGE_AT_FORK):  # builds the base, then its image
-            pc.serve(PROMPT, max_new_tokens=2)
+        pc.serve(PROMPT, max_new_tokens=2)  # builds the base
         assert pc.plan_stats.base_misses == 1
         reset_allocation_count()
         pc.serve(PROMPT, max_new_tokens=2)
-        assert pc.plan_stats.base_hits == IMAGE_AT_FORK
-        # The fork reads the image in place; its private tails are one
+        assert pc.plan_stats.base_hits == 1
+        # The fork reads the base in place; its private tails are one
         # allocation per side for every layer, sized for the decode. No
         # per-module, per-layer splice copies remain on the hot path.
         n_layers = llama.config.n_layers
@@ -484,18 +482,17 @@ class TestMirrorLease:
     def test_decode_extends_in_place(self, llama, tok):
         pc = make_pc(llama, tok)
         pc.serve(PROMPT, max_new_tokens=4)
-        stream = pc.open_stream(PROMPT, max_new_tokens=4)  # the image's fork
+        stream = pc.open_stream(PROMPT, max_new_tokens=4)  # the base's second fork
         try:
             base = next(iter(pc._bases.values()))
-            assert base.kv.image
-            image = [[a.copy() for a in part] for part in base.kv.parts[0]]
+            before = [[a.copy() for a in part] for part in base.kv.parts[0]]
             stream.run()
             tail = stream.cache.layers[0].tail
             # Suffix and decode tokens share the buffer the first append
-            # allocated; the image is read, never written.
+            # allocated; the base is read, never written.
             assert len(tail) == len(stream.tail_kv(0)[2]) > 3
             assert tail._keys.shape[1] == stream.cache.capacity
-            for (k, v), (k0, v0) in zip(base.kv.parts[0], image):
+            for (k, v), (k0, v0) in zip(base.kv.parts[0], before):
                 np.testing.assert_array_equal(k, k0)
                 np.testing.assert_array_equal(v, v0)
         finally:
@@ -506,7 +503,7 @@ class TestMirrorLease:
         for _ in range(3):
             pc.serve(PROMPT, max_new_tokens=3)
         base = next(iter(pc._bases.values()))
-        assert base.lifetime_forks == 3 and base.kv.forks == 0  # every fork returned
+        assert pc.plan_stats.base_hits == 2 and base.kv.forks == 0  # every fork returned
 
     def test_concurrent_forks_stay_isolated(self, llama, tok):
         pc = make_pc(llama, tok)

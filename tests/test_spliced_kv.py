@@ -1,19 +1,31 @@
 """Shared KV prefixes by reference: a spliced base reads its modules in
-place and becomes a head_dim-major image when reused, forks keep private
-tails over it, and a tail arena seats those tails one row each."""
+place — their keys head_dim-major, however they reached the store —
+forks keep private tails over it, and a tail arena seats those tails one
+row each."""
 
 from __future__ import annotations
+
+import json
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
-from repro.cache.encoder import encode_module
+from repro.cache import engine as engine_module
+from repro.cache import persist
+from repro.cache.compress import Fp16Codec, Int8Codec
+from repro.cache.encoder import drop_param_slots, encode_module
+from repro.cache.engine import PromptCache, _arena_splice
 from repro.cache.layout import layout_schema
+from repro.cache.persist import load_store, save_store
+from repro.cache.storage import CacheKey, ModuleCacheStore
+from repro.cluster import wire
+from repro.llm import kv as kv_module
 from repro.llm.config import ModelConfig
 from repro.llm.generation import decode_loop
 from repro.llm.kv import KVCache, LayerKV, ModuleKV
 from repro.llm.paged import SplicedKV, TailArena, physical_bytes
-from repro.pml import Schema
+from repro.pml import PLAIN_TEMPLATE, Schema
 
 RNG = np.random.default_rng(41)
 
@@ -42,21 +54,178 @@ def _base(*spans):
     return SplicedKV.from_module_kvs(_one_layer_config(), _modules(*spans))
 
 
-class TestImageLayout:
-    def test_a_spliced_base_image_is_head_dim_major(self):
-        """A base forked a second time becomes an image with the same
-        layout — every layer's keys, in one allocation per side — and
-        reads byte for byte as the modules it was spliced from."""
-        config = _one_layer_config()
-        modules = _modules((0, 7), (9, 12))
-        base = SplicedKV.from_module_kvs(config, modules)
-        assert all(k is m.keys[0] for (k, _), m in zip(base.parts[0], modules))  # in place
-        base.to_image()
-        (keys, values), = base.parts[0]
-        assert np.swapaxes(keys, -2, -1).flags.c_contiguous
-        np.testing.assert_array_equal(keys, np.concatenate([m.keys[0] for m in modules], axis=1))
-        np.testing.assert_array_equal(values, np.concatenate([m.values[0] for m in modules], axis=1))
-        np.testing.assert_array_equal(base.positions, np.r_[0:7, 9:21])
+LIB = (
+    '<schema name="lib"><module name="a">the quick brown fox jumps over the '
+    'lazy dog</module><module name="b">plan <param name="d" len="3"/> days '
+    "ahead of the trip</module></schema>"
+)
+LIB_PROMPT = '<prompt schema="lib"><a/><b d="two"/> what happened ?</prompt>'
+A, B = CacheKey("lib", "a"), CacheKey("lib", "b")
+
+
+@pytest.fixture(scope="module")
+def lib(llama, tok):
+    pc = PromptCache(llama, tok, template=PLAIN_TEMPLATE)
+    pc.register_schema(LIB)
+    return pc
+
+
+def _stored(pc, key=A) -> ModuleKV:
+    return pc.store.peek(key).kv
+
+
+def _fork_tail(pc, tmp_path):
+    fork = SplicedKV.from_module_kvs(pc.model.config, [_stored(pc)]).fork()
+    start = len(_stored(pc))
+    pc.model.forward(np.arange(5), np.arange(start, start + 5), fork, logits=False)
+    keys = [layer.tail.keys for layer in fork.layers]
+    fork.free()
+    return keys
+
+
+def _reserve_growth(pc, tmp_path):
+    kv = _stored(pc)
+    layer = LayerKV(kv.keys[0].shape[0], kv.keys[0].shape[2], capacity=2)
+    layer.append(kv.keys[0], kv.values[0], kv.positions)
+    assert layer._keys.shape[1] >= len(kv) > 2  # grown
+    return [layer.keys]
+
+
+def _load_store(pc, tmp_path):
+    save_store(pc.store, tmp_path)
+    return load_store(tmp_path).peek(A).kv.keys
+
+
+def _page_in(pc, tmp_path):
+    save_store(pc.store, tmp_path)
+    kv = ModuleCacheStore(snapshot_dir=tmp_path).fetch(A).entry.kv
+    assert kv.is_mapped
+    return kv.keys
+
+
+def _wire_receive(pc, tmp_path):
+    module = wire.serialize_module(A, _stored(pc))
+    return wire.deserialize_module(module.meta, bytearray(b"".join(module.buffers))).keys
+
+
+def _param_slot_drop(pc, tmp_path):
+    layout = pc._registered("lib").layout.module("b")
+    return drop_param_slots(_stored(pc, B), layout, list(layout.params.values())).keys
+
+
+KEY_PATHS = {
+    "encode": lambda pc, tmp_path: encode_module(
+        pc.model, pc._registered("lib").layout.module("a")
+    ).keys,
+    "param-slot-drop": _param_slot_drop,
+    "load_store": _load_store,
+    "mapped-page-in": _page_in,
+    "wire-receive": _wire_receive,
+    "fp16-decode": lambda pc, tmp_path: Fp16Codec().decode(Fp16Codec().encode(_stored(pc))).keys,
+    "int8-decode": lambda pc, tmp_path: Int8Codec().decode(Int8Codec().encode(_stored(pc))).keys,
+    "fork-tail": _fork_tail,
+    "reserve-growth": _reserve_growth,
+    "arena-splice": lambda pc, tmp_path: [
+        layer.keys for layer in _arena_splice(pc.model.config, [_stored(pc), _stored(pc, B)]).layers
+    ],
+}
+
+
+class TestKeyLayout:
+    @pytest.mark.parametrize("path", KEY_PATHS)
+    def test_keys_reach_the_kernels_head_dim_major(self, lib, tmp_path, path):
+        """Every path that hands keys to an attention kernel hands them
+        head_dim-major: the token axis is the one with unit stride."""
+        keys = KEY_PATHS[path](lib, tmp_path)
+        assert keys and all(k.shape[1] > 1 for k in keys)
+        assert all(k.strides[-1] != k.itemsize for k in keys), [k.strides for k in keys]
+
+
+def _first_logits_and_output(pc):
+    stream = pc.open_stream(LIB_PROMPT, max_new_tokens=4)
+    stream.run()
+    first = stream.logits.copy()
+    return first, stream.finish().output_ids
+
+
+class TestOldKeyLayouts:
+    """Records and frames written before keys were stored head_dim-major
+    load through the one copy ``ModuleKV`` construction makes, and serve
+    exactly what a fresh encode serves."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, lib):
+        return _first_logits_and_output(lib)
+
+    @pytest.fixture()
+    def copies(self):
+        with patch.object(
+            kv_module, "head_dim_major_copy", wraps=kv_module.head_dim_major_copy
+        ) as copies:
+            yield copies
+
+    def _served(self, pc_store, llama, tok, reference, copies, expected_copies):
+        pc = PromptCache(llama, tok, store=pc_store, template=PLAIN_TEMPLATE)
+        with patch.object(engine_module, "encode_module", side_effect=AssertionError("re-encoded")):
+            pc.register_schema(LIB)
+            first, output = _first_logits_and_output(pc)
+        assert copies.call_count == expected_copies
+        for key in (A, B):
+            assert all(k.strides[-2] == k.itemsize for k in pc.store.peek(key).kv.keys)
+        np.testing.assert_array_equal(first, reference[0])
+        assert output == reference[1]
+
+    def test_an_unlabelled_v2_record(self, lib, llama, tok, reference, copies, tmp_path):
+        save_store(lib.store, tmp_path)
+        index_path = tmp_path / "index.json"
+        index = json.loads(index_path.read_text())
+        for record in index["entries"]:
+            del record["key_layout"]
+            info = record["files"]["keys"]
+            keys = np.ascontiguousarray(np.load(tmp_path / info["file"]).swapaxes(-2, -1))
+            written = persist._write_atomic(
+                tmp_path / info["file"], lambda handle: np.save(handle, keys)
+            )
+            written.update(
+                shape=list(keys.shape), dtype=keys.dtype.str,
+                offset=written["nbytes"] - keys.nbytes,
+            )
+            record["files"]["keys"] = written
+        index_path.write_text(json.dumps(index))
+        self._served(ModuleCacheStore(snapshot_dir=tmp_path), llama, tok, reference, copies, 2)
+
+    def test_a_v1_npz_record(self, lib, llama, tok, reference, copies, tmp_path):
+        records = []
+        for key in (A, B):
+            kv = _stored(lib, key)
+            name = f"{key.schema}__{key.module}__{key.variant}.npz"
+            arrays = {"positions": kv.positions}
+            for i, (k, v) in enumerate(zip(kv.keys, kv.values)):
+                arrays[f"keys{i}"], arrays[f"values{i}"] = np.ascontiguousarray(k), v
+            np.savez(tmp_path / name, **arrays)
+            records.append({
+                "schema": key.schema, "module": key.module, "variant": key.variant,
+                "file": name, "kind": "raw", "tier": "gpu", "pinned": False,
+            })
+        (tmp_path / "index.json").write_text(json.dumps(records))
+        self._served(load_store(tmp_path), llama, tok, reference, copies, 2)
+
+    def test_an_old_header_wire_frame(self, lib, llama, tok, reference, copies):
+        store = ModuleCacheStore()
+        for key in (A, B):
+            kv = _stored(lib, key)
+            named = [("positions", kv.positions)]
+            for i, (k, v) in enumerate(zip(kv.keys, kv.values)):
+                named += [(f"keys{i}", np.ascontiguousarray(k)), (f"values{i}", v)]
+            segments, buffers = wire._segment_views(named)
+            payload = bytearray(b"".join(buffers))
+            meta = {
+                "schema": key.schema, "module": key.module, "variant": key.variant,
+                "kind": "raw", "segments": segments, "total_bytes": len(payload),
+                "checksum": f"{wire.xxh64(payload):016x}",
+            }
+            store.put(key, wire.deserialize_module(meta, payload))
+        self._served(store, llama, tok, reference, copies, 2 * llama.config.n_layers)
 
 
 class TestForkCache:
