@@ -168,8 +168,9 @@ class ServeStream:
       :meth:`prefill_step` is the same step for this stream alone, a
       pack of one;
     - :meth:`next_token` samples one token in :func:`decode_loop`'s
-      sample-then-check order, and the scheduler feeds the batched
-      forward's logits row back through :meth:`set_logits`;
+      sample-then-check order; the scheduler feeds the batched forward's
+      logits row back through :meth:`set_logits` and, once it has
+      sampled from it, the step's wall time through :meth:`charge_step`;
     - :meth:`finish` releases the fork and assembles the
       :class:`ServeResult`; :meth:`abort` releases it on failure or
       shutdown without a result.
@@ -317,11 +318,15 @@ class ServeStream:
             self.done = True
         return token, not self.done
 
-    def set_logits(self, row: np.ndarray, step_s: float) -> None:
+    def set_logits(self, row: np.ndarray) -> None:
         """Feed back one batched decode forward: the logits row for this
-        stream's token, and the wall-clock share charged to its TTST."""
+        stream's token."""
         self.logits = row
         self._position += 1
+
+    def charge_step(self, step_s: float) -> None:
+        """Charge one decode step to TTST: the forward that made the
+        last :meth:`set_logits` row plus the sampling that read it."""
         self.step_times_s.append(step_s)
 
     def run(self) -> None:

@@ -70,6 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--compare", action="store_true", help="also run the baseline")
 
+    from repro.server.scheduler import MAX_INFLIGHT, PREFILL_CHUNK_TOKENS
+
     live = sub.add_parser(
         "serve-live",
         help="drive the real engine through the async serving runtime",
@@ -89,9 +91,10 @@ def _build_parser() -> argparse.ArgumentParser:
     live.add_argument("--max-queue", type=int, default=32)
     live.add_argument("--delay-budget", type=float, default=1.0,
                       help="admission queue-delay budget (s)")
-    live.add_argument("--max-inflight", type=_positive(int), default=8,
+    live.add_argument("--max-inflight", type=_positive(int), default=MAX_INFLIGHT,
                       help="concurrent decoding sequences")
-    live.add_argument("--prefill-chunk", type=_positive(int), default=256,
+    live.add_argument("--prefill-chunk", type=_positive(int),
+                      default=PREFILL_CHUNK_TOKENS,
                       help="prefill token budget per iteration")
     live.add_argument("--deadline", type=float, default=None,
                       help="per-request deadline (s)")

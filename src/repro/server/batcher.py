@@ -31,14 +31,8 @@ class CacheAwareBatcher:
         return len(self._queue)
 
     def put(self, request: LiveRequest) -> None:
-        """Enqueue by arrival time. Submissions arrive in order, so this
-        is an append; a request the scheduler hands back walks forward
-        past whatever queued up behind it since."""
-        queue = self._queue
-        i = len(queue)
-        while i and queue[i - 1].submitted_at > request.submitted_at:
-            i -= 1
-        queue.insert(i, request)
+        """Enqueue at submission; submissions arrive in order."""
+        self._queue.append(request)
 
     def pop_oldest(self) -> LiveRequest | None:
         """Pop the oldest queued request, or None when empty."""

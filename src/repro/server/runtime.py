@@ -25,11 +25,12 @@ Design:
   each iteration reports its emissions as they happen. The engine must
   speak ``open_stream``.
 - **Single-threaded engine, responsive loop.** The NumPy engine is the
-  serial resource (one model, one machine); iterations run one burst at
-  a time on a thread-pool executor so the event loop keeps admitting,
-  rejecting and expiring requests while the engine computes. The
-  thread-safe :class:`~repro.cache.storage.ModuleCacheStore` is the only
-  state the two threads share.
+  serial resource (one model, one machine); iterations, one burst at a
+  time, and store upkeep run on the server's own engine thread so the
+  event loop keeps admitting, rejecting and expiring requests while the
+  engine computes. The thread-safe
+  :class:`~repro.cache.storage.ModuleCacheStore` is the only state the
+  two threads share.
 - **Observability.** Every lifecycle edge lands in a
   :class:`~repro.server.metrics.MetricsRegistry` (Prometheus text / JSON
   snapshots) and a bounded structured trace log. Store evictions are
@@ -42,6 +43,7 @@ import asyncio
 import gc
 import itertools
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -56,12 +58,16 @@ from repro.server.request import (
     EXPIRED,
     FAILED,
     LiveRequest,
-    QUEUED,
     REJECTED,
     RUNNING,
     TraceRecord,
 )
-from repro.server.scheduler import ContinuousScheduler, IterationOutcome
+from repro.server.scheduler import (
+    MAX_INFLIGHT,
+    PREFILL_CHUNK_TOKENS,
+    ContinuousScheduler,
+    IterationOutcome,
+)
 
 BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
@@ -81,19 +87,8 @@ class ServeOptions:
     service_time_alpha: float = 0.25  # EWMA smoothing for per-request time
     trace_log_limit: int = 10_000
     inline_execution: bool = False  # run the engine on the loop (tests)
-    max_inflight: int = 8  # concurrent decoding sequences
-    prefill_chunk_tokens: int = 256  # prefill budget per iteration
-    # Iterations run per executor dispatch while the queue is
-    # empty. With nothing to admit or expire, a burst runs several
-    # iterations back to back on the engine thread and breaks the moment
-    # a new request arrives or the server stops. Tokens and completions
-    # do not wait for it: they are handed to the loop mid-iteration (a
-    # prefill's first tokens before the decode step) and as each
-    # iteration ends. What this still bounds is how many iterations pass
-    # between the worker coroutine's own turns — how stale its in-flight
-    # count (``inflight``, the ``server_inflight`` gauge) can get. 1
-    # disables.
-    burst_iterations: int = 8
+    max_inflight: int = MAX_INFLIGHT  # concurrent decoding sequences
+    prefill_chunk_tokens: int = PREFILL_CHUNK_TOKENS  # per iteration
     # Periodic store upkeep (``ModuleCacheStore.maintenance``: TTL sweep
     # plus, when there is a snapshot catalog or peer hook, the budgeted
     # prefetch tick) every this many seconds even while the server is
@@ -122,6 +117,7 @@ class LiveServer:
         self._wake: asyncio.Event | None = None
         self._worker_task: asyncio.Task | None = None
         self._maintenance_task: asyncio.Task | None = None
+        self._executor: ThreadPoolExecutor | None = None  # the engine thread
         self._running = False
         self._draining = False
         self._inflight = 0
@@ -130,8 +126,8 @@ class LiveServer:
         self._raw_prompt_tokens = 0
         self._scheduler: ContinuousScheduler | None = None
         # Written True by the loop thread on every enqueue, read by the
-        # engine thread mid-burst (GIL-atomic bool) to cut bursts short
-        # the moment admission work appears.
+        # engine thread mid-burst (GIL-atomic bool) to cut a burst short
+        # the moment an arrival can be admitted.
         self._arrivals_pending = False
         self._queue_labels: set[str] = set()
         self._last_done_at: float | None = None
@@ -156,6 +152,11 @@ class LiveServer:
         # too few containers to trigger one soon: measured on `mix`, ~75 MB
         # of dead engine sat under the serving peak. ~10 ms at ~30 k objects.
         gc.collect()
+        # One engine thread of its own: asyncio's default pool grows a
+        # second one for an upkeep tick due mid-step, which then runs
+        # beside the iteration with a malloc arena of its own (+60 MB of
+        # peak RSS in some runs).
+        self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="engine")
         self._wake = asyncio.Event()
         self._running = True
         self._draining = False
@@ -202,6 +203,9 @@ class LiveServer:
         if self._worker_task is not None:
             await self._worker_task
             self._worker_task = None
+        if self._executor is not None:  # a cancelled tick may still run
+            self._executor.shutdown(wait=True)
+            self._executor = None
         if self._scheduler is not None:
             # Non-drain stop with sequences mid-decode: release their
             # forks and fail the requests.
@@ -405,10 +409,9 @@ class LiveServer:
 
     async def _scheduler_worker(self) -> None:
         """One burst of :meth:`ContinuousScheduler.iterate` per loop
-        pass. The iterations run on the executor (the engine is the
-        serial resource); their outcomes — real token timestamps, retired
-        results — are applied back here on the loop, where the asyncio
-        request state lives."""
+        pass. The iterations run on the engine thread; their outcomes —
+        real token timestamps, retired results — are applied back here
+        on the loop, where the asyncio request state lives."""
         assert self._wake is not None and self._scheduler is not None
         scheduler = self._scheduler
         loop = asyncio.get_running_loop()
@@ -437,62 +440,58 @@ class LiveServer:
             self.metrics.gauge(
                 "server_inflight", "requests in the running batch"
             ).set(self._inflight)
-            # Burst only while the queue is empty: with requests still
-            # waiting, every retirement can admit a replacement, and
-            # that must happen on the loop between iterations.
-            limit = (
-                self.options.burst_iterations if not len(self.batcher) else 1
-            )
             if self.options.inline_execution:
-                last = self._run_iterations(
-                    scheduler, admissions, limit, self._apply_outcome
+                last, stalls = self._run_iterations(
+                    scheduler, admissions, self._apply_outcome
                 )
             else:
-                last = await loop.run_in_executor(
-                    None, self._run_iterations, scheduler, admissions, limit,
+                last, stalls = await loop.run_in_executor(
+                    self._executor, self._run_iterations, scheduler, admissions,
                     partial(loop.call_soon_threadsafe, self._apply_outcome),
                 )
             self._apply_outcome(last)
+            self._count_stalls(stalls)
             self._inflight = scheduler.active
 
     def _run_iterations(
         self,
         scheduler: ContinuousScheduler,
         admissions: list[LiveRequest],
-        limit: int,
         hand_off,
-    ) -> IterationOutcome:
-        """Engine-thread side: the dispatched iteration plus up to
-        ``limit - 1`` follow-ons, stopping early when a new arrival needs
-        loop-side admission, nothing is left in flight, or the server
-        stops. Everything but the last iteration's returned outcome goes
-        to the loop through ``hand_off`` — the parts an iteration hands
-        over as it goes (see :meth:`ContinuousScheduler.iterate`) and
-        each returned outcome as its iteration ends — so a token reaches
-        its client as soon as nothing the engine thread still has to do
-        can change it, and is never touched here again; the last outcome
-        is returned, so a burst of one costs what a plain dispatch does.
-        The loop runs its callbacks in FIFO order and the executor future
-        resolves through the same queue, so parts and outcomes are
-        applied in order and all of them before the worker coroutine
-        resumes."""
+    ) -> tuple[IterationOutcome, int]:
+        """Engine-thread side: the dispatched iteration plus follow-ons,
+        until one frees a slot, an arrival finds a free slot, nothing is
+        in flight or the server stops. Returns the last outcome and the
+        follow-ons that ran with requests queued (admission stalls).
+        Everything else reaches the loop through ``hand_off``: each
+        iteration's parts, each earlier outcome. The loop runs callbacks
+        in FIFO order and the executor future resolves through the same
+        queue, after the last part — so a caller woken by its completion
+        submits its next request before the worker resumes and pops it
+        for the very next iteration."""
+        active = scheduler.active
         outcome = scheduler.iterate(admissions, hand_off)
-        for _ in range(limit - 1):
-            if not (scheduler.active and self._running) or self._arrivals_pending:
-                break
+        stalls = 0
+        while (
+            outcome.active_after == active + outcome.admitted  # freed no slot
+            and outcome.active_after
+            and self._running
+            and not (self._arrivals_pending and scheduler.predicted_free_slots())
+        ):
             try:
                 hand_off(outcome)
             except RuntimeError:
                 # The loop closed under us (interpreter teardown): nobody
                 # is left to deliver to, and stop() owns what is in flight.
                 break
+            stalls += bool(len(self.batcher))
+            active = outcome.active_after
             outcome = scheduler.iterate([], hand_off)
-        return outcome
+        return outcome, stalls
 
     def _pop_admissions(self, scheduler: ContinuousScheduler) -> list[LiveRequest]:
-        """Oldest-first admission up to the scheduler's free slots (slots
-        freed by this iteration's certain retirements included, so a
-        retire and its replacement land in the same iteration)."""
+        """Oldest-first admission up to the scheduler's free slots, those
+        freed by the iteration that just ended included."""
         slots = scheduler.predicted_free_slots()
         admissions: list[LiveRequest] = []
         while len(admissions) < slots:
@@ -501,11 +500,15 @@ class LiveServer:
                 break
             admissions.append(request)
         if not admissions and len(self.batcher):
+            self._count_stalls(1)
+        return admissions
+
+    def _count_stalls(self, stalls: int) -> None:
+        if stalls:
             self.metrics.counter(
                 "server_admission_stalls_total",
                 "iterations that found queued work but no free decode slot",
-            ).inc()
-        return admissions
+            ).inc(stalls)
 
     def _apply_outcome(self, outcome: IterationOutcome) -> None:
         """Apply one hand-off on the loop thread: a part of an iteration
@@ -550,11 +553,6 @@ class LiveServer:
             self._record(request)
         if outcome.partial:
             return
-        for request in outcome.requeued:  # overshoot guard; normally empty
-            request.state = QUEUED
-            request.started_at = None
-            self.batcher.put(request)
-
         if outcome.prefill_batch:
             self.metrics.histogram(
                 "server_prefill_pack_size",
@@ -608,8 +606,7 @@ class LiveServer:
     async def _maintenance_loop(self) -> None:
         """Periodic store upkeep, alive even while the server is idle —
         TTL victims must die on schedule, not on the next request. The
-        sweep itself runs on the executor (it takes the store lock and
-        may fault snapshot pages in)."""
+        sweep runs on the engine thread, queued behind any burst."""
         interval = self.options.store_sweep_interval_s
         assert interval is not None
         loop = asyncio.get_running_loop()
@@ -620,7 +617,7 @@ class LiveServer:
             if self.options.inline_execution:
                 self._store_maintenance()
             else:
-                await loop.run_in_executor(None, self._store_maintenance)
+                await loop.run_in_executor(self._executor, self._store_maintenance)
 
     def _store_maintenance(self) -> None:
         """One upkeep tick (engine-thread side): the store's maintenance

@@ -6,14 +6,10 @@ and the model runs its single-token forwards one sequence at a time.
 :class:`ContinuousScheduler` builds the serving hot loop around
 *iterations* instead (vLLM-style):
 
-1. **Sample & retire.** Every decoding sequence takes one sampling
-   decision. A sequence hitting a stop token or its budget retires on
-   the spot — its fork is freed *before* admission runs, so the slot is
-   refilled this same iteration.
-2. **Admit.** Queued requests are admitted up to ``max_inflight``; the
+1. **Admit.** Queued requests are admitted into the free slots; the
    splice (fork of the shared spliced base, which reads its modules'
    K/V in place) happens here, on the engine thread.
-3. **Packed prefill.** Up to ``prefill_chunk_tokens`` uncached prompt
+2. **Packed prefill.** Up to ``prefill_chunk_tokens`` uncached prompt
    tokens are taken across prefilling sequences, oldest first — a long
    cold prefill is spread over iterations instead of stalling decode
    progress for everyone else, and only the last taker can be cut
@@ -23,12 +19,18 @@ and the model runs its single-token forwards one sequence at a time.
    sequence over its own cache), and those sequences sample their first
    token at once (TTFT never waits an extra iteration). The at most one
    chunk that does not complete runs after that, as its own call with no
-   logits, whose last layer stops at its K/V append. A stream whose positions the model cannot place fails alone,
-   before the pack is formed; an exception inside a packed forward fails
-   everyone in it. The scheduler never runs a per-sequence prefill — one
-   stream is a pack of one.
-4. **Batched decode.** Every sequence still needing a forward joins
-   **one** ``forward_decode_batch`` call.
+   logits, whose last layer stops at its K/V append. A stream whose
+   positions the model cannot place fails alone, before the pack is
+   formed; an exception inside a packed forward fails everyone in it.
+   The scheduler never runs a per-sequence prefill — one stream is a
+   pack of one.
+3. **Batched decode.** Every sequence holding an unforwarded token
+   joins **one** ``forward_decode_batch`` call.
+4. **Sample and retire.** Each row of that call is sampled as soon as
+   it lands. A sequence hitting a stop token or its budget retires on
+   the spot: its fork — and so its slot — is free before :meth:`iterate`
+   returns, so the request its caller sends in reaction is admitted by
+   the very next iteration.
 
 The decode call is one step whatever the sequences are; what differs per
 row is where its KV lives. Sequences are grouped by the spliced base
@@ -50,13 +52,14 @@ every step, even alone.
 
 Tokens and completions leave the engine thread before it starts work
 that cannot change them: given a ``hand_off`` callable, :meth:`iterate`
-delivers the sample phase's events ahead of admission and prefill (when
-any follows) and the prefill's first tokens ahead of the decode step and
-maintenance, as *parts*; what it returns carries the remaining events
-and every counter. Without a callable everything is returned.
+delivers the prefill's first tokens (and any retirement there) ahead of
+maintenance and the decode step, and the decode step's tokens and
+retirements before it returns, as *parts*; what it returns carries the
+remaining events and every counter. Without a callable everything is
+returned.
 
 The scheduler is synchronous and single-threaded by design: the runtime
-calls :meth:`iterate` from one worker (usually on the serving executor
+calls :meth:`iterate` from one worker (on the server's one engine
 thread, the engine being the serial resource) and applies the parts and
 the returned :class:`IterationOutcome` — token events with real
 wall-clock timestamps, retired results, errors — back on the event loop,
@@ -89,6 +92,12 @@ from repro.server.request import LiveRequest
 SEAT_MIN_GROUP = 2
 SEAT_MIN_BATCH = 2
 
+# The scheduler's two settings, defaulted here once for every layer that
+# exposes them (``ServeOptions``, ``repro serve-live``): concurrent
+# decoding sequences, and uncached prompt tokens prefilled per iteration.
+MAX_INFLIGHT = 8
+PREFILL_CHUNK_TOKENS = 256
+
 
 @dataclass
 class _InFlight:
@@ -109,9 +118,7 @@ class IterationOutcome:
     ``hand_off`` delivers those two lists in *parts* as it goes
     (``partial=True``, every other field at its default); the returned
     outcome then holds only the events no part carried — and, always,
-    everything else: ``requeued`` (the admission overflow; never under
-    correct slot prediction, but the runtime puts them back rather than
-    losing them) and the counters, which describe the whole iteration.
+    the counters, which describe the whole iteration.
     """
 
     emitted: list[tuple[LiveRequest, int, float]] = field(default_factory=list)
@@ -119,7 +126,6 @@ class IterationOutcome:
         field(default_factory=list)
     )
     partial: bool = False
-    requeued: list[LiveRequest] = field(default_factory=list)
     admitted: int = 0
     tokens: int = 0  # sampled this iteration, wherever they were delivered
     completed: int = 0  # requests retired with a result, likewise
@@ -145,8 +151,8 @@ class ContinuousScheduler:
         self,
         pc,
         *,
-        max_inflight: int = 8,
-        prefill_chunk_tokens: int = 256,
+        max_inflight: int = MAX_INFLIGHT,
+        prefill_chunk_tokens: int = PREFILL_CHUNK_TOKENS,
         clock=time.monotonic,
         maintenance=None,
     ) -> None:
@@ -158,10 +164,8 @@ class ContinuousScheduler:
         self.max_inflight = max_inflight
         self.prefill_chunk_tokens = prefill_chunk_tokens
         self.clock = clock
-        # Optional idle-work hook (store TTL sweep + prefetch). Called
-        # at the end of an iteration only when the iteration had spare
-        # prefill capacity, so background pulls never displace decode or
-        # a cold prefill — the "prefetch never starves decode" contract.
+        # Optional idle-work hook (store TTL sweep + prefetch), run inside
+        # iterations with spare prefill capacity (see iterate).
         self.maintenance = maintenance
         self.maintenance_runs = 0
         # Admission order; no lock — iterate()/abort_all() are called
@@ -176,58 +180,38 @@ class ContinuousScheduler:
         return len(self._inflight)
 
     def predicted_free_slots(self) -> int:
-        """Slots the next iteration can fill: currently free ones plus
-        sequences certain to retire in its sample phase (their next
-        sampling decision exhausts ``max_new_tokens``). A lower bound —
-        stop-token retirements only free more — so admission based on it
-        never overshoots ``max_inflight``."""
-        retiring = sum(
-            1 for seq in self._inflight
-            if seq.stream.decoding
-            and len(seq.stream.output_ids) >= seq.stream.max_new_tokens - 1
-        )
-        return self.max_inflight - len(self._inflight) + retiring
+        """Slots the next iteration can fill — exactly the free ones: a
+        sequence retires in the iteration that samples its last token,
+        so nothing in flight is about to free one before admission."""
+        return self.max_inflight - len(self._inflight)
 
     # -- the iteration -----------------------------------------------------------
 
     def iterate(
         self, admissions: list[LiveRequest], hand_off=None
     ) -> IterationOutcome:
-        """One scheduler step (engine-thread side). ``admissions`` must
-        not exceed :meth:`predicted_free_slots` from just before the
-        call; overflow is returned in ``requeued``.
+        """One scheduler step (engine-thread side): admit → packed
+        prefill → batched decode → sample and retire. ``admissions``
+        must fit :meth:`predicted_free_slots`; more is a caller error and
+        raises ``ValueError`` before anything runs.
 
         With a ``hand_off`` callable, tokens and completions leave as
         *parts* (see :class:`IterationOutcome`) before the engine thread
-        starts work that cannot change them: the sample phase's before
-        admission and prefill, the first tokens of a prefill before the
-        decode step and maintenance. A part is never touched again here.
-        ``hand_off`` raising ``RuntimeError`` means nobody is listening
-        any more (a closed event loop): the events stay on the returned
-        outcome and the iteration runs to its end without parts."""
+        starts work that cannot change them: the prefill's before
+        maintenance and the decode step, the decode step's before the
+        call returns. A part is never touched again here. ``hand_off``
+        raising ``RuntimeError`` means nobody is listening any more (a
+        closed event loop): the events stay on the returned outcome and
+        the iteration runs to its end without parts."""
+        free = self.predicted_free_slots()
+        if len(admissions) > free:
+            raise ValueError(f"{len(admissions)} admissions for {free} free slots")
         outcome = IterationOutcome()
         started = self.clock()
+        before = len(self._inflight)
 
-        # Phase 1: one sampling decision per decoding sequence; retire
-        # on stop/budget immediately so admission below sees the slot.
-        # A sequence not decoding is still prefilling: it, or an
-        # admission, means prefill work follows.
-        prefill_follows = bool(admissions)
-        sample_s = -time.perf_counter()
-        for seq in list(self._inflight):
-            if seq.stream.decoding:
-                self._sample(seq, outcome)
-            else:
-                prefill_follows = True
-        sample_s += time.perf_counter()
-        if prefill_follows:
-            hand_off = self._hand_off(outcome, hand_off)
-
-        # Phase 2: admission — the splice/fork work happens here.
+        # Admission — the splice/fork work happens here.
         for request in admissions:
-            if len(self._inflight) >= self.max_inflight:
-                outcome.requeued.append(request)
-                continue
             try:
                 stream = self._open(request)
             except Exception as exc:  # bad prompt or engine fault: fail just it
@@ -240,11 +224,11 @@ class ContinuousScheduler:
                 raise
             outcome.admitted += 1
 
-        # Phase 3: chunked prefill. Chunks are taken oldest sequence
-        # first, so only the last taker can be cut short by the budget.
-        # Every chunk that completes its prompt rides one packed forward,
-        # and those sequences take their first sampling decision at once;
-        # a chunk that does not complete runs after they have left.
+        # Chunked prefill. Chunks are taken oldest sequence first, so
+        # only the last taker can be cut short by the budget. Every chunk
+        # that completes its prompt rides one packed forward, and those
+        # sequences take their first sampling decision at once; a chunk
+        # that does not complete runs after they have left.
         completing, continuing = [], []
         budget = self.prefill_chunk_tokens
         for seq in list(self._inflight):
@@ -265,16 +249,29 @@ class ContinuousScheduler:
             carried = self._prefill(completing, outcome, logits=True)
             outcome.prefill_batch = len(carried)
             for seq in carried:
-                if seq.stream.done:  # zero-token decode budget
+                # A zero-token budget is done before any sample.
+                if seq.stream.done or self._sample(seq, outcome):
                     self._retire(seq, outcome)
-                else:
-                    self._sample(seq, outcome)
             hand_off = self._hand_off(outcome, hand_off)
         if continuing:
             self._prefill(continuing, outcome, logits=False)
 
-        # Phase 4: one batched single-token forward across every
-        # sequence whose sampled token still needs its forward.
+        # Idle-capacity upkeep, after the first tokens and before the
+        # decode step: only when the prefill left budget unused (no cold
+        # prompt waiting) and nothing has finished yet this iteration — a
+        # finished request's caller is about to send its next one, which
+        # must not wait behind upkeep.
+        if (
+            self.maintenance is not None
+            and outcome.prefill_tokens < self.prefill_chunk_tokens
+            and len(self._inflight) == before + outcome.admitted
+        ):
+            self.maintenance()
+            self.maintenance_runs += 1
+
+        # One batched single-token forward across every sequence whose
+        # sampled token still needs its forward; each row is sampled as
+        # soon as it lands, and a stream done with it retires here.
         forward = [seq for seq in self._inflight if seq.stream.decoding]
         if forward:
             forward_s = -time.perf_counter()
@@ -293,20 +290,22 @@ class ContinuousScheduler:
                     self._fail(seq, exc, outcome)
             else:
                 forward_s += time.perf_counter()
-                step_s = sample_s + forward_s
-                for i, seq in enumerate(forward):
-                    seq.stream.set_logits(logits[i], step_s)
                 outcome.decode_batch = len(forward)
                 self._account_sharing(forward, shared_groups, outcome)
-
-        # Idle-capacity maintenance: only when this iteration left prefill
-        # budget unused (no cold prompt was waiting on the engine).
-        if (
-            self.maintenance is not None
-            and outcome.prefill_tokens < self.prefill_chunk_tokens
-        ):
-            self.maintenance()
-            self.maintenance_runs += 1
+                sample_s = -time.perf_counter()
+                retiring = []
+                for seq, row in zip(forward, logits):
+                    seq.stream.set_logits(row)
+                    if self._sample(seq, outcome):
+                        retiring.append(seq)
+                sample_s += time.perf_counter()
+                # Each token's step: the forward that made its logits and
+                # the sampling that read them, both in this iteration.
+                for seq in forward:
+                    seq.stream.charge_step(forward_s + sample_s)
+                for seq in retiring:
+                    self._retire(seq, outcome)
+        self._hand_off(outcome, hand_off)
 
         outcome.active_after = len(self._inflight)
         outcome.elapsed_s = self.clock() - started
@@ -330,13 +329,13 @@ class ContinuousScheduler:
         outcome.emitted, outcome.finished = [], []
         return hand_off
 
-    def _sample(self, seq: _InFlight, outcome: IterationOutcome) -> None:
-        """One sampling decision; retire on a stop token or the budget."""
+    def _sample(self, seq: _InFlight, outcome: IterationOutcome) -> bool:
+        """One sampling decision; True when it ended the stream (a stop
+        token or the budget) and the caller must retire it."""
         token, needs_forward = seq.stream.next_token()
         outcome.emitted.append((seq.request, token, self.clock()))
         outcome.tokens += 1
-        if not needs_forward:
-            self._retire(seq, outcome)
+        return not needs_forward
 
     def _prefill(
         self, takers: list, outcome: IterationOutcome, *, logits: bool

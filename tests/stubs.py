@@ -61,8 +61,11 @@ class StubStream:
         self.done = len(self.output_ids) >= len(self.tokens)
         return token, not self.done
 
-    def set_logits(self, row, step_s: float) -> None:
+    def set_logits(self, row) -> None:
         self.logits = row
+
+    def charge_step(self, step_s: float) -> None:
+        pass
 
     def abort(self) -> None:
         self.aborted = True

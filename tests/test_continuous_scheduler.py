@@ -245,7 +245,7 @@ class TestServeStream:
                 np.asarray([stream.decode_position]),
                 [stream.cache],
             )
-            stream.set_logits(logits[0], 0.0)
+            stream.set_logits(logits[0])
         result = stream.finish()
         assert result.output_ids == direct.output_ids
         assert result.cached_tokens == direct.cached_tokens
@@ -342,25 +342,61 @@ class TestBatcherAdmission:
 
 
 class TestSchedulerSlots:
-    def test_predicted_free_slots_counts_certain_retirements(self):
+    def test_predicted_free_slots_is_exact(self):
+        """Free slots are ``max_inflight`` minus what is in flight: the
+        iteration that samples a stream's last token retires it, so the
+        slot is free for the next iteration's admission."""
         sched = ContinuousScheduler(StubEngine(), max_inflight=2)
-        sched.iterate([make_request("a", max_new_tokens=3),
-                       make_request("b", max_new_tokens=5)])
-        assert sched.active == 2  # both prefilled and sampled token 1
+        first = sched.iterate([make_request("a", max_new_tokens=3),
+                               make_request("b", max_new_tokens=5)])
+        # Both prefilled and sampled token 1, forwarded it, sampled token 2.
+        assert first.tokens == 4 and sched.active == 2
         assert sched.predicted_free_slots() == 0
-        sched.iterate([])  # a samples token 2 of 3 → certain to retire
-        assert sched.predicted_free_slots() == 1
-        outcome = sched.iterate([make_request("c", max_new_tokens=5)])
-        # a retired in the sample phase, c filled the slot same-iteration.
-        assert [r.request_id for r, *_ in outcome.finished] == ["a"]
-        assert outcome.admitted == 1
-        assert sched.active == 2
+        second = sched.iterate([])  # a samples token 3 of 3 and retires
+        assert [r.request_id for r, *_ in second.finished] == ["a"]
+        assert sched.active == 1 and sched.predicted_free_slots() == 1
+        third = sched.iterate([make_request("c", max_new_tokens=5)])
+        assert third.admitted == 1 and third.finished == []
+        assert sched.active == 2 and sched.predicted_free_slots() == 0
 
-    def test_overflow_is_requeued_not_lost(self):
-        sched = ContinuousScheduler(StubEngine(), max_inflight=1)
-        outcome = sched.iterate([make_request("a"), make_request("b")])
-        assert outcome.admitted == 1
-        assert [r.request_id for r in outcome.requeued] == ["b"]
+    def test_overfull_admission_list_raises(self):
+        engine = StubEngine()
+        sched = ContinuousScheduler(engine, max_inflight=1)
+        with pytest.raises(ValueError, match="2 admissions for 1 free slots"):
+            sched.iterate([make_request("a"), make_request("b")])
+        assert sched.active == 0 and engine.streams == []  # nothing opened
+
+    @pytest.mark.parametrize("budget", [3, 10], ids=["budget", "stop_token"])
+    def test_last_token_frees_its_slot_before_iterate_returns(self, budget):
+        """Three tokens, ended by the budget or — with budget left — by
+        a stop token: the ``iterate`` call that samples the third
+        returns with the slot free and the completion already handed
+        off as a part, nothing of it left on the returned outcome."""
+
+        class Stopping(StubEngine):
+            def _open(self, kind, prompt, max_new_tokens):
+                stream = super()._open(kind, prompt, max_new_tokens)
+                stream.max_new_tokens = max_new_tokens
+                return stream
+
+        sched = ContinuousScheduler(
+            Stopping(tokens=lambda serial, budget: [7, 8, 9]), max_inflight=1
+        )
+        parts = []
+        first = sched.iterate([make_request("a", max_new_tokens=budget)], parts.append)
+        # The prefill samples token 1 and the decode step token 2.
+        assert first.tokens == 2 and sched.active == 1
+        assert [t for part in parts for _, t, _ in part.emitted] == [7, 8]
+        parts.clear()
+        last = sched.iterate([], parts.append)
+        assert last.tokens == 1 and last.completed == 1
+        assert sched.active == 0 and sched.predicted_free_slots() == 1
+        assert last.emitted == [] and last.finished == []
+        (part,) = parts
+        assert [t for _, t, _ in part.emitted] == [9]
+        ((request, result, error, _),) = part.finished
+        assert request.request_id == "a" and error is None
+        assert result.output_ids == [7, 8, 9]
 
     def test_open_failure_fails_only_that_request(self):
         class Flaky(StubEngine):

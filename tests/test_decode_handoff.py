@@ -3,17 +3,21 @@ tails to the arena.
 
 - **Delivery.** The engine thread hands tokens and completions to the
   loop before it starts work that cannot change them — inside an
-  iteration as *parts* (after the sample phase when prefill work
-  follows, after a prefill's first tokens), and between the iterations
-  of a burst as whole outcomes — and keeps going. A stub engine whose
-  forwards wait on gates makes the interleaving exact: a first token is
-  in the client's hands while the engine sits in the same iteration's
-  decode step; a request retired by the sample phase is ``DONE`` before
-  that iteration's prefill begins; every token reaches its stream
-  exactly once and in order whether the server drains, is stopped
-  mid-iteration or mid-burst, or expires a queued request meanwhile; a
-  closed loop ends the burst without failing anyone;
-  ``inline_execution`` behaves as it always did.
+  iteration as *parts* (after a prefill's first tokens, after the
+  decode step's samples), and between the iterations of a burst as
+  whole outcomes — and keeps going. A stub engine whose forwards wait on
+  gates makes the interleaving exact: a first token is in the client's
+  hands while the engine sits in the same iteration's decode step; a
+  request retired at the end of a decode step is ``DONE`` before the
+  next iteration's prefill begins; a closed-loop caller's next request
+  is admitted by the iteration right after its completion; every token
+  reaches its stream exactly once and in order whether the server
+  drains, is stopped mid-iteration or mid-burst, or expires a queued
+  request meanwhile; a closed loop ends the burst without failing
+  anyone; ``inline_execution`` behaves as it always did.
+- **One engine thread.** Under asyncio's default executor (a pool),
+  every iteration and every store upkeep tick runs on the server's own
+  thread, a tick due mid-step included.
 - **Slot lifecycle.** Under the fork and seat auditor, hundreds of
   admissions through the real engine with retirements, injected failures
   and ``abort_all`` leave every arena row free and every base's forks
@@ -124,14 +128,12 @@ class GatedEngine(StubEngine):
             assert await loop.run_in_executor(_WAITERS, entered.acquire, True, WAIT_S)
 
 
-# The loop's default executor is the engine thread; waits on the gate must
-# not queue behind it.
+# Waits on the gate run on threads of their own, never the engine thread.
 _WAITERS = ThreadPoolExecutor(max_workers=2, thread_name_prefix="test-wait")
 
 
 def options(**kw):
     kw.setdefault("queue_delay_budget_s", None)
-    kw.setdefault("burst_iterations", 8)
     kw.setdefault("store_sweep_interval_s", None)
     return ServeOptions(**kw)
 
@@ -165,10 +167,11 @@ async def collect(request: LiveRequest) -> tuple[list[int], Exception | None]:
 
 class TestOutcomeHandOff:
     def test_first_token_arrives_while_the_burst_runs(self):
-        """burst_iterations=8, one request of 8 tokens: its first token
-        is sampled in iteration 1. The client must have it while the
-        engine thread sits in iteration 2's forward — six iterations
-        before the burst's last one starts."""
+        """One request of 8 tokens runs as one burst of 7 iterations
+        (each ends on a decode step's sample; the last retires it). Its
+        first token is sampled in iteration 1: the client must have it
+        while the engine thread sits in iteration 2's forward — five
+        iterations before the burst's last one starts."""
 
         async def main():
             clock = FakeClock()
@@ -182,7 +185,7 @@ class TestOutcomeHandOff:
             await engine.wait_entered()  # iteration 2's forward: still gated
             first = await asyncio.wait_for(anext(stream), WAIT_S)
             assert first == 0
-            assert engine.forwards == 2  # the burst is six iterations from done
+            assert engine.forwards == 2  # the burst is five iterations from done
             assert request.first_token_at == 0.0  # stamped before forward 1 ticked
             assert request.state != DONE
             engine.open_gate()
@@ -220,9 +223,10 @@ class TestOutcomeHandOff:
         run(main())
 
     def test_sample_phase_retirement_is_done_before_the_prefill_starts(self):
-        """Iteration 2 retires request A in its sample phase and admits
-        B: A is DONE at its client — result and all — while the engine
-        thread is held inside B's prefill."""
+        """Iteration 1 retires request A in the sample phase after its
+        decode step, and iteration 2 admits B: A is DONE at its client —
+        result and all — while the engine thread is held inside B's
+        prefill."""
 
         async def main():
             clock = FakeClock()
@@ -250,8 +254,10 @@ class TestOutcomeHandOff:
 
     def test_an_iteration_without_prefill_work_hands_off_nothing_extra(self):
         """One request, one burst: iteration 1 hands its first token over
-        as a part; iterations 2..7 have nothing to prefill and make one
-        delivery each, as they always did — the whole outcome."""
+        as a part after the prefill and its second after the decode step;
+        iterations 2..7 have nothing to prefill and make one part each,
+        their decode step's token (the last with the completion). Every
+        returned outcome carries counters only."""
 
         async def main():
             clock = FakeClock()
@@ -264,11 +270,12 @@ class TestOutcomeHandOff:
             await server.stop()
             assert error is None and tokens == expected_tokens(0, 8)
             parts = [o for o in applied if o.partial]
-            assert [[t for _, t, _ in o.emitted] for o in parts] == [[0]]
+            assert [[t for _, t, _ in o.emitted] for o in parts] == [[t] for t in tokens]
+            assert [len(o.finished) for o in parts] == [0] * 7 + [1]
             wholes = [o for o in applied if not o.partial]
-            assert len(wholes) == 8  # one per iteration: 7 forwards + the retirement
-            assert [t for o in wholes for _, t, _ in o.emitted] == expected_tokens(0, 8)[1:]
-            assert sum(o.tokens for o in wholes) == 8  # counters see the whole iteration
+            assert len(wholes) == 7  # one per iteration, each with its forward
+            assert not any(o.emitted or o.finished for o in wholes)
+            assert [o.tokens for o in wholes] == [2, 1, 1, 1, 1, 1, 1]
 
         run(main())
 
@@ -294,8 +301,8 @@ class TestOutcomeHandOff:
                 assert tokens == request.result.output_ids
                 assert len(tokens) == request.max_new_tokens
             assert len(by_serial) == len(budgets)
-            # Both kinds of part were on the way: a sample-phase retirement
-            # ahead of an admission, and first tokens ahead of a decode step.
+            # Both kinds of part were on the way: a decode step's
+            # retirement, and first tokens ahead of a decode step.
             parts = [o for o in applied if o.partial]
             assert any(
                 len(result.output_ids) > 1 for o in parts for _, result, _, _ in o.finished
@@ -312,8 +319,10 @@ class TestOutcomeHandOff:
     def test_stop_without_drain_mid_iteration(self):
         """The door slams while the engine thread is inside the decode
         step of the iteration that admitted the request: the first token
-        — a part, handed over before that step — is what the client got,
-        the returned outcome applies after it, and then ServerClosed."""
+        — a part, handed over before that step — and the second, sampled
+        from that step and handed over as the iteration ends, are what
+        the client got; the returned outcome applies after them, and
+        then ServerClosed."""
 
         async def main():
             clock = FakeClock()
@@ -330,8 +339,8 @@ class TestOutcomeHandOff:
             await asyncio.wait_for(stopper, WAIT_S)
             tokens, error = await asyncio.wait_for(reader, WAIT_S)
             assert isinstance(error, ServerClosed) and request.state == FAILED
-            assert tokens == [0] and engine.forwards == 1
-            assert [o.partial for o in applied] == [True, False]
+            assert tokens == [0, 1] and engine.forwards == 1
+            assert [o.partial for o in applied] == [True, True, False]
             assert engine.streams[0].aborted
             assert request._tokens.empty()  # nothing after the end marker
 
@@ -361,9 +370,10 @@ class TestOutcomeHandOff:
             assert isinstance(error, ServerClosed)
             assert request.state == FAILED
             assert tokens == expected_tokens(0, len(tokens))
-            # Iterations 1-4 sampled tokens 0-3; the burst ended at the
-            # first check after _running went false.
-            assert len(tokens) == 4 and engine.forwards == 4
+            # Iterations 1-4 sampled tokens 0-4 (iteration 1 two of
+            # them); the burst ended at the first check after _running
+            # went false.
+            assert len(tokens) == 5 and engine.forwards == 4
             assert engine.streams[0].aborted
             assert request._tokens.empty()  # nothing after the end marker
 
@@ -444,6 +454,45 @@ class TestOutcomeHandOff:
 
         run(main())
 
+    def test_a_closed_loop_callers_next_request_is_admitted_by_the_next_iteration(self):
+        """A long request keeps the engine iterating while a closed-loop
+        caller sends its next request the moment the last one is done.
+        Through the engine thread, as in production, each next request
+        is admitted by the iteration right after the one that retired
+        its predecessor: zero iterations run in between."""
+
+        async def main():
+            engine = GatedEngine(FakeClock())
+            server = LiveServer(engine, options(max_inflight=2))
+            await server.start()
+            scheduler = server._scheduler
+            iterate = scheduler.iterate
+            admitted, retired = [], []  # per iterate call, request ids
+
+            def logged(admissions, hand_off=None):
+                before = {seq.request.request_id for seq in scheduler._inflight}
+                outcome = iterate(admissions, hand_off)
+                after = {seq.request.request_id for seq in scheduler._inflight}
+                admitted.append({r.request_id for r in admissions})
+                retired.append(before - after)
+                return outcome
+
+            scheduler.iterate = logged
+            background = await server.submit(prompt(0), max_new_tokens=40)
+            chain = []
+            for i in range(1, 6):
+                request = await server.submit(prompt(i), max_new_tokens=3)
+                chain.append(request.request_id)
+                await request.wait()
+            await server.stop()
+            assert (await background.wait()).output_ids == expected_tokens(0, 40)
+            return chain, admitted, retired
+
+        chain, admitted, retired = run(main())
+        at = {rid: i for i, ids in enumerate(retired) for rid in ids}
+        for previous, following in zip(chain, chain[1:]):
+            assert following in admitted[at[previous] + 1], (previous, following)
+
     def test_hand_off_to_a_closed_loop_ends_the_burst(self):
         """``call_soon_threadsafe`` on a closed loop raises on the engine
         thread; the burst stops there instead of dying with it."""
@@ -462,16 +511,61 @@ class TestOutcomeHandOff:
             attempts.append(outcome.partial)
             raise RuntimeError("Event loop is closed")
 
-        last = server._run_iterations(scheduler, [request], 8, closed)
+        last, stalls = server._run_iterations(scheduler, [request], closed)
         assert engine.forwards == 1  # one iteration, then the failed hand-off
         # The part that could not be delivered stayed on the outcome, the
         # iteration ran on without parts, and the burst ended at its end.
         assert attempts == [True, False]
-        assert [token for _, token, _ in last.emitted] == [0]
-        assert last.finished == [] and last.tokens == 1
+        assert [token for _, token, _ in last.emitted] == [0, 1]
+        assert last.finished == [] and last.tokens == 2 and stalls == 0
         assert scheduler.active == 1 and not engine.streams[0].aborted
         assert [r.request_id for r in scheduler.abort_all()] == ["r"]
         assert engine.streams[0].aborted
+
+
+class TestEngineThread:
+    def test_every_iteration_and_upkeep_tick_runs_on_one_thread(self):
+        """asyncio's default executor is a pool: it grows a second
+        thread for work submitted while its first is busy. The server
+        does not use it — every ``iterate`` and every store upkeep tick
+        runs on the one engine thread the server owns, including the
+        ticks that fall due while a decode step is held, and that
+        thread is gone once the server stops."""
+
+        async def main():
+            engine = GatedEngine(FakeClock(), gated=True)
+            server = LiveServer(engine, options(store_sweep_interval_s=0.005))
+            ran = {"iterate": [], "upkeep": []}
+            upkeep = engine.store.maintenance
+
+            def maintenance(*args, **kwargs):
+                ran["upkeep"].append(threading.get_ident())
+                return upkeep(*args, **kwargs)
+
+            engine.store.maintenance = maintenance
+            await server.start()
+            iterate = server._scheduler.iterate
+
+            def logged(*args):
+                ran["iterate"].append(threading.get_ident())
+                return iterate(*args)
+
+            server._scheduler.iterate = logged
+            request = await server.submit(prompt(), max_new_tokens=4)
+            await engine.wait_entered()  # held inside iteration 1's decode step
+            await asyncio.sleep(0.05)  # ten upkeep ticks fall due meanwhile
+            engine.open_gate()
+            await request.wait()
+            await asyncio.sleep(0.02)  # and a few more with the engine idle
+            await server.stop()
+            return ran, {thread.ident for thread in threading.enumerate()}
+
+        ran, alive = run(main())
+        threads = set(ran["iterate"]) | set(ran["upkeep"])
+        assert len(threads) == 1 and threading.get_ident() not in threads
+        # Each iteration ran its own upkeep; the periodic ticks came on top.
+        assert len(ran["upkeep"]) > len(ran["iterate"]) > 0
+        assert not threads & alive  # shut down with the server
 
 
 # -- arena slot lifecycle --------------------------------------------------------

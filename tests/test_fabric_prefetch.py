@@ -184,9 +184,11 @@ class TestStoreMaintenance:
 
 class TestSchedulerHook:
     class _Stream:
-        """Minimal duck-typed stream: prefills `n` tokens then finishes."""
+        """Minimal duck-typed stream: prefills `n` tokens, then finishes
+        (a zero-token budget) or, ``finishes=False``, holds its slot."""
 
-        def __init__(self, n):
+        def __init__(self, n, finishes=True):
+            self.finishes = finishes
             self.prefill_remaining = n
             self.decoding = False
             self.done = False
@@ -202,7 +204,10 @@ class TestSchedulerHook:
         def prefill_done(self, rows, logits, seconds):
             self.prefill_remaining -= rows
             if self.prefill_remaining == 0:
-                self.done = True
+                self.done = self.finishes
+
+        def next_token(self):  # the first token; the stream never decodes
+            return 0, True
 
         def finish(self):
             return "done"
@@ -210,11 +215,11 @@ class TestSchedulerHook:
         def abort(self):
             pass
 
-    def _scheduler(self, maintenance, prefill_tokens, chunk=8):
+    def _scheduler(self, maintenance, prefill_tokens, chunk=8, finishes=True):
         from repro.server.request import LiveRequest
         from repro.server.scheduler import ContinuousScheduler
 
-        stream = self._Stream(prefill_tokens)
+        stream = self._Stream(prefill_tokens, finishes)
 
         class _PC:
             schemas = {}
@@ -237,7 +242,7 @@ class TestSchedulerHook:
     def test_runs_only_with_spare_prefill_capacity(self):
         ticks = []
         scheduler, request = self._scheduler(
-            lambda: ticks.append(1), prefill_tokens=20, chunk=8
+            lambda: ticks.append(1), prefill_tokens=20, chunk=8, finishes=False
         )
         scheduler.iterate([request])  # full chunk consumed: no maintenance
         assert ticks == []
@@ -247,6 +252,20 @@ class TestSchedulerHook:
         scheduler.iterate([])  # idle: spare capacity every time now
         assert len(ticks) == 2
         assert scheduler.maintenance_runs == 2
+
+    def test_skipped_when_a_stream_just_finished(self):
+        """Spare capacity, but the stream finished at its prefill: its
+        caller's next request must not wait behind upkeep. The next
+        iteration, with nothing finishing, runs it."""
+        ticks = []
+        scheduler, request = self._scheduler(
+            lambda: ticks.append(1), prefill_tokens=4, chunk=8
+        )
+        outcome = scheduler.iterate([request])
+        assert outcome.completed == 1 and scheduler.active == 0
+        assert ticks == []
+        scheduler.iterate([])
+        assert len(ticks) == 1
 
     def test_no_hook_no_overhead(self):
         scheduler, request = self._scheduler(None, prefill_tokens=4)

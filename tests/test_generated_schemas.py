@@ -127,7 +127,7 @@ def seated_by_hand(pc: PromptCache, prompt: str):
             logits = pc.model.forward_decode_batch(
                 np.asarray([token]), np.asarray([stream.decode_position]), [stream.cache]
             )
-            stream.set_logits(logits[0], 0.0)
+            stream.set_logits(logits[0])
     return stream.finish(), first
 
 

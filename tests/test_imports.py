@@ -97,7 +97,7 @@ def test_option_surface_is_pinned():
         "max_queue_depth", "queue_delay_budget_s", "default_max_new_tokens",
         "default_deadline_s", "initial_service_s", "service_time_alpha",
         "trace_log_limit", "inline_execution", "max_inflight",
-        "prefill_chunk_tokens", "burst_iterations", "store_sweep_interval_s",
+        "prefill_chunk_tokens", "store_sweep_interval_s",
     ]
     assert list(inspect.signature(ContinuousScheduler.__init__).parameters)[1:] == [
         "pc", "max_inflight", "prefill_chunk_tokens", "clock", "maintenance",

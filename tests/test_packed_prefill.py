@@ -402,12 +402,13 @@ class TestFailureIsolation:
         with audited.expect_balanced(*spliced_bases(pc)):
             first = sched.iterate(requests(prompts))
             # The bad prompt failed before the pack was formed; the other
-            # four shared one forward and each made its first token.
+            # four shared one forward, each made its first token there
+            # and its second from the decode step.
             assert first.admitted == 5 and first.prefill_batch == 4
             (failed, result, error, _), = first.finished
             assert failed.request_id == "r2" and result is None
             assert isinstance(error, ValueError) and "position ids" in str(error)
-            assert first.tokens == 4 and sched.active == 4
+            assert first.tokens == 8 and first.decode_batch == 4 and sched.active == 4
             assert first.shared_group_sizes == [3]
             done = drain(sched, [])
         for i in (0, 1, 3, 4):

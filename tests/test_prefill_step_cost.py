@@ -4,7 +4,9 @@ The step's wall time drifts with the host; the number of Python and C
 calls it makes does not (``sys.setprofile``, as in
 ``test_decode_step_cost``). One scheduler iteration admitting streams
 that fork one 512-token base and prefill a ~38-token suffix each, on the
-benchmark's model shape (four layers):
+benchmark's model shape (four layers) — the iteration goes on to the
+decode step and samples every stream's second token, none of which is
+counted here:
 
 - four streams admitted together make **one** prefill forward (the
   per-stream prefill this replaced made four);
@@ -83,7 +85,8 @@ def profile_admission(pc, width):
     finally:
         sys.setprofile(None)
     assert outcome.admitted == width and outcome.prefill_batch == width
-    assert outcome.tokens == width and not any(e for *_, e, _ in outcome.finished)
+    assert outcome.decode_batch == width
+    assert outcome.tokens == 2 * width and not any(e for *_, e, _ in outcome.finished)
     sched.abort_all()
     return counts
 

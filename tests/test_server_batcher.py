@@ -38,17 +38,14 @@ class TestGrouping:
 
     def test_fifo_between_groups(self):
         """Schemas and decode budgets interleave adversarially; pop order
-        follows arrival and nothing else. A request handed back by the
-        scheduler (older than the tail) goes back to its place."""
+        follows arrival and nothing else."""
         b = CacheAwareBatcher()
         for rid, schema, at in [("a", "x", 1.0), ("b", "y", 2.0),
                                 ("c", "x", 3.0), ("d", "z", 4.0)]:
             b.put(req(schema, at, rid=rid, max_new=4 + int(at)))
-        first = b.pop_oldest()
-        assert first.request_id == "a"
+        assert b.pop_oldest().request_id == "a"
         b.put(req("w", 5.0, rid="e"))
-        b.put(first)  # requeued
-        assert pop_all(b) == ["a", "b", "c", "d", "e"]
+        assert pop_all(b) == ["b", "c", "d", "e"]
         assert b.pop_oldest() is None
 
 
