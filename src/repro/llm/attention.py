@@ -404,51 +404,98 @@ def arena_decode_attention(
     return context.reshape(n, -1)
 
 
+# -- causal prefill in row tiles ------------------------------------------------
+#
+# A chunk's rows are scored in tiles of PREFILL_TILE rows, each against the
+# keys its rows can see (the rule, the measured tile-size table and the
+# memory bound are in packed_prefill_attention's docstring).
+PREFILL_TILE = 64
+
+# The causal mask of one tile against its own keys when positions increase:
+# key j is visible to row i iff j <= i. Every tile's diagonal block is a
+# corner of it. Stored keys-major, the layout the kernel adds it in.
+_TRIANGLE = np.ascontiguousarray(
+    np.where(np.tri(PREFILL_TILE, dtype=bool), DTYPE(0), _NEG_INF).T
+).T
+
+
 @dataclass
 class PrefillSegment:
     """One sequence's rows ``[start, stop)`` of a packed prefill, with
     what its attention needs that does not change from layer to layer.
 
-    ``bias`` is added to the score columns from ``bias_from`` on: the
-    position-ID mask as 0 / mask floor (a key is visible iff ``key_pos <=
-    query_pos``) and, under ALiBi, the distance term — then
-    ``(n_heads, rows, keys)`` over every key. Without ALiBi it is
-    ``(rows, keys - bias_from)``, and ``bias_from`` is the cache's length
-    before this chunk whenever everything cached lies at or below the
-    chunk's lowest position: those columns need no mask.
+    ``tiles`` lists ``(lo, hi, bias, bias_from)`` per tile of the
+    segment's rows ``[lo, hi)`` (segment-relative). The tile is scored
+    against every key cached before the chunk and the chunk's own keys
+    ``[0, hi)`` — ``cached + hi`` score columns — and ``bias`` is added to
+    the columns from ``bias_from`` on: the position-ID mask as 0 / mask
+    floor (a key is visible iff ``key_pos <= query_pos``), plus ALiBi's
+    distance term where in use, then ``(n_heads, hi - lo, columns)``.
+    Without ALiBi and with everything cached at or below the chunk's
+    lowest position, ``bias_from`` is the tile's diagonal block — its own
+    rows' keys, ``cached + lo`` — and nothing else is masked; otherwise
+    it is 0 (a param below a later module, or ALiBi).
     """
 
     start: int
     stop: int
     cache: object
     positions: np.ndarray
-    bias: np.ndarray
-    bias_from: int
+    tiles: list[tuple[int, int, np.ndarray, int]]
+    # (keys,) ones: a tile's softmax sums are one product with them.
+    ones: np.ndarray
 
 
 def plan_packed_prefill(
     segments, position_ids: np.ndarray, alibi: AlibiBias | None = None
 ) -> list[PrefillSegment]:
     """Lay ``segments`` — ``(cache, rows)`` in pack order — over the
-    ``position_ids`` of one packed prefill and work out each one's mask
-    (:class:`PrefillSegment`) once, not once per layer."""
+    ``position_ids`` of one packed prefill and work out each one's tiles
+    and their biases (:class:`PrefillSegment`) once, not once per layer.
+
+    A chunk whose positions strictly increase — checked once per
+    segment — is cut into tiles of :data:`PREFILL_TILE` rows, each scored
+    against the keys cached before it and its own keys up to the tile's
+    last row; any other chunk is one tile, scored over all its keys,
+    since a later key may then sit at or below an earlier row (the
+    measured tile-size table and the memory bound are
+    :func:`packed_prefill_attention`'s). Only the slices a tile adds are
+    built, never a rows x keys bias: with increasing positions, no ALiBi
+    and nothing cached above the chunk, each tile's bias is a corner of
+    one shared triangle.
+    """
     plan = []
     start = 0
     for cache, rows in segments:
         stop = start + rows
         positions = position_ids[start:stop]
         cached = cache.layers[0]
-        k_positions = np.concatenate([cached.positions, positions])
+        before = len(cached)
+        increasing = np.logical_and.reduce(positions[1:] > positions[:-1])
         # Params sitting below a later module keep the mask over the base.
-        bias_from = len(cached) if cached.max_position <= positions.min() else 0
-        bias = np.where(
-            k_positions[bias_from:] <= positions[:, None], DTYPE(0), _NEG_INF
+        base_masked = cached.max_position > (
+            positions[0] if increasing else positions.min()
         )
-        if alibi is not None:
-            full = alibi.bias(positions, k_positions)
-            full[:, :, bias_from:] += bias
-            bias, bias_from = full, 0
-        plan.append(PrefillSegment(start, stop, cache, positions, bias, bias_from))
+        # Otherwise, without ALiBi, a tile's bias is its diagonal block's.
+        diagonal = alibi is None and not base_masked
+        k_positions = None
+        if not (increasing and diagonal):
+            k_positions = np.concatenate([cached.positions, positions])
+        tile = PREFILL_TILE if increasing else rows
+        tiles = []
+        for lo in range(0, rows, tile):
+            hi = min(lo + tile, rows)
+            bias_from = before + lo if diagonal else 0
+            if k_positions is None:
+                bias = _TRIANGLE[: hi - lo, : hi - lo]
+            else:
+                seen = k_positions[bias_from : before + hi]
+                bias = np.where(seen <= positions[lo:hi, None], DTYPE(0), _NEG_INF)
+                if alibi is not None:
+                    bias = bias + alibi.bias(positions[lo:hi], seen)
+            tiles.append((lo, hi, bias, bias_from))
+        ones = np.ones(before + rows, dtype=DTYPE)
+        plan.append(PrefillSegment(start, stop, cache, positions, tiles, ones))
         start = stop
     if start != len(position_ids):
         raise ValueError(
@@ -472,9 +519,43 @@ def packed_prefill_attention(
     ``k``/``v`` are (rows, n_kv_heads, head_dim) and ``q`` (rows, n_heads,
     head_dim), rotated, in pack order. Each segment's K/V rows are
     appended to *its* cache and its queries attend over that cache —
-    its base's parts, read in place, and its tail, under one softmax —
-    under the planned bias. Returns the context (rows, n_heads *
+    its base's parts, read in place, and its tail — under the planned
+    bias, one softmax per row. Returns the context (rows, n_heads *
     head_dim).
+
+    **Row tiles.** A segment's rows go in tiles of :data:`PREFILL_TILE`
+    rows (:func:`plan_packed_prefill`). When the chunk's positions
+    strictly increase, the chunk's keys after a tile's last row lie
+    above every row of the tile and would be masked to exactly zero
+    weight, so the tile ``[lo, hi)`` scores only the keys cached before
+    the chunk and the chunk's own keys ``[0, hi)``: a long chunk over an
+    empty cache computes about half the square, and the mask is added on
+    the tile's diagonal block alone (and over the base for a param below
+    a later module; over every scored key under ALiBi). A chunk of at
+    most :data:`PREFILL_TILE` rows, or one whose positions do not
+    increase, is one tile — the single pass over every key. Scores are
+    computed keys-major, ``(…, keys, tile rows)``, so the softmax reduces
+    across rows of one contiguous block. One layer (8 heads, head_dim 32,
+    flat cache, 2-vCPU VM), tiled against the single pass over the full
+    square, median of three interleaved runs:
+
+    ==============  =====  =====  =====  =====
+    chunk rows        128    236    512  1,024
+    32-row tiles     0.88   0.76   0.62   0.47
+    64-row tiles     0.80   0.69   0.56   0.41
+    128-row tiles       –   0.78   0.57   0.40
+    ==============  =====  =====  =====  =====
+
+    Shorter tiles pay a round of calls per tile, longer ones score more
+    of the masked triangle; 64 rows is the best or within 0.01 of it at
+    every length.
+
+    **Memory.** The largest transient is one segment's score block,
+    ``n_heads x min(rows, PREFILL_TILE) x keys`` float32, reused tile
+    after tile — not ``n_heads x rows x keys``: a whole-request prefill
+    of 2,048 tokens at 8 heads holds 4 MB of scores per layer, not the
+    full square's 134 MB. (A non-increasing chunk, one tile, still
+    holds its square.)
 
     ``queries``, when given, is how many of each segment's last rows
     attend — the last layer of a call that returns fewer logits than it
@@ -482,13 +563,23 @@ def packed_prefill_attention(
     pack order, while every row's K/V is appended all the same.
 
     ``trace``, when a list, receives per segment ``(weights, key
-    positions)``: the post-softmax weights (n_heads, queries, keys) and
-    the cache's position IDs, copies made only then.
+    positions)``: the post-softmax weights (n_heads, queries, keys), zero
+    wherever a tile scored nothing, and the cache's position IDs, copies
+    made only then.
     """
-    n_heads, head_dim = q.shape[1:]
-    n_rep = n_heads // k.shape[1]
-    context = np.empty(q.shape, dtype=q.dtype)
-    q, k, v = (t.transpose(1, 0, 2) for t in (q, k, v))
+    rows_q, n_heads, head_dim = q.shape
+    n_kv = k.shape[1]
+    n_rep = n_heads // n_kv
+    context = np.empty((rows_q, n_heads * head_dim), dtype=q.dtype)
+    # (n_kv_heads, n_rep, ·, ·) views: a GQA group's query heads share one
+    # GEMM against their un-expanded keys and values. The queries come
+    # scaled and transposed, (…, head_dim, rows): a tile's scores are
+    # computed keys-major, (…, keys, tile rows), so the softmax reduces
+    # across rows of the block and a full tile is one contiguous run.
+    q = (q / np.sqrt(np.float32(head_dim))).reshape(rows_q, n_kv, n_rep, head_dim)
+    q = q.transpose(1, 2, 3, 0)
+    out = context.reshape(rows_q, n_kv, n_rep, head_dim).transpose(1, 2, 0, 3)
+    k, v = k.transpose(1, 0, 2), v.transpose(1, 0, 2)
     at = 0  # the segment's first row in ``q``
     for seg in plan:
         layer_kv = seg.cache.layers[layer]
@@ -496,22 +587,65 @@ def packed_prefill_attention(
             k[:, seg.start : seg.stop], v[:, seg.start : seg.stop], seg.positions
         )
         rows = seg.stop - seg.start
-        first = 0 if queries is None else max(rows - queries, 0)
-        span = slice(at, at + rows - first)
-        at = span.stop
-        if span.start == span.stop:
+        first = 0 if queries is None or rows <= queries else rows - queries
+        if first == rows:
             continue
-        parts = layer_kv.parts
-        scores = part_scores(q[:, span], parts, n_rep)
-        scores[:, :, seg.bias_from :] += seg.bias[..., first:, :]
-        # Softmax with the division moved past the value product: it
-        # then runs over head_dim columns per row instead of every key.
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        attended = part_context(scores, parts, n_rep)
-        total = scores.sum(axis=-1, keepdims=True)
-        attended /= total
+        at -= first  # so that segment row r is ``q`` row at + r
+        # Per part: its score rows [start, stop) of the block, and its
+        # keys and values as (n_kv, 1, ·, head_dim).
+        parts = []
+        stop = 0
+        for kp, vp in layer_kv.parts:
+            start, stop = stop, stop + kp.shape[1]
+            parts.append((start, stop, kp[:, None], vp[:, None]))
+        before = stop - rows  # keys cached before this chunk
+        lo, hi = seg.tiles[0][:2]
+        height = min(hi - lo, rows - first)
+        # One tile's scores at a time, keys-major.
+        block = np.empty((n_heads, stop, height), dtype=DTYPE)
+        grid = block.reshape(n_kv, n_rep, stop, height)
+        weights = None  # the traced post-softmax block
         if trace is not None:
-            trace.append((scores / total, layer_kv.positions.copy()))
-        context[span] = attended.transpose(1, 0, 2)
-    return context.reshape(len(context), n_heads * head_dim)
+            weights = np.zeros((n_kv, n_rep, rows - first, stop), dtype=DTYPE)
+        for lo, hi, bias, bias_from in seg.tiles:
+            if hi <= first:
+                continue
+            if lo < first:  # the last layer's rows start inside this tile
+                bias = bias[..., first - lo :, :]
+                lo = first
+            seen = before + hi
+            scores = grid[:, :, :seen, : hi - lo]
+            tile_q = q[..., at + lo : at + hi]
+            for start, stop, kp, _ in parts:
+                if start >= seen:
+                    break
+                end = stop if stop < seen else seen
+                np.matmul(kp[..., : end - start, :], tile_q, out=scores[..., start:end, :])
+            block[:, bias_from:seen, : hi - lo] += bias.mT
+            # Softmax with the division moved past the value product: it
+            # then runs over head_dim columns per row instead of every
+            # key. The max is a ufunc reduction (ndarray.max would add a
+            # Python frame), the sum a product with ones.
+            scores -= np.maximum.reduce(scores, axis=-2, keepdims=True)
+            np.exp(scores, out=scores)
+            total = (seg.ones[None, :seen] @ scores).mT  # (…, tile rows, 1)
+            attended = out[:, :, at + lo : at + hi]
+            for start, stop, _, vp in parts:
+                if start >= seen:
+                    break
+                end = stop if stop < seen else seen
+                if start:
+                    attended += scores[..., start:end, :].mT @ vp[..., : end - start, :]
+                else:
+                    np.matmul(scores[..., :end, :].mT, vp[..., :end, :], out=attended)
+            attended /= total
+            if weights is not None:
+                np.divide(
+                    scores.mT, total, out=weights[:, :, lo - first : hi - first, :seen]
+                )
+        at += rows
+        if weights is not None:
+            trace.append(
+                (weights.reshape(n_heads, rows - first, -1), layer_kv.positions.copy())
+            )
+    return context

@@ -102,11 +102,12 @@ class TestAttentionScores:
         q = RNG.normal(size=(2, 1, 4)).astype(np.float32)
         k = RNG.normal(size=(2, 1, 4)).astype(np.float32)
         seg, context = attend_one(one_layer_cache(1, 4, [2]), q, k, k, np.arange(2))
-        assert seg.bias_from == 0  # a cached key lies above the chunk
+        (_, _, bias, bias_from), = seg.tiles
+        assert bias_from == 0  # a cached key lies above the chunk
         # Keys in cache order: positions [2, 0, 1].
-        assert seg.bias[0, 0] <= -1e8 and seg.bias[0, 2] <= -1e8
-        assert seg.bias[1, 0] <= -1e8
-        assert seg.bias[0, 1] == seg.bias[1, 1] == seg.bias[1, 2] == 0
+        assert bias[0, 0] <= -1e8 and bias[0, 2] <= -1e8
+        assert bias[1, 0] <= -1e8
+        assert bias[0, 1] == bias[1, 1] == bias[1, 2] == 0
         # Query 0 sees only its own key, so its context is its own value.
         np.testing.assert_allclose(context[0], k[0, 0], rtol=1e-6)
 
@@ -130,9 +131,11 @@ class TestAttentionScores:
         alibi = AlibiBias(2, 64)
         plain, _ = attend_one(one_layer_cache(2, 4, [0, 5]), q, k, k, qpos)
         biased, _ = attend_one(one_layer_cache(2, 4, [0, 5]), q, k, k, qpos, alibi)
-        assert plain.bias_from == 2 and not plain.bias.any()
-        assert biased.bias_from == 0
-        np.testing.assert_allclose(biased.bias, alibi.bias(qpos, kpos), atol=1e-5)
+        (_, _, plain_bias, plain_from), = plain.tiles
+        (_, _, biased_bias, biased_from), = biased.tiles
+        assert plain_from == 2 and not plain_bias.any()
+        assert biased_from == 0
+        np.testing.assert_allclose(biased_bias, alibi.bias(qpos, kpos), atol=1e-5)
 
 
 class TestGroupedBroadcastPaths:

@@ -11,7 +11,11 @@ sequence:
   caches, forks of shared bases read as their modules' parts, a param
   sitting *below* a cached
   module (the mask must bite) and a suffix above everything cached (the
-  mask-free branch), MHA and GQA, with and without ALiBi.
+  mask-free branch), MHA and GQA, with and without ALiBi. Chunks of 1 to
+  300 rows, around the row-tile edges, over empty, flat and spliced
+  caches, with contiguous, gapped and shuffled positions: each tile's
+  context, the last row alone and the traced weights (zero wherever a
+  tile scored nothing) match it too.
 - **Whole calls.** Over all four families (RoPE sequential and parallel
   block, ALiBi, learned positions with biases), MHA and GQA: the K/V a
   packed call appends and its last-row logits equal per-sequence
@@ -39,7 +43,11 @@ from repro.analysis.sanitize import (
 )
 from repro.cache.engine import PromptCache
 from repro.llm import build_model, tiny_config
-from repro.llm.attention import packed_prefill_attention, plan_packed_prefill
+from repro.llm.attention import (
+    PREFILL_TILE,
+    packed_prefill_attention,
+    plan_packed_prefill,
+)
 from repro.llm.kv import KVCache, ModuleKV
 from repro.llm.paged import ForkCache, SplicedKV, TailArena
 from repro.llm.positional import AlibiBias
@@ -163,7 +171,7 @@ class TestPackedAttentionKernel:
             np.testing.assert_array_equal(layer.positions, k_positions)
             # The base block goes unmasked exactly when nothing cached
             # lies above the chunk's lowest position.
-            assert (seg.bias_from == 0) == (
+            assert (seg.tiles[0][3] == 0) == (
                 use_alibi or len(old_p) == 0 or old_p.max() > packed[span].min()
             )
             if kind == "param":
@@ -188,6 +196,131 @@ class TestPackedAttentionKernel:
         config = kernel_config(1, 1, 4)
         with pytest.raises(ValueError, match="segments cover 2 rows"):
             plan_packed_prefill([(KVCache.empty(config), 2)], np.arange(3))
+
+
+
+# -- row tiles ----------------------------------------------------------------------
+
+# Chunk lengths around the tile edges: one row, one short of a tile, a
+# tile, one past it, two tiles, one past them, and several with a ragged end.
+TILE_ROWS = [1, PREFILL_TILE - 1, PREFILL_TILE, PREFILL_TILE + 1,
+             2 * PREFILL_TILE, 2 * PREFILL_TILE + 1, 300]
+
+
+def increasing_positions(rng, start, n, gapped):
+    """``n`` strictly increasing positions from ``start``: contiguous, or
+    with gaps of up to two open positions between neighbours."""
+    steps = rng.integers(1, 4, size=n) if gapped else np.ones(n, dtype=np.int64)
+    return start + np.cumsum(steps) - steps[:1]
+
+
+def dense_attention(q, k, v, n_rep, bias):
+    """Float64 ``(weights, context)`` of one softmax over every key —
+    :func:`tests.test_chunk_attention.dense_reference` with its weights."""
+    kk = np.repeat(k, n_rep, axis=0).astype(np.float64)
+    vv = np.repeat(v, n_rep, axis=0).astype(np.float64)
+    scores = q.astype(np.float64) @ kk.swapaxes(-2, -1)
+    scores = scores / np.sqrt(np.float32(q.shape[-1])) + bias
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return weights, weights @ vv
+
+
+class TestRowTiles:
+    """A chunk is scored tile by tile, each tile against the keys its rows
+    can see; whatever the tiling skipped must carry zero weight."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        rows=st.sampled_from(TILE_ROWS),
+        cache_kind=st.sampled_from(["empty", "flat", "spliced", "param"]),
+        order=st.sampled_from(["contiguous", "gapped", "shuffled"]),
+        n_kv=st.integers(1, 2),
+        n_rep=st.sampled_from([1, 2]),
+        use_alibi=st.booleans(),
+        mode=st.sampled_from(["every row", "queries=1", "trace"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_tiles_match_dense_reference(
+        self, seed, rows, cache_kind, order, n_kv, n_rep, use_alibi, mode
+    ):
+        rng = np.random.default_rng(seed)
+        config = kernel_config(n_kv, n_rep, 4)
+        alibi = AlibiBias(config.n_heads, config.max_position) if use_alibi else None
+        gapped = order == "gapped"
+
+        # "flat": a private cache holding an earlier chunk; "spliced": a
+        # fork of a gapped two-module base, read as its parts, plus a tail
+        # an earlier chunk left; "param": a fork of that base whose chunk
+        # starts inside the gap, below the later module.
+        first = int(rng.integers(1, 30))
+        base = SplicedKV.from_module_kvs(config, [
+            random_module(rng, config, range(first)),
+            random_module(rng, config, range(first + GAP, first + GAP + int(rng.integers(1, 30)))),
+        ])
+        if cache_kind in ("empty", "flat"):
+            cache = KVCache.empty(config, capacity=4)
+        else:
+            cache = base.fork()
+        if cache_kind in ("flat", "spliced"):
+            start = cache.layers[0].max_position + 1
+            earlier = random_module(rng, config, start + np.arange(int(rng.integers(1, 20))))
+            cache.layers[0].append(earlier.keys[0], earlier.values[0], earlier.positions)
+        if cache_kind == "param":
+            inside = np.arange(first, first + min(rows, GAP))
+            above = increasing_positions(
+                rng, base.max_position + 1, rows - len(inside), gapped
+            )
+            positions = np.concatenate([inside, above])
+        else:
+            positions = increasing_positions(
+                rng, cache.layers[0].max_position + 1, rows, gapped
+            )
+        if order == "shuffled":
+            positions = rng.permutation(positions)
+        layer = cache.layers[0]
+        old_k, old_v, old_p = layer.keys, layer.values, layer.positions
+
+        q = rng.normal(size=(rows, config.n_heads, 4)).astype(np.float32)
+        k = rng.normal(size=(rows, n_kv, 4)).astype(np.float32)
+        v = rng.normal(size=(rows, n_kv, 4)).astype(np.float32)
+        (seg,) = plan = plan_packed_prefill([(cache, rows)], positions, alibi)
+        increasing = bool(np.all(np.diff(positions) > 0))
+        spans = [(lo, hi) for lo, hi, *_ in seg.tiles]
+        if increasing:
+            edges = list(range(0, rows, PREFILL_TILE))
+            assert spans == [(lo, min(lo + PREFILL_TILE, rows)) for lo in edges]
+        else:
+            assert spans == [(0, rows)]  # a non-increasing chunk is one tile
+
+        trace = [] if mode == "trace" else None
+        queries = 1 if mode == "queries=1" else None
+        last = rows - 1 if queries else 0
+        out = packed_prefill_attention(
+            plan, 0, q[last:], k, v, queries=queries, trace=trace
+        )
+
+        keys = np.concatenate([old_k, k.transpose(1, 0, 2)], axis=1)
+        values = np.concatenate([old_v, v.transpose(1, 0, 2)], axis=1)
+        k_positions = np.concatenate([old_p, positions])
+        np.testing.assert_array_equal(layer.positions, k_positions)
+        bias = mask_bias(positions[last:], k_positions)
+        if alibi is not None:
+            bias = bias + alibi.bias(positions[last:], k_positions)
+        weights, expected = dense_attention(
+            q[last:].transpose(1, 0, 2), keys, values, n_rep, bias
+        )
+        np.testing.assert_allclose(
+            out, expected.transpose(1, 0, 2).reshape(rows - last, -1),
+            rtol=1e-4, atol=1e-5,
+        )
+        if trace is not None:
+            ((traced, traced_positions),) = trace
+            np.testing.assert_array_equal(traced_positions, k_positions)
+            np.testing.assert_allclose(traced, weights, rtol=1e-4, atol=1e-6)
+        if isinstance(cache, ForkCache):
+            cache.free()
+        assert base.forks == 0
 
 
 # -- whole calls ------------------------------------------------------------------

@@ -14,16 +14,20 @@ counted here:
   (``linear_rows``) for one stream and for four — seventeen: four per
   layer and the LM head (four per-stream forwards would make 68) — the
   pack is an array dimension there;
-- four streams cost at most 2.3 k call events inside it (3,452 before).
+- four streams cost at most 2.3 k call events inside it (3,452 before);
+- a 256-row chunk over an empty cache scores 5/8 of the full square: its
+  64-row tiles see 64, 128, 192 and 256 keys.
 """
 
 from __future__ import annotations
 
 import sys
 
+import numpy as np
 import pytest
 
 from repro.analysis.contracts import contracts_enforced
+from repro.llm import attention
 from repro.cache.engine import PromptCache
 from repro.llm import build_model, small_config
 from repro.pml.chat import PLAIN_TEMPLATE
@@ -104,3 +108,32 @@ def test_four_streams_cost_under_2300_calls(pc):
     counts = profile_admission(pc, 4)
     if not contracts_enforced():  # the auditor and contracts add hook calls
         assert counts["events"] <= 2300, counts
+
+
+class ExpCounter:
+    """Stands in for ``numpy`` inside the attention module, counting the
+    elements exponentiated: every score the kernel computes goes through
+    one ``exp``."""
+
+    def __init__(self):
+        self.elements = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        self.elements += x.size
+        return np.exp(x, *args, **kwargs)
+
+
+def test_a_256_row_chunk_scores_five_eighths_of_the_square(monkeypatch):
+    model = build_model(small_config("llama", vocab_size=64), seed=0)
+    heads, rows = model.config.n_heads, 256
+    counter = ExpCounter()
+    monkeypatch.setattr(attention, "np", counter)
+    cache = model.new_cache()
+    model.forward(np.arange(rows) % 64, np.arange(rows), cache, logits=False)
+    # Every layer but the last attends (``logits=False`` stops it at its
+    # K/V append).
+    per_layer = counter.elements / (model.config.n_layers - 1)
+    assert per_layer <= 0.625 * heads * rows**2, per_layer
