@@ -185,7 +185,8 @@ class TransformerModel:
         norm, one fused qkv GEMM, one RoPE lookup, one output GEMM, one
         fused gate/up and one down GEMM, however ragged the pack — while
         K/V is appended per sequence to *its* cache and each sequence
-        attends over its own base + tail under the position-ID mask
+        attends over its own base + tail under the position-ID mask, in
+        row tiles that score only the keys their rows can see
         (:func:`~repro.llm.attention.packed_prefill_attention`).
 
         ``returned`` is how many of each segment's last rows the logits
