@@ -413,10 +413,8 @@ PREFILL_TILE = 64
 
 # The causal mask of one tile against its own keys when positions increase:
 # key j is visible to row i iff j <= i. Every tile's diagonal block is a
-# corner of it. Stored keys-major, the layout the kernel adds it in.
-_TRIANGLE = np.ascontiguousarray(
-    np.where(np.tri(PREFILL_TILE, dtype=bool), DTYPE(0), _NEG_INF).T
-).T
+# corner of it.
+_TRIANGLE = np.where(np.tri(PREFILL_TILE, dtype=bool), DTYPE(0), _NEG_INF)
 
 
 @dataclass
@@ -533,29 +531,30 @@ def packed_prefill_attention(
     the tile's diagonal block alone (and over the base for a param below
     a later module; over every scored key under ALiBi). A chunk of at
     most :data:`PREFILL_TILE` rows, or one whose positions do not
-    increase, is one tile — the single pass over every key. Scores are
-    computed keys-major, ``(…, keys, tile rows)``, so the softmax reduces
-    across rows of one contiguous block. One layer (8 heads, head_dim 32,
-    flat cache, 2-vCPU VM), tiled against the single pass over the full
-    square, median of three interleaved runs:
+    increase, is one tile — the single pass over every key. Each tile
+    gets a block of its own, so every softmax pass runs over one
+    contiguous array; the queries come pre-scaled, the max is one ufunc
+    reduction per tile and the sum a product with ones. One layer (8
+    heads, head_dim 32, flat cache, 2-vCPU VM), tiled against the single
+    pass over the full square, median of three interleaved runs:
 
     ==============  =====  =====  =====  =====
     chunk rows        128    236    512  1,024
-    32-row tiles     0.88   0.76   0.62   0.47
-    64-row tiles     0.80   0.69   0.56   0.41
-    128-row tiles       –   0.78   0.57   0.40
+    32-row tiles     0.80   0.60   0.56   0.42
+    64-row tiles     0.80   0.58   0.61   0.44
+    128-row tiles       –   0.60   0.71   0.46
     ==============  =====  =====  =====  =====
 
-    Shorter tiles pay a round of calls per tile, longer ones score more
-    of the masked triangle; 64 rows is the best or within 0.01 of it at
-    every length.
+    At the 236–256 rows of a raw-text prompt 32 and 64 rows tie; past
+    512 rows 32-row tiles gain up to 0.05 more, but every tile costs a
+    round of NumPy calls, and 64 rows halves them (a module encode's
+    call count is pinned in ``tests/test_churn_cost.py``).
 
-    **Memory.** The largest transient is one segment's score block,
-    ``n_heads x min(rows, PREFILL_TILE) x keys`` float32, reused tile
-    after tile — not ``n_heads x rows x keys``: a whole-request prefill
-    of 2,048 tokens at 8 heads holds 4 MB of scores per layer, not the
-    full square's 134 MB. (A non-increasing chunk, one tile, still
-    holds its square.)
+    **Memory.** The largest transient is one tile's score block, at most
+    ``n_heads x min(rows, PREFILL_TILE) x keys`` float32 — not ``n_heads
+    x rows x keys``: a whole-request prefill of 2,048 tokens at 8 heads
+    holds at most 4 MB of scores at a time, not the full square's 134 MB.
+    (A non-increasing chunk, one tile, still holds its square.)
 
     ``queries``, when given, is how many of each segment's last rows
     attend — the last layer of a call that returns fewer logits than it
@@ -571,14 +570,13 @@ def packed_prefill_attention(
     n_kv = k.shape[1]
     n_rep = n_heads // n_kv
     context = np.empty((rows_q, n_heads * head_dim), dtype=q.dtype)
-    # (n_kv_heads, n_rep, ·, ·) views: a GQA group's query heads share one
-    # GEMM against their un-expanded keys and values. The queries come
-    # scaled and transposed, (…, head_dim, rows): a tile's scores are
-    # computed keys-major, (…, keys, tile rows), so the softmax reduces
-    # across rows of the block and a full tile is one contiguous run.
-    q = (q / np.sqrt(np.float32(head_dim))).reshape(rows_q, n_kv, n_rep, head_dim)
-    q = q.transpose(1, 2, 3, 0)
-    out = context.reshape(rows_q, n_kv, n_rep, head_dim).transpose(1, 2, 0, 3)
+    if rows_q:  # none in the last layer of a call that returns no logits
+        # (n_kv_heads, n_rep, rows, head_dim) views, the queries scaled: a
+        # GQA group's query heads share one GEMM against their
+        # un-expanded keys and values.
+        q = (q / np.sqrt(np.float32(head_dim))).reshape(rows_q, n_kv, n_rep, head_dim)
+        q = q.transpose(1, 2, 0, 3)
+        out = context.reshape(rows_q, n_kv, n_rep, head_dim).transpose(1, 2, 0, 3)
     k, v = k.transpose(1, 0, 2), v.transpose(1, 0, 2)
     at = 0  # the segment's first row in ``q``
     for seg in plan:
@@ -591,19 +589,14 @@ def packed_prefill_attention(
         if first == rows:
             continue
         at -= first  # so that segment row r is ``q`` row at + r
-        # Per part: its score rows [start, stop) of the block, and its
-        # keys and values as (n_kv, 1, ·, head_dim).
+        # Per part: its score columns [start, stop), keys as (n_kv, 1,
+        # head_dim, ·) and values as (n_kv, 1, ·, head_dim).
         parts = []
         stop = 0
         for kp, vp in layer_kv.parts:
             start, stop = stop, stop + kp.shape[1]
-            parts.append((start, stop, kp[:, None], vp[:, None]))
+            parts.append((start, stop, kp[:, None].mT, vp[:, None]))
         before = stop - rows  # keys cached before this chunk
-        lo, hi = seg.tiles[0][:2]
-        height = min(hi - lo, rows - first)
-        # One tile's scores at a time, keys-major.
-        block = np.empty((n_heads, stop, height), dtype=DTYPE)
-        grid = block.reshape(n_kv, n_rep, stop, height)
         weights = None  # the traced post-softmax block
         if trace is not None:
             weights = np.zeros((n_kv, n_rep, rows - first, stop), dtype=DTYPE)
@@ -614,34 +607,38 @@ def packed_prefill_attention(
                 bias = bias[..., first - lo :, :]
                 lo = first
             seen = before + hi
-            scores = grid[:, :, :seen, : hi - lo]
-            tile_q = q[..., at + lo : at + hi]
-            for start, stop, kp, _ in parts:
+            # Each tile's own block, so every pass below is one
+            # contiguous run.
+            scores = np.empty((n_kv, n_rep, hi - lo, seen), dtype=DTYPE)
+            tile_q = q[:, :, at + lo : at + hi]
+            for start, stop, kt, _ in parts:
                 if start >= seen:
                     break
                 end = stop if stop < seen else seen
-                np.matmul(kp[..., : end - start, :], tile_q, out=scores[..., start:end, :])
-            block[:, bias_from:seen, : hi - lo] += bias.mT
+                np.matmul(tile_q, kt[..., : end - start], out=scores[..., start:end])
+            if bias.ndim == 3:  # ALiBi's (n_heads, ·, ·), heads in grid order
+                bias = bias.reshape(scores.shape[:2] + bias.shape[1:])
+            scores[..., bias_from:] += bias
             # Softmax with the division moved past the value product: it
             # then runs over head_dim columns per row instead of every
             # key. The max is a ufunc reduction (ndarray.max would add a
             # Python frame), the sum a product with ones.
-            scores -= np.maximum.reduce(scores, axis=-2, keepdims=True)
+            scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
             np.exp(scores, out=scores)
-            total = (seg.ones[None, :seen] @ scores).mT  # (…, tile rows, 1)
+            total = scores @ seg.ones[:seen, None]
             attended = out[:, :, at + lo : at + hi]
             for start, stop, _, vp in parts:
                 if start >= seen:
                     break
                 end = stop if stop < seen else seen
                 if start:
-                    attended += scores[..., start:end, :].mT @ vp[..., : end - start, :]
+                    attended += scores[..., start:end] @ vp[..., : end - start, :]
                 else:
-                    np.matmul(scores[..., :end, :].mT, vp[..., :end, :], out=attended)
+                    np.matmul(scores[..., :end], vp[..., :end, :], out=attended)
             attended /= total
             if weights is not None:
                 np.divide(
-                    scores.mT, total, out=weights[:, :, lo - first : hi - first, :seen]
+                    scores, total, out=weights[:, :, lo - first : hi - first, :seen]
                 )
         at += rows
         if weights is not None:
