@@ -22,7 +22,7 @@ Quickstart::
         <schema name="cities">
           <module name="miami">Miami has beaches and nightlife.</module>
         </schema>''')
-    result = pc.generate('<prompt schema="cities"><miami/>Plan a day.</prompt>')
+    result = pc.serve('<prompt schema="cities"><miami/>Plan a day.</prompt>')
 """
 
 __version__ = "1.0.0"

@@ -13,7 +13,7 @@
    their planned positions and decode. TTFT = splice + suffix prefill,
    replacing the full quadratic prefill (§3.4). The scheduler drives
    streams a chunk and a token at a time; ``serve`` / ``serve_text`` and
-   their batch forms drive them to completion in one call.
+   ``serve_batch`` drive them to completion in one call.
 
 :meth:`PromptCache.baseline` runs the exact same token content through the
 ordinary KV-cache path, which is how the accuracy and latency comparisons
@@ -73,6 +73,10 @@ def set_layout_validator(fn) -> None:
 # Reserved schema namespace for modules mined from live traffic by
 # repro.reuse (never a valid PML schema name — parser rejects it).
 DISCOVERED_SCHEMA = "__discovered__"
+
+# LRU bounds on the compiled-plan and spliced-base caches.
+PLAN_CACHE_SIZE = 256
+BASE_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -502,8 +506,9 @@ class PromptCache:
     template:
         Chat template compiled into role tags; defaults to the model
         architecture's native template.
-    plan_cache_size / base_cache_size:
-        LRU bounds on the compiled-plan and spliced-base caches.
+    kv_codec:
+        How module K/V is stored: None (as computed), a codec name
+        (:func:`repro.cache.compress.codec`) or a codec.
 
     Every encode — eager registration, a lazy first use, a re-encode
     after eviction — runs in-process, one module forward at a time (its
@@ -518,8 +523,6 @@ class PromptCache:
         store: ModuleCacheStore | None = None,
         template: ChatTemplate | None = None,
         kv_codec=None,
-        plan_cache_size: int = 256,
-        base_cache_size: int = 8,
     ) -> None:
         from repro.cache.compress import IdentityCodec, codec as codec_by_name
 
@@ -534,8 +537,6 @@ class PromptCache:
         else:
             self.kv_codec = kv_codec
         self.schemas: dict[str, RegisteredSchema] = {}
-        self.plan_cache_size = plan_cache_size
-        self.base_cache_size = base_cache_size
         # Guards the two LRU maps, their stats, and base fork/free
         # (fork counts are not thread-safe on their own).
         self._fastpath_lock = ordered_lock("engine.fastpath", after=("store",))
@@ -634,7 +635,7 @@ class PromptCache:
                 self._pop_plan(source)
             self._plan_cache[source] = entry
             self._plan_index.add(source, entry.schema_name, entry.module_names)
-            while len(self._plan_cache) > self.plan_cache_size:
+            while len(self._plan_cache) > PLAN_CACHE_SIZE:
                 self._pop_plan(next(iter(self._plan_cache)))
         self._notify_plan("miss")
         return entry
@@ -720,9 +721,6 @@ class PromptCache:
             stop_ids=stop_ids, use_scaffolds=use_scaffolds,
         ))
 
-    # Friendly alias used throughout the examples.
-    generate = serve
-
     def serve_batch(
         self,
         prompts: list[str],
@@ -747,7 +745,20 @@ class PromptCache:
                 )
                 held.append(stream)
                 stream.run()
-            return self._batch_result(held)
+            # The §3.4 memory picture is read first, while every fork
+            # still holds its tail: the distinct parts the forks read,
+            # once, plus the tails.
+            forked = [s for s in held if s.shared_group is not None]
+            bases = {id(s.shared_group) for s in forked}
+            physical = physical_bytes([s.cache for s in forked])
+            duplicated = sum(s.cache.logical_bytes() for s in forked)
+            return BatchServeResult(
+                results=[stream.finish() for stream in held],
+                physical_bytes=physical,
+                duplicated_bytes=duplicated,
+                # A prompt with nothing cached shares with nobody.
+                shared_groups=len(bases) + len(held) - len(forked),
+            )
         finally:
             for stream in held:
                 stream.abort()
@@ -760,22 +771,6 @@ class PromptCache:
         except BaseException:
             stream.abort()
             raise
-
-    def _batch_result(self, held: list[ServeStream]) -> BatchServeResult:
-        """Finish a batch of completed streams. The §3.4 memory picture
-        is read first, while every fork still holds its tail: the
-        distinct parts the forks read, once, plus the tails."""
-        forked = [s for s in held if s.shared_group is not None]
-        bases = {id(s.shared_group) for s in forked}
-        physical = physical_bytes([s.cache for s in forked])
-        duplicated = sum(s.cache.logical_bytes() for s in forked)
-        return BatchServeResult(
-            results=[stream.finish() for stream in held],
-            physical_bytes=physical,
-            duplicated_bytes=duplicated,
-            # A prompt with nothing cached shares with nobody.
-            shared_groups=len(bases) + len(held) - len(forked),
-        )
 
     def open_stream(
         self,
@@ -813,28 +808,16 @@ class PromptCache:
         observe: bool = True,
     ) -> ServeStream:
         """Begin a resumable serve for schema-free raw text: the prompt
-        is observed by the discovery miner (feeding promotion), any
-        promoted prefix chain is spliced from cache here, and only the
-        remainder is left for prefill chunks."""
-        ids = self._observed_ids(text, observe)
-        return self._open_text(ids, max_new_tokens, sampler, stop_ids)
-
-    def _observed_ids(self, text: str, observe: bool) -> list[int]:
-        """Tokenize one raw prompt and show it to the miner."""
+        is observed by the discovery miner (feeding promotion), and the
+        deepest discovered chain tiling a prefix of it is spliced from
+        cache here; the rest is left for prefill chunks at positions
+        ``cached..n-1``. No chain means no base — the stream is the plain
+        KV-cache baseline."""
         ids = self.tokenizer.encode(text)
         if not ids:
             raise ValueError("a raw prompt needs at least one token")
         if self.discovery is not None and observe:
             self.discovery.observe(ids)
-        return ids
-
-    def _open_text(
-        self, ids: list[int], max_new_tokens: int, sampler, stop_ids
-    ) -> ServeStream:
-        """The raw-text planner: the deepest discovered chain tiling a
-        prefix of ``ids`` is the cached part, the rest is prefilled at
-        positions ``cached..n-1``. No chain means no base — the stream is
-        the plain KV-cache baseline."""
         n = len(ids)
         chain = self._match_discovered(ids) if self.discovery is not None else []
         # Fully-covered prompt: trim the final cached token and recompute
@@ -1067,30 +1050,6 @@ class PromptCache:
             text, max_new_tokens=max_new_tokens, sampler=sampler,
             stop_ids=stop_ids, observe=observe,
         ))
-
-    def serve_text_batch(
-        self,
-        texts: list[str],
-        *,
-        max_new_tokens: int = 32,
-        sampler=None,
-        stop_ids: set[int] | None = None,
-        observe: bool = True,
-    ) -> "BatchServeResult":
-        """Batch :meth:`serve_text`. All prompts are observed before any
-        is served, so a prefix shared only within this batch can promote
-        and be reused by the very requests that revealed it."""
-        ids_list = [self._observed_ids(text, observe) for text in texts]
-        held: list[ServeStream] = []
-        try:
-            for ids in ids_list:
-                stream = self._open_text(ids, max_new_tokens, sampler, stop_ids)
-                held.append(stream)
-                stream.run()
-            return self._batch_result(held)
-        finally:
-            for stream in held:
-                stream.abort()
 
     def _match_discovered(self, ids: list[int]) -> list[DiscoveredModule]:
         """Resolve the miner's matched chain against the registry into the
@@ -1438,7 +1397,7 @@ class PromptCache:
                 self._pop_base(key)
             self._bases[key] = base
             self._base_index.add(key, key[0], base.module_names)
-            while len(self._bases) > self.base_cache_size:
+            while len(self._bases) > BASE_CACHE_SIZE:
                 self._pop_base(next(iter(self._bases)))
             return base.kv.fork(capacity), base, tier_tokens
 

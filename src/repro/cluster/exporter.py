@@ -122,7 +122,7 @@ class CacheExporter:
             return
         try:
             module = wire.serialize_module(key, entry.kv)
-        except wire.WireError as exc:  # simulator stand-ins are not exportable
+        except wire.WireError as exc:  # stand-ins and codec payloads do not travel
             self._count_request("unserializable")
             writer.write(wire.pack_json(wire.MSG_ERROR, {"error": str(exc)}))
             await writer.drain()

@@ -12,10 +12,10 @@ flaky network demands:
   share one wire transfer (the first caller's), so a burst of requests
   missing the same module costs one round-trip, not N.
 
-``fetch`` returns the stored representation (:class:`ModuleKV` or
-:class:`CompressedModuleKV`) on success and ``None`` on a definitive
-miss (peer does not hold the key); it raises :class:`FetchFailed` when
-every attempt errored — the caller decides whether to re-encode locally.
+``fetch`` returns the module's :class:`ModuleKV` on success and ``None``
+on a definitive miss (peer does not hold the key); it raises
+:class:`FetchFailed` when every attempt errored — the caller decides
+whether to re-encode locally.
 """
 
 from __future__ import annotations

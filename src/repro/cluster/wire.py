@@ -16,18 +16,18 @@ This module defines the byte format both ends speak:
   tensor payloads are raw bytes streamed as CHUNK frames.
 - **Module transfer.** A GET names a :class:`~repro.cache.storage.CacheKey`.
   The reply is one META frame (JSON header: schema/module/variant, payload
-  kind — ``raw`` :class:`~repro.llm.kv.ModuleKV` or a codec name for
-  :class:`~repro.cache.compress.CompressedModuleKV` — per-segment dtype and
-  shape, total byte count, xxh64 checksum, and for raw keys their
-  ``key_layout``: each layer's keys travel in the memory order they are
-  stored in, ``(n_kv_heads, head_dim, T)``), then the segments' bytes as
-  CHUNK frames, then an END frame. Serialization is **zero-copy** on the
-  send side: contiguous tensors are framed as :class:`memoryview`\\ s, never
-  joined into an intermediate buffer. The receiver assembles into one
-  preallocated ``bytearray`` and builds NumPy views over it — one
-  allocation for the whole module. A header from an older peer has no
-  ``key_layout``: its keys are ``(n_kv_heads, T, head_dim)`` and are
-  copied into the stored layout on receipt.
+  kind — always ``raw``, a :class:`~repro.llm.kv.ModuleKV`; any other kind
+  is refused — per-segment dtype and shape, total byte count, xxh64
+  checksum, and the keys' ``key_layout``: each layer's keys travel in the
+  memory order they are stored in, ``(n_kv_heads, head_dim, T)``), then
+  the segments' bytes as CHUNK frames, then an END frame. Serialization
+  is **zero-copy** on the send side: contiguous tensors are framed as
+  :class:`memoryview`\\ s, never joined into an intermediate buffer.
+  The receiver assembles into one preallocated ``bytearray`` and builds
+  NumPy views over it — one allocation for the whole module. A header
+  from an older peer has no ``key_layout``: its keys are
+  ``(n_kv_heads, T, head_dim)`` and are copied into the stored layout on
+  receipt.
 - **Integrity.** The META header carries an xxh64 checksum of the whole
   payload; the receiver verifies before the module is trusted. xxh64 is
   implemented here in pure Python (the container has no ``xxhash`` wheel)
@@ -42,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cache.compress import CompressedModuleKV
 from repro.cache.storage import CacheKey
 from repro.llm.kv import KEY_LAYOUT, ModuleKV
 
@@ -309,24 +308,14 @@ def _segment_views(
 
 
 def serialize_module(key: CacheKey, kv) -> WireModule:
-    """Flatten a :class:`ModuleKV` or :class:`CompressedModuleKV` into a
-    wire header + zero-copy payload views. The header records the payload
-    ``kind`` (``"raw"`` or the codec name) so the receiver rebuilds the
-    exact store representation."""
-    if isinstance(kv, ModuleKV):
-        kind = _RAW_KIND
-        named: list[tuple[str, np.ndarray]] = [("positions", kv.positions)]
-        for i, (k, v) in enumerate(zip(kv.keys, kv.values)):
-            named.append((f"keys{i}", k.swapaxes(-2, -1)))
-            named.append((f"values{i}", v))
-    elif isinstance(kv, CompressedModuleKV):
-        kind = kv.codec
-        named = [("positions", kv.positions)]
-        for field_name in sorted(kv.payload):
-            for i, tensor in enumerate(kv.payload[field_name]):
-                named.append((f"{field_name}:{i}", tensor))
-    else:
+    """Flatten a :class:`ModuleKV` into a wire header + zero-copy payload
+    views. Anything else raises :class:`WireError`."""
+    if not isinstance(kv, ModuleKV):
         raise WireError(f"cannot serialize {type(kv).__name__} for the wire")
+    named: list[tuple[str, np.ndarray]] = [("positions", kv.positions)]
+    for i, (k, v) in enumerate(zip(kv.keys, kv.values)):
+        named.append((f"keys{i}", k.swapaxes(-2, -1)))
+        named.append((f"values{i}", v))
     segments, buffers = _segment_views(named)
     checksum = StreamingXXH64()
     for buf in buffers:
@@ -335,13 +324,12 @@ def serialize_module(key: CacheKey, kv) -> WireModule:
         "schema": key.schema,
         "module": key.module,
         "variant": key.variant,
-        "kind": kind,
+        "kind": _RAW_KIND,
         "segments": segments,
         "total_bytes": sum(len(b) for b in buffers),
         "checksum": f"{checksum.digest():016x}",
+        "key_layout": KEY_LAYOUT,
     }
-    if kind == _RAW_KIND:
-        meta["key_layout"] = KEY_LAYOUT
     return WireModule(meta=meta, buffers=buffers)
 
 
@@ -358,11 +346,14 @@ def iter_chunks(
 
 
 def deserialize_module(meta: dict, payload: bytearray | bytes):
-    """Rebuild the stored KV object from META + assembled payload bytes.
+    """Rebuild the :class:`ModuleKV` from META + assembled payload bytes.
 
-    Verifies the checksum, then builds NumPy views over the payload
-    buffer (zero-copy when ``payload`` is a writable bytearray).
+    Verifies the payload kind and the checksum, then builds NumPy views
+    over the payload buffer (zero-copy when ``payload`` is a writable
+    bytearray).
     """
+    if meta.get("kind") != _RAW_KIND:
+        raise WireError(f"unsupported payload kind {meta.get('kind')!r}")
     declared = int(meta["total_bytes"])
     if len(payload) != declared:
         raise WireError(
@@ -386,27 +377,14 @@ def deserialize_module(meta: dict, payload: bytearray | bytes):
         arrays[segment["name"]] = array
         offset += nbytes
     positions = arrays.pop("positions")
-    if meta["kind"] == _RAW_KIND:
-        n_layers = sum(1 for name in arrays if name.startswith("keys"))
-        keys = [arrays[f"keys{i}"] for i in range(n_layers)]
-        if meta.get("key_layout") == KEY_LAYOUT:
-            keys = [k.swapaxes(-2, -1) for k in keys]
-        return ModuleKV(
-            keys=keys,
-            values=[arrays[f"values{i}"] for i in range(n_layers)],
-            positions=positions,
-        )
-    payload_fields: dict[str, list[np.ndarray]] = {}
-    by_field: dict[str, list[tuple[int, np.ndarray]]] = {}
-    for name, array in arrays.items():
-        field_name, _, index = name.rpartition(":")
-        if not field_name:
-            raise WireError(f"malformed segment name {name!r}")
-        by_field.setdefault(field_name, []).append((int(index), array))
-    for field_name, items in by_field.items():
-        payload_fields[field_name] = [a for _, a in sorted(items)]
-    return CompressedModuleKV(
-        codec=meta["kind"], payload=payload_fields, positions=positions
+    n_layers = sum(1 for name in arrays if name.startswith("keys"))
+    keys = [arrays[f"keys{i}"] for i in range(n_layers)]
+    if meta.get("key_layout") == KEY_LAYOUT:
+        keys = [k.swapaxes(-2, -1) for k in keys]
+    return ModuleKV(
+        keys=keys,
+        values=[arrays[f"values{i}"] for i in range(n_layers)],
+        positions=positions,
     )
 
 

@@ -16,11 +16,15 @@ in-flight requests, so a peer-fetch stall on one request's modules
 never blocks decode progress for the others already running.
 
 Threading shape: the engine runs scheduler iterations on the server's
-executor thread, so the miss hook fires *off* the event loop; it bridges back with ``run_coroutine_threadsafe`` and
-blocks (bounded) on the transfer. The loop stays free to run the fetch,
-the exporter, and heartbeats. If the engine ever runs inline on the
-loop (``inline_execution=True``), the hook detects it and declines
-rather than deadlock.
+engine thread, so the miss hook fires *off* the event loop; it bridges
+back with ``run_coroutine_threadsafe`` and blocks, for at most
+``FETCH_BUDGET_S``, on the transfer. The loop stays free to run the
+fetch, the exporter, and heartbeats. A miss on the loop thread itself
+gets no peer fetch: the hook declines rather than deadlock the loop
+that must run it.
+
+A worker's engine stores module K/V as computed (no codec), so that is
+what travels between workers.
 
 Workers share the (read-only) model weights in-process but never share
 stores — the point is to exercise the cross-store distribution plane.
@@ -42,6 +46,10 @@ from repro.cluster.health import DEAD, DRAINING, UP
 from repro.server.metrics import MetricsRegistry
 from repro.server.runtime import LiveServer, ServeOptions
 
+MAX_FETCH_PEERS = 3  # likely holders asked, in ring order, per miss
+FETCH_BUDGET_S = 10.0  # how long the engine thread waits on one miss
+RESIDENCY_TAG_LIMIT = 256  # module tags one heartbeat advertises
+
 
 class ClusterWorker:
     """A named serving worker participating in the module-KV plane."""
@@ -54,15 +62,11 @@ class ClusterWorker:
         template=None,
         options: ServeOptions | None = None,
         store: ModuleCacheStore | None = None,
-        kv_codec=None,
         exporter_host: str = "127.0.0.1",
         exporter_port: int = 0,
         fetcher: PeerFetcher | None = None,
-        max_fetch_peers: int = 3,
-        fetch_budget_s: float = 10.0,
         heartbeat_interval_s: float = 0.05,
         discovery=None,
-        residency_tag_limit: int = 256,
     ) -> None:
         self.name = name
         self.metrics = MetricsRegistry()
@@ -70,10 +74,7 @@ class ClusterWorker:
         # catalog pages modules in on demand, each a read-only mapping, so
         # N same-host workers on one directory share one resident copy.
         self.store = store or ModuleCacheStore()
-        self.residency_tag_limit = residency_tag_limit
-        self.pc = PromptCache(
-            model, tokenizer, store=self.store, template=template, kv_codec=kv_codec,
-        )
+        self.pc = PromptCache(model, tokenizer, store=self.store, template=template)
         # Reuse discovery is per-worker: each miner sees only the raw
         # traffic routed here, which is why the router's raw placement is
         # prefix-affine — repeats must land together to promote.
@@ -90,8 +91,6 @@ class ClusterWorker:
             stats_snapshot=self.stats,
         )
         self.fetcher = fetcher or PeerFetcher(metrics=self.metrics)
-        self.max_fetch_peers = max_fetch_peers
-        self.fetch_budget_s = fetch_budget_s
         self.heartbeat_interval_s = heartbeat_interval_s
         # Installed by the router: key -> [(peer name, (host, port))] in
         # preference order, self excluded. None = no distribution plane.
@@ -200,7 +199,7 @@ class ClusterWorker:
         """Module tags this worker can serve without re-encoding, for the
         heartbeat's residency advertisement: both resident tiers, then the
         snapshot catalog (mapped counts as near-resident)."""
-        return self.store.residency_tags(limit=self.residency_tag_limit)
+        return self.store.residency_tags(limit=RESIDENCY_TAG_LIMIT)
 
     def _beat(self, state: str | None = None) -> None:
         sink = self.heartbeat_sink
@@ -228,12 +227,12 @@ class ClusterWorker:
         if loop is None or resolver is None or self._killed:
             return None
         if threading.get_ident() == self._loop_thread:
-            # Engine inlined on the event loop: blocking here would
-            # deadlock the very loop that must run the fetch.
+            # Called on the event loop: blocking here would deadlock the
+            # very loop that must run the fetch.
             return None
         future = asyncio.run_coroutine_threadsafe(self._fetch_from_peers(key), loop)
         try:
-            return future.result(timeout=self.fetch_budget_s)
+            return future.result(timeout=FETCH_BUDGET_S)
         except (asyncio.TimeoutError, TimeoutError):
             future.cancel()
             self._count_plane("budget_exhausted")
@@ -244,7 +243,7 @@ class ClusterWorker:
 
     async def _fetch_from_peers(self, key: CacheKey):
         candidates = self.peer_resolver(key) if self.peer_resolver else []
-        for peer_name, address in candidates[: self.max_fetch_peers]:
+        for peer_name, address in candidates[:MAX_FETCH_PEERS]:
             try:
                 kv = await self.fetcher.fetch(address, key)
             except FetchFailed:

@@ -39,8 +39,12 @@ def linear_rows(
 
 
 def rms_norm(x: np.ndarray, weight: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Root-mean-square normalization (Llama family)."""
-    variance = np.mean(np.square(x), axis=-1, keepdims=True)
+    """Root-mean-square normalization (Llama family).
+
+    The mean is ``np.add.reduce(...) / d``: the same float32 rounding
+    as ``np.mean`` without its Python wrappers, ten calls a norm that
+    ``tests/test_decode_step_cost.py`` counts."""
+    variance = np.add.reduce(np.square(x), axis=-1, keepdims=True) / x.shape[-1]
     return (x / np.sqrt(variance + eps)) * weight
 
 
@@ -50,9 +54,11 @@ def layer_norm(
     bias: np.ndarray,
     eps: float = 1e-5,
 ) -> np.ndarray:
-    """Standard LayerNorm (Falcon / MPT / GPT-2 families)."""
-    mean = np.mean(x, axis=-1, keepdims=True)
-    variance = np.mean(np.square(x - mean), axis=-1, keepdims=True)
+    """Standard LayerNorm (Falcon / MPT / GPT-2 families); means as in
+    :func:`rms_norm`."""
+    d = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True) / d
+    variance = np.add.reduce(np.square(x - mean), axis=-1, keepdims=True) / d
     return (x - mean) / np.sqrt(variance + eps) * weight + bias
 
 

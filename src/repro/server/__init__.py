@@ -25,7 +25,7 @@ from repro.server.scheduler import ContinuousScheduler, IterationOutcome
 # The load generator drives a server; serving does not need it. Resolved
 # on first use (PEP 562) so importing the runtime does not pay for it.
 _LOADGEN = frozenset(
-    {"LiveWorkload", "LoadReport", "build_workload", "run_closed_loop", "run_open_loop"}
+    {"LiveWorkload", "LoadReport", "build_workload", "run_open_loop"}
 )
 
 
@@ -59,6 +59,5 @@ __all__ = [
     "ServerError",
     "TraceRecord",
     "build_workload",
-    "run_closed_loop",
     "run_open_loop",
 ]

@@ -1,4 +1,4 @@
-"""Seeded open/closed-loop load generation against the live runtime.
+"""Seeded open-loop load generation against the live runtime.
 
 Reuses the arrival processes and schema-popularity machinery of
 :mod:`repro.serving.traces` so a live run is directly comparable with
@@ -12,12 +12,9 @@ trace request as a derived prompt whose suffix is sized to the request's
 ``uncached_tokens``. Decode length is fixed per schema (the profile's
 ``decode_mean``).
 
-- **Open loop** fires submissions at the trace's arrival times whether
-  or not earlier requests finished — the regime that exposes admission
-  control and load shedding.
-- **Closed loop** runs N clients that each wait for their previous
-  response (plus think time) before sending the next — the regime that
-  measures sustainable latency.
+The open loop fires submissions at the trace's arrival times whether or
+not earlier requests finished — the regime that exposes admission
+control and load shedding.
 """
 
 from __future__ import annotations
@@ -279,53 +276,3 @@ async def run_raw_open_loop(
     report.wall_s = server.clock() - start
     return report
 
-
-async def run_closed_loop(
-    server: LiveServer,
-    workload: LiveWorkload,
-    *,
-    clients: int = 4,
-    requests_per_client: int = 8,
-    think_time_s: float = 0.0,
-    deadline_s: float | None = None,
-    seed: int = 0,
-) -> LoadReport:
-    """N clients, each waiting for its response before the next send."""
-    report = LoadReport()
-    weights = np.array([p.weight for p in workload.profiles], dtype=float)
-    weights /= weights.sum()
-    start = server.clock()
-
-    async def client(index: int) -> None:
-        rng = np.random.default_rng((seed, index))
-        for i in range(requests_per_client):
-            profile = workload.profiles[int(rng.choice(len(weights), p=weights))]
-            request_id = index * requests_per_client + i
-            prompt = workload.prompt_for(
-                profile.name, request_id, max(1, profile.uncached_mean)
-            )
-            try:
-                request = await server.submit(
-                    prompt,
-                    max_new_tokens=workload.decode_tokens_for(profile.name),
-                    deadline_s=deadline_s,
-                )
-            except Overloaded as exc:
-                report.rejected += 1
-                await asyncio.sleep(min(exc.estimated_delay_s, 0.1))
-                continue
-            report.submitted += 1
-            try:
-                await request.wait()
-                report.completed += 1
-            except DeadlineExceeded:
-                report.expired += 1
-            except Exception as exc:
-                report.record_failure(exc)
-            report.records.append(request.trace())
-            if think_time_s:
-                await asyncio.sleep(think_time_s)
-
-    await asyncio.gather(*(client(i) for i in range(clients)))
-    report.wall_s = server.clock() - start
-    return report

@@ -74,6 +74,11 @@ BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 # Schema label carried by schema-free raw-text requests in traces/metrics.
 RAW_SCHEMA = "__raw__"
 
+DEFAULT_MAX_NEW_TOKENS = 16  # a submit that names no budget
+INITIAL_SERVICE_S = 0.05  # EWMA seed before any observation
+SERVICE_TIME_ALPHA = 0.25  # EWMA smoothing for per-request time
+TRACE_LOG_LIMIT = 10_000  # trace records kept, newest last
+
 
 @dataclass(frozen=True)
 class ServeOptions:
@@ -81,12 +86,6 @@ class ServeOptions:
 
     max_queue_depth: int = 64  # bounded admission queue
     queue_delay_budget_s: float | None = 2.0  # shed when est. delay exceeds
-    default_max_new_tokens: int = 16
-    default_deadline_s: float | None = None  # relative; None = no deadline
-    initial_service_s: float = 0.05  # EWMA seed before any observation
-    service_time_alpha: float = 0.25  # EWMA smoothing for per-request time
-    trace_log_limit: int = 10_000
-    inline_execution: bool = False  # run the engine on the loop (tests)
     max_inflight: int = MAX_INFLIGHT  # concurrent decoding sequences
     prefill_chunk_tokens: int = PREFILL_CHUNK_TOKENS  # per iteration
     # Periodic store upkeep (``ModuleCacheStore.maintenance``: TTL sweep
@@ -121,7 +120,7 @@ class LiveServer:
         self._running = False
         self._draining = False
         self._inflight = 0
-        self._service_ewma_s = self.options.initial_service_s
+        self._service_ewma_s = INITIAL_SERVICE_S
         self._raw_cached_tokens = 0
         self._raw_prompt_tokens = 0
         self._scheduler: ContinuousScheduler | None = None
@@ -334,12 +333,13 @@ class LiveServer:
         raw: bool = False,
     ) -> LiveRequest:
         now = self.clock()
-        deadline_s = deadline_s if deadline_s is not None else self.options.default_deadline_s
         request = LiveRequest(
             request_id=request_id or f"req-{next(self._ids)}",
             prompt=prompt,
             schema=schema,
-            max_new_tokens=max_new_tokens or self.options.default_max_new_tokens,
+            max_new_tokens=(
+                DEFAULT_MAX_NEW_TOKENS if max_new_tokens is None else max_new_tokens
+            ),
             submitted_at=now,
             deadline_at=None if deadline_s is None else now + deadline_s,
             raw=raw,
@@ -440,15 +440,10 @@ class LiveServer:
             self.metrics.gauge(
                 "server_inflight", "requests in the running batch"
             ).set(self._inflight)
-            if self.options.inline_execution:
-                last, stalls = self._run_iterations(
-                    scheduler, admissions, self._apply_outcome
-                )
-            else:
-                last, stalls = await loop.run_in_executor(
-                    self._executor, self._run_iterations, scheduler, admissions,
-                    partial(loop.call_soon_threadsafe, self._apply_outcome),
-                )
+            last, stalls = await loop.run_in_executor(
+                self._executor, self._run_iterations, scheduler, admissions,
+                partial(loop.call_soon_threadsafe, self._apply_outcome),
+            )
             self._apply_outcome(last)
             self._count_stalls(stalls)
             self._inflight = scheduler.active
@@ -544,7 +539,7 @@ class LiveServer:
                 self._observe_done(request, result)
                 # Per-completion pace EWMA feeds load shedding.
                 if self._last_done_at is not None and at > self._last_done_at:
-                    alpha = self.options.service_time_alpha
+                    alpha = SERVICE_TIME_ALPHA
                     self._service_ewma_s = (
                         alpha * (at - self._last_done_at)
                         + (1 - alpha) * self._service_ewma_s
@@ -583,7 +578,7 @@ class LiveServer:
                 "KV tokens streamed once per shared base in batched decode",
             ).inc(outcome.shared_kv_tokens)
         if outcome.elapsed_s > 0:
-            alpha = self.options.service_time_alpha
+            alpha = SERVICE_TIME_ALPHA
             rate = outcome.tokens / outcome.elapsed_s
             self._decode_rate_ewma = (
                 alpha * rate + (1 - alpha) * self._decode_rate_ewma
@@ -614,10 +609,7 @@ class LiveServer:
             await asyncio.sleep(interval)
             if not self._running:
                 return
-            if self.options.inline_execution:
-                self._store_maintenance()
-            else:
-                await loop.run_in_executor(self._executor, self._store_maintenance)
+            await loop.run_in_executor(self._executor, self._store_maintenance)
 
     def _store_maintenance(self) -> None:
         """One upkeep tick (engine-thread side): the store's maintenance
@@ -699,8 +691,8 @@ class LiveServer:
 
     def _record(self, request: LiveRequest) -> None:
         self.trace_log.append(request.trace())
-        if len(self.trace_log) > self.options.trace_log_limit:
-            del self.trace_log[: len(self.trace_log) - self.options.trace_log_limit]
+        if len(self.trace_log) > TRACE_LOG_LIMIT:
+            del self.trace_log[: len(self.trace_log) - TRACE_LOG_LIMIT]
 
     def _wire_store_metrics(self) -> None:
         store = self.pc.store

@@ -102,6 +102,14 @@ class TestAffinityAndPlane:
         # All four requests share one routing key → exactly one worker.
         assert sorted(placed.values()) == [4.0]
 
+    def test_a_zero_budget_passes_through(self, llama, tok):
+        async def scenario():
+            router = make_cluster(llama, tok)
+            async with router:
+                return await router.serve(prompt("alpha", 0), max_new_tokens=0)
+
+        assert run(scenario()).output_ids == []
+
     def test_spilled_worker_fetches_from_peer(self, llama, tok):
         async def scenario():
             router = make_cluster(llama, tok)

@@ -30,6 +30,7 @@ from repro.server import ContinuousScheduler, LiveServer, ServeOptions
 from repro.reuse import DiscoveryConfig
 from repro.server.batcher import RAW_BUCKET, CacheAwareBatcher
 from repro.server.request import DONE, FAILED, LiveRequest
+from repro.server.runtime import SERVICE_TIME_ALPHA
 from repro.server.scheduler import IterationOutcome
 from tests.stubs import StubEngine
 
@@ -270,9 +271,9 @@ class TestServeStream:
 
     def test_text_stream_matches_serve_text(self, models, tok):
         """The raw-text identity matrix, per positional family:
-        ``serve_text`` == ``serve_text_batch`` == scheduler-driven text
-        streams == ``generate``, with discovery off and on (two passes:
-        the first mines the shared run, the second splices it)."""
+        ``serve_text`` == scheduler-driven text streams == ``generate``,
+        with discovery off and on (two passes: the first mines the shared
+        run, the second splices it)."""
         for model in models.values():
             expected = [
                 generate(model, tok.encode(t), max_new_tokens=6).output_ids
@@ -284,7 +285,6 @@ class TestServeStream:
             for pc in (off, on, on):
                 solo = [pc.serve_text(t, max_new_tokens=6) for t in TEXTS]
                 assert ids(solo) == expected
-                assert ids(pc.serve_text_batch(TEXTS, max_new_tokens=6)) == expected
                 for chunk in (1, 7, 256):
                     assert ids(scheduled(pc, TEXTS, chunk=chunk, raw=True)) == expected
             # Raw and PML requests admitted together: packs that mix flat
@@ -582,7 +582,7 @@ class TestContinuousServer:
         """A part feeds no per-iteration series; the returned outcome
         feeds them from its counters — the tokens that already left as
         parts included — not from the events it still carries."""
-        server = LiveServer(StubEngine(), self.options(service_time_alpha=0.5))
+        server = LiveServer(StubEngine(), self.options())
         request = make_request("r")
         server._apply_outcome(
             IterationOutcome(emitted=[(request, 7, 1.0)], partial=True)
@@ -595,7 +595,9 @@ class TestContinuousServer:
             tokens=4, elapsed_s=2.0, prefill_batch=3, decode_batch=4
         ))
         snap = server.snapshot()
-        assert snap["gauges"]["server_decode_tokens_per_second"] == 0.5 * (4 / 2.0)
+        assert snap["gauges"]["server_decode_tokens_per_second"] == SERVICE_TIME_ALPHA * (
+            4 / 2.0
+        )
         assert snap["histograms"]["server_prefill_pack_size"]["count"] == 1
         assert snap["histograms"]["server_iteration_occupancy"]["count"] == 1
 

@@ -14,7 +14,7 @@ tails to the arena.
   reaches its stream exactly once and in order whether the server
   drains, is stopped mid-iteration or mid-burst, or expires a queued
   request meanwhile; a closed loop ends the burst without failing
-  anyone; ``inline_execution`` behaves as it always did.
+  anyone.
 - **One engine thread.** Under asyncio's default executor (a pool),
   every iteration and every store upkeep tick runs on the server's own
   thread, a tick due mid-step included.
@@ -427,30 +427,6 @@ class TestOutcomeHandOff:
             assert none == [] and isinstance(expiry, DeadlineExceeded)
             assert doomed.state == EXPIRED
             assert len(engine.streams) == 1  # never admitted
-
-        run(main())
-
-    def test_inline_execution_unchanged(self):
-        """On the loop thread there is no hand-off to make: outcomes are
-        applied in place, in order, and the tokens are the same."""
-
-        async def main():
-            clock = FakeClock()
-            engine = GatedEngine(clock)
-            server = LiveServer(
-                engine, options(inline_execution=True, max_inflight=2), clock=clock
-            )
-            await server.start()
-            requests = [
-                await server.submit(prompt(i), max_new_tokens=n)
-                for i, n in enumerate([6, 11, 3])
-            ]
-            seen = await asyncio.gather(*(collect(r) for r in requests))
-            await server.stop()
-            for serial, (request, (tokens, error)) in enumerate(zip(requests, seen)):
-                assert error is None
-                assert tokens == expected_tokens(serial, request.max_new_tokens)
-                assert request.first_token_at is not None
 
         run(main())
 

@@ -83,7 +83,7 @@ def test_option_surface_is_pinned():
     ``PromptCache.register_schema``, ``ModuleCacheStore.__init__``,
     ``ContinuousScheduler.__init__``, ``ClusterWorker.__init__`` and the
     snapshot functions ``save_store``, ``load_store`` and
-    ``load_catalog_entry``."""
+    ``load_catalog_entry`` — and ``PromptCache``'s serving entry points."""
     import dataclasses
     import inspect
 
@@ -94,9 +94,7 @@ def test_option_surface_is_pinned():
     from repro.server import ContinuousScheduler, ServeOptions
 
     assert [f.name for f in dataclasses.fields(ServeOptions)] == [
-        "max_queue_depth", "queue_delay_budget_s", "default_max_new_tokens",
-        "default_deadline_s", "initial_service_s", "service_time_alpha",
-        "trace_log_limit", "inline_execution", "max_inflight",
+        "max_queue_depth", "queue_delay_budget_s", "max_inflight",
         "prefill_chunk_tokens", "store_sweep_interval_s",
     ]
     assert list(inspect.signature(ContinuousScheduler.__init__).parameters)[1:] == [
@@ -104,7 +102,6 @@ def test_option_surface_is_pinned():
     ]
     assert list(inspect.signature(PromptCache.__init__).parameters)[1:] == [
         "model", "tokenizer", "store", "template", "kv_codec",
-        "plan_cache_size", "base_cache_size",
     ]
     assert list(inspect.signature(PromptCache.register_schema).parameters)[1:] == [
         "source", "eager",
@@ -119,8 +116,12 @@ def test_option_surface_is_pinned():
         "directory", "record", "ledger",
     ]
     assert list(inspect.signature(ClusterWorker.__init__).parameters)[1:] == [
-        "name", "model", "tokenizer", "template", "options", "store", "kv_codec",
-        "exporter_host", "exporter_port", "fetcher", "max_fetch_peers",
-        "fetch_budget_s", "heartbeat_interval_s", "discovery",
-        "residency_tag_limit",
+        "name", "model", "tokenizer", "template", "options", "store",
+        "exporter_host", "exporter_port", "fetcher", "heartbeat_interval_s",
+        "discovery",
     ]
+    # One entry point per job: whole-request serves and resumable streams.
+    assert {
+        name for name in dir(PromptCache) if name.startswith(("serve", "open_"))
+    } == {"serve", "serve_batch", "serve_text", "open_stream", "open_text_stream"}
+    assert not hasattr(PromptCache, "generate")

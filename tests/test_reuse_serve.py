@@ -92,17 +92,25 @@ class TestByteIdentity:
         assert pc_on.serve_text(text, max_new_tokens=6).cached_tokens > 0
 
     def test_batch_matches_solo_and_shares_memory(self, llama, tok):
+        """A prefix shared only within a batch promotes once the batch is
+        observed, and the very requests that revealed it reuse it — the
+        first included — with outputs unchanged."""
         pc = PromptCache(llama, tok)
         # min_tokens above the per-prompt suffix length: the shared run
         # promotes, the unique tails never do, so every prompt matches
-        # the same one-module chain and the batch shares a single base.
+        # the same one-module chain.
         pc.attach_discovery(discovery_config(min_tokens=20))
-        solo = [pc.serve_text(t, max_new_tokens=4) for t in PROMPTS]
-        batch = pc.serve_text_batch(PROMPTS, max_new_tokens=4)
-        for one, many in zip(solo, batch.results):
-            assert one.output_ids == many.output_ids
-        assert batch.shared_groups == 1
-        assert 0.0 < batch.memory_savings < 1.0
+        for text in PROMPTS:
+            pc.discovery.observe(tok.encode(text))
+        assert pc.discovery.stats.promotions == 1
+        batch = [pc.serve_text(t, max_new_tokens=4, observe=False) for t in PROMPTS]
+        for text, result in zip(PROMPTS, batch):
+            base = generate(llama, tok.encode(text), max_new_tokens=4)
+            assert result.output_ids == base.output_ids
+        cached = {result.cached_tokens for result in batch}
+        assert len(cached) == 1 and cached.pop() >= 20
+        assert len(pc._bases) == 1  # all four forked one spliced base
+        assert pc.discovery.stats.observed_sequences == len(PROMPTS)
 
     def test_observe_false_never_promotes(self, llama, tok):
         pc = PromptCache(llama, tok)

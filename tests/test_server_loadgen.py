@@ -8,7 +8,6 @@ from repro.server import (
     LiveServer,
     ServeOptions,
     build_workload,
-    run_closed_loop,
     run_open_loop,
 )
 from repro.serving import SchemaProfile, synthesize_trace
@@ -111,20 +110,3 @@ class TestOpenLoop:
         assert report.expired > 0
         assert report.completed + report.expired + report.failed == report.submitted
 
-
-class TestClosedLoop:
-    def test_clients_complete_their_quota(self, tok):
-        workload = build_workload(PROFILES, tok, seed=0)
-
-        async def main():
-            async with LiveServer(
-                stub_engine(), ServeOptions(queue_delay_budget_s=None)
-            ) as server:
-                return await run_closed_loop(
-                    server, workload, clients=3, requests_per_client=4, seed=1
-                )
-
-        report = run(main())
-        assert report.completed == 12
-        assert report.failed == 0
-        assert len(report.records) == 12

@@ -61,7 +61,7 @@ def raw_engine(discovery=None) -> StubEngine:
     )
 
 
-OPTIONS = ServeOptions(queue_delay_budget_s=None, inline_execution=True)
+OPTIONS = ServeOptions(queue_delay_budget_s=None)
 
 
 class TestRawDispatch:

@@ -23,6 +23,7 @@ from repro.server import (
     ServerClosed,
 )
 from repro.server.request import DONE, EXPIRED, REJECTED
+from repro.server.runtime import DEFAULT_MAX_NEW_TOKENS
 from tests.stubs import StubEngine
 
 
@@ -70,7 +71,7 @@ class TestAdmission:
             server = LiveServer(
                 engine,
                 ServeOptions(max_queue_depth=100, max_inflight=1,
-                             queue_delay_budget_s=0.01, initial_service_s=0.05),
+                             queue_delay_budget_s=0.01),
             )
             await server.start()
             await server.submit(prompt(i=1))  # estimate 0 → admitted
@@ -289,6 +290,23 @@ class TestIntegration:
         live = run(main())
         assert live.output_ids == direct.output_ids
         assert live.cached_tokens > 0
+
+    def test_a_zero_budget_stays_zero(self, llama, tok):
+        """Only a budget left unset takes the default."""
+        pc = PromptCache(llama, tok, template=PLAIN_TEMPLATE)
+        pc.register_schema(self.SCHEMA)
+        direct = pc.serve(self.PROMPT, max_new_tokens=0)
+
+        async def main():
+            async with LiveServer(
+                pc, ServeOptions(queue_delay_budget_s=None)
+            ) as server:
+                zero = await server.serve(self.PROMPT, max_new_tokens=0)
+                return zero, await server.serve(self.PROMPT)
+
+        zero, unset = run(main())
+        assert zero.output_ids == direct.output_ids == []
+        assert len(unset.output_ids) == DEFAULT_MAX_NEW_TOKENS
 
     def test_live_batch_hits_cache(self, llama, tok):
         pc = PromptCache(llama, tok, template=PLAIN_TEMPLATE)

@@ -23,6 +23,7 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.cache import engine as engine_module
 from repro.cache.encoder import drop_param_slots
 from repro.cache.engine import PromptCache, _arena_splice
 from repro.cache.storage import CacheKey, ModuleCacheStore
@@ -46,8 +47,8 @@ TWO_MODULES = (
 PROMPT = '<prompt schema="doc"><d/> plan a trip</prompt>'
 
 
-def make_pc(model, tok, **kwargs):
-    pc = PromptCache(model, tok, template=PLAIN_TEMPLATE, **kwargs)
+def make_pc(model, tok):
+    pc = PromptCache(model, tok, template=PLAIN_TEMPLATE)
     pc.register_schema(DOC)
     return pc
 
@@ -76,8 +77,9 @@ class TestPlanCache:
         assert pc.plan_stats.misses == 1
         assert pc.plan_stats.hits == 2
 
-    def test_lru_bound(self, llama, tok):
-        pc = make_pc(llama, tok, plan_cache_size=2)
+    def test_lru_bound(self, llama, tok, monkeypatch):
+        monkeypatch.setattr(engine_module, "PLAN_CACHE_SIZE", 2)
+        pc = make_pc(llama, tok)
         for text in ("one", "two", "three"):
             pc.prompt_token_count(f'<prompt schema="doc"><d/> {text}</prompt>')
         assert len(pc._plan_cache) == 2
@@ -169,9 +171,9 @@ class TestEvictionInvalidatesByIndex:
             f'<prompt schema="{schema}"><a/> {text}</prompt>' for text in ("q", "why")
         ] + [f'<prompt schema="{schema}"><b/> q</prompt>']
 
-    def engine(self, model, tok, **kwargs) -> PromptCache:
+    def engine(self, model, tok) -> PromptCache:
         store = ModuleCacheStore(cpu_capacity_bytes=0)
-        pc = PromptCache(model, tok, store=store, template=PLAIN_TEMPLATE, **kwargs)
+        pc = PromptCache(model, tok, store=store, template=PLAIN_TEMPLATE)
         for source in self.SCHEMAS.values():
             pc.register_schema(source)
         return pc
@@ -218,8 +220,12 @@ class TestEvictionInvalidatesByIndex:
         assert len(pc._plan_cache) == 3 and pc.plan_stats.invalidations == 0
         assert_indexes_match_maps(pc)
 
-    def test_lru_trims_and_whole_schema_invalidation_keep_the_index(self, llama, tok):
-        pc = self.engine(llama, tok, plan_cache_size=2, base_cache_size=1)
+    def test_lru_trims_and_whole_schema_invalidation_keep_the_index(
+        self, llama, tok, monkeypatch
+    ):
+        monkeypatch.setattr(engine_module, "PLAN_CACHE_SIZE", 2)
+        monkeypatch.setattr(engine_module, "BASE_CACHE_SIZE", 1)
+        pc = self.engine(llama, tok)
         for schema in self.SCHEMAS:
             for prompt in self.prompts(schema):
                 pc.serve(prompt, max_new_tokens=1)
@@ -450,10 +456,9 @@ class TestSplicedBase:
         finally:
             stream.abort()
 
-    def test_base_lru_bound_frees_pages(self, llama, tok):
-        pc = PromptCache(
-            llama, tok, template=PLAIN_TEMPLATE, base_cache_size=1
-        )
+    def test_base_lru_bound_frees_pages(self, llama, tok, monkeypatch):
+        monkeypatch.setattr(engine_module, "BASE_CACHE_SIZE", 1)
+        pc = PromptCache(llama, tok, template=PLAIN_TEMPLATE)
         pc.register_schema(TWO_MODULES)
         pc.serve('<prompt schema="duo2"><a/> q</prompt>', max_new_tokens=1)
         base_a = weakref.ref(next(iter(pc._bases.values())))
