@@ -6,6 +6,9 @@ worker counts. Affinity routing keeps each schema's modules hot on its
 home worker; spilled or re-placed requests pull module KV over the
 distribution plane instead of re-encoding, so the interesting numbers
 are TTFT percentiles *and* ``cluster_reencode_avoided_tokens_total``.
+Each row also reports the median wall time of a peer fetch, pooled from
+every worker's ``cluster_peer_fetch_seconds`` samples (reported, not
+gated).
 
 A second scenario kills one of two workers mid-trace and audits the
 zero-loss contract: every accepted request completes (on the survivor if
@@ -23,6 +26,8 @@ import argparse
 import asyncio
 import json
 from pathlib import Path
+
+import numpy as np
 
 from repro.bench import emit, format_table
 from repro.cluster import ClusterRouter, ClusterWorker
@@ -82,6 +87,17 @@ async def _drive_with_kill(router, workload, trace, victim: str):
         return await run
 
 
+def _peer_fetch_p50_ms(router) -> float | None:
+    """Median peer-fetch wall time over every worker's fetches; ``None``
+    when no worker fetched from a peer."""
+    samples = [
+        seconds
+        for worker in router.workers.values()
+        for seconds in worker.metrics.histogram("cluster_peer_fetch_seconds").samples()
+    ]
+    return 1000 * float(np.median(samples)) if samples else None
+
+
 def _scaling_row(router, report, n_workers: int) -> dict:
     snap = router.snapshot()
     gauges = snap["router"]["gauges"]
@@ -97,6 +113,7 @@ def _scaling_row(router, report, n_workers: int) -> dict:
         "throughput_rps": report.throughput_rps,
         "peer_fetch_hits": hits,
         "peer_fetch_misses": misses,
+        "peer_fetch_p50_ms": _peer_fetch_p50_ms(router),
         "reencode_avoided_tokens": gauges.get(
             "cluster_reencode_avoided_tokens_total", 0.0
         ),
@@ -179,6 +196,7 @@ def _report(results: dict) -> str:
             f"{row['ttft_p95_ms']:.1f}",
             f"{row['throughput_rps']:.1f}",
             f"{row['peer_fetch_hits']:g}",
+            "-" if row["peer_fetch_p50_ms"] is None else f"{row['peer_fetch_p50_ms']:.1f}",
             f"{row['reencode_avoided_tokens']:g}",
             f"{row['spills']:g}",
         ]
@@ -191,7 +209,7 @@ def _report(results: dict) -> str:
             f"Cluster scaling: {results['schemas']} skewed schemas, "
             f"{results['rate_rps']:g} req/s for {results['duration_s']:g}s",
             ["workers", "done", "rej", "p50_ms", "p95_ms", "rps",
-             "peer_hits", "avoided_tok", "spills"],
+             "peer_hits", "fetch_p50_ms", "avoided_tok", "spills"],
             rows,
             note=(
                 f"kill-one audit: {audit['completed']} completed of "

@@ -6,11 +6,16 @@ those states to survive restarts. ``save_store`` writes a
 in one format (v2): each raw module's layer-major key/value arenas as
 plain ``.npy`` payloads that a reader can ``np.memmap`` — the key file is
 the key arena's own memory, ``(n_layers, n_kv_heads, head_dim, T)``,
-which the record labels ``key_layout`` (a record without the label, or a
-v1 one, is copied into that layout when read) — codec-compressed
+which the record labels ``key_layout``, and each file's record says
+where its data sits (``shape``, ``dtype``, ``offset``) — codec-compressed
 entries in an npz container (their tensors are rebuilt on decode anyway),
 and an ``index.json`` naming them — every file written under a temporary
 name and renamed into place.
+
+It is the only format read: a record lacking any field ``save_store``
+writes for it (a digest, a sparse digest, an offset, the ``key_layout``
+label) is refused like a corrupt file, and an index of any other
+version is refused whole.
 
 A snapshot is read two ways:
 
@@ -21,9 +26,6 @@ A snapshot is read two ways:
   page against one resident copy (the paper's §3.4 CPU-memory
   accounting). This is the only path that maps a snapshot.
 - **``load_store``**, an eager private copy checked against full digests.
-  It also reads the retired v1 layout (a bare record list and one npz
-  archive per entry), so ``save_store(load_store(old), new)`` upgrades a
-  v1 directory; nothing writes v1 any more.
 
 Integrity: ``index.json`` records a full SHA-256 per payload file plus a
 **sparse** digest over the file size, head block, and evenly sampled
@@ -207,7 +209,7 @@ def _save_npz(handle, payload: CompressedModuleKV) -> None:
     np.savez_compressed(handle, **arrays)
 
 
-def _save_entry_v2(directory: Path, key: CacheKey, payload) -> dict:
+def _save_entry(directory: Path, key: CacheKey, payload) -> dict:
     """Write one entry's payload files; returns the index record's
     ``kind``/``files`` fields."""
     stem = _safe_stem(key)
@@ -254,7 +256,7 @@ def write_catalog_entry(directory: str | Path, key: CacheKey, payload) -> dict:
     every entry through here; the store spills a DRAM victim with
     the same call."""
     record = _key_record(key)
-    record.update(_save_entry_v2(Path(directory), key, payload))
+    record.update(_save_entry(Path(directory), key, payload))
     return record
 
 
@@ -300,26 +302,16 @@ def _record_tag(record: dict) -> str:
 
 
 def _warn_skip(record: dict, reason: str) -> None:
-    name = record.get("file") or next(
-        (f["file"] for f in record.get("files", {}).values()), "<?>"
-    )
+    name = next(iter(record.get("files", {}).values()), {}).get("file", "<?>")
     warnings.warn(
         f"skipping {name} ({_record_tag(record)}): {reason}", stacklevel=3
     )
 
 
 def _load_npz(handle, record: dict):
+    """A codec-compressed entry from its npz archive."""
     with np.load(handle) as data:
         positions = data["positions"]
-        if record["kind"] == "raw":
-            n_layers = sum(1 for name in data.files if name.startswith("keys"))
-            if n_layers == 0:
-                return ModuleKV(keys=[], values=[], positions=positions)
-            return ModuleKV.from_arenas(
-                np.stack([data[f"keys{i}"] for i in range(n_layers)]),
-                np.stack([data[f"values{i}"] for i in range(n_layers)]),
-                positions,
-            )
         payload: dict[str, list[np.ndarray]] = {}
         fields = [n for n in data.files if n != "positions"]
         # Layer order must survive the archive: sort by (field, i).
@@ -335,8 +327,8 @@ def _load_npz(handle, record: dict):
 
 
 class _Rejected(Exception):
-    """A payload file that must not be served; ``str()`` is the skip
-    reason."""
+    """A record or payload file that must not be served; ``str()`` is the
+    skip reason."""
 
 
 @dataclass
@@ -359,8 +351,36 @@ class VerifyLedger:
     failed: int = 0
 
 
-def _expect(label: str, expected: str | None, actual: str) -> None:
-    if expected is not None and actual != expected:
+# What ``save_store`` records for every payload file, and additionally
+# for an arena's (where its data sits, so a page-in maps it directly).
+_FILE_FIELDS = ("file", "nbytes", "sha256", "sparse_sha256")
+_ARENA_FILE_FIELDS = _FILE_FIELDS + ("shape", "dtype", "offset")
+_ARENA_PARTS = ("keys", "values", "positions")
+
+
+def _check_record(record: dict) -> None:
+    """Raise :class:`_Rejected` unless ``record`` carries every field
+    ``save_store`` writes for its kind: nothing is read, mapped or served
+    on a guess about a layout, an offset or a digest. (Indexing, not
+    ``dict.get``: a page-in runs this on every fetch.)"""
+    try:
+        if record["kind"] == _ARENA_KIND:
+            if record["key_layout"] != KEY_LAYOUT:
+                raise _Rejected(f"key_layout {record['key_layout']!r} is not {KEY_LAYOUT!r}")
+            parts, fields = _ARENA_PARTS, _ARENA_FILE_FIELDS
+        else:
+            parts, fields = ("payload",), _FILE_FIELDS
+        for part in parts:
+            info = record["files"][part]
+            for name in fields:
+                if name not in info:
+                    raise _Rejected(f"{part} record lacks {name}")
+    except KeyError as missing:
+        raise _Rejected(f"record lacks {missing}") from None
+
+
+def _expect(label: str, expected: str, actual: str) -> None:
+    if actual != expected:
         raise _Rejected(
             f"{label} mismatch (expected {expected[:12]}…, got {actual[:12]}…)"
         )
@@ -372,8 +392,8 @@ def _verify_fd(fd: int, info: dict, ledger: VerifyLedger | None) -> None:
     With one (a page-in) the sparse digest is, and only when the file's
     ``fstat`` state differs from the remembered one; a digest that matches
     is remembered unless the file is younger than ``_RACY_MARGIN_NS``."""
-    if ledger is None or "sparse_sha256" not in info:
-        _expect("checksum", info.get("sha256"), _sha256(fd))
+    if ledger is None:
+        _expect("checksum", info["sha256"], _sha256(fd))
         return
     name = info["file"]
     st = os.fstat(fd)
@@ -404,40 +424,20 @@ def _open_verified(directory, info: dict, ledger: VerifyLedger | None):
     return handle
 
 
-def _npy_layout(handle) -> tuple[tuple[int, ...], np.dtype, int]:
-    """``(shape, dtype, data offset)`` parsed from an npy header — only
-    for a record written before the index kept them."""
-    version = np.lib.format.read_magic(handle)
-    if version == (1, 0):
-        shape, fortran, dtype = np.lib.format.read_array_header_1_0(handle)
-    elif version == (2, 0):
-        shape, fortran, dtype = np.lib.format.read_array_header_2_0(handle)
-    else:
-        raise ValueError(f"unsupported npy version {version}")
-    if fortran:
-        raise ValueError("fortran-order arena payload")
-    return shape, dtype, handle.tell()
-
-
 def _read_part(handle, info: dict, mmap: bool) -> np.ndarray:
     """One arena payload, from its verified descriptor, as a plain
     ``ndarray``: a read-only view of a file mapping when ``mmap``, else a
     private copy.
 
-    The recorded shape/dtype/offset locate the data directly; a record
-    written before they were kept falls back to parsing the npy header.
-    Mapped arrays are handed out through ``np.asarray`` so that slicing
-    them downstream is ordinary ndarray slicing (``np.memmap.__getitem__``
-    re-runs ``__array_finalize__`` on every view); the view's ``base``
-    still leads to the mapping, which is what ``is_mapped`` follows and
-    what keeps the mapping alive exactly as long as the entry (the mapping
-    holds its own duplicate of the descriptor, so the caller closes
-    ``handle`` either way)."""
-    if "offset" in info:
-        shape, dtype = tuple(info["shape"]), np.dtype(info["dtype"])
-        offset = info["offset"]
-    else:
-        shape, dtype, offset = _npy_layout(handle)
+    The recorded shape/dtype/offset locate the data directly, with no
+    npy header parsed. Mapped arrays are handed out through
+    ``np.asarray`` so that slicing them downstream is ordinary ndarray
+    slicing (``np.memmap.__getitem__`` re-runs ``__array_finalize__`` on
+    every view); the view's ``base`` still leads to the mapping, which is
+    what ``is_mapped`` follows and what keeps the mapping alive exactly as
+    long as the entry (the mapping holds its own duplicate of the
+    descriptor, so the caller closes ``handle`` either way)."""
+    shape, dtype, offset = tuple(info["shape"]), np.dtype(info["dtype"]), info["offset"]
     count = math.prod(shape)
     if mmap and count:
         return np.asarray(
@@ -448,13 +448,15 @@ def _read_part(handle, info: dict, mmap: bool) -> np.ndarray:
     return np.fromfile(handle, dtype=dtype, count=count).reshape(shape)
 
 
-def _load_entry_v2(directory, record: dict, ledger: VerifyLedger | None):
+def _load_entry(directory, record: dict, ledger: VerifyLedger | None):
     """Build the entry payload; ``None`` after a warning for malformed
-    arenas, :class:`_Rejected` for a file that fails verification.
+    arenas, :class:`_Rejected` for a record that lacks a field or a file
+    that fails verification.
 
     With a ``ledger`` (a catalog page-in) the arenas are mapped and
     sparse-verified; without one (``load_store``) they are private copies
     checked against the full digest."""
+    _check_record(record)
     mapped = ledger is not None
     handles: dict = {}
     try:
@@ -463,9 +465,7 @@ def _load_entry_v2(directory, record: dict, ledger: VerifyLedger | None):
         if record["kind"] != _ARENA_KIND:
             return _load_npz(handles["payload"], record)
         files = record["files"]
-        key_arena = _read_part(handles["keys"], files["keys"], mapped)
-        if record.get("key_layout") == KEY_LAYOUT:
-            key_arena = key_arena.swapaxes(-2, -1)
+        key_arena = _read_part(handles["keys"], files["keys"], mapped).swapaxes(-2, -1)
         value_arena = _read_part(handles["values"], files["values"], mapped)
         # Positions are tiny and hot (every splice reads them) — always eager.
         positions = _read_part(handles["positions"], files["positions"], False)
@@ -480,12 +480,6 @@ def _load_entry_v2(directory, record: dict, ledger: VerifyLedger | None):
     return ModuleKV.from_arenas(key_arena, value_arena, positions)
 
 
-def _load_entry_v1(directory: Path, record: dict):
-    info = {"file": record["file"], "sha256": record.get("sha256")}
-    with _open_verified(directory, info, None) as handle:
-        return _load_npz(handle, record)
-
-
 def _load_or_skip(load, directory, record: dict, *args):
     """``load(directory, record, *args)``, or ``None`` after a warning
     when the payload is rejected or unreadable — the caller re-encodes
@@ -495,47 +489,41 @@ def _load_or_skip(load, directory, record: dict, *args):
     except _Rejected as exc:
         _warn_skip(record, str(exc))
     except (OSError, ValueError, KeyError, BadZipFile) as exc:
-        # A pre-checksum snapshot (no digest fields) can still present
-        # a truncated or garbled payload; degrade to a skip.
+        # A verified file can still fail to read (an I/O error, or a
+        # recorded layout its file does not hold); degrade to a skip.
         _warn_skip(record, f"unreadable payload ({type(exc).__name__}: {exc})")
     return None
 
 
-def _index_entries(directory: Path) -> tuple[int, list[dict]]:
+def _index_entries(directory: Path) -> list[dict]:
     index = json.loads((directory / _INDEX).read_text())
-    if isinstance(index, list):  # v1 wrote a bare record list
-        return 1, index
-    version = int(index.get("version", 0))
+    version = index.get("version") if isinstance(index, dict) else None
     if version != SNAPSHOT_VERSION:
         raise ValueError(
             f"unsupported snapshot version {version} in {directory / _INDEX}"
         )
-    return version, index["entries"]
+    return index["entries"]
 
 
 def load_store(
     directory: str | Path, store: ModuleCacheStore | None = None
 ) -> ModuleCacheStore:
-    """Copy a snapshot (v2, or a v1 one written by an earlier version) into
-    ``store``'s private memory, checking every payload's full digest.
+    """Copy a snapshot into ``store``'s private memory, checking every
+    payload's full digest.
 
     A serving store reads a snapshot through its catalog instead
-    (``ModuleCacheStore(snapshot_dir=)``); this is the eager reader — and
-    with ``save_store`` the upgrader for a v1 directory. Corrupt,
-    truncated, or missing payload files are skipped with a warning (the
-    module simply re-encodes on first use); only a missing or unreadable
-    ``index.json`` raises.
+    (``ModuleCacheStore(snapshot_dir=)``); this is the eager reader.
+    Corrupt, truncated, or missing payload files, and records lacking a
+    field ``save_store`` writes, are skipped with a warning (the module
+    simply re-encodes on first use); only a missing, unreadable or
+    other-version ``index.json`` raises.
     """
     from repro.cache.storage import ModuleCacheStore
 
     directory = Path(directory)
     store = store or ModuleCacheStore()
-    version, entries = _index_entries(directory)
-    for record in entries:
-        if version == 1:
-            kv = _load_or_skip(_load_entry_v1, directory, record)
-        else:
-            kv = _load_or_skip(_load_entry_v2, directory, record, None)
+    for record in _index_entries(directory):
+        kv = _load_or_skip(_load_entry, directory, record, None)
         if kv is None:
             continue
         store.put(_record_key(record), kv, tier=record["tier"], pinned=record["pinned"])
@@ -543,19 +531,10 @@ def load_store(
 
 
 def snapshot_catalog(directory: str | Path) -> dict[CacheKey, dict]:
-    """Index a v2 snapshot: the records a store's catalog pages in, one
-    at a time, with :func:`load_catalog_entry`. Opens ``index.json`` and no
-    payload file. A v1 snapshot is refused — its archives cannot be
-    mapped; upgrade it with ``save_store(load_store(old), new)``.
-    """
-    directory = Path(directory)
-    version, entries = _index_entries(directory)
-    if version != SNAPSHOT_VERSION:
-        raise ValueError(
-            f"the snapshot tier needs a v{SNAPSHOT_VERSION} snapshot; "
-            f"{directory} is v{version}"
-        )
-    return {_record_key(record): record for record in entries}
+    """Index a snapshot: the records a store's catalog pages in, one at a
+    time, with :func:`load_catalog_entry`. Opens ``index.json`` and no
+    payload file."""
+    return {_record_key(record): record for record in _index_entries(Path(directory))}
 
 
 def catalog_entry_nbytes(record: dict) -> int:
@@ -568,15 +547,20 @@ def load_catalog_entry(directory: str | Path, record: dict, *, ledger: VerifyLed
     files checked through ``ledger`` (an unchanged file is hashed once);
     ``None`` (after a warning) when the payload is corrupt, truncated, or
     missing — the caller re-encodes."""
-    kv = _load_or_skip(_load_entry_v2, os.fspath(directory), record, ledger)
+    kv = _load_or_skip(_load_entry, os.fspath(directory), record, ledger)
     if kv is None:
         ledger.failed += 1
     return kv
 
 
 def catalog_entry_fault(directory: str | Path, record: dict) -> str | None:
-    """Check every payload file of one catalog record against its full
-    SHA-256: ``None`` when all match, else which file failed and why."""
+    """Check one catalog record for every field ``save_store`` writes and
+    each of its payload files against its full SHA-256: ``None`` when all
+    hold, else what failed and why."""
+    try:
+        _check_record(record)
+    except _Rejected as reason:
+        return str(reason)
     for info in record["files"].values():
         try:
             _open_verified(os.fspath(directory), info, None).close()

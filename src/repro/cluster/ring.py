@@ -5,8 +5,9 @@ their encoded KV (the ChunkAttention observation: prefix-aware sharing
 pays off most when common-segment requests are routed together). A
 consistent-hash ring gives that affinity a stable, decentralized form:
 
-- each worker owns ``vnodes`` points on a 64-bit ring (xxh64 of
-  ``"name#i"``), so load spreads evenly without a central table;
+- each worker owns ``vnodes`` points on a 64-bit ring (the first 8
+  bytes of the SHA-256 of ``"name#i"``), so load spreads evenly without
+  a central table;
 - a request key maps to the first point clockwise from its hash — the
   worker's death moves *only its own keys* to their successors, leaving
   every other placement (and its warm cache) untouched;
@@ -17,14 +18,13 @@ consistent-hash ring gives that affinity a stable, decentralized form:
 from __future__ import annotations
 
 import bisect
-
-from repro.cluster.wire import xxh64
+import hashlib
 
 DEFAULT_VNODES = 64
 
 
 class HashRing:
-    """Consistent hashing with virtual nodes over xxh64.
+    """Consistent hashing with virtual nodes over a truncated SHA-256.
 
     Not thread-safe: the router mutates it only from its event loop.
     """
@@ -47,7 +47,7 @@ class HashRing:
 
     @staticmethod
     def _hash(text: str) -> int:
-        return xxh64(text.encode())
+        return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
     def add(self, node: str) -> None:
         if node in self.nodes:

@@ -17,25 +17,24 @@ This module defines the byte format both ends speak:
 - **Module transfer.** A GET names a :class:`~repro.cache.storage.CacheKey`.
   The reply is one META frame (JSON header: schema/module/variant, payload
   kind — always ``raw``, a :class:`~repro.llm.kv.ModuleKV`; any other kind
-  is refused — per-segment dtype and shape, total byte count, xxh64
+  is refused — per-segment dtype and shape, total byte count, SHA-256
   checksum, and the keys' ``key_layout``: each layer's keys travel in the
-  memory order they are stored in, ``(n_kv_heads, head_dim, T)``), then
-  the segments' bytes as CHUNK frames, then an END frame. Serialization
-  is **zero-copy** on the send side: contiguous tensors are framed as
+  memory order they are stored in, ``(n_kv_heads, head_dim, T)``; a
+  header naming any other layout is refused), then the segments' bytes
+  as CHUNK frames, then an END frame. Serialization is **zero-copy** on
+  the send side: contiguous tensors are framed as
   :class:`memoryview`\\ s, never joined into an intermediate buffer.
   The receiver assembles into one preallocated ``bytearray`` and builds
-  NumPy views over it — one allocation for the whole module. A header
-  from an older peer has no ``key_layout``: its keys are
-  ``(n_kv_heads, T, head_dim)`` and are copied into the stored layout on
-  receipt.
-- **Integrity.** The META header carries an xxh64 checksum of the whole
-  payload; the receiver verifies before the module is trusted. xxh64 is
-  implemented here in pure Python (the container has no ``xxhash`` wheel)
-  and validated against the reference test vectors.
+  NumPy views over it — one allocation for the whole module.
+- **Integrity.** The META header carries the hex SHA-256 of the whole
+  payload (``hashlib``, the digest the snapshot plane records too); the
+  receiver verifies it before the module is trusted. A peer speaking
+  an earlier protocol version is refused at its first header.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from dataclasses import dataclass
@@ -46,7 +45,7 @@ from repro.cache.storage import CacheKey
 from repro.llm.kv import KEY_LAYOUT, ModuleKV
 
 MAGIC = b"PCKV"
-VERSION = 1
+VERSION = 2
 
 # Message types.
 MSG_GET = 1  # request one module by key (JSON payload)
@@ -71,146 +70,6 @@ _RAW_KIND = "raw"
 
 class WireError(Exception):
     """Malformed frame, protocol violation, or checksum mismatch."""
-
-
-# ---------------------------------------------------------------------------
-# xxh64 — pure-Python implementation of the XXH64 digest.
-# ---------------------------------------------------------------------------
-
-_P1 = 0x9E3779B185EBCA87
-_P2 = 0xC2B2AE3D27D4EB4F
-_P3 = 0x165667B19E3779F9
-_P4 = 0x85EBCA77C2B2AE63
-_P5 = 0x27D4EB2F165667C5
-_M64 = (1 << 64) - 1
-
-
-def _rotl(x: int, r: int) -> int:
-    return ((x << r) | (x >> (64 - r))) & _M64
-
-
-def _round(acc: int, word: int) -> int:
-    return (_rotl((acc + word * _P2) & _M64, 31) * _P1) & _M64
-
-
-def _merge(h: int, acc: int) -> int:
-    h ^= _round(0, acc)
-    return ((h * _P1) + _P4) & _M64
-
-
-def xxh64(data: bytes | bytearray | memoryview, seed: int = 0) -> int:
-    """XXH64 digest of ``data`` as an unsigned 64-bit integer."""
-    view = memoryview(data).cast("B")
-    n = len(view)
-    i = 0
-    if n >= 32:
-        v1 = (seed + _P1 + _P2) & _M64
-        v2 = (seed + _P2) & _M64
-        v3 = seed & _M64
-        v4 = (seed - _P1) & _M64
-        words = struct.unpack_from(f"<{(n // 8)}Q", view)
-        stripes = n // 32
-        for s in range(stripes):
-            j = 4 * s
-            v1 = _round(v1, words[j])
-            v2 = _round(v2, words[j + 1])
-            v3 = _round(v3, words[j + 2])
-            v4 = _round(v4, words[j + 3])
-        i = stripes * 32
-        h = (_rotl(v1, 1) + _rotl(v2, 7) + _rotl(v3, 12) + _rotl(v4, 18)) & _M64
-        h = _merge(h, v1)
-        h = _merge(h, v2)
-        h = _merge(h, v3)
-        h = _merge(h, v4)
-    else:
-        h = (seed + _P5) & _M64
-    h = (h + n) & _M64
-    while i + 8 <= n:
-        (word,) = struct.unpack_from("<Q", view, i)
-        h = ((_rotl(h ^ _round(0, word), 27) * _P1) + _P4) & _M64
-        i += 8
-    if i + 4 <= n:
-        (word,) = struct.unpack_from("<I", view, i)
-        h = ((_rotl(h ^ (word * _P1) & _M64, 23) * _P2) + _P3) & _M64
-        i += 4
-    while i < n:
-        h = ((_rotl(h ^ (view[i] * _P5) & _M64, 11)) * _P1) & _M64
-        i += 1
-    h ^= h >> 33
-    h = (h * _P2) & _M64
-    h ^= h >> 29
-    h = (h * _P3) & _M64
-    h ^= h >> 32
-    return h
-
-
-class StreamingXXH64:
-    """Incremental xxh64 over chunks (the receiver hashes as it reads).
-
-    Buffers at most 31 bytes between updates; the digest is identical to
-    :func:`xxh64` over the concatenated input.
-    """
-
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = seed & _M64
-        self._v = [
-            (seed + _P1 + _P2) & _M64,
-            (seed + _P2) & _M64,
-            seed & _M64,
-            (seed - _P1) & _M64,
-        ]
-        self._buffer = bytearray()
-        self._total = 0
-        self._seen_stripes = False
-
-    def update(self, data: bytes | bytearray | memoryview) -> None:
-        view = memoryview(data).cast("B")
-        self._total += len(view)
-        self._buffer.extend(view)
-        usable = len(self._buffer) - (len(self._buffer) % 32)
-        if usable:
-            words = struct.unpack_from(f"<{usable // 8}Q", self._buffer)
-            v1, v2, v3, v4 = self._v
-            for s in range(usable // 32):
-                j = 4 * s
-                v1 = _round(v1, words[j])
-                v2 = _round(v2, words[j + 1])
-                v3 = _round(v3, words[j + 2])
-                v4 = _round(v4, words[j + 3])
-            self._v = [v1, v2, v3, v4]
-            del self._buffer[:usable]
-            self._seen_stripes = True
-
-    def digest(self) -> int:
-        if self._seen_stripes:
-            v1, v2, v3, v4 = self._v
-            h = (
-                _rotl(v1, 1) + _rotl(v2, 7) + _rotl(v3, 12) + _rotl(v4, 18)
-            ) & _M64
-            for v in self._v:
-                h = _merge(h, v)
-        else:
-            h = (self.seed + _P5) & _M64
-        h = (h + self._total) & _M64
-        view = memoryview(bytes(self._buffer))
-        i, n = 0, len(view)
-        while i + 8 <= n:
-            (word,) = struct.unpack_from("<Q", view, i)
-            h = ((_rotl(h ^ _round(0, word), 27) * _P1) + _P4) & _M64
-            i += 8
-        if i + 4 <= n:
-            (word,) = struct.unpack_from("<I", view, i)
-            h = ((_rotl(h ^ (word * _P1) & _M64, 23) * _P2) + _P3) & _M64
-            i += 4
-        while i < n:
-            h = ((_rotl(h ^ (view[i] * _P5) & _M64, 11)) * _P1) & _M64
-            i += 1
-        h ^= h >> 33
-        h = (h * _P2) & _M64
-        h ^= h >> 29
-        h = (h * _P3) & _M64
-        h ^= h >> 32
-        return h
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +162,7 @@ def _segment_views(
                 "nbytes": int(contiguous.nbytes),
             }
         )
-        buffers.append(memoryview(contiguous).cast("B"))
+        buffers.append(memoryview(contiguous.reshape(-1).view(np.uint8)))
     return segments, buffers
 
 
@@ -317,7 +176,7 @@ def serialize_module(key: CacheKey, kv) -> WireModule:
         named.append((f"keys{i}", k.swapaxes(-2, -1)))
         named.append((f"values{i}", v))
     segments, buffers = _segment_views(named)
-    checksum = StreamingXXH64()
+    checksum = hashlib.sha256()
     for buf in buffers:
         checksum.update(buf)
     meta = {
@@ -327,7 +186,7 @@ def serialize_module(key: CacheKey, kv) -> WireModule:
         "kind": _RAW_KIND,
         "segments": segments,
         "total_bytes": sum(len(b) for b in buffers),
-        "checksum": f"{checksum.digest():016x}",
+        "checksum": checksum.hexdigest(),
         "key_layout": KEY_LAYOUT,
     }
     return WireModule(meta=meta, buffers=buffers)
@@ -348,18 +207,20 @@ def iter_chunks(
 def deserialize_module(meta: dict, payload: bytearray | bytes):
     """Rebuild the :class:`ModuleKV` from META + assembled payload bytes.
 
-    Verifies the payload kind and the checksum, then builds NumPy views
-    over the payload buffer (zero-copy when ``payload`` is a writable
-    bytearray).
+    Verifies the payload kind, the key layout and the checksum, then
+    builds NumPy views over the payload buffer (zero-copy when ``payload``
+    is a writable bytearray).
     """
     if meta.get("kind") != _RAW_KIND:
         raise WireError(f"unsupported payload kind {meta.get('kind')!r}")
+    if meta.get("key_layout") != KEY_LAYOUT:
+        raise WireError(f"unsupported key layout {meta.get('key_layout')!r}")
     declared = int(meta["total_bytes"])
     if len(payload) != declared:
         raise WireError(
             f"payload is {len(payload)} bytes, header declared {declared}"
         )
-    checksum = f"{xxh64(payload):016x}"
+    checksum = hashlib.sha256(payload).hexdigest()
     if checksum != meta["checksum"]:
         raise WireError(
             f"checksum mismatch: computed {checksum}, header {meta['checksum']}"
@@ -378,11 +239,8 @@ def deserialize_module(meta: dict, payload: bytearray | bytes):
         offset += nbytes
     positions = arrays.pop("positions")
     n_layers = sum(1 for name in arrays if name.startswith("keys"))
-    keys = [arrays[f"keys{i}"] for i in range(n_layers)]
-    if meta.get("key_layout") == KEY_LAYOUT:
-        keys = [k.swapaxes(-2, -1) for k in keys]
     return ModuleKV(
-        keys=keys,
+        keys=[arrays[f"keys{i}"].swapaxes(-2, -1) for i in range(n_layers)],
         values=[arrays[f"values{i}"] for i in range(n_layers)],
         positions=positions,
     )

@@ -123,6 +123,11 @@ class Histogram:
                 return 0.0
             return float(np.percentile(np.asarray(self._samples), q))
 
+    def samples(self) -> list[float]:
+        """A copy of the retained samples, to pool across registries."""
+        with self._lock:
+            return list(self._samples)
+
     def cumulative_buckets(self) -> list[tuple[float, int]]:
         """(upper_bound, cumulative_count) pairs, ending with +inf."""
         with self._lock:

@@ -322,15 +322,3 @@ def test_a_rename_between_check_and_map_serves_the_verified_inode(
     monkeypatch.setattr(persist, "_read_part", read_part)
     assert_refused(store)
 
-
-def test_a_record_without_recorded_offsets_still_maps_its_descriptor(tmp_path, clock):
-    """Snapshots written before the index kept shape/dtype/offset."""
-    store = attached_store(tmp_path)
-    with store._lock:
-        for info in store._catalog[KEYS[0]]["files"].values():
-            for field in ("shape", "dtype", "offset"):
-                del info[field]
-    paged_in_twice(store, clock, tmp_path)
-    found = page_in(store)
-    assert found.entry.kv.is_mapped
-    assert kv_bytes(found.entry.kv) == kv_bytes(module_kv(0))

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -27,31 +27,6 @@ def pc(llama, tok):
     return cache
 
 
-def save_v1(store: ModuleCacheStore, directory) -> None:
-    """Write ``store``'s raw entries in the retired v1 layout, frozen here
-    because nothing else writes it any more: one ``savez_compressed``
-    archive per entry (``positions`` plus ``keys{i}``/``values{i}`` per
-    layer) and an ``index.json`` that is a bare list of records."""
-    directory.mkdir(parents=True, exist_ok=True)
-    records = []
-    for tier_name in ("gpu", "cpu"):
-        for key, entry in store.tier(tier_name).entries.items():
-            kv = entry.kv
-            arrays = {"positions": kv.positions}
-            for i, (k, v) in enumerate(zip(kv.keys, kv.values)):
-                arrays[f"keys{i}"] = k
-                arrays[f"values{i}"] = v
-            path = _payload_path(directory, key.schema, key.module, key.variant)
-            np.savez_compressed(path, **arrays)
-            records.append({
-                "schema": key.schema, "module": key.module, "variant": key.variant,
-                "kind": "raw", "file": path.name,
-                "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
-                "tier": tier_name, "pinned": entry.pinned,
-            })
-    (directory / "index.json").write_text(json.dumps(records, indent=1))
-
-
 class TestPersistence:
     def test_round_trip_raw_entries(self, pc, tmp_path):
         report = save_store(pc.store, tmp_path)
@@ -65,18 +40,17 @@ class TestPersistence:
             np.testing.assert_array_equal(loaded.positions, original.positions)
             np.testing.assert_array_equal(loaded.keys[0], original.keys[0])
 
-    @pytest.mark.parametrize("format", ["v1", "v2"])
-    def test_round_trip_restores_arena_backing(self, pc, tmp_path, format):
+    def test_round_trip_restores_arena_backing(self, pc, tmp_path):
         """Restored raw modules must stay on the one-memcpy splice fast
         path: the loader rebuilds them via ``ModuleKV.from_arenas``, not
         as loose per-layer lists (the pre-v2 loader silently dropped the
         arena on restart)."""
-        (save_v1 if format == "v1" else save_store)(pc.store, tmp_path)
+        save_store(pc.store, tmp_path)
         restored = load_store(tmp_path)
         for name in ("a", "b"):
             key = CacheKey("lib", name)
             loaded = restored.fetch(key).entry.kv
-            assert loaded.is_arena, f"{format} restore dropped arena backing"
+            assert loaded.is_arena, "restore dropped arena backing"
             np.testing.assert_array_equal(
                 loaded.key_arena, pc.store.fetch(key).entry.kv.key_arena
             )
@@ -179,34 +153,8 @@ class _StandIn:
 
 
 class TestSnapshotIntegrity:
-    def test_v1_index_records_sha256(self, pc, tmp_path):
-        """v1 recorded a digest per archive, so the corrupt-file test below
-        exercises the checksum, not the unreadable-payload fallback."""
-        save_v1(pc.store, tmp_path)
-        index = json.loads((tmp_path / "index.json").read_text())
-        assert index
-        for record in index:
-            assert len(record["sha256"]) == 64
-
-    def test_v1_snapshot_upgrades_to_a_catalog(self, pc, tmp_path):
-        """The catalog refuses v1 (its archives cannot be mapped);
-        ``save_store(load_store(old), new)`` upgrades it to one that
-        serves the same bytes through page-ins."""
-        save_v1(pc.store, tmp_path / "v1")
-        with pytest.raises(ValueError, match="needs a v2 snapshot"):
-            ModuleCacheStore(snapshot_dir=tmp_path / "v1")
-        save_store(load_store(tmp_path / "v1"), tmp_path / "v2")
-        attached = ModuleCacheStore(snapshot_dir=tmp_path / "v2")
-        for name in ("a", "b"):
-            key = CacheKey("lib", name)
-            found = attached.fetch(key)
-            assert found.source == "snapshot" and found.entry.kv.is_mapped
-            original = pc.store.peek(key).kv
-            np.testing.assert_array_equal(found.entry.kv.key_arena, original.key_arena)
-            np.testing.assert_array_equal(found.entry.kv.value_arena, original.value_arena)
-
     def test_corrupt_file_is_skipped_with_warning(self, pc, tmp_path):
-        save_v1(pc.store, tmp_path)
+        save_store(pc.store, tmp_path)
         victim = _flip_byte(tmp_path, "lib", "a")
         with pytest.warns(UserWarning, match="checksum mismatch"):
             restored = load_store(tmp_path)
@@ -215,28 +163,33 @@ class TestSnapshotIntegrity:
         assert victim.exists()  # we only skip, never delete
 
     def test_missing_file_is_skipped_with_warning(self, pc, tmp_path):
-        save_v1(pc.store, tmp_path)
+        save_store(pc.store, tmp_path)
         _payload_path(tmp_path, "lib", "a").unlink()
         with pytest.warns(UserWarning, match="missing"):
             restored = load_store(tmp_path)
         assert restored.fetch(CacheKey("lib", "a")) is None
         assert restored.fetch(CacheKey("lib", "b")) is not None
 
-    def test_truncated_legacy_file_is_skipped(self, pc, tmp_path):
-        """Pre-checksum snapshots (no sha256 in the index) still degrade
-        to a skip when the archive itself is truncated."""
-        save_v1(pc.store, tmp_path)
-        index_path = tmp_path / "index.json"
-        index = json.loads(index_path.read_text())
-        for record in index:
-            record.pop("sha256")
-        index_path.write_text(json.dumps(index))
+    def test_truncated_file_is_skipped(self, pc, tmp_path):
+        save_store(pc.store, tmp_path)
         path = _payload_path(tmp_path, "lib", "a")
         path.write_bytes(path.read_bytes()[:40])
-        with pytest.warns(UserWarning, match="unreadable payload"):
+        with pytest.warns(UserWarning, match="checksum mismatch"):
             restored = load_store(tmp_path)
         assert restored.fetch(CacheKey("lib", "a")) is None
         assert restored.fetch(CacheKey("lib", "b")) is not None
+
+    def test_a_bare_list_index_is_refused(self, pc, tmp_path):
+        """An index that is a bare record list, as the retired v1 layout
+        wrote, is refused whole by both readers."""
+        save_store(pc.store, tmp_path)
+        index_path = tmp_path / "index.json"
+        entries = json.loads(index_path.read_text())["entries"]
+        index_path.write_text(json.dumps(entries))
+        with pytest.raises(ValueError, match="unsupported snapshot version"):
+            load_store(tmp_path)
+        with pytest.raises(ValueError, match="unsupported snapshot version"):
+            ModuleCacheStore(snapshot_dir=tmp_path)
 
     def test_save_reports_skipped_stand_ins(self, pc, tmp_path):
         pc.store.put(CacheKey("lib", "ghost"), _StandIn())
@@ -252,8 +205,62 @@ class TestSnapshotIntegrity:
         assert restored.fetch(CacheKey("lib", "ghost")) is None
 
 
+# One field ``save_store`` writes, dropped from module a's record: its key
+# file's digest, sparse digest and data offset, and the record's layout.
+DROPPED = {
+    "sha256": lambda record: record["files"]["keys"].pop("sha256"),
+    "sparse_sha256": lambda record: record["files"]["keys"].pop("sparse_sha256"),
+    "offset": lambda record: record["files"]["keys"].pop("offset"),
+    "key_layout": lambda record: record.pop("key_layout"),
+}
+
+
+@pytest.fixture(params=sorted(DROPPED))
+def incomplete(request, pc, tmp_path):
+    """A snapshot whose record of module a lacks one field."""
+    save_store(pc.store, tmp_path)
+    index_path = tmp_path / "index.json"
+    index = json.loads(index_path.read_text())
+    for record in index["entries"]:
+        if record["module"] == "a":
+            DROPPED[request.param](record)
+    index_path.write_text(json.dumps(index))
+    return tmp_path
+
+
+class TestIncompleteRecords:
+    """A record lacking any field ``save_store`` writes is refused like a
+    corrupt file by every reader — skipped with a warning, the module
+    left to re-encode — and never served on a guess."""
+
+    def test_load_store_skips_it(self, incomplete):
+        with pytest.warns(UserWarning, match="lacks"):
+            restored = load_store(incomplete)
+        assert restored.fetch(CacheKey("lib", "a")) is None
+        assert restored.fetch(CacheKey("lib", "b")) is not None
+
+    def test_a_page_in_refuses_it(self, incomplete):
+        store = ModuleCacheStore(snapshot_dir=incomplete)
+        with pytest.warns(UserWarning, match="lacks"):
+            assert store.fetch(CacheKey("lib", "a")) is None
+        assert store.fabric_snapshot()["verify_failed"] == 1
+        assert not store.snapshot_backed(CacheKey("lib", "a"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert store.fetch(CacheKey("lib", "a")) is None  # not retried
+            assert store.fetch(CacheKey("lib", "b")).source == "snapshot"
+
+    def test_the_digest_sweep_drops_it(self, incomplete):
+        store = ModuleCacheStore(snapshot_dir=incomplete)
+        with pytest.warns(UserWarning, match="lacks"):
+            assert store.verify_catalog() == 1
+        assert not store.snapshot_backed(CacheKey("lib", "a"))
+        assert store.snapshot_backed(CacheKey("lib", "b"))
+        assert store.fetch(CacheKey("lib", "a")) is None
+
+
 def _payload_path(directory, schema, module, variant="solo"):
-    return directory / f"{schema}__{module}__{variant}.npz"
+    return directory / f"{schema}__{module}__{variant}.keys.npy"
 
 
 def _flip_byte(directory, schema, module):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import asyncio
 import builtins
 import io
+import json
 import os
 import threading
 from pathlib import Path
@@ -121,9 +122,8 @@ class TestV2RoundTrip:
 
     def test_index_carries_version_and_digests(self, pc, tmp_path):
         save_store(pc.store, tmp_path)
-        version, entries = _index_entries(tmp_path)
-        assert version == 2
-        for record in entries:
+        assert json.loads((tmp_path / "index.json").read_text())["version"] == 2
+        for record in _index_entries(tmp_path):
             assert record["kind"] == "arena"
             for part in ("keys", "values", "positions"):
                 info = record["files"][part]
@@ -391,7 +391,7 @@ class TestAttach:
         save_store(pc.store, tmp_path)
         first = ModuleCacheStore(snapshot_dir=tmp_path)
         second = ModuleCacheStore(snapshot_dir=tmp_path)
-        record = next(r for r in _index_entries(tmp_path)[1] if r["module"] == "a")
+        record = next(r for r in _index_entries(tmp_path) if r["module"] == "a")
         payload = sum(info["nbytes"] - info["offset"] for info in record["files"].values())
         ids = set()
         for store in (first, second):

@@ -5,14 +5,9 @@ row each."""
 
 from __future__ import annotations
 
-import json
-from unittest.mock import patch
-
 import numpy as np
 import pytest
 
-from repro.cache import engine as engine_module
-from repro.cache import persist
 from repro.cache.compress import Fp16Codec, Int8Codec
 from repro.cache.encoder import drop_param_slots, encode_module
 from repro.cache.engine import PromptCache, _arena_splice
@@ -20,7 +15,6 @@ from repro.cache.layout import layout_schema
 from repro.cache.persist import load_store, save_store
 from repro.cache.storage import CacheKey, ModuleCacheStore
 from repro.cluster import wire
-from repro.llm import kv as kv_module
 from repro.llm.config import ModelConfig
 from repro.llm.generation import decode_loop
 from repro.llm.kv import KVCache, LayerKV, ModuleKV
@@ -59,7 +53,6 @@ LIB = (
     'lazy dog</module><module name="b">plan <param name="d" len="3"/> days '
     "ahead of the trip</module></schema>"
 )
-LIB_PROMPT = '<prompt schema="lib"><a/><b d="two"/> what happened ?</prompt>'
 A, B = CacheKey("lib", "a"), CacheKey("lib", "b")
 
 
@@ -139,93 +132,6 @@ class TestKeyLayout:
         keys = KEY_PATHS[path](lib, tmp_path)
         assert keys and all(k.shape[1] > 1 for k in keys)
         assert all(k.strides[-1] != k.itemsize for k in keys), [k.strides for k in keys]
-
-
-def _first_logits_and_output(pc):
-    stream = pc.open_stream(LIB_PROMPT, max_new_tokens=4)
-    stream.run()
-    first = stream.logits.copy()
-    return first, stream.finish().output_ids
-
-
-class TestOldKeyLayouts:
-    """Records and frames written before keys were stored head_dim-major
-    load through the one copy ``ModuleKV`` construction makes, and serve
-    exactly what a fresh encode serves."""
-
-    @pytest.fixture(scope="class")
-    def reference(self, lib):
-        return _first_logits_and_output(lib)
-
-    @pytest.fixture()
-    def copies(self):
-        with patch.object(
-            kv_module, "head_dim_major_copy", wraps=kv_module.head_dim_major_copy
-        ) as copies:
-            yield copies
-
-    def _served(self, pc_store, llama, tok, reference, copies, expected_copies):
-        pc = PromptCache(llama, tok, store=pc_store, template=PLAIN_TEMPLATE)
-        with patch.object(engine_module, "encode_module", side_effect=AssertionError("re-encoded")):
-            pc.register_schema(LIB)
-            first, output = _first_logits_and_output(pc)
-        assert copies.call_count == expected_copies
-        for key in (A, B):
-            assert all(k.strides[-2] == k.itemsize for k in pc.store.peek(key).kv.keys)
-        np.testing.assert_array_equal(first, reference[0])
-        assert output == reference[1]
-
-    def test_an_unlabelled_v2_record(self, lib, llama, tok, reference, copies, tmp_path):
-        save_store(lib.store, tmp_path)
-        index_path = tmp_path / "index.json"
-        index = json.loads(index_path.read_text())
-        for record in index["entries"]:
-            del record["key_layout"]
-            info = record["files"]["keys"]
-            keys = np.ascontiguousarray(np.load(tmp_path / info["file"]).swapaxes(-2, -1))
-            written = persist._write_atomic(
-                tmp_path / info["file"], lambda handle: np.save(handle, keys)
-            )
-            written.update(
-                shape=list(keys.shape), dtype=keys.dtype.str,
-                offset=written["nbytes"] - keys.nbytes,
-            )
-            record["files"]["keys"] = written
-        index_path.write_text(json.dumps(index))
-        self._served(ModuleCacheStore(snapshot_dir=tmp_path), llama, tok, reference, copies, 2)
-
-    def test_a_v1_npz_record(self, lib, llama, tok, reference, copies, tmp_path):
-        records = []
-        for key in (A, B):
-            kv = _stored(lib, key)
-            name = f"{key.schema}__{key.module}__{key.variant}.npz"
-            arrays = {"positions": kv.positions}
-            for i, (k, v) in enumerate(zip(kv.keys, kv.values)):
-                arrays[f"keys{i}"], arrays[f"values{i}"] = np.ascontiguousarray(k), v
-            np.savez(tmp_path / name, **arrays)
-            records.append({
-                "schema": key.schema, "module": key.module, "variant": key.variant,
-                "file": name, "kind": "raw", "tier": "gpu", "pinned": False,
-            })
-        (tmp_path / "index.json").write_text(json.dumps(records))
-        self._served(load_store(tmp_path), llama, tok, reference, copies, 2)
-
-    def test_an_old_header_wire_frame(self, lib, llama, tok, reference, copies):
-        store = ModuleCacheStore()
-        for key in (A, B):
-            kv = _stored(lib, key)
-            named = [("positions", kv.positions)]
-            for i, (k, v) in enumerate(zip(kv.keys, kv.values)):
-                named += [(f"keys{i}", np.ascontiguousarray(k)), (f"values{i}", v)]
-            segments, buffers = wire._segment_views(named)
-            payload = bytearray(b"".join(buffers))
-            meta = {
-                "schema": key.schema, "module": key.module, "variant": key.variant,
-                "kind": "raw", "segments": segments, "total_bytes": len(payload),
-                "checksum": f"{wire.xxh64(payload):016x}",
-            }
-            store.put(key, wire.deserialize_module(meta, payload))
-        self._served(store, llama, tok, reference, copies, 2 * llama.config.n_layers)
 
 
 class TestForkCache:
