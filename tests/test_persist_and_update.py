@@ -179,6 +179,19 @@ class TestSnapshotIntegrity:
         assert restored.fetch(CacheKey("lib", "a")) is None
         assert restored.fetch(CacheKey("lib", "b")) is not None
 
+    def test_v1_index_records_sha256(self, pc, tmp_path):
+        """The index records a SHA-256 per payload file, as the retired v1
+        layout already did per archive, so the corrupt-file test above
+        exercises the checksum, not the unreadable-payload fallback."""
+        save_store(pc.store, tmp_path)
+        index = json.loads((tmp_path / "index.json").read_text())
+        assert index["entries"]
+        for record in index["entries"]:
+            assert record["files"]
+            for file in record["files"].values():
+                assert len(file["sha256"]) == 64
+                int(file["sha256"], 16)
+
     def test_a_bare_list_index_is_refused(self, pc, tmp_path):
         """An index that is a bare record list, as the retired v1 layout
         wrote, is refused whole by both readers."""
