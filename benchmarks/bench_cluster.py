@@ -6,9 +6,12 @@ worker counts. Affinity routing keeps each schema's modules hot on its
 home worker; spilled or re-placed requests pull module KV over the
 distribution plane instead of re-encoding, so the interesting numbers
 are TTFT percentiles *and* ``cluster_reencode_avoided_tokens_total``.
-Each row also reports the median wall time of a peer fetch, pooled from
-every worker's ``cluster_peer_fetch_seconds`` samples (reported, not
-gated).
+The trace itself makes few peer fetches (a short skewed trace mostly
+stays home), so after it each schema's module is fetched once more over
+the plane, by a worker that does not serve it from the one that does
+(its ring home, unless the trace placed it elsewhere): each row reports
+the median wall time of those transfers (reported, not gated) and the
+run asserts that every one of them hit.
 
 A second scenario kills one of two workers mid-trace and audits the
 zero-loss contract: every accepted request completes (on the survivor if
@@ -25,11 +28,13 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import time
 from pathlib import Path
 
 import numpy as np
 
 from repro.bench import emit, format_table
+from repro.cache.storage import CacheKey
 from repro.cluster import ClusterRouter, ClusterWorker
 from repro.cluster.loadgen import run_cluster_open_loop
 from repro.llm import build_model, tiny_config
@@ -73,9 +78,12 @@ def _make_router(model, tok, n_workers: int, workload) -> ClusterRouter:
     return router
 
 
-async def _drive_plain(router, workload, trace):
+async def _drive_plain(router, workload, trace, n_workers: int) -> dict:
     async with router:
-        return await run_cluster_open_loop(router, workload, trace)
+        report = await run_cluster_open_loop(router, workload, trace)
+        row = _scaling_row(router, report, n_workers)
+        row.update(await _cross_fetches(router, workload))
+        return row
 
 
 async def _drive_with_kill(router, workload, trace, victim: str):
@@ -87,15 +95,32 @@ async def _drive_with_kill(router, workload, trace, victim: str):
         return await run
 
 
-def _peer_fetch_p50_ms(router) -> float | None:
-    """Median peer-fetch wall time over every worker's fetches; ``None``
-    when no worker fetched from a peer."""
-    samples = [
-        seconds
-        for worker in router.workers.values()
-        for seconds in worker.metrics.histogram("cluster_peer_fetch_seconds").samples()
-    ]
-    return 1000 * float(np.median(samples)) if samples else None
+async def _cross_fetches(router, workload) -> dict:
+    """Fetch each schema's module once over the plane. The source is the
+    first worker in the schema's ring order that holds it — the home,
+    unless the trace placed the schema elsewhere — and the fetcher the
+    next worker in that order. A one-worker cluster has no such pair and
+    its p50 is ``None``; a schema no worker holds counts as a miss."""
+    seconds, hits = [], 0
+    for schema in workload.schema_sources:
+        key = CacheKey(schema, "context")
+        ring = router.ring.preference_list(schema)
+        if len(ring) < 2:
+            continue
+        source = next(
+            (n for n in ring if router.workers[n].store.peek(key) is not None), ring[0]
+        )
+        fetcher = next(n for n in ring if n != source)
+        address = router.workers[source].exporter.address
+        started = time.perf_counter()
+        kv = await router.workers[fetcher].fetcher.fetch(address, key)
+        seconds.append(time.perf_counter() - started)
+        hits += kv is not None
+    return {
+        "cross_fetches": len(seconds),
+        "cross_hits": hits,
+        "fetch_p50_ms": 1000 * float(np.median(seconds)) if seconds else None,
+    }
 
 
 def _scaling_row(router, report, n_workers: int) -> dict:
@@ -113,7 +138,6 @@ def _scaling_row(router, report, n_workers: int) -> dict:
         "throughput_rps": report.throughput_rps,
         "peer_fetch_hits": hits,
         "peer_fetch_misses": misses,
-        "peer_fetch_p50_ms": _peer_fetch_p50_ms(router),
         "reencode_avoided_tokens": gauges.get(
             "cluster_reencode_avoided_tokens_total", 0.0
         ),
@@ -136,8 +160,7 @@ def run_cluster_bench(model, tok, *, quick: bool = False) -> dict:
     for n_workers in WORKER_COUNTS:
         trace = synthesize_trace(profiles, rate, duration_s, seed=SEED)
         router = _make_router(model, tok, n_workers, workload)
-        report = asyncio.run(_drive_plain(router, workload, trace))
-        scaling.append(_scaling_row(router, report, n_workers))
+        scaling.append(asyncio.run(_drive_plain(router, workload, trace, n_workers)))
 
     # Zero-loss audit: 2 workers, one killed a third of the way in.
     trace = synthesize_trace(profiles, rate, duration_s, seed=SEED)
@@ -175,6 +198,10 @@ def check_acceptance(results: dict) -> None:
         assert row["failed"] == 0, (
             f"{row['workers']} workers: {row['failed']} failed requests"
         )
+        assert row["cross_hits"] == row["cross_fetches"], (
+            f"{row['workers']} workers: {row['cross_hits']} of "
+            f"{row['cross_fetches']} cross-worker fetches hit"
+        )
     audit = results["kill_audit"]
     assert audit["failed"] == 0, (
         f"kill-one audit lost requests: {audit['failures']}"
@@ -196,7 +223,7 @@ def _report(results: dict) -> str:
             f"{row['ttft_p95_ms']:.1f}",
             f"{row['throughput_rps']:.1f}",
             f"{row['peer_fetch_hits']:g}",
-            "-" if row["peer_fetch_p50_ms"] is None else f"{row['peer_fetch_p50_ms']:.1f}",
+            "-" if row["fetch_p50_ms"] is None else f"{row['fetch_p50_ms']:.1f}",
             f"{row['reencode_avoided_tokens']:g}",
             f"{row['spills']:g}",
         ]
@@ -212,6 +239,8 @@ def _report(results: dict) -> str:
              "peer_hits", "fetch_p50_ms", "avoided_tok", "spills"],
             rows,
             note=(
+                "peer_hits: the trace's peer fetches that hit; fetch_p50_ms: "
+                "one fetch per schema between two workers after the trace; "
                 f"kill-one audit: {audit['completed']} completed of "
                 f"{audit['trace_requests']} offered, {audit['failed']} lost, "
                 f"{audit['failovers']:g} failovers after killing w0 mid-trace"

@@ -182,8 +182,8 @@ def run_fabric_bench(model, tok, *, quick: bool = False, workdir=None) -> dict:
     on_p95 = _percentile(on["ttft_s"], 95) * 1e3
     # Demand-path page-ins: every snapshot hit the OFF fabric records is
     # paid inside a request's TTFT; the ON fabric pays (most of) its
-    # page-ins inside maintenance ticks instead, where only `swept` time
-    # between requests is spent.
+    # page-ins inside maintenance ticks instead, on idle time between
+    # requests.
     off_demand_pageins = off["fabric"]["tiers"]["snapshot"]["hits"]
     return {
         "quick": quick,

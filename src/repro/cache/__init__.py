@@ -23,7 +23,6 @@ from repro.cache.storage import (
     CacheTier,
     FetchResult,
     ModuleCacheStore,
-    POLICIES,
     SOLO_VARIANT,
     TierStats,
 )
@@ -37,5 +36,5 @@ __all__ = [
     "encode_module", "encode_scaffold", "drop_param_slots",
     "SchemaLayout", "ModuleLayout", "ParamSlot", "layout_schema",
     "ModuleCacheStore", "CacheTier", "CacheKey", "CacheEntry",
-    "FetchResult", "TierStats", "POLICIES", "SOLO_VARIANT",
+    "FetchResult", "TierStats", "SOLO_VARIANT",
 ]

@@ -555,7 +555,7 @@ class PromptCache:
         # Plan-staleness fix: compiled plans and spliced bases must die
         # with the last resident copy of any module they reference.
         # register/invalidate/update already handle their paths; this
-        # listener covers capacity/TTL eviction inside the store itself.
+        # listener covers capacity eviction inside the store itself.
         for tier_ in (self.store.gpu, self.store.cpu):
             tier_.add_evict_listener(self._on_store_evict)
 
@@ -939,16 +939,14 @@ class PromptCache:
 
     # -- schema-free reuse discovery (repro.reuse, ISSUE 6) ----------------------
 
-    def attach_discovery(self, config=None, clock=None):
+    def attach_discovery(self, config=None):
         """Attach a :class:`~repro.reuse.miner.ReuseMiner` so schema-free
         prompts served through :meth:`serve_text` are mined for shared
         prefixes and hot ones are cached as discovered modules. Returns
         the miner (for stats/tuning); pass ``config`` to set thresholds."""
         from repro.reuse.miner import ReuseMiner
 
-        self.discovery = ReuseMiner(
-            self, config, clock=clock if clock is not None else time.monotonic
-        )
+        self.discovery = ReuseMiner(self, config)
         return self.discovery
 
     def register_discovered_module(
@@ -1104,8 +1102,9 @@ class PromptCache:
         self, segment: DiscoveredModule, ids: list[int], ancestors: tuple
     ) -> tuple[object, str]:
         """Fetch a discovered module's stored KV, re-encoding from the
-        observed prompt if the store dropped it (capacity/TTL) — the trie
-        keeps the boundary, the KV self-heals on the next hit."""
+        observed prompt if the store dropped it (a capacity victim with
+        nowhere to go) — the trie keeps the boundary, the KV self-heals on
+        the next hit."""
         key = CacheKey(DISCOVERED_SCHEMA, segment.name, SOLO_VARIANT)
         found = self.store.fetch(key)
         if found is not None:

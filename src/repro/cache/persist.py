@@ -287,7 +287,6 @@ def save_store(store: ModuleCacheStore, directory: str | Path) -> SaveReport:
                 continue
             record = write_catalog_entry(directory, key, payload)
             record["tier"] = tier_name
-            record["pinned"] = entry.pinned
             entries.append(record)
             report.saved += 1
     index = json.dumps({"version": SNAPSHOT_VERSION, "entries": entries}, indent=1)
@@ -526,7 +525,7 @@ def load_store(
         kv = _load_or_skip(_load_entry, directory, record, None)
         if kv is None:
             continue
-        store.put(_record_key(record), kv, tier=record["tier"], pinned=record["pinned"])
+        store.put(_record_key(record), kv, tier=record["tier"])
     return store
 
 

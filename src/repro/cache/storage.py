@@ -8,10 +8,9 @@ in one class. A ``fetch`` walks it hot to cold:
     fast hit → DRAM hit (placement may promote) → snapshot page-in →
     peer fetch → None (the caller encodes; ``observe_reencode`` prices it)
 
-- **Fast and DRAM tiers** are :class:`CacheTier`\\ s with byte-exact
-  budgets, TTLs, and one of four eviction policies (LRU, LFU, FIFO,
-  size-aware) choosing each tier's capacity victim — the eviction
-  ablation compares them.
+- **Fast and DRAM tiers** are :class:`CacheTier`\\ s: byte-exact
+  budgets, each kept in least-recently-used order — the one retention
+  rule, so the capacity victim is always the coldest entry.
 - **The snapshot tier** is a catalog of v2 payload records: those of the
   ``index.json`` under ``snapshot_dir``, plus every DRAM victim this store
   has written back there. A page-in verifies each payload file through a
@@ -30,17 +29,16 @@ Where a capacity victim goes:
   and cold (the snapshot pages it back in); otherwise it moves to DRAM.
 - A DRAM victim — or a fast-tier victim DRAM cannot take — is spilled to
   ``snapshot_dir`` unless the catalog already has it; without a
-  ``snapshot_dir`` it is dropped. Evict listeners see every capacity
-  victim with reason ``"capacity"``; TTL victims are dropped, never
-  demoted or spilled.
+  ``snapshot_dir`` it is dropped. Evict listeners see every victim, with
+  reason ``"capacity"``.
 
 No ``snapshot_dir`` means no spill: a module leaving DRAM is gone and its
 next use re-encodes. ``cpu_capacity_bytes=0`` means no DRAM tier: a
 fast-tier victim goes straight to the spill-or-drop path. Placement
 (:mod:`repro.fabric.placement`) is the only promote/drop policy, and
-:meth:`ModuleCacheStore.maintenance` adds budgeted predictive prefetch
-to the TTL sweep whenever there is something colder than DRAM to pull
-from.
+:meth:`ModuleCacheStore.maintenance` — the idle-time upkeep tick — issues
+budgeted predictive prefetch whenever there is something colder than
+DRAM to pull from.
 
 Entries are keyed by ``(schema, module, variant)``; ``variant`` separates a
 module's independent encoding from its scaffolded encodings.
@@ -48,10 +46,10 @@ module's independent encoding from its scaffolded encodings.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,14 +66,13 @@ from repro.cache.persist import (
 from repro.fabric.costs import TIER_CPU, TIER_GPU, TierCostModel
 from repro.fabric.placement import PlacementEngine
 from repro.fabric.prefetch import PredictivePrefetcher
-from repro.hw.allocator import CapacityError, MemoryAccountant
+from repro.hw.allocator import CapacityError
 from repro.llm.kv import ModuleKV
 
 SOLO_VARIANT = "solo"
 
-# Eviction reasons reported to evict listeners and metrics labels.
+# The eviction reason reported to evict listeners and metrics labels.
 EVICT_CAPACITY = "capacity"
-EVICT_TTL = "ttl"
 
 
 @dataclass(frozen=True)
@@ -93,62 +90,6 @@ class CacheEntry:
     key: CacheKey
     kv: ModuleKV
     nbytes: int
-    pinned: bool = False
-    # Bookkeeping consumed by eviction policies.
-    inserted_at: int = 0
-    last_used_at: int = 0
-    use_count: int = 0
-    # Wall-clock last access, consumed by TTL expiry (last-access TTL:
-    # every hit pushes expiry out by the tier's ttl_s).
-    last_used_wall: float = 0.0
-
-
-class EvictionPolicy:
-    """Chooses a victim among unpinned entries; subclasses order them."""
-
-    name = "base"
-
-    def victim(self, entries: list[CacheEntry]) -> CacheEntry:
-        candidates = [e for e in entries if not e.pinned]
-        if not candidates:
-            raise CapacityError("cache full and every entry is pinned")
-        return min(candidates, key=self.rank)
-
-    def rank(self, entry: CacheEntry):
-        raise NotImplementedError
-
-
-class LRUPolicy(EvictionPolicy):
-    name = "lru"
-
-    def rank(self, entry: CacheEntry):
-        return entry.last_used_at
-
-
-class LFUPolicy(EvictionPolicy):
-    name = "lfu"
-
-    def rank(self, entry: CacheEntry):
-        return (entry.use_count, entry.last_used_at)
-
-
-class FIFOPolicy(EvictionPolicy):
-    name = "fifo"
-
-    def rank(self, entry: CacheEntry):
-        return entry.inserted_at
-
-
-class SizeAwarePolicy(EvictionPolicy):
-    """Evict the largest cold entry first (GreedyDual-style tie to LRU)."""
-
-    name = "size"
-
-    def rank(self, entry: CacheEntry):
-        return (-entry.nbytes, entry.last_used_at)
-
-
-POLICIES = {p.name: p for p in (LRUPolicy(), LFUPolicy(), FIFOPolicy(), SizeAwarePolicy())}
 
 
 @dataclass
@@ -157,7 +98,6 @@ class TierStats:
     misses: int = 0
     insertions: int = 0
     evictions: int = 0
-    ttl_evictions: int = 0
     bytes_evicted: int = 0
     # Miss-fetcher plane only (the store-level ``fetch_stats`` ledger):
     # a fetcher that raised instead of returning KV-or-None.
@@ -170,35 +110,28 @@ class TierStats:
 
 
 class CacheTier:
-    """One storage tier (e.g. GPU HBM or host DRAM) with a byte budget."""
+    """One storage tier (e.g. GPU HBM or host DRAM) with a byte budget,
+    kept in least-recently-used order."""
 
     def __init__(
         self,
         name: str,
         capacity_bytes: int | None = None,
-        policy: EvictionPolicy | str = "lru",
         lock: threading.RLock | None = None,
-        ttl_s: float | None = None,
-        clock=time.monotonic,
     ) -> None:
         self.name = name
-        self.policy = POLICIES[policy] if isinstance(policy, str) else policy
-        # Last-access TTL: an unpinned entry idle longer than ttl_s is
-        # expired lazily on the next get/put touching the tier (or by an
-        # explicit sweep_expired()). TTL victims are *dropped*, not
-        # demoted — staleness, unlike capacity pressure, follows the
-        # entry to any tier.
-        self.ttl_s = ttl_s
-        self.clock = clock
+        self.capacity_bytes = capacity_bytes
         # Re-entrant so an ``on_evict`` callback may call back into the
         # tier (or a sibling sharing the lock) from inside ``put``. The
         # store passes one shared lock to both tiers, making every
         # cross-tier sequence (demotion, spill, prefetch) atomic.
         self._lock = lock or ordered_lock("store")  # lock-order: store
-        self.accountant = MemoryAccountant(capacity_bytes=capacity_bytes)  # guarded-by: _lock
-        self.entries: dict[CacheKey, CacheEntry] = {}  # guarded-by: _lock
+        # Coldest first: a hit moves its key to the end, a put appends it
+        # (a re-put removes the old entry first), and the capacity victim
+        # is the first key.
+        self.entries: OrderedDict[CacheKey, CacheEntry] = OrderedDict()  # guarded-by: _lock
+        self.used_bytes = 0  # guarded-by: _lock
         self.stats = TierStats()  # guarded-by: _lock
-        self._clock = itertools.count()  # guarded-by: _lock
         # Called with each capacity victim (the store uses it to move a
         # victim down a tier instead of dropping it).
         self.on_evict = None  # guarded-by: _lock
@@ -207,9 +140,8 @@ class CacheTier:
     def add_evict_listener(self, fn) -> None:
         """Register an observer called as ``fn(victim, reason)`` with each
         evicted entry, *after* ``on_evict`` (so demotion has already
-        happened). ``reason`` is ``"capacity"`` or ``"ttl"``. Listeners
-        run under the tier lock; they may call back into the store but
-        must not block."""
+        happened); ``reason`` is ``"capacity"``. Listeners run under the
+        tier lock; they may call back into the store but must not block."""
         with self._lock:
             self._evict_listeners.append(fn)
 
@@ -220,15 +152,10 @@ class CacheTier:
     def get(self, key: CacheKey) -> CacheEntry | None:
         with self._lock:
             entry = self.entries.get(key)
-            if entry is not None and self._expired(entry, self.clock()):
-                self._expire(entry)
-                entry = None
             if entry is None:
                 self.stats.misses += 1
                 return None
-            entry.last_used_at = next(self._clock)
-            entry.last_used_wall = self.clock()
-            entry.use_count += 1
+            self.entries.move_to_end(key)
             self.stats.hits += 1
             return entry
 
@@ -237,83 +164,42 @@ class CacheTier:
         with self._lock:
             return self.entries.get(key)
 
-    def put(self, key: CacheKey, kv: ModuleKV, pinned: bool = False) -> CacheEntry:
-        """Insert, evicting until the entry fits. Raises
-        :class:`CapacityError` if it can never fit (entry > capacity or all
-        remaining entries pinned)."""
+    def put(self, key: CacheKey, kv: ModuleKV) -> CacheEntry:
+        """Insert as the most recently used entry, evicting the least
+        recently used until it fits. Raises :class:`CapacityError` if it
+        can never fit (entry > capacity)."""
         with self._lock:
             if key in self.entries:
                 self.remove(key)
-            self.sweep_expired()  # reclaim stale space before evicting live entries
             nbytes = kv.nbytes()
-            capacity = self.accountant.capacity_bytes
+            capacity = self.capacity_bytes
             if capacity is not None and nbytes > capacity:
                 raise CapacityError(
                     f"module {key.tag()} ({nbytes} B) exceeds tier {self.name!r} "
                     f"capacity ({capacity} B)"
                 )
-            while not self.accountant.would_fit(nbytes):
+            while capacity is not None and self.used_bytes + nbytes > capacity:
                 self._evict_one()
-            self.accountant.allocate(key.tag(), nbytes)
-            now = next(self._clock)
-            entry = CacheEntry(
-                key=key, kv=kv, nbytes=nbytes, pinned=pinned,
-                inserted_at=now, last_used_at=now, last_used_wall=self.clock(),
-            )
+            entry = CacheEntry(key=key, kv=kv, nbytes=nbytes)
             self.entries[key] = entry
+            self.used_bytes += nbytes
             self.stats.insertions += 1
             return entry
 
     def remove(self, key: CacheKey) -> None:
         with self._lock:
-            self.entries.pop(key)
-            self.accountant.release(key.tag())
-
-    def _expired(self, entry: CacheEntry, now: float) -> bool:
-        return (
-            self.ttl_s is not None
-            and not entry.pinned
-            and now - entry.last_used_wall > self.ttl_s
-        )
-
-    def sweep_expired(self) -> int:
-        """Expire every entry idle past ``ttl_s`` now; returns the count.
-        Runs implicitly on get/put, publicly for idle-time maintenance."""
-        if self.ttl_s is None:
-            return 0
-        with self._lock:
-            now = self.clock()
-            doomed = [e for e in self.entries.values() if self._expired(e, now)]
-            for entry in doomed:
-                self._expire(entry)
-            return len(doomed)
-
-    def _expire(self, entry: CacheEntry) -> None:
-        # TTL victims are not demoted: ``on_evict`` (the demotion hook)
-        # is skipped, listeners still observe the drop with its reason.
-        with self._lock:
-            self.remove(entry.key)
-            self.stats.evictions += 1
-            self.stats.ttl_evictions += 1
-            self.stats.bytes_evicted += entry.nbytes
-            for listener in self._evict_listeners:
-                listener(entry, EVICT_TTL)
+            self.used_bytes -= self.entries.pop(key).nbytes
 
     def _evict_one(self) -> None:
         with self._lock:
-            victim = self.policy.victim(list(self.entries.values()))
-            self.remove(victim.key)
+            _, victim = self.entries.popitem(last=False)
+            self.used_bytes -= victim.nbytes
             self.stats.evictions += 1
             self.stats.bytes_evicted += victim.nbytes
             if self.on_evict is not None:
                 self.on_evict(victim)
             for listener in self._evict_listeners:
                 listener(victim, EVICT_CAPACITY)
-
-    @property
-    def used_bytes(self) -> int:
-        with self._lock:
-            return self.accountant.used_bytes
 
     def mapped_bytes(self) -> int:
         """Bytes of entries whose tensors are snapshot-mapped (file-backed,
@@ -351,9 +237,6 @@ class ModuleCacheStore:
         gpu_capacity_bytes: int | None = None,
         cpu_capacity_bytes: int | None = None,
         *,
-        policy: str = "lru",
-        gpu_ttl_s: float | None = None,
-        cpu_ttl_s: float | None = None,
         snapshot_dir: str | Path | None = None,
         prefetch_bytes_per_s: float = 64e6,
         clock=time.monotonic,
@@ -365,14 +248,8 @@ class ModuleCacheStore:
         # hazards between tiers.
         self._lock = ordered_lock("store")
         self.clock = clock
-        self.gpu = CacheTier(
-            "gpu", gpu_capacity_bytes, policy, lock=self._lock, ttl_s=gpu_ttl_s,
-            clock=clock,
-        )
-        self.cpu = CacheTier(
-            "cpu", cpu_capacity_bytes, policy, lock=self._lock, ttl_s=cpu_ttl_s,
-            clock=clock,
-        )
+        self.gpu = CacheTier("gpu", gpu_capacity_bytes, lock=self._lock)
+        self.cpu = CacheTier("cpu", cpu_capacity_bytes, lock=self._lock)
         self.gpu.on_evict = self._on_gpu_evict
         self.cpu.on_evict = self._spill
         self.cost_model = TierCostModel()
@@ -478,9 +355,7 @@ class ModuleCacheStore:
             return self.cpu
         raise KeyError(f"unknown tier {name!r}; expected 'gpu' or 'cpu'")
 
-    def put(
-        self, key: CacheKey, kv: ModuleKV, tier: str = "gpu", pinned: bool = False
-    ) -> CacheEntry:
+    def put(self, key: CacheKey, kv: ModuleKV, tier: str = "gpu") -> CacheEntry:
         """Store in ``tier``, falling back to DRAM if the fast tier cannot
         fit it, and remember the key's size.
 
@@ -490,11 +365,11 @@ class ModuleCacheStore:
         """
         with self._lock:
             try:
-                entry = self.tier(tier).put(key, kv, pinned=pinned)
+                entry = self.tier(tier).put(key, kv)
             except CapacityError:
                 if tier != "gpu":
                     raise
-                entry = self.cpu.put(key, kv, pinned=pinned)
+                entry = self.cpu.put(key, kv)
             self._size_hints[key] = entry.nbytes
             return entry
 
@@ -508,9 +383,9 @@ class ModuleCacheStore:
             if self.placement.should_drop(key, entry.nbytes, self.clock(), backed):
                 return  # the snapshot pages it back in on demand
             try:
-                self.cpu.put(key, entry.kv, pinned=entry.pinned)
+                self.cpu.put(key, entry.kv)
             except CapacityError:
-                # No DRAM tier, or every DRAM entry pinned: the victim
+                # No DRAM tier, or one too small for the victim: it
                 # leaves the last resident tier right here.
                 self._spill(entry)
 
@@ -525,10 +400,8 @@ class ModuleCacheStore:
         holds for a few milliseconds — once per module per process, since
         a cataloged key's later evictions return at the first line; the
         per-request path, ``_page_in``, hashes and faults outside the
-        lock. TTL victims never get here (``_expire`` skips
-        ``on_evict``: staleness follows an entry to every tier). A store
-        with no ``snapshot_dir``, a stand-in payload with no tensors, or a
-        failed write drops the entry."""
+        lock. A store with no ``snapshot_dir``, a stand-in payload with no
+        tensors, or a failed write drops the entry."""
         key = entry.key
         with self._lock:
             if key in self._catalog:
@@ -639,7 +512,7 @@ class ModuleCacheStore:
                 # on first demand if placement judges it worthwhile.
                 entry = self.put(key, kv, tier="cpu")
             except CapacityError:
-                return None  # every resident entry outranks the prediction
+                return None  # larger than the whole DRAM tier
             return FetchResult(entry=entry, tier="cpu", source="snapshot")
 
     def verify_catalog(self) -> int:
@@ -741,17 +614,11 @@ class ModuleCacheStore:
         self.placement.forget(doomed)
         return removed
 
-    def sweep_expired(self) -> int:
-        """Expire idle entries in both tiers; returns the total dropped."""
-        with self._lock:
-            return self.gpu.sweep_expired() + self.cpu.sweep_expired()
-
     def prefetch(self, keys: list[CacheKey]) -> int:
         """Promote DRAM-resident modules into the fast tier ahead of use —
         the union-aware prefetching the paper floats in §3.2.3. Returns how
-        many modules were promoted; missing or already-resident keys are
-        skipped, and promotion stops silently when the fast tier is full of
-        pinned entries."""
+        many modules were promoted; missing, already-resident and
+        larger-than-the-fast-tier keys are skipped."""
         promoted = 0
         with self._lock:
             for key in keys:
@@ -761,14 +628,14 @@ class ModuleCacheStore:
                 if entry is None:
                     continue
                 try:
-                    self.gpu.put(key, entry.kv, pinned=entry.pinned)
+                    self.gpu.put(key, entry.kv)
                 except CapacityError:
-                    break
+                    continue
                 promoted += 1
         return promoted
 
     # ------------------------------------------------------------------
-    # maintenance: TTL sweep + predictive prefetch
+    # maintenance: the idle-time predictive prefetch tick
 
     def _candidates(self) -> dict[CacheKey, tuple[str, int]]:
         """Keys with live demand that are *not* resident locally, mapped to
@@ -788,13 +655,12 @@ class ModuleCacheStore:
         return candidates
 
     def maintenance(self, now: float | None = None) -> dict:
-        """One idle-time tick: sweep expired entries, then issue budgeted
-        prefetch pulls for keys predicted to arrive soon. Called from the
-        live server's spare-capacity iterations and its periodic upkeep
-        (never from the request path). With an empty catalog and no peer
-        hook there is nothing colder than DRAM to pull from, and the tick
-        is the sweep alone."""
-        swept = self.sweep_expired()
+        """One idle-time tick: issue budgeted prefetch pulls for keys
+        predicted to arrive soon. Called from the live server's
+        spare-capacity iterations and its periodic upkeep (never from the
+        request path). With an empty catalog and no peer hook there is
+        nothing colder than DRAM to pull from, and the tick only counts
+        itself."""
         with self._lock:
             self.maintenance_runs += 1
             idle = not self._catalog and self.peer_prefetch is None
@@ -807,7 +673,7 @@ class ModuleCacheStore:
                         pulled += 1
                 elif self.peer_prefetch is not None and self.peer_prefetch(action.key):
                     issued += 1
-        return {"swept": swept, "prefetched": pulled, "peer_issued": issued}
+        return {"prefetched": pulled, "peer_issued": issued}
 
     # ------------------------------------------------------------------
     # observability

@@ -762,7 +762,7 @@ def _cmd_fabric_stats(args) -> int:
     workload.register(pc)
     # Round-robin over the schema pool with a maintenance tick between
     # requests — the offline analogue of the serving loop's idle hook, so
-    # sweeps, placement decisions, and prefetch planning all exercise.
+    # placement decisions and prefetch planning both exercise.
     for i in range(args.requests):
         schema = profiles[i % len(profiles)].name
         pc.serve(

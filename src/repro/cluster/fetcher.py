@@ -4,7 +4,10 @@
 :class:`~repro.cluster.exporter.CacheExporter` with the robustness a
 flaky network demands:
 
-- **timeout** per attempt (connect + transfer);
+- **timeout** per attempt (connect + transfer + payload check): the
+  check runs synchronously on the loop, where ``wait_for`` cannot
+  interrupt it, so an attempt that returns past its deadline is a
+  timeout too, never a hit;
 - **retry with exponential backoff** on connection failures and
   timeouts — a worker that is briefly unreachable (GC pause, restart)
   should not force a re-encode;
@@ -86,23 +89,29 @@ class PeerFetcher:
             del self._inflight[flight_key]
 
     async def _fetch_with_retries(self, peer: tuple[str, int], key: CacheKey):
+        loop = asyncio.get_running_loop()
         delay = self.backoff_s
         last_error = "no attempts made"
-        start = asyncio.get_running_loop().time()
+        start = loop.time()
         for attempt in range(1 + self.retries):
             if attempt:
                 await asyncio.sleep(delay)
                 delay *= self.backoff_factor
+            deadline = loop.time() + self.timeout_s
             try:
                 kv = await asyncio.wait_for(
                     self._fetch_once(peer, key), self.timeout_s
                 )
+                if loop.time() > deadline:
+                    raise asyncio.TimeoutError(
+                        f"attempt overran its {self.timeout_s} s deadline"
+                    )
             except (ConnectionError, OSError, asyncio.TimeoutError,
                     asyncio.IncompleteReadError, wire.WireError) as exc:
                 last_error = f"{type(exc).__name__}: {exc}"
                 self._count("retry" if attempt < self.retries else "error")
                 continue
-            elapsed = asyncio.get_running_loop().time() - start
+            elapsed = loop.time() - start
             self.metrics.histogram(
                 "cluster_peer_fetch_seconds", "wall time per peer fetch"
             ).observe(elapsed)

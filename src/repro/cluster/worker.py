@@ -284,7 +284,7 @@ class ClusterWorker:
             # Prefetches land in DRAM; demand promotes them up later.
             self.store.put(key, kv, tier="cpu")
         except CapacityError:
-            return  # resident entries outrank a prediction
+            return  # larger than the whole DRAM tier
         self.metrics.counter(
             "cluster_peer_prefetch_total",
             "modules pulled from peers ahead of predicted demand",

@@ -36,7 +36,6 @@ from repro.hw.transfer import (
 )
 from repro.hw.allocator import (
     CapacityError,
-    MemoryAccountant,
     mb_per_token,
     module_bytes,
 )
@@ -48,5 +47,5 @@ __all__ = [
     "module_copy_latency", "speedup",
     "Route", "ROUTE_BANDWIDTH", "copy_latency", "layer_kv_payload_bytes",
     "module_transfer_route",
-    "CapacityError", "MemoryAccountant", "mb_per_token", "module_bytes",
+    "CapacityError", "mb_per_token", "module_bytes",
 ]

@@ -1,60 +1,18 @@
 """Byte-exact accounting of cached attention states (paper §5.5, Table 2).
 
-The cache storage tiers use this to enforce capacity limits, and the
-Table 2 bench uses it to report MB per cached token for each paper-shape
-model. Accounting matches the paper's: K and V at fp16 across all layers,
-full multi-head KV width.
+The cache storage tiers raise :class:`CapacityError` for an entry larger
+than their budget, and the Table 2 bench reports MB per cached token for
+each paper-shape model. Accounting matches the paper's: K and V at fp16
+across all layers, full multi-head KV width.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from repro.llm.config import ModelConfig
 
 
 class CapacityError(MemoryError):
-    """Raised when an allocation would exceed the tier's capacity."""
-
-
-@dataclass
-class MemoryAccountant:
-    """Tracks live allocations against an optional byte budget."""
-
-    capacity_bytes: int | None = None
-    _allocations: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def used_bytes(self) -> int:
-        return sum(self._allocations.values())
-
-    @property
-    def free_bytes(self) -> int | None:
-        if self.capacity_bytes is None:
-            return None
-        return self.capacity_bytes - self.used_bytes
-
-    def would_fit(self, nbytes: int) -> bool:
-        return self.capacity_bytes is None or self.used_bytes + nbytes <= self.capacity_bytes
-
-    def allocate(self, tag: str, nbytes: int) -> None:
-        if tag in self._allocations:
-            raise ValueError(f"allocation tag {tag!r} already live")
-        if not self.would_fit(nbytes):
-            raise CapacityError(
-                f"allocating {nbytes} B for {tag!r} exceeds capacity "
-                f"{self.capacity_bytes} B (used {self.used_bytes} B)"
-            )
-        self._allocations[tag] = nbytes
-
-    def release(self, tag: str) -> int:
-        try:
-            return self._allocations.pop(tag)
-        except KeyError:
-            raise KeyError(f"no live allocation tagged {tag!r}") from None
-
-    def live_tags(self) -> list[str]:
-        return list(self._allocations)
+    """Raised when an entry is larger than a tier's whole capacity."""
 
 
 def module_bytes(config: ModelConfig, n_tokens: int, bytes_per_element: int = 2) -> int:

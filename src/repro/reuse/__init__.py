@@ -5,7 +5,7 @@ auto-registers them as synthetic prompt modules, extending Prompt
 Cache's modular reuse to workloads that never wrote a PML schema.
 
 - :mod:`repro.reuse.trie` — path-compressed token trie: O(L) longest
-  prefix match, per-node hit/recency stats, LRU/LFU + TTL eviction.
+  prefix match, per-node hit/recency stats, LRU leaf eviction.
 - :mod:`repro.reuse.miner` — promotion policy: hot shared prefixes
   become discovered modules through ``PromptCache.register_discovered_module``.
 - :mod:`repro.reuse.dedup` — pre-flight batch dedup-potential analysis.
@@ -15,7 +15,6 @@ from repro.reuse.dedup import DedupReport, analyze_batch
 from repro.reuse.miner import DiscoveryConfig, MinerStats, ReuseMiner
 from repro.reuse.trie import (
     EVICT_CAPACITY,
-    EVICT_TTL,
     MatchResult,
     TokenRadixTrie,
     TrieNode,
@@ -29,7 +28,6 @@ __all__ = [
     "MinerStats",
     "ReuseMiner",
     "EVICT_CAPACITY",
-    "EVICT_TTL",
     "MatchResult",
     "TokenRadixTrie",
     "TrieNode",

@@ -23,7 +23,6 @@ promoted (its segment would overlap the descendant's).
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 
 from repro.analysis.locks import ordered_lock
@@ -37,16 +36,15 @@ class DiscoveryConfig:
     ``min_hits`` is the number of observed sequences that must share a
     prefix before it is worth encoding (2 = promote on first repeat);
     ``min_tokens`` is the minimum segment length — splicing a handful of
-    tokens costs more than prefilling them.
+    tokens costs more than prefilling them. ``max_modules`` and
+    ``max_trie_tokens`` bound memory; the trie evicts its least recently
+    used leaf past the latter.
     """
 
     min_hits: int = 3
     min_tokens: int = 16
     max_modules: int = 64
     max_trie_tokens: int = 262_144
-    max_trie_nodes: int | None = None
-    ttl_s: float | None = None
-    policy: str = "lru"  # trie eviction order: "lru" | "lfu"
 
     def validate(self) -> None:
         if self.min_hits < 2:
@@ -74,22 +72,12 @@ class ReuseMiner:
     snapshots come from the event loop.
     """
 
-    def __init__(
-        self,
-        engine,
-        config: DiscoveryConfig | None = None,
-        clock=time.monotonic,
-    ) -> None:
+    def __init__(self, engine, config: DiscoveryConfig | None = None) -> None:
         self.engine = engine
         self.config = config or DiscoveryConfig()
         self.config.validate()
         self.trie = TokenRadixTrie(
-            max_tokens=self.config.max_trie_tokens,
-            max_nodes=self.config.max_trie_nodes,
-            policy=self.config.policy,
-            ttl_s=self.config.ttl_s,
-            clock=clock,
-            on_evict=self._on_trie_evict,
+            max_tokens=self.config.max_trie_tokens, on_evict=self._on_trie_evict
         )
         self.stats = MinerStats()
         self.last_promotion_error: str | None = None
@@ -163,7 +151,7 @@ class ReuseMiner:
         return True
 
     def _on_trie_evict(self, node: TrieNode, reason: str) -> None:
-        # guarded-by: self._lock (eviction only runs inside insert/sweep)
+        # guarded-by: self._lock (eviction only runs inside insert)
         if not node.promoted or node.module_name is None:
             return
         self.engine.unregister_discovered_module(node.module_name, reason=reason)
@@ -192,11 +180,6 @@ class ReuseMiner:
             chain = self.trie.promoted_chain(token_ids)
             return chain[-1].end if chain else 0
 
-    def sweep(self) -> int:
-        """Expire idle trie state now (callers with no traffic pressure)."""
-        with self._lock:
-            return self.trie.sweep_expired()
-
     # -- introspection -----------------------------------------------------------
 
     def snapshot(self) -> dict:
@@ -210,7 +193,6 @@ class ReuseMiner:
                 "trie_lookups": t.lookups,
                 "trie_splits": t.splits,
                 "trie_evictions": t.evictions,
-                "trie_ttl_evictions": t.ttl_evictions,
                 "modules": self._module_count,
                 "promotions": self.stats.promotions,
                 "demotions": self.stats.demotions,

@@ -17,14 +17,13 @@ Design points:
   the divergence point. ``node_count`` therefore scales with the number
   of branch points, not total tokens.
 - **Eviction.** The trie is itself a cache: it holds at most
-  ``max_tokens`` tokens across all runs, evicting leaf-first under LRU
-  or LFU order, and expires nodes idle longer than ``ttl_s``. Evicting
-  an interior node would orphan its subtree, so only leaves are
-  candidates; pruning a leaf re-merges its parent with a single
-  surviving sibling to keep compression canonical.
-- **Deterministic.** All time comes from an injectable ``clock`` and a
-  logical access counter, so tests and the miner's promotion policy are
-  reproducible.
+  ``max_tokens`` tokens across all runs, evicting the least recently
+  used leaf first — its one retention rule. Evicting an interior node
+  would orphan its subtree, so only leaves are candidates; pruning a
+  leaf re-merges its parent with a single surviving sibling to keep
+  compression canonical.
+- **Deterministic.** Recency is a logical access counter, not a clock,
+  so tests and the miner's promotion policy are reproducible.
 
 The trie stores no KV tensors — it manages token keys and statistics;
 the engine owns the attention states (same split as the
@@ -34,11 +33,9 @@ prompt-cache-engine exemplar the ROADMAP points at).
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 
 EVICT_CAPACITY = "capacity"
-EVICT_TTL = "ttl"
 
 
 @dataclass
@@ -49,7 +46,6 @@ class TrieStats:
     lookups: int = 0
     splits: int = 0
     evictions: int = 0
-    ttl_evictions: int = 0
     node_count: int = 0
     token_count: int = 0
 
@@ -64,8 +60,7 @@ class TrieNode:
 
     __slots__ = (
         "tokens", "children", "parent", "end",
-        "hits", "last_used_at", "last_used_wall", "created_wall",
-        "promoted", "module_name",
+        "hits", "last_used_at", "promoted", "module_name",
     )
 
     def __init__(self, tokens: tuple[int, ...], parent: "TrieNode | None", end: int):
@@ -75,8 +70,6 @@ class TrieNode:
         self.end = end
         self.hits = 0  # sequences that fully covered this run
         self.last_used_at = 0  # logical access clock (LRU order)
-        self.last_used_wall = 0.0  # wall clock (TTL)
-        self.created_wall = 0.0
         self.promoted = False  # miner marked this node a module boundary
         self.module_name: str | None = None
 
@@ -106,24 +99,10 @@ class MatchResult:
 
 
 class TokenRadixTrie:
-    """Path-compressed token trie with LRU/LFU + TTL eviction."""
+    """Path-compressed token trie with LRU leaf eviction."""
 
-    def __init__(
-        self,
-        max_tokens: int | None = None,
-        max_nodes: int | None = None,
-        policy: str = "lru",
-        ttl_s: float | None = None,
-        clock=time.monotonic,
-        on_evict=None,
-    ) -> None:
-        if policy not in ("lru", "lfu"):
-            raise ValueError(f"unknown trie policy {policy!r}; expected 'lru' or 'lfu'")
+    def __init__(self, max_tokens: int | None = None, on_evict=None) -> None:
         self.max_tokens = max_tokens
-        self.max_nodes = max_nodes
-        self.policy = policy
-        self.ttl_s = ttl_s
-        self.clock = clock
         # Called with (node, reason) for every pruned node; the miner
         # uses it to demote the node's discovered module.
         self.on_evict = on_evict
@@ -142,7 +121,6 @@ class TokenRadixTrie:
         """
         tokens = tuple(int(t) for t in token_ids)
         self.stats.inserts += 1
-        now = self.clock()
         covered: list[TrieNode] = []
         node = self.root
         i = 0
@@ -151,11 +129,10 @@ class TokenRadixTrie:
             if child is None:
                 child = TrieNode(tokens[i:], node, i + len(tokens) - i)
                 child.end = len(tokens)
-                child.created_wall = now
                 node.children[tokens[i]] = child
                 self.stats.node_count += 1
                 self.stats.token_count += len(child.tokens)
-                self._touch(child, now)
+                self._touch(child)
                 covered.append(child)
                 i = len(tokens)
                 break
@@ -163,14 +140,14 @@ class TokenRadixTrie:
             common = _common_prefix_len(run, tokens, i)
             if common == len(run):
                 # Full run covered: descend.
-                self._touch(child, now)
+                self._touch(child)
                 covered.append(child)
                 i += common
                 node = child
                 continue
             # Partial cover: split the run at the divergence point.
-            child = self._split(child, common, now)
-            self._touch(child, now)
+            child = self._split(child, common)
+            self._touch(child)
             if common > 0:
                 covered.append(child)
             i += common
@@ -178,18 +155,16 @@ class TokenRadixTrie:
             # Loop continues; next iteration either finds no child for
             # tokens[i] (new leaf) or never matches (split node's other
             # half starts with a different token).
-        self._enforce_limits(now)
+        self._enforce_limits()
         return covered
 
-    def _split(self, node: TrieNode, at: int, now: float) -> TrieNode:
+    def _split(self, node: TrieNode, at: int) -> TrieNode:
         """Split ``node``'s run after ``at`` tokens; returns the new upper
         node (which keeps the statistics — every sequence that covered
         the old long run also covered the shorter upper half)."""
         upper = TrieNode(node.tokens[:at], node.parent, node.start + at)
         upper.hits = node.hits
         upper.last_used_at = node.last_used_at
-        upper.last_used_wall = node.last_used_wall
-        upper.created_wall = node.created_wall
         assert node.parent is not None
         node.parent.children[node.tokens[0]] = upper
         node.tokens = node.tokens[at:]
@@ -199,12 +174,9 @@ class TokenRadixTrie:
         self.stats.splits += 1
         return upper
 
-    def _touch(self, node: TrieNode, now: float) -> None:
+    def _touch(self, node: TrieNode) -> None:
         node.hits += 1
         node.last_used_at = next(self._access)
-        node.last_used_wall = now
-        if node.created_wall == 0.0:
-            node.created_wall = now
 
     # -- lookup ------------------------------------------------------------------
 
@@ -218,7 +190,6 @@ class TokenRadixTrie:
         """
         tokens = tuple(int(t) for t in token_ids)
         self.stats.lookups += 1
-        now = self.clock() if touch else 0.0
         node = self.root
         i = 0
         path: list[TrieNode] = []
@@ -231,7 +202,7 @@ class TokenRadixTrie:
             if common < len(child.tokens):
                 break
             if touch:
-                self._touch(child, now)
+                self._touch(child)
             path.append(child)
             node = child
         return MatchResult(length=i, path=path)
@@ -256,60 +227,22 @@ class TokenRadixTrie:
 
     # -- eviction ----------------------------------------------------------------
 
-    def sweep_expired(self, now: float | None = None) -> int:
-        """Prune every leaf idle past ``ttl_s`` (cascading: a parent whose
-        children all expired becomes a leaf and is checked too)."""
-        if self.ttl_s is None:
-            return 0
-        now = self.clock() if now is None else now
-        pruned = 0
-        doomed = [
-            n for n in self.nodes()
-            if n.is_leaf() and now - n.last_used_wall > self.ttl_s
-        ]
-        while doomed:
-            node = doomed.pop()
-            parent = node.parent
-            self._prune(node, EVICT_TTL)
-            pruned += 1
-            if (
-                parent is not None and parent is not self.root
-                and parent.is_leaf() and now - parent.last_used_wall > self.ttl_s
-            ):
-                doomed.append(parent)
-        return pruned
-
-    def _enforce_limits(self, now: float) -> None:
-        self.sweep_expired(now)
-        while (
-            (self.max_tokens is not None and self.stats.token_count > self.max_tokens)
-            or (self.max_nodes is not None and self.stats.node_count > self.max_nodes)
-        ):
-            victim = self._victim()
-            if victim is None:
+    def _enforce_limits(self) -> None:
+        while self.max_tokens is not None and self.stats.token_count > self.max_tokens:
+            leaves = [n for n in self.nodes() if n.is_leaf()]
+            if not leaves:
                 return
-            self._prune(victim, EVICT_CAPACITY)
+            self._prune(min(leaves, key=lambda n: n.last_used_at))
 
-    def _victim(self) -> TrieNode | None:
-        """Coldest leaf under the configured policy."""
-        leaves = [n for n in self.nodes() if n.is_leaf()]
-        if not leaves:
-            return None
-        if self.policy == "lfu":
-            return min(leaves, key=lambda n: (n.hits, n.last_used_at))
-        return min(leaves, key=lambda n: n.last_used_at)
-
-    def _prune(self, node: TrieNode, reason: str) -> None:
+    def _prune(self, node: TrieNode) -> None:
         parent = node.parent
         assert parent is not None and node.is_leaf()
         del parent.children[node.tokens[0]]
         self.stats.node_count -= 1
         self.stats.token_count -= len(node.tokens)
         self.stats.evictions += 1
-        if reason == EVICT_TTL:
-            self.stats.ttl_evictions += 1
         if self.on_evict is not None:
-            self.on_evict(node, reason)
+            self.on_evict(node, EVICT_CAPACITY)
         self._maybe_merge(parent)
 
     def _maybe_merge(self, node: TrieNode) -> None:

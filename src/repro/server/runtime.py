@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from repro.cache.engine import PromptCache
+from repro.cache.storage import EVICT_CAPACITY
 from repro.pml.errors import PMLError, UnknownSchemaError
 from repro.pml.parser import parse_prompt
 from repro.server.batcher import CacheAwareBatcher
@@ -88,11 +89,11 @@ class ServeOptions:
     queue_delay_budget_s: float | None = 2.0  # shed when est. delay exceeds
     max_inflight: int = MAX_INFLIGHT  # concurrent decoding sequences
     prefill_chunk_tokens: int = PREFILL_CHUNK_TOKENS  # per iteration
-    # Periodic store upkeep (``ModuleCacheStore.maintenance``: TTL sweep
-    # plus, when there is a snapshot catalog or peer hook, the budgeted
-    # prefetch tick) every this many seconds even while the server is
-    # idle. None disables the background loop; the scheduler still runs
-    # upkeep on spare-capacity iterations.
+    # Periodic store upkeep (``ModuleCacheStore.maintenance``: the
+    # budgeted predictive prefetch tick, which pulls from a snapshot
+    # catalog or peer hook when there is one) every this many seconds even
+    # while the server is idle. None disables the background loop; the
+    # scheduler still runs upkeep on spare-capacity iterations.
     store_sweep_interval_s: float | None = 1.0
 
 
@@ -600,8 +601,9 @@ class LiveServer:
 
     async def _maintenance_loop(self) -> None:
         """Periodic store upkeep, alive even while the server is idle —
-        TTL victims must die on schedule, not on the next request. The
-        sweep runs on the engine thread, queued behind any burst."""
+        predicted modules are pulled up-tier before the next request, not
+        on it. The tick runs on the engine thread, queued behind any
+        burst."""
         interval = self.options.store_sweep_interval_s
         assert interval is not None
         loop = asyncio.get_running_loop()
@@ -613,7 +615,7 @@ class LiveServer:
 
     def _store_maintenance(self) -> None:
         """One upkeep tick (engine-thread side): the store's maintenance
-        (TTL sweep + budgeted predictive prefetch), booked as counters."""
+        (budgeted predictive prefetch), its pulls booked as counters."""
         report = self.pc.store.maintenance()
         for source, pulled in (
             ("snapshot", report["prefetched"]), ("peer", report["peer_issued"])
@@ -624,12 +626,6 @@ class LiveServer:
                     "modules pulled up-tier by the predictive prefetcher",
                     source=source,
                 ).inc(pulled)
-        swept = report["swept"]
-        if swept:
-            self.metrics.counter(
-                "cache_sweep_expired_total",
-                "TTL victims dropped by the periodic sweep",
-            ).inc(swept)
 
     def _expire(self, request: LiveRequest, now: float) -> None:
         request.finished_at = now
@@ -697,17 +693,16 @@ class LiveServer:
     def _wire_store_metrics(self) -> None:
         store = self.pc.store
         for tier in (store.gpu, store.cpu):
-            # Pre-create both reason series so scrapes see zeroes before
-            # the first eviction rather than an absent family.
-            for reason in ("capacity", "ttl"):
-                self.metrics.counter(
-                    "cache_evictions_total", "module-store evictions",
-                    tier=tier.name, reason=reason,
-                )
-                self.metrics.counter(
-                    "cache_evicted_bytes_total", "bytes evicted from the store",
-                    tier=tier.name, reason=reason,
-                )
+            # Pre-create the series so scrapes see zeroes before the
+            # first eviction rather than an absent family.
+            self.metrics.counter(
+                "cache_evictions_total", "module-store evictions",
+                tier=tier.name, reason=EVICT_CAPACITY,
+            )
+            self.metrics.counter(
+                "cache_evicted_bytes_total", "bytes evicted from the store",
+                tier=tier.name, reason=EVICT_CAPACITY,
+            )
 
             def on_evict(entry, reason, _tier=tier.name):
                 self.metrics.counter(
@@ -720,11 +715,6 @@ class LiveServer:
                 ).inc(entry.nbytes)
 
             tier.add_evict_listener(on_evict)
-        # Pre-create so scrapes see a zero before the first sweep/error.
-        self.metrics.counter(
-            "cache_sweep_expired_total",
-            "TTL victims dropped by the periodic sweep",
-        )
 
         def on_fetch_error(key, exc):
             self.metrics.counter(

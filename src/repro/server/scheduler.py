@@ -164,7 +164,7 @@ class ContinuousScheduler:
         self.max_inflight = max_inflight
         self.prefill_chunk_tokens = prefill_chunk_tokens
         self.clock = clock
-        # Optional idle-work hook (store TTL sweep + prefetch), run inside
+        # Optional idle-work hook (the store's prefetch tick), run inside
         # iterations with spare prefill capacity (see iterate).
         self.maintenance = maintenance
         self.maintenance_runs = 0

@@ -26,7 +26,7 @@ from repro.cache.storage import CacheKey, ModuleCacheStore
 from repro.serving.simulator import RequestOutcome, SimConfig, SimReport, _service_times
 from repro.serving.traces import TraceRequest
 
-POLICIES = ("round-robin", "least-loaded", "affinity")
+ROUTING_POLICIES = ("round-robin", "least-loaded", "affinity")
 
 
 @dataclass
@@ -67,8 +67,8 @@ class FleetScheduler:
         policy: str = "affinity",
         spill_queue_s: float = 4.0,
     ) -> None:
-        if policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}")
+        if policy not in ROUTING_POLICIES:
+            raise ValueError(f"policy must be one of {ROUTING_POLICIES}")
         self.cfg = cfg
         self.policy = policy
         self.spill_queue_s = spill_queue_s
@@ -135,5 +135,5 @@ def compare_policies(
     """
     return {
         policy: FleetScheduler(cfg, n_servers, policy, spill_queue_s).run(list(trace))
-        for policy in POLICIES
+        for policy in ROUTING_POLICIES
     }

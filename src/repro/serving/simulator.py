@@ -52,7 +52,6 @@ class SimConfig:
     device: DeviceSpec
     mode: str  # one of MODES
     gpu_capacity_bytes: int | None = None  # module-cache budget (prompt-cache)
-    eviction_policy: str = "lru"
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -160,9 +159,7 @@ def simulate(trace: list[TraceRequest], cfg: SimConfig) -> SimReport:
     report = SimReport(mode=cfg.mode)
     store = None
     if cfg.mode == "prompt-cache":
-        store = ModuleCacheStore(
-            gpu_capacity_bytes=cfg.gpu_capacity_bytes, policy=cfg.eviction_policy
-        )
+        store = ModuleCacheStore(gpu_capacity_bytes=cfg.gpu_capacity_bytes)
     server_free_at = 0.0
     for request in sorted(trace, key=lambda r: r.arrival_s):
         start = max(request.arrival_s, server_free_at)

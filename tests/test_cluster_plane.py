@@ -106,6 +106,40 @@ class TestExporterFetcher:
         assert snap['cluster_peer_fetch_total{outcome="retry"}'] == 2
         assert snap['cluster_peer_fetch_total{outcome="error"}'] == 1
 
+    def test_an_attempt_overrunning_in_the_payload_check_is_a_timeout(
+        self, monkeypatch
+    ):
+        """The payload check runs synchronously on the loop, where
+        ``wait_for`` cannot fire: an attempt that returns past its
+        deadline is still a timeout, not a hit."""
+        import time
+
+        deserialize = wire.deserialize_module
+
+        def slow_deserialize(meta, body):
+            time.sleep(0.3)
+            return deserialize(meta, body)
+
+        monkeypatch.setattr(wire, "deserialize_module", slow_deserialize)
+
+        async def scenario():
+            _, exporter = make_exporter()
+            address = await exporter.start()
+            fetcher = PeerFetcher(metrics=MetricsRegistry(), timeout_s=0.1, retries=0)
+            try:
+                with pytest.raises(FetchFailed) as info:
+                    await fetcher.fetch(address, KEY)
+            finally:
+                await exporter.stop()
+            return fetcher, info.value
+
+        fetcher, error = run(scenario())
+        assert error.attempts == 1 and "TimeoutError" in str(error)
+        snap = fetcher.metrics.snapshot()["counters"]
+        assert snap['cluster_peer_fetch_total{outcome="error"}'] == 1
+        assert 'cluster_peer_fetch_total{outcome="hit"}' not in snap
+        assert "cluster_fetch_bytes_total" not in snap
+
     def test_retry_recovers_after_peer_comes_back(self):
         async def scenario():
             store, exporter = make_exporter()

@@ -524,57 +524,37 @@ class TestFabricTierWalk:
 
 
 class TestLiveServerSweep:
-    """Satellite: TTL sweeps run from the live loop, not just lazily."""
+    """Satellite: store upkeep runs from the live loop, not just lazily."""
 
-    def test_periodic_sweep_counts_expired_entries(self):
+    @staticmethod
+    def idle_server(interval):
         from repro.server import LiveServer, ServeOptions
 
         class StubEngine:
             def __init__(self):
                 self.schemas = {"a": object()}
-                self.store = ModuleCacheStore(gpu_ttl_s=0.02)
+                self.store = ModuleCacheStore()
 
         engine = StubEngine()
         engine.store.put(CacheKey("a", "m1"), _module_kv(1))
-        engine.store.put(CacheKey("a", "m2"), _module_kv(2))
-        server = LiveServer(
-            engine, ServeOptions(store_sweep_interval_s=0.01)
-        )
+        server = LiveServer(engine, ServeOptions(store_sweep_interval_s=interval))
 
         async def scenario():
             await server.start()
-            # No requests in flight: only the periodic sweep can expire.
+            # No requests in flight: only the periodic loop runs upkeep.
             await asyncio.sleep(0.15)
             await server.stop(drain=True)
 
         asyncio.run(scenario())
-        swept = server.metrics.counter(
-            "cache_sweep_expired_total",
-            "entries expired by the periodic TTL sweep",
-        ).value
-        assert swept == 2
-        assert engine.store.gpu.stats.ttl_evictions == 2
+        return engine.store
+
+    def test_periodic_upkeep_runs_while_idle(self):
+        store = self.idle_server(0.01)
+        assert store.maintenance_runs >= 2
+        assert CacheKey("a", "m1") in store  # upkeep retires nothing
 
     def test_sweep_disabled_when_interval_none(self):
-        from repro.server import LiveServer, ServeOptions
-
-        class StubEngine:
-            def __init__(self):
-                self.schemas = {}
-                self.store = ModuleCacheStore(gpu_ttl_s=0.02)
-
-        engine = StubEngine()
-        engine.store.put(CacheKey("a", "m1"), _module_kv(1))
-        server = LiveServer(engine, ServeOptions(store_sweep_interval_s=None))
-
-        async def scenario():
-            await server.start()
-            await asyncio.sleep(0.08)
-            await server.stop(drain=True)
-
-        asyncio.run(scenario())
-        # Entry is stale but nothing touched it: lazy-only semantics kept.
-        assert engine.store.gpu.stats.ttl_evictions == 0
+        assert self.idle_server(None).maintenance_runs == 0
 
     def test_fetch_error_metrics_exported(self, llama, tok):
         from repro.server import LiveServer, ServeOptions

@@ -178,7 +178,7 @@ class TestStoreMaintenance:
     def test_maintenance_without_candidates_is_quiet(self):
         store = ModuleCacheStore()
         report = store.maintenance()
-        assert report == {"swept": 0, "prefetched": 0, "peer_issued": 0}
+        assert report == {"prefetched": 0, "peer_issued": 0}
         assert store.fabric_snapshot()["maintenance_runs"] == 1
 
 

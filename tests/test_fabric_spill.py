@@ -2,7 +2,7 @@
 
 Two levels. A seeded state walk over a tiny store (one entry per
 resident tier, a ``tmp_path`` snapshot directory) interleaves put /
-fetch / invalidate / TTL-expire / corrupt-a-spilled-file and checks the
+fetch / invalidate / corrupt-a-spilled-file and checks the
 storage contract after every step: what comes back is byte-equal to what
 was put, a live key is never a miss, a forgotten key is never a hit, and
 the byte budgets hold — under a lock-order recorder, so an inversion on
@@ -38,7 +38,6 @@ from repro.server import ContinuousScheduler
 from repro.server.request import LiveRequest
 
 KEYS = [CacheKey("s", f"m{i}") for i in range(5)]
-TTL_S = 50.0
 
 
 def module_kv(key: CacheKey, version: int) -> ModuleKV:
@@ -79,8 +78,7 @@ class Walk:
         self.now = 0.0
         self.budget = int(module_kv(KEYS[0], 0).nbytes() * 1.5)  # one entry a tier
         self.store = ModuleCacheStore(
-            self.budget, self.budget, snapshot_dir=directory,
-            gpu_ttl_s=TTL_S, cpu_ttl_s=TTL_S, clock=lambda: self.now,
+            self.budget, self.budget, snapshot_dir=directory, clock=lambda: self.now,
         )
         self.directory = directory
         self.version = dict.fromkeys(KEYS, 0)
@@ -91,12 +89,12 @@ class Walk:
             tier.add_evict_listener(self.on_evict)
 
     def on_evict(self, victim, reason: str) -> None:
-        """A victim held nowhere afterwards is lost: with a snapshot
-        directory only to the TTL, without one to capacity too."""
+        """A victim held nowhere afterwards is lost — never with a
+        snapshot directory, to capacity without one."""
         key = victim.key
         if key in self.store or self.store.snapshot_backed(key):
             return
-        assert reason == "ttl" or self.directory is None, f"{key.tag()} was not spilled"
+        assert self.directory is None, f"{key.tag()} was not spilled"
         self.dropped.append(key)
         self.live.discard(key)
 
@@ -128,14 +126,6 @@ class Walk:
         self.forgotten.add(key)
         assert not self.store.snapshot_backed(key) and key not in self.store
 
-    def expire(self, _key: CacheKey) -> None:
-        self.now += 2 * TTL_S
-        self.store.sweep_expired()
-        assert self.store.total_bytes() == 0
-        # TTL victims are dropped, not spilled; what was spilled before
-        # still pages in (the snapshot tier has no clock).
-        self.live = {k for k in self.live if self.store.snapshot_backed(k)}
-
     def corrupt(self, key: CacheKey) -> None:
         if key in self.store or not self.store.snapshot_backed(key):
             return  # resident (its mapping is in use) or nothing on disk
@@ -152,7 +142,7 @@ class Walk:
         self.live.discard(key)
 
 
-OPS = ["put"] * 8 + ["fetch"] * 12 + ["corrupt"] * 4 + ["invalidate"] * 2 + ["expire"]
+OPS = ["put"] * 8 + ["fetch"] * 12 + ["corrupt"] * 4 + ["invalidate"] * 2
 
 
 def walk_randomly(walk: Walk, seed: int) -> dict:

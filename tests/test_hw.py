@@ -11,8 +11,6 @@ from repro.hw import (
     GPU_DEVICES,
     INTEL_I9_13900K,
     RTX_4090,
-    CapacityError,
-    MemoryAccountant,
     Route,
     baseline_ttft,
     cached_ttft,
@@ -176,27 +174,3 @@ class TestMemoryAccounting:
         }
         for name, value in expected.items():
             assert mb_per_token(paper_config(name)) == pytest.approx(value, abs=0.01)
-
-    def test_accountant_tracks_and_enforces(self):
-        acc = MemoryAccountant(capacity_bytes=100)
-        acc.allocate("a", 60)
-        assert acc.used_bytes == 60 and acc.free_bytes == 40
-        with pytest.raises(CapacityError):
-            acc.allocate("b", 50)
-        acc.release("a")
-        acc.allocate("b", 100)
-
-    def test_duplicate_tag_rejected(self):
-        acc = MemoryAccountant()
-        acc.allocate("x", 10)
-        with pytest.raises(ValueError):
-            acc.allocate("x", 10)
-
-    def test_release_unknown_tag(self):
-        with pytest.raises(KeyError):
-            MemoryAccountant().release("ghost")
-
-    def test_unbounded_accountant(self):
-        acc = MemoryAccountant()
-        acc.allocate("big", 10**15)
-        assert acc.free_bytes is None

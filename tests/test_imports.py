@@ -78,19 +78,24 @@ def test_package_count_sanity():
 
 def test_option_surface_is_pinned():
     """Every option doubles the configurations to cover, so adding one is
-    a reviewed, one-line change here: the exact field set of
-    ``ServeOptions`` and parameter lists of ``PromptCache.__init__``,
-    ``PromptCache.register_schema``, ``ModuleCacheStore.__init__``,
+    a reviewed, one-line change here: the exact field sets of
+    ``ServeOptions`` and ``DiscoveryConfig`` and parameter lists of
+    ``PromptCache.__init__``, ``PromptCache.register_schema``,
+    ``ModuleCacheStore.__init__``, ``ModuleCacheStore.put``,
+    ``CacheTier.__init__``, ``TokenRadixTrie.__init__``,
     ``ContinuousScheduler.__init__``, ``ClusterWorker.__init__`` and the
     snapshot functions ``save_store``, ``load_store`` and
-    ``load_catalog_entry`` — and ``PromptCache``'s serving entry points."""
+    ``load_catalog_entry`` — and ``PromptCache``'s serving entry points.
+    Retention has one rule (LRU by bytes), so no tier, store or trie
+    takes a policy, TTL, pin or node cap."""
     import dataclasses
     import inspect
 
     from repro.cache.engine import PromptCache
     from repro.cache.persist import load_catalog_entry, load_store, save_store
-    from repro.cache.storage import ModuleCacheStore
+    from repro.cache.storage import CacheTier, ModuleCacheStore
     from repro.cluster import ClusterWorker
+    from repro.reuse import DiscoveryConfig, TokenRadixTrie
     from repro.server import ContinuousScheduler, ServeOptions
 
     assert [f.name for f in dataclasses.fields(ServeOptions)] == [
@@ -107,8 +112,20 @@ def test_option_surface_is_pinned():
         "source", "eager",
     ]
     assert list(inspect.signature(ModuleCacheStore.__init__).parameters)[1:] == [
-        "gpu_capacity_bytes", "cpu_capacity_bytes", "policy", "gpu_ttl_s",
-        "cpu_ttl_s", "snapshot_dir", "prefetch_bytes_per_s", "clock",
+        "gpu_capacity_bytes", "cpu_capacity_bytes", "snapshot_dir",
+        "prefetch_bytes_per_s", "clock",
+    ]
+    assert list(inspect.signature(ModuleCacheStore.put).parameters)[1:] == [
+        "key", "kv", "tier",
+    ]
+    assert list(inspect.signature(CacheTier.__init__).parameters)[1:] == [
+        "name", "capacity_bytes", "lock",
+    ]
+    assert list(inspect.signature(TokenRadixTrie.__init__).parameters)[1:] == [
+        "max_tokens", "on_evict",
+    ]
+    assert [f.name for f in dataclasses.fields(DiscoveryConfig)] == [
+        "min_hits", "min_tokens", "max_modules", "max_trie_tokens",
     ]
     assert list(inspect.signature(save_store).parameters) == ["store", "directory"]
     assert list(inspect.signature(load_store).parameters) == ["directory", "store"]

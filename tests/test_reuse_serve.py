@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cache.engine import DISCOVERED_SCHEMA, PromptCache
-from repro.cache.storage import ModuleCacheStore
+from repro.cache.storage import CacheKey, ModuleCacheStore
 from repro.llm.generation import generate
 from repro.pml.chat import PLAIN_TEMPLATE
 from repro.reuse import DiscoveryConfig
@@ -29,14 +29,6 @@ SUFFIXES = [
     "answer the question using the documents above",
 ]
 PROMPTS = [SHARED + s for s in SUFFIXES]
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
 
 
 def discovery_config(**overrides) -> DiscoveryConfig:
@@ -161,22 +153,28 @@ class TestRegistryLifecycle:
 
 
 class TestPlanCacheStaleness:
-    def test_ttl_eviction_invalidates_compiled_plans(self, llama, tok):
-        clock = FakeClock()
-        store = ModuleCacheStore(gpu_ttl_s=10.0, clock=clock)
-        pc = PromptCache(llama, tok, store=store, template=PLAIN_TEMPLATE)
-        pc.register_schema(
+    def test_capacity_eviction_invalidates_compiled_plans(self, llama, tok):
+        schema = (
             '<schema name="city"><module name="doc">'
             "the capital of atlantis is coral city"
             "</module></schema>"
         )
+        probe = PromptCache(llama, tok, template=PLAIN_TEMPLATE)
+        probe.register_schema(schema)
+        (doc,) = probe.store.gpu.keys()
+        kv = probe.store.peek(doc).kv
+        # Room for the one module, no DRAM tier and no snapshot_dir: a
+        # capacity victim leaves its last tier and is gone.
+        store = ModuleCacheStore(gpu_capacity_bytes=kv.nbytes(), cpu_capacity_bytes=0)
+        pc = PromptCache(llama, tok, store=store, template=PLAIN_TEMPLATE)
+        pc.register_schema(schema)
         prompt = '<prompt schema="city"><doc/> the capital of atlantis is</prompt>'
         first = pc.serve(prompt, max_new_tokens=4)
         before = pc.plan_cache_stats().invalidations
-        # Idle past the TTL: the module leaves the GPU tier and is *not*
-        # demoted — resident in no tier, so the compiled plan is stale.
-        clock.now = 100.0
-        assert store.sweep_expired() >= 1
+        # Another module takes the tier's room: the doc module is resident
+        # in no tier, so the compiled plan is stale.
+        store.put(CacheKey("other", "filler"), kv)
+        assert doc not in store and store.gpu.stats.evictions == 1
         assert pc.plan_cache_stats().invalidations > before
         again = pc.serve(prompt, max_new_tokens=4)
         assert again.output_ids == first.output_ids

@@ -8,8 +8,9 @@ Property-based core (hypothesis, seeded/deterministic):
 - path compression: resident ``token_count`` equals the number of
   *distinct non-empty prefixes* in the inserted set (the uncompressed
   trie's node count), while ``node_count`` only grows at branch points;
-- eviction: capacity bounds hold after every insert, TTL expiry prunes
-  idle leaves (cascading), and pruning re-merges single-child parents.
+- eviction: capacity bounds hold after every insert, the least recently
+  used leaf goes first (cascading into a parent left childless), and
+  pruning re-merges single-child parents.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.reuse.trie import EVICT_CAPACITY, EVICT_TTL, TokenRadixTrie
+from repro.reuse.trie import EVICT_CAPACITY, TokenRadixTrie
 
 sequences = st.lists(
     st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=12),
@@ -33,14 +34,6 @@ def lcp(a, b) -> int:
             break
         n += 1
     return n
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
 
 
 class TestRoundTrip:
@@ -117,7 +110,7 @@ class TestCompression:
         trie.insert([1, 2, 3, 4, 5])  # keep the [3,4] branch warm
         assert trie.stats.node_count == 4
         victim = trie.longest_prefix([1, 2, 9]).path[-1]
-        trie._prune(victim, EVICT_CAPACITY)
+        trie._prune(victim)
         # [1,2] re-merges with its surviving [3,4] child.
         assert trie.longest_prefix([1, 2, 3, 4, 5]).length == 5
         assert trie.stats.node_count == 2
@@ -142,74 +135,21 @@ class TestEviction:
         assert trie.longest_prefix([1, 1, 1]).length == 3
         assert trie.longest_prefix([3, 3, 3]).length == 3
 
-    def test_lfu_evicts_least_frequent_leaf(self):
-        trie = TokenRadixTrie(max_tokens=8, policy="lfu")
-        for _ in range(3):
-            trie.insert([1, 1, 1])
-        trie.insert([2, 2, 2])  # hits=1, the frequency victim
-        trie.insert([3, 3, 3])
-        assert trie.longest_prefix([2, 2, 2]).length == 0
-        assert trie.longest_prefix([1, 1, 1]).length == 3
-
-    def test_max_nodes_bound(self):
-        trie = TokenRadixTrie(max_nodes=2)
-        trie.insert([1, 2])
-        trie.insert([3, 4])
-        trie.insert([5, 6])
-        assert trie.stats.node_count <= 2
-
-    def test_ttl_sweep_prunes_idle_leaves_cascading(self):
-        clock = FakeClock()
+    def test_capacity_eviction_cascades_into_a_promoted_parent(self):
         evicted: list[tuple] = []
         trie = TokenRadixTrie(
-            ttl_s=10.0, clock=clock,
+            max_tokens=4,
             on_evict=lambda node, reason: evicted.append((node.tokens, reason)),
         )
         trie.insert([1, 2, 3])
         trie.insert([1, 2, 9])  # splits: [1,2] interior + two leaves
-        # Promote the interior node: it cannot re-merge away, so the
-        # cascade must prune it explicitly once its children expire.
+        # Promote the interior node: it cannot re-merge away, so once its
+        # children are evicted it is a leaf, and the coldest one.
         trie.longest_prefix([1, 2]).path[0].promoted = True
-        clock.now = 11.0
-        pruned = trie.sweep_expired()
-        assert pruned == 3
-        assert trie.stats.node_count == 0
-        assert all(reason == EVICT_TTL for _, reason in evicted)
-        assert trie.stats.ttl_evictions == 3
-
-    def test_ttl_sweep_remerges_unpromoted_parent(self):
-        clock = FakeClock()
-        trie = TokenRadixTrie(ttl_s=10.0, clock=clock)
-        trie.insert([1, 2, 3])
-        clock.now = 5.0
-        trie.insert([1, 2, 9])
-        clock.now = 12.0  # first tail idle > ttl, second still fresh
-        assert trie.sweep_expired() == 1
-        # The unpromoted interior [1,2] re-merged with the survivor.
-        assert trie.stats.node_count == 1
-        assert trie.longest_prefix([1, 2, 9]).length == 3
-
-    def test_recently_used_leaves_survive_the_sweep(self):
-        clock = FakeClock()
-        trie = TokenRadixTrie(ttl_s=10.0, clock=clock)
-        trie.insert([1, 2, 3])
-        clock.now = 8.0
-        trie.insert([1, 2, 3])  # refreshed
-        clock.now = 11.0
-        assert trie.sweep_expired() == 0
-        assert trie.longest_prefix([1, 2, 3]).length == 3
-
-    def test_insert_enforces_ttl_lazily(self):
-        clock = FakeClock()
-        trie = TokenRadixTrie(ttl_s=5.0, clock=clock)
-        trie.insert([1, 2, 3])
-        clock.now = 6.0
-        trie.insert([7, 8])
-        assert trie.longest_prefix([1, 2, 3]).length == 0
-
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError, match="policy"):
-            TokenRadixTrie(policy="fifo")
+        trie.insert([5, 6, 7, 8])
+        assert evicted == [((3,), EVICT_CAPACITY), ((9,), EVICT_CAPACITY), ((1, 2), EVICT_CAPACITY)]
+        assert trie.stats.node_count == 1 and trie.stats.token_count == 4
+        assert trie.longest_prefix([5, 6, 7, 8]).length == 4
 
 
 class TestDedupAnalyzer:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.hw.device import RTX_4090
 from repro.llm.config import paper_config
-from repro.serving.scheduler import FleetScheduler, POLICIES, compare_policies
+from repro.serving.scheduler import FleetScheduler, ROUTING_POLICIES, compare_policies
 from repro.serving.simulator import SimConfig
 from repro.serving.traces import SchemaProfile, TraceRequest, synthesize_trace
 

@@ -39,7 +39,7 @@ class StubDiscovery:
         return {
             "trie_nodes": 3, "trie_tokens": 40, "trie_inserts": 5,
             "trie_lookups": 5, "trie_splits": 1, "trie_evictions": 0,
-            "trie_ttl_evictions": 0, "modules": 1, "promotions": 1,
+            "modules": 1, "promotions": 1,
             "demotions": 0, "failed_promotions": 0,
             "observed_sequences": 5, "observed_tokens": 200,
             "last_promotion_error": None,

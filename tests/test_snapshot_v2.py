@@ -120,6 +120,24 @@ class TestV2RoundTrip:
             np.testing.assert_array_equal(loaded.value_arena, original.value_arena)
             np.testing.assert_array_equal(loaded.positions, original.positions)
 
+    def test_an_index_still_carrying_pinned_loads_unchanged(self, pc, tmp_path):
+        """Records once carried a ``pinned`` flag; nothing writes or reads
+        it now, and an index that has it loads and attaches as before."""
+        save_store(pc.store, tmp_path)
+        index = json.loads((tmp_path / "index.json").read_text())
+        assert all("pinned" not in record for record in index["entries"])
+        for record in index["entries"]:
+            record["pinned"] = True
+        (tmp_path / "index.json").write_text(json.dumps(index))
+        restored = load_store(tmp_path)
+        attached = ModuleCacheStore(snapshot_dir=tmp_path)
+        for key in (A, B):
+            original = pc.store.peek(key).kv
+            np.testing.assert_array_equal(restored.peek(key).kv.key_arena, original.key_arena)
+            np.testing.assert_array_equal(
+                attached.fetch(key).entry.kv.key_arena, original.key_arena
+            )
+
     def test_index_carries_version_and_digests(self, pc, tmp_path):
         save_store(pc.store, tmp_path)
         assert json.loads((tmp_path / "index.json").read_text())["version"] == 2

@@ -40,7 +40,7 @@ def build_pc(llama, tok, capacity_modules: int = 3):
     )
     per_module = probe.store.gpu.used_bytes
     store = ModuleCacheStore(
-        gpu_capacity_bytes=capacity_modules * per_module + 512, policy="lru"
+        gpu_capacity_bytes=capacity_modules * per_module + 512
     )
     pc = PromptCache(llama, tok, store=store, template=PLAIN_TEMPLATE, kv_codec="int8")
     for i in range(N_SCHEMAS):
@@ -56,7 +56,7 @@ def test_soak_random_stream(llama, tok):
     pc = build_pc(llama, tok)
     rng = np.random.default_rng(7)
     reference: dict[str, list[int]] = {}
-    capacity = pc.store.gpu.accountant.capacity_bytes
+    capacity = pc.store.gpu.capacity_bytes
     for step in range(N_REQUESTS):
         schema = f"s{int(rng.integers(0, N_SCHEMAS))}"
         doc = f"doc{int(rng.integers(0, 2))}"

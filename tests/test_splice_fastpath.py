@@ -186,9 +186,9 @@ class TestEvictionInvalidatesByIndex:
         tier.get(key)  # most recent...
         for other in [k for k in tier.keys() if k != key]:
             tier.get(other)  # ...now least
-        tier.accountant.capacity_bytes = tier.used_bytes  # full as it stands
+        tier.capacity_bytes = tier.used_bytes  # full as it stands
         tier.put(CacheKey("pressure", "p"), _Bytes(tier.peek(key).nbytes))
-        tier.accountant.capacity_bytes = None
+        tier.capacity_bytes = None
         tier.remove(CacheKey("pressure", "p"))
         assert key not in pc.store and tier.stats.evictions == 1
 

@@ -1,4 +1,4 @@
-"""Module store: capacity, eviction policies, statistics, where victims go."""
+"""Module store: capacity, LRU eviction, statistics, where victims go."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.cache.storage import (
     CacheKey,
     CacheTier,
     ModuleCacheStore,
-    POLICIES,
     SOLO_VARIANT,
 )
 from repro.hw.allocator import CapacityError
@@ -66,26 +65,13 @@ class TestCacheTier:
         tier.put(key("a"), make_kv(10))
         tier.put(key("b"), make_kv(10))
         tier.put(key("c"), make_kv(10))  # must evict one
-        assert tier.used_bytes <= tier.accountant.capacity_bytes
+        assert tier.used_bytes <= tier.capacity_bytes
         assert tier.stats.evictions == 1
 
     def test_oversized_entry_rejected(self):
         tier = CacheTier("gpu", capacity_bytes=10)
         with pytest.raises(CapacityError):
             tier.put(key("big"), make_kv(100))
-
-    def test_pinned_entries_survive(self):
-        tier = CacheTier("gpu", capacity_bytes=2 * KV_BYTES + 10)
-        tier.put(key("pin"), make_kv(10), pinned=True)
-        tier.put(key("b"), make_kv(10))
-        tier.put(key("c"), make_kv(10))
-        assert key("pin") in tier
-
-    def test_all_pinned_raises(self):
-        tier = CacheTier("gpu", capacity_bytes=KV_BYTES + 10)
-        tier.put(key("pin"), make_kv(10), pinned=True)
-        with pytest.raises(CapacityError):
-            tier.put(key("b"), make_kv(10))
 
     def test_variants_are_distinct_keys(self):
         tier = CacheTier("gpu")
@@ -95,45 +81,18 @@ class TestCacheTier:
 
 
 class TestEvictionPolicies:
-    def fill(self, policy: str) -> CacheTier:
-        tier = CacheTier("gpu", capacity_bytes=3 * KV_BYTES + 10, policy=policy)
+    def fill(self) -> CacheTier:
+        tier = CacheTier("gpu", capacity_bytes=3 * KV_BYTES + 10)
         for name in ("a", "b", "c"):
             tier.put(key(name), make_kv(10))
         return tier
 
     def test_lru_evicts_least_recently_used(self):
-        tier = self.fill("lru")
+        tier = self.fill()
         tier.get(key("a"))
         tier.get(key("c"))
         tier.put(key("d"), make_kv(10))  # b is LRU
         assert key("b") not in tier and key("a") in tier
-
-    def test_lfu_evicts_least_frequently_used(self):
-        tier = self.fill("lfu")
-        for _ in range(3):
-            tier.get(key("a"))
-        for _ in range(2):
-            tier.get(key("b"))
-        tier.get(key("c"))
-        tier.put(key("d"), make_kv(10))
-        assert key("c") not in tier
-
-    def test_fifo_evicts_oldest_insertion(self):
-        tier = self.fill("fifo")
-        tier.get(key("a"))  # recency must not matter
-        tier.put(key("d"), make_kv(10))
-        assert key("a") not in tier
-
-    def test_size_aware_evicts_largest(self):
-        tier = CacheTier("gpu", capacity_bytes=make_kv(30).nbytes() + 2 * KV_BYTES + 10, policy="size")
-        tier.put(key("small1"), make_kv(10))
-        tier.put(key("huge"), make_kv(30))
-        tier.put(key("small2"), make_kv(10))
-        tier.put(key("newcomer"), make_kv(10))
-        assert key("huge") not in tier
-
-    def test_policy_registry(self):
-        assert set(POLICIES) == {"lru", "lfu", "fifo", "size"}
 
 
 class TestModuleCacheStore:
@@ -175,17 +134,58 @@ class TestModuleCacheStore:
         min_size=1,
         max_size=25,
     ),
-    st.sampled_from(["lru", "lfu", "fifo", "size"]),
 )
-def test_capacity_never_exceeded_property(operations, policy):
-    """Whatever the access pattern and policy, used bytes stay in budget."""
-    tier = CacheTier("gpu", capacity_bytes=5 * KV_BYTES, policy=policy)
+def test_capacity_never_exceeded_property(operations):
+    """Whatever the access pattern, used bytes stay in budget."""
+    tier = CacheTier("gpu", capacity_bytes=5 * KV_BYTES)
     for name, tokens in operations:
         try:
             tier.put(key(name), make_kv(tokens))
         except CapacityError:
             pass  # single oversized entry: allowed to refuse
-        assert tier.used_bytes <= tier.accountant.capacity_bytes
+        assert tier.used_bytes <= tier.capacity_bytes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["put", "get", "peek"]),
+            st.sampled_from("abcdef"),
+            st.integers(min_value=1, max_value=4),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    st.integers(min_value=4, max_value=12),  # every entry fits
+)
+def test_tier_is_lru_by_bytes(operations, capacity_units):
+    """A tier matches a list kept coldest first: a hit moves its key to
+    the end, a put (re)appends it, a peek moves nothing, and capacity
+    evicts from the front until the newcomer fits."""
+    unit = make_kv(1).nbytes()
+    tier = CacheTier("gpu", capacity_bytes=capacity_units * unit)
+    model: list[tuple[CacheKey, int]] = []
+    evictions = 0
+    for op, name, tokens in operations:
+        k = key(name)
+        held = [m for m, _ in model]
+        if op == "peek":
+            assert (tier.peek(k) is not None) == (k in held)
+        elif op == "get":
+            assert (tier.get(k) is not None) == (k in held)
+            if k in held:
+                model.append(model.pop(held.index(k)))
+        else:
+            model = [(m, n) for m, n in model if m != k]
+            while sum(n for _, n in model) + tokens * unit > capacity_units * unit:
+                model.pop(0)
+                evictions += 1
+            model.append((k, tokens * unit))
+            tier.put(k, make_kv(tokens))
+        assert tier.keys() == [m for m, _ in model]
+        assert tier.used_bytes == sum(n for _, n in model)
+        assert tier.stats.evictions == evictions
 
 
 class TestDemotionAndPrefetch:
@@ -221,9 +221,10 @@ class TestDemotionAndPrefetch:
 
     def test_prefetch_respects_capacity(self):
         store = ModuleCacheStore(gpu_capacity_bytes=KV_BYTES + 10)
-        store.gpu.put(key("pinned"), make_kv(10), pinned=True)
-        store.put(key("cold"), make_kv(10), tier="cpu")
-        assert store.prefetch([key("cold")]) == 0
+        store.put(key("cold"), make_kv(20), tier="cpu")  # larger than the fast tier
+        store.put(key("warm"), make_kv(10), tier="cpu")
+        assert store.prefetch([key("cold"), key("warm")]) == 1
+        assert store.gpu.keys() == [key("warm")] and key("cold") in store.cpu
 
 
 class TestConcurrency:
@@ -296,82 +297,16 @@ class TestConcurrency:
         assert store.gpu.used_bytes <= 4 * KV_BYTES + 10
 
 
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-
-class TestTTLExpiry:
-    def test_idle_entry_expires_on_get(self):
-        clock = FakeClock()
-        tier = CacheTier("gpu", ttl_s=10.0, clock=clock)
-        tier.put(key("a"), make_kv(10))
-        clock.now = 11.0
-        assert tier.get(key("a")) is None
-        assert tier.stats.ttl_evictions == 1
-        assert key("a") not in tier
-
-    def test_hit_refreshes_the_ttl(self):
-        clock = FakeClock()
-        tier = CacheTier("gpu", ttl_s=10.0, clock=clock)
-        tier.put(key("a"), make_kv(10))
-        clock.now = 8.0
-        assert tier.get(key("a")) is not None  # refresh at t=8
-        clock.now = 17.0  # 9s idle since the hit, 17s since insert
-        assert tier.get(key("a")) is not None
-
-    def test_sweep_expires_in_bulk_without_demotion(self):
-        clock = FakeClock()
-        store = ModuleCacheStore(gpu_ttl_s=10.0, clock=clock)
-        for name in ("a", "b"):
-            store.put(key(name), make_kv(10))
-        clock.now = 20.0
-        assert store.sweep_expired() == 2
-        # TTL victims are stale, not hot-capacity casualties: they are
-        # dropped outright, never demoted to the CPU tier.
-        assert not store.gpu.keys() and not store.cpu.keys()
-
-    def test_pinned_entries_never_expire(self):
-        clock = FakeClock()
-        tier = CacheTier("gpu", ttl_s=10.0, clock=clock)
-        tier.put(key("a"), make_kv(10), pinned=True)
-        clock.now = 100.0
-        assert tier.sweep_expired() == 0
-        assert tier.get(key("a")) is not None
-
-    def test_put_sweeps_before_capacity_eviction(self):
-        clock = FakeClock()
-        listener_reasons: list[tuple[str, str]] = []
-        tier = CacheTier(
-            "gpu", capacity_bytes=2 * KV_BYTES + 10, ttl_s=10.0, clock=clock
-        )
-        tier.add_evict_listener(
-            lambda entry, reason: listener_reasons.append(
-                (entry.key.module, reason)
-            )
-        )
-        tier.put(key("a"), make_kv(10))
-        clock.now = 11.0
-        tier.put(key("b"), make_kv(10))
-        tier.put(key("c"), make_kv(10))
-        # "a" left via TTL during the puts, so capacity never forced an
-        # eviction — and the listener saw the reason label say so.
-        assert listener_reasons == [("a", "ttl")]
-        assert tier.stats.ttl_evictions == 1
-        assert tier.stats.evictions == 1
-
-
 class TestPerTierPolicyAndReasons:
     def test_one_policy_orders_both_tiers(self):
-        store = ModuleCacheStore(
-            gpu_capacity_bytes=2 * KV_BYTES + 10,
-            cpu_capacity_bytes=2 * KV_BYTES + 10,
-            policy="lfu",
-        )
-        assert store.gpu.policy is store.cpu.policy is POLICIES["lfu"]
+        # LRU by bytes, the one retention rule, in the fast tier and in DRAM.
+        for name in ("gpu", "cpu"):
+            tier = ModuleCacheStore(2 * KV_BYTES + 10, 2 * KV_BYTES + 10).tier(name)
+            tier.put(key("a"), make_kv(10))
+            tier.put(key("b"), make_kv(10))
+            tier.get(key("a"))
+            tier.put(key("c"), make_kv(10))
+            assert tier.keys() == [key("a"), key("c")], name
 
     def test_capacity_eviction_reports_reason_capacity(self):
         reasons: list[str] = []
@@ -384,16 +319,6 @@ class TestPerTierPolicyAndReasons:
         assert reasons == ["capacity"]
         # Capacity victims demote: still servable from the CPU tier.
         assert len(store.cpu.keys()) == 1
-
-    def test_store_level_ttl_is_per_tier(self):
-        clock = FakeClock()
-        store = ModuleCacheStore(gpu_ttl_s=5.0, cpu_ttl_s=50.0, clock=clock)
-        store.put(key("hot"), make_kv(10), tier="gpu")
-        store.put(key("warm"), make_kv(10), tier="cpu")
-        clock.now = 10.0
-        store.sweep_expired()
-        assert not store.gpu.keys()
-        assert [k.module for k in store.cpu.keys()] == ["warm"]
 
 
 class TestVictimsDramCannotTake:
@@ -436,14 +361,15 @@ class TestVictimsDramCannotTake:
         assert store.snapshot_backed(key("b"))
 
     @pytest.mark.parametrize("spill", [False, True], ids=["dropped", "spilled"])
-    def test_every_dram_entry_pinned(self, spill, tmp_path):
+    def test_a_victim_larger_than_dram(self, spill, tmp_path):
         store = ModuleCacheStore(
             2 * KV_BYTES + 10, KV_BYTES + 10, snapshot_dir=tmp_path if spill else None
         )
-        store.put(key("pinned"), make_kv(10), tier="cpu", pinned=True)
+        store.put(key("held"), make_kv(10), tier="cpu")
         seen = self.listened(store)
-        for name in "abc":
+        store.put(key("a"), make_kv(20))  # fits the fast tier, not DRAM
+        for name in "bc":
             store.put(key(name), make_kv(10))
-        assert key("a") not in store and store.cpu.keys() == [key("pinned")]
+        assert key("a") not in store and store.cpu.keys() == [key("held")]
         assert seen == [("gpu", "a", "capacity")]
         assert store.snapshot_backed(key("a")) is spill
