@@ -185,28 +185,7 @@ def validate_layout(schema, layout) -> None:
     Union members share their start position (paper §3.2.3) and every
     parameter's ``<unk>`` slot positions sit inside its module's span.
     """
-    from repro.pml.ast import ModuleNode, UnionNode
-
-    def walk(children):
-        for child in children:
-            if isinstance(child, UnionNode):
-                starts = {
-                    layout.module(member.name).span_start
-                    for member in child.members
-                    if member.name in layout.modules
-                }
-                if len(starts) > 1:
-                    raise SanitizerError(
-                        f"union members of schema {schema.name!r} disagree on "
-                        f"start positions {sorted(starts)}; members must "
-                        "share their start (paper §3.2.3)"
-                    )
-                for member in child.members:
-                    walk(member.children)
-            elif isinstance(child, ModuleNode):
-                walk(child.children)
-
-    walk(schema.root.children)
+    _check_unions(schema.root.children, schema, layout)
     for name, module in layout.modules.items():
         for slot in module.params.values():
             positions = module.param_positions(slot.name)
@@ -219,6 +198,30 @@ def validate_layout(schema, layout) -> None:
                     f"positions outside the module span "
                     f"[{module.span_start}, {module.span_end})"
                 )
+
+
+def _check_unions(children, schema, layout) -> None:
+    # A function of its own, not a closure calling itself: that closure
+    # would be a reference cycle holding the schema and its layout.
+    from repro.pml.ast import ModuleNode, UnionNode
+
+    for child in children:
+        if isinstance(child, UnionNode):
+            starts = {
+                layout.module(member.name).span_start
+                for member in child.members
+                if member.name in layout.modules
+            }
+            if len(starts) > 1:
+                raise SanitizerError(
+                    f"union members of schema {schema.name!r} disagree on "
+                    f"start positions {sorted(starts)}; members must "
+                    "share their start (paper §3.2.3)"
+                )
+            for member in child.members:
+                _check_unions(member.children, schema, layout)
+        elif isinstance(child, ModuleNode):
+            _check_unions(child.children, schema, layout)
 
 
 def validate_plan(plan, layout) -> None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import operator
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
@@ -555,9 +556,10 @@ class PromptCache:
         # Plan-staleness fix: compiled plans and spliced bases must die
         # with the last resident copy of any module they reference.
         # register/invalidate/update already handle their paths; this
-        # listener covers capacity eviction inside the store itself.
+        # listener covers capacity eviction inside the store itself. Held
+        # weakly: a store may outlive its engine, and must not keep it.
         for tier_ in (self.store.gpu, self.store.cpu):
-            tier_.add_evict_listener(self._on_store_evict)
+            tier_.add_evict_listener(weakref.WeakMethod(self._on_store_evict))
 
     # -- schema management -----------------------------------------------------
 
@@ -599,6 +601,9 @@ class PromptCache:
         ``"hit"``, ``"miss"`` or ``"invalidation"`` (one call per evicted
         plan). The serving runtime uses this to export counters."""
         self._plan_listeners.append(fn)
+
+    def remove_plan_cache_listener(self, fn) -> None:
+        self._plan_listeners.remove(fn)
 
     def plan_cache_stats(self) -> PlanCacheStats:
         with self._fastpath_lock:
@@ -817,7 +822,7 @@ class PromptCache:
         if not ids:
             raise ValueError("a raw prompt needs at least one token")
         if self.discovery is not None and observe:
-            self.discovery.observe(ids)
+            self.discovery.observe(ids, self)
         n = len(ids)
         chain = self._match_discovered(ids) if self.discovery is not None else []
         # Fully-covered prompt: trim the final cached token and recompute
@@ -946,7 +951,7 @@ class PromptCache:
         the miner (for stats/tuning); pass ``config`` to set thresholds."""
         from repro.reuse.miner import ReuseMiner
 
-        self.discovery = ReuseMiner(self, config)
+        self.discovery = ReuseMiner(config)
         return self.discovery
 
     def register_discovered_module(
@@ -978,7 +983,7 @@ class PromptCache:
             self._discovered[name] = segment
         return segment
 
-    def unregister_discovered_module(self, name: str, reason: str | None = None) -> int:
+    def unregister_discovered_module(self, name: str) -> int:
         """Demote a discovered module (trie eviction, operator request):
         drop its store entries and every spliced base referencing it."""
         with self._fastpath_lock:
@@ -1118,7 +1123,7 @@ class PromptCache:
         self.store.put(key, stored)
         return stored, "gpu"
 
-    def _on_store_evict(self, entry, reason: str) -> None:  # holds-lock: store
+    def _on_store_evict(self, entry) -> None:  # holds-lock: store
         """Store evict listener (runs under the store lock): once a module
         is resident in *no* tier, compiled plans and spliced bases that
         reference it are stale — drop them. Demotions (GPU→CPU) leave the

@@ -29,8 +29,12 @@ Where a capacity victim goes:
   and cold (the snapshot pages it back in); otherwise it moves to DRAM.
 - A DRAM victim — or a fast-tier victim DRAM cannot take — is spilled to
   ``snapshot_dir`` unless the catalog already has it; without a
-  ``snapshot_dir`` it is dropped. Evict listeners see every victim, with
-  reason ``"capacity"``.
+  ``snapshot_dir`` it is dropped. Evict listeners see every victim.
+
+A tier hands its capacity victims back to the store that put into it
+(:meth:`CacheTier.put` returns them), and the store moves them down itself: no tier
+holds its store. Evict listeners are the store's only outward edges; an
+engine registers a weak one, so a store never keeps its engine alive.
 
 No ``snapshot_dir`` means no spill: a module leaving DRAM is gone and its
 next use re-encodes. ``cpu_capacity_bytes=0`` means no DRAM tier: a
@@ -49,6 +53,7 @@ from __future__ import annotations
 import threading
 import time
 import warnings
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -70,9 +75,6 @@ from repro.hw.allocator import CapacityError
 from repro.llm.kv import ModuleKV
 
 SOLO_VARIANT = "solo"
-
-# The eviction reason reported to evict listeners and metrics labels.
-EVICT_CAPACITY = "capacity"
 
 
 @dataclass(frozen=True)
@@ -121,10 +123,10 @@ class CacheTier:
     ) -> None:
         self.name = name
         self.capacity_bytes = capacity_bytes
-        # Re-entrant so an ``on_evict`` callback may call back into the
-        # tier (or a sibling sharing the lock) from inside ``put``. The
-        # store passes one shared lock to both tiers, making every
-        # cross-tier sequence (demotion, spill, prefetch) atomic.
+        # Re-entrant so an evict listener may call back into the tier (or
+        # a sibling sharing the lock). The store passes one shared lock to
+        # both tiers, making every cross-tier sequence (demotion, spill,
+        # prefetch) atomic.
         self._lock = lock or ordered_lock("store")  # lock-order: store
         # Coldest first: a hit moves its key to the end, a put appends it
         # (a re-put removes the old entry first), and the capacity victim
@@ -132,18 +134,31 @@ class CacheTier:
         self.entries: OrderedDict[CacheKey, CacheEntry] = OrderedDict()  # guarded-by: _lock
         self.used_bytes = 0  # guarded-by: _lock
         self.stats = TierStats()  # guarded-by: _lock
-        # Called with each capacity victim (the store uses it to move a
-        # victim down a tier instead of dropping it).
-        self.on_evict = None  # guarded-by: _lock
         self._evict_listeners: list = []  # guarded-by: _lock
 
     def add_evict_listener(self, fn) -> None:
-        """Register an observer called as ``fn(victim, reason)`` with each
-        evicted entry, *after* ``on_evict`` (so demotion has already
-        happened); ``reason`` is ``"capacity"``. Listeners run under the
-        tier lock; they may call back into the store but must not block."""
+        """Register an observer called as ``fn(victim)`` with each capacity
+        victim, after the store has moved it down (demoted, spilled or
+        dropped it). ``fn`` may be a :class:`weakref.WeakMethod`: it is
+        called while its object lives and forgotten once it is gone.
+        Listeners run under the tier lock; they may call back into the
+        store but must not block."""
         with self._lock:
             self._evict_listeners.append(fn)
+
+    def remove_evict_listener(self, fn) -> None:
+        with self._lock:
+            self._evict_listeners.remove(fn)
+
+    def evicted(self, victim: CacheEntry) -> None:
+        """Tell the evict listeners about ``victim``."""
+        with self._lock:
+            for listener in list(self._evict_listeners):
+                fn = listener() if isinstance(listener, weakref.ref) else listener
+                if fn is None:
+                    self._evict_listeners.remove(listener)
+                else:
+                    fn(victim)
 
     def __contains__(self, key: CacheKey) -> bool:
         with self._lock:
@@ -164,10 +179,13 @@ class CacheTier:
         with self._lock:
             return self.entries.get(key)
 
-    def put(self, key: CacheKey, kv: ModuleKV) -> CacheEntry:
+    def put(self, key: CacheKey, kv: ModuleKV) -> tuple[CacheEntry, list[CacheEntry]]:
         """Insert as the most recently used entry, evicting the least
-        recently used until it fits. Raises :class:`CapacityError` if it
-        can never fit (entry > capacity)."""
+        recently used until it fits. Returns the entry and the capacity
+        victims, coldest first: the store moves them down a tier, then
+        tells the listeners (:meth:`evicted`). Raises
+        :class:`CapacityError`, evicting nothing, if it can never fit
+        (entry > capacity)."""
         with self._lock:
             if key in self.entries:
                 self.remove(key)
@@ -178,28 +196,22 @@ class CacheTier:
                     f"module {key.tag()} ({nbytes} B) exceeds tier {self.name!r} "
                     f"capacity ({capacity} B)"
                 )
+            victims = []
             while capacity is not None and self.used_bytes + nbytes > capacity:
-                self._evict_one()
+                _, victim = self.entries.popitem(last=False)
+                self.used_bytes -= victim.nbytes
+                self.stats.evictions += 1
+                self.stats.bytes_evicted += victim.nbytes
+                victims.append(victim)
             entry = CacheEntry(key=key, kv=kv, nbytes=nbytes)
             self.entries[key] = entry
             self.used_bytes += nbytes
             self.stats.insertions += 1
-            return entry
+            return entry, victims
 
     def remove(self, key: CacheKey) -> None:
         with self._lock:
             self.used_bytes -= self.entries.pop(key).nbytes
-
-    def _evict_one(self) -> None:
-        with self._lock:
-            _, victim = self.entries.popitem(last=False)
-            self.used_bytes -= victim.nbytes
-            self.stats.evictions += 1
-            self.stats.bytes_evicted += victim.nbytes
-            if self.on_evict is not None:
-                self.on_evict(victim)
-            for listener in self._evict_listeners:
-                listener(victim, EVICT_CAPACITY)
 
     def mapped_bytes(self) -> int:
         """Bytes of entries whose tensors are snapshot-mapped (file-backed,
@@ -250,8 +262,6 @@ class ModuleCacheStore:
         self.clock = clock
         self.gpu = CacheTier("gpu", gpu_capacity_bytes, lock=self._lock)
         self.cpu = CacheTier("cpu", cpu_capacity_bytes, lock=self._lock)
-        self.gpu.on_evict = self._on_gpu_evict
-        self.cpu.on_evict = self._spill
         self.cost_model = TierCostModel()
         self.placement = PlacementEngine(self.cost_model)
         self.prefetcher = PredictivePrefetcher(
@@ -320,6 +330,10 @@ class ModuleCacheStore:
         with self._lock:
             self._fetch_error_listeners.append(fn)
 
+    def remove_fetch_error_listener(self, fn) -> None:
+        with self._lock:
+            self._fetch_error_listeners.remove(fn)
+
     def _run_miss_fetcher(self, key: CacheKey):
         """Invoke the miss fetcher, degrading a raised exception into an
         ordinary miss (``None`` → re-encode upstream) after recording it.
@@ -365,25 +379,39 @@ class ModuleCacheStore:
         """
         with self._lock:
             try:
-                entry = self.tier(tier).put(key, kv)
+                entry = self._admit(self.tier(tier), key, kv)
             except CapacityError:
                 if tier != "gpu":
                     raise
-                entry = self.cpu.put(key, kv)
+                entry = self._admit(self.cpu, key, kv)
             self._size_hints[key] = entry.nbytes
             return entry
 
     # ------------------------------------------------------------------
     # eviction: drop snapshot-backed cold victims, demote, spill the rest
 
-    def _on_gpu_evict(self, entry: CacheEntry) -> None:  # holds-lock: store
+    def _admit(self, tier: CacheTier, key: CacheKey, kv) -> CacheEntry:
+        """Put into ``tier`` and move each capacity victim down — a
+        fast-tier victim to DRAM, a DRAM victim to the spill path — before
+        the tier's listeners hear of it."""
+        with self._lock:
+            entry, victims = tier.put(key, kv)
+            for victim in victims:
+                if tier is self.gpu:
+                    self._demote(victim)
+                else:
+                    self._spill(victim)
+                tier.evicted(victim)
+            return entry
+
+    def _demote(self, entry: CacheEntry) -> None:  # holds-lock: store
         key = entry.key
         with self._lock:
             backed = key in self._catalog  # attached or spilled alike
             if self.placement.should_drop(key, entry.nbytes, self.clock(), backed):
                 return  # the snapshot pages it back in on demand
             try:
-                self.cpu.put(key, entry.kv)
+                self._admit(self.cpu, key, entry.kv)
             except CapacityError:
                 # No DRAM tier, or one too small for the victim: it
                 # leaves the last resident tier right here.
@@ -396,7 +424,7 @@ class ModuleCacheStore:
         Synchronous, at the eviction that would have lost the entry:
         whether a key is on disk when it is next wanted then depends on
         the request order alone, never on timing. It runs under the store
-        lock (eviction happens inside ``CacheTier.put``), which the write
+        lock (eviction happens inside a put), which the write
         holds for a few milliseconds — once per module per process, since
         a cataloged key's later evictions return at the first line; the
         per-request path, ``_page_in``, hashes and faults outside the
@@ -628,7 +656,7 @@ class ModuleCacheStore:
                 if entry is None:
                     continue
                 try:
-                    self.gpu.put(key, entry.kv)
+                    self._admit(self.gpu, key, entry.kv)
                 except CapacityError:
                     continue
                 promoted += 1

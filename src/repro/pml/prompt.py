@@ -68,20 +68,36 @@ def resolve(prompt: PromptNode | str, schema: Schema) -> ResolvedPrompt:
             f"{schema.name!r}"
         )
 
-    selections: list[Selection] = []
-    texts: list[NewText] = []
-    seen: set[str] = set()
+    resolver = _Resolver(schema)
+    resolver.visit(prompt.children, None, None)
+    return ResolvedPrompt(
+        schema=schema, selections=resolver.selections, texts=resolver.texts
+    )
 
-    def visit(children: list, parent: str | None, anchor: str | None) -> str | None:
+
+class _Resolver:
+    """The walk behind :func:`resolve`: collects selections and anchored
+    text, checking each import as it goes. Methods rather than nested
+    closures, which would reference each other and leave every resolved
+    prompt as cyclic garbage."""
+
+    def __init__(self, schema: Schema) -> None:
+        self.schema = schema
+        self.selections: list[Selection] = []
+        self.texts: list[NewText] = []
+        self.seen: set[str] = set()
+
+    def visit(self, children: list, parent: str | None, anchor: str | None) -> str | None:
         for child in children:
             if isinstance(child, TextNode):
-                texts.append(NewText(text=child.text, anchor=anchor))
+                self.texts.append(NewText(text=child.text, anchor=anchor))
                 continue
             assert isinstance(child, ImportNode)
-            anchor = _visit_import(child, parent)
+            anchor = self.visit_import(child, parent)
         return anchor
 
-    def _visit_import(node: ImportNode, parent: str | None) -> str:
+    def visit_import(self, node: ImportNode, parent: str | None) -> str:
+        schema, seen = self.schema, self.seen
         if node.name not in schema.modules:
             raise SchemaMismatchError(
                 f"prompt imports unknown module {node.name!r} "
@@ -109,11 +125,8 @@ def resolve(prompt: PromptNode | str, schema: Schema) -> ResolvedPrompt:
                     "<union>; a prompt may select at most one"
                 )
         seen.add(node.name)
-        selections.append(Selection(name=node.name, args=dict(node.args)))
+        self.selections.append(Selection(name=node.name, args=dict(node.args)))
         # Nested imports live inside this module; new text inside an import
         # is anchored to the module itself.
-        visit(node.children, node.name, node.name)
+        self.visit(node.children, node.name, node.name)
         return node.name
-
-    visit(prompt.children, None, None)
-    return ResolvedPrompt(schema=schema, selections=selections, texts=texts)

@@ -7,14 +7,14 @@ Cache's modular reuse to workloads that never wrote a PML schema.
 - :mod:`repro.reuse.trie` — path-compressed token trie: O(L) longest
   prefix match, per-node hit/recency stats, LRU leaf eviction.
 - :mod:`repro.reuse.miner` — promotion policy: hot shared prefixes
-  become discovered modules through ``PromptCache.register_discovered_module``.
+  become discovered modules through the observing engine's
+  ``register_discovered_module``.
 - :mod:`repro.reuse.dedup` — pre-flight batch dedup-potential analysis.
 """
 
 from repro.reuse.dedup import DedupReport, analyze_batch
 from repro.reuse.miner import DiscoveryConfig, MinerStats, ReuseMiner
 from repro.reuse.trie import (
-    EVICT_CAPACITY,
     MatchResult,
     TokenRadixTrie,
     TrieNode,
@@ -27,7 +27,6 @@ __all__ = [
     "DiscoveryConfig",
     "MinerStats",
     "ReuseMiner",
-    "EVICT_CAPACITY",
     "MatchResult",
     "TokenRadixTrie",
     "TrieNode",

@@ -6,7 +6,9 @@ cross configurable hit/length thresholds into *discovered modules* via
 the engine hook ``register_discovered_module``. Schema inference becomes
 a cache policy instead of an authoring step (ISSUE 6): nobody writes PML
 for a shared system prompt — the miner notices it repeating and caches
-it.
+it. The miner holds no engine: the engine passes itself to ``observe``,
+which carries out that call's promotions and demotions through it and
+keeps nothing.
 
 Byte-identity contract (the load-bearing invariant): a discovered module
 covers a token span ``[start, end)`` of a *prefix chain* — ``start`` is
@@ -72,13 +74,10 @@ class ReuseMiner:
     snapshots come from the event loop.
     """
 
-    def __init__(self, engine, config: DiscoveryConfig | None = None) -> None:
-        self.engine = engine
+    def __init__(self, config: DiscoveryConfig | None = None) -> None:
         self.config = config or DiscoveryConfig()
         self.config.validate()
-        self.trie = TokenRadixTrie(
-            max_tokens=self.config.max_trie_tokens, on_evict=self._on_trie_evict
-        )
+        self.trie = TokenRadixTrie(max_tokens=self.config.max_trie_tokens)
         self.stats = MinerStats()
         self.last_promotion_error: str | None = None
         # Promotion calls into the engine (store + fastpath locks) while
@@ -91,16 +90,20 @@ class ReuseMiner:
 
     # -- observation & promotion -------------------------------------------------
 
-    def observe(self, token_ids) -> None:
-        """Record one served sequence; promote any node that newly
-        crosses the thresholds."""
+    def observe(self, token_ids, engine) -> None:
+        """Record one served sequence: demote the modules of promoted
+        nodes the trie pruned (``engine.unregister_discovered_module``),
+        then promote any node that newly crosses the thresholds
+        (``engine.register_discovered_module``)."""
         with self._lock:
             self.stats.observed_sequences += 1
             self.stats.observed_tokens += len(token_ids)
-            path = self.trie.insert(token_ids)
-            self._maybe_promote(path)
+            path, pruned = self.trie.insert(token_ids)
+            for node in pruned:
+                self._demote(node, engine)
+            self._maybe_promote(path, engine)
 
-    def _maybe_promote(self, path: list[TrieNode]) -> None:
+    def _maybe_promote(self, path: list[TrieNode], engine) -> None:
         # guarded-by: self._lock
         # Only extend the promoted chain at its tip: nodes above the
         # deepest already-promoted node are permanently ineligible (their
@@ -121,19 +124,19 @@ class ReuseMiner:
                 node.hits >= self.config.min_hits
                 and node.end - prev_end >= self.config.min_tokens
             ):
-                if self._promote(node, prev_end, ancestors):
+                if self._promote(node, prev_end, ancestors, engine):
                     prev_end = node.end
                     ancestors.append(node.module_name)
             # A node that fails the length test stays unpromoted, but a
             # deeper node may still qualify with a segment spanning it.
 
-    def _promote(self, node: TrieNode, start: int, ancestors: list[str]) -> bool:
+    def _promote(self, node: TrieNode, start: int, ancestors: list[str], engine) -> bool:
         # guarded-by: self._lock
         self._seq += 1
         name = f"seg{self._seq:04d}"
         prefix = node.path_tokens()
         try:
-            self.engine.register_discovered_module(
+            engine.register_discovered_module(
                 name, prefix, start, ancestors=tuple(ancestors)
             )
         except Exception as exc:
@@ -150,11 +153,11 @@ class ReuseMiner:
         self.stats.promotions += 1
         return True
 
-    def _on_trie_evict(self, node: TrieNode, reason: str) -> None:
-        # guarded-by: self._lock (eviction only runs inside insert)
+    def _demote(self, node: TrieNode, engine) -> None:
+        # guarded-by: self._lock
         if not node.promoted or node.module_name is None:
             return
-        self.engine.unregister_discovered_module(node.module_name, reason=reason)
+        engine.unregister_discovered_module(node.module_name)
         self._module_count -= 1
         self.stats.demotions += 1
         node.promoted = False

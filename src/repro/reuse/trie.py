@@ -21,7 +21,8 @@ Design points:
   used leaf first — its one retention rule. Evicting an interior node
   would orphan its subtree, so only leaves are candidates; pruning a
   leaf re-merges its parent with a single surviving sibling to keep
-  compression canonical.
+  compression canonical. ``insert`` returns the nodes it pruned; the
+  trie calls nobody back.
 - **Deterministic.** Recency is a logical access counter, not a clock,
   so tests and the miner's promotion policy are reproducible.
 
@@ -34,8 +35,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-
-EVICT_CAPACITY = "capacity"
 
 
 @dataclass
@@ -101,23 +100,23 @@ class MatchResult:
 class TokenRadixTrie:
     """Path-compressed token trie with LRU leaf eviction."""
 
-    def __init__(self, max_tokens: int | None = None, on_evict=None) -> None:
+    def __init__(self, max_tokens: int | None = None) -> None:
         self.max_tokens = max_tokens
-        # Called with (node, reason) for every pruned node; the miner
-        # uses it to demote the node's discovered module.
-        self.on_evict = on_evict
         self.root = TrieNode((), None, 0)
         self.stats = TrieStats()
         self._access = itertools.count(1)
 
     # -- insertion ---------------------------------------------------------------
 
-    def insert(self, token_ids) -> list[TrieNode]:
-        """Insert a sequence, splitting runs at divergence points.
+    def insert(self, token_ids) -> tuple[list[TrieNode], list[TrieNode]]:
+        """Insert a sequence, splitting runs at divergence points, then
+        prune least recently used leaves down to ``max_tokens``.
 
         Returns the node path whose runs the sequence fully covers, root
-        side first — the candidates the miner scans for promotion. Every
-        returned node's hit count and recency are refreshed.
+        side first — the candidates the miner scans for promotion — and
+        the pruned nodes, in pruning order (the miner demotes the promoted
+        ones). Every returned path node's hit count and recency are
+        refreshed.
         """
         tokens = tuple(int(t) for t in token_ids)
         self.stats.inserts += 1
@@ -155,8 +154,7 @@ class TokenRadixTrie:
             # Loop continues; next iteration either finds no child for
             # tokens[i] (new leaf) or never matches (split node's other
             # half starts with a different token).
-        self._enforce_limits()
-        return covered
+        return covered, self._enforce_limits()
 
     def _split(self, node: TrieNode, at: int) -> TrieNode:
         """Split ``node``'s run after ``at`` tokens; returns the new upper
@@ -227,12 +225,16 @@ class TokenRadixTrie:
 
     # -- eviction ----------------------------------------------------------------
 
-    def _enforce_limits(self) -> None:
+    def _enforce_limits(self) -> list[TrieNode]:
+        pruned: list[TrieNode] = []
         while self.max_tokens is not None and self.stats.token_count > self.max_tokens:
             leaves = [n for n in self.nodes() if n.is_leaf()]
             if not leaves:
-                return
-            self._prune(min(leaves, key=lambda n: n.last_used_at))
+                break
+            node = min(leaves, key=lambda n: n.last_used_at)
+            self._prune(node)
+            pruned.append(node)
+        return pruned
 
     def _prune(self, node: TrieNode) -> None:
         parent = node.parent
@@ -241,8 +243,6 @@ class TokenRadixTrie:
         self.stats.node_count -= 1
         self.stats.token_count -= len(node.tokens)
         self.stats.evictions += 1
-        if self.on_evict is not None:
-            self.on_evict(node, EVICT_CAPACITY)
         self._maybe_merge(parent)
 
     def _maybe_merge(self, node: TrieNode) -> None:

@@ -33,14 +33,16 @@ Design:
   two threads share.
 - **Observability.** Every lifecycle edge lands in a
   :class:`~repro.server.metrics.MetricsRegistry` (Prometheus text / JSON
-  snapshots) and a bounded structured trace log. Store evictions are
-  wired in via ``CacheTier.add_evict_listener``.
+  snapshots) and a bounded structured trace log. While the server runs,
+  store evictions, miss-fetch errors and plan-cache events reach it
+  through listeners ``start`` registers on the engine and ``stop``
+  removes; they hold the metrics registry, not the server, so a stopped
+  server and its engine are freed as soon as they are dropped.
 """
 
 from __future__ import annotations
 
 import asyncio
-import gc
 import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -48,7 +50,6 @@ from dataclasses import dataclass
 from functools import partial
 
 from repro.cache.engine import PromptCache
-from repro.cache.storage import EVICT_CAPACITY
 from repro.pml.errors import PMLError, UnknownSchemaError
 from repro.pml.parser import parse_prompt
 from repro.server.batcher import CacheAwareBatcher
@@ -79,6 +80,7 @@ DEFAULT_MAX_NEW_TOKENS = 16  # a submit that names no budget
 INITIAL_SERVICE_S = 0.05  # EWMA seed before any observation
 SERVICE_TIME_ALPHA = 0.25  # EWMA smoothing for per-request time
 TRACE_LOG_LIMIT = 10_000  # trace records kept, newest last
+EVICT_REASON = "capacity"  # the one eviction cause; the metrics label
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,13 @@ class LiveServer:
         self._queue_labels: set[str] = set()
         self._last_done_at: float | None = None
         self._decode_rate_ewma = 0.0
-        self._wire_store_metrics()
+        # (remove, listener) for each listener start() registered.
+        self._listeners: list[tuple] = []
+        for tier in (pc.store.gpu, pc.store.cpu):
+            # Pre-create the series so scrapes see zeroes before the
+            # first eviction rather than an absent family.
+            self._eviction_counters(tier)
+        self.refresh_store_gauges()
 
     @property
     def inflight(self) -> int:
@@ -144,14 +152,7 @@ class LiveServer:
     async def start(self) -> "LiveServer":
         if self._running:
             return self
-        # One full collection before the steady state. Engines and servers
-        # are cyclic (store listeners, miner, metrics closures), so whatever
-        # this process built and dropped earlier — a previous server on the
-        # same engine, a discarded engine with its module KV — is reclaimed
-        # only by a generation-2 pass, and the batched decode step allocates
-        # too few containers to trigger one soon: measured on `mix`, ~75 MB
-        # of dead engine sat under the serving peak. ~10 ms at ~30 k objects.
-        gc.collect()
+        self._add_listeners()
         # One engine thread of its own: asyncio's default pool grows a
         # second one for an upkeep tick due mid-step, which then runs
         # beside the iteration with a malloc arena of its own (+60 MB of
@@ -195,10 +196,9 @@ class LiveServer:
             self._wake.set()
         if self._maintenance_task is not None:
             self._maintenance_task.cancel()
-            try:
-                await self._maintenance_task
-            except asyncio.CancelledError:
-                pass
+            # Wait without raising: a CancelledError caught here would
+            # keep this frame, and the server, in its traceback.
+            await asyncio.wait([self._maintenance_task])
             self._maintenance_task = None
         if self._worker_task is not None:
             await self._worker_task
@@ -221,6 +221,7 @@ class LiveServer:
             request.finish(FAILED, error=ServerClosed("server stopped"))
             self._count_outcome("failed")
             self._record(request)
+        self._remove_listeners()
 
     async def join(self) -> None:
         """Wait until the queue and the engine are both idle."""
@@ -690,57 +691,65 @@ class LiveServer:
         if len(self.trace_log) > TRACE_LOG_LIMIT:
             del self.trace_log[: len(self.trace_log) - TRACE_LOG_LIMIT]
 
-    def _wire_store_metrics(self) -> None:
-        store = self.pc.store
-        for tier in (store.gpu, store.cpu):
-            # Pre-create the series so scrapes see zeroes before the
-            # first eviction rather than an absent family.
+    def _eviction_counters(self, tier) -> tuple:
+        return (
             self.metrics.counter(
                 "cache_evictions_total", "module-store evictions",
-                tier=tier.name, reason=EVICT_CAPACITY,
-            )
+                tier=tier.name, reason=EVICT_REASON,
+            ),
             self.metrics.counter(
                 "cache_evicted_bytes_total", "bytes evicted from the store",
-                tier=tier.name, reason=EVICT_CAPACITY,
-            )
+                tier=tier.name, reason=EVICT_REASON,
+            ),
+        )
 
-            def on_evict(entry, reason, _tier=tier.name):
-                self.metrics.counter(
-                    "cache_evictions_total", "module-store evictions",
-                    tier=_tier, reason=reason,
-                ).inc()
-                self.metrics.counter(
-                    "cache_evicted_bytes_total", "bytes evicted from the store",
-                    tier=_tier, reason=reason,
-                ).inc(entry.nbytes)
+    def _add_listeners(self) -> None:
+        """Export store evictions, miss-fetch errors and the engine's
+        compiled-plan cache events as counters, until ``stop``. The
+        listeners close over the metrics registry alone."""
+        metrics = self.metrics
+        store = self.pc.store
+        for tier in (store.gpu, store.cpu):
+            evictions, evicted_bytes = self._eviction_counters(tier)
+
+            def on_evict(entry, evictions=evictions, evicted_bytes=evicted_bytes):
+                evictions.inc()
+                evicted_bytes.inc(entry.nbytes)
 
             tier.add_evict_listener(on_evict)
+            self._listeners.append((tier.remove_evict_listener, on_evict))
 
         def on_fetch_error(key, exc):
-            self.metrics.counter(
+            metrics.counter(
                 "cache_miss_fetch_errors_total",
                 "miss-fetcher exceptions by exception type",
                 reason=type(exc).__name__,
             ).inc()
 
         store.add_fetch_error_listener(on_fetch_error)
-        self._wire_plan_cache_metrics()
-        self.refresh_store_gauges()
-
-    def _wire_plan_cache_metrics(self) -> None:
-        """Export the engine's compiled-plan cache events as counters."""
+        self._listeners.append((store.remove_fetch_error_listener, on_fetch_error))
         add_listener = getattr(self.pc, "add_plan_cache_listener", None)
         if add_listener is None:  # stub engines in tests
             return
         counters = {
-            event: self.metrics.counter(
+            event: metrics.counter(
                 "plan_cache_events_total",
                 "compiled-plan cache hits/misses/invalidations",
                 event=event,
             )
             for event in ("hit", "miss", "invalidation")
         }
-        add_listener(lambda event: counters[event].inc())
+
+        def on_plan_event(event):
+            counters[event].inc()
+
+        add_listener(on_plan_event)
+        self._listeners.append((self.pc.remove_plan_cache_listener, on_plan_event))
+
+    def _remove_listeners(self) -> None:
+        for remove, listener in self._listeners:
+            remove(listener)
+        self._listeners.clear()
 
     def refresh_store_gauges(self) -> None:
         """Mirror the module store's counters into the registry."""

@@ -88,7 +88,7 @@ class Walk:
         for tier in (self.store.gpu, self.store.cpu):
             tier.add_evict_listener(self.on_evict)
 
-    def on_evict(self, victim, reason: str) -> None:
+    def on_evict(self, victim) -> None:
         """A victim held nowhere afterwards is lost — never with a
         snapshot directory, to capacity without one."""
         key = victim.key

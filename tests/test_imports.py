@@ -122,7 +122,7 @@ def test_option_surface_is_pinned():
         "name", "capacity_bytes", "lock",
     ]
     assert list(inspect.signature(TokenRadixTrie.__init__).parameters)[1:] == [
-        "max_tokens", "on_evict",
+        "max_tokens",
     ]
     assert [f.name for f in dataclasses.fields(DiscoveryConfig)] == [
         "min_hits", "min_tokens", "max_modules", "max_trie_tokens",

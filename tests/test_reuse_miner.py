@@ -24,7 +24,7 @@ class StubEngine:
 
     def __init__(self, fail_first: int = 0) -> None:
         self.registered: dict[str, tuple[tuple[int, ...], int, tuple[str, ...]]] = {}
-        self.unregistered: list[tuple[str, str | None]] = []
+        self.unregistered: list[str] = []
         self._fail_remaining = fail_first
 
     def register_discovered_module(self, name, prefix_tokens, start, ancestors=()):
@@ -33,13 +33,12 @@ class StubEngine:
             raise RuntimeError("store pressure")
         self.registered[name] = (tuple(prefix_tokens), start, tuple(ancestors))
 
-    def unregister_discovered_module(self, name, reason=None):
-        self.unregistered.append((name, reason))
+    def unregister_discovered_module(self, name):
+        self.unregistered.append(name)
 
 
-def miner(engine=None, **overrides) -> ReuseMiner:
-    config = DiscoveryConfig(**{"min_hits": 2, "min_tokens": 4, **overrides})
-    return ReuseMiner(engine if engine is not None else StubEngine(), config)
+def miner(**overrides) -> ReuseMiner:
+    return ReuseMiner(DiscoveryConfig(**{"min_hits": 2, "min_tokens": 4, **overrides}))
 
 
 SHARED = list(range(100, 112))  # 12-token shared prefix
@@ -48,16 +47,16 @@ SHARED = list(range(100, 112))  # 12-token shared prefix
 class TestThresholds:
     def test_no_promotion_below_min_hits(self):
         engine = StubEngine()
-        m = miner(engine, min_hits=3)
-        m.observe(SHARED + [1])
-        m.observe(SHARED + [2])
+        m = miner(min_hits=3)
+        m.observe(SHARED + [1], engine)
+        m.observe(SHARED + [2], engine)
         assert not engine.registered
 
     def test_promotes_at_min_hits(self):
         engine = StubEngine()
-        m = miner(engine, min_hits=2)
-        m.observe(SHARED + [1])
-        m.observe(SHARED + [2])
+        m = miner(min_hits=2)
+        m.observe(SHARED + [1], engine)
+        m.observe(SHARED + [2], engine)
         (prefix, start, ancestors), = engine.registered.values()
         assert prefix == tuple(SHARED)
         assert start == 0 and ancestors == ()
@@ -65,17 +64,17 @@ class TestThresholds:
 
     def test_no_promotion_below_min_tokens(self):
         engine = StubEngine()
-        m = miner(engine, min_tokens=64)
+        m = miner(min_tokens=64)
         for i in range(5):
-            m.observe(SHARED + [i])
+            m.observe(SHARED + [i], engine)
         assert not engine.registered
 
     def test_max_modules_cap(self):
         engine = StubEngine()
-        m = miner(engine, max_modules=1)
+        m = miner(max_modules=1)
         for i in range(3):
-            m.observe(SHARED + [i])
-            m.observe(list(range(200, 212)) + [i])
+            m.observe(SHARED + [i], engine)
+            m.observe(list(range(200, 212)) + [i], engine)
         assert len(engine.registered) == 1
 
     def test_config_validation(self):
@@ -88,12 +87,12 @@ class TestThresholds:
 class TestChainTiling:
     def test_deeper_segment_starts_at_previous_boundary(self):
         engine = StubEngine()
-        m = miner(engine)
+        m = miner()
         extended = SHARED + list(range(300, 308))
-        m.observe(SHARED + [1])
-        m.observe(SHARED + [2])  # promotes [0, 12)
-        m.observe(extended + [1])
-        m.observe(extended + [2])  # promotes [12, 20) on the same path
+        m.observe(SHARED + [1], engine)
+        m.observe(SHARED + [2], engine)  # promotes [0, 12)
+        m.observe(extended + [1], engine)
+        m.observe(extended + [2], engine)  # promotes [12, 20) on the same path
         starts = sorted(start for _, start, _ in engine.registered.values())
         assert starts == [0, 12]
         deeper = [
@@ -109,15 +108,15 @@ class TestChainTiling:
         engine = StubEngine()
         # min_tokens small so the shallow split node would qualify if the
         # tip-extension rule did not exclude it.
-        m = miner(engine, min_hits=2, min_tokens=2)
+        m = miner(min_hits=2, min_tokens=2)
         deep = SHARED + list(range(300, 306))
-        m.observe(deep)
-        m.observe(deep)  # promotes the full deep path [0, 18)
+        m.observe(deep, engine)
+        m.observe(deep, engine)  # promotes the full deep path [0, 18)
         registered_before = set(engine.registered)
         # Diverge inside the promoted run: the split creates a shallower
         # node that keeps the hit stats — still not promotable.
         for i in range(4):
-            m.observe(SHARED[:6] + [900 + i])
+            m.observe(SHARED[:6] + [900 + i], engine)
         new = {
             name: engine.registered[name]
             for name in set(engine.registered) - registered_before
@@ -129,10 +128,10 @@ class TestChainTiling:
 
     def test_observed_paths_promote_chain_that_tiles(self):
         engine = StubEngine()
-        m = miner(engine, min_hits=2, min_tokens=4)
+        m = miner(min_hits=2, min_tokens=4)
         a = SHARED + list(range(300, 310))
         for seq in (SHARED, SHARED, a, a, a + [1], a + [2]):
-            m.observe(seq)
+            m.observe(seq, engine)
         # Every registered segment chain tiles from 0 with no gaps.
         segs = sorted(
             (start, len(prefix)) for prefix, start, _ in engine.registered.values()
@@ -146,17 +145,16 @@ class TestChainTiling:
 class TestDemotionAndFailure:
     def test_trie_eviction_demotes_module(self):
         engine = StubEngine()
-        m = miner(engine, max_trie_tokens=16, min_tokens=4, min_hits=2)
-        m.observe(SHARED)
-        m.observe(SHARED)  # promoted, 12 tokens resident
+        m = miner(max_trie_tokens=16, min_tokens=4, min_hits=2)
+        m.observe(SHARED, engine)
+        m.observe(SHARED, engine)  # promoted, 12 tokens resident
         assert len(engine.registered) == 1
         # Unrelated traffic blows the token budget; the promoted leaf is
         # the eviction victim and must be demoted.
-        m.observe(list(range(400, 412)))
-        m.observe(list(range(500, 512)))
+        m.observe(list(range(400, 412)), engine)
+        m.observe(list(range(500, 512)), engine)
         assert engine.unregistered, "eviction did not demote"
-        name, reason = engine.unregistered[0]
-        assert name in {"seg0001"} and reason == "capacity"
+        assert engine.unregistered[0] == "seg0001"
         assert m.stats.demotions == 1
         assert m.snapshot()["modules"] == len(engine.registered) - len(
             engine.unregistered
@@ -164,21 +162,21 @@ class TestDemotionAndFailure:
 
     def test_failed_registration_retries_and_is_counted(self):
         engine = StubEngine(fail_first=1)
-        m = miner(engine, min_hits=2)
-        m.observe(SHARED + [1])
-        m.observe(SHARED + [2])  # first attempt fails
+        m = miner(min_hits=2)
+        m.observe(SHARED + [1], engine)
+        m.observe(SHARED + [2], engine)  # first attempt fails
         assert not engine.registered
         assert m.stats.failed_promotions == 1
         assert "store pressure" in (m.last_promotion_error or "")
-        m.observe(SHARED + [3])  # retried on the next observation
+        m.observe(SHARED + [3], engine)  # retried on the next observation
         assert len(engine.registered) == 1
         assert m.stats.promotions == 1
 
     def test_match_and_matched_prefix_len(self):
         engine = StubEngine()
-        m = miner(engine, min_hits=2)
-        m.observe(SHARED + [1])
-        m.observe(SHARED + [2])
+        m = miner(min_hits=2)
+        m.observe(SHARED + [1], engine)
+        m.observe(SHARED + [2], engine)
         names = m.match(SHARED + [5, 6])
         assert names == list(engine.registered)
         assert m.matched_prefix_len(SHARED + [5, 6]) == len(SHARED)
@@ -186,8 +184,9 @@ class TestDemotionAndFailure:
         assert m.matched_prefix_len([9, 9, 9]) == 0
 
     def test_snapshot_shape(self):
+        engine = StubEngine()
         m = miner()
-        m.observe(SHARED)
+        m.observe(SHARED, engine)
         snap = m.snapshot()
         for key in (
             "trie_nodes", "trie_tokens", "modules", "promotions", "demotions",

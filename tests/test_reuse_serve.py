@@ -93,7 +93,7 @@ class TestByteIdentity:
         # the same one-module chain.
         pc.attach_discovery(discovery_config(min_tokens=20))
         for text in PROMPTS:
-            pc.discovery.observe(tok.encode(text))
+            pc.discovery.observe(tok.encode(text), pc)
         assert pc.discovery.stats.promotions == 1
         batch = [pc.serve_text(t, max_new_tokens=4, observe=False) for t in PROMPTS]
         for text, result in zip(PROMPTS, batch):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.reuse.trie import EVICT_CAPACITY, TokenRadixTrie
+from repro.reuse.trie import TokenRadixTrie
 
 sequences = st.lists(
     st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=12),
@@ -60,7 +60,7 @@ class TestRoundTrip:
     def test_covered_path_tiles_the_sequence(self, seqs):
         trie = TokenRadixTrie()
         for seq in seqs:
-            path = trie.insert(seq)
+            path, _ = trie.insert(seq)
             offset = 0
             for node in path:
                 assert node.start == offset
@@ -136,18 +136,14 @@ class TestEviction:
         assert trie.longest_prefix([3, 3, 3]).length == 3
 
     def test_capacity_eviction_cascades_into_a_promoted_parent(self):
-        evicted: list[tuple] = []
-        trie = TokenRadixTrie(
-            max_tokens=4,
-            on_evict=lambda node, reason: evicted.append((node.tokens, reason)),
-        )
-        trie.insert([1, 2, 3])
-        trie.insert([1, 2, 9])  # splits: [1,2] interior + two leaves
+        trie = TokenRadixTrie(max_tokens=4)
+        assert trie.insert([1, 2, 3])[1] == []
+        assert trie.insert([1, 2, 9])[1] == []  # splits: [1,2] interior + two leaves
         # Promote the interior node: it cannot re-merge away, so once its
         # children are evicted it is a leaf, and the coldest one.
         trie.longest_prefix([1, 2]).path[0].promoted = True
-        trie.insert([5, 6, 7, 8])
-        assert evicted == [((3,), EVICT_CAPACITY), ((9,), EVICT_CAPACITY), ((1, 2), EVICT_CAPACITY)]
+        _, pruned = trie.insert([5, 6, 7, 8])
+        assert [node.tokens for node in pruned] == [(3,), (9,), (1, 2)]
         assert trie.stats.node_count == 1 and trie.stats.token_count == 4
         assert trie.longest_prefix([5, 6, 7, 8]).length == 4
 

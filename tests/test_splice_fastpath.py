@@ -187,7 +187,7 @@ class TestEvictionInvalidatesByIndex:
         for other in [k for k in tier.keys() if k != key]:
             tier.get(other)  # ...now least
         tier.capacity_bytes = tier.used_bytes  # full as it stands
-        tier.put(CacheKey("pressure", "p"), _Bytes(tier.peek(key).nbytes))
+        pc.store.put(CacheKey("pressure", "p"), _Bytes(tier.peek(key).nbytes))
         tier.capacity_bytes = None
         tier.remove(CacheKey("pressure", "p"))
         assert key not in pc.store and tier.stats.evictions == 1

@@ -265,7 +265,7 @@ class TestConcurrency:
         # The listener re-enters the store while the evicting tier holds the
         # lock — the shared RLock must make this safe, not deadlock.
         store.gpu.add_evict_listener(
-            lambda victim, reason: seen.append(victim.key.module) or store.cpu.keys()
+            lambda victim: seen.append(victim.key.module) or store.cpu.keys()
         )
         for name in ("a", "b", "c"):
             store.put(key(name), make_kv(10))
@@ -308,17 +308,16 @@ class TestPerTierPolicyAndReasons:
             tier.put(key("c"), make_kv(10))
             assert tier.keys() == [key("a"), key("c")], name
 
-    def test_capacity_eviction_reports_reason_capacity(self):
-        reasons: list[str] = []
+    def test_capacity_victim_reaches_listeners_after_demotion(self):
+        resident: list[bool] = []
         store = ModuleCacheStore(gpu_capacity_bytes=2 * KV_BYTES + 10)
-        store.gpu.add_evict_listener(
-            lambda entry, reason: reasons.append(reason)
-        )
+        store.gpu.add_evict_listener(lambda entry: resident.append(entry.key in store.cpu))
         for name in ("a", "b", "c"):
             store.put(key(name), make_kv(10))
-        assert reasons == ["capacity"]
-        # Capacity victims demote: still servable from the CPU tier.
-        assert len(store.cpu.keys()) == 1
+        # Capacity victims demote first: the listener sees the victim
+        # already servable from the CPU tier.
+        assert resident == [True]
+        assert store.cpu.keys() == [key("a")]
 
 
 class TestVictimsDramCannotTake:
@@ -332,9 +331,7 @@ class TestVictimsDramCannotTake:
         seen = []
         for tier in (store.gpu, store.cpu):
             tier.add_evict_listener(
-                lambda victim, reason, name=tier.name: seen.append(
-                    (name, victim.key.module, reason)
-                )
+                lambda victim, name=tier.name: seen.append((name, victim.key.module))
             )
         return seen
 
@@ -349,7 +346,7 @@ class TestVictimsDramCannotTake:
             store.put(key(name), kv)
         assert store.gpu.keys() == [key("b"), key("c")] and not store.cpu.keys()
         assert store.gpu.stats.evictions == 1
-        assert seen == [("gpu", "a", "capacity")]
+        assert seen == [("gpu", "a")]
         assert store.snapshot_backed(key("a")) is spill
         found = store.fetch(key("a"))
         if not spill:
@@ -357,7 +354,7 @@ class TestVictimsDramCannotTake:
             return
         assert found.source == "snapshot" and found.tier == "gpu"
         assert np.array_equal(found.entry.kv.key_arena, kvs["a"].ensure_arena().key_arena)
-        assert seen[1:] == [("gpu", "b", "capacity")]  # b made room, b spilled
+        assert seen[1:] == [("gpu", "b")]  # b made room, b spilled
         assert store.snapshot_backed(key("b"))
 
     @pytest.mark.parametrize("spill", [False, True], ids=["dropped", "spilled"])
@@ -371,5 +368,5 @@ class TestVictimsDramCannotTake:
         for name in "bc":
             store.put(key(name), make_kv(10))
         assert key("a") not in store and store.cpu.keys() == [key("held")]
-        assert seen == [("gpu", "a", "capacity")]
+        assert seen == [("gpu", "a")]
         assert store.snapshot_backed(key("a")) is spill
