@@ -1,12 +1,9 @@
-"""Live serving runtime — measured TTFT under load vs. the simulator (§6).
+"""Live serving runtime — measured TTFT under load (§6).
 
-Where ``bench_serving_simulation`` predicts serving behavior with an
-analytical device model, this benchmark *measures* it: the asyncio
-runtime (`repro.server.LiveServer`) drives the real NumPy engine with an
-open-loop Poisson trace, and the identical trace is replayed through the
-simulator calibrated to this host. Reported per arrival rate: measured
-vs predicted TTFT percentiles, shed load, and the cached-token fraction
-the runtime actually achieved.
+The asyncio runtime (`repro.server.LiveServer`) drives the real NumPy
+engine with an open-loop Poisson trace. Reported per arrival rate:
+measured TTFT percentiles, shed load, and the cached-token fraction the
+runtime actually achieved.
 """
 
 from __future__ import annotations
@@ -15,9 +12,8 @@ import asyncio
 
 from repro.bench import emit, format_table
 from repro.cache.engine import PromptCache
-from repro.hw.calibrate import calibrate_host
 from repro.pml.chat import PLAIN_TEMPLATE
-from repro.serving import SchemaProfile, SimConfig, simulate, synthesize_trace
+from repro.serving import SchemaProfile, synthesize_trace
 from repro.server import LiveServer, ServeOptions, build_workload, run_open_loop
 
 RATES = [4.0, 12.0]
@@ -41,33 +37,26 @@ def test_live_serving(benchmark, tok, tiny_model):
     pc = PromptCache(tiny_model, tok, template=PLAIN_TEMPLATE)
     workload = build_workload(PROFILES, tok, seed=SEED)
     workload.register(pc)
-    host = calibrate_host().spec
-    sim_cfg = SimConfig(model=pc.model.config, device=host, mode="prompt-cache")
 
     rows = []
     for rate in RATES:
         trace = synthesize_trace(PROFILES, rate, DURATION_S, seed=SEED)
         report = asyncio.run(_drive(pc, workload, trace))
-        predicted = simulate(trace, sim_cfg)
         rows.append([
             rate, len(trace), report.completed, report.rejected,
             round(1000 * report.ttft_percentile(50), 1),
             round(1000 * report.ttft_percentile(95), 1),
-            round(1000 * predicted.ttft_percentile(50), 1),
-            round(1000 * predicted.ttft_percentile(95), 1),
             round(report.cached_token_fraction, 2),
         ])
 
     emit(
         "live_serving",
         format_table(
-            "Live runtime vs simulator: tiny engine, host-calibrated device",
+            "Live runtime: tiny engine",
             ["rate_rps", "requests", "completed", "rejected",
-             "live_p50_ms", "live_p95_ms", "sim_p50_ms", "sim_p95_ms",
-             "cached_frac"],
+             "live_p50_ms", "live_p95_ms", "cached_frac"],
             rows,
-            note="open-loop Poisson trace; identical trace replayed through "
-            "the event simulator with a roofline model of this host",
+            note="open-loop Poisson trace",
         ),
     )
     for row in rows:

@@ -15,8 +15,7 @@ import pytest
 from repro.bench import emit, format_table
 from repro.cache.encoder import encode_module
 from repro.cache.layout import layout_schema
-from repro.hw.allocator import mb_per_token, module_bytes
-from repro.llm.config import paper_config
+from repro.llm.config import ModelConfig, paper_config
 from repro.pml import Schema
 
 TABLE2 = [
@@ -24,6 +23,18 @@ TABLE2 = [
     ("llama2-13b", 0.78), ("mpt-30b", 1.31), ("falcon-40b", 1.87),
     ("llama2-70b", 2.50), ("falcon-180b", 4.53),
 ]
+
+
+def module_bytes(config: ModelConfig, n_tokens: int, bytes_per_element: int = 2) -> int:
+    """Bytes to cache one ``n_tokens`` prompt module for ``config``: K and
+    V across all layers, full KV width, the paper's fp16 accounting."""
+    return n_tokens * config.kv_bytes_per_token(bytes_per_element)
+
+
+def mb_per_token(config: ModelConfig, bytes_per_element: int = 2) -> float:
+    """Table 2's headline number. The paper's figures divide by 2^20
+    (0.50 for Llama2-7B = 524288 / 1048576), i.e. MiB labelled "MB"."""
+    return config.kv_bytes_per_token(bytes_per_element) / (1024 * 1024)
 
 
 def table2_rows():

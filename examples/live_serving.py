@@ -1,4 +1,4 @@
-"""Live serving runtime vs. the simulator's prediction (paper §6).
+"""Live serving runtime: steady state and overload shedding (paper §6).
 
 Run:  python examples/live_serving.py
 
@@ -7,9 +7,7 @@ Two phases over the same seeded schema pool, both driven through
 and sheds requests against the *real* engine:
 
 1. **Steady state** — an open-loop Poisson trace at a sustainable rate is
-   served live, then the identical trace is replayed through the
-   event-driven simulator using a roofline model calibrated to this host;
-   measured and predicted TTFT land side by side.
+   served live; TTFT percentiles and the GPU tier's hit rate are printed.
 2. **Overload** — the arrival rate is pushed far past the engine's
    capacity. The bounded admission queue and queue-delay budget shed the
    excess with typed ``Overloaded`` rejections while the runtime keeps
@@ -25,9 +23,8 @@ import asyncio
 
 from repro import PromptCache, build_model, tiny_config
 from repro.cache.storage import ModuleCacheStore
-from repro.hw.calibrate import calibrate_host
 from repro.pml.chat import PLAIN_TEMPLATE
-from repro.serving import SchemaProfile, SimConfig, simulate, synthesize_trace
+from repro.serving import SchemaProfile, synthesize_trace
 from repro.server import LiveServer, ServeOptions, build_workload, run_open_loop
 from repro.tokenizer import default_tokenizer
 
@@ -63,22 +60,14 @@ async def drive(pc, workload, trace, options):
 def main() -> None:
     pc, workload = build_engine()
 
-    # Phase 1: steady state, live vs simulated prediction for one trace.
+    # Phase 1: steady state.
     steady = synthesize_trace(PROFILES, rate_rps=12.0, duration_s=2.0, seed=SEED)
     options = ServeOptions(max_queue_depth=32, queue_delay_budget_s=2.0)
     server, live = asyncio.run(drive(pc, workload, steady, options))
 
-    host = calibrate_host().spec
-    sim_cfg = SimConfig(model=pc.model.config, device=host, mode="prompt-cache",
-                        gpu_capacity_bytes=GPU_BUDGET)
-    predicted = simulate(steady, sim_cfg)
-
     print(f"steady trace: {len(steady)} requests @ 12/s")
-    print(f"{'':16} {'TTFT p50':>10} {'TTFT p95':>10}")
-    print(f"{'live runtime':16} {1000 * live.ttft_percentile(50):>8.1f}ms "
-          f"{1000 * live.ttft_percentile(95):>8.1f}ms")
-    print(f"{'simulator':16} {1000 * predicted.ttft_percentile(50):>8.1f}ms "
-          f"{1000 * predicted.ttft_percentile(95):>8.1f}ms")
+    print(f"TTFT p50 {1000 * live.ttft_percentile(50):.1f}ms   "
+          f"p95 {1000 * live.ttft_percentile(95):.1f}ms")
     print(f"cache hit-rate (gpu tier): {pc.store.gpu.stats.hit_rate:.2f}")
     assert live.cached_token_fraction > 0, "live run must hit the cache"
 

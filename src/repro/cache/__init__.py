@@ -1,8 +1,7 @@
 """Prompt Cache core: layout, encoding, storage, and cached inference."""
 
 from repro.cache.batch import BatchFootprint, BatchRequest, batch_footprint, max_batch_size
-from repro.cache.compress import CODECS, Fp16Codec, IdentityCodec, Int8Codec, KVCodec
-from repro.cache.persist import SaveReport, load_store, save_store
+from repro.cache.persist import load_store, save_store
 from repro.cache.engine import (
     BatchServeResult,
     PromptCache,
@@ -21,6 +20,7 @@ from repro.cache.storage import (
     CacheEntry,
     CacheKey,
     CacheTier,
+    CapacityError,
     FetchResult,
     ModuleCacheStore,
     SOLO_VARIANT,
@@ -31,10 +31,9 @@ __all__ = [
     "PromptCache", "ServeResult", "RegisteredSchema", "BatchServeResult",
     "GenerationSession", "Turn", "SessionResult", "start_session",
     "BatchRequest", "BatchFootprint", "batch_footprint", "max_batch_size",
-    "KVCodec", "IdentityCodec", "Fp16Codec", "Int8Codec", "CODECS",
-    "save_store", "load_store", "SaveReport",
+    "save_store", "load_store",
     "encode_module", "encode_scaffold", "drop_param_slots",
     "SchemaLayout", "ModuleLayout", "ParamSlot", "layout_schema",
-    "ModuleCacheStore", "CacheTier", "CacheKey", "CacheEntry",
+    "ModuleCacheStore", "CacheTier", "CacheKey", "CacheEntry", "CapacityError",
     "FetchResult", "TierStats", "SOLO_VARIANT",
 ]

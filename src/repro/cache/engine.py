@@ -119,7 +119,7 @@ class ServeResult:
     uncached_tokens: int
     ttft_s: float
     splice_s: float  # cache lookup + KV concatenation ("memcpy")
-    # Uncached-token prefill. Under the serving scheduler a stream's last
+    # Uncached-token prefill. Under the continuous scheduler a stream's last
     # chunk shares a packed forward with other streams' and each is
     # charged that whole call's wall time — as a batched decode step is
     # charged to every sequence in it.
@@ -507,9 +507,6 @@ class PromptCache:
     template:
         Chat template compiled into role tags; defaults to the model
         architecture's native template.
-    kv_codec:
-        How module K/V is stored: None (as computed), a codec name
-        (:func:`repro.cache.compress.codec`) or a codec.
 
     Every encode — eager registration, a lazy first use, a re-encode
     after eviction — runs in-process, one module forward at a time (its
@@ -523,20 +520,11 @@ class PromptCache:
         tokenizer,
         store: ModuleCacheStore | None = None,
         template: ChatTemplate | None = None,
-        kv_codec=None,
     ) -> None:
-        from repro.cache.compress import IdentityCodec, codec as codec_by_name
-
         self.model = model
         self.tokenizer = tokenizer
         self.store = store or ModuleCacheStore()
         self.template = template or template_for_architecture(model.config.architecture)
-        if kv_codec is None:
-            self.kv_codec = IdentityCodec()
-        elif isinstance(kv_codec, str):
-            self.kv_codec = codec_by_name(kv_codec)
-        else:
-            self.kv_codec = kv_codec
         self.schemas: dict[str, RegisteredSchema] = {}
         # Guards the two LRU maps, their stats, and base fork/free
         # (fork counts are not thread-safe on their own).
@@ -679,9 +667,9 @@ class PromptCache:
 
     def _ensure_encoded(
         self, registered: RegisteredSchema, name: str, variant: str
-    ) -> tuple[object, str]:
+    ) -> tuple[ModuleKV, str]:
         """Fetch a module's states, encoding on miss into the fast tier.
-        Returns (the stored object, in the codec's form; tier)."""
+        Returns (the module's K/V, tier)."""
         key = CacheKey(registered.layout.schema_name, name, variant)
         found = self.store.fetch(key)
         if found is not None:
@@ -690,23 +678,21 @@ class PromptCache:
             started = time.perf_counter()
             kv = encode_module(self.model, registered.layout.module(name))
             self.store.observe_reencode(key, len(kv), time.perf_counter() - started)
-            stored = self.kv_codec.encode(kv)
-            self.store.put(key, stored)
-            return stored, "gpu"
+            self.store.put(key, kv)
+            return kv, "gpu"
         index = int(variant.removeprefix("scaffold"))
         return self._encode_scaffold_set(registered, index)[name], "gpu"
 
     def _encode_scaffold_set(self, registered: RegisteredSchema, index: int) -> dict:
         """Encode scaffold set ``index`` — always materialized as a set —
         and store every member under its ``scaffold<index>`` variant.
-        Returns the stored objects by module name."""
+        Returns the K/V by module name."""
         layout = registered.layout
         names = registered.scaffold_sets[index]
         states = encode_scaffold(self.model, [layout.module(n) for n in names])
-        stored = {n: self.kv_codec.encode(states[n]) for n in names}
         for n in names:
-            self.store.put(CacheKey(layout.schema_name, n, f"scaffold{index}"), stored[n])
-        return stored
+            self.store.put(CacheKey(layout.schema_name, n, f"scaffold{index}"), states[n])
+        return states
 
     # -- serving ------------------------------------------------------------------
 
@@ -970,9 +956,7 @@ class PromptCache:
         if not 0 <= start < end:
             raise ValueError(f"invalid segment [{start}, {end})")
         kv = self._encode_segment(tuple(prefix_tokens), start, end, tuple(ancestors))
-        self.store.put(
-            CacheKey(DISCOVERED_SCHEMA, name, SOLO_VARIANT), self.kv_codec.encode(kv)
-        )
+        self.store.put(CacheKey(DISCOVERED_SCHEMA, name, SOLO_VARIANT), kv)
         segment = DiscoveredModule(
             name=name,
             start=start,
@@ -1027,7 +1011,7 @@ class PromptCache:
             found = self.store.fetch(CacheKey(DISCOVERED_SCHEMA, name, SOLO_VARIANT))
             if found is None:
                 return None
-            kv = self.kv_codec.decode(found.entry.kv)
+            kv = found.entry.kv
             kvs.append(kv)
             covered += len(kv)
         return kvs if covered == start else None
@@ -1097,15 +1081,15 @@ class PromptCache:
         records = []
         for i, segment in enumerate(chain):
             ancestors = tuple(s.name for s in chain[:i])
-            stored, tier = self._ensure_discovered(segment, ids, ancestors)
+            kv, tier = self._ensure_discovered(segment, ids, ancestors)
             key = CacheKey(DISCOVERED_SCHEMA, segment.name, SOLO_VARIANT)
             last = trim and segment is chain[-1]
-            records.append((key, tier, stored, partial(_drop_last, last)))
+            records.append((key, tier, kv, partial(_drop_last, last)))
         return records
 
     def _ensure_discovered(
         self, segment: DiscoveredModule, ids: list[int], ancestors: tuple
-    ) -> tuple[object, str]:
+    ) -> tuple[ModuleKV, str]:
         """Fetch a discovered module's stored KV, re-encoding from the
         observed prompt if the store dropped it (a capacity victim with
         nowhere to go) — the trie keeps the boundary, the KV self-heals on
@@ -1119,9 +1103,8 @@ class PromptCache:
             tuple(int(t) for t in ids), segment.start, segment.end, ancestors
         )
         self.store.observe_reencode(key, len(kv), time.perf_counter() - started)
-        stored = self.kv_codec.encode(kv)
-        self.store.put(key, stored)
-        return stored, "gpu"
+        self.store.put(key, kv)
+        return kv, "gpu"
 
     def _on_store_evict(self, entry) -> None:  # holds-lock: store
         """Store evict listener (runs under the store lock): once a module
@@ -1324,26 +1307,25 @@ class PromptCache:
     def _gather_module_records(
         self, registered: RegisteredSchema, plan: _Plan, use_scaffolds: bool
     ) -> list[tuple]:
-        """``(store key, tier served from, stored object, shape)`` per
+        """``(store key, tier served from, stored K/V, shape)`` per
         selected module, in document order; encodes on miss. The store
         lookups happen here; ``shape`` (slot drop, recomputed tail) waits
         for :meth:`_module_kvs`, which only a base build needs."""
         records = []
         schema_name = registered.layout.schema_name
         for mod, name, variant in self._variants_for(registered, plan, use_scaffolds):
-            stored, tier = self._ensure_encoded(registered, name, variant)
+            kv, tier = self._ensure_encoded(registered, name, variant)
             # A fully-cached prompt recomputes its tail token.
             last = plan.recompute_tail is not None and plan.recompute_tail[0] == name
             records.append((
-                CacheKey(schema_name, name, variant), tier, stored,
+                CacheKey(schema_name, name, variant), tier, kv,
                 partial(_spliced_form, mod, last),
             ))
         return records
 
     def _module_kvs(self, records: list[tuple]) -> list[ModuleKV]:
-        """Each gathered record's K/V as a splice reads it: decoded and
-        shaped."""
-        return [shape(self.kv_codec.decode(stored)) for _, _, stored, shape in records]
+        """Each gathered record's K/V as a splice reads it: shaped."""
+        return [shape(kv) for _, _, kv, shape in records]
 
     def _base_key(
         self, registered: RegisteredSchema, plan: _Plan, use_scaffolds: bool
@@ -1375,7 +1357,7 @@ class PromptCache:
         the ChunkAttention grouping key.
         """
         records = gather()
-        sources = tuple(stored for _, _, stored, _ in records)
+        sources = tuple(kv for _, _, kv, _ in records)
         tier_tokens = {"gpu": 0, "cpu": 0}
         with self._fastpath_lock:
             base = self._bases.get(key)

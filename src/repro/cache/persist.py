@@ -7,15 +7,14 @@ in one format (v2): each raw module's layer-major key/value arenas as
 plain ``.npy`` payloads that a reader can ``np.memmap`` — the key file is
 the key arena's own memory, ``(n_layers, n_kv_heads, head_dim, T)``,
 which the record labels ``key_layout``, and each file's record says
-where its data sits (``shape``, ``dtype``, ``offset``) — codec-compressed
-entries in an npz container (their tensors are rebuilt on decode anyway),
-and an ``index.json`` naming them — every file written under a temporary
-name and renamed into place.
+where its data sits (``shape``, ``dtype``, ``offset``) — and an
+``index.json`` naming them — every file written under a temporary name
+and renamed into place.
 
-It is the only format read: a record lacking any field ``save_store``
-writes for it (a digest, a sparse digest, an offset, the ``key_layout``
-label) is refused like a corrupt file, and an index of any other
-version is refused whole.
+It is the only format read: a record of any kind but ``arena``, or
+lacking any field ``save_store`` writes for it (a digest, a sparse
+digest, an offset, the ``key_layout`` label), is refused like a corrupt
+file, and an index of any other version is refused whole.
 
 A snapshot is read two ways:
 
@@ -72,11 +71,9 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
-from zipfile import BadZipFile
 
 import numpy as np
 
-from repro.cache.compress import CompressedModuleKV
 from repro.llm.kv import KEY_LAYOUT, ModuleKV
 
 if TYPE_CHECKING:  # the store pages in through this module: import at use
@@ -99,31 +96,6 @@ _RACY_MARGIN_NS = 2_000_000_000
 _wall_clock_ns = time.time_ns  # what file timestamps are compared against
 
 _ARENA_KIND = "arena"
-
-
-@dataclass
-class SaveReport:
-    """What a snapshot actually contains. ``skipped`` counts entries that
-    hold non-persistable payloads (simulator stand-ins) — a nonzero value
-    means the snapshot is partial, which operators need to know before
-    trusting a restore."""
-
-    saved: int = 0
-    skipped: int = 0
-    skipped_keys: list[str] = field(default_factory=list)
-
-    @property
-    def partial(self) -> bool:
-        return self.skipped > 0
-
-    def summary(self) -> str:
-        if not self.skipped:
-            return f"saved {self.saved} module(s)"
-        return (
-            f"saved {self.saved} module(s); skipped {self.skipped} "
-            f"non-persistable entr{'y' if self.skipped == 1 else 'ies'} "
-            f"({', '.join(self.skipped_keys)})"
-        )
 
 
 def _safe_stem(key: CacheKey) -> str:
@@ -200,43 +172,29 @@ def _raw_arenas(payload: ModuleKV) -> tuple[np.ndarray, np.ndarray]:
     return empty, empty
 
 
-def _save_npz(handle, payload: CompressedModuleKV) -> None:
-    """Write a codec-compressed entry's tensors as one npz archive."""
-    arrays = {"positions": payload.positions}
-    for field_name, tensors in payload.payload.items():
-        for i, tensor in enumerate(tensors):
-            arrays[f"{field_name}{i}"] = tensor
-    np.savez_compressed(handle, **arrays)
-
-
-def _save_entry(directory: Path, key: CacheKey, payload) -> dict:
+def _save_entry(directory: Path, key: CacheKey, payload: ModuleKV) -> dict:
     """Write one entry's payload files; returns the index record's
-    ``kind``/``files`` fields."""
+    ``kind``/``key_layout``/``files`` fields."""
     stem = _safe_stem(key)
-    if isinstance(payload, ModuleKV):
-        key_arena, value_arena = _raw_arenas(payload)
-        parts = {
-            "keys": np.ascontiguousarray(key_arena.swapaxes(-2, -1)),
-            "values": np.ascontiguousarray(value_arena),
-            "positions": np.ascontiguousarray(payload.positions),
-        }
-        files = {}
-        for part, array in parts.items():
-            info = _write_atomic(
-                directory / f"{stem}.{part}.npy",
-                lambda handle, array=array: np.save(handle, array),
-            )
-            # Where the raw C-order data sits, so a page-in can map it
-            # without re-parsing the npy header (an ``ast`` compile each).
-            info["shape"] = list(array.shape)
-            info["dtype"] = array.dtype.str
-            info["offset"] = info["nbytes"] - array.nbytes
-            files[part] = info
-        return {"kind": _ARENA_KIND, "key_layout": KEY_LAYOUT, "files": files}
-    info = _write_atomic(
-        directory / f"{stem}.npz", lambda handle: _save_npz(handle, payload)
-    )
-    return {"kind": payload.codec, "files": {"payload": info}}
+    key_arena, value_arena = _raw_arenas(payload)
+    parts = {
+        "keys": np.ascontiguousarray(key_arena.swapaxes(-2, -1)),
+        "values": np.ascontiguousarray(value_arena),
+        "positions": np.ascontiguousarray(payload.positions),
+    }
+    files = {}
+    for part, array in parts.items():
+        info = _write_atomic(
+            directory / f"{stem}.{part}.npy",
+            lambda handle, array=array: np.save(handle, array),
+        )
+        # Where the raw C-order data sits, so a page-in can map it
+        # without re-parsing the npy header (an ``ast`` compile each).
+        info["shape"] = list(array.shape)
+        info["dtype"] = array.dtype.str
+        info["offset"] = info["nbytes"] - array.nbytes
+        files[part] = info
+    return {"kind": _ARENA_KIND, "key_layout": KEY_LAYOUT, "files": files}
 
 
 def _key_record(key: CacheKey) -> dict:
@@ -249,7 +207,7 @@ def _record_key(record: dict) -> CacheKey:
     return CacheKey(record["schema"], record["module"], record["variant"])
 
 
-def write_catalog_entry(directory: str | Path, key: CacheKey, payload) -> dict:
+def write_catalog_entry(directory: str | Path, key: CacheKey, payload: ModuleKV) -> dict:
     """Write one entry's v2 payload files into ``directory`` (atomically,
     with full and sparse digests) and return the catalog record that
     :func:`load_catalog_entry` materializes it from. ``save_store`` writes
@@ -260,40 +218,26 @@ def write_catalog_entry(directory: str | Path, key: CacheKey, payload) -> dict:
     return record
 
 
-def save_store(store: ModuleCacheStore, directory: str | Path) -> SaveReport:
-    """Write every entry of both tiers to ``directory`` as a v2 snapshot.
+def save_store(store: ModuleCacheStore, directory: str | Path) -> int:
+    """Write every entry of both tiers to ``directory`` as a v2 snapshot;
+    returns the number of modules saved.
 
     Payload files land first and ``index.json`` last, each through a
     temporary sibling and a rename: a save that fails part-way leaves the
     previous index whole, never a truncated one (a payload it rewrote
     fails that index's digest and is skipped, like any changed file).
-    Returns a
-    :class:`SaveReport`; check ``report.partial`` to detect entries
-    (simulator stand-ins) that could not be serialized.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries: list[dict] = []
-    report = SaveReport()
     for tier_name in ("gpu", "cpu"):
-        tier = store.tier(tier_name)
-        for key, entry in tier.entries.items():
-            payload = entry.kv
-            if not isinstance(payload, (ModuleKV, CompressedModuleKV)):
-                # Simulator stand-ins carry no tensors; record the gap so
-                # a partial snapshot is distinguishable from a full one.
-                report.skipped += 1
-                report.skipped_keys.append(key.tag())
-                continue
-            record = write_catalog_entry(directory, key, payload)
+        for key, entry in store.tier(tier_name).entries.items():
+            record = write_catalog_entry(directory, key, entry.kv)
             record["tier"] = tier_name
             entries.append(record)
-            report.saved += 1
     index = json.dumps({"version": SNAPSHOT_VERSION, "entries": entries}, indent=1)
     _write_atomic(directory / _INDEX, lambda handle: handle.write(index.encode()))
-    if report.partial:
-        warnings.warn(f"partial snapshot: {report.summary()}", stacklevel=2)
-    return report
+    return len(entries)
 
 
 def _record_tag(record: dict) -> str:
@@ -305,24 +249,6 @@ def _warn_skip(record: dict, reason: str) -> None:
     warnings.warn(
         f"skipping {name} ({_record_tag(record)}): {reason}", stacklevel=3
     )
-
-
-def _load_npz(handle, record: dict):
-    """A codec-compressed entry from its npz archive."""
-    with np.load(handle) as data:
-        positions = data["positions"]
-        payload: dict[str, list[np.ndarray]] = {}
-        fields = [n for n in data.files if n != "positions"]
-        # Layer order must survive the archive: sort by (field, i).
-        fields.sort(
-            key=lambda n: (n.rstrip("0123456789"), int(n[len(n.rstrip("0123456789")):]))
-        )
-        for name in fields:
-            field_name = name.rstrip("0123456789")
-            payload.setdefault(field_name, []).append(data[name])
-        return CompressedModuleKV(
-            codec=record["kind"], payload=payload, positions=positions
-        )
 
 
 class _Rejected(Exception):
@@ -350,28 +276,25 @@ class VerifyLedger:
     failed: int = 0
 
 
-# What ``save_store`` records for every payload file, and additionally
-# for an arena's (where its data sits, so a page-in maps it directly).
-_FILE_FIELDS = ("file", "nbytes", "sha256", "sparse_sha256")
-_ARENA_FILE_FIELDS = _FILE_FIELDS + ("shape", "dtype", "offset")
+# What ``save_store`` records for every payload file: its digests and
+# where its data sits, so a page-in maps it directly.
+_FILE_FIELDS = ("file", "nbytes", "sha256", "sparse_sha256", "shape", "dtype", "offset")
 _ARENA_PARTS = ("keys", "values", "positions")
 
 
 def _check_record(record: dict) -> None:
-    """Raise :class:`_Rejected` unless ``record`` carries every field
-    ``save_store`` writes for its kind: nothing is read, mapped or served
-    on a guess about a layout, an offset or a digest. (Indexing, not
-    ``dict.get``: a page-in runs this on every fetch.)"""
+    """Raise :class:`_Rejected` unless ``record`` is an arena record
+    carrying every field ``save_store`` writes: nothing is read, mapped or
+    served on a guess about a kind, a layout, an offset or a digest.
+    (Indexing, not ``dict.get``: a page-in runs this on every fetch.)"""
     try:
-        if record["kind"] == _ARENA_KIND:
-            if record["key_layout"] != KEY_LAYOUT:
-                raise _Rejected(f"key_layout {record['key_layout']!r} is not {KEY_LAYOUT!r}")
-            parts, fields = _ARENA_PARTS, _ARENA_FILE_FIELDS
-        else:
-            parts, fields = ("payload",), _FILE_FIELDS
-        for part in parts:
+        if record["kind"] != _ARENA_KIND:
+            raise _Rejected(f"record kind {record['kind']!r} is not {_ARENA_KIND!r}")
+        if record["key_layout"] != KEY_LAYOUT:
+            raise _Rejected(f"key_layout {record['key_layout']!r} is not {KEY_LAYOUT!r}")
+        for part in _ARENA_PARTS:
             info = record["files"][part]
-            for name in fields:
+            for name in _FILE_FIELDS:
                 if name not in info:
                     raise _Rejected(f"{part} record lacks {name}")
     except KeyError as missing:
@@ -461,8 +384,6 @@ def _load_entry(directory, record: dict, ledger: VerifyLedger | None):
     try:
         for part, info in record["files"].items():
             handles[part] = _open_verified(directory, info, ledger)
-        if record["kind"] != _ARENA_KIND:
-            return _load_npz(handles["payload"], record)
         files = record["files"]
         key_arena = _read_part(handles["keys"], files["keys"], mapped).swapaxes(-2, -1)
         value_arena = _read_part(handles["values"], files["values"], mapped)
@@ -487,7 +408,7 @@ def _load_or_skip(load, directory, record: dict, *args):
         return load(directory, record, *args)
     except _Rejected as exc:
         _warn_skip(record, str(exc))
-    except (OSError, ValueError, KeyError, BadZipFile) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         # A verified file can still fail to read (an I/O error, or a
         # recorded layout its file does not hold); degrade to a skip.
         _warn_skip(record, f"unreadable payload ({type(exc).__name__}: {exc})")

@@ -59,7 +59,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.analysis.locks import ordered_lock
-from repro.cache.compress import CompressedModuleKV
 from repro.cache.persist import (
     VerifyLedger,
     catalog_entry_fault,
@@ -71,10 +70,13 @@ from repro.cache.persist import (
 from repro.fabric.costs import TIER_CPU, TIER_GPU, TierCostModel
 from repro.fabric.placement import PlacementEngine
 from repro.fabric.prefetch import PredictivePrefetcher
-from repro.hw.allocator import CapacityError
 from repro.llm.kv import ModuleKV
 
 SOLO_VARIANT = "solo"
+
+
+class CapacityError(MemoryError):
+    """Raised when an entry is larger than a tier's whole capacity."""
 
 
 @dataclass(frozen=True)
@@ -338,8 +340,8 @@ class ModuleCacheStore:
         """Invoke the miss fetcher, degrading a raised exception into an
         ordinary miss (``None`` → re-encode upstream) after recording it.
 
-        A fetcher blowing up mid-fetch (peer died, socket reset, codec
-        mismatch) must not take the serve path down with it — re-encoding
+        A fetcher blowing up mid-fetch (peer died, socket reset, a
+        malformed reply) must not take the serve path down with it — re-encoding
         locally is always a correct fallback. Runs outside the store lock,
         like the fetcher itself.
         """
@@ -428,15 +430,13 @@ class ModuleCacheStore:
         holds for a few milliseconds — once per module per process, since
         a cataloged key's later evictions return at the first line; the
         per-request path, ``_page_in``, hashes and faults outside the
-        lock. A store with no ``snapshot_dir``, a stand-in payload with no
-        tensors, or a failed write drops the entry."""
+        lock. A store with no ``snapshot_dir``, or a failed write, drops
+        the entry."""
         key = entry.key
         with self._lock:
             if key in self._catalog:
                 return
-        if self.snapshot_dir is None or not isinstance(
-            entry.kv, (ModuleKV, CompressedModuleKV)
-        ):
+        if self.snapshot_dir is None:
             return
         started = time.perf_counter()
         try:

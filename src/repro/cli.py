@@ -605,7 +605,7 @@ def _cmd_warm(args) -> int:
     for name, wall_s in per_schema:
         print(f"  {name:<16} {wall_s:8.3f}s")
     if saved is not None:
-        print(f"snapshot: {args.out} ({saved.summary()}, format v2 — attach "
+        print(f"snapshot: {args.out} (saved {saved} module(s), format v2 — attach "
               f"with `repro serve-cluster --attach-snapshot {args.out}`)")
     return 0
 

@@ -120,13 +120,7 @@ class CacheExporter:
             writer.write(wire.pack_frame(wire.MSG_NOT_FOUND))
             await writer.drain()
             return
-        try:
-            module = wire.serialize_module(key, entry.kv)
-        except wire.WireError as exc:  # stand-ins and codec payloads do not travel
-            self._count_request("unserializable")
-            writer.write(wire.pack_json(wire.MSG_ERROR, {"error": str(exc)}))
-            await writer.drain()
-            return
+        module = wire.serialize_module(key, entry.kv)
         writer.write(wire.pack_json(wire.MSG_META, module.meta))
         sent = 0
         for chunk in wire.iter_chunks(module, self.chunk_size):

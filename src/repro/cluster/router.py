@@ -47,7 +47,7 @@ from repro.server.metrics import MetricsRegistry
 # Counter families rolled up from worker registries into router gauges.
 _AGGREGATED_COUNTERS = (
     ("cluster_peer_fetch_total", ("outcome",), ("hit", "miss", "deduped", "retry", "error")),
-    ("cluster_export_requests_total", ("outcome",), ("served", "not_found", "unserializable")),
+    ("cluster_export_requests_total", ("outcome",), ("served", "not_found")),
     ("server_requests_total", ("outcome",), ("submitted", "completed", "failed", "expired", "rejected")),
 )
 _AGGREGATED_SCALARS = (

@@ -166,11 +166,9 @@ def _segment_views(
     return segments, buffers
 
 
-def serialize_module(key: CacheKey, kv) -> WireModule:
+def serialize_module(key: CacheKey, kv: ModuleKV) -> WireModule:
     """Flatten a :class:`ModuleKV` into a wire header + zero-copy payload
-    views. Anything else raises :class:`WireError`."""
-    if not isinstance(kv, ModuleKV):
-        raise WireError(f"cannot serialize {type(kv).__name__} for the wire")
+    views."""
     named: list[tuple[str, np.ndarray]] = [("positions", kv.positions)]
     for i, (k, v) in enumerate(zip(kv.keys, kv.values)):
         named.append((f"keys{i}", k.swapaxes(-2, -1)))

@@ -23,8 +23,8 @@ fetch, the exporter, and heartbeats. A miss on the loop thread itself
 gets no peer fetch: the hook declines rather than deadlock the loop
 that must run it.
 
-A worker's engine stores module K/V as computed (no codec), so that is
-what travels between workers.
+A worker's engine stores module K/V as computed, so that is what
+travels between workers.
 
 Workers share the (read-only) model weights in-process but never share
 stores — the point is to exercise the cross-store distribution plane.
@@ -38,8 +38,7 @@ import threading
 from repro.analysis.locks import assert_unheld
 from repro.cache.engine import PromptCache
 from repro.cache.persist import observe_residency
-from repro.cache.storage import CacheKey, ModuleCacheStore
-from repro.hw.allocator import CapacityError
+from repro.cache.storage import CacheKey, CapacityError, ModuleCacheStore
 from repro.cluster.exporter import CacheExporter
 from repro.cluster.fetcher import FetchFailed, PeerFetcher
 from repro.cluster.health import DEAD, DRAINING, UP

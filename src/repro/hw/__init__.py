@@ -34,11 +34,6 @@ from repro.hw.transfer import (
     layer_kv_payload_bytes,
     module_transfer_route,
 )
-from repro.hw.allocator import (
-    CapacityError,
-    mb_per_token,
-    module_bytes,
-)
 
 __all__ = [
     "DeviceSpec", "device", "DEVICES", "GPU_DEVICES", "CPU_DEVICES",
@@ -47,5 +42,4 @@ __all__ = [
     "module_copy_latency", "speedup",
     "Route", "ROUTE_BANDWIDTH", "copy_latency", "layer_kv_payload_bytes",
     "module_transfer_route",
-    "CapacityError", "mb_per_token", "module_bytes",
 ]

@@ -21,8 +21,8 @@ K-major buffer sends OpenBLAS down its transposed-B path (one layer of
 attention, 15 query rows against 527 keys, 8 KV heads, head_dim 32:
 213 µs against 302, 2-vCPU VM, OpenBLAS). Values
 stay K-major, the layout ``p @ V`` reads row-major. :class:`ModuleKV`
-construction is the one place keys in any other layout (an old
-snapshot record, a codec's decode, an old wire peer) are copied into it.
+construction is the one place keys in any other layout are copied into
+it.
 """
 
 from __future__ import annotations
@@ -400,8 +400,8 @@ class ModuleKV:
     def ensure_arena(self) -> "ModuleKV":
         """Return an arena-backed equivalent (self when already one).
 
-        Stacking costs one allocation + copy per tensor; codecs that
-        rebuild per-layer arrays (fp16/int8) land here on decode.
+        Stacking costs one allocation + copy per tensor; a module built
+        from per-layer arrays lands here when it is persisted or spliced.
         """
         if self.is_arena:
             return self

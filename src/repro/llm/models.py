@@ -16,7 +16,7 @@ gpt2          LayerNorm learned      GELU       sequential
 There is one prefill pass, ``forward``, and it is *packed*: given a
 sequence of ``(cache, rows)`` it runs the chunks of several sequences as
 one (sum_rows, d_model) hidden state, attention per sequence — what the
-serving scheduler runs. Given one cache it is that pass over the single
+continuous scheduler runs. Given one cache it is that pass over the single
 segment ``[(cache, len(ids))]``, a pack of one, and that call is the bit
 reference behind ``serve``, ``generate``, ``check`` and module encoding
 (there is no batch axis: Prompt Cache is a prefill-stage transformation

@@ -1,12 +1,9 @@
 """Live async serving runtime: Prompt Cache under real concurrent load.
 
-Where :mod:`repro.serving` *predicts* serving behaviour with an
-event-driven simulator over the roofline latency model, this package
-*executes* it: an asyncio runtime (:class:`LiveServer`) drives the real
+An asyncio runtime (:class:`LiveServer`) drives the real
 :class:`repro.cache.engine.PromptCache` with admission control,
 iteration-level batching, deadlines, load shedding, metrics, and a seeded
-load generator whose traces are shared with the simulator — so
-prediction and measurement line up request for request.
+load generator that replays :mod:`repro.serving` traces.
 """
 
 from repro.server.batcher import CacheAwareBatcher

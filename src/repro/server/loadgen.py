@@ -1,10 +1,8 @@
 """Seeded open-loop load generation against the live runtime.
 
-Reuses the arrival processes and schema-popularity machinery of
-:mod:`repro.serving.traces` so a live run is directly comparable with
-the simulator's prediction for the *same* trace: synthesize one trace,
-feed it to both :func:`repro.serving.simulator.simulate` and
-:func:`run_open_loop`, and put the reports side by side.
+Replays the arrival processes and schema-popularity machinery of
+:mod:`repro.serving.traces`: synthesize one trace, feed it to
+:func:`run_open_loop`, and the same seed gives the same arrivals.
 
 The generator materializes each :class:`SchemaProfile` as a real PML
 schema (one ``context`` module sized to ``module_tokens``) and each

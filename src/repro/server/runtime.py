@@ -1,10 +1,9 @@
 """The live asyncio serving runtime: admission → iterate → stream.
 
 :class:`LiveServer` drives the *real* :class:`repro.cache.engine.PromptCache`
-under concurrent load — the executable counterpart of the event-driven
-simulator in :mod:`repro.serving.simulator`, closing the gap the paper
-leaves open when it positions Prompt Cache "as a foundational component
-for future LLM serving systems" (§6).
+under concurrent load, closing the gap the paper leaves open when it
+positions Prompt Cache "as a foundational component for future LLM
+serving systems" (§6).
 
 Design:
 

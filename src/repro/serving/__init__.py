@@ -1,32 +1,11 @@
-"""Serving-system layer: trace synthesis and an event-driven simulator
-showing Prompt Cache as a serving component (paper §6)."""
+"""Serving workloads: seeded request traces over a pool of schemas, the
+arrival streams the live server's load generators replay."""
 
-from repro.serving.scheduler import (
-    FleetReport,
-    FleetScheduler,
-    compare_policies,
-)
-from repro.serving.simulator import (
-    MODES,
-    RequestOutcome,
-    SimConfig,
-    SimReport,
-    SimulatedKV,
-    simulate,
-    sustainable_rate,
-)
 from repro.serving.traces import (
     SchemaProfile,
     TraceRequest,
-    longbench_profiles,
     poisson_arrivals,
     synthesize_trace,
 )
 
-__all__ = [
-    "FleetScheduler", "FleetReport", "compare_policies",
-    "SimConfig", "SimReport", "RequestOutcome", "SimulatedKV", "simulate",
-    "sustainable_rate", "MODES",
-    "TraceRequest", "SchemaProfile", "poisson_arrivals", "synthesize_trace",
-    "longbench_profiles",
-]
+__all__ = ["TraceRequest", "SchemaProfile", "poisson_arrivals", "synthesize_trace"]

@@ -1,9 +1,11 @@
-"""Workload trace synthesis for the serving simulator.
+"""Workload trace synthesis for the live server's load generators.
 
 Models the serving scenario the paper motivates: a pool of schemas
 (document sets, templates) with skewed popularity, Poisson request
-arrivals, and per-request cached/uncached/decode token counts drawn from
-the LongBench-like dataset profiles.
+arrivals, and per-request cached/uncached/decode token counts jittered
+around each schema's means. The CLI, the load generators
+(:mod:`repro.server.loadgen`, :mod:`repro.cluster.loadgen`) and the
+fabric prefetcher's priors read these traces.
 """
 
 from __future__ import annotations
@@ -62,10 +64,13 @@ def synthesize_trace(
     rng = np.random.default_rng(seed)
     weights = np.array([p.weight for p in profiles], dtype=float)
     weights /= weights.sum()
+
+    def jitter(mean: int) -> int:
+        return max(int(rng.normal(mean, 0.1 * mean)), 1)
+
     requests: list[TraceRequest] = []
     for i, arrival in enumerate(poisson_arrivals(rate_rps, duration_s, rng)):
         profile = profiles[int(rng.choice(len(profiles), p=weights))]
-        jitter = lambda mean: max(int(rng.normal(mean, 0.1 * mean)), 1)  # noqa: E731
         requests.append(
             TraceRequest(
                 request_id=i,
@@ -99,17 +104,3 @@ def schema_interarrivals(trace: list[TraceRequest]) -> dict[str, float]:
         means[schema] = sum(gaps) / len(gaps)
     return means
 
-
-def longbench_profiles(n_schemas: int = 8, context_tokens: int = 5000) -> list[SchemaProfile]:
-    """A schema pool shaped like the paper's evaluation: ~5K-token document
-    contexts, ~100-token directives, Zipf-skewed popularity."""
-    return [
-        SchemaProfile(
-            name=f"schema{i}",
-            module_tokens=context_tokens,
-            uncached_mean=100 if i % 4 else 300,  # a few TriviaQA-like heavies
-            decode_mean=64,
-            weight=1.0 / (i + 1),  # Zipf(1)
-        )
-        for i in range(n_schemas)
-    ]

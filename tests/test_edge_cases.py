@@ -74,31 +74,6 @@ class TestParamDefaults:
         assert result.cached_tokens > 0
 
 
-class TestCodecScaffoldInteraction:
-    SCHEMA = (
-        '<schema name="cs"><scaffold modules="a,b"/>'
-        '<module name="a">the quick brown fox</module>'
-        '<module name="b">jumps over the lazy dog</module></schema>'
-    )
-
-    @pytest.mark.parametrize("codec", ["fp16", "int8"])
-    def test_scaffold_serving_under_codec(self, llama, tok, codec):
-        pc = PromptCache(llama, tok, template=PLAIN_TEMPLATE, kv_codec=codec)
-        pc.register_schema(self.SCHEMA)
-        result = pc.serve(
-            '<prompt schema="cs"><a/><b/> what ?</prompt>', max_new_tokens=4
-        )
-        assert len(result.output_ids) == 4
-
-    def test_fp16_scaffold_still_matches_baseline(self, llama, tok):
-        pc = PromptCache(llama, tok, template=PLAIN_TEMPLATE, kv_codec="fp16")
-        pc.register_schema(self.SCHEMA)
-        prompt = '<prompt schema="cs"><a/><b/> what ?</prompt>'
-        cached = pc.serve(prompt, max_new_tokens=4)
-        baseline = pc.baseline(prompt, max_new_tokens=4)
-        assert cached.output_ids == baseline.output_ids
-
-
 class TestSamplers:
     def test_temperature_sampling_distribution(self):
         sampler = TemperatureSampler(temperature=1.0, seed=0)

@@ -28,7 +28,7 @@ def load_example(name: str):
 @pytest.mark.parametrize(
     "name",
     ["quickstart", "parameterized_prompts", "chat_session", "tiered_serving",
-     "serving_load", "live_serving"],
+     "live_serving"],
 )
 def test_example_runs(name, capsys):
     module = load_example(name)

@@ -252,18 +252,6 @@ class TestStateWalk:
         assert set(tmp_path.iterdir()) == attached
         assert walk.store.fabric_snapshot()["catalog_entries"] == 0
 
-    def test_stand_in_payloads_are_not_spilled(self, tmp_path):
-        class StandIn:
-            def nbytes(self) -> int:
-                return 400
-
-        store = ModuleCacheStore(500, 500, snapshot_dir=tmp_path)
-        for key in KEYS[:4]:
-            store.put(key, StandIn())
-        snap = store.fabric_snapshot()
-        assert snap["spills"] == 0 and snap["spill_errors"] == 0
-        assert store.fetch(KEYS[0]) is None
-
 
 # -- the engine on a churning fabric ------------------------------------------------
 

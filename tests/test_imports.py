@@ -106,7 +106,7 @@ def test_option_surface_is_pinned():
         "pc", "max_inflight", "prefill_chunk_tokens", "clock", "maintenance",
     ]
     assert list(inspect.signature(PromptCache.__init__).parameters)[1:] == [
-        "model", "tokenizer", "store", "template", "kv_codec",
+        "model", "tokenizer", "store", "template",
     ]
     assert list(inspect.signature(PromptCache.register_schema).parameters)[1:] == [
         "source", "eager",

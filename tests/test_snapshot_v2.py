@@ -28,7 +28,7 @@ import pytest
 
 from repro.analysis import sanitize
 from repro.analysis.sanitize import SanitizerError, install_sanitizers, uninstall_sanitizers
-from repro.cache import storage
+from repro.cache import persist, storage
 from repro.cache.engine import PromptCache
 from repro.cache.persist import (
     _index_entries,
@@ -194,6 +194,52 @@ class TestV2RoundTrip:
         attached = ModuleCacheStore(snapshot_dir=tmp_path)
         assert attached.fabric_snapshot()["catalog_entries"] == 1
         assert _kv_bytes(_page_in(attached, CacheKey("s", "a"))) == _kv_bytes(_module_kv(1))
+
+
+class TestRecordKinds:
+    def test_a_record_of_another_kind_is_skipped_by_both_readers(self, tmp_path):
+        """Both readers read only the kind ``save_store`` writes, ``arena``.
+        A record of kind ``int8`` — one npz archive of quantized tensors
+        and their scales, with full and sparse digests, as an int8 codec
+        once stored a module — is skipped with a warning naming it, by
+        ``load_store`` and by a store's catalog, and the arena record
+        beside it loads."""
+        arena_key, int8_key = CacheKey("s", "a"), CacheKey("s", "q")
+        store = ModuleCacheStore()
+        store.put(arena_key, _module_kv(1))
+        save_store(store, tmp_path)
+        rng = np.random.default_rng(5)
+        tensors = {
+            f"{name}0": rng.integers(-127, 128, (2, 6, 4)).astype(np.int8)
+            for name in ("keys", "values")
+        } | {
+            f"{name}0": rng.random((2, 6, 1)).astype(np.float32)
+            for name in ("key_scales", "value_scales")
+        }
+        info = persist._write_atomic(
+            tmp_path / "s__q__solo.npz",
+            lambda handle: np.savez_compressed(
+                handle, positions=np.arange(6, dtype=np.int64), **tensors
+            ),
+        )
+        index = json.loads((tmp_path / "index.json").read_text())
+        index["entries"].append({
+            "schema": "s", "module": "q", "variant": "solo", "kind": "int8",
+            "files": {"payload": info}, "tier": "gpu",
+        })
+        (tmp_path / "index.json").write_text(json.dumps(index))
+        skipped = r"s__q__solo\.npz \(s/q/solo\): record kind 'int8' is not 'arena'"
+
+        with pytest.warns(UserWarning, match=skipped):
+            restored = load_store(tmp_path)
+        assert int8_key not in restored
+        assert _kv_bytes(restored.peek(arena_key).kv) == _kv_bytes(_module_kv(1))
+
+        attached = ModuleCacheStore(snapshot_dir=tmp_path)
+        with pytest.warns(UserWarning, match=skipped):
+            assert attached.fetch(int8_key) is None
+        assert not attached.snapshot_backed(int8_key)
+        assert _kv_bytes(_page_in(attached, arena_key)) == _kv_bytes(_module_kv(1))
 
 
 class TestMappedLoad:

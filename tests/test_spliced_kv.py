@@ -8,7 +8,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cache.compress import Fp16Codec, Int8Codec
 from repro.cache.encoder import drop_param_slots, encode_module
 from repro.cache.engine import PromptCache, _arena_splice
 from repro.cache.layout import layout_schema
@@ -114,8 +113,6 @@ KEY_PATHS = {
     "load_store": _load_store,
     "mapped-page-in": _page_in,
     "wire-receive": _wire_receive,
-    "fp16-decode": lambda pc, tmp_path: Fp16Codec().decode(Fp16Codec().encode(_stored(pc))).keys,
-    "int8-decode": lambda pc, tmp_path: Int8Codec().decode(Int8Codec().encode(_stored(pc))).keys,
     "fork-tail": _fork_tail,
     "reserve-growth": _reserve_growth,
     "arena-splice": lambda pc, tmp_path: [

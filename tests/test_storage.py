@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.storage import (
     CacheKey,
     CacheTier,
+    CapacityError,
     ModuleCacheStore,
     SOLO_VARIANT,
 )
-from repro.hw.allocator import CapacityError
 from repro.llm.kv import ModuleKV
 
 RNG = np.random.default_rng(13)
